@@ -28,7 +28,7 @@ from .analyticity import (
     solve_shift_family,
 )
 from .errors import ParastripError
-from .grid import ComplexField, HermiteData, StripSpec, make_grid
+from .grid import ComplexField, HermiteData, StripSpec, _shifted_points, make_grid
 from .norms import NormParams, besov_norm, lp_norm, strip_norm
 from .operators import (
     DivergenceOperator,
@@ -430,8 +430,7 @@ def _build_source(cfg: dict, grid, errors: list):
         return None
 
     def source(t, grid_, shift):
-        shift_vec = np.zeros(grid_.dim, dtype=np.complex128) if shift is None else np.asarray(shift)
-        pts = grid_.meshgrid().astype(np.complex128) + shift_vec.reshape((grid_.dim,) + (1,) * grid_.dim)
+        pts = _shifted_points(grid_, shift)
         vals = np.asarray(datum(pts) if callable(datum) else None, dtype=np.complex128)
         if vals.shape == grid_.shape:
             vals = vals[np.newaxis]

@@ -7,8 +7,9 @@ initial data of Hermite type P(z) exp(-|z|^2/2) can be evaluated anywhere in
 C^N, which is what makes exact complex-shifted sampling possible.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+import functools
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 import numpy.polynomial.hermite as nph
@@ -28,9 +29,37 @@ __all__ = [
 ]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _cached(build):
+    """Memoize a no-argument Grid method on the instance.
+
+    A Grid is frozen, so its geometry is a pure function of the instance.
+    Every caller shares the cached arrays, which is why they are read-only.
+    """
+    key = "_cached_" + build.__name__
+
+    @functools.wraps(build)
+    def method(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = build(self)
+            return value
+
+    return method
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice on [-L, L)^dim with n points per axis."""
+    """Uniform periodic lattice on [-L, L)^dim with n points per axis.
+
+    ``meshgrid``, ``wavenumbers``, ``dealias_mask`` and the derivative
+    multipliers are computed once per instance and returned read-only.
+    """
 
     dim: int
     half_length: float
@@ -61,17 +90,20 @@ class Grid:
         n = self.points_per_axis
         return -self.half_length + self.spacing * np.arange(n)
 
+    @_cached
     def meshgrid(self) -> np.ndarray:
         """Node coordinates, stacked to shape (dim, n, ..., n)."""
         x = self.axis_nodes()
-        return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
+        return _read_only(np.stack(np.meshgrid(*([x] * self.dim), indexing="ij")))
 
-    def wavenumbers(self) -> list:
+    @_cached
+    def wavenumbers(self) -> tuple:
         """Per-axis angular wavenumbers broadcast to the grid shape."""
         n = self.points_per_axis
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
-        return list(np.meshgrid(*([k] * self.dim), indexing="ij"))
+        return tuple(_read_only(k_axis) for k_axis in np.meshgrid(*([k] * self.dim), indexing="ij"))
 
+    @_cached
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask over the spectral grid."""
         n = self.points_per_axis
@@ -80,7 +112,7 @@ class Grid:
         mask = keep
         for _ in range(self.dim - 1):
             mask = np.logical_and.outer(mask, keep)
-        return mask.reshape(self.shape)
+        return _read_only(mask.reshape(self.shape))
 
 
 def make_grid(dim: int, half_length: float, points_per_axis: int) -> Grid:
@@ -222,6 +254,22 @@ def eval_hermite(data: HermiteData, z) -> np.ndarray:
 DataHandle = Union[HermiteData, Callable]
 
 
+def _normalize_shift(dim: int, shift) -> np.ndarray:
+    """A complex shift vector of length ``dim``; None means no shift."""
+    if shift is None:
+        return np.zeros(dim, dtype=np.complex128)
+    arr = np.atleast_1d(np.asarray(shift, dtype=np.complex128))
+    if arr.shape != (dim,):
+        raise ConfigurationError(f"shift must be a complex vector of length {dim}, got shape {arr.shape}")
+    return arr
+
+
+def _shifted_points(grid: Grid, shift) -> np.ndarray:
+    """Complex lattice x_j + shift, stacked to shape (dim, n, ..., n)."""
+    shift = _normalize_shift(grid.dim, shift)
+    return grid.meshgrid().astype(np.complex128) + shift.reshape((grid.dim,) + (1,) * grid.dim)
+
+
 def sample_on_shifted_grid(data: DataHandle, grid: Grid, shift, strip: StripSpec = None) -> ComplexField:
     """Sample analytic data on the complex-shifted lattice x_j + shift.
 
@@ -230,14 +278,12 @@ def sample_on_shifted_grid(data: DataHandle, grid: Grid, shift, strip: StripSpec
     complex vector of length dim; a declared ``strip`` restricts its
     imaginary part.
     """
-    shift = np.atleast_1d(np.asarray(shift, dtype=np.complex128))
-    if shift.shape != (grid.dim,):
-        raise ConfigurationError(f"shift must be a complex vector of length {grid.dim}, got shape {shift.shape}")
+    shift = _normalize_shift(grid.dim, shift)
     if strip is not None and not strip.contains(shift):
         raise DomainError(
             f"shift {shift} leaves the declared strip of half width {strip.half_width}"
         )
-    pts = grid.meshgrid().astype(np.complex128) + shift.reshape((grid.dim,) + (1,) * grid.dim)
+    pts = _shifted_points(grid, shift)
     if isinstance(data, HermiteData):
         if data.dim != grid.dim:
             raise ConfigurationError("datum dimension does not match the grid")
@@ -265,13 +311,19 @@ def _check_multi_index(alpha, dim: int) -> tuple:
 
 
 def derivative_multiplier(grid: Grid, alpha) -> np.ndarray:
-    """Fourier multiplier of D^alpha = i^(-|alpha|) d^alpha, i.e. k^alpha."""
+    """Fourier multiplier of D^alpha = i^(-|alpha|) d^alpha, i.e. k^alpha.
+
+    Cached per grid and multi-index, and read-only like the grid geometry.
+    """
     alpha = _check_multi_index(alpha, grid.dim)
-    ks = grid.wavenumbers()
-    mult = np.ones(grid.shape)
-    for k_axis, a in zip(ks, alpha):
-        if a:
-            mult = mult * k_axis ** a
+    cache = grid.__dict__.setdefault("_cached_multipliers", {})
+    mult = cache.get(alpha)
+    if mult is None:
+        mult = np.ones(grid.shape)
+        for k_axis, a in zip(grid.wavenumbers(), alpha):
+            if a:
+                mult = mult * k_axis ** a
+        mult = cache[alpha] = _read_only(mult)
     return mult
 
 

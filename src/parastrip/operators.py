@@ -25,6 +25,8 @@ from .grid import (
     _check_multi_index,
     _fftn,
     _ifftn,
+    _normalize_shift,
+    _shifted_points,
     derivative_multiplier,
 )
 
@@ -32,6 +34,7 @@ __all__ = [
     "TemporalDomain",
     "DivergenceOperator",
     "multi_indices",
+    "OperatorPlan",
     "apply_operator",
     "leading_symbol",
     "estimate_ellipticity_constant",
@@ -170,46 +173,90 @@ class DivergenceOperator:
         )
 
 
-def _zero_shift(dim: int):
-    return np.zeros(dim, dtype=np.complex128)
-
-
-def apply_operator(op: DivergenceOperator, field: ComplexField, t: complex, shift=None) -> ComplexField:
-    """Apply P(x + shift, t, D) to a field pseudo-spectrally."""
-    grid = field.grid
+def _check_dimension(op: DivergenceOperator, grid: Grid):
     if grid.dim != op.dim:
         raise ConfigurationError(f"operator dimension {op.dim} does not match grid dimension {grid.dim}")
+
+
+def _check_components(op: DivergenceOperator, field: ComplexField):
     if field.components != op.components:
         raise ConfigurationError(
             f"operator expects {op.components} components, field has {field.components}"
         )
-    shift = _zero_shift(op.dim) if shift is None else np.atleast_1d(np.asarray(shift, dtype=np.complex128))
-    if not op.strip.contains(shift):
-        raise DomainError(f"shift {shift} leaves the coefficient strip (half width {op.strip.half_width})")
-    if not op.temporal.contains(t):
-        raise DomainError(f"time {t} lies outside the temporal domain")
 
-    pts = grid.meshgrid().astype(np.complex128) + shift.reshape((op.dim,) + (1,) * op.dim)
-    hat = _fftn(field.values, grid)
-    mask = grid.dealias_mask()
-    out_hat = np.zeros_like(hat)
 
-    for alpha, beta in op.terms:
-        c = op.coefficient_matrix(alpha, beta, pts, t)
-        inner_hat = hat * derivative_multiplier(grid, beta)
-        spatially_constant = c.ndim == 2 or np.all(
-            np.abs(c - c.reshape(c.shape[:2] + (-1,))[..., :1].reshape(c.shape[:2] + (1,) * grid.dim)) == 0.0
-        )
-        if spatially_constant:
-            c0 = c.reshape(c.shape[:2] + (-1,))[..., 0] if c.ndim > 2 else c
-            term_hat = np.einsum("ij,j...->i...", c0, inner_hat)
-        else:
-            inner = _ifftn(inner_hat, grid)
-            prod = np.einsum("ij...,j...->i...", c, inner)
-            term_hat = _fftn(prod, grid) * mask
-        out_hat += term_hat * derivative_multiplier(grid, alpha)
+class OperatorPlan:
+    """P(x + shift, t, D) prepared for repeated application on one grid.
 
-    return ComplexField(grid, _ifftn(out_hat, grid))
+    Construction checks the dimension and the strip once and precomputes
+    the shifted points, the dealias mask and the multiplier of every
+    multi-index in ``op.terms``.  Coefficients are evaluated for the latest
+    time only and reused while ``t`` repeats, which is exact because
+    coefficient callables are pure functions of (z, t): a march evaluates
+    them once per distinct time node.
+    """
+
+    def __init__(self, op: DivergenceOperator, grid: Grid, shift=None):
+        _check_dimension(op, grid)
+        shift = _normalize_shift(op.dim, shift)
+        if not op.strip.contains(shift):
+            raise DomainError(f"shift {shift} leaves the coefficient strip (half width {op.strip.half_width})")
+        self.op = op
+        self.grid = grid
+        self.shift = shift
+        self.points = _shifted_points(grid, shift)
+        self.mask = grid.dealias_mask()
+        self.multipliers = {
+            idx: derivative_multiplier(grid, idx) for idx in {i for term in op.terms for i in term}
+        }
+        self._t = None
+        self._coefficients = None
+
+    def coefficients(self, t) -> list:
+        """Per term of ``op.terms``: (coefficient field, its (M, M) value or None).
+
+        The second entry is set when the coefficient is spatially constant.
+        Raises DomainError when ``t`` leaves the operator's temporal domain.
+        """
+        if self._coefficients is not None and t == self._t:
+            return self._coefficients
+        if not self.op.temporal.contains(t):
+            raise DomainError(f"time {t} lies outside the temporal domain")
+        out = []
+        for alpha, beta in self.op.terms:
+            c = self.op.coefficient_matrix(alpha, beta, self.points, t)
+            flat = c.reshape(c.shape[:2] + (-1,))
+            constant = np.all(np.abs(c - flat[..., :1].reshape(c.shape[:2] + (1,) * self.grid.dim)) == 0.0)
+            out.append((c, flat[..., 0] if constant else None))
+        self._t, self._coefficients = t, out
+        return out
+
+    def apply(self, field: ComplexField, t) -> ComplexField:
+        """P(x + shift, t, D) field, pseudo-spectrally, with the terms in ``op.terms`` order."""
+        grid = self.grid
+        if field.grid != grid:
+            raise ConfigurationError(f"field lives on {field.grid}, the plan on {grid}")
+        _check_components(self.op, field)
+        coefficients = self.coefficients(t)
+        hat = _fftn(field.values, grid)
+        out_hat = np.zeros_like(hat)
+        for (alpha, beta), (c, c0) in zip(self.op.terms, coefficients):
+            inner_hat = hat * self.multipliers[beta]
+            if c0 is not None:
+                term_hat = np.einsum("ij,j...->i...", c0, inner_hat)
+            else:
+                inner = _ifftn(inner_hat, grid)
+                prod = np.einsum("ij...,j...->i...", c, inner)
+                term_hat = _fftn(prod, grid) * self.mask
+            out_hat += term_hat * self.multipliers[alpha]
+        return ComplexField(grid, _ifftn(out_hat, grid))
+
+
+def apply_operator(op: DivergenceOperator, field: ComplexField, t: complex, shift=None) -> ComplexField:
+    """Apply P(x + shift, t, D) to a field pseudo-spectrally (a one-shot OperatorPlan)."""
+    _check_dimension(op, field.grid)
+    _check_components(op, field)
+    return OperatorPlan(op, field.grid, shift).apply(field, t)
 
 
 def leading_symbol(op: DivergenceOperator, z, t, xi) -> np.ndarray:
@@ -317,9 +364,7 @@ def verify_garding(op: DivergenceOperator, fields, thetas=(0.0,), shifts=None, t
         quad_a = sum(lp_norm(d_fields[a], 2.0) ** 2 for a in top)
         quad_b = lp_norm(w, 2.0) ** 2
         for shift in shifts:
-            pts = grid.meshgrid().astype(np.complex128) + np.asarray(shift, dtype=np.complex128).reshape(
-                (op.dim,) + (1,) * op.dim
-            )
+            pts = _shifted_points(grid, shift)
             for t in t_points:
                 form = 0.0 + 0.0j
                 for alpha, beta in op.terms:

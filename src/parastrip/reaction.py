@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import ComplexField, Grid
+from .grid import ComplexField, Grid, _shifted_points
 from .operators import multi_indices
 
 __all__ = [
@@ -187,8 +187,7 @@ def nemytskii(spec: ReactionSpec, jets, shift, t, grid: Grid, check_domain: bool
                 f"jet value {val} at grid point {tuple(np.round(nodes, 6))} (t={t}) left the reaction's "
                 "holomorphy domain"
             )
-    shift = np.atleast_1d(np.asarray(shift, dtype=np.complex128))
-    pts = grid.meshgrid().astype(np.complex128) + shift.reshape((grid.dim,) + (1,) * grid.dim)
+    pts = _shifted_points(grid, shift)
     vals = np.asarray(spec.eval(pts, t, X), dtype=np.complex128)
     if vals.shape == grid.shape:
         vals = vals[np.newaxis]

@@ -18,7 +18,7 @@ s with rotation mu produces u(t) on the ray t = t_base + mu s.
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -30,12 +30,14 @@ from .grid import (
     StripSpec,
     _fftn,
     _ifftn,
-    derivative_multiplier,
+    _normalize_shift,
     sample_on_shifted_grid,
     spectral_derivative,
 )
 from .norms import NormParams, besov_norm, lp_norm, _smooth_step
-from .operators import DivergenceOperator, apply_operator
+# apply_operator stays importable as parastrip.solver.apply_operator, the name
+# perfbench/tracer.py patches; the solver itself applies P through one plan per solve
+from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
 from .reaction import ReactionSpec, nemytskii
 
 __all__ = [
@@ -142,19 +144,6 @@ class SolveResult:
         return len(self.fields)
 
 
-def _zero_shift(dim):
-    return np.zeros(dim, dtype=np.complex128)
-
-
-def _normalize_shift(dim, shift):
-    if shift is None:
-        return _zero_shift(dim)
-    arr = np.atleast_1d(np.asarray(shift, dtype=np.complex128))
-    if arr.shape != (dim,):
-        raise ConfigurationError(f"shift must have one entry per dimension ({dim}), got shape {arr.shape}")
-    return arr
-
-
 def _initial_field(problem: CauchyProblem, shift) -> ComplexField:
     init = problem.initial
     if isinstance(init, ComplexField):
@@ -185,29 +174,37 @@ def _jet_fields(field: ComplexField, indices) -> list:
     return jets
 
 
-def _rhs_values(problem: CauchyProblem, w: ComplexField, t, shift, config: SolverConfig) -> np.ndarray:
+def _rhs_values(problem: CauchyProblem, plan: OperatorPlan, w: ComplexField, t,
+                config: SolverConfig) -> np.ndarray:
     """Physical right-hand side A w + F(jets) + g at one time node."""
-    vals = -apply_operator(problem.op, w, t, shift).values
+    vals = -plan.apply(w, t).values
     if problem.reaction is not None:
         spec = problem.reaction
         jets = _jet_fields(w, spec.jet_indices)
         vals = vals + nemytskii(
-            spec, jets, shift, t, problem.grid, check_domain=config.check_reaction_domain
+            spec, jets, plan.shift, t, problem.grid, check_domain=config.check_reaction_domain
         ).values
     if problem.source is not None:
-        vals = vals + _source_values(problem.source, t, problem.grid, shift)
+        vals = vals + _source_values(problem.source, t, problem.grid, plan.shift)
     return vals
 
 
-def _frozen_symbol(op: DivergenceOperator, grid: Grid, t, shift) -> np.ndarray:
+def _frozen_symbol(plan: OperatorPlan, t) -> np.ndarray:
     """Spatial mean of the full symbol of P at time t, shape grid.shape (scalar case)."""
-    pts = grid.meshgrid().astype(np.complex128) + shift.reshape((op.dim,) + (1,) * op.dim)
-    p_hat = np.zeros(grid.shape, dtype=np.complex128)
-    for alpha, beta in op.terms:
-        c = op.coefficient_matrix(alpha, beta, pts, t)
+    p_hat = np.zeros(plan.grid.shape, dtype=np.complex128)
+    for (alpha, beta), (c, _) in zip(plan.op.terms, plan.coefficients(t)):
+        # the mean runs over the full field even when c is constant, so the
+        # symbol keeps the rounding of the mean of n^dim equal values
         cbar = np.mean(c[0, 0])
-        p_hat += cbar * derivative_multiplier(grid, alpha) * derivative_multiplier(grid, beta)
+        p_hat += cbar * plan.multipliers[alpha] * plan.multipliers[beta]
     return p_hat
+
+
+def _check_rotation(mu: complex, temporal):
+    if abs(mu - 1.0) > temporal.mu_disc_radius + 1e-12:
+        raise DomainError(
+            f"ray rotation mu={mu} leaves the admissible disc of radius sin(angle)={temporal.mu_disc_radius}"
+        )
 
 
 _PHI_CONTOUR_POINTS = 32
@@ -269,8 +266,8 @@ def _trajectory_delta(new_phys, old_phys, config: SolverConfig, grid: Grid):
     return delta, max(1.0, scale)
 
 
-def _picard_window(problem: CauchyProblem, w0: ComplexField, span, mu, config: SolverConfig,
-                   t_base=0.0, shift=None, check_mu=True):
+def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
+                   config: SolverConfig, t_base=0.0, check_mu=True):
     """Integrate one window with the frozen-generator variation-of-constants scheme.
 
     Returns (s_nodes, fields, rhs_fields, sweeps, last_ratio).  Raises
@@ -284,15 +281,12 @@ def _picard_window(problem: CauchyProblem, w0: ComplexField, span, mu, config: S
         )
     temporal = problem.temporal
     mu = complex(mu)
-    if check_mu and abs(mu - 1.0) > temporal.mu_disc_radius + 1e-12:
-        raise DomainError(
-            f"ray rotation mu={mu} leaves the admissible disc of radius sin(angle)={temporal.mu_disc_radius}"
-        )
-    shift = _normalize_shift(op.dim, shift)
+    if check_mu:
+        _check_rotation(mu, temporal)
     s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, temporal)
     n = len(s_nodes) - 1
 
-    frozen = _frozen_symbol(op, grid, t_nodes[0], shift)
+    frozen = _frozen_symbol(plan, t_nodes[0])
     a_hat = -mu * dt * frozen
     propagator = np.exp(a_hat)
     phi1, phi2 = _phi_weights(a_hat)
@@ -308,7 +302,7 @@ def _picard_window(problem: CauchyProblem, w0: ComplexField, span, mu, config: S
     def h_hats(phys, hats):
         out = []
         for j in range(n + 1):
-            rhs = _rhs_values(problem, ComplexField(grid, phys[j]), t_nodes[j], shift, config)
+            rhs = _rhs_values(problem, plan, ComplexField(grid, phys[j]), t_nodes[j], config)
             out.append(_fftn(rhs, grid) + frozen * hats[j])
         return out
 
@@ -343,7 +337,7 @@ def _picard_window(problem: CauchyProblem, w0: ComplexField, span, mu, config: S
 
     fields = [ComplexField(grid, p) for p in traj_phys]
     rhs_fields = [
-        ComplexField(grid, _rhs_values(problem, f, t_nodes[j], shift, config))
+        ComplexField(grid, _rhs_values(problem, plan, f, t_nodes[j], config))
         for j, f in enumerate(fields)
     ]
     return s_nodes, fields, rhs_fields, sweep, ratio
@@ -353,8 +347,9 @@ def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: So
                 t_base=0.0, shift=None) -> SolveResult:
     """One frozen-generator window solve on the ray t = t_base + mu s, s in ``window``."""
     config = config if config is not None else SolverConfig()
+    plan = OperatorPlan(problem.op, problem.grid, shift)
     s_nodes, fields, rhs_fields, sweeps, ratio = _picard_window(
-        problem, w0, tuple(window), mu, config, t_base=t_base, shift=shift
+        problem, plan, w0, tuple(window), mu, config, t_base=t_base
     )
     times = np.asarray(t_base + complex(mu) * s_nodes, dtype=np.complex128)
     diag = {
@@ -367,17 +362,14 @@ def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: So
     return SolveResult(times, fields, rhs_fields, diag)
 
 
-def _march_imex(problem: CauchyProblem, w0: ComplexField, span, mu, config: SolverConfig,
-                t_base=0.0, shift=None, check_mu=True):
+def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
+                config: SolverConfig, t_base=0.0, check_mu=True):
     """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part."""
-    op, grid = problem.op, problem.grid
+    op, grid, shift = problem.op, problem.grid, plan.shift
     temporal = problem.temporal
     mu = complex(mu)
-    if check_mu and abs(mu - 1.0) > temporal.mu_disc_radius + 1e-12:
-        raise DomainError(
-            f"ray rotation mu={mu} leaves the admissible disc of radius sin(angle)={temporal.mu_disc_radius}"
-        )
-    shift = _normalize_shift(op.dim, shift)
+    if check_mu:
+        _check_rotation(mu, temporal)
     s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, temporal)
     n = len(s_nodes) - 1
     M = op.components
@@ -385,7 +377,7 @@ def _march_imex(problem: CauchyProblem, w0: ComplexField, span, mu, config: Solv
     size = int(np.prod(shape))
 
     if M == 1:
-        sym = _frozen_symbol(op, grid, t_nodes[0], shift)
+        sym = _frozen_symbol(plan, t_nodes[0])
         precond_hat = 1.0 / (1.0 + 0.5 * mu * dt * sym)
 
         def _apply_precond(v):
@@ -410,7 +402,7 @@ def _march_imex(problem: CauchyProblem, w0: ComplexField, span, mu, config: Solv
     def implicit_solve(t_next, b_vals, x0_vals, iters):
         def matvec(v):
             f = ComplexField(grid, v.reshape(shape))
-            pv = apply_operator(op, f, t_next, shift).values
+            pv = plan.apply(f, t_next).values
             return (f.values + 0.5 * mu * dt * pv).ravel()
 
         lhs = LinearOperator((size, size), matvec=matvec, dtype=np.complex128)
@@ -438,30 +430,31 @@ def _march_imex(problem: CauchyProblem, w0: ComplexField, span, mu, config: Solv
 
     gmres_iters = []
     fields = [ComplexField(grid, w0.values.copy())]
-    exps = [explicit_part(fields[0], t_nodes[0])]
+    # du/dt at every node is A w_j + e_j; only the last two explicit parts are kept
+    rhs_vals = []
+    e_prev, e_j = None, explicit_part(fields[0], t_nodes[0])
     for j in range(n):
         w_j = fields[j]
-        a_j = -apply_operator(op, w_j, t_nodes[j], shift).values
+        a_j = -plan.apply(w_j, t_nodes[j]).values
+        rhs_vals.append(a_j + e_j)
         base = w_j.values + 0.5 * mu * dt * a_j
         if j == 0:
             # predictor with the frozen explicit part, corrector with the trapezoid
-            b = base + mu * dt * exps[0]
+            b = base + mu * dt * e_j
             pred = ComplexField(grid, implicit_solve(t_nodes[1], b, w_j.values, gmres_iters))
             e_pred = explicit_part(pred, t_nodes[1])
-            b = base + 0.5 * mu * dt * (exps[0] + e_pred)
+            b = base + 0.5 * mu * dt * (e_j + e_pred)
             w_next = implicit_solve(t_nodes[1], b, pred.values, gmres_iters)
         else:
-            b = base + mu * dt * (1.5 * exps[j] - 0.5 * exps[j - 1])
+            b = base + mu * dt * (1.5 * e_j - 0.5 * e_prev)
             w_next = implicit_solve(t_nodes[j + 1], b, w_j.values, gmres_iters)
         if not np.all(np.isfinite(w_next)):
             raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
         fields.append(ComplexField(grid, w_next))
-        exps.append(explicit_part(fields[-1], t_nodes[j + 1]))
+        e_prev, e_j = e_j, explicit_part(fields[-1], t_nodes[j + 1])
+    rhs_vals.append(-plan.apply(fields[-1], t_nodes[n]).values + e_j)
 
-    rhs_fields = []
-    for j, f in enumerate(fields):
-        a_vals = -apply_operator(op, f, t_nodes[j], shift).values
-        rhs_fields.append(ComplexField(grid, a_vals + exps[j]))
+    rhs_fields = [ComplexField(grid, v) for v in rhs_vals]
     return s_nodes, fields, rhs_fields, gmres_iters, None
 
 
@@ -472,6 +465,7 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
     config = config if config is not None else SolverConfig()
     shift = _normalize_shift(problem.grid.dim, shift)
     w = start if start is not None else _initial_field(problem, shift)
+    plan = OperatorPlan(problem.op, problem.grid, shift)
 
     if config.integrator == "imex":
         window = s_total
@@ -494,12 +488,12 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
         try:
             if config.integrator == "imex":
                 s_nodes, wf, rf, iters, ratio = _march_imex(
-                    problem, w, (s, s + span), mu, config, t_base, shift, check_mu
+                    problem, plan, w, (s, s + span), mu, config, t_base, check_mu
                 )
                 sweeps = None
             else:
                 s_nodes, wf, rf, sweeps, ratio = _picard_window(
-                    problem, w, (s, s + span), mu, config, t_base, shift, check_mu
+                    problem, plan, w, (s, s + span), mu, config, t_base, check_mu
                 )
                 iters = None
         except ConvergenceError:
@@ -761,15 +755,7 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
         horizon_idx[T] = j
 
     bparams = NormParams(p=p, m=op.order_half)
-    run_cfg = SolverConfig(
-        dt=dt,
-        window=config.window,
-        picard_tol=config.picard_tol,
-        picard_max_iter=config.picard_max_iter,
-        integrator=config.integrator,
-        snapshot_stride=1,
-        gmres_tol=config.gmres_tol,
-    )
+    run_cfg = replace(config, dt=dt, snapshot_stride=1)
 
     best = {T: 0.0 for T in horizons}
     skipped = 0

@@ -80,6 +80,18 @@ def test_derivative_multiplier_matches_wavenumbers():
     assert np.max(np.abs(np.imag(mult))) == 0.0
 
 
+def test_grid_geometry_is_cached_read_only():
+    g = ps.make_grid(2, 3.0, 16)
+    cached = [g.meshgrid(), g.dealias_mask(), ps.derivative_multiplier(g, (1, 2))] + list(g.wavenumbers())
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+    assert g.meshgrid() is cached[0]
+    assert ps.derivative_multiplier(g, [1, 2]) is cached[2]
+    # equal grids compare equal whatever their caches hold
+    assert g == ps.make_grid(2, 3.0, 16)
+
+
 def test_hermite_eval_basis_and_continuation():
     data = ps.HermiteData(np.array([1.0 + 0j]), 1, "hermite")
     x = np.linspace(-2, 2, 11)

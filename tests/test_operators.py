@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parastrip as ps
-from parastrip.errors import ConfigurationError
+from parastrip.errors import ConfigurationError, DomainError
 
 from conftest import make_heat_operator
 
@@ -89,6 +90,101 @@ def test_time_dependent_coefficient():
     out0 = ps.apply_operator(op, f, 0.0)
     out1 = ps.apply_operator(op, f, 1.0)
     np.testing.assert_allclose(out1.values, 2.0 * out0.values, atol=1e-11)
+
+
+def periodic_variable_operator(calls=None):
+    """D(c D u) + D(b u) + a u on [-pi, pi) with 2 pi-periodic, time-dependent coefficients."""
+
+    def counted(f):
+        def coeff(z, t):
+            if calls is not None:
+                calls.append(t)
+            return f(z, t)
+        return coeff
+
+    return ps.DivergenceOperator.from_terms(
+        order_half=1,
+        components=1,
+        dim=1,
+        term_map={
+            ((1,), (1,)): counted(lambda z, t: (1.0 + t) * (1.0 + 0.5 * np.cos(z[0]))),
+            ((1,), (0,)): counted(lambda z, t: 0.3j * np.sin(2.0 * z[0])),
+            ((0,), (0,)): counted(lambda z, t: 1.0 + t),
+        },
+        strip=ps.StripSpec(1.0),
+        temporal=ps.TemporalDomain(np.pi / 4, 1.0, 2.0),
+    )
+
+
+def band_limited(grid, seed):
+    return ps.random_band_limited_fields(grid, 1, 1, np.random.default_rng(seed))[0]
+
+
+def test_plan_memo_is_bit_identical_to_fresh_applications():
+    calls = []
+    op = periodic_variable_operator(calls)
+    g = ps.make_grid(1, np.pi, 32)
+    f = band_limited(g, 3)
+    plan = ps.OperatorPlan(op, g, [0.1 + 0.2j])
+    for t in (0.0, 0.5, 0.0):
+        got = plan.apply(f, t).values
+        np.testing.assert_array_equal(got, ps.apply_operator(op, f, t, [0.1 + 0.2j]).values)
+    # the plan evaluated each term once per time change, the fresh calls once per call
+    assert len(calls) == 2 * 3 * 3
+    before = len(calls)
+    plan.apply(f, 0.0)
+    assert len(calls) == before
+
+
+def test_plan_and_apply_operator_checks():
+    op = periodic_variable_operator()
+    g = ps.make_grid(1, np.pi, 32)
+    two = ps.ComplexField.zeros(g, 2)
+    # apply_operator keeps its order: components, then strip, then time
+    with pytest.raises(ConfigurationError, match="components"):
+        ps.apply_operator(op, two, 5.0, [2.0j])
+    with pytest.raises(DomainError, match="strip"):
+        ps.apply_operator(op, band_limited(g, 1), 5.0, [2.0j])
+    with pytest.raises(DomainError, match="temporal domain"):
+        ps.apply_operator(op, band_limited(g, 1), 5.0)
+    with pytest.raises(DomainError, match="strip"):
+        ps.OperatorPlan(op, g, [2.0j])
+    with pytest.raises(ConfigurationError, match="dimension"):
+        ps.OperatorPlan(op, ps.make_grid(2, np.pi, 16))
+    plan = ps.OperatorPlan(op, g)
+    with pytest.raises(ConfigurationError, match="plan"):
+        plan.apply(band_limited(ps.make_grid(1, np.pi, 64), 1), 0.0)
+    with pytest.raises(DomainError, match="temporal domain"):
+        plan.apply(band_limited(g, 1), 5.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+    b=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    t=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_apply_operator_is_linear(a, b, seed, t):
+    op = periodic_variable_operator()
+    g = ps.make_grid(1, np.pi, 32)
+    f, h = band_limited(g, seed), band_limited(g, seed + 1)
+    lhs = ps.apply_operator(op, ps.ComplexField(g, a * f.values + b * h.values), t).values
+    rhs = a * ps.apply_operator(op, f, t).values + b * ps.apply_operator(op, h, t).values
+    np.testing.assert_allclose(lhs, rhs, atol=1e-10 * (1.0 + abs(a) + abs(b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(min_value=-32, max_value=32), seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_lattice_roll_commutes_with_real_shift(k, seed):
+    # P(x + k h) applied to u(x + k h) is (P u)(x + k h) for 2L-periodic coefficients
+    op = periodic_variable_operator()
+    g = ps.make_grid(1, np.pi, 32)
+    f = band_limited(g, seed)
+    rolled = ps.ComplexField(g, np.roll(f.values, -k, axis=1))
+    lhs = ps.apply_operator(op, rolled, 0.25, [k * g.spacing]).values
+    rhs = np.roll(ps.apply_operator(op, f, 0.25).values, -k, axis=1)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_leading_symbol_shapes_and_values():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import parastrip as ps
+import parastrip.solver
 from parastrip.errors import ConfigurationError, DomainError
 
 from conftest import make_heat_operator, gaussian_datum
@@ -166,6 +167,60 @@ def test_time_derivatives_report_rhs(heat_problem):
     np.testing.assert_allclose(
         res.time_derivatives[-1].values, -rhs.values, atol=1e-10
     )
+
+
+def test_imex_time_derivatives_are_fresh_rhs_on_variable_2d_problem():
+    calls = []
+
+    def diffusion(z, t):
+        calls.append(t)
+        return (1.0 + 0.5 * t) * (1.0 + 0.3 * np.cos(z[0]) * np.cos(z[1]))
+
+    op = ps.DivergenceOperator.from_terms(
+        1, 1, 2, {((1, 0), (1, 0)): diffusion, ((0, 1), (0, 1)): 0.5},
+        ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0),
+    )
+    grid = ps.make_grid(2, np.pi, 16)
+
+    def source(t, grid_, shift):
+        pts = grid_.meshgrid() + np.asarray(shift).reshape(2, 1, 1)
+        return (np.sin(pts[0]) * np.exp(-t))[np.newaxis]
+
+    init = lambda pts: np.exp(np.cos(pts[0]) + 1j * np.sin(pts[1]))
+    problem = ps.CauchyProblem(grid, op, init, source=source)
+    shift = np.array([0.1j, -0.2j])
+    res = ps.solve_real(problem, 0.0, 0.05, ps.SolverConfig(dt=0.01, integrator="imex"), shift=shift)
+    assert len(res) == 6
+    for t, w, du in zip(res.times, res.fields, res.time_derivatives):
+        explicit = np.zeros((1,) + grid.shape, dtype=np.complex128)
+        explicit += source(t, grid, shift)
+        want = -ps.apply_operator(op, w, t, shift).values + explicit
+        np.testing.assert_array_equal(du.values, want)
+    # one coefficient evaluation per distinct time node, before the fresh checks above
+    assert len(calls) == 6 + 6
+    assert calls[:6] == list(res.times)
+
+
+def test_maxreg_passes_the_callers_config_through(rng, monkeypatch):
+    seen = []
+
+    def spy(problem, t0, horizon, config=None, shift=None):
+        seen.append(config)
+        return solve_real(problem, t0, horizon, config, shift)
+
+    solve_real = parastrip.solver.solve_real
+    monkeypatch.setattr(parastrip.solver, "solve_real", spy)
+    op = make_heat_operator()
+    grid = ps.make_grid(1, np.pi, 64)
+    ens = ps.default_maxreg_ensemble(grid, 1, 3, rng, support=0.05)
+    cfg = ps.SolverConfig(dt=1.0 / 64, max_window_halvings=2, check_reaction_domain=False, p=3.0,
+                          norm_params=ps.NormParams(p=4.0, m=1, dyadic_blocks=3), snapshot_stride=4)
+    ps.estimate_max_reg_constant(op, grid, 0.25, 4.0, ens, cfg)
+    assert len(seen) == 3
+    for run_cfg in seen:
+        assert (run_cfg.max_window_halvings, run_cfg.check_reaction_domain, run_cfg.p) == (2, False, 3.0)
+        assert run_cfg.norm_params == cfg.norm_params
+        assert (run_cfg.dt, run_cfg.snapshot_stride) == (1.0 / 64, 1)
 
 
 def test_step_constants_formulas():
