@@ -29,7 +29,7 @@ from .analyticity import (
 )
 from .errors import ParastripError
 from .grid import ComplexField, HermiteData, StripSpec, _shifted_points, make_grid
-from .norms import NormParams, besov_norm, lp_norm, strip_norm
+from .norms import MIN_DYADIC_BLOCKS, NormParams, _besov_norms, lp_norm
 from .operators import (
     DivergenceOperator,
     TemporalDomain,
@@ -478,20 +478,29 @@ def _build_problem(cfg: dict, horizon: float, errors: list):
 # norms table shared by solve / verify
 
 def _fit_blocks(grid) -> int:
-    # largest dyadic block count the grid's Nyquist wavenumber can host
-    return max(1, min(4, int(math.floor(math.log2(grid.nyquist))) - 1))
+    # largest dyadic block count, up to 4, that the grid's Nyquist wavenumber can host
+    return min(4, int(math.floor(math.log2(grid.nyquist))) - 1)
 
 
-def _norm_rows(result, p: float, order_half: int, family=None):
-    params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(result.fields[0].grid))
+def _check_norm_grid(grid, errors: list):
+    """Reject a grid too coarse for the Besov norm tables of solve and verify-analyticity."""
+    if grid is not None and _fit_blocks(grid) < MIN_DYADIC_BLOCKS:
+        errors.append(
+            f"grid.points_per_axis, grid.half_length: the Besov norm tables need {MIN_DYADIC_BLOCKS} dyadic "
+            f"blocks, i.e. a Nyquist wavenumber pi n / (2 L) >= {2 ** (MIN_DYADIC_BLOCKS + 1)}; "
+            f"n={grid.points_per_axis} and L={grid.half_length:g} give {grid.nyquist:.4g}"
+        )
+
+
+def _norm_rows(members, p: float, order_half: int):
+    """Per snapshot: t, the L2, L^p and Besov norms of members[0], and the Besov sup over members."""
+    grid = members[0].fields[0].grid
+    params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
     rows = []
-    for j, t in enumerate(result.times):
-        f = result.fields[j]
-        if family is None:
-            sup = besov_norm(f, params)
-        else:
-            sup = strip_norm([(y, family.results[y].fields[j]) for y in family.results], params)
-        rows.append((float(np.real(t)), lp_norm(f, 2.0), lp_norm(f, p), besov_norm(f, params), sup))
+    for j, t in enumerate(members[0].times):
+        f = members[0].fields[j]
+        besov = _besov_norms(np.stack([m.fields[j].values for m in members]), grid, params)
+        rows.append((float(np.real(t)), lp_norm(f, 2.0), lp_norm(f, p), besov[0], max(besov)))
     return rows
 
 
@@ -512,6 +521,7 @@ def _cmd_solve(cfg, out_dir, rng, jobs, record):
     horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
     t0 = _number(run, "run", "t0", errors, default=0.0, minimum=0.0)
     problem, grid = _build_problem(cfg, horizon or 1.0, errors)
+    _check_norm_grid(grid, errors)
     config = _build_solver_config(cfg, errors)
     if errors:
         raise _Invalid(errors)
@@ -534,13 +544,14 @@ def _cmd_solve(cfg, out_dir, rng, jobs, record):
                 rows.append((t, *[float(coords[ax, kk]) for ax in range(grid.dim)],
                              comp, float(flat[kk].real), float(flat[kk].imag)))
     files.append(write_csv(out_dir, "trajectory.csv", head, rows))
-    norm_rows = _norm_rows(result, config.p, problem.op.order_half)
-    files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
-    ts = [r[0] for r in norm_rows]
-    files.append(write_svg(out_dir, "norms.svg",
-                           [("l2", ts, [r[1] for r in norm_rows]),
-                            ("besov", ts, [r[3] for r in norm_rows])],
-                           "solution norms", "t", "norm"))
+    norm_rows = record("norms", lambda: _norm_rows([result], config.p, problem.op.order_half))
+    if norm_rows is not None:
+        files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
+        ts = [r[0] for r in norm_rows]
+        files.append(write_svg(out_dir, "norms.svg",
+                               [("l2", ts, [r[1] for r in norm_rows]),
+                                ("besov", ts, [r[3] for r in norm_rows])],
+                               "solution norms", "t", "norm"))
     if grid.dim == 1:
         x = grid.axis_nodes()
         final = result.final.values[0]
@@ -575,6 +586,7 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, jobs, record):
     hardy_p = float(hardy.get("p", 4.0))
     hardy_c0 = float(hardy.get("c0", 1.0))
     problem, grid = _build_problem(cfg, horizon or 1.0, errors)
+    _check_norm_grid(grid, errors)
     config = _build_solver_config(cfg, errors)
     if not (isinstance(strides, list) and strides and all(
             isinstance(s, int) and s >= 1 for s in strides)):
@@ -583,13 +595,15 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, jobs, record):
     if errors:
         raise _Invalid(errors)
 
-    y_grid = np.linspace(-y_max, y_max, n_shifts)
+    y_line = np.linspace(-y_max, y_max, n_shifts)
+    # the family shifts along the first axis: y -> (y, 0) on a 2-D grid
+    y_grid = np.column_stack([y_line] + [np.zeros_like(y_line)] * (grid.dim - 1))
     family = record("shift_family",
                     lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config, jobs=jobs))
     files, checks = [], []
     if family is not None:
         def space_rows():
-            dy = y_grid[1] - y_grid[0]
+            dy = y_line[1] - y_line[0]
             rows = []
             for stride in strides:
                 if (n_shifts - 1) // stride < 2:
@@ -619,8 +633,7 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, jobs, record):
                                    "spatial CR residual", "dy", "residual", log_y=True))
 
         norm_rows = record("family_norms", lambda: _norm_rows(
-            family.results[next(iter(family.results))], config.p,
-            problem.op.order_half, family=family))
+            list(family.results.values()), config.p, problem.op.order_half))
         if norm_rows is not None:
             files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
 

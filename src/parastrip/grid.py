@@ -296,11 +296,12 @@ def sample_on_shifted_grid(data: DataHandle, grid: Grid, shift, strip: StripSpec
 
 
 def _fftn(field_values: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.fftn(field_values, axes=grid.spatial_axes)
+    """FFT over the trailing ``grid.dim`` axes, so one call serves a field or a stack of them."""
+    return np.fft.fftn(field_values, axes=tuple(range(-grid.dim, 0)))
 
 
 def _ifftn(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.ifftn(hat, axes=grid.spatial_axes)
+    return np.fft.ifftn(hat, axes=tuple(range(-grid.dim, 0)))
 
 
 def _check_multi_index(alpha, dim: int) -> tuple:

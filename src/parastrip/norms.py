@@ -14,9 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import ComplexField, _fftn, _ifftn
+from .grid import ComplexField, Grid, _fftn, _ifftn, _read_only
 
 __all__ = ["NormParams", "lp_norm", "sobolev_hs_norm", "besov_norm", "strip_norm"]
+
+
+# fewest Littlewood-Paley blocks a Besov norm may use
+MIN_DYADIC_BLOCKS = 3
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ class NormParams:
         if not 0.0 < self.s <= 2.0 * self.m:
             raise ConfigurationError(f"smoothness s must lie in (0, 2m], got {self.s!r}")
         J = self.dyadic_blocks
-        if not (isinstance(J, (int, np.integer)) and J >= 3):
-            raise ConfigurationError(f"dyadic_blocks must be an integer >= 3, got {J!r}")
+        if not (isinstance(J, (int, np.integer)) and J >= MIN_DYADIC_BLOCKS):
+            raise ConfigurationError(f"dyadic_blocks must be an integer >= {MIN_DYADIC_BLOCKS}, got {J!r}")
 
     def require_standing_condition(self, dim: int):
         bound = 2.0 + dim / self.m
@@ -88,26 +92,57 @@ def _lowpass_profile(r: np.ndarray) -> np.ndarray:
     return _smooth_step(2.0 - np.asarray(r, dtype=np.float64))
 
 
-def littlewood_paley_blocks(field: ComplexField, blocks: int) -> list:
-    """Split a field into [S_0, Delta_1, ..., Delta_J] pieces."""
-    grid = field.grid
-    k2 = np.zeros(grid.shape)
-    for k_axis in grid.wavenumbers():
-        k2 = k2 + k_axis ** 2
-    kabs = np.sqrt(k2)
+def _lp_windows(grid: Grid, blocks: int) -> np.ndarray:
+    """Spectral windows [psi_0, psi_1 - psi_0, ..., psi_J - psi_(J-1)], stacked.
+
+    Cached per grid and block count, read-only like the grid's multipliers.
+    """
     if 2.0 ** (blocks + 1) > grid.nyquist * (1.0 + 1e-12):
         raise ConfigurationError(
             f"{blocks} dyadic blocks need support up to 2^{blocks + 1} = {2 ** (blocks + 1)}, "
             f"beyond the grid Nyquist wavenumber {grid.nyquist:.6g}"
         )
+    cache = grid.__dict__.setdefault("_cached_lp_windows", {})
+    windows = cache.get(blocks)
+    if windows is None:
+        k2 = np.zeros(grid.shape)
+        for k_axis in grid.wavenumbers():
+            k2 = k2 + k_axis ** 2
+        kabs = np.sqrt(k2)
+        prev = _lowpass_profile(kabs)
+        rows = [prev]
+        for j in range(1, blocks + 1):
+            cur = _lowpass_profile(kabs / 2.0 ** j)
+            rows.append(cur - prev)
+            prev = cur
+        windows = cache[blocks] = _read_only(np.stack(rows))
+    return windows
+
+
+def littlewood_paley_blocks(field: ComplexField, blocks: int) -> list:
+    """Split a field into [S_0, Delta_1, ..., Delta_J] pieces."""
+    grid = field.grid
+    windows = _lp_windows(grid, blocks)
     hat = _fftn(field.values, grid)
-    prev = _lowpass_profile(kabs)
-    pieces = [ComplexField(grid, _ifftn(hat * prev, grid))]
-    for j in range(1, blocks + 1):
-        cur = _lowpass_profile(kabs / 2.0 ** j)
-        pieces.append(ComplexField(grid, _ifftn(hat * (cur - prev), grid)))
-        prev = cur
-    return pieces
+    return [ComplexField(grid, _ifftn(hat * window, grid)) for window in windows]
+
+
+def _besov_norms(values: np.ndarray, grid: Grid, params: NormParams) -> list:
+    """besov_norm of every row of a (B, M, *grid) stack, with the same rounding."""
+    windows = _lp_windows(grid, params.dyadic_blocks)
+    hat = _fftn(values, grid)
+    # (J + 1, B, M, *grid): every block of every row in one inverse transform
+    pieces = _ifftn(hat[np.newaxis] * windows[:, np.newaxis, np.newaxis], grid)
+    sums = np.sum(np.abs(pieces) ** params.p, axis=tuple(range(2, pieces.ndim)))
+    weight, p = grid.cell_volume, params.p
+    out = []
+    for row in sums.T:
+        # the scalar steps of lp_norm(piece, p) ** p, block by block
+        total = float((row[0] * weight) ** (1.0 / p)) ** p
+        for j in range(1, len(row)):
+            total += 2.0 ** (j * params.s * p) * float((row[j] * weight) ** (1.0 / p)) ** p
+        out.append(float(total ** (1.0 / p)))
+    return out
 
 
 def besov_norm(field: ComplexField, params: NormParams) -> float:
@@ -117,11 +152,7 @@ def besov_norm(field: ComplexField, params: NormParams) -> float:
     additionally requires ``params.require_standing_condition(dim)``, which
     callers enforce where it matters.
     """
-    pieces = littlewood_paley_blocks(field, params.dyadic_blocks)
-    total = lp_norm(pieces[0], params.p) ** params.p
-    for j, piece in enumerate(pieces[1:], start=1):
-        total += 2.0 ** (j * params.s * params.p) * lp_norm(piece, params.p) ** params.p
-    return float(total ** (1.0 / params.p))
+    return _besov_norms(field.values[np.newaxis], field.grid, params)[0]
 
 
 def strip_norm(shift_samples, params: NormParams) -> float:
@@ -137,4 +168,7 @@ def strip_norm(shift_samples, params: NormParams) -> float:
         items = list(shift_samples)
     if not items:
         raise ConfigurationError("strip norm needs at least one shift sample")
-    return max(besov_norm(field, params) for _, field in items)
+    grid = items[0][1].grid
+    if any(field.grid != grid for _, field in items):
+        raise ConfigurationError("strip norm samples must share one grid")
+    return max(_besov_norms(np.stack([field.values for _, field in items]), grid, params))

@@ -185,15 +185,40 @@ def _check_components(op: DivergenceOperator, field: ComplexField):
         )
 
 
+class _NodeCoefficients:
+    """One term's coefficients at a node set: row b holds the value at ts[b].
+
+    ``fields`` is (B, M, M, *grid) and ``values`` (B, M, M) its value at
+    the first point; ``const`` flags the rows whose coefficient is spatially
+    constant.  The apply core reads the row groups ``const_rows`` /
+    ``var_rows`` (None when a group is empty, a slice when it is every row)
+    and the matching stacks ``const_values`` / ``var_fields``.
+    """
+
+    def __init__(self, fields: np.ndarray, values: np.ndarray, const: np.ndarray):
+        self.fields, self.values = fields, values
+        self.const_rows, self.const_values = self._group(const, values)
+        self.var_rows, self.var_fields = self._group(~const, fields)
+
+    @staticmethod
+    def _group(rows: np.ndarray, stack: np.ndarray):
+        if rows.all():
+            return slice(None), stack
+        if not rows.any():
+            return None, None
+        return rows, stack[rows]
+
+
 class OperatorPlan:
     """P(x + shift, t, D) prepared for repeated application on one grid.
 
     Construction checks the dimension and the strip once and precomputes
     the shifted points, the dealias mask and the multiplier of every
-    multi-index in ``op.terms``.  Coefficients are evaluated for the latest
-    time only and reused while ``t`` repeats, which is exact because
-    coefficient callables are pure functions of (z, t): a march evaluates
-    them once per distinct time node.
+    multi-index in ``op.terms``.  Coefficients are kept for the latest node
+    set only; a new node set reuses the rows of times it shares with the
+    previous one.  That is exact because coefficient callables are pure
+    functions of (z, t): a Picard window evaluates them once per distinct
+    node, and a march that applies P one node at a time once per node.
     """
 
     def __init__(self, op: DivergenceOperator, grid: Grid, shift=None):
@@ -209,47 +234,85 @@ class OperatorPlan:
         self.multipliers = {
             idx: derivative_multiplier(grid, idx) for idx in {i for term in op.terms for i in term}
         }
-        self._t = None
+        self._keys = ()
         self._coefficients = None
 
-    def coefficients(self, t) -> list:
-        """Per term of ``op.terms``: (coefficient field, its (M, M) value or None).
-
-        The second entry is set when the coefficient is spatially constant.
-        Raises DomainError when ``t`` leaves the operator's temporal domain.
-        """
-        if self._coefficients is not None and t == self._t:
-            return self._coefficients
+    def _evaluate(self, t) -> list:
+        """Per term: the coefficient field at t and its (M, M) value at the first point."""
         if not self.op.temporal.contains(t):
             raise DomainError(f"time {t} lies outside the temporal domain")
         out = []
         for alpha, beta in self.op.terms:
             c = self.op.coefficient_matrix(alpha, beta, self.points, t)
-            flat = c.reshape(c.shape[:2] + (-1,))
-            constant = np.all(np.abs(c - flat[..., :1].reshape(c.shape[:2] + (1,) * self.grid.dim)) == 0.0)
-            out.append((c, flat[..., 0] if constant else None))
-        self._t, self._coefficients = t, out
+            out.append((c, c.reshape(c.shape[:2] + (-1,))[..., 0]))
         return out
 
+    def coefficients(self, ts) -> list:
+        """Per term of ``op.terms``: its coefficients at the nodes ``ts`` (a _NodeCoefficients).
+
+        Raises DomainError when a node leaves the operator's temporal domain.
+        """
+        keys = tuple(map(complex, ts))
+        if keys == self._keys:
+            return self._coefficients
+        previous = {key: b for b, key in enumerate(self._keys)}
+        rows = {}
+        for t, key in zip(ts, keys):
+            if key in rows:
+                continue
+            b = previous.get(key)
+            if b is None:
+                rows[key] = self._evaluate(t)
+            else:
+                rows[key] = [(term.fields[b], term.values[b]) for term in self._coefficients]
+        out = []
+        for k in range(len(self.op.terms)):
+            fields = np.stack([rows[key][k][0] for key in keys])
+            values = np.stack([rows[key][k][1] for key in keys])
+            spread = fields - values.reshape(values.shape + (1,) * self.grid.dim)
+            const = np.all(np.abs(spread) == 0.0, axis=tuple(range(1, fields.ndim)))
+            out.append(_NodeCoefficients(fields, values, const))
+        self._keys, self._coefficients = keys, out
+        return out
+
+    def apply_stack(self, values: np.ndarray, ts) -> np.ndarray:
+        """P(x + shift, ts[b], D) applied to row b of a (B, M, *grid) stack.
+
+        Every row sees the terms in ``op.terms`` order, and the batched FFTs
+        and products round exactly as one row at a time would.
+        """
+        if values.shape[1] != self.op.components:
+            raise ConfigurationError(
+                f"operator expects {self.op.components} components, field has {values.shape[1]}"
+            )
+        coefficients = self.coefficients(ts)
+        grid = self.grid
+        hat = _fftn(values, grid)
+        out_hat = np.zeros_like(hat)
+        for (alpha, beta), term in zip(self.op.terms, coefficients):
+            inner_hat = hat * self.multipliers[beta]
+            if term.var_rows is None:
+                term_hat = np.einsum("bij,bj...->bi...", term.const_values, inner_hat)
+            else:
+                inner = _ifftn(inner_hat[term.var_rows], grid)
+                prod = np.einsum("bij...,bj...->bi...", term.var_fields, inner)
+                term_hat = _fftn(prod, grid) * self.mask
+                if term.const_rows is not None:
+                    # some nodes see a spatially constant coefficient: they skip the round trip
+                    var_hat, term_hat = term_hat, np.empty_like(hat)
+                    term_hat[term.var_rows] = var_hat
+                    term_hat[term.const_rows] = np.einsum(
+                        "bij,bj...->bi...", term.const_values, inner_hat[term.const_rows]
+                    )
+            out_hat += term_hat * self.multipliers[alpha]
+        return _ifftn(out_hat, grid)
+
     def apply(self, field: ComplexField, t) -> ComplexField:
-        """P(x + shift, t, D) field, pseudo-spectrally, with the terms in ``op.terms`` order."""
+        """P(x + shift, t, D) field, pseudo-spectrally: the stack core on one row."""
         grid = self.grid
         if field.grid != grid:
             raise ConfigurationError(f"field lives on {field.grid}, the plan on {grid}")
-        _check_components(self.op, field)
-        coefficients = self.coefficients(t)
-        hat = _fftn(field.values, grid)
-        out_hat = np.zeros_like(hat)
-        for (alpha, beta), (c, c0) in zip(self.op.terms, coefficients):
-            inner_hat = hat * self.multipliers[beta]
-            if c0 is not None:
-                term_hat = np.einsum("ij,j...->i...", c0, inner_hat)
-            else:
-                inner = _ifftn(inner_hat, grid)
-                prod = np.einsum("ij...,j...->i...", c, inner)
-                term_hat = _fftn(prod, grid) * self.mask
-            out_hat += term_hat * self.multipliers[alpha]
-        return ComplexField(grid, _ifftn(out_hat, grid))
+        return ComplexField(grid, self.apply_stack(field.values[np.newaxis], (t,))[0])
 
 
 def apply_operator(op: DivergenceOperator, field: ComplexField, t: complex, shift=None) -> ComplexField:

@@ -31,10 +31,10 @@ from .grid import (
     _fftn,
     _ifftn,
     _normalize_shift,
+    derivative_multiplier,
     sample_on_shifted_grid,
-    spectral_derivative,
 )
-from .norms import NormParams, besov_norm, lp_norm, _smooth_step
+from .norms import NormParams, _besov_norms, besov_norm, lp_norm, _smooth_step
 # apply_operator stays importable as parastrip.solver.apply_operator, the name
 # perfbench/tracer.py patches; the solver itself applies P through one plan per solve
 from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
@@ -166,36 +166,45 @@ def _source_values(source, t, grid: Grid, shift) -> np.ndarray:
     return out
 
 
-def _jet_fields(field: ComplexField, indices) -> list:
-    jets = []
-    for beta in indices:
-        plain = (1j) ** int(sum(beta)) * spectral_derivative(field, beta).values
-        jets.append(ComplexField(field.grid, plain))
-    return jets
+def _jet_fields(stack: np.ndarray, indices, grid: Grid) -> list:
+    """Plain partial derivatives d^beta of every row of a (B, M, *grid) stack, one stack per beta."""
+    hat = _fftn(stack, grid)
+    return [(1j) ** int(sum(beta)) * _ifftn(hat * derivative_multiplier(grid, beta), grid)
+            for beta in indices]
 
 
-def _rhs_values(problem: CauchyProblem, plan: OperatorPlan, w: ComplexField, t,
-                config: SolverConfig) -> np.ndarray:
-    """Physical right-hand side A w + F(jets) + g at one time node."""
-    vals = -plan.apply(w, t).values
+def _add_forcing(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
+                 config: SolverConfig, vals: np.ndarray) -> np.ndarray:
+    """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``."""
+    grid = problem.grid
     if problem.reaction is not None:
         spec = problem.reaction
-        jets = _jet_fields(w, spec.jet_indices)
-        vals = vals + nemytskii(
-            spec, jets, plan.shift, t, problem.grid, check_domain=config.check_reaction_domain
-        ).values
+        jets = _jet_fields(stack, spec.jet_indices, grid)
+        # the reaction contract eval(z, t, X) takes one time, so nodes go one at a time
+        for b, t in enumerate(ts):
+            vals[b] += nemytskii(
+                spec, [ComplexField(grid, jet[b]) for jet in jets], plan.shift, t, grid,
+                check_domain=config.check_reaction_domain,
+            ).values
     if problem.source is not None:
-        vals = vals + _source_values(problem.source, t, problem.grid, plan.shift)
+        for b, t in enumerate(ts):
+            vals[b] += _source_values(problem.source, t, grid, plan.shift)
     return vals
+
+
+def _rhs_values(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
+                config: SolverConfig) -> np.ndarray:
+    """Physical right-hand side A w + F(jets) + g, row b of the (B, M, *grid) stack at ts[b]."""
+    return _add_forcing(problem, plan, stack, ts, config, -plan.apply_stack(stack, ts))
 
 
 def _frozen_symbol(plan: OperatorPlan, t) -> np.ndarray:
     """Spatial mean of the full symbol of P at time t, shape grid.shape (scalar case)."""
     p_hat = np.zeros(plan.grid.shape, dtype=np.complex128)
-    for (alpha, beta), (c, _) in zip(plan.op.terms, plan.coefficients(t)):
+    for (alpha, beta), term in zip(plan.op.terms, plan.coefficients((t,))):
         # the mean runs over the full field even when c is constant, so the
         # symbol keeps the rounding of the mean of n^dim equal values
-        cbar = np.mean(c[0, 0])
+        cbar = np.mean(term.fields[0, 0, 0])
         p_hat += cbar * plan.multipliers[alpha] * plan.multipliers[beta]
     return p_hat
 
@@ -253,16 +262,14 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
     return s_nodes, t_nodes, dt
 
 
-def _trajectory_delta(new_phys, old_phys, config: SolverConfig, grid: Grid):
+def _trajectory_delta(new_phys: np.ndarray, old_phys: np.ndarray, config: SolverConfig, grid: Grid):
+    """Largest change between two trajectory stacks and the largest size of the new one."""
     if config.norm_params is not None:
-        delta = max(
-            besov_norm(ComplexField(grid, n - o), config.norm_params)
-            for n, o in zip(new_phys, old_phys)
-        )
-        scale = max(besov_norm(ComplexField(grid, n), config.norm_params) for n in new_phys)
+        delta = max(_besov_norms(new_phys - old_phys, grid, config.norm_params))
+        scale = max(_besov_norms(new_phys, grid, config.norm_params))
     else:
-        delta = max(float(np.max(np.abs(n - o))) for n, o in zip(new_phys, old_phys))
-        scale = max(float(np.max(np.abs(n))) for n in new_phys)
+        delta = float(np.max(np.abs(new_phys - old_phys)))
+        scale = float(np.max(np.abs(new_phys)))
     return delta, max(1.0, scale)
 
 
@@ -270,7 +277,9 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
                    config: SolverConfig, t_base=0.0, check_mu=True):
     """Integrate one window with the frozen-generator variation-of-constants scheme.
 
-    Returns (s_nodes, fields, rhs_fields, sweeps, last_ratio).  Raises
+    Every sweep treats the window's n + 1 nodes as one (n + 1, M, *grid)
+    stack.  Returns (s_nodes, fields, rhs_fields, sweeps, last_ratio), the
+    fields and right-hand sides as (n + 1, M, *grid) stacks.  Raises
     ConvergenceError when the window fixed point stalls or exceeds the sweep
     budget, InstabilityError on non-finite iterates.
     """
@@ -294,27 +303,23 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
     w_implicit = mu * dt * phi2
 
     # zeroth iterate: free flight under the frozen generator
-    traj_hat = [np.asarray(_fftn(w0.values, grid))]
-    for _ in range(n):
-        traj_hat.append(propagator * traj_hat[-1])
-    traj_phys = [_ifftn(h, grid) for h in traj_hat]
-
-    def h_hats(phys, hats):
-        out = []
-        for j in range(n + 1):
-            rhs = _rhs_values(problem, plan, ComplexField(grid, phys[j]), t_nodes[j], config)
-            out.append(_fftn(rhs, grid) + frozen * hats[j])
-        return out
+    traj_hat = np.empty((n + 1,) + w0.values.shape, dtype=np.complex128)
+    traj_hat[0] = _fftn(w0.values, grid)
+    for j in range(n):
+        traj_hat[j + 1] = propagator * traj_hat[j]
+    traj_phys = _ifftn(traj_hat, grid)
 
     delta_prev = None
     ratio = None
     for sweep in range(1, config.picard_max_iter + 1):
-        h = h_hats(traj_phys, traj_hat)
-        new_hat = [traj_hat[0]]
+        h = _fftn(_rhs_values(problem, plan, traj_phys, t_nodes, config), grid) + frozen * traj_hat
+        explicit, implicit = w_explicit * h[:-1], w_implicit * h[1:]
+        new_hat = np.empty_like(traj_hat)
+        new_hat[0] = traj_hat[0]
         for j in range(n):
-            new_hat.append(propagator * new_hat[j] + w_explicit * h[j] + w_implicit * h[j + 1])
-        new_phys = [_ifftn(hh, grid) for hh in new_hat]
-        if not all(np.all(np.isfinite(p)) for p in new_phys):
+            new_hat[j + 1] = propagator * new_hat[j] + explicit[j] + implicit[j]
+        new_phys = _ifftn(new_hat, grid)
+        if not np.all(np.isfinite(new_phys)):
             raise InstabilityError(
                 f"non-finite iterate in window {span} at sweep {sweep}; reduce dt or the window length"
             )
@@ -335,12 +340,8 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
             f"window fixed point needed more than {config.picard_max_iter} sweeps over {span}"
         )
 
-    fields = [ComplexField(grid, p) for p in traj_phys]
-    rhs_fields = [
-        ComplexField(grid, _rhs_values(problem, plan, f, t_nodes[j], config))
-        for j, f in enumerate(fields)
-    ]
-    return s_nodes, fields, rhs_fields, sweep, ratio
+    rhs = _rhs_values(problem, plan, traj_phys, t_nodes, config)
+    return s_nodes, traj_phys, rhs, sweep, ratio
 
 
 def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: SolverConfig = None,
@@ -348,9 +349,11 @@ def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: So
     """One frozen-generator window solve on the ray t = t_base + mu s, s in ``window``."""
     config = config if config is not None else SolverConfig()
     plan = OperatorPlan(problem.op, problem.grid, shift)
-    s_nodes, fields, rhs_fields, sweeps, ratio = _picard_window(
+    s_nodes, traj, rhs, sweeps, ratio = _picard_window(
         problem, plan, w0, tuple(window), mu, config, t_base=t_base
     )
+    fields = [ComplexField(problem.grid, v) for v in traj]
+    rhs_fields = [ComplexField(problem.grid, v) for v in rhs]
     times = np.asarray(t_base + complex(mu) * s_nodes, dtype=np.complex128)
     diag = {
         "integrator": "picard_voc",
@@ -364,8 +367,12 @@ def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: So
 
 def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
                 config: SolverConfig, t_base=0.0, check_mu=True):
-    """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part."""
-    op, grid, shift = problem.op, problem.grid, plan.shift
+    """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
+
+    Returns (s_nodes, fields, rhs_fields, gmres_iterations, None), the fields
+    and right-hand sides as lists of value arrays.
+    """
+    op, grid = problem.op, problem.grid
     temporal = problem.temporal
     mu = complex(mu)
     if check_mu:
@@ -389,15 +396,8 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         precond = None
 
     def explicit_part(w: ComplexField, t) -> np.ndarray:
-        vals = np.zeros(shape, dtype=np.complex128)
-        if problem.reaction is not None:
-            jets = _jet_fields(w, problem.reaction.jet_indices)
-            vals += nemytskii(
-                problem.reaction, jets, shift, t, grid, check_domain=config.check_reaction_domain
-            ).values
-        if problem.source is not None:
-            vals += _source_values(problem.source, t, grid, shift)
-        return vals
+        zero = np.zeros((1,) + shape, dtype=np.complex128)
+        return _add_forcing(problem, plan, w.values[np.newaxis], (t,), config, zero)[0]
 
     def implicit_solve(t_next, b_vals, x0_vals, iters):
         def matvec(v):
@@ -453,9 +453,20 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         fields.append(ComplexField(grid, w_next))
         e_prev, e_j = e_j, explicit_part(fields[-1], t_nodes[j + 1])
     rhs_vals.append(-plan.apply(fields[-1], t_nodes[n]).values + e_j)
+    return s_nodes, [f.values for f in fields], rhs_vals, gmres_iters, None
 
-    rhs_fields = [ComplexField(grid, v) for v in rhs_vals]
-    return s_nodes, fields, rhs_fields, gmres_iters, None
+
+def _kept_rows(values, rows) -> list:
+    """The arrays of nodes ``rows`` of a window's output (a stack or a list of arrays).
+
+    Rows of a stack are copied out together into one block of their own:
+    stored snapshots then hold no window stack alive, and the heap is not
+    cut into one small array per node, between which the next window's
+    stacks kept landing on fresh pages (one page fault each).
+    """
+    if isinstance(values, np.ndarray):
+        return list(values[rows])
+    return [values[j] for j in rows]
 
 
 def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0,
@@ -503,15 +514,18 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
             window = span / 2.0
             continue
         if derivs[0] is None:
-            derivs[0] = rf[0]
+            derivs[0] = ComplexField(problem.grid, rf[0].copy())
         last_window = s + span >= s_total - eps
+        kept = []
         for j in range(1, len(s_nodes)):
             gstep += 1
             is_final = last_window and j == len(s_nodes) - 1
             if gstep % stride == 0 or is_final:
-                times.append(complex(t_base + mu * s_nodes[j]))
-                fields.append(wf[j])
-                derivs.append(rf[j])
+                kept.append(j)
+        for j, wj, rj in zip(kept, _kept_rows(wf, kept), _kept_rows(rf, kept)):
+            times.append(complex(t_base + mu * s_nodes[j]))
+            fields.append(ComplexField(problem.grid, wj))
+            derivs.append(ComplexField(problem.grid, rj))
         win_diag.append(
             {
                 "s_start": float(s),
@@ -522,7 +536,7 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
                 "contraction_ratio": ratio,
             }
         )
-        w = wf[-1]
+        w = ComplexField(problem.grid, wf[-1])
         s += span
 
     diag = {

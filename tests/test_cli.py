@@ -150,6 +150,45 @@ def test_verify_analyticity_outputs(tmp_path):
     assert float(rows[1][-1]) < 1e-6
 
 
+def test_verify_analyticity_on_a_2d_grid(tmp_path):
+    # the smallest 2-D grid whose Nyquist wavenumber hosts 3 dyadic blocks, with a wide box
+    cfg = {
+        "grid": {"dim": 2, "half_length": 2 * 3.141592653589793, "points_per_axis": 64},
+        "run": {"horizon": 0.1},
+        "problem": {
+            "operator": {"kind": "heat", "diffusivity": 1.0, "strip_half_width": 2.0},
+            "initial": {"kind": "gaussian"},
+        },
+        "solver": {"dt": 0.01},
+        "analyticity": {
+            "y_half_width": 0.2,
+            "n_shifts": 5,
+            "times": [0.05, 0.1],
+            "strides": [1, 2],
+            "d_mu": [0.05],
+            "rho": 0.05,
+            "path": {"sigma": 0.1, "tau": 0.02, "t_primes": [0.05, 0.08]},
+        },
+    }
+    proc, out = run_cli(tmp_path, "verify-analyticity", cfg)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [j["name"] for j in manifest["job_status"]] == [
+        "shift_family", "cr_space", "family_norms", "cr_time", "path_independence", "hardy"]
+    assert all(j["status"] == "ok" for j in manifest["job_status"])
+
+
+def test_grid_too_coarse_for_the_norm_table_exits_2(tmp_path):
+    cfg = dict(SOLVE_CFG, grid={"dim": 1, "half_length": 8.0, "points_per_axis": 32})
+    proc, out = run_cli(tmp_path, "solve", cfg)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "invalid configuration"
+    detail = " ".join(err["detail"])
+    assert "grid.points_per_axis" in detail and "grid.half_length" in detail
+    assert not (out / "manifest.json").exists()
+
+
 def test_unknown_command_rejected(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text("{}")

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import parastrip as ps
 from parastrip.errors import ConfigurationError
+from parastrip.norms import _besov_norms, _lp_windows
 
 
 def mode(grid, k, amplitude=1.0):
@@ -113,3 +114,31 @@ def test_strip_norm_takes_sup(pi_grid):
     assert ps.strip_norm(pairs, params) == ps.strip_norm(samples, params)
     with pytest.raises(ConfigurationError):
         ps.strip_norm({}, params)
+    with pytest.raises(ConfigurationError, match="share one grid"):
+        ps.strip_norm([(0.0, small), (0.1, mode(ps.make_grid(1, np.pi, 128), 2))], params)
+
+
+def reference_besov(field, params):
+    """besov_norm block by block, one field at a time."""
+    pieces = ps.littlewood_paley_blocks(field, params.dyadic_blocks)
+    total = ps.lp_norm(pieces[0], params.p) ** params.p
+    for j, piece in enumerate(pieces[1:], start=1):
+        total += 2.0 ** (j * params.s * params.p) * ps.lp_norm(piece, params.p) ** params.p
+    return float(total ** (1.0 / params.p))
+
+
+@pytest.mark.parametrize("dim,n,components,blocks", [(1, 64, 1, 4), (1, 64, 2, 3), (2, 32, 1, 3)])
+def test_batched_besov_matches_besov_norm_bit_for_bit(dim, n, components, blocks):
+    grid = ps.make_grid(dim, np.pi, n)
+    params = ps.NormParams(p=4.0, m=1, dyadic_blocks=blocks)
+    rng = np.random.default_rng(dim + n + components)
+    shape = (7, components) + grid.shape
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _besov_norms(stack, grid, params)
+    for b, v in enumerate(stack):
+        field = ps.ComplexField(grid, v)
+        assert got[b] == ps.besov_norm(field, params) == reference_besov(field, params)
+    windows = _lp_windows(grid, blocks)
+    assert windows is _lp_windows(grid, blocks)
+    with pytest.raises(ValueError):
+        windows[0, 0] = 0.0

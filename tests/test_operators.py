@@ -234,3 +234,88 @@ def test_random_band_limited_fields_are_seeded_and_band_limited():
     hat = np.fft.fft(a[0].values[0])
     k = np.abs(np.fft.fftfreq(64, d=1.0 / 64))
     assert np.max(np.abs(hat[k > 16])) < 1e-12
+
+
+def reference_apply(op, grid, values, t, shift):
+    """The one-field algorithm: P at one time on an (M, *grid) array, terms in op.terms order."""
+    axes = tuple(range(1, 1 + grid.dim))
+    pts = grid.meshgrid() + np.asarray(shift, dtype=complex).reshape((grid.dim,) + (1,) * grid.dim)
+    hat = np.fft.fftn(values, axes=axes)
+    out_hat = np.zeros_like(hat)
+    for alpha, beta in op.terms:
+        c = op.coefficient_matrix(alpha, beta, pts, t)
+        c0 = c.reshape(c.shape[:2] + (-1,))[..., 0]
+        inner_hat = hat * ps.derivative_multiplier(grid, beta)
+        if np.all(c == c0.reshape(c0.shape + (1,) * grid.dim)):
+            term_hat = np.einsum("ij,j...->i...", c0, inner_hat)
+        else:
+            inner = np.fft.ifftn(inner_hat, axes=axes)
+            prod = np.einsum("ij...,j...->i...", c, inner)
+            term_hat = np.fft.fftn(prod, axes=axes) * grid.dealias_mask()
+        out_hat += term_hat * ps.derivative_multiplier(grid, alpha)
+    return np.fft.ifftn(out_hat, axes=axes)
+
+
+def stack_case(kind, dim):
+    """(operator, grid, shift) with constant, variable or time-dependent coefficients."""
+    e = [tuple(1 if i == ax else 0 for i in range(dim)) for ax in range(dim)]
+    zero = (0,) * dim
+    if kind == "constant":
+        terms = {(e[0], e[0]): 1.5, (e[-1], zero): 0.2j, (zero, zero): 0.7}
+    elif kind == "variable":
+        terms = {(e[0], e[0]): lambda z, t: 1.0 + 0.5 * np.cos(z[0]),
+                 (e[-1], e[-1]): lambda z, t: 1.0 + 0.25 * np.sin(z[-1]),
+                 (zero, zero): 0.3}
+    else:
+        # 1 + t scales the leading term; t sin(z) is spatially constant only at t = 0
+        terms = {(e[0], e[0]): lambda z, t: (1.0 + t) * (1.0 + 0.5 * np.cos(z[0])),
+                 (e[-1], e[-1]): lambda z, t: 1.0 + t,
+                 (e[-1], zero): lambda z, t: t * np.sin(z[-1])}
+    op = ps.DivergenceOperator.from_terms(1, 1, dim, terms, ps.StripSpec(1.0),
+                                          ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
+    shift = [0.1 + 0.2j] if dim == 1 else [0.1 + 0.2j, -0.1j]
+    return op, ps.make_grid(dim, np.pi, 32 if dim == 1 else 16), shift
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "variable", "time_dependent"])
+def test_stack_apply_matches_per_row_apply_bit_for_bit(kind, dim):
+    op, g, shift = stack_case(kind, dim)
+    ts = [0.0, 0.25, 0.5 + 0.1j, 0.25, 1.0]
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((len(ts), 1) + g.shape) + 1j * rng.standard_normal((len(ts), 1) + g.shape)
+    got = ps.OperatorPlan(op, g, shift).apply_stack(stack, ts)
+    for b, t in enumerate(ts):
+        row = ps.OperatorPlan(op, g, shift).apply(ps.ComplexField(g, stack[b]), t).values
+        np.testing.assert_array_equal(got[b], row)
+        np.testing.assert_array_equal(got[b], reference_apply(op, g, stack[b], t, shift))
+
+
+def test_stack_apply_on_a_system_matches_the_reference():
+    g = ps.make_grid(1, np.pi, 32)
+    coupling = lambda z, t: np.stack([np.stack([1.0 + 0.5 * np.cos(z[0]), 0.1 + t + 0 * z[0]]),
+                                      np.stack([0.2j + 0 * z[0], 2.0 + 0 * z[0]])])
+    op = ps.DivergenceOperator.from_terms(1, 2, 1, {((1,), (1,)): coupling, ((0,), (0,)): 0.5},
+                                          ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
+    ts = [0.0, 0.5]
+    stack = np.random.default_rng(2).standard_normal((2, 2) + g.shape) + 0j
+    got = ps.OperatorPlan(op, g).apply_stack(stack, ts)
+    for b, t in enumerate(ts):
+        np.testing.assert_array_equal(got[b], reference_apply(op, g, stack[b], t, [0.0]))
+
+
+def test_plan_memo_keeps_the_latest_node_set():
+    calls = []
+    op = periodic_variable_operator(calls)
+    g = ps.make_grid(1, np.pi, 32)
+    plan = ps.OperatorPlan(op, g)
+    stack = np.stack([band_limited(g, s).values for s in range(3)])
+    plan.apply_stack(stack, [0.0, 0.1, 0.2])
+    assert len(calls) == 3 * 3
+    plan.apply_stack(stack, [0.0, 0.1, 0.2])
+    assert len(calls) == 3 * 3
+    # a new node set evaluates only the times the previous one lacked
+    plan.apply_stack(stack, [0.2, 0.3, 0.4])
+    assert len(calls) == 3 * 5
+    with pytest.raises(ConfigurationError, match="components"):
+        plan.apply_stack(np.zeros((1, 2) + g.shape, dtype=complex), [0.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parastrip as ps
 import parastrip.solver
@@ -159,6 +160,13 @@ def test_snapshot_stride_thins_trajectory(heat_problem):
     dense = ps.solve_real(heat_problem, 0.0, 0.1, ps.SolverConfig(dt=1e-2))
     assert len(dense) == 11
     np.testing.assert_allclose(res.final.values, dense.final.values, atol=1e-12)
+    # the snapshots pin no memory beyond their own values: no window stack stays alive
+    kept = [f.values for f in res.fields + res.time_derivatives]
+    owners = {}
+    for v in kept:
+        owner = v if v.base is None else v.base
+        owners[id(owner)] = owner
+    assert sum(o.nbytes for o in owners.values()) == sum(v.nbytes for v in kept)
 
 
 def test_time_derivatives_report_rhs(heat_problem):
@@ -276,3 +284,40 @@ def test_maxreg_single_horizon_returns_float(rng):
     ens = ps.default_maxreg_ensemble(grid, 1, 3, rng, support=0.05)
     got = ps.estimate_max_reg_constant(op, grid, 0.25, 4.0, ens, ps.SolverConfig(dt=1.0 / 128))
     assert isinstance(got, float) and got > 0.0
+
+
+def test_picard_window_evaluates_coefficients_once_per_node():
+    calls = []
+
+    def diffusion(z, t):
+        calls.append(t)
+        return (1.0 + t) * (1.0 + 0.5 * np.cos(z[0]))
+
+    op = ps.DivergenceOperator.from_terms(
+        1, 1, 1, {((1,), (1,)): diffusion, ((0,), (0,)): 0.5},
+        ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0),
+    )
+    problem = ps.CauchyProblem(ps.make_grid(1, np.pi, 32), op, lambda pts: np.exp(np.cos(pts[0])))
+    res = ps.solve_real(problem, 0.0, 0.08, ps.SolverConfig(dt=0.01, window=0.04))
+    sweeps = res.diagnostics["picard_iterations"]
+    assert len(sweeps) == 2 and min(sweeps) >= 2
+    # nodes 0.00 .. 0.08; the shared window boundary 0.04 is evaluated once
+    assert len(calls) == 9
+    assert calls == list(res.times)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    diffusivity=st.floats(min_value=0.2, max_value=2.0),
+    y=st.floats(min_value=-0.9, max_value=0.9),
+    radius=st.floats(min_value=0.0, max_value=0.99),
+    phase=st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_picard_takes_one_sweep_per_window_on_constant_linear_heat(diffusivity, y, radius, phase):
+    # the frozen generator is the generator, so the first sweep reproduces the semigroup
+    angle = np.pi / 4
+    op = make_heat_operator(diffusivity=diffusivity, strip_width=1.0, angle=angle)
+    problem = ps.CauchyProblem(ps.make_grid(1, 10.0, 64), op, ps.HermiteData(np.array([1.0]), 1))
+    mu = 1.0 + radius * np.sin(angle) * np.exp(1j * phase)
+    res = ps.solve_complex_ray(problem, mu, 0.1, ps.SolverConfig(dt=0.01, window=0.03), shift=[1j * y])
+    assert res.diagnostics["picard_iterations"] == [1, 1, 1, 1]
