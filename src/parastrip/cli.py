@@ -27,9 +27,9 @@ from .analyticity import (
     hardy_integral,
     solve_shift_family,
 )
-from .errors import ParastripError
+from .errors import ConfigurationError, ParastripError
 from .grid import ComplexField, HermiteData, StripSpec, _shifted_points, make_grid
-from .norms import MIN_DYADIC_BLOCKS, NormParams, _besov_norms, lp_norm
+from .norms import NormParams, _besov_norms, _fit_blocks, lp_norm
 from .operators import (
     DivergenceOperator,
     TemporalDomain,
@@ -477,19 +477,13 @@ def _build_problem(cfg: dict, horizon: float, errors: list):
 # ---------------------------------------------------------------------------
 # norms table shared by solve / verify
 
-def _fit_blocks(grid) -> int:
-    # largest dyadic block count, up to 4, that the grid's Nyquist wavenumber can host
-    return min(4, int(math.floor(math.log2(grid.nyquist))) - 1)
-
-
 def _check_norm_grid(grid, errors: list):
     """Reject a grid too coarse for the Besov norm tables of solve and verify-analyticity."""
-    if grid is not None and _fit_blocks(grid) < MIN_DYADIC_BLOCKS:
-        errors.append(
-            f"grid.points_per_axis, grid.half_length: the Besov norm tables need {MIN_DYADIC_BLOCKS} dyadic "
-            f"blocks, i.e. a Nyquist wavenumber pi n / (2 L) >= {2 ** (MIN_DYADIC_BLOCKS + 1)}; "
-            f"n={grid.points_per_axis} and L={grid.half_length:g} give {grid.nyquist:.4g}"
-        )
+    if grid is not None:
+        try:
+            _fit_blocks(grid)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
 
 
 def _norm_rows(members, p: float, order_half: int):

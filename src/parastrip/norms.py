@@ -9,6 +9,7 @@ trace-method interpolation norm everywhere a data norm is needed; on a fixed
 grid the two are equivalent and only the proxy is implemented.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,22 @@ __all__ = ["NormParams", "lp_norm", "sobolev_hs_norm", "besov_norm", "strip_norm
 
 # fewest Littlewood-Paley blocks a Besov norm may use
 MIN_DYADIC_BLOCKS = 3
+
+
+def _fit_blocks(grid: Grid) -> int:
+    """Largest dyadic block count, up to 4, that the grid's Nyquist wavenumber can host.
+
+    Raises ConfigurationError, naming the grid keys, when that is fewer
+    than MIN_DYADIC_BLOCKS.
+    """
+    blocks = min(4, int(math.floor(math.log2(grid.nyquist))) - 1)
+    if blocks < MIN_DYADIC_BLOCKS:
+        raise ConfigurationError(
+            f"grid.points_per_axis, grid.half_length: a Besov norm needs {MIN_DYADIC_BLOCKS} dyadic "
+            f"blocks, i.e. a Nyquist wavenumber pi n / (2 L) >= {2 ** (MIN_DYADIC_BLOCKS + 1)}; "
+            f"n={grid.points_per_axis} and L={grid.half_length:g} give {grid.nyquist:.4g}"
+        )
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, InstabilityError
 from .grid import ComplexField, Grid, _shifted_points
 from .operators import multi_indices
 
@@ -82,21 +82,28 @@ def _log_factor(eps: float, z: np.ndarray) -> np.ndarray:
     return np.log((1.0 - 1j * w) / (1.0 + 1j * w))
 
 
-def f_plus(eps, z):
-    """Holomorphic smoothing of the positive part max(v, 0)."""
+def _smoothed_parts(eps, z):
+    """(f_minus(z), f_plus(z)) from one branch guard and one log.
+
+    Both smoothers and the XVA reaction and source form the parts here, so
+    each part rounds the same way wherever it is taken.
+    """
     eps = _eps_value(eps)
     z = np.asarray(z, dtype=np.complex128)
     _guard_branch(eps, z)
-    out = z * (0.5 + (1j / (2.0 * np.pi)) * _log_factor(eps, z))
+    turn = (1j / (2.0 * np.pi)) * _log_factor(eps, z)
+    return z * (0.5 - turn), z * (0.5 + turn)
+
+
+def f_plus(eps, z):
+    """Holomorphic smoothing of the positive part max(v, 0)."""
+    out = _smoothed_parts(eps, z)[1]
     return out if out.ndim else complex(out)
 
 
 def f_minus(eps, z):
     """Holomorphic smoothing of the (signed) negative part min(v, 0)."""
-    eps = _eps_value(eps)
-    z = np.asarray(z, dtype=np.complex128)
-    _guard_branch(eps, z)
-    out = z * (0.5 - (1j / (2.0 * np.pi)) * _log_factor(eps, z))
+    out = _smoothed_parts(eps, z)[0]
     return out if out.ndim else complex(out)
 
 
@@ -127,12 +134,18 @@ class ReactionSpec:
     """Analytic reaction f(x, t, jets) acting on derivative jets up to order m.
 
     ``eval(z, t, X)`` receives stacked complex coordinates ``z`` of shape
-    (dim, ...), a complex time, and the jet array ``X`` of shape
-    (n_slots, M, ...) holding the plain partial derivatives d^beta u in the
-    canonical multi-index order (by order, then lexicographic); it returns
-    the reaction values of shape (M, ...).  ``jet_jacobian(z, t, X)``, if
-    given, returns d f_j / d X_{slot,k} with shape (M, n_slots, M, ...).
-    ``domain_check(X)`` returns a truth mask of admissible jet values.
+    (dim, *points), the jet array ``X`` of shape (n_slots, M, *points)
+    holding the plain partial derivatives d^beta u in the canonical
+    multi-index order (by order, then lexicographic), and the time ``t``;
+    it returns the reaction values of shape (M, *points).  The solver hands
+    over a whole window at once: the points are (B, *grid) with the batch
+    axis of time nodes first, ``z`` is a read-only broadcast view, and
+    ``t`` holds the node times shaped (B,) + (1,) * dim, so it broadcasts
+    against the points.  Elsewhere ``t`` may be a scalar.  ``eval`` must be
+    pointwise in the point axes, batch axis included.  ``jet_jacobian(z, t,
+    X)``, if given, returns d f_j / d X_{slot,k} with shape (M, n_slots, M,
+    *points).  ``domain_check(X)`` returns a truth mask of admissible jet
+    values that broadcasts against ``X``.
     """
 
     order_half: int
@@ -163,35 +176,70 @@ class ReactionSpec:
         return self.components * self.n_slots
 
 
+def _offender(bad: np.ndarray, ts, grid: Grid):
+    """Index, node time and grid point of the earliest node's first True entry.
+
+    ``bad`` has the batch axis of time nodes third, after (slot, component).
+    """
+    where = tuple(np.argwhere(np.moveaxis(bad, 2, 0))[0])
+    index = where[1:3] + where[:1] + where[3:]
+    nodes = grid.meshgrid()[(slice(None),) + where[3:]]
+    point = tuple(float(x) for x in np.round(nodes, 6))
+    return index, np.ravel(ts)[where[0]], point
+
+
+def _nemytskii_stack(spec: ReactionSpec, X: np.ndarray, points: np.ndarray, ts, grid: Grid,
+                     check_domain: bool = True) -> np.ndarray:
+    """F(ts[b], jets) at every node of a stack, in one ``eval`` call.
+
+    ``X`` holds the jets as (n_slots, M, B, *grid), ``points`` the shifted
+    lattice as (dim, B, *grid) and ``ts`` the node times shaped (B,) + (1,)
+    * dim; returns (M, B, *grid).  Each check runs once for the stack and
+    names the node time and grid point of its first offender, earliest node
+    first: non-finite jets and values raise InstabilityError, jets outside
+    the declared holomorphy domain DomainError (unless ``check_domain`` is
+    off), a misshapen result ConfigurationError.
+    """
+    if not np.all(np.isfinite(X)):
+        _, t, point = _offender(~np.isfinite(X), ts, grid)
+        raise InstabilityError(
+            f"non-finite jet value at grid point {point} (t={t}); reduce dt or the window length"
+        )
+    if check_domain and spec.domain_check is not None:
+        ok = np.asarray(spec.domain_check(X))
+        if not np.all(ok):
+            index, t, point = _offender(np.broadcast_to(~ok, X.shape), ts, grid)
+            raise DomainError(
+                f"jet value {X[index]} at grid point {point} (t={t}) left the reaction's holomorphy domain"
+            )
+    vals = np.asarray(spec.eval(points, ts, X), dtype=np.complex128)
+    expected = X.shape[1:]
+    if vals.ndim == len(expected) - 1:
+        vals = vals[np.newaxis]
+    if vals.shape != expected:
+        raise ConfigurationError(f"reaction eval returned shape {vals.shape}, expected {expected}")
+    if not np.all(np.isfinite(vals)):
+        _, t, point = _offender(~np.isfinite(vals)[np.newaxis], ts, grid)
+        raise InstabilityError(f"non-finite reaction value at grid point {point} (t={t}); reduce dt")
+    return vals
+
+
 def nemytskii(spec: ReactionSpec, jets, shift, t, grid: Grid, check_domain: bool = True) -> ComplexField:
     """Evaluate the shifted superposition operator F^(shift)(t, jets).
 
     ``jets`` lists one ComplexField per multi-index in canonical order.
     Jet values outside the declared holomorphy domain raise a domain error
     naming the first offending grid point (disable with ``check_domain``).
+    This is the solver's stack core with one node.
     """
     if len(jets) != spec.n_slots:
         raise ConfigurationError(
             f"reaction expects {spec.n_slots} jet fields (orders <= {spec.order_half}), got {len(jets)}"
         )
-    X = np.stack([j.values for j in jets])
-    if check_domain and spec.domain_check is not None:
-        ok = np.asarray(spec.domain_check(X))
-        if not np.all(ok):
-            offending = np.argwhere(~ok)[0]
-            # offending indexes (slot, component, *spatial); name the point
-            spatial = tuple(offending[2:])
-            nodes = grid.meshgrid()[(slice(None),) + spatial]
-            val = X[tuple(offending)]
-            raise DomainError(
-                f"jet value {val} at grid point {tuple(np.round(nodes, 6))} (t={t}) left the reaction's "
-                "holomorphy domain"
-            )
-    pts = _shifted_points(grid, shift)
-    vals = np.asarray(spec.eval(pts, t, X), dtype=np.complex128)
-    if vals.shape == grid.shape:
-        vals = vals[np.newaxis]
-    return ComplexField(grid, vals)
+    X = np.stack([j.values for j in jets])[:, :, np.newaxis]
+    points = _shifted_points(grid, shift)[:, np.newaxis]
+    ts = np.reshape(t, (1,) + (1,) * grid.dim)
+    return ComplexField(grid, _nemytskii_stack(spec, X, points, ts, grid, check_domain)[:, 0])
 
 
 def _numeric_jet_jacobian(spec: ReactionSpec, z, t, X) -> np.ndarray:

@@ -34,11 +34,11 @@ from .grid import (
     derivative_multiplier,
     sample_on_shifted_grid,
 )
-from .norms import NormParams, _besov_norms, besov_norm, lp_norm, _smooth_step
+from .norms import NormParams, _besov_norms, _fit_blocks, besov_norm, lp_norm, _smooth_step
 # apply_operator stays importable as parastrip.solver.apply_operator, the name
 # perfbench/tracer.py patches; the solver itself applies P through one plan per solve
 from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
-from .reaction import ReactionSpec, nemytskii
+from .reaction import ReactionSpec, _nemytskii_stack
 
 __all__ = [
     "CauchyProblem",
@@ -175,17 +175,21 @@ def _jet_fields(stack: np.ndarray, indices, grid: Grid) -> list:
 
 def _add_forcing(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
                  config: SolverConfig, vals: np.ndarray) -> np.ndarray:
-    """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``."""
+    """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``.
+
+    The reaction sees the whole stack in one call: the plan's points
+    broadcast to (dim, B, *grid), the jets as (n_slots, M, B, *grid) and
+    the node times shaped (B,) + (1,) * dim.
+    """
     grid = problem.grid
     if problem.reaction is not None:
         spec = problem.reaction
-        jets = _jet_fields(stack, spec.jet_indices, grid)
-        # the reaction contract eval(z, t, X) takes one time, so nodes go one at a time
-        for b, t in enumerate(ts):
-            vals[b] += nemytskii(
-                spec, [ComplexField(grid, jet[b]) for jet in jets], plan.shift, t, grid,
-                check_domain=config.check_reaction_domain,
-            ).values
+        B = stack.shape[0]
+        X = np.stack(_jet_fields(stack, spec.jet_indices, grid)).swapaxes(1, 2)
+        points = np.broadcast_to(plan.points[:, np.newaxis], (grid.dim, B) + grid.shape)
+        times = np.reshape(ts, (B,) + (1,) * grid.dim)
+        forcing = _nemytskii_stack(spec, X, points, times, grid, config.check_reaction_domain)
+        vals += forcing.swapaxes(0, 1)
     if problem.source is not None:
         for b, t in enumerate(ts):
             vals[b] += _source_values(problem.source, t, grid, plan.shift)
@@ -346,7 +350,17 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
 
 def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: SolverConfig = None,
                 t_base=0.0, shift=None) -> SolveResult:
-    """One frozen-generator window solve on the ray t = t_base + mu s, s in ``window``."""
+    """One frozen-generator window solve on the ray t = t_base + mu s, s in ``window``.
+
+    Deprecated: ``solve_real`` and ``solve_complex_ray`` march whole rays
+    window by window; a first window of length ``config.window`` is this step
+    from the initial datum.
+    """
+    warnings.warn(
+        "picard_step is deprecated; solve_real and solve_complex_ray march whole rays window by window",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     config = config if config is not None else SolverConfig()
     plan = OperatorPlan(problem.op, problem.grid, shift)
     s_nodes, traj, rhs, sweeps, ratio = _picard_window(
@@ -768,7 +782,7 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
             )
         horizon_idx[T] = j
 
-    bparams = NormParams(p=p, m=op.order_half)
+    bparams = NormParams(p=p, m=op.order_half, dyadic_blocks=_fit_blocks(grid))
     run_cfg = replace(config, dt=dt, snapshot_stride=1)
 
     best = {T: 0.0 for T in horizons}

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, DomainError
 from .grid import ComplexField, Grid, HermiteData, StripSpec, eval_hermite, make_grid
 from .norms import NormParams
 from .operators import DivergenceOperator, TemporalDomain
-from .reaction import ReactionSpec, f_minus, f_plus, in_branch_domain
+from .reaction import ReactionSpec, _smoothed_parts, f_minus, f_plus, in_branch_domain
 from .solver import CauchyProblem, SolverConfig, SolveResult, solve_real
 
 __all__ = [
@@ -364,9 +364,10 @@ def _payoff_strip(payoff: PayoffSpec) -> StripSpec:
 
 
 def _surface_lookup(result: SolveResult):
+    """Stored values at time t, (M, *grid); an array of times stacks them to (M, B, *grid)."""
     times = np.asarray(result.times)
 
-    def at(t):
+    def one(t):
         t = complex(t)
         if abs(t.imag) > 1e-12:
             raise ConfigurationError(
@@ -377,6 +378,11 @@ def _surface_lookup(result: SolveResult):
         if abs(times[j] - t.real) > 1e-9 * max(1.0, abs(t.real)):
             raise ConfigurationError(f"no stored price surface at t = {t.real!r}")
         return result.fields[j].values
+
+    def at(t):
+        if np.ndim(t) == 0:
+            return one(t)
+        return np.stack([one(tb) for tb in np.ravel(t)], axis=1)
 
     return at
 
@@ -399,7 +405,8 @@ def _adjustment_reaction(params: XvaParams, dim: int, mark_lookup=None) -> React
     def evaluate(z, t, X):
         own = X[0]
         mark = own if theta == 1.0 else theta * own + (1.0 - theta) * mark_lookup(t)
-        out = -cost_minus * np.asarray(f_minus(eps, mark)) - cost_plus * np.asarray(f_plus(eps, mark))
+        minus, plus = _smoothed_parts(eps, mark)
+        out = -cost_minus * minus - cost_plus * plus
         if theta != 1.0:
             out = out - (lam_b + lam_c) * (own - mark)
         return out
@@ -477,8 +484,8 @@ def price_xva_linear(params: XvaParams, payoff: PayoffSpec, reference: SolveResu
                 "the linear adjustment equation is tied to an unshifted reference surface; "
                 "run analyticity checks on the semilinear problem instead"
             )
-        vals = lookup(t)
-        return gain_minus * np.asarray(f_minus(eps, vals)) + gain_plus * np.asarray(f_plus(eps, vals))
+        minus, plus = _smoothed_parts(eps, lookup(t))
+        return gain_minus * minus + gain_plus * plus
 
     problem = CauchyProblem(
         grid=grid,

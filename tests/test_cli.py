@@ -1,12 +1,19 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import parastrip
+
 CLI = [sys.executable, "-m", "parastrip.cli"]
+# the CLI runs the parastrip these tests import, also when it is not installed
+SRC = str(Path(parastrip.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 SOLVE_CFG = {
     "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
@@ -29,6 +36,7 @@ def run_cli(tmp_path, command, cfg, *extra):
         CLI + [command, "--config", str(cfg_path), "--output", str(out_dir), *extra],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     return proc, out_dir
 
@@ -96,7 +104,7 @@ def test_invalid_config_exits_2_with_field_names(tmp_path):
 def test_unreadable_config_exits_2(tmp_path):
     cfg_path = tmp_path / "nope.json"
     proc = subprocess.run(
-        CLI + ["solve", "--config", str(cfg_path)], capture_output=True, text=True
+        CLI + ["solve", "--config", str(cfg_path)], capture_output=True, text=True, env=ENV
     )
     assert proc.returncode == 2
     assert "unreadable config" in proc.stderr
@@ -193,6 +201,50 @@ def test_unknown_command_rejected(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text("{}")
     proc = subprocess.run(
-        CLI + ["transmogrify", "--config", str(cfg_path)], capture_output=True, text=True
+        CLI + ["transmogrify", "--config", str(cfg_path)], capture_output=True, text=True, env=ENV
     )
     assert proc.returncode == 2
+
+
+def test_cli_reactions_accept_broadcast_node_times():
+    import numpy as np
+
+    import parastrip as ps
+    from parastrip.cli import _build_reaction
+
+    grid = ps.make_grid(1, 6.0, 16)
+    B = 3
+    points = np.broadcast_to(grid.meshgrid()[:, None].astype(complex), (1, B) + grid.shape)
+    ts = np.array([0.0, 0.1, 0.2 + 0.05j]).reshape(B, 1)
+    X = np.exp(1j * np.arange(2 * B * 16) / 7.0).reshape(2, 1, B, 16)
+    for block in ({"kind": "linear", "rate": 0.3, "rate_im": 0.1},
+                  {"kind": "quadratic_surrogate", "strength": 0.5}):
+        errors = []
+        spec = _build_reaction({"problem": {"reaction": block}}, grid, errors)
+        assert not errors
+        out = spec.eval(points, ts, X)
+        assert out.shape == (1, B) + grid.shape
+        for b in range(B):
+            np.testing.assert_array_equal(out[:, b], spec.eval(points[:, b], ts[b, 0], X[:, :, b]))
+
+
+def test_maxreg_fits_its_besov_blocks_to_the_grid(tmp_path):
+    cfg = {
+        "grid": {"dim": 1, "half_length": 10.0, "points_per_axis": 128},
+        "problem": {"operator": {"kind": "heat", "diffusivity": 1.0}},
+        "maxreg": {"horizons": [0.25, 0.5], "p": 4.0, "samples": 3},
+        "solver": {"dt": 0.015625},
+    }
+    # Nyquist 20.1 hosts 3 dyadic blocks, not the 4 a default NormParams asks for
+    proc, out = run_cli(tmp_path, "maxreg", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "maxreg.csv").exists()
+    # Nyquist 10.05 hosts 2, below the floor of 3: the job fails naming both grid keys
+    coarse = tmp_path / "coarse"
+    coarse.mkdir()
+    coarse_cfg = dict(cfg, grid={"dim": 1, "half_length": 10.0, "points_per_axis": 64})
+    proc, out = run_cli(coarse, "maxreg", coarse_cfg)
+    assert proc.returncode == 1
+    failed = json.loads((out / "manifest.json").read_text())["job_status"][0]
+    assert failed["status"] == "failed"
+    assert "grid.points_per_axis" in failed["error"] and "grid.half_length" in failed["error"]

@@ -127,3 +127,38 @@ def test_jet_lipschitz_estimate_uses_analytic_jacobian(rng):
     box = [((0.0, 1.0), (0.0, 0.0))]
     got = ps.jet_lipschitz_estimate(spec, box, [np.zeros(1)], [0.0], rng, n_samples=5)
     assert got == pytest.approx(7.0, rel=1e-12)
+
+
+def test_smoothed_parts_share_one_log_and_match_the_smoothers(monkeypatch):
+    import parastrip.reaction as reaction
+
+    z = np.array([0.3 + 0.02j, -1.7 + 0.0j, 4.0 - 0.05j, 0.0])
+    calls = []
+    log = reaction._log_factor
+    monkeypatch.setattr(reaction, "_log_factor", lambda eps, w: calls.append(1) or log(eps, w))
+    minus, plus = reaction._smoothed_parts(0.1, z)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(minus, ps.f_minus(0.1, z))
+    np.testing.assert_array_equal(plus, ps.f_plus(0.1, z))
+    with pytest.raises(DomainError, match="branch cut"):
+        reaction._smoothed_parts(0.1, np.array([1.0, 0.5j]))
+
+
+def test_nemytskii_is_the_stack_core_with_one_node():
+    g = ps.make_grid(2, np.pi, 8)
+    seen = []
+
+    def reaction(z, t, X):
+        seen.append((z.shape, np.shape(t), X.shape))
+        return z[0] * X[0] + t * X[2]
+
+    spec = ps.ReactionSpec(order_half=1, components=1, dim=2, eval=reaction)
+    u = ps.ComplexField(g, np.exp(np.cos(g.meshgrid()[0]) + 1j * g.meshgrid()[1]))
+    jets = [u, ps.spectral_derivative(u, (0, 1)), ps.spectral_derivative(u, (1, 0))]
+    out = ps.nemytskii(spec, jets, [0.1j, 0.0], 0.5, g)
+    assert seen == [((2, 1) + g.shape, (1, 1, 1), (3, 1, 1) + g.shape)]
+    want = (g.meshgrid()[0] + 0.1j) * u.values + 0.5 * jets[2].values
+    np.testing.assert_array_equal(out.values, want)
+    spec.eval = lambda z, t, X: X[0, 0, 0, :2]
+    with pytest.raises(ConfigurationError, match="returned shape"):
+        ps.nemytskii(spec, jets, None, 0.5, g)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import parastrip as ps
 import parastrip.solver
-from parastrip.errors import ConfigurationError, DomainError
+from parastrip.errors import ConfigurationError, DomainError, InstabilityError
 
 from conftest import make_heat_operator, gaussian_datum
 from oracles import heat_kernel_gaussian, mode_decay
@@ -321,3 +321,117 @@ def test_picard_takes_one_sweep_per_window_on_constant_linear_heat(diffusivity, 
     mu = 1.0 + radius * np.sin(angle) * np.exp(1j * phase)
     res = ps.solve_complex_ray(problem, mu, 0.1, ps.SolverConfig(dt=0.01, window=0.03), shift=[1j * y])
     assert res.diagnostics["picard_iterations"] == [1, 1, 1, 1]
+
+
+def _forcing_problem(dim):
+    # a reaction that reads every jet slot, the points and the node time, plus a source
+    def reaction(z, t, X):
+        return np.exp(0.3j * z[-1]) * X[0] * X[-1] + t * X[0] ** 2 - 0.5 * X[1]
+
+    def source(t, grid_, shift):
+        pts = grid_.meshgrid() + np.asarray(shift).reshape((dim,) + (1,) * dim)
+        return (np.cos(pts[0]) * np.exp(-t))[np.newaxis]
+
+    grid = ps.make_grid(dim, np.pi, 16)
+    op = make_heat_operator(dim=dim, strip_width=1.0)
+    spec = ps.ReactionSpec(order_half=1, components=1, dim=dim, eval=reaction)
+    init = lambda pts: np.exp(np.cos(sum(pts)))
+    return ps.CauchyProblem(grid, op, init, reaction=spec, source=source), grid
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
+    from parastrip.solver import _add_forcing, _jet_fields
+
+    problem, grid = _forcing_problem(dim)
+    shift = np.full(dim, 0.2j)
+    plan = ps.OperatorPlan(problem.op, grid, shift)
+    B = 5
+    stack = rng.standard_normal((B, 1) + grid.shape) + 1j * rng.standard_normal((B, 1) + grid.shape)
+    ts = 0.1 + 0.02j * np.arange(B)
+    base = rng.standard_normal((B, 1) + grid.shape).astype(np.complex128)
+    got = _add_forcing(problem, plan, stack, ts, ps.SolverConfig(), base.copy())
+
+    jets = _jet_fields(stack, problem.reaction.jet_indices, grid)
+    want = base.copy()
+    direct = base.copy()
+    for b, t in enumerate(ts):
+        node_jets = [ps.ComplexField(grid, j[b]) for j in jets]
+        want[b] += ps.nemytskii(problem.reaction, node_jets, shift, t, grid).values
+        direct[b] += problem.reaction.eval(plan.points, t, np.stack([j[b] for j in jets]))
+    for b, t in enumerate(ts):
+        want[b] += problem.source(t, grid, shift)
+        direct[b] += problem.source(t, grid, shift)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, direct)
+
+
+def test_reaction_runs_once_per_sweep_plus_once_per_window():
+    problem, grid = _forcing_problem(1)
+    calls = []
+    inner = problem.reaction.eval
+
+    def spy(z, t, X):
+        calls.append((z.shape, np.shape(t), X.shape))
+        return inner(z, t, X)
+
+    problem.reaction.eval = spy
+    res = ps.solve_real(problem, 0.0, 0.08, ps.SolverConfig(dt=0.01, window=0.04))
+    sweeps = res.diagnostics["picard_iterations"]
+    assert len(sweeps) == 2 and min(sweeps) >= 2
+    assert len(calls) == sum(sweeps) + len(sweeps)
+    # one window of 5 nodes per call: points, node times and jets share the batch axis
+    assert set(calls) == {((1, 5) + grid.shape, (5, 1), (2, 1, 5) + grid.shape)}
+
+
+def test_batched_forcing_names_the_node_and_point_of_the_first_offender():
+    from parastrip.solver import _add_forcing
+
+    grid = ps.make_grid(1, 2.0, 16)
+    plan = ps.OperatorPlan(make_heat_operator(), grid)
+    ts = np.array([0.0, 0.25, 0.5, 0.75])
+    stack = np.full((4, 1) + grid.shape, 0.1 + 0j)
+    stack[2, 0, 5] = stack[3, 0, 1] = 2.0        # rows b = 2 and 3 leave the domain; 2 comes first
+    spec = ps.ReactionSpec(order_half=1, components=1, dim=1, eval=lambda z, t, X: X[0],
+                           domain_check=lambda X: np.abs(X[0]) < 1.0)
+    problem = ps.CauchyProblem(grid, plan.op, lambda pts: np.zeros_like(pts[0]), reaction=spec)
+    point = float(grid.axis_nodes()[5])
+    with pytest.raises(DomainError, match=rf"grid point \({point},\) \(t=0.5\)"):
+        _add_forcing(problem, plan, stack, ts, ps.SolverConfig(), np.zeros_like(stack))
+    # the check can be switched off; then non-finite jets and values are instabilities
+    _add_forcing(problem, plan, stack, ts, ps.SolverConfig(check_reaction_domain=False), np.zeros_like(stack))
+    nan_stack = np.full_like(stack, 0.1)
+    nan_stack[1, 0, 3] = np.nan
+    with pytest.raises(InstabilityError, match=r"non-finite jet value .*\(t=0.25\)"):
+        _add_forcing(problem, plan, nan_stack, ts, ps.SolverConfig(), np.zeros_like(stack))
+    spec.eval = lambda z, t, X: np.where(np.abs(X[0]) > 1.0, np.inf, X[0])
+    offender = rf"non-finite reaction value at grid point \({point},\) \(t=0.5\)"
+    with pytest.raises(InstabilityError, match=offender):
+        _add_forcing(problem, plan, stack, ts, ps.SolverConfig(check_reaction_domain=False),
+                     np.zeros_like(stack))
+
+
+def test_picard_step_is_deprecated_and_solves_one_window(heat_problem):
+    cfg = ps.SolverConfig(dt=1e-3, window=0.016)
+    w0 = ps.sample_on_shifted_grid(heat_problem.initial, heat_problem.grid, None)
+    with pytest.warns(DeprecationWarning, match="picard_step is deprecated"):
+        step = ps.picard_step(heat_problem, (0.0, 0.016), w0, 1.0, cfg)
+    ray = ps.solve_real(heat_problem, 0.0, 0.016, cfg)
+    np.testing.assert_array_equal(step.times, ray.times)
+    # the window's node 0 is the datum after an FFT round trip; a ray keeps the datum itself
+    for a, b in zip(step.fields[1:] + step.time_derivatives, ray.fields[1:] + ray.time_derivatives):
+        np.testing.assert_array_equal(a.values, b.values)
+    assert step.diagnostics["picard_iterations"] == ray.diagnostics["picard_iterations"]
+
+
+def test_maxreg_fits_the_block_count_to_the_grid(rng):
+    op = make_heat_operator()
+    ens = ps.default_maxreg_ensemble(ps.make_grid(1, 10.0, 128), 1, 3, rng, support=0.25)
+    # L = 10, n = 128 hosts 3 dyadic blocks (Nyquist 20.1), not the NormParams default of 4
+    got = ps.estimate_max_reg_constant(op, ps.make_grid(1, 10.0, 128), 0.25, 4.0, ens,
+                                       ps.SolverConfig(dt=1.0 / 64))
+    assert got > 0.0
+    coarse = ps.make_grid(1, 10.0, 64)
+    ens = ps.default_maxreg_ensemble(coarse, 1, 3, rng, support=0.25)
+    with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
+        ps.estimate_max_reg_constant(op, coarse, 0.25, 4.0, ens, ps.SolverConfig(dt=1.0 / 64))

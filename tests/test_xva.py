@@ -173,3 +173,48 @@ def test_verify_price_analyticity_report():
     assert np.isfinite(report["strip_sup"]) and report["strip_sup"] > 0.0
     with pytest.raises(DomainError, match="branch cut"):
         ps.verify_price_analyticity(params, payoff, [-0.06, 0.0, 0.06], [0.1], cfg)
+
+
+def test_adjustment_reaction_takes_one_guard_and_one_log_per_mark(monkeypatch):
+    import parastrip.reaction as reaction
+    from parastrip.xva import _adjustment_reaction
+
+    params = market(epsilon=0.01, lambda_B=0.02, lambda_C=0.05, R_B=0.4, R_C=0.4, s_F=0.01)
+    spec = _adjustment_reaction(params, 1)
+    X = np.stack([np.linspace(-2.0, 2.0, 33), np.linspace(1.0, -1.0, 33)]).astype(np.complex128)[:, None]
+    calls = []
+    for name in ("_log_factor", "_guard_branch"):
+        fn = getattr(reaction, name)
+        monkeypatch.setattr(reaction, name, lambda eps, z, fn=fn, name=name: calls.append(name) or fn(eps, z))
+    got = spec.eval(None, 0.0, X)
+    assert sorted(calls) == ["_guard_branch", "_log_factor"]
+    cost_minus, cost_plus = 0.6 * 0.02, 0.6 * 0.05 + 0.01
+    want = -cost_minus * ps.f_minus(0.01, X[0]) - cost_plus * ps.f_plus(0.01, X[0])
+    np.testing.assert_array_equal(got, want)
+
+
+def test_blended_mark_solve_equals_a_per_node_reference(monkeypatch):
+    import parastrip.solver as solver
+
+    # theta_mtm < 1 blends the stored default-free surface into the mark, one node time each
+    params = market(lambda_B=0.05, lambda_C=0.1, R_B=0.4, R_C=0.4, s_F=0.01, theta_mtm=0.5)
+    grid = ps.make_grid(1, 6.0, 64)
+    cfg = ps.SolverConfig(dt=0.1 / 40)
+    got = ps.price_xva_nonlinear(params, call_payoff(), grid, 0.1, cfg)
+
+    def per_node(problem, plan, stack, ts, config, vals):
+        spec = problem.reaction
+        if spec is None:                     # the default-free reference solve
+            return vals
+        jets = solver._jet_fields(stack, spec.jet_indices, problem.grid)
+        for b, t in enumerate(ts):
+            vals[b] += spec.eval(plan.points, t, np.stack([jet[b] for jet in jets]))
+        return vals
+
+    monkeypatch.setattr(solver, "_add_forcing", per_node)
+    want = ps.price_xva_nonlinear(params, call_payoff(), grid, 0.1, cfg)
+    assert got.diagnostics["picard_iterations"] == want.diagnostics["picard_iterations"]
+    assert max(got.diagnostics["picard_iterations"]) >= 2
+    np.testing.assert_array_equal(got.times, want.times)
+    for a, b in zip(got.fields + got.time_derivatives, want.fields + want.time_derivatives):
+        np.testing.assert_array_equal(a.values, b.values)
