@@ -9,14 +9,13 @@ analyticity estimates bound.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParastripError
 from .grid import ComplexField, spectral_derivative
-from .norms import NormParams, besov_norm, lp_norm
+from .norms import NormParams, _fit_blocks, besov_norm, lp_norm
 from .operators import multi_indices
 from .solver import CauchyProblem, SolverConfig, SolveResult, solve_along_path, solve_complex_ray, solve_real
 
@@ -85,9 +84,10 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
                        config: SolverConfig = None, jobs: int = None) -> ShiftFamily:
     """Solve the problem once per imaginary shift iy, y in ``y_grid``.
 
-    Members are independent solves sharing every discretization knob, run in
-    a thread pool when ``jobs`` is given.  A failing member aborts the family
-    with an error naming its shift.
+    Members are independent solves sharing every discretization knob, run
+    one after another in ascending order of y.  ``jobs`` is accepted and
+    ignored.  A failing member aborts the family with an error naming its
+    shift.
     """
     dim = problem.grid.dim
     ys = [_as_vector(y, dim) for y in np.atleast_1d(np.asarray(y_grid, dtype=np.float64)).reshape(-1, dim)]
@@ -98,19 +98,12 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
         if not strip.contains(1j * y):
             raise DomainError(f"shift y={tuple(y)} leaves the strip of half width {strip.half_width}")
     ys = sorted(ys, key=_key)
-
-    def run(y):
+    results = {}
+    for y in ys:
         try:
-            return _key(y), solve_real(problem, t0, horizon, config, shift=1j * y)
+            results[_key(y)] = solve_real(problem, t0, horizon, config, shift=1j * y)
         except Exception as exc:
             raise ParastripError(f"shift family member y={tuple(y)} failed: {exc}") from exc
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(run, ys))
-    else:
-        pairs = [run(y) for y in ys]
-    results = dict(pairs)
     return ShiftFamily(
         y_values=[tuple(y) for y in ys],
         results=results,
@@ -264,13 +257,16 @@ def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int,
     replaces the time-derivative part with the endpoint Besov norm.  All
     integrals use the real arclength of the stored (possibly complex) times,
     so prefixes of a trajectory give nondecreasing values.  ``dyadic_blocks``
-    overrides the companion norm's block count for coarse grids.
+    sets the companion norm's block count; by default it is the most the
+    grid hosts, up to 4 (``norms._fit_blocks``).
     """
     if any(d is None for d in result.time_derivatives):
         raise ConfigurationError("trajectory lacks stored time derivatives")
     if len(result.fields) < 2:
         raise ConfigurationError("need at least two snapshots to integrate")
     grid = result.fields[0].grid
+    blocks = _fit_blocks(grid) if dyadic_blocks is None else dyadic_blocks
+    nparams = NormParams(p=p, m=order_half, dyadic_blocks=blocks)
     arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(result.times)))])
     du = np.array([lp_norm(d, p) ** p for d in result.time_derivatives])
     part_du = float(np.trapezoid(du, x=arc))
@@ -279,8 +275,6 @@ def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int,
         vals = np.array([lp_norm(spectral_derivative(f, alpha), p) ** p for f in result.fields])
         part_derivs += float(np.trapezoid(vals, x=arc))
     part_derivs *= c0
-    nparams = NormParams(p=p, m=order_half) if dyadic_blocks is None else NormParams(
-        p=p, m=order_half, dyadic_blocks=dyadic_blocks)
     companion = besov_norm(result.final, nparams) ** p + part_derivs
     return {
         "du_dt": part_du,

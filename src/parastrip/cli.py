@@ -2,10 +2,10 @@
 
 ``parastrip <command> --config <path> [--output <dir>] [--seed <u64>]
 [--jobs <k>]`` reads a single JSON tree, validates it against the chosen
-command, runs the jobs (sweep points in a bounded thread pool), and writes
-canonical CSV tables, optional SVG line charts, a pass/fail report, and a
-manifest indexing every emitted file.  Identical config and seed give byte
-identical CSVs.
+command, runs the jobs one after another, and writes canonical CSV tables,
+optional SVG line charts, a pass/fail report, and a manifest indexing every
+emitted file.  Identical config and seed give byte identical CSVs.
+``--jobs`` is accepted and recorded in the manifest but ignored.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,11 +259,18 @@ def _build_temporal(cfg: dict, horizon: float, errors: list):
         return None
 
 
-def _build_operator(cfg: dict, grid, temporal, errors: list):
+def _build_operator(cfg: dict, grid, temporal, errors: list, literal_heston: bool = False):
+    """The configured operator; ``kind: heston`` only where ``literal_heston`` (ellipticity)."""
     block = _section(cfg.get("problem", cfg), "operator", errors)
     if not block or grid is None or temporal is None:
         return None
     kind = block.get("kind")
+    if kind == "heston" and not literal_heston:
+        errors.append(
+            "problem.operator.kind: heston reads the variance as clip(Re v), which is not "
+            "holomorphic, and is accepted by ellipticity only; use heston_chart to solve"
+        )
+        return None
     strip_width = _number(block, "problem.operator", "strip_half_width", errors,
                           default=math.inf, strict_min=0.0)
     strip = StripSpec(strip_width)
@@ -509,7 +516,7 @@ def _stride_indices(n: int, limit: int = 60):
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve(cfg, out_dir, rng, jobs, record):
+def _cmd_solve(cfg, out_dir, rng, record):
     errors = []
     run = _section(cfg, "run", errors)
     horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
@@ -556,7 +563,7 @@ def _cmd_solve(cfg, out_dir, rng, jobs, record):
     return files, checks
 
 
-def _cmd_verify_analyticity(cfg, out_dir, rng, jobs, record):
+def _cmd_verify_analyticity(cfg, out_dir, rng, record):
     errors = []
     run = _section(cfg, "run", errors)
     horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
@@ -593,7 +600,7 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, jobs, record):
     # the family shifts along the first axis: y -> (y, 0) on a 2-D grid
     y_grid = np.column_stack([y_line] + [np.zeros_like(y_line)] * (grid.dim - 1))
     family = record("shift_family",
-                    lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config, jobs=jobs))
+                    lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config))
     files, checks = [], []
     if family is not None:
         def space_rows():
@@ -665,8 +672,7 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, jobs, record):
         def hardy_rows():
             hrows = []
             traj = ends[t_primes[0]]
-            parts = hardy_integral(traj, hardy_p, hardy_c0, problem.op.order_half,
-                                   dyadic_blocks=_fit_blocks(grid))
+            parts = hardy_integral(traj, hardy_p, hardy_c0, problem.op.order_half)
             hrows.append((0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"]))
             return hrows
 
@@ -687,7 +693,7 @@ def _xva_point(params, payoff, grid, horizon, config):
     return surfaces, xva_atm, gap
 
 
-def _cmd_xva(cfg, out_dir, rng, jobs, record):
+def _cmd_xva(cfg, out_dir, rng, record):
     errors = []
     block = _section(cfg, "xva", errors)
     horizon = _number(block, "xva", "horizon", errors, required=True, strict_min=0.0)
@@ -767,22 +773,14 @@ def _cmd_xva(cfg, out_dir, rng, jobs, record):
 
     if eps_list:
         def one_eps(eps):
-            from dataclasses import replace as _replace
-
-            p_eps = _replace(params, epsilon=float(eps))
+            p_eps = replace(params, epsilon=float(eps))
             pay_eps = payoff
             if payoff.kind != "hermite_expansion":
                 pay_eps = PayoffSpec(kind=payoff.kind, strike=payoff.strike, epsilon=float(eps))
             _, xva_atm, gap = _xva_point(p_eps, pay_eps, grid, horizon, config)
             return float(eps), xva_atm, gap
 
-        def sweep_rows():
-            if jobs and jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    return list(pool.map(one_eps, eps_list))
-            return [one_eps(e) for e in eps_list]
-
-        rows = record("epsilon_sweep", sweep_rows)
+        rows = record("epsilon_sweep", lambda: [one_eps(e) for e in eps_list])
         if rows is not None:
             files.append(write_csv(out_dir, "xva_sweep.csv",
                                    ["epsilon", "xva_at_atm", "sup_diff_linear_nonlinear"], rows))
@@ -793,11 +791,11 @@ def _cmd_xva(cfg, out_dir, rng, jobs, record):
     return files, checks
 
 
-def _cmd_ellipticity(cfg, out_dir, rng, jobs, record):
+def _cmd_ellipticity(cfg, out_dir, rng, record):
     errors = []
     grid = _build_grid(cfg, errors)
     temporal = _build_temporal(cfg, 1.0, errors)
-    op = _build_operator(cfg, grid, temporal, errors)
+    op = _build_operator(cfg, grid, temporal, errors, literal_heston=True)
     block = _section(cfg, "ellipticity", errors, required=False)
     n_thetas = block.get("n_thetas", 9)
     if not (isinstance(n_thetas, int) and n_thetas >= 1):
@@ -841,7 +839,7 @@ def _cmd_ellipticity(cfg, out_dir, rng, jobs, record):
     return files, checks
 
 
-def _cmd_maxreg(cfg, out_dir, rng, jobs, record):
+def _cmd_maxreg(cfg, out_dir, rng, record):
     errors = []
     grid = _build_grid(cfg, errors)
     temporal = _build_temporal(cfg, 1.0, errors)
@@ -878,7 +876,7 @@ def _cmd_maxreg(cfg, out_dir, rng, jobs, record):
     return files, checks
 
 
-def _cmd_convergence(cfg, out_dir, rng, jobs, record):
+def _cmd_convergence(cfg, out_dir, rng, record):
     errors = []
     run = _section(cfg, "run", errors)
     horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
@@ -903,13 +901,7 @@ def _cmd_convergence(cfg, out_dir, rng, jobs, record):
             diffs.append(solve_real(problem, 0.0, horizon, cfg_i).final.values)
         return float(np.max(np.abs(diffs[0] - diffs[1])))
 
-    def sweep():
-        if jobs and jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(one_dt, dts))
-        return [one_dt(dt) for dt in dts]
-
-    gaps = record("dt_sweep", sweep)
+    gaps = record("dt_sweep", lambda: [one_dt(dt) for dt in dts])
     files, checks = [], []
     if gaps is not None:
         rows = []
@@ -958,7 +950,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--output", default=None, help="output directory (default from config)")
         p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and recorded in the manifest; every run is serial")
     args = parser.parse_args(argv)
 
     try:
@@ -995,7 +988,7 @@ def main(argv=None) -> int:
         return out
 
     try:
-        result = _RUNNERS[args.command](cfg, out_dir, rng, jobs, record)
+        result = _RUNNERS[args.command](cfg, out_dir, rng, record)
     except _Invalid as exc:
         print(_machine_error("invalid configuration", exc.violations), file=sys.stderr)
         return 2

@@ -154,7 +154,6 @@ class ReactionSpec:
     eval: Callable
     jet_jacobian: Callable = None
     domain_check: Callable = None
-    lipschitz_bound: float = None
 
     def __post_init__(self):
         if self.order_half < 0:

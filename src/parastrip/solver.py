@@ -34,7 +34,7 @@ from .grid import (
     derivative_multiplier,
     sample_on_shifted_grid,
 )
-from .norms import NormParams, _besov_norms, _fit_blocks, besov_norm, lp_norm, _smooth_step
+from .norms import NormParams, _fit_blocks, besov_norm, lp_norm, _smooth_step
 # apply_operator stays importable as parastrip.solver.apply_operator, the name
 # perfbench/tracer.py patches; the solver itself applies P through one plan per solve
 from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
@@ -44,7 +44,6 @@ __all__ = [
     "CauchyProblem",
     "SolverConfig",
     "SolveResult",
-    "picard_step",
     "solve_real",
     "solve_complex_ray",
     "solve_along_path",
@@ -106,7 +105,6 @@ class SolverConfig:
     integrator: str = "picard_voc"
     snapshot_stride: int = 1
     gmres_tol: float = 1e-12
-    norm_params: NormParams = None  # optional Besov contraction metric
     check_reaction_domain: bool = True
 
     def __post_init__(self):
@@ -156,14 +154,18 @@ def _initial_field(problem: CauchyProblem, shift) -> ComplexField:
     return sample_on_shifted_grid(init, problem.grid, shift, strip=problem.data_strip)
 
 
-def _source_values(source, t, grid: Grid, shift) -> np.ndarray:
-    out = source(t, grid, shift)
-    if isinstance(out, ComplexField):
-        out = out.values
-    out = np.asarray(out, dtype=np.complex128)
-    if out.shape == grid.shape:
-        out = out[np.newaxis]
-    return out
+def _source_stack(problem: CauchyProblem, plan: OperatorPlan, ts):
+    """The source g at every node ts[b] as a (B, M, *grid) stack, or None without a source."""
+    if problem.source is None:
+        return None
+    shape = (problem.op.components,) + problem.grid.shape
+    rows = []
+    for t in ts:
+        out = problem.source(t, problem.grid, plan.shift)
+        if isinstance(out, ComplexField):
+            out = out.values
+        rows.append(np.broadcast_to(np.asarray(out, dtype=np.complex128), shape))
+    return np.stack(rows)
 
 
 def _jet_fields(stack: np.ndarray, indices, grid: Grid) -> list:
@@ -174,12 +176,14 @@ def _jet_fields(stack: np.ndarray, indices, grid: Grid) -> list:
 
 
 def _add_forcing(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
-                 config: SolverConfig, vals: np.ndarray) -> np.ndarray:
+                 config: SolverConfig, vals: np.ndarray, sources=None) -> np.ndarray:
     """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``.
 
     The reaction sees the whole stack in one call: the plan's points
     broadcast to (dim, B, *grid), the jets as (n_slots, M, B, *grid) and
-    the node times shaped (B,) + (1,) * dim.
+    the node times shaped (B,) + (1,) * dim.  ``sources`` is g at the
+    nodes, ``_source_stack(problem, plan, ts)``, evaluated here when not
+    given; a Picard window evaluates it once and passes it to every sweep.
     """
     grid = problem.grid
     if problem.reaction is not None:
@@ -190,16 +194,17 @@ def _add_forcing(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, 
         times = np.reshape(ts, (B,) + (1,) * grid.dim)
         forcing = _nemytskii_stack(spec, X, points, times, grid, config.check_reaction_domain)
         vals += forcing.swapaxes(0, 1)
-    if problem.source is not None:
-        for b, t in enumerate(ts):
-            vals[b] += _source_values(problem.source, t, grid, plan.shift)
+    if sources is None:
+        sources = _source_stack(problem, plan, ts)
+    if sources is not None:
+        vals += sources
     return vals
 
 
 def _rhs_values(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
-                config: SolverConfig) -> np.ndarray:
+                config: SolverConfig, sources) -> np.ndarray:
     """Physical right-hand side A w + F(jets) + g, row b of the (B, M, *grid) stack at ts[b]."""
-    return _add_forcing(problem, plan, stack, ts, config, -plan.apply_stack(stack, ts))
+    return _add_forcing(problem, plan, stack, ts, config, -plan.apply_stack(stack, ts), sources)
 
 
 def _frozen_symbol(plan: OperatorPlan, t) -> np.ndarray:
@@ -266,17 +271,6 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
     return s_nodes, t_nodes, dt
 
 
-def _trajectory_delta(new_phys: np.ndarray, old_phys: np.ndarray, config: SolverConfig, grid: Grid):
-    """Largest change between two trajectory stacks and the largest size of the new one."""
-    if config.norm_params is not None:
-        delta = max(_besov_norms(new_phys - old_phys, grid, config.norm_params))
-        scale = max(_besov_norms(new_phys, grid, config.norm_params))
-    else:
-        delta = float(np.max(np.abs(new_phys - old_phys)))
-        scale = float(np.max(np.abs(new_phys)))
-    return delta, max(1.0, scale)
-
-
 def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
                    config: SolverConfig, t_base=0.0, check_mu=True):
     """Integrate one window with the frozen-generator variation-of-constants scheme.
@@ -305,6 +299,7 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
     phi1, phi2 = _phi_weights(a_hat)
     w_explicit = mu * dt * (phi1 - phi2)
     w_implicit = mu * dt * phi2
+    sources = _source_stack(problem, plan, t_nodes)
 
     # zeroth iterate: free flight under the frozen generator
     traj_hat = np.empty((n + 1,) + w0.values.shape, dtype=np.complex128)
@@ -316,7 +311,7 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
     delta_prev = None
     ratio = None
     for sweep in range(1, config.picard_max_iter + 1):
-        h = _fftn(_rhs_values(problem, plan, traj_phys, t_nodes, config), grid) + frozen * traj_hat
+        h = _fftn(_rhs_values(problem, plan, traj_phys, t_nodes, config, sources), grid) + frozen * traj_hat
         explicit, implicit = w_explicit * h[:-1], w_implicit * h[1:]
         new_hat = np.empty_like(traj_hat)
         new_hat[0] = traj_hat[0]
@@ -327,7 +322,8 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
             raise InstabilityError(
                 f"non-finite iterate in window {span} at sweep {sweep}; reduce dt or the window length"
             )
-        delta, scale = _trajectory_delta(new_phys, traj_phys, config, grid)
+        delta = float(np.max(np.abs(new_phys - traj_phys)))
+        scale = max(1.0, float(np.max(np.abs(new_phys))))
         traj_hat, traj_phys = new_hat, new_phys
         if delta <= config.picard_tol * scale:
             break
@@ -344,39 +340,8 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
             f"window fixed point needed more than {config.picard_max_iter} sweeps over {span}"
         )
 
-    rhs = _rhs_values(problem, plan, traj_phys, t_nodes, config)
+    rhs = _rhs_values(problem, plan, traj_phys, t_nodes, config, sources)
     return s_nodes, traj_phys, rhs, sweep, ratio
-
-
-def picard_step(problem: CauchyProblem, window, w0: ComplexField, mu, config: SolverConfig = None,
-                t_base=0.0, shift=None) -> SolveResult:
-    """One frozen-generator window solve on the ray t = t_base + mu s, s in ``window``.
-
-    Deprecated: ``solve_real`` and ``solve_complex_ray`` march whole rays
-    window by window; a first window of length ``config.window`` is this step
-    from the initial datum.
-    """
-    warnings.warn(
-        "picard_step is deprecated; solve_real and solve_complex_ray march whole rays window by window",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = config if config is not None else SolverConfig()
-    plan = OperatorPlan(problem.op, problem.grid, shift)
-    s_nodes, traj, rhs, sweeps, ratio = _picard_window(
-        problem, plan, w0, tuple(window), mu, config, t_base=t_base
-    )
-    fields = [ComplexField(problem.grid, v) for v in traj]
-    rhs_fields = [ComplexField(problem.grid, v) for v in rhs]
-    times = np.asarray(t_base + complex(mu) * s_nodes, dtype=np.complex128)
-    diag = {
-        "integrator": "picard_voc",
-        "mu": complex(mu),
-        "dt": config.dt,
-        "picard_iterations": [sweeps],
-        "contraction_ratio": ratio,
-    }
-    return SolveResult(times, fields, rhs_fields, diag)
 
 
 def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
@@ -587,8 +552,9 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
     t_prime; segment two continues parallel to the real axis at constant
     imaginary part.  Admissibility asks |tau| <= tan(angle) t_prime (the
     target sits in the sector); the rotation of the first segment may then
-    exceed the strict mu disc of ``picard_step``, which only matters for the
-    disc-based continuation argument, not for the path integration itself.
+    leave the mu disc |mu - 1| <= sin(angle) that ``solve_complex_ray``
+    enforces, which only matters for the disc-based continuation argument,
+    not for the path integration itself.
     """
     temporal = problem.temporal
     t_prime = float(t_prime)

@@ -19,7 +19,7 @@ import numpy as np
 from .analyticity import path_independence_check, cr_residual_space, solve_shift_family, strip_sup_over_time
 from .errors import ConfigurationError, DomainError
 from .grid import ComplexField, Grid, HermiteData, StripSpec, eval_hermite, make_grid
-from .norms import NormParams
+from .norms import NormParams, _fit_blocks
 from .operators import DivergenceOperator, TemporalDomain
 from .reaction import ReactionSpec, _smoothed_parts, f_minus, f_plus, in_branch_domain
 from .solver import CauchyProblem, SolverConfig, SolveResult, solve_real
@@ -336,12 +336,6 @@ def _with_zero_order(op: DivergenceOperator, rate: float) -> DivergenceOperator:
     )
 
 
-def _pricing_operator(params: XvaParams, grid: Grid, v_center: float = None):
-    if grid.dim == 1:
-        return bs_log_generator(params), None
-    return heston_chart_generator(params, grid, v_center=v_center)
-
-
 def _pricing_config(grid: Grid, horizon: float, config: SolverConfig) -> SolverConfig:
     if config is not None:
         return config
@@ -359,8 +353,27 @@ def _check_payoff(payoff: PayoffSpec, grid: Grid):
         raise ConfigurationError("strike lies outside the log-price box")
 
 
-def _payoff_strip(payoff: PayoffSpec) -> StripSpec:
-    return StripSpec(payoff.admissible_half_width)
+def _pricing_problem(params: XvaParams, payoff: PayoffSpec, grid: Grid, rate: float = None,
+                     reaction: ReactionSpec = None, source=None) -> CauchyProblem:
+    """The pricing problem on ``grid``, discounted at ``rate`` (default r).
+
+    The generator is the log-price one in 1-D and the variance chart centred
+    on the long-run variance in 2-D; the datum is the payoff, with its strip.
+    """
+    _check_payoff(payoff, grid)
+    if grid.dim == 1:
+        op = bs_log_generator(params)
+    else:
+        v_center = params.heston["theta"] if params.heston else None
+        op, _ = heston_chart_generator(params, grid, v_center=v_center)
+    return CauchyProblem(
+        grid=grid,
+        op=_with_zero_order(op, params.r if rate is None else rate),
+        initial=terminal_data(payoff, grid.half_length),
+        reaction=reaction,
+        source=source,
+        strip=StripSpec(payoff.admissible_half_width),
+    )
 
 
 def _surface_lookup(result: SolveResult):
@@ -420,15 +433,7 @@ def _adjustment_reaction(params: XvaParams, dim: int, mark_lookup=None) -> React
 def price_riskfree(params: XvaParams, payoff: PayoffSpec, grid: Grid, horizon: float,
                    config: SolverConfig = None) -> SolveResult:
     """Default-free value V: the discounted linear equation, no adjustments."""
-    _check_payoff(payoff, grid)
-    v_center = params.heston["theta"] if (grid.dim == 2 and params.heston) else None
-    op, _ = _pricing_operator(params, grid, v_center=v_center)
-    problem = CauchyProblem(
-        grid=grid,
-        op=_with_zero_order(op, params.r),
-        initial=terminal_data(payoff, grid.half_length),
-        strip=_payoff_strip(payoff),
-    )
+    problem = _pricing_problem(params, payoff, grid)
     return solve_real(problem, 0.0, horizon, _pricing_config(grid, horizon, config))
 
 
@@ -439,20 +444,12 @@ def price_xva_nonlinear(params: XvaParams, payoff: PayoffSpec, grid: Grid, horiz
     With theta_mtm < 1 the mark blends in the default-free surface, which is
     priced first on the same grid and time step.
     """
-    _check_payoff(payoff, grid)
     config = _pricing_config(grid, horizon, config)
-    v_center = params.heston["theta"] if (grid.dim == 2 and params.heston) else None
-    op, _ = _pricing_operator(params, grid, v_center=v_center)
     lookup = None
     if params.theta_mtm < 1.0:
         lookup = _surface_lookup(price_riskfree(params, payoff, grid, horizon, config))
-    problem = CauchyProblem(
-        grid=grid,
-        op=_with_zero_order(op, params.r),
-        initial=terminal_data(payoff, grid.half_length),
-        reaction=_adjustment_reaction(params, grid.dim, mark_lookup=lookup),
-        strip=_payoff_strip(payoff),
-    )
+    reaction = _adjustment_reaction(params, grid.dim, mark_lookup=lookup)
+    problem = _pricing_problem(params, payoff, grid, reaction=reaction)
     return solve_real(problem, 0.0, horizon, config)
 
 
@@ -466,12 +463,8 @@ def price_xva_linear(params: XvaParams, payoff: PayoffSpec, reference: SolveResu
     f_plus(V); the reference must live on the same grid with stored
     snapshots at every time node of this solve.
     """
-    _check_payoff(payoff, grid)
     if reference.fields[0].grid != grid:
         raise ConfigurationError("reference surface was priced on a different grid")
-    config = _pricing_config(grid, horizon, config)
-    v_center = params.heston["theta"] if (grid.dim == 2 and params.heston) else None
-    op, _ = _pricing_operator(params, grid, v_center=v_center)
     eps = params.epsilon
     lam_b, lam_c = params.lambda_B, params.lambda_C
     gain_minus = params.R_B * lam_b + lam_c
@@ -487,14 +480,8 @@ def price_xva_linear(params: XvaParams, payoff: PayoffSpec, reference: SolveResu
         minus, plus = _smoothed_parts(eps, lookup(t))
         return gain_minus * minus + gain_plus * plus
 
-    problem = CauchyProblem(
-        grid=grid,
-        op=_with_zero_order(op, params.r + lam_b + lam_c),
-        initial=terminal_data(payoff, grid.half_length),
-        source=source,
-        strip=_payoff_strip(payoff),
-    )
-    return solve_real(problem, 0.0, horizon, config)
+    problem = _pricing_problem(params, payoff, grid, rate=params.r + lam_b + lam_c, source=source)
+    return solve_real(problem, 0.0, horizon, _pricing_config(grid, horizon, config))
 
 
 def compute_xva_surfaces(params: XvaParams, payoff: PayoffSpec, grid: Grid, horizon: float,
@@ -538,7 +525,9 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
 
     Runs the shift-family Cauchy-Riemann residuals at the requested times,
     one two-segment path-independence spread, and the strip sup norm, after
-    rejecting shifts that would touch the payoff's branch cut.
+    rejecting shifts that would touch the payoff's branch cut and grids
+    too coarse for the strip norm's dyadic blocks.  ``jobs`` is accepted
+    and ignored: the family members run one after another.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=np.float64))
     cap = payoff.admissible_half_width
@@ -554,26 +543,18 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
     horizon = taus[-1]
     if grid is None:
         grid = make_grid(1, 6.0, 256)
-    _check_payoff(payoff, grid)
+    problem = _pricing_problem(params, payoff, grid, reaction=_adjustment_reaction(params, grid.dim))
     config = _pricing_config(grid, horizon, config)
-    v_center = params.heston["theta"] if (grid.dim == 2 and params.heston) else None
-    op, _ = _pricing_operator(params, grid, v_center=v_center)
-    problem = CauchyProblem(
-        grid=grid,
-        op=_with_zero_order(op, params.r),
-        initial=terminal_data(payoff, grid.half_length),
-        reaction=_adjustment_reaction(params, grid.dim),
-        strip=_payoff_strip(payoff),
-    )
+    strip_params = NormParams(p=config.p, m=problem.op.order_half, dyadic_blocks=_fit_blocks(grid))
     shifts = [(y,) + (0.0,) * (grid.dim - 1) for y in y_arr]
-    family = solve_shift_family(problem, shifts, 0.0, horizon, config, jobs=jobs)
+    family = solve_shift_family(problem, shifts, 0.0, horizon, config)
     cr_space = {tau: cr_residual_space(family, tau) for tau in taus}
     if t_prime_list is None:
         t_prime_list = (0.4 * horizon, 0.6 * horizon)
     if tau_target is None:
         tau_target = 0.05 * horizon
     spread = path_independence_check(problem, horizon, tau_target, t_prime_list, config)
-    strip_sup = strip_sup_over_time(family, NormParams(p=config.p, m=op.order_half))
+    strip_sup = strip_sup_over_time(family, strip_params)
     return {
         "admissible_half_width": cap,
         "y_grid": [float(y) for y in y_arr],

@@ -112,6 +112,19 @@ def test_hardy_integral_grows_with_horizon(heat_problem):
     assert b["total"] >= a["total"]
 
 
+def test_hardy_integral_fits_its_blocks_to_the_grid():
+    # L = 6, n = 64: Nyquist 16.8 hosts 3 dyadic blocks, not the NormParams default of 4
+    grid = ps.make_grid(1, 6.0, 64)
+    problem = ps.CauchyProblem(grid, make_heat_operator(), gaussian_datum())
+    res = ps.solve_real(problem, 0.0, 0.05, FAST)
+    out = ps.hardy_integral(res, 4.0, 0.5, 1)
+    assert out == ps.hardy_integral(res, 4.0, 0.5, 1, dyadic_blocks=3)
+    coarse = ps.make_grid(1, 6.0, 32)
+    res = ps.solve_real(ps.CauchyProblem(coarse, make_heat_operator(), gaussian_datum()), 0.0, 0.05, FAST)
+    with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
+        ps.hardy_integral(res, 4.0, 0.5, 1)
+
+
 def test_strip_sup_over_time_dominates_members(heat_problem):
     fam = small_family(heat_problem, n_shifts=3, half=0.1, horizon=0.02)
     params = ps.NormParams(p=4.0, m=1)

@@ -248,3 +248,78 @@ def test_maxreg_fits_its_besov_blocks_to_the_grid(tmp_path):
     failed = json.loads((out / "manifest.json").read_text())["job_status"][0]
     assert failed["status"] == "failed"
     assert "grid.points_per_axis" in failed["error"] and "grid.half_length" in failed["error"]
+
+
+def _run_in_process(tmp_path, name, command, cfg, *extra):
+    from parastrip.cli import main
+
+    out_dir = tmp_path / name
+    out_dir.mkdir()
+    cfg_path = out_dir / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(cfg_path), "--output", str(out_dir), *extra])
+    return code, out_dir
+
+
+def test_families_and_sweeps_start_no_thread(tmp_path, monkeypatch):
+    import threading
+
+    import numpy as np
+
+    import parastrip as ps
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    grid = ps.make_grid(1, 10.0, 64)
+    op = ps.DivergenceOperator.from_terms(1, 1, 1, {((1,), (1,)): 1.0}, ps.StripSpec(2.0),
+                                          ps.TemporalDomain(angle=0.7, t_prime=1.0, horizon=2.0))
+    problem = ps.CauchyProblem(grid, op, lambda pts: np.exp(-pts[0] ** 2 / 2))
+    cfg = ps.SolverConfig(dt=5e-3)
+    serial = ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 3), 0.0, 0.02, cfg)
+    pooled = ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 3), 0.0, 0.02, cfg, jobs=4)
+    for y in serial.y_values:
+        np.testing.assert_array_equal(serial.member(y).final.values, pooled.member(y).final.values)
+
+    xva_cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
+        "xva": {"horizon": 0.05,
+                "params": {"sigma": 0.2, "epsilon": 0.05, "lambda_B": 0.02, "lambda_C": 0.05,
+                           "R_B": 0.4, "R_C": 0.4, "s_F": 0.01},
+                "payoff": {"kind": "smoothed_call", "strike": 1.0, "epsilon": 0.05}},
+        "solver": {"dt": 0.005},
+        "sweep": {"epsilon": [0.05, 0.02]},
+    }
+    conv_cfg = dict(SOLVE_CFG, convergence={"base_dt": 0.02, "levels": 2})
+    for command, cfg, names in (("xva", xva_cfg, ("xva.csv", "xva_sweep.csv", "report.csv")),
+                                ("convergence", conv_cfg, ("convergence.csv", "report.csv"))):
+        code1, out1 = _run_in_process(tmp_path, command + "_1", command, cfg, "--jobs", "1")
+        code2, out2 = _run_in_process(tmp_path, command + "_2", command, cfg, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert json.loads((out2 / "manifest.json").read_text())["jobs"] == 2
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_literal_heston_is_accepted_by_ellipticity_only(tmp_path, capsys):
+    heston = {"kind": "heston", "heston": {"kappa": 1.0, "theta": 0.04, "sigma_v": 0.1, "rho": 0.0,
+                                           "v_min": 0.02, "v_max": 0.06}}
+    base = {
+        "grid": {"dim": 2, "half_length": 3.0, "points_per_axis": 16},
+        "run": {"horizon": 0.1},
+        "problem": {"operator": heston, "initial": {"kind": "gaussian"}},
+        "analyticity": {"y_half_width": 0.1},
+        "maxreg": {"horizons": [0.25]},
+        "ellipticity": {"n_thetas": 1, "n_fields": 2},
+    }
+    for command in ("solve", "verify-analyticity", "maxreg", "convergence"):
+        code, out = _run_in_process(tmp_path, command, command, base)
+        assert code == 2, command
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        detail = " ".join(err["detail"])
+        assert "problem.operator.kind" in detail and "heston_chart" in detail, command
+        assert not (out / "manifest.json").exists()
+    code, out = _run_in_process(tmp_path, "ellipticity", "ellipticity", base)
+    assert code == 0
+    assert (out / "ellipticity.csv").exists()

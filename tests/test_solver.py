@@ -222,12 +222,12 @@ def test_maxreg_passes_the_callers_config_through(rng, monkeypatch):
     grid = ps.make_grid(1, np.pi, 64)
     ens = ps.default_maxreg_ensemble(grid, 1, 3, rng, support=0.05)
     cfg = ps.SolverConfig(dt=1.0 / 64, max_window_halvings=2, check_reaction_domain=False, p=3.0,
-                          norm_params=ps.NormParams(p=4.0, m=1, dyadic_blocks=3), snapshot_stride=4)
+                          gmres_tol=1e-9, snapshot_stride=4)
     ps.estimate_max_reg_constant(op, grid, 0.25, 4.0, ens, cfg)
     assert len(seen) == 3
     for run_cfg in seen:
         assert (run_cfg.max_window_halvings, run_cfg.check_reaction_domain, run_cfg.p) == (2, False, 3.0)
-        assert run_cfg.norm_params == cfg.norm_params
+        assert run_cfg.gmres_tol == 1e-9
         assert (run_cfg.dt, run_cfg.snapshot_stride) == (1.0 / 64, 1)
 
 
@@ -384,6 +384,22 @@ def test_reaction_runs_once_per_sweep_plus_once_per_window():
     assert set(calls) == {((1, 5) + grid.shape, (5, 1), (2, 1, 5) + grid.shape)}
 
 
+def test_source_runs_once_per_window_node():
+    problem, grid = _forcing_problem(1)
+    calls = []
+    inner = problem.source
+
+    def spy(t, grid_, shift):
+        calls.append(complex(t))
+        return inner(t, grid_, shift)
+
+    problem.source = spy
+    res = ps.solve_real(problem, 0.0, 0.08, ps.SolverConfig(dt=0.01, window=0.04))
+    assert min(res.diagnostics["picard_iterations"]) >= 2
+    # however many sweeps: nodes 0-4 of the first window, then 4-8 of the second
+    assert calls == list(res.times[:5]) + list(res.times[4:])
+
+
 def test_batched_forcing_names_the_node_and_point_of_the_first_offender():
     from parastrip.solver import _add_forcing
 
@@ -409,19 +425,6 @@ def test_batched_forcing_names_the_node_and_point_of_the_first_offender():
     with pytest.raises(InstabilityError, match=offender):
         _add_forcing(problem, plan, stack, ts, ps.SolverConfig(check_reaction_domain=False),
                      np.zeros_like(stack))
-
-
-def test_picard_step_is_deprecated_and_solves_one_window(heat_problem):
-    cfg = ps.SolverConfig(dt=1e-3, window=0.016)
-    w0 = ps.sample_on_shifted_grid(heat_problem.initial, heat_problem.grid, None)
-    with pytest.warns(DeprecationWarning, match="picard_step is deprecated"):
-        step = ps.picard_step(heat_problem, (0.0, 0.016), w0, 1.0, cfg)
-    ray = ps.solve_real(heat_problem, 0.0, 0.016, cfg)
-    np.testing.assert_array_equal(step.times, ray.times)
-    # the window's node 0 is the datum after an FFT round trip; a ray keeps the datum itself
-    for a, b in zip(step.fields[1:] + step.time_derivatives, ray.fields[1:] + ray.time_derivatives):
-        np.testing.assert_array_equal(a.values, b.values)
-    assert step.diagnostics["picard_iterations"] == ray.diagnostics["picard_iterations"]
 
 
 def test_maxreg_fits_the_block_count_to_the_grid(rng):

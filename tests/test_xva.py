@@ -175,6 +175,24 @@ def test_verify_price_analyticity_report():
         ps.verify_price_analyticity(params, payoff, [-0.06, 0.0, 0.06], [0.1], cfg)
 
 
+def test_verify_price_analyticity_fits_the_strip_norm_to_the_grid(monkeypatch):
+    import parastrip.analyticity as analyticity
+
+    params = market(s_F=0.02, epsilon=0.05)
+    cfg = ps.SolverConfig(dt=2e-3)
+    # L = 6, n = 64: Nyquist 16.8 hosts 3 dyadic blocks, not the NormParams default of 4
+    report = ps.verify_price_analyticity(params, call_payoff(), np.linspace(-0.02, 0.02, 3), [0.1], cfg,
+                                         grid=ps.make_grid(1, 6.0, 64))
+    assert np.isfinite(report["strip_sup"]) and report["strip_sup"] > 0.0
+    # n = 32 hosts 2, below the floor: rejected before any solve, naming both grid keys
+    solves = []
+    monkeypatch.setattr(analyticity, "solve_real", lambda *a, **k: solves.append(a))
+    with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
+        ps.verify_price_analyticity(params, call_payoff(), np.linspace(-0.02, 0.02, 3), [0.1], cfg,
+                                    grid=ps.make_grid(1, 6.0, 32))
+    assert solves == []
+
+
 def test_adjustment_reaction_takes_one_guard_and_one_log_per_mark(monkeypatch):
     import parastrip.reaction as reaction
     from parastrip.xva import _adjustment_reaction
@@ -202,7 +220,7 @@ def test_blended_mark_solve_equals_a_per_node_reference(monkeypatch):
     cfg = ps.SolverConfig(dt=0.1 / 40)
     got = ps.price_xva_nonlinear(params, call_payoff(), grid, 0.1, cfg)
 
-    def per_node(problem, plan, stack, ts, config, vals):
+    def per_node(problem, plan, stack, ts, config, vals, sources=None):
         spec = problem.reaction
         if spec is None:                     # the default-free reference solve
             return vals
