@@ -96,14 +96,14 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     strip = problem.data_strip
     for y in ys:
         if not strip.contains(1j * y):
-            raise DomainError(f"shift y={tuple(y)} leaves the strip of half width {strip.half_width}")
+            raise DomainError(f"shift y={tuple(map(float, y))} leaves the strip of half width {strip.half_width}")
     ys = sorted(ys, key=_key)
     results = {}
     for y in ys:
         try:
             results[_key(y)] = solve_real(problem, t0, horizon, config, shift=1j * y)
         except Exception as exc:
-            raise ParastripError(f"shift family member y={tuple(y)} failed: {exc}") from exc
+            raise ParastripError(f"shift family member y={tuple(map(float, y))} failed: {exc}") from exc
     return ShiftFamily(
         y_values=[tuple(y) for y in ys],
         results=results,
@@ -185,7 +185,7 @@ def shift_consistency_check(family: ShiftFamily, problem: CauchyProblem, x0, y0,
     offsets = x0 / grid.spacing
     rounded = np.round(offsets)
     if np.max(np.abs(offsets - rounded)) > 1e-9:
-        raise ConfigurationError(f"real shift {tuple(x0)} is not a lattice vector (spacing {grid.spacing})")
+        raise ConfigurationError(f"real shift {tuple(map(float, x0))} is not a lattice vector (spacing {grid.spacing})")
     member = family.member(y0)
     config = family.meta.get("config")
     shifted = solve_real(

@@ -298,7 +298,7 @@ def _build_operator(cfg: dict, grid, temporal, errors: list, literal_heston: boo
         for ax in range(grid.dim):
             e = tuple(1 if i == ax else 0 for i in range(grid.dim))
             terms[(e, e)] = coeff
-        return DivergenceOperator.from_terms(1, 1, grid.dim, terms, strip, temporal)
+        return DivergenceOperator.from_terms(1, 1, grid.dim, terms, strip, temporal, autonomous=True)
     if kind in ("bs", "heston", "heston_chart"):
         try:
             params = XvaParams(
@@ -493,6 +493,15 @@ def _check_norm_grid(grid, errors: list):
             errors.append(str(exc))
 
 
+def _check_integrator(op, integrator: str, errors: list, key: str = "solver.integrator"):
+    """Reject a system under picard_voc, which handles scalar problems only."""
+    if op is not None and op.components > 1 and integrator == "picard_voc":
+        errors.append(
+            f"problem.operator.components: {op.components} components need the imex integrator, "
+            f"but {key} is picard_voc, which handles scalar problems only"
+        )
+
+
 def _norm_rows(members, p: float, order_half: int):
     """Per snapshot: t, the L2, L^p and Besov norms of members[0], and the Besov sup over members."""
     grid = members[0].fields[0].grid
@@ -524,6 +533,8 @@ def _cmd_solve(cfg, out_dir, rng, record):
     problem, grid = _build_problem(cfg, horizon or 1.0, errors)
     _check_norm_grid(grid, errors)
     config = _build_solver_config(cfg, errors)
+    if problem is not None and config is not None:
+        _check_integrator(problem.op, config.integrator, errors)
     if errors:
         raise _Invalid(errors)
 
@@ -589,6 +600,13 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, record):
     problem, grid = _build_problem(cfg, horizon or 1.0, errors)
     _check_norm_grid(grid, errors)
     config = _build_solver_config(cfg, errors)
+    if problem is not None and config is not None:
+        _check_integrator(problem.op, config.integrator, errors)
+    if problem is not None and y_max is not None and not problem.data_strip.contains(1j * y_max):
+        errors.append(
+            f"analyticity.y_half_width: {y_max!r} must lie inside the coefficient strip, "
+            f"problem.operator.strip_half_width = {problem.data_strip.half_width!r}"
+        )
     if not (isinstance(strides, list) and strides and all(
             isinstance(s, int) and s >= 1 for s in strides)):
         errors.append(f"analyticity.strides: must be a nonempty list of positive integers, got {strides!r}")
@@ -855,6 +873,8 @@ def _cmd_maxreg(cfg, out_dir, rng, record):
         errors.append(f"maxreg.samples: must be an integer >= 3, got {count!r}")
         count = 20
     config = _build_solver_config(cfg, errors) if "solver" in cfg else None
+    if config is not None or "solver" not in cfg:
+        _check_integrator(op, config.integrator if config is not None else "picard_voc", errors)
     if errors:
         raise _Invalid(errors)
 
@@ -891,6 +911,8 @@ def _cmd_convergence(cfg, out_dir, rng, record):
             levels = 4
         dts = [base / 2 ** j for j in range(levels)]
     problem, grid = _build_problem(cfg, horizon or 1.0, errors)
+    if problem is not None:
+        _check_integrator(problem.op, "picard_voc", errors, key="the convergence sweep's first integrator")
     if errors:
         raise _Invalid(errors)
 
@@ -1010,12 +1032,6 @@ def main(argv=None) -> int:
         "job_status": job_status,
         "files": sorted(set(files + ["manifest.json"])),
     }
-    try:
-        import scipy
-
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     failed_jobs = [j for j in job_status if j["status"] != "ok"]

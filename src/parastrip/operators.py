@@ -97,6 +97,9 @@ class DivergenceOperator:
     leading axis and the result may be a scalar, an (M, M) matrix, or
     either with trailing spatial axes.  ``terms`` lists the active
     (alpha, beta) pairs; None means every pair with orders up to m.
+    ``autonomous`` records that ``coeff`` ignores t, so a plan evaluates
+    each term once; the default assumes nothing and evaluates at every
+    node.
     """
 
     order_half: int
@@ -106,6 +109,7 @@ class DivergenceOperator:
     strip: StripSpec
     temporal: TemporalDomain
     terms: tuple = None
+    autonomous: bool = False
 
     def __post_init__(self):
         if self.order_half < 1:
@@ -126,8 +130,13 @@ class DivergenceOperator:
                     raise ConfigurationError(f"term ({a}, {b}) exceeds operator order m={self.order_half}")
 
     @classmethod
-    def from_terms(cls, order_half, components, dim, term_map, strip, temporal):
-        """Build from a dict {(alpha, beta): constant | callable(z, t)}."""
+    def from_terms(cls, order_half, components, dim, term_map, strip, temporal,
+                   autonomous: bool = False):
+        """Build from a dict {(alpha, beta): constant | callable(z, t)}.
+
+        The operator is autonomous when every entry is a constant, or when
+        the caller states that its callables ignore t (``autonomous=True``).
+        """
         table = {
             (tuple(a), tuple(b)): v for (a, b), v in term_map.items()
         }
@@ -148,6 +157,7 @@ class DivergenceOperator:
             strip=strip,
             temporal=temporal,
             terms=tuple(table.keys()),
+            autonomous=autonomous or not any(map(callable, table.values())),
         )
 
     def coefficient_matrix(self, alpha, beta, z, t) -> np.ndarray:
@@ -188,16 +198,23 @@ def _check_components(op: DivergenceOperator, field: ComplexField):
 class _NodeCoefficients:
     """One term's coefficients at a node set: row b holds the value at ts[b].
 
-    ``fields`` is (B, M, M, *grid) and ``values`` (B, M, M) its value at
-    the first point; ``const`` flags the rows whose coefficient is spatially
-    constant.  The apply core reads the row groups ``const_rows`` /
+    ``fields`` is (B, M, M, *grid), or (1, M, M, *grid) serving every node
+    of an autonomous operator, and ``values`` its (B, M, M) value at the
+    first point.  The apply core reads the row groups ``const_rows`` /
     ``var_rows`` (None when a group is empty, a slice when it is every row)
-    and the matching stacks ``const_values`` / ``var_fields``.
+    and the matching stacks ``const_values`` / ``var_fields``: rows whose
+    coefficient is spatially constant skip the physical-space product, and
+    rows where it vanishes are in neither group.
     """
 
-    def __init__(self, fields: np.ndarray, values: np.ndarray, const: np.ndarray):
+    def __init__(self, fields: np.ndarray):
+        values = fields.reshape(fields.shape[:3] + (-1,))[..., 0]
+        spread = fields - values.reshape(values.shape + (1,) * (fields.ndim - 3))
+        const = np.all(np.abs(spread) == 0.0, axis=tuple(range(1, fields.ndim)))
+        # a row whose coefficient vanishes identically adds nothing: it is in neither group
+        zero = const & np.all(values == 0.0, axis=(1, 2))
         self.fields, self.values = fields, values
-        self.const_rows, self.const_values = self._group(const, values)
+        self.const_rows, self.const_values = self._group(const & ~zero, values)
         self.var_rows, self.var_fields = self._group(~const, fields)
 
     @staticmethod
@@ -213,12 +230,15 @@ class OperatorPlan:
     """P(x + shift, t, D) prepared for repeated application on one grid.
 
     Construction checks the dimension and the strip once and precomputes
-    the shifted points, the dealias mask and the multiplier of every
-    multi-index in ``op.terms``.  Coefficients are kept for the latest node
-    set only; a new node set reuses the rows of times it shares with the
-    previous one.  That is exact because coefficient callables are pure
-    functions of (z, t): a Picard window evaluates them once per distinct
-    node, and a march that applies P one node at a time once per node.
+    the shifted points, the multiplier of every multi-index in ``op.terms``
+    and, per alpha, its product with the dealias mask.  An autonomous
+    operator's coefficients are evaluated once per plan and serve every
+    node.  Otherwise they are kept for the latest node set only, and a new
+    node set reuses the rows of times it shares with the previous one.
+    That is exact because coefficient callables are pure functions of
+    (z, t): a Picard window evaluates them once per distinct node, and a
+    march that applies P one node at a time once per node.  Every new node
+    set is checked against the temporal domain, node by node.
     """
 
     def __init__(self, op: DivergenceOperator, grid: Grid, shift=None):
@@ -230,22 +250,17 @@ class OperatorPlan:
         self.grid = grid
         self.shift = shift
         self.points = _shifted_points(grid, shift)
-        self.mask = grid.dealias_mask()
         self.multipliers = {
             idx: derivative_multiplier(grid, idx) for idx in {i for term in op.terms for i in term}
         }
+        mask = grid.dealias_mask()
+        self.dealiased = {alpha: mask * self.multipliers[alpha] for alpha, _ in op.terms}
         self._keys = ()
         self._coefficients = None
 
     def _evaluate(self, t) -> list:
-        """Per term: the coefficient field at t and its (M, M) value at the first point."""
-        if not self.op.temporal.contains(t):
-            raise DomainError(f"time {t} lies outside the temporal domain")
-        out = []
-        for alpha, beta in self.op.terms:
-            c = self.op.coefficient_matrix(alpha, beta, self.points, t)
-            out.append((c, c.reshape(c.shape[:2] + (-1,))[..., 0]))
-        return out
+        """Per term: the (M, M, *grid) coefficient field at t."""
+        return [self.op.coefficient_matrix(alpha, beta, self.points, t) for alpha, beta in self.op.terms]
 
     def coefficients(self, ts) -> list:
         """Per term of ``op.terms``: its coefficients at the nodes ``ts`` (a _NodeCoefficients).
@@ -255,57 +270,71 @@ class OperatorPlan:
         keys = tuple(map(complex, ts))
         if keys == self._keys:
             return self._coefficients
-        previous = {key: b for b, key in enumerate(self._keys)}
-        rows = {}
-        for t, key in zip(ts, keys):
-            if key in rows:
-                continue
-            b = previous.get(key)
-            if b is None:
-                rows[key] = self._evaluate(t)
-            else:
-                rows[key] = [(term.fields[b], term.values[b]) for term in self._coefficients]
-        out = []
-        for k in range(len(self.op.terms)):
-            fields = np.stack([rows[key][k][0] for key in keys])
-            values = np.stack([rows[key][k][1] for key in keys])
-            spread = fields - values.reshape(values.shape + (1,) * self.grid.dim)
-            const = np.all(np.abs(spread) == 0.0, axis=tuple(range(1, fields.ndim)))
-            out.append(_NodeCoefficients(fields, values, const))
-        self._keys, self._coefficients = keys, out
-        return out
+        for t in ts:
+            if not self.op.temporal.contains(t):
+                raise DomainError(f"time {t} lies outside the temporal domain")
+        if self.op.autonomous:
+            if self._coefficients is None:
+                self._coefficients = [_NodeCoefficients(c[np.newaxis]) for c in self._evaluate(ts[0])]
+        else:
+            previous = {key: b for b, key in enumerate(self._keys)}
+            rows = {}
+            for t, key in zip(ts, keys):
+                if key not in rows:
+                    b = previous.get(key)
+                    rows[key] = self._evaluate(t) if b is None else [term.fields[b] for term in self._coefficients]
+            self._coefficients = [_NodeCoefficients(np.stack([rows[key][k] for key in keys]))
+                                  for k in range(len(self.op.terms))]
+        self._keys = keys
+        return self._coefficients
+
+    def apply_hat(self, hat: np.ndarray, ts) -> np.ndarray:
+        """The spectral core: Fourier coefficients of P(x + shift, ts[b], D) on row b.
+
+        ``hat`` holds the Fourier coefficients of a (B, M, *grid) stack.
+        Spatially constant coefficients act in Fourier space.  Variable ones
+        take one inverse FFT per distinct beta; their products are summed
+        per alpha in physical space and take one dealiased forward FFT per
+        distinct alpha.  Contributions add up in ``op.terms`` order, an
+        alpha group's at its last variable term, so an operator with one
+        variable term per alpha rounds as the term-by-term algorithm does.
+        """
+        if hat.shape[1] != self.op.components:
+            raise ConfigurationError(
+                f"operator expects {self.op.components} components, field has {hat.shape[1]}"
+            )
+        grid, mult = self.grid, self.multipliers
+        coefficients = self.coefficients(ts)
+        last = {alpha: k for k, ((alpha, _), term) in enumerate(zip(self.op.terms, coefficients))
+                if term.var_rows is not None}
+        out_hat = np.zeros_like(hat)
+        inner, products = {}, {}
+        for k, ((alpha, beta), term) in enumerate(zip(self.op.terms, coefficients)):
+            if term.const_rows is not None:
+                const_hat = np.einsum("bij,bj...->bi...", term.const_values, hat[term.const_rows] * mult[beta])
+                out_hat[term.const_rows] += const_hat * mult[alpha]
+            if term.var_rows is not None:
+                if beta not in inner:
+                    inner[beta] = _ifftn(hat * mult[beta], grid)
+                prod = np.einsum("bij...,bj...->bi...", term.var_fields, inner[beta][term.var_rows])
+                if alpha in products:
+                    products[alpha][term.var_rows] += prod
+                elif isinstance(term.var_rows, slice):
+                    products[alpha] = prod
+                else:
+                    products[alpha] = np.zeros_like(hat)
+                    products[alpha][term.var_rows] = prod
+                if last[alpha] == k:
+                    out_hat += _fftn(products[alpha], grid) * self.dealiased[alpha]
+        return out_hat
 
     def apply_stack(self, values: np.ndarray, ts) -> np.ndarray:
         """P(x + shift, ts[b], D) applied to row b of a (B, M, *grid) stack.
 
-        Every row sees the terms in ``op.terms`` order, and the batched FFTs
+        FFT in, the spectral core ``apply_hat``, FFT out.  The batched FFTs
         and products round exactly as one row at a time would.
         """
-        if values.shape[1] != self.op.components:
-            raise ConfigurationError(
-                f"operator expects {self.op.components} components, field has {values.shape[1]}"
-            )
-        coefficients = self.coefficients(ts)
-        grid = self.grid
-        hat = _fftn(values, grid)
-        out_hat = np.zeros_like(hat)
-        for (alpha, beta), term in zip(self.op.terms, coefficients):
-            inner_hat = hat * self.multipliers[beta]
-            if term.var_rows is None:
-                term_hat = np.einsum("bij,bj...->bi...", term.const_values, inner_hat)
-            else:
-                inner = _ifftn(inner_hat[term.var_rows], grid)
-                prod = np.einsum("bij...,bj...->bi...", term.var_fields, inner)
-                term_hat = _fftn(prod, grid) * self.mask
-                if term.const_rows is not None:
-                    # some nodes see a spatially constant coefficient: they skip the round trip
-                    var_hat, term_hat = term_hat, np.empty_like(hat)
-                    term_hat[term.var_rows] = var_hat
-                    term_hat[term.const_rows] = np.einsum(
-                        "bij,bj...->bi...", term.const_values, inner_hat[term.const_rows]
-                    )
-            out_hat += term_hat * self.multipliers[alpha]
-        return _ifftn(out_hat, grid)
+        return _ifftn(self.apply_hat(_fftn(values, self.grid), ts), self.grid)
 
     def apply(self, field: ComplexField, t) -> ComplexField:
         """P(x + shift, t, D) field, pseudo-spectrally: the stack core on one row."""

@@ -8,9 +8,11 @@ Two engines share one driver:
   spatially constant, autonomous, linear problem the first sweep already
   reproduces the exact semigroup, so the iteration count is an honest
   stiffness/nonlinearity diagnostic.
-* ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting with GMRES on
-  the implicit half, preconditioned by the frozen Fourier symbol.  It is the
-  fallback for multi-component systems.
+* ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting.  Its implicit
+  half is solved on Fourier coefficients by a restarted GMRES written on
+  numpy (``_gmres``), left-preconditioned by the inverse of the frozen
+  Fourier symbol, which is a diagonal there.  It is the fallback for
+  multi-component systems.
 
 Both integrate dw/ds = mu [A w + F(jets) + g] with A = -P, so a solve along
 s with rotation mu produces u(t) on the ray t = t_base + mu s.
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InstabilityError
 from .grid import (
@@ -154,13 +155,20 @@ def _initial_field(problem: CauchyProblem, shift) -> ComplexField:
     return sample_on_shifted_grid(init, problem.grid, shift, strip=problem.data_strip)
 
 
-def _source_stack(problem: CauchyProblem, plan: OperatorPlan, ts):
-    """The source g at every node ts[b] as a (B, M, *grid) stack, or None without a source."""
+def _source_stack(problem: CauchyProblem, plan: OperatorPlan, ts, carried=None):
+    """The source g at every node ts[b] as a (B, M, *grid) stack, or None without a source.
+
+    ``carried`` is (t, row), g at a node evaluated before: a first node at
+    that very t takes the row instead of calling the source again.
+    """
     if problem.source is None:
         return None
     shape = (problem.op.components,) + problem.grid.shape
     rows = []
     for t in ts:
+        if not rows and carried is not None and complex(t) == carried[0]:
+            rows.append(carried[1])
+            continue
         out = problem.source(t, problem.grid, plan.shift)
         if isinstance(out, ComplexField):
             out = out.values
@@ -272,14 +280,16 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
 
 
 def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
-                   config: SolverConfig, t_base=0.0, check_mu=True):
+                   config: SolverConfig, t_base=0.0, check_mu=True, carried=None):
     """Integrate one window with the frozen-generator variation-of-constants scheme.
 
     Every sweep treats the window's n + 1 nodes as one (n + 1, M, *grid)
-    stack.  Returns (s_nodes, fields, rhs_fields, sweeps, last_ratio), the
-    fields and right-hand sides as (n + 1, M, *grid) stacks.  Raises
-    ConvergenceError when the window fixed point stalls or exceeds the sweep
-    budget, InstabilityError on non-finite iterates.
+    stack.  Returns (s_nodes, fields, rhs_fields, sweeps, last_ratio,
+    carry), the fields and right-hand sides as (n + 1, M, *grid) stacks.
+    ``carried`` and ``carry`` are the source at the window's first and last
+    node (see ``_source_stack``), so a node two windows share sees one
+    source call.  Raises ConvergenceError when the window fixed point stalls
+    or exceeds the sweep budget, InstabilityError on non-finite iterates.
     """
     op, grid = problem.op, problem.grid
     if op.components != 1:
@@ -299,7 +309,7 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
     phi1, phi2 = _phi_weights(a_hat)
     w_explicit = mu * dt * (phi1 - phi2)
     w_implicit = mu * dt * phi2
-    sources = _source_stack(problem, plan, t_nodes)
+    sources = _source_stack(problem, plan, t_nodes, carried)
 
     # zeroth iterate: free flight under the frozen generator
     traj_hat = np.empty((n + 1,) + w0.values.shape, dtype=np.complex128)
@@ -341,15 +351,106 @@ def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField,
         )
 
     rhs = _rhs_values(problem, plan, traj_phys, t_nodes, config, sources)
-    return s_nodes, traj_phys, rhs, sweep, ratio
+    carry = None if sources is None else (complex(t_nodes[-1]), sources[-1])
+    return s_nodes, traj_phys, rhs, sweep, ratio, carry
+
+
+def _givens(f, g):
+    """Rotation (c, s, r) with c real, [c s; -conj(s) c] [f; g] = [r; 0], as LAPACK zlartg forms it."""
+    if g == 0:
+        return 1.0, 0.0, f
+    if f == 0:
+        return 0.0, np.conj(g) / abs(g), abs(g)
+    f2, h2 = abs(f) ** 2, abs(f) ** 2 + abs(g) ** 2
+    c = math.sqrt(f2 / h2)
+    return c, np.conj(g) * (f / math.sqrt(f2 * h2)), f / c
+
+
+def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
+           restart: int = 50, maxiter: int = 200):
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b.
+
+    Arnoldi with modified Gram-Schmidt on the left-preconditioned operator
+    M A (``precond`` is the diagonal of M, None for the identity) and
+    Givens rotations on the Hessenberg columns.  The inner loop stops on
+    the preconditioned residual; its target is rescaled after each restart
+    until the true residual meets ||b - A x|| <= rtol ||b||, for at most
+    ``maxiter`` restarts of ``restart`` iterations.  Returns (x, inner
+    iterations, converged).
+    """
+    psolve = (lambda v: v) if precond is None else (lambda v: precond * v)
+    norm, eps = np.linalg.norm, np.finfo(np.float64).eps
+    bnrm2 = norm(b)
+    if bnrm2 == 0.0:
+        return np.zeros_like(b), 0, True
+    atol, restart = rtol * bnrm2, min(restart, b.size)
+    x = np.array(x0, dtype=np.complex128)
+    r = b - matvec(x) if x.any() else b.copy()
+    if norm(r) < atol:
+        return x, 0, True
+    factor, ptol = 1.0, norm(psolve(b)) * min(1.0, atol / bnrm2)
+    iterations = 0
+    for _ in range(maxiter):
+        v = np.empty((restart + 1, b.size), dtype=np.complex128)
+        h = np.zeros((restart, restart + 1), dtype=np.complex128)   # h[col] is column col of H
+        rotations = []
+        v[0] = psolve(r)
+        S = np.zeros(restart + 1, dtype=np.complex128)
+        S[0] = norm(v[0])
+        v[0] *= 1.0 / S[0]
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            h0 = norm(w)
+            for k in range(col + 1):
+                h[col, k] = np.vdot(v[k], w)
+                w -= h[col, k] * v[k]
+            h[col, col + 1] = h1 = norm(w)
+            v[col + 1] = w
+            if h1 <= eps * h0:
+                h[col, col + 1], breakdown = 0.0, True
+            else:
+                v[col + 1] *= 1.0 / h1
+            for k, (c, s) in enumerate(rotations):
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -np.conj(s) * n0 + c * n1
+            c, s, h[col, col] = _givens(h[col, col], h[col, col + 1])
+            h[col, col + 1] = 0.0
+            rotations.append((c, s))
+            S[col], S[col + 1] = c * S[col], -np.conj(s) * S[col]
+            presid = abs(S[col + 1])
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangle; a zero corner pseudo-solves
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = norm(r)
+        if rnorm <= atol:
+            return x, iterations, True
+        if breakdown:
+            break
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
+    return x, iterations, False
 
 
 def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
                 config: SolverConfig, t_base=0.0, check_mu=True):
     """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
 
-    Returns (s_nodes, fields, rhs_fields, gmres_iterations, None), the fields
-    and right-hand sides as lists of value arrays.
+    Each implicit solve runs GMRES on the Fourier coefficients of b and of
+    the start, with the plan's spectral core as the operator and the frozen
+    symbol's inverse as a diagonal preconditioner (scalar problems).
+    Returns (s_nodes, fields, rhs_fields, gmres_iterations, None), the
+    fields and right-hand sides as lists of value arrays.
     """
     op, grid = problem.op, problem.grid
     temporal = problem.temporal
@@ -358,54 +459,28 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         _check_rotation(mu, temporal)
     s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, temporal)
     n = len(s_nodes) - 1
-    M = op.components
-    shape = (M,) + grid.shape
-    size = int(np.prod(shape))
-
-    if M == 1:
-        sym = _frozen_symbol(plan, t_nodes[0])
-        precond_hat = 1.0 / (1.0 + 0.5 * mu * dt * sym)
-
-        def _apply_precond(v):
-            hat = _fftn(v.reshape(shape), grid)
-            return _ifftn(precond_hat * hat, grid).ravel()
-
-        precond = LinearOperator((size, size), matvec=_apply_precond, dtype=np.complex128)
-    else:
-        precond = None
+    shape = (op.components,) + grid.shape
+    precond = None
+    if op.components == 1:
+        precond = (1.0 / (1.0 + 0.5 * mu * dt * _frozen_symbol(plan, t_nodes[0]))).ravel()
 
     def explicit_part(w: ComplexField, t) -> np.ndarray:
         zero = np.zeros((1,) + shape, dtype=np.complex128)
         return _add_forcing(problem, plan, w.values[np.newaxis], (t,), config, zero)[0]
 
     def implicit_solve(t_next, b_vals, x0_vals, iters):
-        def matvec(v):
-            f = ComplexField(grid, v.reshape(shape))
-            pv = plan.apply(f, t_next).values
-            return (f.values + 0.5 * mu * dt * pv).ravel()
+        def matvec(v_hat):
+            return v_hat + 0.5 * mu * dt * plan.apply_hat(v_hat.reshape((1,) + shape), (t_next,)).ravel()
 
-        lhs = LinearOperator((size, size), matvec=matvec, dtype=np.complex128)
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
-        x, info = gmres(
-            lhs,
-            b_vals.ravel(),
-            x0=x0_vals.ravel(),
-            rtol=config.gmres_tol,
-            atol=0.0,
-            M=precond,
-            restart=50,
-            maxiter=200,
-            callback=cb,
-            callback_type="pr_norm",
+        x_hat, count, converged = _gmres(
+            matvec, _fftn(b_vals, grid).ravel(), _fftn(x0_vals, grid).ravel(), config.gmres_tol, precond
         )
-        if info != 0:
-            raise ConvergenceError(f"implicit solve failed to converge at t={t_next} (info={info})")
-        iters.append(count[0])
-        return x.reshape(shape)
+        if not converged:
+            raise ConvergenceError(
+                f"implicit solve failed to converge at t={t_next} ({count} GMRES iterations)"
+            )
+        iters.append(count)
+        return _ifftn(x_hat.reshape(shape), grid)
 
     gmres_iters = []
     fields = [ComplexField(grid, w0.values.copy())]
@@ -472,18 +547,20 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
     s = 0.0
     halvings = 0
     gstep = 0
+    carried = None
     eps = 1e-12 * max(1.0, s_total)
     while s < s_total - eps:
         span = min(window, s_total - s)
+        bounds = (float(s), float(s + span))     # plain numbers, as messages print them
         try:
             if config.integrator == "imex":
                 s_nodes, wf, rf, iters, ratio = _march_imex(
-                    problem, plan, w, (s, s + span), mu, config, t_base, check_mu
+                    problem, plan, w, bounds, mu, config, t_base, check_mu
                 )
                 sweeps = None
             else:
-                s_nodes, wf, rf, sweeps, ratio = _picard_window(
-                    problem, plan, w, (s, s + span), mu, config, t_base, check_mu
+                s_nodes, wf, rf, sweeps, ratio, carried = _picard_window(
+                    problem, plan, w, bounds, mu, config, t_base, check_mu, carried
                 )
                 iters = None
         except ConvergenceError:
@@ -507,8 +584,8 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
             derivs.append(ComplexField(problem.grid, rj))
         win_diag.append(
             {
-                "s_start": float(s),
-                "s_end": float(s + span),
+                "s_start": bounds[0],
+                "s_end": bounds[1],
                 "steps": len(s_nodes) - 1,
                 "sweeps": sweeps,
                 "gmres_iterations": iters,

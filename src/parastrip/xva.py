@@ -249,7 +249,7 @@ def heston_generator(params: XvaParams, temporal: TemporalDomain = None) -> Dive
         ((0, 0), (0, 1)): lambda z, t: -1j * (kappa * (theta_v - v_of(z)) - 0.5 * sigma_v ** 2),
     }
     return DivergenceOperator.from_terms(
-        1, 1, 2, terms, StripSpec(math.inf), temporal or _DEFAULT_TEMPORAL
+        1, 1, 2, terms, StripSpec(math.inf), temporal or _DEFAULT_TEMPORAL, autonomous=True
     )
 
 
@@ -306,7 +306,7 @@ def heston_chart_generator(params: XvaParams, grid: Grid, v_center: float = None
         ) / rate,
     }
     op = DivergenceOperator.from_terms(
-        1, 1, 2, terms, StripSpec(math.inf), temporal or _DEFAULT_TEMPORAL
+        1, 1, 2, terms, StripSpec(math.inf), temporal or _DEFAULT_TEMPORAL, autonomous=True
     )
     return op, chart
 
@@ -333,6 +333,7 @@ def _with_zero_order(op: DivergenceOperator, rate: float) -> DivergenceOperator:
         strip=op.strip,
         temporal=op.temporal,
         terms=terms,
+        autonomous=op.autonomous,
     )
 
 

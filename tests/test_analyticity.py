@@ -133,3 +133,11 @@ def test_strip_sup_over_time_dominates_members(heat_problem):
         member = fam.member(y)
         for f in member.fields:
             assert sup >= ps.besov_norm(f, params) - 1e-12
+
+
+def test_family_errors_print_plain_numbers():
+    op = make_heat_operator(strip_width=0.15)
+    problem = ps.CauchyProblem(ps.make_grid(1, 10.0, 64), op, gaussian_datum())
+    with pytest.raises(DomainError, match=r"shift y=\(-0\.2,\) leaves the strip") as info:
+        ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 3), 0.0, 0.02, FAST)
+    assert "np.float64" not in str(info.value)

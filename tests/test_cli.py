@@ -323,3 +323,61 @@ def test_literal_heston_is_accepted_by_ellipticity_only(tmp_path, capsys):
     code, out = _run_in_process(tmp_path, "ellipticity", "ellipticity", base)
     assert code == 0
     assert (out / "ellipticity.csv").exists()
+
+
+def _invalid_detail(capsys) -> str:
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "invalid configuration"
+    return " ".join(err["detail"])
+
+
+def test_shift_family_beyond_the_coefficient_strip_exits_2(tmp_path, capsys):
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 128},
+        "run": {"horizon": 0.1},
+        "problem": {"operator": {"kind": "heat", "strip_half_width": 0.2},
+                    "initial": {"kind": "gaussian"}},
+        "solver": {"dt": 0.01},
+        "analyticity": {"y_half_width": 0.5, "n_shifts": 5},
+    }
+    code, out = _run_in_process(tmp_path, "wide", "verify-analyticity", cfg)
+    assert code == 2
+    detail = _invalid_detail(capsys)
+    assert "analyticity.y_half_width" in detail and "problem.operator.strip_half_width" in detail
+    assert not (out / "manifest.json").exists()
+
+
+def test_system_under_the_scalar_integrator_exits_2(tmp_path, capsys):
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 128},
+        "run": {"horizon": 0.1},
+        "problem": {"operator": {"kind": "custom", "components": 2,
+                                 "terms": [{"alpha": [1], "beta": [1], "re": 1.0}]},
+                    "initial": {"kind": "gaussian"}},
+        "maxreg": {"horizons": [0.25]},
+    }
+    for command in ("solve", "maxreg", "convergence"):
+        code, out = _run_in_process(tmp_path, command, command, cfg)
+        assert code == 2, command
+        detail = _invalid_detail(capsys)
+        assert "problem.operator.components" in detail and "picard_voc" in detail, command
+        if command != "convergence":
+            assert "solver.integrator" in detail, command
+        assert not (out / "manifest.json").exists()
+
+
+def test_the_cli_loads_no_scipy(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SOLVE_CFG))
+    code = (
+        "import sys, parastrip.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"parastrip.cli.main(['solve', '--config', {str(cfg_path)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert sorted(manifest["versions"]) == ["numpy", "parastrip", "python"]

@@ -319,3 +319,86 @@ def test_plan_memo_keeps_the_latest_node_set():
     assert len(calls) == 3 * 5
     with pytest.raises(ConfigurationError, match="components"):
         plan.apply_stack(np.zeros((1, 2) + g.shape, dtype=complex), [0.0])
+
+
+def test_autonomous_is_inferred_from_constants_or_stated():
+    temporal = ps.TemporalDomain(np.pi / 4, 1.0, 2.0)
+    const = ps.DivergenceOperator.from_terms(1, 1, 1, {((1,), (1,)): 1.0}, ps.StripSpec(1.0), temporal)
+    assert const.autonomous
+    ripple = {((1,), (1,)): lambda z, t: 1.0 + 0.5 * np.cos(z[0])}
+    assert not ps.DivergenceOperator.from_terms(1, 1, 1, ripple, ps.StripSpec(1.0), temporal).autonomous
+    assert ps.DivergenceOperator.from_terms(1, 1, 1, ripple, ps.StripSpec(1.0), temporal,
+                                           autonomous=True).autonomous
+    assert not periodic_variable_operator().autonomous
+
+
+def test_autonomous_plan_evaluates_each_coefficient_once():
+    calls = []
+
+    def counted(f):
+        def coeff(z, t):
+            calls.append(t)
+            return f(z, t)
+        return coeff
+
+    terms = {((1,), (1,)): lambda z, t: 1.0 + 0.5 * np.cos(z[0]),
+             ((1,), (0,)): lambda z, t: 0.3j * np.sin(2.0 * z[0]),
+             ((0,), (0,)): lambda z, t: 0.7 + 0 * z[0]}
+    temporal = ps.TemporalDomain(np.pi / 4, 1.0, 2.0)
+    auto = ps.DivergenceOperator.from_terms(1, 1, 1, {k: counted(f) for k, f in terms.items()},
+                                            ps.StripSpec(1.0), temporal, autonomous=True)
+    per_node = ps.DivergenceOperator.from_terms(1, 1, 1, terms, ps.StripSpec(1.0), temporal)
+    g = ps.make_grid(1, np.pi, 32)
+    plan, fresh = ps.OperatorPlan(auto, g, [0.2j]), ps.OperatorPlan(per_node, g, [0.2j])
+    stack = np.stack([band_limited(g, s).values for s in range(3)])
+    for ts in ([0.0, 0.1, 0.2], [0.2, 0.5 + 0.1j, 1.0], [0.3]):
+        got = plan.apply_stack(stack[:len(ts)], ts)
+        np.testing.assert_array_equal(got, fresh.apply_stack(stack[:len(ts)], ts))
+    assert len(calls) == len(terms)
+    # every node of a new node set is still checked, before anything is evaluated
+    with pytest.raises(DomainError, match="temporal domain"):
+        plan.apply_stack(stack[:2], [0.4, 5.0])
+    with pytest.raises(DomainError, match="temporal domain"):
+        plan.apply(band_limited(g, 1), 0.1 + 0.5j)
+    assert len(calls) == len(terms)
+
+
+def test_spectral_core_matches_the_physical_apply_on_the_chart():
+    from parastrip import grid as grid_module, operators
+
+    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.2,
+                                                              rho=0.3, v_min=0.02, v_max=0.06))
+    g = ps.make_grid(2, 6.0, 16)
+    op, _ = ps.heston_chart_generator(params, g)
+    plan = ps.OperatorPlan(op, g, [0.1j, -0.05j])
+    rng = np.random.default_rng(5)
+    hat = rng.standard_normal((3, 1) + g.shape) + 1j * rng.standard_normal((3, 1) + g.shape)
+    ts = [0.0, 0.25, 0.5]
+    core = plan.apply_hat(hat, ts)
+    round_trip = np.fft.fftn(plan.apply_stack(np.fft.ifftn(hat, axes=(2, 3)), ts), axes=(2, 3))
+    assert np.max(np.abs(core - round_trip)) <= 1e-13 * np.max(np.abs(core))
+    # six variable terms over two betas and three alphas: 2 inverse and 3 forward FFTs
+    counts = {"fft": 0, "ifft": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_fftn", counting("fft", grid_module._fftn))
+        mp.setattr(operators, "_ifftn", counting("ifft", grid_module._ifftn))
+        plan.apply_hat(hat, ts)
+    assert counts == {"fft": 3, "ifft": 2}
+
+
+def test_spectral_core_of_constant_coefficients_is_the_symbol():
+    op, g, shift = stack_case("constant", 2)
+    rng = np.random.default_rng(9)
+    hat = rng.standard_normal((2, 1) + g.shape) + 1j * rng.standard_normal((2, 1) + g.shape)
+    want = np.zeros_like(hat)
+    for alpha, beta in op.terms:
+        c = op.coeff(alpha, beta, None, 0.0)
+        want += c * (hat * ps.derivative_multiplier(g, beta)) * ps.derivative_multiplier(g, alpha)
+    np.testing.assert_array_equal(ps.OperatorPlan(op, g, shift).apply_hat(hat, [0.0, 0.5]), want)

@@ -396,8 +396,10 @@ def test_source_runs_once_per_window_node():
     problem.source = spy
     res = ps.solve_real(problem, 0.0, 0.08, ps.SolverConfig(dt=0.01, window=0.04))
     assert min(res.diagnostics["picard_iterations"]) >= 2
-    # however many sweeps: nodes 0-4 of the first window, then 4-8 of the second
-    assert calls == list(res.times[:5]) + list(res.times[4:])
+    # however many sweeps, one call per distinct node: node 4, which the two
+    # windows share, reuses the first window's row
+    assert calls == list(res.times)
+    assert len(set(calls)) == len(calls) == 9
 
 
 def test_batched_forcing_names_the_node_and_point_of_the_first_offender():
@@ -438,3 +440,86 @@ def test_maxreg_fits_the_block_count_to_the_grid(rng):
     ens = ps.default_maxreg_ensemble(coarse, 1, 3, rng, support=0.25)
     with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
         ps.estimate_max_reg_constant(op, coarse, 0.25, 4.0, ens, ps.SolverConfig(dt=1.0 / 64))
+
+
+def _non_normal_system(n=24, seed=3):
+    rng = np.random.default_rng(seed)
+    A = np.diag(2.0 + rng.uniform(0.0, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n))
+    A += np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return A, b, rng
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+def test_gmres_solves_a_non_normal_complex_system(preconditioned, start):
+    from parastrip.solver import _gmres
+
+    A, b, rng = _non_normal_system()
+    assert not np.allclose(A @ A.conj().T, A.conj().T @ A)
+    precond = 1.0 / np.diag(A) if preconditioned else None
+    x0 = np.zeros_like(b) if start == "zero" else rng.standard_normal(b.size) + 0j
+    x, iterations, converged = _gmres(lambda v: A @ v, b, x0, 1e-12, precond, restart=10)
+    assert converged and 0 < iterations
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-9)
+    np.testing.assert_array_equal(x0, np.zeros_like(b) if start == "zero" else x0)
+
+
+def test_gmres_returns_zero_for_a_zero_right_hand_side():
+    from parastrip.solver import _gmres
+
+    A, b, rng = _non_normal_system()
+    calls = []
+    x, iterations, converged = _gmres(lambda v: calls.append(v) or A @ v, np.zeros_like(b),
+                                      rng.standard_normal(b.size) + 0j, 1e-12)
+    np.testing.assert_array_equal(x, 0.0)
+    assert (iterations, converged, calls) == (0, True, [])
+
+
+def test_imex_raises_when_gmres_cannot_converge():
+    # a tolerance far below rounding cannot be met in 200 restarts
+    op = ps.DivergenceOperator.from_terms(
+        1, 1, 1, {((1,), (1,)): lambda z, t: 1.0 + 0.5 * np.cos(z[0])},
+        ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0), autonomous=True,
+    )
+    grid = ps.make_grid(1, np.pi, 8)
+    problem = ps.CauchyProblem(grid, op, lambda pts: np.exp(np.cos(pts[0])))
+    cfg = ps.SolverConfig(dt=0.01, integrator="imex", gmres_tol=1e-300, max_window_halvings=0)
+    with pytest.raises(ps.ConvergenceError, match="implicit solve failed to converge at t="):
+        ps.solve_real(problem, 0.0, 0.02, cfg)
+    res = ps.solve_real(problem, 0.0, 0.02, ps.SolverConfig(dt=0.01, integrator="imex"))
+    assert [len(w["gmres_iterations"]) for w in res.diagnostics["windows"]] == [3]
+
+
+def test_gmres_residual_is_minimal_over_each_krylov_space():
+    from parastrip.solver import _gmres
+
+    A, b, _ = _non_normal_system(n=12)
+    krylov = [b]
+    for k in range(1, 9):
+        # one cycle of k iterations from zero: x minimizes ||b - A x|| over span{b, ..., A^(k-1) b}
+        x, iterations, _ = _gmres(lambda v: A @ v, b, np.zeros_like(b), 1e-30, restart=k, maxiter=1)
+        basis, _ = np.linalg.qr(np.stack(krylov, axis=1))
+        y = np.linalg.lstsq(A @ basis, b, rcond=None)[0]
+        assert iterations == k
+        assert np.linalg.norm(b - A @ x) == pytest.approx(np.linalg.norm(b - A @ basis @ y), rel=1e-8)
+        krylov.append(A @ krylov[-1])
+
+
+@pytest.mark.parametrize("restart", [3, 10, 30])
+def test_gmres_iterates_as_the_scipy_reference_does(restart):
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    from parastrip.solver import _gmres
+
+    for seed in range(3):
+        A, b, rng = _non_normal_system(seed=seed)
+        x0 = rng.standard_normal(b.size) + 0j
+        for precond in (None, 1.0 / np.diag(A)):
+            count = []
+            want, info = linalg.gmres(A, b, x0=x0.copy(), rtol=1e-12, atol=0.0, restart=restart,
+                                      M=None if precond is None else np.diag(precond), maxiter=200,
+                                      callback=count.append, callback_type="pr_norm")
+            x, iterations, converged = _gmres(lambda v: A @ v, b, x0, 1e-12, precond, restart=restart)
+            assert (iterations, converged) == (len(count), info == 0)
+            np.testing.assert_allclose(x, want, rtol=1e-9)

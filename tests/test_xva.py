@@ -236,3 +236,27 @@ def test_blended_mark_solve_equals_a_per_node_reference(monkeypatch):
     np.testing.assert_array_equal(got.times, want.times)
     for a, b in zip(got.fields + got.time_derivatives, want.fields + want.time_derivatives):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_heston_chart_generators_are_autonomous():
+    params = market(heston=dict(kappa=1.0, theta=0.04, sigma_v=0.2, rho=0.3, v_min=0.02, v_max=0.06))
+    op, _ = ps.heston_chart_generator(params, ps.make_grid(2, 6.0, 16))
+    assert op.autonomous and ps.heston_generator(params).autonomous
+    from parastrip.xva import _with_zero_order
+
+    discounted = _with_zero_order(op, 0.05)
+    assert discounted.autonomous and discounted.terms[-1] == ((0, 0), (0, 0))
+
+
+def test_heston_price_takes_1200_gmres_iterations():
+    # the benchmark's heston_chart_2d study at its nominal inputs
+    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
+                                                              rho=0.0, v_min=0.02, v_max=0.06))
+    grid = ps.make_grid(2, 6.0, 64)
+    payoff = ps.hermite_payoff_fit(call_payoff(eps=1e-3), 6.0)
+    res = ps.price_riskfree(params, payoff, grid, 1.0)
+    (window,) = res.diagnostics["windows"]
+    assert window["steps"] == 400 and len(window["gmres_iterations"]) == 401
+    assert sum(window["gmres_iterations"]) == 1200
+    price = ps.evaluate_at(res.final, [0.0, 0.04])[0].real
+    assert price == pytest.approx(0.0799051466780, abs=1e-10)
