@@ -14,10 +14,18 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParastripError
-from .grid import ComplexField, spectral_derivative
+from .grid import ComplexField, _fftn, _ifftn, derivative_multiplier, spectral_derivative
 from .norms import NormParams, _fit_blocks, besov_norm, lp_norm
 from .operators import multi_indices
-from .solver import CauchyProblem, SolverConfig, SolveResult, solve_along_path, solve_complex_ray, solve_real
+from .solver import (
+    CauchyProblem,
+    SolverConfig,
+    SolveResult,
+    _real_span,
+    _solve,
+    solve_along_path,
+    solve_real,
+)
 
 __all__ = [
     "ShiftFamily",
@@ -84,10 +92,12 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
                        config: SolverConfig = None, jobs: int = None) -> ShiftFamily:
     """Solve the problem once per imaginary shift iy, y in ``y_grid``.
 
-    Members are independent solves sharing every discretization knob, run
-    one after another in ascending order of y.  ``jobs`` is accepted and
+    Members are solves sharing every discretization knob, each with its own
+    operator plan, run in lockstep through one driver (``solver._solve``);
+    each gets the bits of its own serial solve.  ``jobs`` is accepted and
     ignored.  A failing member aborts the family with an error naming its
-    shift.
+    shift; when several fail, the one with the smallest y, which a serial
+    run in ascending order of y would meet first.
     """
     dim = problem.grid.dim
     ys = [_as_vector(y, dim) for y in np.atleast_1d(np.asarray(y_grid, dtype=np.float64)).reshape(-1, dim)]
@@ -98,12 +108,16 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
         if not strip.contains(1j * y):
             raise DomainError(f"shift y={tuple(map(float, y))} leaves the strip of half width {strip.half_width}")
     ys = sorted(ys, key=_key)
+    try:
+        start, s_total = _real_span(t0, horizon)
+        outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys], config, t_base=start)
+    except Exception as exc:          # a setting all members share: the first one reports it
+        outcomes = [exc]
     results = {}
-    for y in ys:
-        try:
-            results[_key(y)] = solve_real(problem, t0, horizon, config, shift=1j * y)
-        except Exception as exc:
-            raise ParastripError(f"shift family member y={tuple(map(float, y))} failed: {exc}") from exc
+    for y, out in zip(ys, outcomes):
+        if isinstance(out, Exception):
+            raise ParastripError(f"shift family member y={tuple(map(float, y))} failed: {out}") from out
+        results[_key(y)] = out
     return ShiftFamily(
         y_values=[tuple(y) for y in ys],
         results=results,
@@ -204,31 +218,47 @@ def shift_consistency_check(family: ShiftFamily, problem: CauchyProblem, x0, y0,
 
 
 def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: SolverConfig = None,
-                     shift=None) -> float:
-    """Normalized Wirtinger residual of mu -> omega_mu(rho) over a four-point stencil."""
+                     shift=None):
+    """Normalized Wirtinger residual of mu -> omega_mu(rho) over a four-point stencil.
+
+    Pass one stencil width ``d_mu`` for a float result, a sequence of them
+    for a list in the same order.  Every stencil point and the centre, which
+    all widths share, is one ray solved once; the rays run in lockstep and
+    keep their final rows only.
+    """
+    single = np.isscalar(d_mu)
+    widths = [float(d_mu)] if single else [float(d) for d in d_mu]
+    if not widths:
+        raise ConfigurationError("need at least one stencil width")
     mu_center = complex(mu_center)
-    d_mu = float(d_mu)
-    if not d_mu > 0.0:
-        raise ConfigurationError("stencil width must be positive")
     radius = problem.temporal.mu_disc_radius
-    stencil = [mu_center + d_mu, mu_center - d_mu, mu_center + 1j * d_mu, mu_center - 1j * d_mu]
-    for mu in stencil:
-        if abs(mu - 1.0) > radius + 1e-12:
-            raise DomainError(f"stencil point mu={mu} leaves the disc of radius {radius}")
-
-    def endpoint(mu) -> np.ndarray:
-        return solve_complex_ray(problem, mu, rho, config, shift=shift).final.values
-
-    w_re_p, w_re_m = endpoint(stencil[0]), endpoint(stencil[1])
-    w_im_p, w_im_m = endpoint(stencil[2]), endpoint(stencil[3])
-    center = solve_complex_ray(problem, mu_center, rho, config, shift=shift).final
-    d_re = (w_re_p - w_re_m) / (2.0 * d_mu)
-    d_im = (w_im_p - w_im_m) / (2.0 * d_mu)
-    resid = 0.5 * (d_re + 1j * d_im)
+    rays = []
+    for d in widths:
+        if not d > 0.0:
+            raise ConfigurationError("stencil width must be positive")
+        stencil = [mu_center + d, mu_center - d, mu_center + 1j * d, mu_center - 1j * d]
+        for mu in stencil:
+            if abs(mu - 1.0) > radius + 1e-12:
+                raise DomainError(f"stencil point mu={mu} leaves the disc of radius {radius}")
+        # in the order a serial run solves them: each stencil, the centre after the first
+        rays.extend(stencil if rays else stencil + [mu_center])
+    outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in rays], config, final_only=True)
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    ends = [out.final.values for out in outcomes]
+    center = outcomes[4].final
     scale = lp_norm(center, 2.0)
     if scale == 0.0:
         raise ConfigurationError("cannot normalize the residual of a zero trajectory")
-    return float(lp_norm(ComplexField(center.grid, resid), 2.0) / scale)
+    residuals = []
+    for i, d in enumerate(widths):
+        w_re_p, w_re_m, w_im_p, w_im_m = ends[:4] if i == 0 else ends[1 + 4 * i:5 + 4 * i]
+        d_re = (w_re_p - w_re_m) / (2.0 * d)
+        d_im = (w_im_p - w_im_m) / (2.0 * d)
+        resid = 0.5 * (d_re + 1j * d_im)
+        residuals.append(float(lp_norm(ComplexField(center.grid, resid), 2.0) / scale))
+    return residuals[0] if single else residuals
 
 
 def path_independence_check(problem: CauchyProblem, sigma, tau, t_prime_list,
@@ -260,20 +290,33 @@ def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int,
     sets the companion norm's block count; by default it is the most the
     grid hosts, up to 4 (``norms._fit_blocks``).
     """
-    if any(d is None for d in result.time_derivatives):
+    if sum(map(len, result.derivative_blocks)) != len(result):
         raise ConfigurationError("trajectory lacks stored time derivatives")
-    if len(result.fields) < 2:
+    if len(result) < 2:
         raise ConfigurationError("need at least two snapshots to integrate")
-    grid = result.fields[0].grid
+    grid = result.grid
     blocks = _fit_blocks(grid) if dyadic_blocks is None else dyadic_blocks
     nparams = NormParams(p=p, m=order_half, dyadic_blocks=blocks)
+    weight = grid.cell_volume
+
+    def pth_powers(rows: np.ndarray) -> list:
+        # lp_norm(row, p) ** p of every row of a block, with lp_norm's rounding
+        sums = np.sum(np.abs(rows) ** p, axis=tuple(range(1, rows.ndim)))
+        return [float((total * weight) ** (1.0 / p)) ** p for total in sums]
+
     arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(result.times)))])
-    du = np.array([lp_norm(d, p) ** p for d in result.time_derivatives])
+    du = np.array([v for block in result.derivative_blocks for v in pth_powers(block)])
     part_du = float(np.trapezoid(du, x=arc))
+    # D^alpha of a block is one FFT of the block and one inverse FFT per alpha
+    alphas = multi_indices(grid.dim, 2 * order_half)
+    per_alpha = [[] for _ in alphas]
+    for block in result.blocks:
+        hat = _fftn(block, grid)
+        for vals, alpha in zip(per_alpha, alphas):
+            vals.extend(pth_powers(_ifftn(hat * derivative_multiplier(grid, alpha), grid)))
     part_derivs = 0.0
-    for alpha in multi_indices(grid.dim, 2 * order_half):
-        vals = np.array([lp_norm(spectral_derivative(f, alpha), p) ** p for f in result.fields])
-        part_derivs += float(np.trapezoid(vals, x=arc))
+    for vals in per_alpha:
+        part_derivs += float(np.trapezoid(np.array(vals), x=arc))
     part_derivs *= c0
     companion = besov_norm(result.final, nparams) ** p + part_derivs
     return {

@@ -502,6 +502,15 @@ def _check_integrator(op, integrator: str, errors: list, key: str = "solver.inte
         )
 
 
+def _check_initial(cfg: dict, op, errors: list):
+    """Reject a system: every initial-data kind is scalar, so no datum can start it."""
+    if op is not None and op.components > 1:
+        errors.append(
+            f"problem.operator.components: {op.components} components, but problem.initial.kind "
+            f"{cfg.get('problem', cfg)['initial']['kind']!r} gives one, as every initial kind is scalar"
+        )
+
+
 def _norm_rows(members, p: float, order_half: int):
     """Per snapshot: t, the L2, L^p and Besov norms of members[0], and the Besov sup over members."""
     grid = members[0].fields[0].grid
@@ -535,6 +544,8 @@ def _cmd_solve(cfg, out_dir, rng, record):
     config = _build_solver_config(cfg, errors)
     if problem is not None and config is not None:
         _check_integrator(problem.op, config.integrator, errors)
+    if problem is not None:
+        _check_initial(cfg, problem.op, errors)
     if errors:
         raise _Invalid(errors)
 
@@ -602,6 +613,8 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, record):
     config = _build_solver_config(cfg, errors)
     if problem is not None and config is not None:
         _check_integrator(problem.op, config.integrator, errors)
+    if problem is not None:
+        _check_initial(cfg, problem.op, errors)
     if problem is not None and y_max is not None and not problem.data_strip.contains(1j * y_max):
         errors.append(
             f"analyticity.y_half_width: {y_max!r} must lie inside the coefficient strip, "
@@ -657,11 +670,9 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, record):
             files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
 
     def time_rows():
-        rows = []
-        for d_mu in d_mus:
-            rows.append((float(d_mu), rho,
-                         cr_residual_time(problem, complex(mu_re, mu_im), d_mu, rho, config)))
-        return rows
+        widths = [float(d_mu) for d_mu in d_mus]
+        residuals = cr_residual_time(problem, complex(mu_re, mu_im), widths, rho, config)
+        return [(d_mu, rho, residual) for d_mu, residual in zip(widths, residuals)]
 
     rows = record("cr_time", time_rows)
     if rows is not None:

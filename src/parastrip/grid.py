@@ -164,6 +164,17 @@ class ComplexField:
         return ComplexField(self.grid, self.values.copy())
 
     @classmethod
+    def _trusted(cls, grid: Grid, values: np.ndarray) -> "ComplexField":
+        """Wrap a (components, *grid) complex128 row of a block already checked finite.
+
+        Skips the shape and finiteness checks of the constructor; the caller
+        vouches for both.
+        """
+        field = cls.__new__(cls)
+        field.grid, field.values = grid, values
+        return field
+
+    @classmethod
     def zeros(cls, grid: Grid, components: int = 1) -> "ComplexField":
         return cls(grid, np.zeros((components,) + grid.shape, dtype=np.complex128))
 

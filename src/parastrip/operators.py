@@ -67,12 +67,16 @@ class TemporalDomain:
         return float(np.sin(self.angle))
 
     def contains(self, t: complex, tol: float = 1e-12) -> bool:
-        t = complex(t)
-        sigma, tau = t.real, t.imag
-        if sigma < -tol or sigma > self.horizon + tol:
-            return False
-        reach = np.tan(self.angle) * min(max(sigma, 0.0), self.t_prime)
-        return abs(tau) <= reach + tol
+        return self.first_outside((complex(t),), tol) is None
+
+    def first_outside(self, ts, tol: float = 1e-12):
+        """Index of the first of the times ``ts`` outside the domain, or None."""
+        t = np.asarray(ts, dtype=np.complex128).ravel()
+        sigma = t.real
+        reach = np.tan(self.angle) * np.minimum(np.maximum(sigma, 0.0), self.t_prime)
+        inside = (sigma >= -tol) & (sigma <= self.horizon + tol) & (np.abs(t.imag) <= reach + tol)
+        outside = np.flatnonzero(~inside)
+        return int(outside[0]) if len(outside) else None
 
 
 def multi_indices(dim: int, max_order: int) -> list:
@@ -270,9 +274,9 @@ class OperatorPlan:
         keys = tuple(map(complex, ts))
         if keys == self._keys:
             return self._coefficients
-        for t in ts:
-            if not self.op.temporal.contains(t):
-                raise DomainError(f"time {t} lies outside the temporal domain")
+        b = self.op.temporal.first_outside(ts)
+        if b is not None:
+            raise DomainError(f"time {ts[b]} lies outside the temporal domain")
         if self.op.autonomous:
             if self._coefficients is None:
                 self._coefficients = [_NodeCoefficients(c[np.newaxis]) for c in self._evaluate(ts[0])]

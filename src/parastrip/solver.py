@@ -1,13 +1,16 @@
 """Time integration for semilinear parabolic problems on complex time rays.
 
-Two engines share one driver:
+Two engines share one driver, which marches one trajectory or several
+(the members of a shift family, the rays of a stencil) and stores each as
+blocks of rows checked once:
 
 * ``picard_voc`` freezes the generator at the window start, integrates the
   frozen part exactly in Fourier space, and sweeps a variation-of-constants
   fixed point over the window until the trajectory stops moving.  For a
   spatially constant, autonomous, linear problem the first sweep already
   reproduces the exact semigroup, so the iteration count is an honest
-  stiffness/nonlinearity diagnostic.
+  stiffness/nonlinearity diagnostic.  Several members run in lockstep: one
+  (K, n + 1, M, *grid) stack per window, each with its own plan.
 * ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting.  Its implicit
   half is solved on Fourier coefficients by a restarted GMRES written on
   numpy (``_gmres``), left-preconditioned by the inverse of the frozen
@@ -18,9 +21,15 @@ Both integrate dw/ds = mu [A w + F(jets) + g] with A = -P, so a solve along
 s with rotation mu produces u(t) on the ray t = t_base + mu s.
 """
 
+import bisect
+import functools
+import itertools
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,30 +126,91 @@ class SolverConfig:
             raise ConfigurationError("picard_max_iter and snapshot_stride must be >= 1")
 
 
+class _Rows(Sequence):
+    """The rows of a trajectory's blocks as ComplexFields, wrapped on demand.
+
+    The blocks were checked finite when the solve stored them, so rows are
+    wrapped without a second check.  Assigning a field to an index writes
+    its values into the block row.
+    """
+
+    def __init__(self, grid: Grid, blocks: list):
+        self._grid, self._blocks = grid, blocks
+        self._ends = list(itertools.accumulate(len(block) for block in blocks))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def _locate(self, j):
+        n = len(self)
+        j = operator.index(j)
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError(f"row {j} of a trajectory with {n} rows")
+        b = bisect.bisect_right(self._ends, j)
+        return self._blocks[b], j - (self._ends[b - 1] if b else 0)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        block, row = self._locate(j)
+        return ComplexField._trusted(self._grid, block[row])
+
+    def __setitem__(self, j, field: ComplexField):
+        block, row = self._locate(j)
+        block[row] = field.values
+
+    def __iter__(self):
+        for block in self._blocks:
+            for row in block:
+                yield ComplexField._trusted(self._grid, row)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+
 @dataclass
 class SolveResult:
-    """Trajectory snapshots along one time ray or path.
+    """Trajectory snapshots along one time ray or path, stored as blocks.
+
+    ``blocks`` and ``derivative_blocks`` list (rows, M, *grid) arrays: a
+    one-row block for the start, then the kept rows of each window (of each
+    node under ``imex``).  In order, their rows are the values and the time
+    derivatives at ``times``.  The solve checks every block finite once, as
+    it stores it, so ``fields``, ``time_derivatives``, ``final`` and
+    ``snapshots`` wrap rows in ComplexField on demand without a second
+    check; ``fields[j] = f`` writes f's values into the block.
 
     ``time_derivatives[j]`` holds the evaluated right-hand side
     A u + F + g at ``times[j]``, i.e. du/dt in the physical time variable
     (the ray rotation mu is not folded in).
     """
 
+    grid: Grid
     times: np.ndarray
-    fields: list
-    time_derivatives: list
+    blocks: list
+    derivative_blocks: list
     diagnostics: dict = dataclass_field(default_factory=dict)
+
+    @functools.cached_property
+    def fields(self) -> _Rows:
+        return _Rows(self.grid, self.blocks)
+
+    @functools.cached_property
+    def time_derivatives(self) -> _Rows:
+        return _Rows(self.grid, self.derivative_blocks)
 
     @property
     def final(self) -> ComplexField:
-        return self.fields[-1]
+        return ComplexField._trusted(self.grid, self.blocks[-1][-1])
 
     @property
     def snapshots(self) -> list:
         return list(zip(self.times, self.fields))
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.times)
 
 
 def _initial_field(problem: CauchyProblem, shift) -> ComplexField:
@@ -183,22 +253,28 @@ def _jet_fields(stack: np.ndarray, indices, grid: Grid) -> list:
             for beta in indices]
 
 
-def _add_forcing(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
+def _add_forcing(problem: CauchyProblem, plan, stack: np.ndarray, ts,
                  config: SolverConfig, vals: np.ndarray, sources=None) -> np.ndarray:
     """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``.
 
-    The reaction sees the whole stack in one call: the plan's points
-    broadcast to (dim, B, *grid), the jets as (n_slots, M, B, *grid) and
-    the node times shaped (B,) + (1,) * dim.  ``sources`` is g at the
-    nodes, ``_source_stack(problem, plan, ts)``, evaluated here when not
-    given; a Picard window evaluates it once and passes it to every sweep.
+    The reaction sees the whole stack in one call: the points broadcast to
+    (dim, B, *grid), the jets as (n_slots, M, B, *grid) and the node times
+    shaped (B,) + (1,) * dim.  ``plan`` is the OperatorPlan of every row,
+    or a list of K plans, one per equal run of rows (a lockstep group's
+    members); then ``sources`` must be given, or the problem has no source.
+    ``sources`` is g at the nodes, ``_source_stack(problem, plan, ts)``,
+    evaluated here when not given; a Picard window evaluates it once and
+    passes it to every sweep.
     """
     grid = problem.grid
     if problem.reaction is not None:
         spec = problem.reaction
         B = stack.shape[0]
         X = np.stack(_jet_fields(stack, spec.jet_indices, grid)).swapaxes(1, 2)
-        points = np.broadcast_to(plan.points[:, np.newaxis], (grid.dim, B) + grid.shape)
+        plans = plan if isinstance(plan, list) else [plan]
+        runs = [np.broadcast_to(p.points[:, np.newaxis], (grid.dim, B // len(plans)) + grid.shape)
+                for p in plans]
+        points = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
         times = np.reshape(ts, (B,) + (1,) * grid.dim)
         forcing = _nemytskii_stack(spec, X, points, times, grid, config.check_reaction_domain)
         vals += forcing.swapaxes(0, 1)
@@ -209,10 +285,28 @@ def _add_forcing(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, 
     return vals
 
 
-def _rhs_values(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
-                config: SolverConfig, sources) -> np.ndarray:
-    """Physical right-hand side A w + F(jets) + g, row b of the (B, M, *grid) stack at ts[b]."""
-    return _add_forcing(problem, plan, stack, ts, config, -plan.apply_stack(stack, ts), sources)
+def _group_rhs(problem: CauchyProblem, plans: list, stack: np.ndarray, t_nodes: list,
+               config: SolverConfig, sources) -> np.ndarray:
+    """Physical right-hand side A w + F(jets) + g of a (K, n + 1, M, *grid) stack.
+
+    Member a's slice is at its nodes t_nodes[a] and goes through its own
+    plan; the FFTs in and out are batched over all members, and the
+    reaction sees the K (n + 1) rows in one call.  ``sources`` is g,
+    (K, n + 1, M, *grid), or None without a source.
+    """
+    grid = problem.grid
+    hat = _fftn(stack, grid)
+    applied = np.empty_like(hat)
+    for a, (plan, ts) in enumerate(zip(plans, t_nodes)):
+        applied[a] = plan.apply_hat(hat[a], ts)
+    hat = None
+    vals, applied = _ifftn(applied, grid), None
+    np.negative(vals, out=vals)
+    rows = (-1,) + stack.shape[2:]
+    vals = _add_forcing(problem, plans if len(plans) > 1 else plans[0], stack.reshape(rows),
+                        np.concatenate(t_nodes), config, vals.reshape(rows),
+                        None if sources is None else sources.reshape(rows))
+    return vals.reshape(stack.shape)
 
 
 def _frozen_symbol(plan: OperatorPlan, t) -> np.ndarray:
@@ -270,89 +364,191 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
     dt = (s1 - s0) / n
     s_nodes = s0 + dt * np.arange(n + 1)
     t_nodes = t_base + mu * s_nodes
-    for t in t_nodes:
-        if not temporal.contains(t):
-            raise DomainError(
-                f"path node t={complex(t)} leaves the temporal domain "
-                f"(angle {temporal.angle}, split {temporal.t_prime}, horizon {temporal.horizon})"
-            )
+    b = temporal.first_outside(t_nodes)
+    if b is not None:
+        raise DomainError(
+            f"path node t={complex(t_nodes[b])} leaves the temporal domain "
+            f"(angle {temporal.angle}, split {temporal.t_prime}, horizon {temporal.horizon})"
+        )
     return s_nodes, t_nodes, dt
 
 
-def _picard_window(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
-                   config: SolverConfig, t_base=0.0, check_mu=True, carried=None):
-    """Integrate one window with the frozen-generator variation-of-constants scheme.
+class _Window(NamedTuple):
+    """One member's finished window: node values and right-hand sides as (n + 1, M, *grid) arrays."""
 
-    Every sweep treats the window's n + 1 nodes as one (n + 1, M, *grid)
-    stack.  Returns (s_nodes, fields, rhs_fields, sweeps, last_ratio,
-    carry), the fields and right-hand sides as (n + 1, M, *grid) stacks.
-    ``carried`` and ``carry`` are the source at the window's first and last
-    node (see ``_source_stack``), so a node two windows share sees one
-    source call.  Raises ConvergenceError when the window fixed point stalls
-    or exceeds the sweep budget, InstabilityError on non-finite iterates.
+    s_nodes: np.ndarray
+    fields: object                # an array, or a list of node arrays (imex)
+    rhs: object                   # likewise; None when the window was asked for no right-hand side
+    sweeps: int = None
+    gmres_iterations: list = None
+    contraction_ratio: float = None
+    carry: tuple = None           # the source at the last node, see _source_stack
+
+
+def _window_constants(problem: CauchyProblem, member, t0, dt):
+    """Frozen symbol, propagator and the two phi weights of one window of ``member``.
+
+    Under an autonomous operator they depend on dt alone (a member has one
+    mu), so they are kept per exact dt: windows whose dt differs in the last
+    bit miss the cache and keep their own rounding.  Otherwise they are
+    evaluated at each window start.
     """
-    op, grid = problem.op, problem.grid
+    autonomous = problem.op.autonomous
+    if autonomous and dt in member.constants:
+        return member.constants[dt]
+    mu = member.mu
+    frozen = _frozen_symbol(member.plan, t0)
+    a_hat = -mu * dt * frozen
+    phi1, phi2 = _phi_weights(a_hat)
+    out = (frozen, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2)
+    if autonomous:
+        member.constants[dt] = out
+    return out
+
+
+class _Lane:
+    """One member's sweep state inside a lockstep Picard window."""
+
+    def __init__(self, k: int, t_nodes: np.ndarray):
+        self.k, self.t_nodes = k, t_nodes
+        self.sweeps, self.ratio, self.delta_prev, self.converged = 0, None, None, False
+
+    def check(self, sweep: int, finite: bool, delta: float, scale: float, span, config: SolverConfig):
+        """Judge the member's new iterate as its serial window would; returns the exception it raises, or None."""
+        if not finite:
+            return InstabilityError(
+                f"non-finite iterate in window {span} at sweep {sweep}; reduce dt or the window length"
+            )
+        self.sweeps = sweep
+        if delta <= config.picard_tol * scale:
+            self.converged = True
+            return None
+        if self.delta_prev is not None and self.delta_prev > 0.0:
+            self.ratio = delta / self.delta_prev
+            if self.ratio >= 1.0 and delta > 10.0 * config.picard_tol * scale:
+                return ConvergenceError(
+                    f"window fixed point is not contracting (ratio {self.ratio:.3f} over {span}); "
+                    "shorten the window"
+                )
+        self.delta_prev = delta
+        if sweep == config.picard_max_iter:
+            return ConvergenceError(
+                f"window fixed point needed more than {config.picard_max_iter} sweeps over {span}"
+            )
+        return None
+
+
+def _rows_of(keep: list, lanes: list, *stacks) -> list:
+    """The lanes ``keep`` and their rows of each per-lane stack (None stays None)."""
+    return [[lanes[a] for a in keep]] + [None if x is None else x[keep] for x in stacks]
+
+
+def _picard_window(problem: CauchyProblem, members: list, span, config: SolverConfig,
+                   t_base=0.0, check_mu=True, need_rhs=True) -> list:
+    """Integrate one window for every member, in lockstep, with the frozen-generator scheme.
+
+    The members' n + 1 nodes form one (K, n + 1, M, *grid) stack: each
+    stage of a sweep (free flight, the FFTs around each member's
+    ``apply_hat``, the reaction, fft(rhs), the inverse of the new iterate)
+    is one batched call.  Convergence and its checks are per member, and a
+    member whose fixed point has converged stops sweeping, so each gets the
+    bits and sweep count of its own serial window.
+
+    Returns one outcome per member: a _Window; or the exception its serial
+    window raises (ConvergenceError when the fixed point stalls or exceeds
+    the sweep budget, InstabilityError on non-finite iterates, whatever its
+    coefficients, source or reaction raise); or None when a stage shared
+    with other members raised, and the member has to redo the window alone
+    to learn its own outcome.  ``need_rhs`` False skips the right-hand side
+    at the converged iterate (the _Window's rhs is then None).
+    """
+    op, grid, temporal = problem.op, problem.grid, problem.temporal
     if op.components != 1:
         raise ConfigurationError(
             "the frozen-generator integrator handles scalar problems; use integrator='imex' for systems"
         )
-    temporal = problem.temporal
-    mu = complex(mu)
-    if check_mu:
-        _check_rotation(mu, temporal)
-    s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, temporal)
+    outcomes = [None] * len(members)
+    lanes, consts, sources = [], [], []
+    for k, m in enumerate(members):
+        try:
+            if check_mu:
+                _check_rotation(m.mu, temporal)
+            s_nodes, t_nodes, dt = _time_nodes(span, config, m.mu, t_base, temporal)
+            c = _window_constants(problem, m, t_nodes[0], dt)
+            g = _source_stack(problem, m.plan, t_nodes, m.carried)
+        except Exception as exc:       # where this member's serial window raises it
+            outcomes[k] = exc
+            continue
+        lanes.append(_Lane(k, t_nodes))
+        consts.append(np.stack(c))
+        sources.append(g)
+    if not lanes:
+        return outcomes
     n = len(s_nodes) - 1
-
-    frozen = _frozen_symbol(plan, t_nodes[0])
-    a_hat = -mu * dt * frozen
-    propagator = np.exp(a_hat)
-    phi1, phi2 = _phi_weights(a_hat)
-    w_explicit = mu * dt * (phi1 - phi2)
-    w_implicit = mu * dt * phi2
-    sources = _source_stack(problem, plan, t_nodes, carried)
+    consts = np.stack(consts)          # (K, 4, *grid): frozen, propagator, w_explicit, w_implicit
+    sources = None if sources[0] is None else np.stack(sources)
 
     # zeroth iterate: free flight under the frozen generator
-    traj_hat = np.empty((n + 1,) + w0.values.shape, dtype=np.complex128)
-    traj_hat[0] = _fftn(w0.values, grid)
+    traj_hat = np.empty((len(lanes), n + 1, 1) + grid.shape, dtype=np.complex128)
+    traj_hat[:, 0] = _fftn(np.stack([members[lane.k].w.values for lane in lanes]), grid)
     for j in range(n):
-        traj_hat[j + 1] = propagator * traj_hat[j]
+        traj_hat[:, j + 1] = consts[:, 1, None] * traj_hat[:, j]
     traj_phys = _ifftn(traj_hat, grid)
 
-    delta_prev = None
-    ratio = None
-    for sweep in range(1, config.picard_max_iter + 1):
-        h = _fftn(_rhs_values(problem, plan, traj_phys, t_nodes, config, sources), grid) + frozen * traj_hat
-        explicit, implicit = w_explicit * h[:-1], w_implicit * h[1:]
-        new_hat = np.empty_like(traj_hat)
-        new_hat[0] = traj_hat[0]
-        for j in range(n):
-            new_hat[j + 1] = propagator * new_hat[j] + explicit[j] + implicit[j]
-        new_phys = _ifftn(new_hat, grid)
-        if not np.all(np.isfinite(new_phys)):
-            raise InstabilityError(
-                f"non-finite iterate in window {span} at sweep {sweep}; reduce dt or the window length"
-            )
-        delta = float(np.max(np.abs(new_phys - traj_phys)))
-        scale = max(1.0, float(np.max(np.abs(new_phys))))
-        traj_hat, traj_phys = new_hat, new_phys
-        if delta <= config.picard_tol * scale:
-            break
-        if delta_prev is not None and delta_prev > 0.0:
-            ratio = delta / delta_prev
-            if ratio >= 1.0 and delta > 10.0 * config.picard_tol * scale:
-                raise ConvergenceError(
-                    f"window fixed point is not contracting (ratio {ratio:.3f} over {span}); "
-                    "shorten the window"
-                )
-        delta_prev = delta
-    else:
-        raise ConvergenceError(
-            f"window fixed point needed more than {config.picard_max_iter} sweeps over {span}"
-        )
+    sweep = 0
+    while True:
+        rhs = None
+        if need_rhs or not all(lane.converged for lane in lanes):
+            try:
+                rhs = _group_rhs(problem, [members[lane.k].plan for lane in lanes], traj_phys,
+                                 [lane.t_nodes for lane in lanes], config, sources)
+            except Exception as exc:
+                if len(lanes) == 1:
+                    outcomes[lanes[0].k] = exc
+                return outcomes          # a shared stage raised: the members redo the window alone
+        # a converged member's right-hand side is the one at its fixed point
+        for a, lane in enumerate(lanes):
+            if lane.converged:
+                carry = None if sources is None else (complex(lane.t_nodes[-1]), sources[a, -1].copy())
+                outcomes[lane.k] = _Window(s_nodes, traj_phys[a], None if rhs is None else rhs[a],
+                                           lane.sweeps, None, lane.ratio, carry)
+        keep = [a for a, lane in enumerate(lanes) if not lane.converged]
+        if not keep:
+            return outcomes
+        if len(keep) < len(lanes):
+            lanes, traj_hat, traj_phys, rhs, consts, sources = _rows_of(
+                keep, lanes, traj_hat, traj_phys, rhs, consts, sources)
 
-    rhs = _rhs_values(problem, plan, traj_phys, t_nodes, config, sources)
-    carry = None if sources is None else (complex(t_nodes[-1]), sources[-1])
-    return s_nodes, traj_phys, rhs, sweep, ratio, carry
+        # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
+        # overwritten in place, as soon as the sweep is done with it
+        sweep += 1
+        frozen, w_explicit, w_implicit = (consts[:, i, None, None] for i in (0, 2, 3))
+        h, rhs = _fftn(rhs, grid), None
+        h += frozen * traj_hat
+        new_hat = np.empty_like(traj_hat)
+        new_hat[:, 0] = traj_hat[:, 0]
+        traj_hat = None
+        explicit = w_explicit * h[:, :-1]
+        implicit = np.multiply(w_implicit, h[:, 1:], out=h[:, 1:])
+        for j in range(n):
+            new_hat[:, j + 1] = consts[:, 1, None] * new_hat[:, j] + explicit[:, j] + implicit[:, j]
+        h = explicit = implicit = None
+        new_phys = _ifftn(new_hat, grid)
+        flat = (len(lanes), -1)
+        finite = np.isfinite(new_phys).reshape(flat).all(axis=1)
+        with np.errstate(invalid="ignore"):       # a non-finite member fails below, unread
+            # the old iterate becomes the difference; no emitted outcome views it
+            deltas = np.max(np.abs(np.subtract(new_phys, traj_phys, out=traj_phys)).reshape(flat), axis=1)
+            peaks = np.max(np.abs(new_phys).reshape(flat), axis=1)
+        for lane, ok, delta, peak in zip(lanes, finite, deltas, peaks):
+            outcomes[lane.k] = lane.check(sweep, ok, float(delta), max(1.0, float(peak)), span, config)
+        traj_hat, traj_phys = new_hat, new_phys
+        keep = [a for a, lane in enumerate(lanes) if outcomes[lane.k] is None]
+        if not keep:
+            return outcomes
+        if len(keep) < len(lanes):
+            lanes, traj_hat, traj_phys, consts, sources = _rows_of(
+                keep, lanes, traj_hat, traj_phys, consts, sources)
 
 
 def _givens(f, g):
@@ -367,7 +563,7 @@ def _givens(f, g):
 
 
 def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
-           restart: int = 50, maxiter: int = 200):
+           restart: int = 50, maxiter: int = 200, ax0: np.ndarray = None):
     """Restarted GMRES (Saad & Schultz 1986) for A x = b.
 
     Arnoldi with modified Gram-Schmidt on the left-preconditioned operator
@@ -375,8 +571,8 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
     Givens rotations on the Hessenberg columns.  The inner loop stops on
     the preconditioned residual; its target is rescaled after each restart
     until the true residual meets ||b - A x|| <= rtol ||b||, for at most
-    ``maxiter`` restarts of ``restart`` iterations.  Returns (x, inner
-    iterations, converged).
+    ``maxiter`` restarts of ``restart`` iterations.  ``ax0`` is A x0 when
+    the caller has it already.  Returns (x, inner iterations, converged).
     """
     psolve = (lambda v: v) if precond is None else (lambda v: precond * v)
     norm, eps = np.linalg.norm, np.finfo(np.float64).eps
@@ -385,7 +581,7 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
         return np.zeros_like(b), 0, True
     atol, restart = rtol * bnrm2, min(restart, b.size)
     x = np.array(x0, dtype=np.complex128)
-    r = b - matvec(x) if x.any() else b.copy()
+    r = b - (matvec(x) if ax0 is None else ax0) if x.any() else b.copy()
     if norm(r) < atol:
         return x, 0, True
     factor, ptol = 1.0, norm(psolve(b)) * min(1.0, atol / bnrm2)
@@ -448,9 +644,11 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
 
     Each implicit solve runs GMRES on the Fourier coefficients of b and of
     the start, with the plan's spectral core as the operator and the frozen
-    symbol's inverse as a diagonal preconditioner (scalar problems).
-    Returns (s_nodes, fields, rhs_fields, gmres_iterations, None), the
-    fields and right-hand sides as lists of value arrays.
+    symbol's inverse as a diagonal preconditioner (scalar problems).  Under
+    an autonomous operator P(t_j) = P(t_{j+1}), so the P w_j that gives a_j
+    also gives GMRES its initial residual when it starts from w_j.
+    Returns a _Window whose fields and right-hand sides are lists of value
+    arrays, one per node.
     """
     op, grid = problem.op, problem.grid
     temporal = problem.temporal
@@ -464,74 +662,210 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     if op.components == 1:
         precond = (1.0 / (1.0 + 0.5 * mu * dt * _frozen_symbol(plan, t_nodes[0]))).ravel()
 
-    def explicit_part(w: ComplexField, t) -> np.ndarray:
+    def explicit_part(w: np.ndarray, t) -> np.ndarray:
         zero = np.zeros((1,) + shape, dtype=np.complex128)
-        return _add_forcing(problem, plan, w.values[np.newaxis], (t,), config, zero)[0]
+        return _add_forcing(problem, plan, w[np.newaxis], (t,), config, zero)[0]
 
-    def implicit_solve(t_next, b_vals, x0_vals, iters):
+    def implicit_solve(t_next, b_vals, x0_hat, ax0, iters):
         def matvec(v_hat):
             return v_hat + 0.5 * mu * dt * plan.apply_hat(v_hat.reshape((1,) + shape), (t_next,)).ravel()
 
         x_hat, count, converged = _gmres(
-            matvec, _fftn(b_vals, grid).ravel(), _fftn(x0_vals, grid).ravel(), config.gmres_tol, precond
+            matvec, _fftn(b_vals, grid).ravel(), x0_hat.ravel(), config.gmres_tol, precond, ax0=ax0
         )
         if not converged:
             raise ConvergenceError(
                 f"implicit solve failed to converge at t={t_next} ({count} GMRES iterations)"
             )
         iters.append(count)
-        return _ifftn(x_hat.reshape(shape), grid)
+        x = _ifftn(x_hat.reshape(shape), grid)
+        if not np.all(np.isfinite(x)):
+            raise InstabilityError(f"non-finite iterate at t={t_next}; reduce dt")
+        return x
 
     gmres_iters = []
-    fields = [ComplexField(grid, w0.values.copy())]
+    fields = [w0.values.copy()]
+    w_hat = _fftn(fields[0][np.newaxis], grid)
     # du/dt at every node is A w_j + e_j; only the last two explicit parts are kept
     rhs_vals = []
     e_prev, e_j = None, explicit_part(fields[0], t_nodes[0])
     for j in range(n):
         w_j = fields[j]
-        a_j = -plan.apply(w_j, t_nodes[j]).values
+        p_hat = plan.apply_hat(w_hat, (t_nodes[j],))
+        a_j = -_ifftn(p_hat, grid)[0]
         rhs_vals.append(a_j + e_j)
-        base = w_j.values + 0.5 * mu * dt * a_j
+        base = w_j + 0.5 * mu * dt * a_j
+        ax0 = (w_hat + 0.5 * mu * dt * p_hat).ravel() if op.autonomous else None
         if j == 0:
             # predictor with the frozen explicit part, corrector with the trapezoid
             b = base + mu * dt * e_j
-            pred = ComplexField(grid, implicit_solve(t_nodes[1], b, w_j.values, gmres_iters))
+            pred = implicit_solve(t_nodes[1], b, w_hat, ax0, gmres_iters)
             e_pred = explicit_part(pred, t_nodes[1])
             b = base + 0.5 * mu * dt * (e_j + e_pred)
-            w_next = implicit_solve(t_nodes[1], b, pred.values, gmres_iters)
+            w_next = implicit_solve(t_nodes[1], b, _fftn(pred, grid), None, gmres_iters)
         else:
             b = base + mu * dt * (1.5 * e_j - 0.5 * e_prev)
-            w_next = implicit_solve(t_nodes[j + 1], b, w_j.values, gmres_iters)
-        if not np.all(np.isfinite(w_next)):
-            raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
-        fields.append(ComplexField(grid, w_next))
-        e_prev, e_j = e_j, explicit_part(fields[-1], t_nodes[j + 1])
-    rhs_vals.append(-plan.apply(fields[-1], t_nodes[n]).values + e_j)
-    return s_nodes, [f.values for f in fields], rhs_vals, gmres_iters, None
+            w_next = implicit_solve(t_nodes[j + 1], b, w_hat, ax0, gmres_iters)
+        fields.append(w_next)
+        w_hat = _fftn(w_next[np.newaxis], grid)
+        e_prev, e_j = e_j, explicit_part(w_next, t_nodes[j + 1])
+    rhs_vals.append(-_ifftn(plan.apply_hat(w_hat, (t_nodes[n],)), grid)[0] + e_j)
+    return _Window(s_nodes, fields, rhs_vals, gmres_iterations=gmres_iters)
 
 
-def _kept_rows(values, rows) -> list:
-    """The arrays of nodes ``rows`` of a window's output (a stack or a list of arrays).
+def _store_rows(out: list, values, rows, times: list, what: str):
+    """Append rows ``rows`` of a window's output to ``out`` as blocks, each checked finite once.
 
-    Rows of a stack are copied out together into one block of their own:
-    stored snapshots then hold no window stack alive, and the heap is not
-    cut into one small array per node, between which the next window's
-    stacks kept landing on fresh pages (one page fault each).
+    A stack's rows are copied out together into one block of their own:
+    stored snapshots then hold no window stack alive, and the heap is not cut
+    into one small array per node, between which the next window's stacks
+    kept landing on fresh pages (one page fault each).  A list of node
+    arrays (imex) gives one block per row, a view: copying a whole march
+    into one block would double its memory for a moment.  ``times`` holds
+    the time of each row, for the message of a non-finite one.
     """
     if isinstance(values, np.ndarray):
-        return list(values[rows])
-    return [values[j] for j in rows]
+        blocks = [values[rows]]
+    else:
+        blocks = [values[j][np.newaxis] for j in rows]
+    start = 0
+    for block in blocks:
+        finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
+        if not finite.all():
+            raise InstabilityError(
+                f"non-finite {what} at t={times[start + int(np.argmin(finite))]}; reduce dt"
+            )
+        out.append(block)
+        start += len(block)
 
 
-def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0,
-           shift=None, start: ComplexField = None, check_mu=True) -> SolveResult:
+class _Member:
+    """One trajectory of a (lockstep) solve: its plan, marching state and stored blocks."""
+
+    def __init__(self, index: int, mu, shift, plan: OperatorPlan, start: ComplexField, window: float):
+        self.index, self.mu, self.shift, self.plan = index, complex(mu), shift, plan
+        self.w, self.s, self.window = start, 0.0, window
+        self.halvings, self.gstep, self.carried, self.error = 0, 0, None, None
+        self.constants = {}           # window constants by exact dt (autonomous operators)
+        self.times, self.blocks, self.derivative_blocks, self.win_diag = [], [], [], []
+
+    def store(self, win: _Window, bounds, last_window: bool, config: SolverConfig, t_base, final_only):
+        """Keep the window's rows due by the snapshot stride (the final row only with
+        ``final_only``), record its diagnostics and move the state to its end."""
+        n = len(win.s_nodes) - 1
+        kept = []
+        for j in range(1, n + 1):
+            self.gstep += 1
+            if (last_window and j == n) or (not final_only and self.gstep % config.snapshot_stride == 0):
+                kept.append(j)
+        if not self.win_diag and not final_only:
+            # the start row comes first, with the first window's right-hand side there
+            self.times.append(complex(t_base))
+            self.blocks.append(self.w.values[np.newaxis])
+            _store_rows(self.derivative_blocks, win.rhs, [0], self.times[-1:], "right-hand side")
+        times = [complex(t_base + self.mu * win.s_nodes[j]) for j in kept]
+        if kept:
+            _store_rows(self.blocks, win.fields, kept, times, "value")
+            _store_rows(self.derivative_blocks, win.rhs, kept, times, "right-hand side")
+            self.times.extend(times)
+        self.win_diag.append(
+            {
+                "s_start": bounds[0],
+                "s_end": bounds[1],
+                "steps": n,
+                "sweeps": win.sweeps,
+                "gmres_iterations": win.gmres_iterations,
+                "contraction_ratio": win.contraction_ratio,
+            }
+        )
+        self.w = ComplexField._trusted(self.plan.grid, np.array(win.fields[-1]))
+        self.carried = win.carry
+        self.s = bounds[1]             # s + span, rounded as a serial march adds it
+
+    def result(self, config: SolverConfig) -> SolveResult:
+        diag = {
+            "integrator": config.integrator,
+            "mu": self.mu,
+            "shift": self.shift,
+            "dt": config.dt,
+            "windows": self.win_diag,
+            "picard_iterations": [d["sweeps"] for d in self.win_diag],
+            "window_halvings": self.halvings,
+        }
+        return SolveResult(self.plan.grid, np.asarray(self.times, dtype=np.complex128),
+                           self.blocks, self.derivative_blocks, diag)
+
+
+def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig,
+           t_base, check_mu: bool, final_only: bool):
+    """Advance every member to s_total, recording each one's blocks or error on it.
+
+    Under picard_voc the members start as one lockstep group sharing window
+    spans.  A member that halves its window, or has to redo one alone,
+    leaves the group and, once the group is done, continues alone (K = 1)
+    from its own state, on the serial schedule.  Under imex every member
+    marches alone, one after another.  Members after the first one to fail
+    are abandoned: a serial run in member order would never reach them.
+    """
+    eps = 1e-12 * max(1.0, s_total)
+    queue = [members] if config.integrator == "picard_voc" else [[m] for m in members]
+    while queue:
+        group, pending = queue.pop(0), []
+        while True:
+            first_failure = min((m.index for m in members if m.error is not None), default=len(members))
+            group = [m for m in group if m.index < first_failure]
+            if not group or group[0].s >= s_total - eps:
+                break
+            lead = group[0]
+            span = min(lead.window, s_total - lead.s)
+            bounds = (float(lead.s), float(lead.s + span))     # plain numbers, as messages print them
+            last_window = lead.s + span >= s_total - eps
+            if config.integrator == "imex":
+                try:
+                    outcomes = [_march_imex(problem, lead.plan, lead.w, bounds, lead.mu, config, t_base, check_mu)]
+                except Exception as exc:
+                    outcomes = [exc]
+            else:
+                outcomes = _picard_window(problem, group, bounds, config, t_base, check_mu,
+                                          need_rhs=last_window or not final_only)
+            stay = []
+            for m, out in zip(group, outcomes):
+                if out is None:
+                    pending.append(m)
+                elif isinstance(out, ConvergenceError):
+                    m.halvings += 1
+                    if m.halvings > config.max_window_halvings or span <= config.dt * (1.0 + 1e-9):
+                        m.error = out
+                    else:
+                        m.window = span / 2.0
+                        (stay if len(group) == 1 else pending).append(m)
+                elif isinstance(out, Exception):
+                    m.error = out
+                else:
+                    try:
+                        m.store(out, bounds, last_window, config, t_base, final_only)
+                    except InstabilityError as exc:
+                        m.error = exc
+                        continue
+                    stay.append(m)
+            group = stay
+        queue[:0] = [[m] for m in pending]
+
+
+def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_base=0.0,
+           check_mu=True, final_only=False) -> list:
+    """Solve for every member (mu, shift, start) along t = t_base + mu s, s in [0, s_total].
+
+    One driver for one member or many (see ``_march``); every member gets
+    the bits, sweep counts and halvings of its own serial solve.
+    ``final_only`` stores the final row alone.  Returns one entry per
+    member, in order: its SolveResult, or the exception its serial solve
+    raises.  The list ends at the first exception, the one a serial run of
+    the members in order raises first.
+    """
     if not s_total > 0.0:
         raise ConfigurationError(f"integration length must be positive, got {s_total!r}")
     config = config if config is not None else SolverConfig()
-    shift = _normalize_shift(problem.grid.dim, shift)
-    w = start if start is not None else _initial_field(problem, shift)
-    plan = OperatorPlan(problem.op, problem.grid, shift)
-
     if config.integrator == "imex":
         window = s_total
     else:
@@ -539,86 +873,52 @@ def _solve(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0
         if not window > 0.0:
             raise ConfigurationError("window must be positive")
 
-    stride = config.snapshot_stride
-    times = [complex(t_base)]
-    fields = [w]
-    derivs = [None]
-    win_diag = []
-    s = 0.0
-    halvings = 0
-    gstep = 0
-    carried = None
-    eps = 1e-12 * max(1.0, s_total)
-    while s < s_total - eps:
-        span = min(window, s_total - s)
-        bounds = (float(s), float(s + span))     # plain numbers, as messages print them
+    states = []
+    for index, (mu, shift, start) in enumerate(members):
         try:
-            if config.integrator == "imex":
-                s_nodes, wf, rf, iters, ratio = _march_imex(
-                    problem, plan, w, bounds, mu, config, t_base, check_mu
-                )
-                sweeps = None
-            else:
-                s_nodes, wf, rf, sweeps, ratio, carried = _picard_window(
-                    problem, plan, w, bounds, mu, config, t_base, check_mu, carried
-                )
-                iters = None
-        except ConvergenceError:
-            halvings += 1
-            if halvings > config.max_window_halvings or span <= config.dt * (1.0 + 1e-9):
-                raise
-            window = span / 2.0
-            continue
-        if derivs[0] is None:
-            derivs[0] = ComplexField(problem.grid, rf[0].copy())
-        last_window = s + span >= s_total - eps
-        kept = []
-        for j in range(1, len(s_nodes)):
-            gstep += 1
-            is_final = last_window and j == len(s_nodes) - 1
-            if gstep % stride == 0 or is_final:
-                kept.append(j)
-        for j, wj, rj in zip(kept, _kept_rows(wf, kept), _kept_rows(rf, kept)):
-            times.append(complex(t_base + mu * s_nodes[j]))
-            fields.append(ComplexField(problem.grid, wj))
-            derivs.append(ComplexField(problem.grid, rj))
-        win_diag.append(
-            {
-                "s_start": bounds[0],
-                "s_end": bounds[1],
-                "steps": len(s_nodes) - 1,
-                "sweeps": sweeps,
-                "gmres_iterations": iters,
-                "contraction_ratio": ratio,
-            }
-        )
-        w = ComplexField(problem.grid, wf[-1])
-        s += span
+            shift = _normalize_shift(problem.grid.dim, shift)
+            w = start if start is not None else _initial_field(problem, shift)
+            plan = OperatorPlan(problem.op, problem.grid, shift)
+        except Exception as exc:       # a serial run raises it here and never reaches later members
+            states.append(exc)
+            break
+        states.append(_Member(index, mu, shift, plan, w, window))
+    _march(problem, [m for m in states if isinstance(m, _Member)], s_total, config, t_base, check_mu, final_only)
+    out = []
+    for state in states:
+        error = state if isinstance(state, Exception) else state.error
+        out.append(state.result(config) if error is None else error)
+        if error is not None:
+            break
+    return out
 
-    diag = {
-        "integrator": config.integrator,
-        "mu": complex(mu),
-        "shift": shift,
-        "dt": config.dt,
-        "windows": win_diag,
-        "picard_iterations": [d["sweeps"] for d in win_diag],
-        "window_halvings": halvings,
-    }
-    return SolveResult(np.asarray(times, dtype=np.complex128), fields, derivs, diag)
+
+def _solve_one(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0,
+               shift=None, start: ComplexField = None, check_mu=True) -> SolveResult:
+    (out,) = _solve(problem, s_total, [(mu, shift, start)], config, t_base, check_mu)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _real_span(t0, horizon):
+    """(t0, horizon - t0) as floats, once the horizon exceeds the start."""
+    t0 = float(t0)
+    if not float(horizon) > t0:
+        raise ConfigurationError(f"horizon {horizon} must exceed the start time {t0}")
+    return t0, float(horizon) - t0
 
 
 def solve_real(problem: CauchyProblem, t0, horizon, config: SolverConfig = None, shift=None) -> SolveResult:
     """March along real time from t0 to ``horizon``."""
-    t0 = float(t0)
-    if not float(horizon) > t0:
-        raise ConfigurationError(f"horizon {horizon} must exceed the start time {t0}")
-    return _solve(problem, float(horizon) - t0, 1.0 + 0.0j, config, t_base=t0, shift=shift)
+    t0, s_total = _real_span(t0, horizon)
+    return _solve_one(problem, s_total, 1.0 + 0.0j, config, t_base=t0, shift=shift)
 
 
 def solve_complex_ray(problem: CauchyProblem, mu, rho_max, config: SolverConfig = None,
                       shift=None) -> SolveResult:
     """March along the rotated ray t = mu rho for rho in [0, rho_max]."""
-    return _solve(problem, float(rho_max), mu, config, t_base=0.0, shift=shift)
+    return _solve_one(problem, float(rho_max), mu, config, t_base=0.0, shift=shift)
 
 
 def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: SolverConfig = None,
@@ -649,12 +949,12 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         raise DomainError(f"target t={complex(sigma, tau)} lies outside the temporal domain")
 
     mu1 = 1.0 + 1j * tau / t_prime
-    first = _solve(problem, t_prime, mu1, config, t_base=0.0, shift=shift, check_mu=False)
+    first = _solve_one(problem, t_prime, mu1, config, t_base=0.0, shift=shift, check_mu=False)
     if sigma <= t_prime + 1e-12:
         first.diagnostics["segments"] = [first.diagnostics["windows"]]
         return first
 
-    second = _solve(
+    second = _solve_one(
         problem,
         sigma - t_prime,
         1.0 + 0.0j,
@@ -663,9 +963,10 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         shift=shift,
         start=first.final,
     )
+    # the second segment's one-row start block is the first segment's final row
     times = np.concatenate([first.times, second.times[1:]])
-    fields = first.fields + second.fields[1:]
-    derivs = first.time_derivatives + second.time_derivatives[1:]
+    blocks = first.blocks + second.blocks[1:]
+    derivative_blocks = first.derivative_blocks + second.derivative_blocks[1:]
     diag = {
         "integrator": first.diagnostics["integrator"],
         "mu": (first.diagnostics["mu"], second.diagnostics["mu"]),
@@ -677,7 +978,7 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         "window_halvings": first.diagnostics["window_halvings"]
         + second.diagnostics["window_halvings"],
     }
-    return SolveResult(times, fields, derivs, diag)
+    return SolveResult(first.grid, times, blocks, derivative_blocks, diag)
 
 
 # ---------------------------------------------------------------------------

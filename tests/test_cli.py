@@ -366,6 +366,26 @@ def test_system_under_the_scalar_integrator_exits_2(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+def test_a_system_no_initial_datum_can_start_exits_2(tmp_path, capsys):
+    # every initial kind is scalar: under imex, too, a 2-component system cannot start
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 128},
+        "run": {"horizon": 0.1},
+        "problem": {"operator": {"kind": "custom", "components": 2,
+                                 "terms": [{"alpha": [1], "beta": [1], "re": 1.0}]},
+                    "initial": {"kind": "gaussian"}},
+        "solver": {"dt": 0.01, "integrator": "imex"},
+        "analyticity": {"y_half_width": 0.2, "n_shifts": 5},
+    }
+    for command in ("solve", "verify-analyticity"):
+        code, out = _run_in_process(tmp_path, command, command, cfg)
+        assert code == 2, command
+        detail = _invalid_detail(capsys)
+        assert "problem.operator.components" in detail and "problem.initial.kind" in detail, command
+        assert "picard_voc" not in detail, command
+        assert not (out / "manifest.json").exists()
+
+
 def test_the_cli_loads_no_scipy(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(SOLVE_CFG))
