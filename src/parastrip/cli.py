@@ -74,10 +74,43 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _row_format(kinds: tuple):
+    """The %-template that formats a row of cells of types ``kinds`` as ``_fmt_cell`` does.
+
+    Returns the template and the positions of bool cells, which the caller
+    spells out first.
+    """
+    specs, bools = [], []
+    for i, kind in enumerate(kinds):
+        if issubclass(kind, (bool, np.bool_)):
+            bools.append(i)
+            specs.append("%s")
+        elif issubclass(kind, (int, np.integer)):
+            specs.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            specs.append(FLOAT_FMT)
+        else:
+            specs.append("%s")
+    return ",".join(specs), tuple(bools)
+
+
 def write_csv(out_dir: Path, name: str, header, rows) -> str:
+    """One %-format per row, its template chosen once per sequence of cell types."""
     lines = [",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = _row_format(kinds)
+        template, bools = fmt
+        if bools:
+            row = list(row)
+            for i in bools:
+                row[i] = "true" if row[i] else "false"
+            row = tuple(row)
+        lines.append(template % row)
     (out_dir / name).write_text("\n".join(lines) + "\n")
     return name
 

@@ -74,11 +74,6 @@ class Grid:
         return (self.points_per_axis,) * self.dim
 
     @property
-    def spatial_axes(self) -> tuple:
-        # axes of a (components, *shape) value array that carry space
-        return tuple(range(1, self.dim + 1))
-
-    @property
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
 
@@ -306,13 +301,23 @@ def sample_on_shifted_grid(data: DataHandle, grid: Grid, shift, strip: StripSpec
     return ComplexField(grid, vals)
 
 
-def _fftn(field_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """FFT over the trailing ``grid.dim`` axes, so one call serves a field or a stack of them."""
-    return np.fft.fftn(field_values, axes=tuple(range(-grid.dim, 0)))
+def _fftn(field_values: np.ndarray, grid: Grid, axes: tuple = None) -> np.ndarray:
+    """FFT over the trailing ``grid.dim`` axes, so one call serves a field or a stack of them.
+
+    ``axes`` (negative, a subset of the trailing grid axes) restricts the
+    transform to those axes.  The sizes go to numpy as ``s``, which skips
+    its per-call shape lookup and transforms exactly as ``s=None`` would.
+    """
+    if axes is None:
+        axes = tuple(range(-grid.dim, 0))
+    return np.fft.fftn(field_values, s=[field_values.shape[a] for a in axes], axes=axes)
 
 
-def _ifftn(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.ifftn(hat, axes=tuple(range(-grid.dim, 0)))
+def _ifftn(hat: np.ndarray, grid: Grid, axes: tuple = None) -> np.ndarray:
+    """Inverse of ``_fftn`` over the same axes."""
+    if axes is None:
+        axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(hat, s=[hat.shape[a] for a in axes], axes=axes)
 
 
 def _check_multi_index(alpha, dim: int) -> tuple:

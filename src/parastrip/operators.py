@@ -230,6 +230,20 @@ class _NodeCoefficients:
         return rows, stack[rows]
 
 
+def _varying_axes(terms, dim: int) -> tuple:
+    """Grid axes (negative) along which some term's variable coefficient changes.
+
+    A coefficient is taken to vary along an axis unless every slice along
+    it equals the slice at index 0 exactly.
+    """
+    axes = []
+    for a in range(-dim, 0):
+        if any(term.var_fields is not None
+               and np.any(term.var_fields != np.take(term.var_fields, [0], axis=a)) for term in terms):
+            axes.append(a)
+    return tuple(axes)
+
+
 class OperatorPlan:
     """P(x + shift, t, D) prepared for repeated application on one grid.
 
@@ -242,7 +256,10 @@ class OperatorPlan:
     That is exact because coefficient callables are pure functions of
     (z, t): a Picard window evaluates them once per distinct node, and a
     march that applies P one node at a time once per node.  Every new node
-    set is checked against the temporal domain, node by node.
+    set is checked against the temporal domain, node by node.  When an
+    autonomous operator's coefficients are evaluated, ``var_axes`` records
+    the grid axes along which a variable one changes; every other plan
+    keeps all grid axes there.
     """
 
     def __init__(self, op: DivergenceOperator, grid: Grid, shift=None):
@@ -261,6 +278,8 @@ class OperatorPlan:
         self.dealiased = {alpha: mask * self.multipliers[alpha] for alpha, _ in op.terms}
         self._keys = ()
         self._coefficients = None
+        # grid axes (negative) the variable products are transformed over
+        self.var_axes = tuple(range(-grid.dim, 0))
 
     def _evaluate(self, t) -> list:
         """Per term: the (M, M, *grid) coefficient field at t."""
@@ -280,6 +299,7 @@ class OperatorPlan:
         if self.op.autonomous:
             if self._coefficients is None:
                 self._coefficients = [_NodeCoefficients(c[np.newaxis]) for c in self._evaluate(ts[0])]
+                self.var_axes = _varying_axes(self._coefficients, self.grid.dim)
         else:
             previous = {key: b for b, key in enumerate(self._keys)}
             rows = {}
@@ -302,13 +322,24 @@ class OperatorPlan:
         distinct alpha.  Contributions add up in ``op.terms`` order, an
         alpha group's at its last variable term, so an operator with one
         variable term per alpha rounds as the term-by-term algorithm does.
+        Both transforms of the variable path run over ``var_axes`` only:
+        a product with a coefficient constant along an axis commutes with
+        the FFT along it, so an autonomous operator whose coefficients ignore
+        x (the Heston chart) transforms along w alone.  That changes only
+        rounding; with all axes in ``var_axes`` nothing changes.  Raises
+        ConfigurationError when the stack does not end in ``(M, *grid)``.
         """
+        grid, mult = self.grid, self.multipliers
+        if hat.shape[2:] != grid.shape:
+            raise ConfigurationError(
+                f"stack of shape {hat.shape} does not end in the plan's grid shape {grid.shape}"
+            )
         if hat.shape[1] != self.op.components:
             raise ConfigurationError(
                 f"operator expects {self.op.components} components, field has {hat.shape[1]}"
             )
-        grid, mult = self.grid, self.multipliers
         coefficients = self.coefficients(ts)
+        axes = self.var_axes
         last = {alpha: k for k, ((alpha, _), term) in enumerate(zip(self.op.terms, coefficients))
                 if term.var_rows is not None}
         out_hat = np.zeros_like(hat)
@@ -319,7 +350,7 @@ class OperatorPlan:
                 out_hat[term.const_rows] += const_hat * mult[alpha]
             if term.var_rows is not None:
                 if beta not in inner:
-                    inner[beta] = _ifftn(hat * mult[beta], grid)
+                    inner[beta] = _ifftn(hat * mult[beta], grid, axes)
                 prod = np.einsum("bij...,bj...->bi...", term.var_fields, inner[beta][term.var_rows])
                 if alpha in products:
                     products[alpha][term.var_rows] += prod
@@ -329,7 +360,7 @@ class OperatorPlan:
                     products[alpha] = np.zeros_like(hat)
                     products[alpha][term.var_rows] = prod
                 if last[alpha] == k:
-                    out_hat += _fftn(products[alpha], grid) * self.dealiased[alpha]
+                    out_hat += _fftn(products[alpha], grid, axes) * self.dealiased[alpha]
         return out_hat
 
     def apply_stack(self, values: np.ndarray, ts) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analyticity import path_independence_check, cr_residual_space, solve_shift_family, strip_sup_over_time
 from .errors import ConfigurationError, DomainError
-from .grid import ComplexField, Grid, HermiteData, StripSpec, eval_hermite, make_grid
+from .grid import ComplexField, Grid, HermiteData, StripSpec, _fftn, eval_hermite, make_grid
 from .norms import NormParams, _fit_blocks
 from .operators import DivergenceOperator, TemporalDomain
 from .reaction import ReactionSpec, _smoothed_parts, f_minus, f_plus, in_branch_domain
@@ -509,9 +509,12 @@ def evaluate_at(field: ComplexField, point) -> np.ndarray:
     pt = np.atleast_1d(np.asarray(point, dtype=np.float64))
     if pt.shape != (grid.dim,):
         raise ConfigurationError(f"evaluation point must have {grid.dim} coordinates, got shape {pt.shape}")
+    for axis, x in enumerate(pt):
+        if not np.isfinite(x):
+            raise ConfigurationError(f"evaluation point coordinate {axis} is {float(x)!r}, not a finite number")
     n = grid.points_per_axis
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    out = np.fft.fftn(field.values, axes=grid.spatial_axes)
+    out = _fftn(field.values, grid)
     for x in pt:
         phase = np.exp(1j * k * (x + grid.half_length)) / n
         out = np.tensordot(out, phase, axes=([1], [0]))

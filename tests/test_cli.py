@@ -67,6 +67,19 @@ def test_csv_cells_use_fixed_float_format(tmp_path):
             assert FLOAT_CELL.match(cell), f"cell {cell!r} not in %.12e format"
 
 
+def test_csv_writer_formats_each_cell_by_the_per_cell_rule(tmp_path):
+    import numpy as np
+    from parastrip.cli import _fmt_cell, write_csv
+
+    mixed = [True, np.bool_(False), 3, np.int64(-7), np.uint8(200), 2 ** 70, 0.5, np.float64(np.nan),
+             np.inf, -np.inf, -0.0, np.float32(1.25), np.float64(-3e-300), "pass", "a%sb", 1 + 2j, None]
+    rows = [mixed, mixed[::-1], [1.5, 2], [7, 2], ["x", 2], (v for v in mixed), []]
+    write_csv(tmp_path, "t.csv", ["h"] * len(mixed), rows)
+    rows[5] = mixed
+    want = [",".join(["h"] * len(mixed))] + [",".join(_fmt_cell(v) for v in row) for row in rows]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_runs_are_byte_identical(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

@@ -148,3 +148,19 @@ def test_gaussian_oracle_consistency():
     np.testing.assert_allclose(one, two, atol=1e-15)
     direct = heat_kernel_gaussian(x + 0.2j, 0.25 + 0.1j)
     assert np.all(np.isfinite(direct))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fft_helpers_equal_numpy_with_default_sizes(dim):
+    from parastrip.grid import _fftn, _ifftn
+
+    g = ps.make_grid(dim, 2.0, 16)
+    rng = np.random.default_rng(dim)
+    axes = tuple(range(-dim, 0))
+    for shape in ((2,) + g.shape, (3, 4, 2) + g.shape):   # a field, a (K, n+1, M, *grid) stack
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        np.testing.assert_array_equal(_fftn(x, g), np.fft.fftn(x, axes=axes))
+        np.testing.assert_array_equal(_ifftn(x, g), np.fft.ifftn(x, axes=axes))
+        for sub in ((-1,), (-dim,)):
+            np.testing.assert_array_equal(_fftn(x, g, sub), np.fft.fftn(x, axes=sub))
+            np.testing.assert_array_equal(_ifftn(x, g, sub), np.fft.ifftn(x, axes=sub))

@@ -402,3 +402,90 @@ def test_spectral_core_of_constant_coefficients_is_the_symbol():
         c = op.coeff(alpha, beta, None, 0.0)
         want += c * (hat * ps.derivative_multiplier(g, beta)) * ps.derivative_multiplier(g, alpha)
     np.testing.assert_array_equal(ps.OperatorPlan(op, g, shift).apply_hat(hat, [0.0, 0.5]), want)
+
+
+def axis_case(axes):
+    """An autonomous 2-D operator whose variable coefficients vary along ``axes`` only.
+
+    Each alpha has one variable term, so with full transforms the plan
+    rounds as the term-by-term ``reference_apply`` does.
+    """
+    e, zero = [(1, 0), (0, 1)], (0, 0)
+
+    def ripple(z):
+        return sum(np.cos(z[a] + 0.3 * a) for a in axes) + 0 * z[0]
+
+    terms = {(e[0], e[0]): lambda z, t: 1.0 + 0.5 * ripple(z),
+             (e[1], e[1]): lambda z, t: 1.0 + 0.25 * ripple(z),
+             (e[0], e[1]): 0.1,
+             (zero, e[1]): lambda z, t: 0.3j * ripple(z),
+             (zero, zero): 0.7}
+    op = ps.DivergenceOperator.from_terms(1, 1, 2, terms, ps.StripSpec(1.0),
+                                          ps.TemporalDomain(np.pi / 4, 1.0, 2.0), autonomous=True)
+    return op, ps.make_grid(2, np.pi, 16), [0.1 + 0.2j, -0.1j]
+
+
+@pytest.mark.parametrize("axes", [(0,), (1,)])
+def test_autonomous_plan_transforms_variable_products_along_the_varying_axis_only(axes):
+    from parastrip import grid as grid_module, operators
+
+    op, g, shift = axis_case(axes)
+    ts = [0.0, 0.25, 0.5 + 0.1j]
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((len(ts), 1) + g.shape) + 1j * rng.standard_normal((len(ts), 1) + g.shape)
+    plan = ps.OperatorPlan(op, g, shift)
+    hat = np.fft.fftn(stack, axes=(2, 3))
+    core = plan.apply_hat(hat, ts)
+    assert plan.var_axes == tuple(a - 2 for a in axes)
+    for b, t in enumerate(ts):
+        want = np.fft.fftn(reference_apply(op, g, stack[b], t, shift), axes=(1, 2))
+        assert np.max(np.abs(core[b] - want)) <= 1e-13 * np.max(np.abs(want))
+    got = plan.apply_stack(stack, ts)
+    for b, t in enumerate(ts):
+        np.testing.assert_array_equal(got[b], ps.OperatorPlan(op, g, shift).apply(ps.ComplexField(g, stack[b]), t).values)
+    seen = []
+
+    def recording(fn):
+        def wrapped(values, grid, axes=None):
+            seen.append(axes)
+            return fn(values, grid, axes)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_fftn", recording(grid_module._fftn))
+        mp.setattr(operators, "_ifftn", recording(grid_module._ifftn))
+        plan.apply_hat(hat, ts)
+    # two distinct betas and three distinct alphas among the variable terms
+    assert seen == [tuple(a - 2 for a in axes)] * 5
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
+def test_autonomous_plan_varying_along_every_axis_keeps_full_transforms(axes):
+    op, g, shift = axis_case(axes)
+    ts = [0.0, 0.25]
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((len(ts), 1) + g.shape) + 1j * rng.standard_normal((len(ts), 1) + g.shape)
+    plan = ps.OperatorPlan(op, g, shift)
+    got = plan.apply_stack(stack, ts)
+    assert plan.var_axes == (-2, -1)
+    for b, t in enumerate(ts):
+        np.testing.assert_array_equal(got[b], reference_apply(op, g, stack[b], t, shift))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["variable", "time_dependent"])
+def test_non_autonomous_plans_transform_every_axis(kind, dim):
+    op, g, shift = stack_case(kind, dim)
+    plan = ps.OperatorPlan(op, g, shift)
+    plan.apply_stack(np.ones((2, 1) + g.shape, dtype=complex), [0.0, 0.5])
+    assert plan.var_axes == tuple(range(-dim, 0))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 32), (1, 1, 64, 1)])
+def test_a_stack_on_the_wrong_grid_is_a_configuration_error(shape):
+    g = ps.make_grid(1, np.pi, 64)
+    plan = ps.OperatorPlan(periodic_variable_operator(), g)
+    for apply in (plan.apply_hat, plan.apply_stack):
+        with pytest.raises(ConfigurationError, match=r"\(64,\)") as err:
+            apply(np.ones(shape, dtype=complex), [0.0])
+        assert str(shape) in str(err.value)

@@ -260,3 +260,13 @@ def test_heston_price_takes_1200_gmres_iterations():
     assert sum(window["gmres_iterations"]) == 1200
     price = ps.evaluate_at(res.final, [0.0, 0.04])[0].real
     assert price == pytest.approx(0.0799051466780, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_at_rejects_a_non_finite_point(bad):
+    grid = ps.make_grid(2, np.pi, 16)
+    f = ps.ComplexField(grid, np.ones((1,) + grid.shape))
+    with pytest.raises(ConfigurationError, match="coordinate 1"):
+        ps.evaluate_at(f, [0.5, bad])
+    with pytest.raises(ConfigurationError, match="coordinate 0"):
+        ps.evaluate_at(f, [bad, 0.5])
