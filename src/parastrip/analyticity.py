@@ -290,8 +290,6 @@ def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int,
     sets the companion norm's block count; by default it is the most the
     grid hosts, up to 4 (``norms._fit_blocks``).
     """
-    if sum(map(len, result.derivative_blocks)) != len(result):
-        raise ConfigurationError("trajectory lacks stored time derivatives")
     if len(result) < 2:
         raise ConfigurationError("need at least two snapshots to integrate")
     grid = result.grid

@@ -118,20 +118,27 @@ def write_csv(out_dir: Path, name: str, header, rows) -> str:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _chart_points(xs, ys, log_y: bool) -> list:
+    """The (x, y) floats of one series that a chart draws: log10 y under ``log_y``
+    (y <= 0 dropped), then the finite points only."""
+    out = []
+    for x, y in zip(xs, ys):
+        x, y = float(x), float(y)
+        if log_y:
+            if y <= 0.0 or not np.isfinite(y):
+                continue
+            y = math.log10(y)
+        if np.isfinite(x) and np.isfinite(y):
+            out.append((x, y))
+    return out
+
+
 def write_svg(out_dir: Path, name: str, series, title: str, x_label: str, y_label: str,
               log_y: bool = False) -> str:
     """Minimal deterministic line chart; series is a list of (label, xs, ys)."""
     width, height, margin = 720.0, 480.0, 70.0
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            x, y = float(x), float(y)
-            if log_y:
-                if y <= 0.0 or not np.isfinite(y):
-                    continue
-                y = math.log10(y)
-            if np.isfinite(x) and np.isfinite(y):
-                pts.append((x, y))
+    drawn = [_chart_points(xs, ys, log_y) for _, xs, ys in series]
+    pts = [p for points in drawn for p in points]
     if not pts:
         pts = [(0.0, 0.0), (1.0, 1.0)]
     x_lo, x_hi = min(p[0] for p in pts), max(p[0] for p in pts)
@@ -169,17 +176,9 @@ def write_svg(out_dir: Path, name: str, series, title: str, x_label: str, y_labe
             f'<text x="{margin - 6:.1f}" y="{sy(yv) + 3:.1f}" text-anchor="end" '
             f'font-size="10">{yv:.4g}</text>'
         )
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, ((label, _, _), points) in enumerate(zip(series, drawn)):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        coords = []
-        for x, y in zip(xs, ys):
-            y = float(y)
-            if log_y:
-                if y <= 0.0 or not np.isfinite(y):
-                    continue
-                y = math.log10(y)
-            if np.isfinite(float(x)) and np.isfinite(y):
-                coords.append(f"{sx(x):.2f},{sy(y):.2f}")
+        coords = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in points]
         if coords:
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(coords)}"/>'

@@ -28,7 +28,7 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +45,8 @@ from .grid import (
     sample_on_shifted_grid,
 )
 from .norms import NormParams, _fit_blocks, besov_norm, lp_norm, _smooth_step
-# apply_operator stays importable as parastrip.solver.apply_operator, the name
-# perfbench/tracer.py patches; the solver itself applies P through one plan per solve
+# apply_operator stays importable as parastrip.solver.apply_operator, the name that
+# perfbench/test_oracles.py reads; the solver itself applies P through one plan per solve
 from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
 from .reaction import ReactionSpec, _nemytskii_stack
 
@@ -129,8 +129,8 @@ class SolverConfig:
 class _Rows(Sequence):
     """The rows of a trajectory's blocks as ComplexFields, wrapped on demand.
 
-    The blocks were checked finite when the solve stored them, so rows are
-    wrapped without a second check.  Assigning a field to an index writes
+    The blocks were checked finite once, when stored or derived, so rows
+    are wrapped without a second check.  Assigning a field to an index writes
     its values into the block row.
     """
 
@@ -170,32 +170,50 @@ class _Rows(Sequence):
         return list(self) + list(other)
 
 
+def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
+    """``block`` once every row is finite; else InstabilityError naming the first bad row's time."""
+    finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
+    if not finite.all():
+        raise InstabilityError(f"non-finite {what} at t={complex(times[int(np.argmin(finite))])}; reduce dt")
+    return block
+
+
 @dataclass
 class SolveResult:
     """Trajectory snapshots along one time ray or path, stored as blocks.
 
-    ``blocks`` and ``derivative_blocks`` list (rows, M, *grid) arrays: a
-    one-row block for the start, then the kept rows of each window (of each
-    node under ``imex``).  In order, their rows are the values and the time
-    derivatives at ``times``.  The solve checks every block finite once, as
-    it stores it, so ``fields``, ``time_derivatives``, ``final`` and
+    ``blocks`` lists (rows, M, *grid) arrays: a one-row block for the start,
+    then the kept rows of each window (of each node under ``imex``).  In
+    order, their rows are the values at ``times``.  The solve checks every
+    block finite once, as it stores it, so ``fields``, ``final`` and
     ``snapshots`` wrap rows in ComplexField on demand without a second
     check; ``fields[j] = f`` writes f's values into the block.
 
-    ``time_derivatives[j]`` holds the evaluated right-hand side
-    A u + F + g at ``times[j]``, i.e. du/dt in the physical time variable
-    (the ray rotation mu is not folded in).
+    ``rhs`` is the right-hand side A u + F + g as the solve binds it
+    (``_group_rhs`` with its problem, plan and config).  The time
+    derivatives are evaluated from the stored values when first read:
+    ``derivative_blocks`` holds rhs of every block at its times, each
+    checked finite once (InstabilityError names the time of a non-finite
+    row), and ``time_derivatives[j]`` is du/dt at
+    ``times[j]`` in the physical time variable (the ray rotation mu is not
+    folded in).
     """
 
     grid: Grid
     times: np.ndarray
     blocks: list
-    derivative_blocks: list
-    diagnostics: dict = dataclass_field(default_factory=dict)
+    diagnostics: dict
+    rhs: object
 
     @functools.cached_property
     def fields(self) -> _Rows:
         return _Rows(self.grid, self.blocks)
+
+    @functools.cached_property
+    def derivative_blocks(self) -> list:
+        splits = list(itertools.accumulate(map(len, self.blocks)))[:-1]
+        return [_check_finite(self.rhs(block[np.newaxis], [ts])[0], ts, "right-hand side")
+                for block, ts in zip(self.blocks, np.split(self.times, splits))]
 
     @functools.cached_property
     def time_derivatives(self) -> _Rows:
@@ -291,8 +309,9 @@ def _group_rhs(problem: CauchyProblem, plans: list, stack: np.ndarray, t_nodes: 
 
     Member a's slice is at its nodes t_nodes[a] and goes through its own
     plan; the FFTs in and out are batched over all members, and the
-    reaction sees the K (n + 1) rows in one call.  ``sources`` is g,
-    (K, n + 1, M, *grid), or None without a source.
+    reaction sees the K (n + 1) rows in one call.  ``sources`` is g as a
+    (K, n + 1, M, *grid) stack; None evaluates it here (K = 1 only) if the
+    problem has a source.
     """
     grid = problem.grid
     hat = _fftn(stack, grid)
@@ -374,11 +393,10 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
 
 
 class _Window(NamedTuple):
-    """One member's finished window: node values and right-hand sides as (n + 1, M, *grid) arrays."""
+    """One member's finished window: its node values as an (n + 1, M, *grid) array."""
 
     s_nodes: np.ndarray
     fields: object                # an array, or a list of node arrays (imex)
-    rhs: object                   # likewise; None when the window was asked for no right-hand side
     sweeps: int = None
     gmres_iterations: list = None
     contraction_ratio: float = None
@@ -444,7 +462,7 @@ def _rows_of(keep: list, lanes: list, *stacks) -> list:
 
 
 def _picard_window(problem: CauchyProblem, members: list, span, config: SolverConfig,
-                   t_base=0.0, check_mu=True, need_rhs=True) -> list:
+                   t_base=0.0, check_mu=True) -> list:
     """Integrate one window for every member, in lockstep, with the frozen-generator scheme.
 
     The members' n + 1 nodes form one (K, n + 1, M, *grid) stack: each
@@ -452,15 +470,17 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
     ``apply_hat``, the reaction, fft(rhs), the inverse of the new iterate)
     is one batched call.  Convergence and its checks are per member, and a
     member whose fixed point has converged stops sweeping, so each gets the
-    bits and sweep count of its own serial window.
+    bits and sweep count of its own serial window.  A sweep evaluates the
+    right-hand side once, at the iterate it starts from; none is evaluated
+    at the converged iterate.
 
-    Returns one outcome per member: a _Window; or the exception its serial
-    window raises (ConvergenceError when the fixed point stalls or exceeds
-    the sweep budget, InstabilityError on non-finite iterates, whatever its
-    coefficients, source or reaction raise); or None when a stage shared
-    with other members raised, and the member has to redo the window alone
-    to learn its own outcome.  ``need_rhs`` False skips the right-hand side
-    at the converged iterate (the _Window's rhs is then None).
+    Returns one outcome per member: a _Window, emitted by the sweep that
+    converges; or the exception its serial window raises (ConvergenceError
+    when the fixed point stalls or exceeds the sweep budget,
+    InstabilityError on non-finite iterates, whatever its coefficients,
+    source or reaction raise); or None when a stage shared with other
+    members raised, and the member has to redo the window alone to learn
+    its own outcome.
     """
     op, grid, temporal = problem.op, problem.grid, problem.temporal
     if op.components != 1:
@@ -497,27 +517,13 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
 
     sweep = 0
     while True:
-        rhs = None
-        if need_rhs or not all(lane.converged for lane in lanes):
-            try:
-                rhs = _group_rhs(problem, [members[lane.k].plan for lane in lanes], traj_phys,
-                                 [lane.t_nodes for lane in lanes], config, sources)
-            except Exception as exc:
-                if len(lanes) == 1:
-                    outcomes[lanes[0].k] = exc
-                return outcomes          # a shared stage raised: the members redo the window alone
-        # a converged member's right-hand side is the one at its fixed point
-        for a, lane in enumerate(lanes):
-            if lane.converged:
-                carry = None if sources is None else (complex(lane.t_nodes[-1]), sources[a, -1].copy())
-                outcomes[lane.k] = _Window(s_nodes, traj_phys[a], None if rhs is None else rhs[a],
-                                           lane.sweeps, None, lane.ratio, carry)
-        keep = [a for a, lane in enumerate(lanes) if not lane.converged]
-        if not keep:
-            return outcomes
-        if len(keep) < len(lanes):
-            lanes, traj_hat, traj_phys, rhs, consts, sources = _rows_of(
-                keep, lanes, traj_hat, traj_phys, rhs, consts, sources)
+        try:
+            rhs = _group_rhs(problem, [members[lane.k].plan for lane in lanes], traj_phys,
+                             [lane.t_nodes for lane in lanes], config, sources)
+        except Exception as exc:
+            if len(lanes) == 1:
+                outcomes[lanes[0].k] = exc
+            return outcomes              # a shared stage raised: the members redo the window alone
 
         # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
         # overwritten in place, as soon as the sweep is done with it
@@ -540,8 +546,11 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
             # the old iterate becomes the difference; no emitted outcome views it
             deltas = np.max(np.abs(np.subtract(new_phys, traj_phys, out=traj_phys)).reshape(flat), axis=1)
             peaks = np.max(np.abs(new_phys).reshape(flat), axis=1)
-        for lane, ok, delta, peak in zip(lanes, finite, deltas, peaks):
+        for a, (lane, ok, delta, peak) in enumerate(zip(lanes, finite, deltas, peaks)):
             outcomes[lane.k] = lane.check(sweep, ok, float(delta), max(1.0, float(peak)), span, config)
+            if lane.converged:
+                carry = None if sources is None else (complex(lane.t_nodes[-1]), sources[a, -1].copy())
+                outcomes[lane.k] = _Window(s_nodes, new_phys[a], lane.sweeps, None, lane.ratio, carry)
         traj_hat, traj_phys = new_hat, new_phys
         keep = [a for a, lane in enumerate(lanes) if outcomes[lane.k] is None]
         if not keep:
@@ -647,8 +656,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     symbol's inverse as a diagonal preconditioner (scalar problems).  Under
     an autonomous operator P(t_j) = P(t_{j+1}), so the P w_j that gives a_j
     also gives GMRES its initial residual when it starts from w_j.
-    Returns a _Window whose fields and right-hand sides are lists of value
-    arrays, one per node.
+    Returns a _Window whose fields are a list of value arrays, one per node.
     """
     op, grid = problem.op, problem.grid
     temporal = problem.temporal
@@ -686,14 +694,12 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     gmres_iters = []
     fields = [w0.values.copy()]
     w_hat = _fftn(fields[0][np.newaxis], grid)
-    # du/dt at every node is A w_j + e_j; only the last two explicit parts are kept
-    rhs_vals = []
-    e_prev, e_j = None, explicit_part(fields[0], t_nodes[0])
+    e_j = None                    # only the last two explicit parts are kept
     for j in range(n):
         w_j = fields[j]
+        e_prev, e_j = e_j, explicit_part(w_j, t_nodes[j])
         p_hat = plan.apply_hat(w_hat, (t_nodes[j],))
         a_j = -_ifftn(p_hat, grid)[0]
-        rhs_vals.append(a_j + e_j)
         base = w_j + 0.5 * mu * dt * a_j
         ax0 = (w_hat + 0.5 * mu * dt * p_hat).ravel() if op.autonomous else None
         if j == 0:
@@ -708,13 +714,11 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             w_next = implicit_solve(t_nodes[j + 1], b, w_hat, ax0, gmres_iters)
         fields.append(w_next)
         w_hat = _fftn(w_next[np.newaxis], grid)
-        e_prev, e_j = e_j, explicit_part(w_next, t_nodes[j + 1])
-    rhs_vals.append(-_ifftn(plan.apply_hat(w_hat, (t_nodes[n],)), grid)[0] + e_j)
-    return _Window(s_nodes, fields, rhs_vals, gmres_iterations=gmres_iters)
+    return _Window(s_nodes, fields, gmres_iterations=gmres_iters)
 
 
-def _store_rows(out: list, values, rows, times: list, what: str):
-    """Append rows ``rows`` of a window's output to ``out`` as blocks, each checked finite once.
+def _store_rows(out: list, values, rows, times: list):
+    """Append rows ``rows`` of a window's values to ``out`` as blocks, each checked finite once.
 
     A stack's rows are copied out together into one block of their own:
     stored snapshots then hold no window stack alive, and the heap is not cut
@@ -730,12 +734,7 @@ def _store_rows(out: list, values, rows, times: list, what: str):
         blocks = [values[j][np.newaxis] for j in rows]
     start = 0
     for block in blocks:
-        finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
-        if not finite.all():
-            raise InstabilityError(
-                f"non-finite {what} at t={times[start + int(np.argmin(finite))]}; reduce dt"
-            )
-        out.append(block)
+        out.append(_check_finite(block, times[start:], "value"))
         start += len(block)
 
 
@@ -747,7 +746,7 @@ class _Member:
         self.w, self.s, self.window = start, 0.0, window
         self.halvings, self.gstep, self.carried, self.error = 0, 0, None, None
         self.constants = {}           # window constants by exact dt (autonomous operators)
-        self.times, self.blocks, self.derivative_blocks, self.win_diag = [], [], [], []
+        self.times, self.blocks, self.win_diag = [], [], []
 
     def store(self, win: _Window, bounds, last_window: bool, config: SolverConfig, t_base, final_only):
         """Keep the window's rows due by the snapshot stride (the final row only with
@@ -759,14 +758,11 @@ class _Member:
             if (last_window and j == n) or (not final_only and self.gstep % config.snapshot_stride == 0):
                 kept.append(j)
         if not self.win_diag and not final_only:
-            # the start row comes first, with the first window's right-hand side there
-            self.times.append(complex(t_base))
+            self.times.append(complex(t_base))          # the start row comes first
             self.blocks.append(self.w.values[np.newaxis])
-            _store_rows(self.derivative_blocks, win.rhs, [0], self.times[-1:], "right-hand side")
         times = [complex(t_base + self.mu * win.s_nodes[j]) for j in kept]
         if kept:
-            _store_rows(self.blocks, win.fields, kept, times, "value")
-            _store_rows(self.derivative_blocks, win.rhs, kept, times, "right-hand side")
+            _store_rows(self.blocks, win.fields, kept, times)
             self.times.extend(times)
         self.win_diag.append(
             {
@@ -782,7 +778,7 @@ class _Member:
         self.carried = win.carry
         self.s = bounds[1]             # s + span, rounded as a serial march adds it
 
-    def result(self, config: SolverConfig) -> SolveResult:
+    def result(self, problem: CauchyProblem, config: SolverConfig) -> SolveResult:
         diag = {
             "integrator": config.integrator,
             "mu": self.mu,
@@ -792,8 +788,8 @@ class _Member:
             "picard_iterations": [d["sweeps"] for d in self.win_diag],
             "window_halvings": self.halvings,
         }
-        return SolveResult(self.plan.grid, np.asarray(self.times, dtype=np.complex128),
-                           self.blocks, self.derivative_blocks, diag)
+        rhs = functools.partial(_group_rhs, problem, [self.plan], config=config, sources=None)
+        return SolveResult(self.plan.grid, np.asarray(self.times, dtype=np.complex128), self.blocks, diag, rhs)
 
 
 def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig,
@@ -826,8 +822,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                 except Exception as exc:
                     outcomes = [exc]
             else:
-                outcomes = _picard_window(problem, group, bounds, config, t_base, check_mu,
-                                          need_rhs=last_window or not final_only)
+                outcomes = _picard_window(problem, group, bounds, config, t_base, check_mu)
             stay = []
             for m, out in zip(group, outcomes):
                 if out is None:
@@ -887,7 +882,7 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
     out = []
     for state in states:
         error = state if isinstance(state, Exception) else state.error
-        out.append(state.result(config) if error is None else error)
+        out.append(state.result(problem, config) if error is None else error)
         if error is not None:
             break
     return out
@@ -966,7 +961,6 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
     # the second segment's one-row start block is the first segment's final row
     times = np.concatenate([first.times, second.times[1:]])
     blocks = first.blocks + second.blocks[1:]
-    derivative_blocks = first.derivative_blocks + second.derivative_blocks[1:]
     diag = {
         "integrator": first.diagnostics["integrator"],
         "mu": (first.diagnostics["mu"], second.diagnostics["mu"]),
@@ -978,7 +972,8 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         "window_halvings": first.diagnostics["window_halvings"]
         + second.diagnostics["window_halvings"],
     }
-    return SolveResult(first.grid, times, blocks, derivative_blocks, diag)
+    # both segments share the problem, the shift and the config, hence the right-hand side
+    return SolveResult(first.grid, times, blocks, diag, first.rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -506,12 +506,13 @@ def compute_xva_surfaces(params: XvaParams, payoff: PayoffSpec, grid: Grid, hori
 def evaluate_at(field: ComplexField, point) -> np.ndarray:
     """Trigonometric interpolation of every component at one physical point."""
     grid = field.grid
-    pt = np.atleast_1d(np.asarray(point, dtype=np.float64))
+    pt = np.atleast_1d(np.asarray(point))
     if pt.shape != (grid.dim,):
         raise ConfigurationError(f"evaluation point must have {grid.dim} coordinates, got shape {pt.shape}")
     for axis, x in enumerate(pt):
-        if not np.isfinite(x):
-            raise ConfigurationError(f"evaluation point coordinate {axis} is {float(x)!r}, not a finite number")
+        if np.imag(x) != 0.0 or not np.isfinite(x):
+            raise ConfigurationError(f"evaluation point coordinate {axis} is {x.item()!r}, not a finite real number")
+    pt = pt.real.astype(np.float64)
     n = grid.points_per_axis
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     out = _fftn(field.values, grid)

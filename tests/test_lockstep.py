@@ -71,6 +71,17 @@ def test_semilinear_members_sweep_their_own_counts():
     assert len(ratios) >= 2
 
 
+def test_a_family_calls_the_reaction_once_per_sweep_of_its_slowest_member():
+    problem = semilinear_problem()
+    calls = []
+    inner = problem.reaction.eval
+    problem.reaction.eval = lambda z, t, X: calls.append(z.shape) or inner(z, t, X)
+    fam = ps.solve_shift_family(problem, SEMILINEAR_YS, 0.0, 0.12, ps.SolverConfig(dt=0.01, window=0.04))
+    sweeps = np.array([fam.member(y).diagnostics["picard_iterations"] for y in fam.y_values])
+    # no right-hand side is evaluated at a converged iterate
+    assert len(calls) == sweeps.max(axis=0).sum() == 24
+
+
 def test_one_member_halves_its_window_and_the_others_do_not():
     config = ps.SolverConfig(dt=0.01, window=0.08, picard_max_iter=9)
     fam = family_against_serial(semilinear_problem(), SEMILINEAR_YS, 0.16, config)
@@ -172,13 +183,14 @@ def test_a_failing_shared_stage_is_redone_member_by_member():
 
 def test_a_non_finite_right_hand_side_block_raises_an_instability(heat_problem):
     # the source turns to nan at the last node only: every iterate stays
-    # finite, and only the stored right-hand side shows it
+    # finite, and only the right-hand side evaluated there when read shows it
     def source(t, grid, shift):
         return np.full((1,) + grid.shape, np.nan if np.real(t) > 0.095 else 0.0)
 
     problem = dataclasses.replace(heat_problem, source=source)
+    res = ps.solve_real(problem, 0.0, 0.1, ps.SolverConfig(dt=0.01, integrator="imex"))
     with pytest.raises(InstabilityError, match=r"non-finite right-hand side at t=\(0\.1"):
-        ps.solve_real(problem, 0.0, 0.1, ps.SolverConfig(dt=0.01, integrator="imex"))
+        res.time_derivatives
 
 
 def test_trajectory_rows_are_wrapped_on_demand_without_a_second_check(heat_problem, monkeypatch):

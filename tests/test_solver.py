@@ -199,14 +199,16 @@ def test_imex_time_derivatives_are_fresh_rhs_on_variable_2d_problem():
     shift = np.array([0.1j, -0.2j])
     res = ps.solve_real(problem, 0.0, 0.05, ps.SolverConfig(dt=0.01, integrator="imex"), shift=shift)
     assert len(res) == 6
+    # the march evaluates the coefficient once per distinct time node
+    assert calls == list(res.times)
+    calls.clear()
     for t, w, du in zip(res.times, res.fields, res.time_derivatives):
         explicit = np.zeros((1,) + grid.shape, dtype=np.complex128)
         explicit += source(t, grid, shift)
         want = -ps.apply_operator(op, w, t, shift).values + explicit
         np.testing.assert_array_equal(du.values, want)
-    # one coefficient evaluation per distinct time node, before the fresh checks above
-    assert len(calls) == 6 + 6
-    assert calls[:6] == list(res.times)
+    # reading the derivatives evaluates it once per stored row, then the fresh checks above
+    assert calls == 2 * list(res.times)
 
 
 def test_maxreg_passes_the_callers_config_through(rng, monkeypatch):
@@ -366,7 +368,32 @@ def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
     np.testing.assert_array_equal(got, direct)
 
 
-def test_reaction_runs_once_per_sweep_plus_once_per_window():
+@pytest.mark.parametrize("config", [ps.SolverConfig(dt=0.01, window=0.04, snapshot_stride=3),
+                                    ps.SolverConfig(dt=0.01, integrator="imex")],
+                         ids=["picard_voc", "imex"])
+def test_every_stored_time_derivative_is_a_fresh_rhs_of_its_row(config):
+    from parastrip.solver import _jet_fields
+
+    problem, grid = _forcing_problem(1)
+    op = ps.DivergenceOperator.from_terms(
+        1, 1, 1, {((1,), (1,)): lambda z, t: (1.0 + 0.5 * t) * (1.0 + 0.3 * np.cos(z[0]))},
+        ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
+    problem = ps.CauchyProblem(grid, op, problem.initial, reaction=problem.reaction, source=problem.source)
+    shift = np.array([0.1j])
+    res = ps.solve_real(problem, 0.0, 0.1, config, shift=shift)
+    if config.integrator == "picard_voc":
+        assert len(res.diagnostics["windows"]) == 3 and len(res) == 5
+    spec = problem.reaction
+    # -P u + F + g of the stored row itself, the start row included
+    for t, w, du in zip(res.times, res.fields, res.time_derivatives):
+        want = -ps.apply_operator(op, w, t, shift).values
+        jets = [ps.ComplexField(grid, j[0]) for j in _jet_fields(w.values[np.newaxis], spec.jet_indices, grid)]
+        want += ps.nemytskii(spec, jets, shift, t, grid).values
+        want += problem.source(t, grid, shift)
+        np.testing.assert_array_equal(du.values, want)
+
+
+def test_reaction_runs_once_per_sweep():
     problem, grid = _forcing_problem(1)
     calls = []
     inner = problem.reaction.eval
@@ -379,7 +406,7 @@ def test_reaction_runs_once_per_sweep_plus_once_per_window():
     res = ps.solve_real(problem, 0.0, 0.08, ps.SolverConfig(dt=0.01, window=0.04))
     sweeps = res.diagnostics["picard_iterations"]
     assert len(sweeps) == 2 and min(sweeps) >= 2
-    assert len(calls) == sum(sweeps) + len(sweeps)
+    assert len(calls) == sum(sweeps)
     # one window of 5 nodes per call: points, node times and jets share the batch axis
     assert set(calls) == {((1, 5) + grid.shape, (5, 1), (2, 1, 5) + grid.shape)}
 

@@ -262,7 +262,7 @@ def test_heston_price_takes_1200_gmres_iterations():
     assert price == pytest.approx(0.0799051466780, abs=1e-10)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1 + 1j])
 def test_evaluate_at_rejects_a_non_finite_point(bad):
     grid = ps.make_grid(2, np.pi, 16)
     f = ps.ComplexField(grid, np.ones((1,) + grid.shape))
