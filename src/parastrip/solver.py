@@ -11,11 +11,16 @@ blocks of rows checked once:
   reproduces the exact semigroup, so the iteration count is an honest
   stiffness/nonlinearity diagnostic.  Several members run in lockstep: one
   (K, n + 1, M, *grid) stack per window, each with its own plan.
-* ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting.  Its implicit
-  half is solved on Fourier coefficients by a restarted GMRES written on
-  numpy (``_gmres``), left-preconditioned by the inverse of the frozen
-  Fourier symbol, which is a diagonal there.  It is the fallback for
-  multi-component systems.
+* ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting; it also
+  integrates multi-component systems.  Its implicit half is the resolvent
+  (I + (mu dt / 2) P)^-1 on Fourier coefficients.  Under an autonomous
+  operator that is one matrix for the whole march: it is block diagonal
+  over the Fourier modes of the axes the coefficients do not vary along,
+  and its blocks are inverted once, checked against the GMRES residual
+  bound (``_Resolvent``), so a step is one batched matmul.  Time-dependent
+  operators, and blocks too large to store, take a restarted GMRES written
+  on numpy (``_gmres``), left-preconditioned by the inverse of the frozen
+  Fourier symbol, which is a diagonal there.
 
 Both integrate dw/ds = mu [A w + F(jets) + g] with A = -P, so a solve along
 s with rotation mu produces u(t) on the ray t = t_base + mu s.
@@ -118,12 +123,22 @@ class SolverConfig:
     check_reaction_domain: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt!r}")
+        if self.window is not None and not (self.window > 0.0 and math.isfinite(self.window)):
+            raise ConfigurationError(f"window must be None or positive and finite, got {self.window!r}")
+        for name in ("picard_tol", "gmres_tol"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+        if not self.p > 1.0:
+            raise ConfigurationError(f"p must exceed 1, got {self.p!r}")
         if self.integrator not in ("picard_voc", "imex"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
         if self.picard_max_iter < 1 or self.snapshot_stride < 1:
             raise ConfigurationError("picard_max_iter and snapshot_stride must be >= 1")
+        if self.max_window_halvings < 0:
+            raise ConfigurationError(f"max_window_halvings must be >= 0, got {self.max_window_halvings!r}")
 
 
 class _Rows(Sequence):
@@ -178,6 +193,24 @@ def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
     return block
 
 
+# bytes of stored rows per right-hand-side evaluation of a SolveResult: enough rows
+# to share the Python overhead, few enough that the stages' stacks stay in cache
+_RHS_BYTES = 2 ** 18
+
+
+def _runs(blocks: list, nbytes: int):
+    """Consecutive blocks in runs of at most ``nbytes`` bytes; a larger block is a run alone."""
+    run, size = [], 0
+    for block in blocks:
+        if run and size + block.nbytes > nbytes:
+            yield run
+            run, size = [], 0
+        run.append(block)
+        size += block.nbytes
+    if run:
+        yield run
+
+
 @dataclass
 class SolveResult:
     """Trajectory snapshots along one time ray or path, stored as blocks.
@@ -192,9 +225,11 @@ class SolveResult:
     ``rhs`` is the right-hand side A u + F + g as the solve binds it
     (``_group_rhs`` with its problem, plan and config).  The time
     derivatives are evaluated from the stored values when first read:
-    ``derivative_blocks`` holds rhs of every block at its times, each
-    checked finite once (InstabilityError names the time of a non-finite
-    row), and ``time_derivatives[j]`` is du/dt at
+    ``derivative_blocks`` holds rhs of every block at its times, evaluated
+    on runs of consecutive blocks stacked up to ``_RHS_BYTES`` per call
+    and checked finite once (InstabilityError names the time of a
+    non-finite row); a row rounds as it does alone, since every stage of
+    rhs acts row by row.  ``time_derivatives[j]`` is du/dt at
     ``times[j]`` in the physical time variable (the ray rotation mu is not
     folded in).
     """
@@ -211,9 +246,14 @@ class SolveResult:
 
     @functools.cached_property
     def derivative_blocks(self) -> list:
-        splits = list(itertools.accumulate(map(len, self.blocks)))[:-1]
-        return [_check_finite(self.rhs(block[np.newaxis], [ts])[0], ts, "right-hand side")
-                for block, ts in zip(self.blocks, np.split(self.times, splits))]
+        out, start = [], 0
+        for run in _runs(self.blocks, _RHS_BYTES):
+            stack = run[0] if len(run) == 1 else np.concatenate(run)
+            ts = self.times[start:start + len(stack)]
+            start += len(stack)
+            values = _check_finite(self.rhs(stack[np.newaxis], [ts])[0], ts, "right-hand side")
+            out.extend(np.split(values, list(itertools.accumulate(map(len, run)))[:-1]))
+        return out
 
     @functools.cached_property
     def time_derivatives(self) -> _Rows:
@@ -401,6 +441,7 @@ class _Window(NamedTuple):
     gmres_iterations: list = None
     contraction_ratio: float = None
     carry: tuple = None           # the source at the last node, see _source_stack
+    implicit: str = None          # imex: "blocks" or "gmres", how its implicit half was solved
 
 
 def _window_constants(problem: CauchyProblem, member, t0, dt):
@@ -647,32 +688,146 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
     return x, iterations, False
 
 
-def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
-                config: SolverConfig, t_base=0.0, check_mu=True):
-    """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
+def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w: np.ndarray, t,
+                   config: SolverConfig) -> np.ndarray:
+    """F(jets) + g of one (M, *grid) field at time t."""
+    zero = np.zeros((1,) + w.shape, dtype=np.complex128)
+    return _add_forcing(problem, plan, w[np.newaxis], (t,), config, zero)[0]
 
-    Each implicit solve runs GMRES on the Fourier coefficients of b and of
-    the start, with the plan's spectral core as the operator and the frozen
-    symbol's inverse as a diagonal preconditioner (scalar problems).  Under
-    an autonomous operator P(t_j) = P(t_{j+1}), so the P w_j that gives a_j
-    also gives GMRES its initial residual when it starts from w_j.
-    Returns a _Window whose fields are a list of value arrays, one per node.
+
+_BLOCK_BYTES_CAP = 8 * 2 ** 20    # dense resolvent blocks beyond this leave the implicit half to GMRES
+_BLOCK_CHUNK = 8                  # unit vectors per apply_hat call while the blocks are built
+
+
+class _Resolvent:
+    """(I + c P^)^-1 of an autonomous plan as dense blocks on Fourier coefficients.
+
+    An autonomous plan transforms its variable products along ``var_axes``
+    only (see ``OperatorPlan.apply_hat``), so its spectral core P^ couples
+    the components and the modes along those axes and nothing else: it is
+    block diagonal over the Fourier modes of the other, fixed axes, with one
+    (M n_var) x (M n_var) block per fixed mode.  ``to_blocks`` lays an
+    (..., M, *grid) array of coefficients out as (..., F, b) rows against
+    the F blocks of size b (fixed axes first, then the component and the
+    var axes); ``from_blocks`` undoes it.  ``inverse`` is (F, b, b).
+    """
+
+    def __init__(self, plan: OperatorPlan, t):
+        plan.coefficients((t,))   # an autonomous plan records var_axes on its first evaluation
+        dim = plan.grid.dim
+        var = [dim + 1 + a for a in plan.var_axes]
+        self.order = [p for p in range(1, dim + 1) if p not in var] + [0] + var
+        self.shape = (plan.op.components,) + plan.grid.shape
+        self.size = math.prod(self.shape[p] for p in [0] + var)
+        self.count = math.prod(self.shape) // self.size
+        self.inverse = None
+
+    def to_blocks(self, hat: np.ndarray) -> np.ndarray:
+        lead = hat.ndim - len(self.shape)
+        axes = list(range(lead)) + [lead + p for p in self.order]
+        return hat.transpose(axes).reshape(hat.shape[:lead] + (self.count, self.size))
+
+    def from_blocks(self, rows: np.ndarray) -> np.ndarray:
+        lead = rows.ndim - 2
+        permuted = rows.reshape(rows.shape[:lead] + tuple(self.shape[p] for p in self.order))
+        return permuted.transpose(list(range(lead)) + [lead + p for p in np.argsort(self.order)])
+
+    @classmethod
+    def build(cls, plan: OperatorPlan, t, c: complex, tol: float):
+        """The inverted blocks of B = I + c P^(t), or None when the march must use GMRES.
+
+        The columns of P^ are its applications to unit vectors along the var
+        axes that are one along the fixed axes, _BLOCK_CHUNK per call.  None
+        when the dense blocks would take more than _BLOCK_BYTES_CAP bytes, or
+        when max_k ||I - B_k B_k^-1||_F exceeds ``tol``: then the inverse
+        cannot promise the residual GMRES is held to.
+        """
+        out = cls(plan, t)
+        b = out.size
+        if out.count * b * b * np.dtype(np.complex128).itemsize > _BLOCK_BYTES_CAP:
+            return None
+        blocks = np.empty((out.count, b, b), dtype=np.complex128)
+        for start in range(0, b, _BLOCK_CHUNK):
+            stop = min(start + _BLOCK_CHUNK, b)
+            units = np.zeros((stop - start, out.count, b), dtype=np.complex128)
+            units[np.arange(stop - start), :, np.arange(start, stop)] = 1.0
+            applied = plan.apply_hat(out.from_blocks(units), (t,) * (stop - start))
+            blocks[:, :, start:stop] = np.moveaxis(out.to_blocks(applied), 0, -1)
+        blocks *= c
+        diagonal = (slice(None), np.arange(b), np.arange(b))
+        blocks[diagonal] += 1.0
+        try:
+            out.inverse = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:
+            return None
+        product = np.matmul(blocks, out.inverse)
+        product[diagonal] -= 1.0
+        if not np.max(np.linalg.norm(product, axis=(1, 2))) <= tol:
+            return None
+        return out
+
+
+def _imex_blocks(problem: CauchyProblem, plan: OperatorPlan, resolvent: _Resolvent, w0: ComplexField,
+                 t_nodes, mu, dt, config: SolverConfig):
+    """The imex nodes and solve counts, the implicit half solved by the resolvent blocks.
+
+    With B = I + c P^ and C = I - c P^ = 2I - B, the step B w^_{j+1} = C w^_j
+    + f^_j reads w^_{j+1} = B^-1 (2 w^_j + f^_j) - w^_j: one batched matmul.
+    f^_j is the transform of mu dt times the explicit combination; a problem
+    with neither a reaction nor a source has none.  w^ is carried as block
+    rows from step to step, and each node takes one inverse FFT, checked
+    finite.  One coefficient lookup checks every node against the
+    operator's temporal domain, as the GMRES matvecs do node by node.
+    """
+    grid = problem.grid
+    plan.coefficients(t_nodes)
+    forced = problem.reaction is not None or problem.source is not None
+    solves = []
+
+    def solve(rows, explicit, t_next):
+        rhs = 2.0 * rows
+        if explicit is not None:
+            rhs += resolvent.to_blocks(_fftn(mu * dt * explicit, grid))
+        new = np.matmul(resolvent.inverse, rhs[..., np.newaxis])[..., 0]
+        new -= rows
+        values = _ifftn(resolvent.from_blocks(new), grid)
+        if not np.all(np.isfinite(values)):
+            raise InstabilityError(f"non-finite iterate at t={t_next}; reduce dt")
+        solves.append(0)
+        return new, values
+
+    fields = [w0.values.copy()]
+    rows = resolvent.to_blocks(_fftn(fields[0], grid))
+    e_j = explicit = None
+    for j in range(len(t_nodes) - 1):
+        if forced:
+            e_prev, e_j = e_j, _explicit_part(problem, plan, fields[j], t_nodes[j], config)
+            explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
+        if j == 0:
+            # predictor with the frozen explicit part, corrector with the trapezoid
+            _, pred = solve(rows, explicit, t_nodes[1])
+            if forced:
+                explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
+        rows, values = solve(rows, explicit, t_nodes[j + 1])
+        fields.append(values)
+    return fields, solves
+
+
+def _imex_gmres(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, t_nodes, mu, dt,
+                config: SolverConfig):
+    """The imex nodes and GMRES iteration counts, each implicit solve by GMRES.
+
+    GMRES runs on the Fourier coefficients of b and of the start, with the
+    plan's spectral core as the operator and the frozen symbol's inverse as
+    a diagonal preconditioner (scalar problems).  Under an autonomous
+    operator P(t_j) = P(t_{j+1}), so the P w_j that gives a_j also gives
+    GMRES its initial residual when it starts from w_j.
     """
     op, grid = problem.op, problem.grid
-    temporal = problem.temporal
-    mu = complex(mu)
-    if check_mu:
-        _check_rotation(mu, temporal)
-    s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, temporal)
-    n = len(s_nodes) - 1
     shape = (op.components,) + grid.shape
     precond = None
     if op.components == 1:
         precond = (1.0 / (1.0 + 0.5 * mu * dt * _frozen_symbol(plan, t_nodes[0]))).ravel()
-
-    def explicit_part(w: np.ndarray, t) -> np.ndarray:
-        zero = np.zeros((1,) + shape, dtype=np.complex128)
-        return _add_forcing(problem, plan, w[np.newaxis], (t,), config, zero)[0]
 
     def implicit_solve(t_next, b_vals, x0_hat, ax0, iters):
         def matvec(v_hat):
@@ -695,9 +850,9 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     fields = [w0.values.copy()]
     w_hat = _fftn(fields[0][np.newaxis], grid)
     e_j = None                    # only the last two explicit parts are kept
-    for j in range(n):
+    for j in range(len(t_nodes) - 1):
         w_j = fields[j]
-        e_prev, e_j = e_j, explicit_part(w_j, t_nodes[j])
+        e_prev, e_j = e_j, _explicit_part(problem, plan, w_j, t_nodes[j], config)
         p_hat = plan.apply_hat(w_hat, (t_nodes[j],))
         a_j = -_ifftn(p_hat, grid)[0]
         base = w_j + 0.5 * mu * dt * a_j
@@ -706,7 +861,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             # predictor with the frozen explicit part, corrector with the trapezoid
             b = base + mu * dt * e_j
             pred = implicit_solve(t_nodes[1], b, w_hat, ax0, gmres_iters)
-            e_pred = explicit_part(pred, t_nodes[1])
+            e_pred = _explicit_part(problem, plan, pred, t_nodes[1], config)
             b = base + 0.5 * mu * dt * (e_j + e_pred)
             w_next = implicit_solve(t_nodes[1], b, _fftn(pred, grid), None, gmres_iters)
         else:
@@ -714,7 +869,37 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             w_next = implicit_solve(t_nodes[j + 1], b, w_hat, ax0, gmres_iters)
         fields.append(w_next)
         w_hat = _fftn(w_next[np.newaxis], grid)
-    return _Window(s_nodes, fields, gmres_iterations=gmres_iters)
+    return fields, gmres_iters
+
+
+def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
+                config: SolverConfig, t_base=0.0, check_mu=True):
+    """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
+
+    The implicit half solves (I + c P^) w^_{j+1} = b^_j on Fourier
+    coefficients, c = mu dt / 2: the resolvent of the generator, one matrix
+    for every step when the operator is autonomous.  Its blocks are then
+    built and inverted once (``_Resolvent``) and every step is one batched
+    matmul (``_imex_blocks``).  A time-dependent operator, blocks beyond the
+    size cap, or an inverse that fails the residual check leave each solve
+    to GMRES (``_imex_gmres``).  Both record one ``gmres_iterations`` entry
+    per implicit solve (0 under the blocks) and which one served the
+    window as ``implicit``.  Returns a _Window whose fields are a list of
+    value arrays, one per node.
+    """
+    mu = complex(mu)
+    if check_mu:
+        _check_rotation(mu, problem.temporal)
+    s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, problem.temporal)
+    resolvent = None
+    if problem.op.autonomous:
+        resolvent = _Resolvent.build(plan, t_nodes[0], 0.5 * mu * dt, config.gmres_tol)
+    if resolvent is None:
+        fields, iterations = _imex_gmres(problem, plan, w0, t_nodes, mu, dt, config)
+    else:
+        fields, iterations = _imex_blocks(problem, plan, resolvent, w0, t_nodes, mu, dt, config)
+    return _Window(s_nodes, fields, gmres_iterations=iterations,
+                   implicit="gmres" if resolvent is None else "blocks")
 
 
 def _store_rows(out: list, values, rows, times: list):
@@ -771,6 +956,7 @@ class _Member:
                 "steps": n,
                 "sweeps": win.sweeps,
                 "gmres_iterations": win.gmres_iterations,
+                "implicit": win.implicit,
                 "contraction_ratio": win.contraction_ratio,
             }
         )
@@ -865,8 +1051,6 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
         window = s_total
     else:
         window = config.window if config.window is not None else 32.0 * config.dt
-        if not window > 0.0:
-            raise ConfigurationError("window must be positive")
 
     states = []
     for index, (mu, shift, start) in enumerate(members):

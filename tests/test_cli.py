@@ -114,6 +114,16 @@ def test_invalid_config_exits_2_with_field_names(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_bad_solver_value_exits_2_naming_the_field(tmp_path):
+    cfg = dict(SOLVE_CFG, solver={"dt": 0.01, "gmres_tol": -1.0})
+    proc, out = run_cli(tmp_path, "solve", cfg)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "invalid configuration"
+    assert any(d.startswith("solver: gmres_tol") for d in err["detail"])
+    assert not (out / "manifest.json").exists()
+
+
 def test_unreadable_config_exits_2(tmp_path):
     cfg_path = tmp_path / "nope.json"
     proc = subprocess.run(

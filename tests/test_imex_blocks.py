@@ -1,0 +1,186 @@
+"""The imex march's implicit half by resolvent blocks, against its GMRES march."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import parastrip as ps
+import parastrip.solver
+from parastrip.errors import DomainError, InstabilityError
+
+from conftest import make_heat_operator
+
+TEMPORAL = ps.TemporalDomain(np.pi / 4, 1.0, 2.0)
+IMEX = ps.SolverConfig(dt=0.01, integrator="imex")
+
+
+def implicit(res):
+    (window,) = res.diagnostics["windows"]
+    return window["implicit"]
+
+
+def time_dependent(problem):
+    """The same problem with its operator declared time-dependent: the GMRES march."""
+    return dataclasses.replace(problem, op=dataclasses.replace(problem.op, autonomous=False))
+
+
+def against_gmres(problem, solve, rtol=1e-11):
+    """Solve ``problem`` by the blocks and its time-dependent copy by GMRES; compare every row."""
+    fast, slow = solve(problem), solve(time_dependent(problem))
+    assert (implicit(fast), implicit(slow)) == ("blocks", "gmres")
+    (window,) = fast.diagnostics["windows"]
+    assert window["gmres_iterations"] == [0] * (window["steps"] + 1)
+    assert sum(slow.diagnostics["windows"][0]["gmres_iterations"]) > 0
+    np.testing.assert_array_equal(fast.times, slow.times)
+    scale = max(np.max(np.abs(f.values)) for f in slow.fields)
+    for a, b in zip(fast.fields, slow.fields):
+        assert np.max(np.abs(a.values - b.values)) <= rtol * scale
+    return fast, slow
+
+
+def variable_1d(extra=None):
+    terms = {((1,), (1,)): lambda z, t: 1.0 + 0.5 * np.cos(z[0]), ((0,), (0,)): 0.2}
+    terms.update(extra or {})
+    return ps.DivergenceOperator.from_terms(1, 1, 1, terms, ps.StripSpec(1.0), TEMPORAL, autonomous=True)
+
+
+def problem_1d(op=None, n=32, **kw):
+    grid = ps.make_grid(1, np.pi, n)
+    init = lambda pts: np.exp(np.cos(pts[0]) + 0.5j * np.sin(2 * pts[0]))
+    return ps.CauchyProblem(grid, op if op is not None else variable_1d(), init, **kw)
+
+
+def real_solve(shift=None, horizon=0.1, config=IMEX):
+    return lambda problem: ps.solve_real(problem, 0.0, horizon, config, shift=shift)
+
+
+def test_variable_1d_coefficients():
+    against_gmres(problem_1d(variable_1d({((1,), (0,)): lambda z, t: 0.3 * np.sin(z[0])})), real_solve())
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_2d_coefficient_varying_along_one_axis(axis):
+    op = ps.DivergenceOperator.from_terms(
+        1, 1, 2, {((1, 0), (1, 0)): lambda z, t: 1.0 + 0.3 * np.cos(z[axis]),
+                  ((0, 1), (0, 1)): lambda z, t: 0.7 + 0.2 * np.sin(z[axis]),
+                  ((1, 0), (0, 1)): 0.1, ((0, 0), (0, 0)): 0.2},
+        ps.StripSpec(1.0), TEMPORAL, autonomous=True)
+    grid = ps.make_grid(2, np.pi, 16)
+    problem = ps.CauchyProblem(grid, op, lambda pts: np.exp(np.cos(pts[0]) + 1j * np.sin(pts[1])))
+    fast, _ = against_gmres(problem, real_solve(shift=[0.1j, -0.1j]))
+    # one 16 x 16 block per Fourier mode of the other axis
+    plan = ps.OperatorPlan(op, grid)
+    resolvent = parastrip.solver._Resolvent(plan, 0.0)
+    assert plan.var_axes == (axis - 2,) and (resolvent.count, resolvent.size) == (16, 16)
+
+
+def test_constant_coefficients_give_one_scalar_block_per_mode():
+    problem = problem_1d(make_heat_operator(strip_width=1.0), n=64)
+    against_gmres(problem, real_solve())
+    resolvent = parastrip.solver._Resolvent(ps.OperatorPlan(problem.op, problem.grid), 0.0)
+    assert (resolvent.count, resolvent.size) == (64, 1)
+
+
+def test_two_component_system():
+    def diffusion(z, t):
+        one = np.ones_like(z[0])
+        return np.stack([np.stack([1.0 + 0.2 * np.cos(z[0]), 0.1 * one]),
+                         np.stack([0.05 * np.sin(z[0]), 0.8 * one])])
+
+    op = ps.DivergenceOperator.from_terms(1, 2, 1, {((1,), (1,)): diffusion}, ps.StripSpec(1.0),
+                                          TEMPORAL, autonomous=True)
+    grid = ps.make_grid(1, np.pi, 16)
+    init = lambda pts: np.stack([np.exp(np.cos(pts[0])), np.exp(1j * np.sin(pts[0]))])
+    against_gmres(ps.CauchyProblem(grid, op, init), real_solve())
+
+
+def test_complex_shift():
+    against_gmres(problem_1d(), real_solve(shift=[0.2j]))
+
+
+def test_complex_ray():
+    fast, _ = against_gmres(problem_1d(), lambda p: ps.solve_complex_ray(p, 1.0 + 0.3j, 0.1, IMEX))
+    assert fast.times[-1] == pytest.approx(0.1 + 0.03j)
+
+
+def test_reaction_and_source_enter_as_the_explicit_term():
+    def reaction(z, t, X):
+        return -0.5 * X[0] + 0.2 * X[0] * X[1] + t * np.cos(z[0]) * X[0] ** 2
+
+    def source(t, grid_, shift):
+        pts = grid_.meshgrid() + np.asarray(shift).reshape(1, 1)
+        return (np.sin(pts[0]) * np.exp(-t))[np.newaxis]
+
+    spec = ps.ReactionSpec(order_half=1, components=1, dim=1, eval=reaction)
+    fast, slow = against_gmres(problem_1d(reaction=spec, source=source), real_solve(shift=[0.1j]))
+    # the forcing moves the answer: the comparison is not one of two unforced marches
+    unforced = real_solve(shift=[0.1j])(problem_1d())
+    assert np.max(np.abs(fast.final.values - unforced.final.values)) > 1e-3
+
+
+@pytest.mark.parametrize("sabotage", ["cap", "residual", "singular"])
+def test_falls_back_to_gmres_when_the_blocks_are_refused(sabotage, monkeypatch):
+    if sabotage == "cap":
+        # the 32 x 32 block of this 1-D problem takes 16 KiB
+        monkeypatch.setattr(parastrip.solver, "_BLOCK_BYTES_CAP", 16 * 2 ** 10 - 1)
+    elif sabotage == "residual":
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverse(a) * (1.0 + 1e-9))
+    else:
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+    problem = problem_1d()
+    res = real_solve()(problem)
+    assert implicit(res) == "gmres"
+    # in 1-D the autonomous GMRES march rounds as the time-dependent one does
+    want = real_solve()(time_dependent(problem))
+    for a, b in zip(res.fields, want.fields):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_the_cap_admits_blocks_that_fit_it(monkeypatch):
+    monkeypatch.setattr(parastrip.solver, "_BLOCK_BYTES_CAP", 16 * 2 ** 10)
+    assert implicit(real_solve()(problem_1d())) == "blocks"
+
+
+def test_a_non_finite_iterate_raises_instability():
+    def source(t, grid_, shift):
+        return np.full((1,) + grid_.shape, np.inf if t.real > 0.025 else 0.0)
+
+    problem = problem_1d(source=source)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(InstabilityError, match=r"non-finite iterate at t=\(0\.04"):
+        real_solve()(problem)
+
+
+def test_a_node_outside_the_operators_temporal_domain_raises(monkeypatch):
+    # the problem's own domain reaches further than the operator's coefficients do
+    op = dataclasses.replace(variable_1d(), temporal=ps.TemporalDomain(np.pi / 4, 0.05, 0.05))
+    problem = problem_1d(op, temporal=TEMPORAL)
+    calls = []
+    inner = parastrip.solver._imex_blocks
+    monkeypatch.setattr(parastrip.solver, "_imex_blocks", lambda *a: calls.append(1) or inner(*a))
+    with pytest.raises(DomainError, match="outside the temporal domain"):
+        real_solve()(problem)
+    assert calls == [1]
+
+
+def test_reading_time_derivatives_stacks_consecutive_blocks(monkeypatch):
+    calls = []
+    inner = parastrip.solver._group_rhs
+    monkeypatch.setattr(parastrip.solver, "_group_rhs",
+                        lambda problem, plans, stack, *a, **kw: calls.append(stack.shape[1])
+                        or inner(problem, plans, stack, *a, **kw))
+    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
+                                                              rho=0.0, v_min=0.02, v_max=0.06))
+    grid = ps.make_grid(2, 6.0, 64)
+    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
+    res = ps.price_riskfree(params, payoff, grid, 1.0)
+    assert len(res.blocks) == 401 and calls == []
+    derivatives = res.derivative_blocks
+    # 64 KiB rows, four per 256 KiB run
+    assert calls == [4] * 100 + [1]
+    for block, ts, got in zip(res.blocks, res.times, derivatives):
+        np.testing.assert_array_equal(got, res.rhs(block[np.newaxis], [[ts]])[0])

@@ -270,7 +270,9 @@ def test_imex_reuses_p_w_for_its_gmres_start_under_an_autonomous_operator(monkey
                   ((0, 1), (0, 1)): 0.5, ((0, 0), (0, 0)): 0.2},
         ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0), autonomous=True,
     )
-    grid = ps.make_grid(2, np.pi, 16)
+    # the coefficient varies along both axes: on 32^2 its one dense resolvent block
+    # (16 MiB) exceeds the cap, so the autonomous march keeps GMRES
+    grid = ps.make_grid(2, np.pi, 32)
     init = lambda pts: np.exp(np.cos(pts[0]) + 1j * np.sin(pts[1]))
     config = ps.SolverConfig(dt=0.01, integrator="imex")
     applies = []
@@ -282,6 +284,7 @@ def test_imex_reuses_p_w_for_its_gmres_start_under_an_autonomous_operator(monkey
         problem = ps.CauchyProblem(grid, dataclasses.replace(op, autonomous=autonomous), init)
         runs[autonomous] = (ps.solve_real(problem, 0.0, 0.05, config, shift=[0.1j, 0.0]), len(applies))
     (fast, fast_applies), (full, full_applies) = runs[True], runs[False]
+    assert fast.diagnostics["windows"][0]["implicit"] == "gmres"
     assert full_applies - fast_applies == 5                   # one P application per step
     assert fast.diagnostics["windows"][0]["gmres_iterations"] == full.diagnostics["windows"][0]["gmres_iterations"]
     np.testing.assert_array_equal(fast.times, full.times)

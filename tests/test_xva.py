@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import parastrip as ps
 from parastrip.errors import ConfigurationError, DomainError
+from parastrip.xva import _pricing_problem
 
 
 def call_payoff(eps=0.05, strike=1.0):
@@ -248,7 +250,7 @@ def test_heston_chart_generators_are_autonomous():
     assert discounted.autonomous and discounted.terms[-1] == ((0, 0), (0, 0))
 
 
-def test_heston_price_takes_1200_gmres_iterations():
+def test_heston_price_from_resolvent_blocks_matches_the_1200_iteration_gmres_march():
     # the benchmark's heston_chart_2d study at its nominal inputs
     params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
                                                               rho=0.0, v_min=0.02, v_max=0.06))
@@ -256,7 +258,16 @@ def test_heston_price_takes_1200_gmres_iterations():
     payoff = ps.hermite_payoff_fit(call_payoff(eps=1e-3), 6.0)
     res = ps.price_riskfree(params, payoff, grid, 1.0)
     (window,) = res.diagnostics["windows"]
-    assert window["steps"] == 400 and len(window["gmres_iterations"]) == 401
+    assert window["implicit"] == "blocks" and window["steps"] == 400
+    assert len(window["gmres_iterations"]) == 401 and sum(window["gmres_iterations"]) == 0
+    price = ps.evaluate_at(res.final, [0.0, 0.04])[0].real
+    assert price == pytest.approx(0.0799051466780, abs=1e-10)
+    # the same chart declared time-dependent keeps the GMRES march and its iteration count
+    problem = _pricing_problem(params, payoff, grid)
+    problem = dataclasses.replace(problem, op=dataclasses.replace(problem.op, autonomous=False))
+    res = ps.solve_real(problem, 0.0, 1.0, ps.SolverConfig(dt=1.0 / 400, integrator="imex"))
+    (window,) = res.diagnostics["windows"]
+    assert window["implicit"] == "gmres" and len(window["gmres_iterations"]) == 401
     assert sum(window["gmres_iterations"]) == 1200
     price = ps.evaluate_at(res.final, [0.0, 0.04])[0].real
     assert price == pytest.approx(0.0799051466780, abs=1e-10)
