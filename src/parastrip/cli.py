@@ -340,17 +340,22 @@ def _build_operator(cfg: dict, grid, temporal, errors: list, literal_heston: boo
                 heston=block.get("heston"),
             )
             if kind == "bs":
-                return bs_log_generator(params, temporal)
-            if kind == "heston":
-                return heston_generator(params, temporal)
-            from .xva import heston_chart_generator
+                op = bs_log_generator(params, temporal)
+            elif kind == "heston":
+                op = heston_generator(params, temporal)
+            else:
+                from .xva import heston_chart_generator
 
-            op, _ = heston_chart_generator(params, grid, v_center=block.get("v_center"),
-                                           temporal=temporal)
-            return op
+                op, _ = heston_chart_generator(params, grid, v_center=block.get("v_center"),
+                                               temporal=temporal)
         except ParastripError as exc:
             errors.append(f"problem.operator: {exc}")
             return None
+        if op.dim != grid.dim:
+            errors.append(f"problem.operator.kind: {kind} acts in {op.dim} dimension(s), "
+                          f"but grid.dim is {grid.dim}")
+            return None
+        return op
     if kind == "custom":
         raw = block.get("terms")
         if not isinstance(raw, list) or not raw:
@@ -768,6 +773,9 @@ def _cmd_xva(cfg, out_dir, rng, record):
         except (ParastripError, TypeError) as exc:
             errors.append(f"xva.params: {exc}")
     grid = _build_grid(cfg, errors) if "grid" in cfg else make_grid(1, 6.0, 256)
+    if params is not None and grid is not None and grid.dim == 2 and params.heston is None:
+        errors.append("xva.params.heston: required on a 2-D grid (grid.dim 2), whose second "
+                      "axis is the variance chart")
     payoff = None
     pay = _section(block, "payoff", [], required=False, label="xva.payoff")
     if not pay:

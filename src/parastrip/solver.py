@@ -15,10 +15,12 @@ blocks of rows checked once:
   integrates multi-component systems.  Its implicit half is the resolvent
   (I + (mu dt / 2) P)^-1 on Fourier coefficients.  Under an autonomous
   operator that is one matrix for the whole march: it is block diagonal
-  over the Fourier modes of the axes the coefficients do not vary along,
-  and its blocks are inverted once, checked against the GMRES residual
-  bound (``_Resolvent``), so a step is one batched matmul.  Time-dependent
-  operators, and blocks too large to store, take a restarted GMRES written
+  over the Fourier modes of the axes the coefficients do not vary along.
+  Only the rows of its blocks that couple are inverted and kept, the
+  dealiased-out rest as a diagonal, checked once against the GMRES
+  residual bound (``_Resolvent``), so a step is a diagonal multiply and one
+  batched matmul over the coupled rows.  Time-dependent operators, and
+  blocks too large to store, take a restarted GMRES written
   on numpy (``_gmres``), left-preconditioned by the inverse of the frozen
   Fourier symbol, which is a diagonal there.
 
@@ -31,6 +33,7 @@ import functools
 import itertools
 import math
 import operator
+import time
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -442,6 +445,7 @@ class _Window(NamedTuple):
     contraction_ratio: float = None
     carry: tuple = None           # the source at the last node, see _source_stack
     implicit: str = None          # imex: "blocks" or "gmres", how its implicit half was solved
+    resolvent: dict = None        # imex: the record of the resolvent's build, see _Resolvent.build
 
 
 def _window_constants(problem: CauchyProblem, member, t0, dt):
@@ -700,7 +704,7 @@ _BLOCK_CHUNK = 8                  # unit vectors per apply_hat call while the bl
 
 
 class _Resolvent:
-    """(I + c P^)^-1 of an autonomous plan as dense blocks on Fourier coefficients.
+    """(I + c P^)^-1 of an autonomous plan on Fourier coefficients, kept as the rows it couples.
 
     An autonomous plan transforms its variable products along ``var_axes``
     only (see ``OperatorPlan.apply_hat``), so its spectral core P^ couples
@@ -709,7 +713,18 @@ class _Resolvent:
     (M n_var) x (M n_var) block per fixed mode.  ``to_blocks`` lays an
     (..., M, *grid) array of coefficients out as (..., F, b) rows against
     the F blocks of size b (fixed axes first, then the component and the
-    var axes); ``from_blocks`` undoes it.  ``inverse`` is (F, b, b).
+    var axes); ``from_blocks`` undoes it.
+
+    Most rows of B = I + c P^ couple nothing: the 2/3 dealias rule drops
+    every variable product outside its mask, so a mode there meets the
+    constant part only.  When row i of a block B_k has no off-diagonal
+    entry, B_k B_k^-1 = I makes row i of B_k^-1 exactly e_i / (B_k)_ii.
+    So ``diagonal`` (F, b) holds 1 / B_ii for those rows, only the
+    ``blocks`` (F_c,) that have coupled rows are inverted, and ``coupled``
+    (F_c, r, b) keeps r rows of each of their inverses: the block's coupled
+    rows, padded up to the largest count r with other rows of its inverse
+    (any row of B_k^-1 is a valid one).  ``kept`` holds the flat indices of
+    those rows in an (F, b) array.  ``apply`` multiplies by the inverse.
     """
 
     def __init__(self, plan: OperatorPlan, t):
@@ -720,7 +735,7 @@ class _Resolvent:
         self.shape = (plan.op.components,) + plan.grid.shape
         self.size = math.prod(self.shape[p] for p in [0] + var)
         self.count = math.prod(self.shape) // self.size
-        self.inverse = None
+        self.diagonal = self.blocks = self.kept = self.coupled = None
 
     def to_blocks(self, hat: np.ndarray) -> np.ndarray:
         lead = hat.ndim - len(self.shape)
@@ -732,39 +747,84 @@ class _Resolvent:
         permuted = rows.reshape(rows.shape[:lead] + tuple(self.shape[p] for p in self.order))
         return permuted.transpose(list(range(lead)) + [lead + p for p in np.argsort(self.order)])
 
-    @classmethod
-    def build(cls, plan: OperatorPlan, t, c: complex, tol: float):
-        """The inverted blocks of B = I + c P^(t), or None when the march must use GMRES.
+    def matrix(self, plan: OperatorPlan, t, c: complex) -> np.ndarray:
+        """The dense blocks of B = I + c P^(t), (F, b, b).
 
         The columns of P^ are its applications to unit vectors along the var
-        axes that are one along the fixed axes, _BLOCK_CHUNK per call.  None
-        when the dense blocks would take more than _BLOCK_BYTES_CAP bytes, or
-        when max_k ||I - B_k B_k^-1||_F exceeds ``tol``: then the inverse
-        cannot promise the residual GMRES is held to.
+        axes that are one along the fixed axes, _BLOCK_CHUNK per call.
         """
-        out = cls(plan, t)
-        b = out.size
-        if out.count * b * b * np.dtype(np.complex128).itemsize > _BLOCK_BYTES_CAP:
-            return None
-        blocks = np.empty((out.count, b, b), dtype=np.complex128)
+        b = self.size
+        blocks = np.empty((self.count, b, b), dtype=np.complex128)
         for start in range(0, b, _BLOCK_CHUNK):
             stop = min(start + _BLOCK_CHUNK, b)
-            units = np.zeros((stop - start, out.count, b), dtype=np.complex128)
+            units = np.zeros((stop - start, self.count, b), dtype=np.complex128)
             units[np.arange(stop - start), :, np.arange(start, stop)] = 1.0
-            applied = plan.apply_hat(out.from_blocks(units), (t,) * (stop - start))
-            blocks[:, :, start:stop] = np.moveaxis(out.to_blocks(applied), 0, -1)
+            applied = plan.apply_hat(self.from_blocks(units), (t,) * (stop - start))
+            blocks[:, :, start:stop] = np.moveaxis(self.to_blocks(applied), 0, -1)
         blocks *= c
-        diagonal = (slice(None), np.arange(b), np.arange(b))
-        blocks[diagonal] += 1.0
-        try:
-            out.inverse = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError:
-            return None
-        product = np.matmul(blocks, out.inverse)
-        product[diagonal] -= 1.0
-        if not np.max(np.linalg.norm(product, axis=(1, 2))) <= tol:
-            return None
+        blocks[:, np.arange(b), np.arange(b)] += 1.0
+        return blocks
+
+    def apply(self, rhs: np.ndarray) -> np.ndarray:
+        """B^-1 rhs on (F, b) block rows: the diagonal, then the coupled rows by one batched matmul."""
+        out = np.multiply(self.diagonal, rhs, out=np.empty(self.diagonal.shape, np.complex128))
+        # out is C-ordered, so its flat view writes through at the flat indices ``kept``
+        out.reshape(-1)[self.kept] = np.matmul(self.coupled, rhs[self.blocks, :, np.newaxis]).reshape(-1)
         return out
+
+    @classmethod
+    def build(cls, plan: OperatorPlan, t, c: complex, tol: float):
+        """The resolvent of B = I + c P^(t) and a record of its build; None and why when refused.
+
+        The march must then use GMRES: when the dense blocks would take more
+        than _BLOCK_BYTES_CAP bytes, when B is singular, or when the
+        residual max_k ||I - B_k X_k||_F of the inverse X as ``apply`` uses
+        it exceeds ``tol``, so that X cannot promise the residual GMRES is
+        held to.  Coupled rows are found by exact comparison with zero.  A
+        kept resolvent records its coupled blocks and rows, its bytes, the
+        residual and the build time.
+        """
+        start = time.perf_counter()
+        out = cls(plan, t)
+        b = out.size
+        dense = out.count * b * b * np.dtype(np.complex128).itemsize
+        if dense > _BLOCK_BYTES_CAP:
+            return None, {"refused": "cap", "value": dense, "limit": _BLOCK_BYTES_CAP}
+        matrix = out.matrix(plan, t, c)
+        idx = np.arange(b)
+        pivots = matrix[:, idx, idx]
+        lone = np.count_nonzero(matrix, axis=2) <= (pivots != 0)     # no off-diagonal entry
+        if not np.all(pivots[lone]):
+            return None, {"refused": "singular"}
+        out.diagonal = np.divide(1.0, pivots, out=np.zeros(pivots.shape, np.complex128), where=lone)
+        counts = b - np.count_nonzero(lone, axis=1)
+        out.blocks = np.flatnonzero(counts)
+        sub, matrix = matrix[out.blocks], None
+        try:
+            inverse = np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            return None, {"refused": "singular"}
+        # coupled rows first, then the lone rows in order, as many as the widest block needs
+        rows = np.argsort(lone[out.blocks], axis=1, kind="stable")[:, :counts.max()]
+        out.coupled = np.take_along_axis(inverse, rows[..., np.newaxis], axis=1)
+        out.kept = (b * out.blocks[:, np.newaxis] + rows).ravel()
+        # the inverse as apply uses it: every row it does not keep is e_i / B_ii
+        dropped = np.ones(sub.shape[:2], dtype=bool)
+        np.put_along_axis(dropped, rows, False, axis=1)
+        inverse[dropped] = 0.0
+        k, i = np.nonzero(dropped)
+        inverse[k, i, i] = out.diagonal[out.blocks[k], i]
+        product = np.matmul(sub, inverse)
+        product[:, idx, idx] -= 1.0
+        norms = np.linalg.norm(1.0 - pivots * out.diagonal, axis=1)
+        norms[out.blocks] = np.linalg.norm(product, axis=(1, 2))
+        residual = float(np.max(norms))
+        if not residual <= tol:
+            return None, {"refused": "residual", "value": residual, "limit": tol}
+        kept = (out.diagonal, out.blocks, out.kept, out.coupled)
+        return out, {"coupled_blocks": len(out.blocks), "coupled_rows": rows.shape[1],
+                     "bytes": sum(a.nbytes for a in kept), "residual": residual,
+                     "build_s": time.perf_counter() - start}
 
 
 def _imex_blocks(problem: CauchyProblem, plan: OperatorPlan, resolvent: _Resolvent, w0: ComplexField,
@@ -772,7 +832,9 @@ def _imex_blocks(problem: CauchyProblem, plan: OperatorPlan, resolvent: _Resolve
     """The imex nodes and solve counts, the implicit half solved by the resolvent blocks.
 
     With B = I + c P^ and C = I - c P^ = 2I - B, the step B w^_{j+1} = C w^_j
-    + f^_j reads w^_{j+1} = B^-1 (2 w^_j + f^_j) - w^_j: one batched matmul.
+    + f^_j reads w^_{j+1} = B^-1 (2 w^_j + f^_j) - w^_j, where B^-1 is
+    ``resolvent.apply``: the diagonal times every row, then one batched
+    matmul of the compact coupled rows that overwrites theirs.
     f^_j is the transform of mu dt times the explicit combination; a problem
     with neither a reaction nor a source has none.  w^ is carried as block
     rows from step to step, and each node takes one inverse FFT, checked
@@ -788,7 +850,7 @@ def _imex_blocks(problem: CauchyProblem, plan: OperatorPlan, resolvent: _Resolve
         rhs = 2.0 * rows
         if explicit is not None:
             rhs += resolvent.to_blocks(_fftn(mu * dt * explicit, grid))
-        new = np.matmul(resolvent.inverse, rhs[..., np.newaxis])[..., 0]
+        new = resolvent.apply(rhs)
         new -= rows
         values = _ifftn(resolvent.from_blocks(new), grid)
         if not np.all(np.isfinite(values)):
@@ -879,27 +941,30 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     The implicit half solves (I + c P^) w^_{j+1} = b^_j on Fourier
     coefficients, c = mu dt / 2: the resolvent of the generator, one matrix
     for every step when the operator is autonomous.  Its blocks are then
-    built and inverted once (``_Resolvent``) and every step is one batched
-    matmul (``_imex_blocks``).  A time-dependent operator, blocks beyond the
-    size cap, or an inverse that fails the residual check leave each solve
-    to GMRES (``_imex_gmres``).  Both record one ``gmres_iterations`` entry
-    per implicit solve (0 under the blocks) and which one served the
-    window as ``implicit``.  Returns a _Window whose fields are a list of
-    value arrays, one per node.
+    built once and inverted on their coupled rows only, 1 / B_ii on every
+    other row (``_Resolvent``), and every step is a diagonal multiply and
+    one batched matmul over the coupled rows (``_imex_blocks``).  A
+    time-dependent operator, dense blocks beyond the size cap, a singular
+    block, or an inverse that fails the residual check leave each solve to
+    GMRES (``_imex_gmres``).  Both record one ``gmres_iterations`` entry per
+    implicit solve (0 under the blocks), which one served the window as
+    ``implicit``, and as ``resolvent`` the record of the build or why the
+    blocks were refused (see ``_Resolvent.build``).  Returns a _Window whose
+    fields are a list of value arrays, one per node.
     """
     mu = complex(mu)
     if check_mu:
         _check_rotation(mu, problem.temporal)
     s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, problem.temporal)
-    resolvent = None
+    resolvent, record = None, {"refused": "time_dependent"}
     if problem.op.autonomous:
-        resolvent = _Resolvent.build(plan, t_nodes[0], 0.5 * mu * dt, config.gmres_tol)
+        resolvent, record = _Resolvent.build(plan, t_nodes[0], 0.5 * mu * dt, config.gmres_tol)
     if resolvent is None:
         fields, iterations = _imex_gmres(problem, plan, w0, t_nodes, mu, dt, config)
     else:
         fields, iterations = _imex_blocks(problem, plan, resolvent, w0, t_nodes, mu, dt, config)
     return _Window(s_nodes, fields, gmres_iterations=iterations,
-                   implicit="gmres" if resolvent is None else "blocks")
+                   implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
 
 def _store_rows(out: list, values, rows, times: list):
@@ -957,6 +1022,7 @@ class _Member:
                 "sweeps": win.sweeps,
                 "gmres_iterations": win.gmres_iterations,
                 "implicit": win.implicit,
+                "resolvent": win.resolvent,
                 "contraction_ratio": win.contraction_ratio,
             }
         )
@@ -1320,16 +1386,24 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
             source = lambda t, g, sh, f=sample.source: f(t)
         problem = CauchyProblem(grid, op, sample.initial, source=source)
         res = solve_real(problem, 0.0, t_max, run_cfg, shift=shift)
-        g_vals = []
-        for t in nodes:
-            if sample.source is None:
-                g_vals.append(np.zeros((op.components,) + grid.shape, dtype=np.complex128))
-            else:
-                g_vals.append(np.asarray(sample.source(t), dtype=np.complex128))
+        g_vals = np.zeros((len(nodes), op.components) + grid.shape, dtype=np.complex128)
+        if sample.source is not None:
+            for j, t in enumerate(nodes):
+                g_vals[j] = sample.source(t)
+        # du/dt block by block as SolveResult.derivative_blocks checks it, with g at the
+        # nodes passed in rather than evaluated again
+        derivs, start = [], 0
+        for block in res.blocks:
+            stop = start + len(block)
+            ts, sources = res.times[start:stop], None if source is None else g_vals[np.newaxis, start:stop]
+            derivs.append(_check_finite(res.rhs(block[np.newaxis], [ts], sources=sources)[0], ts,
+                                        "right-hand side"))
+            start = stop
+        derivs = np.concatenate(derivs)
         load = np.array(
             [
-                lp_norm(res.time_derivatives[j], p) ** p
-                + lp_norm(ComplexField(grid, res.time_derivatives[j].values - g_vals[j]), p) ** p
+                lp_norm(ComplexField(grid, derivs[j]), p) ** p
+                + lp_norm(ComplexField(grid, derivs[j] - g_vals[j]), p) ** p
                 for j in range(len(nodes))
             ]
         )

@@ -409,12 +409,43 @@ def test_a_system_no_initial_datum_can_start_exits_2(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+BS_ON_A_2D_GRID = {
+    "grid": {"dim": 2, "half_length": 3.0, "points_per_axis": 16},
+    "problem": {"operator": {"kind": "bs", "sigma": 0.2}, "initial": {"kind": "gaussian"}},
+    "maxreg": {"horizons": [0.25]},
+    "ellipticity": {"n_thetas": 1, "n_fields": 2},
+}
+
+
+@pytest.mark.parametrize("command", ["ellipticity", "maxreg"])
+def test_a_one_dimensional_operator_on_a_2d_grid_exits_2(tmp_path, capsys, command):
+    code, out = _run_in_process(tmp_path, command, command, BS_ON_A_2D_GRID)
+    assert code == 2
+    detail = _invalid_detail(capsys)
+    assert "problem.operator.kind" in detail and "grid.dim is 2" in detail
+    assert not (out / "manifest.json").exists()
+
+
+def test_xva_on_a_2d_grid_without_a_heston_block_exits_2(tmp_path, capsys):
+    cfg = {
+        "grid": {"dim": 2, "half_length": 6.0, "points_per_axis": 16},
+        "xva": {"horizon": 0.05, "params": {"sigma": 0.2, "epsilon": 0.05},
+                "payoff": {"kind": "smoothed_call", "strike": 1.0}},
+    }
+    code, out = _run_in_process(tmp_path, "xva", "xva", cfg)
+    assert code == 2
+    assert "xva.params.heston" in _invalid_detail(capsys)
+    assert not (out / "manifest.json").exists()
+
+
 def test_the_cli_loads_no_scipy(tmp_path):
+    # nor the pool modules: no job starts a thread or a process, and importing them slows start-up
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(SOLVE_CFG))
     code = (
         "import sys, parastrip.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "pools = ('concurrent.futures', 'multiprocessing')\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in pools)\n"
         "print(loaded())\n"
         f"parastrip.cli.main(['solve', '--config', {str(cfg_path)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
         "print(loaded())\n"

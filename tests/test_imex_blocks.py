@@ -134,10 +134,72 @@ def test_falls_back_to_gmres_when_the_blocks_are_refused(sabotage, monkeypatch):
     problem = problem_1d()
     res = real_solve()(problem)
     assert implicit(res) == "gmres"
+    (window,) = res.diagnostics["windows"]
+    record = window["resolvent"]
+    assert record["refused"] == sabotage
+    if sabotage == "cap":
+        assert (record["value"], record["limit"]) == (16 * 2 ** 10, 16 * 2 ** 10 - 1)
+    elif sabotage == "residual":
+        assert record["value"] > record["limit"] == IMEX.gmres_tol
     # in 1-D the autonomous GMRES march rounds as the time-dependent one does
     want = real_solve()(time_dependent(problem))
+    assert want.diagnostics["windows"][0]["resolvent"] == {"refused": "time_dependent"}
     for a, b in zip(res.fields, want.fields):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def heston_resolvent():
+    """The benchmark's 64^2 Heston chart at its nominal inputs: plan, resolvent and build record."""
+    from parastrip.xva import _pricing_problem
+
+    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
+                                                              rho=0.0, v_min=0.02, v_max=0.06))
+    grid = ps.make_grid(2, 6.0, 64)
+    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
+    plan = ps.OperatorPlan(_pricing_problem(params, payoff, grid).op, grid)
+    return plan, *parastrip.solver._Resolvent.build(plan, 0.0, 0.5 / 400, IMEX.gmres_tol)
+
+
+def test_the_heston_chart_keeps_43_blocks_of_43_coupled_rows():
+    # the x-modes beyond the 2/3 mask meet the constant part only; inside it the v-modes couple
+    _, resolvent, record = heston_resolvent()
+    assert resolvent.coupled.shape == (43, 43, 64) and resolvent.diagonal.shape == (64, 64)
+    assert (record["coupled_blocks"], record["coupled_rows"]) == (43, 43)
+    assert record["bytes"] < 2 * 2 ** 20 and record["residual"] <= IMEX.gmres_tol
+    assert record["build_s"] > 0.0
+
+
+def test_a_compact_step_equals_the_dense_inverse_step():
+    plan, resolvent, _ = heston_resolvent()
+    dense = np.linalg.inv(resolvent.matrix(plan, 0.0, 0.5 / 400))
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    want = np.matmul(dense, (2.0 * w)[..., np.newaxis])[..., 0] - w
+    np.testing.assert_array_equal(resolvent.apply(2.0 * w) - w, want)
+
+
+def test_blocks_with_uneven_coupled_rows():
+    # the constant zero-order entry 0.1 couples all 16 rows of component 0 in every block; in the
+    # blocks inside the 2/3 mask the variable diffusion couples 8 rows of component 1 as well
+    def diffusion(z, t):
+        one, zero = np.ones_like(z[0]), np.zeros_like(z[0])
+        return np.stack([np.stack([1.0 + 0.3 * np.cos(z[0]), zero]), np.stack([zero, one])])
+
+    op = ps.DivergenceOperator.from_terms(
+        1, 2, 2, {((1, 0), (1, 0)): diffusion, ((0, 1), (0, 1)): 1.0,
+                  ((0, 0), (0, 0)): np.array([[0.2, 0.1], [0.0, 0.3]])},
+        ps.StripSpec(1.0), TEMPORAL, autonomous=True)
+    grid = ps.make_grid(2, np.pi, 16)
+    plan = ps.OperatorPlan(op, grid)
+    resolvent = parastrip.solver._Resolvent(plan, 0.0)
+    matrix = resolvent.matrix(plan, 0.0, 0.005)
+    off = matrix.copy()
+    off[:, np.arange(32), np.arange(32)] = 0.0
+    assert set(np.count_nonzero(np.any(off != 0.0, axis=2), axis=1)) == {16, 24}
+    init = lambda pts: np.stack([np.exp(np.cos(pts[0])), np.exp(1j * np.sin(pts[1]))])
+    fast, _ = against_gmres(ps.CauchyProblem(grid, op, init), real_solve())
+    record = fast.diagnostics["windows"][0]["resolvent"]
+    assert (record["coupled_blocks"], record["coupled_rows"]) == (16, 24)
 
 
 def test_the_cap_admits_blocks_that_fit_it(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +295,23 @@ def test_maxreg_estimator_guards(rng):
     long_forcing = [ps.MaxRegSample(initial=ens[0].initial, source=lambda t: ens[0].initial.values, support=0.9)]
     with pytest.raises(ConfigurationError, match="support must fit"):
         ps.estimate_max_reg_constant(op, grid, [0.5, 1.0], 4.0, long_forcing, ps.SolverConfig(dt=1.0 / 64))
+
+
+def test_maxreg_evaluates_each_forcing_twice_per_node(rng):
+    op = make_heat_operator()
+    grid = ps.make_grid(1, np.pi, 64)
+    calls = []
+
+    def counted(f):
+        return lambda t: calls.append(t) or f(t)
+
+    ens = [s if s.source is None else dataclasses.replace(s, source=counted(s.source))
+           for s in ps.default_maxreg_ensemble(grid, 1, 3, rng, support=0.125)]
+    got = ps.estimate_max_reg_constant(op, grid, 0.25, 4.0, ens, ps.SolverConfig(dt=1.0 / 64))
+    # two forced samples, 17 nodes each: the march, then g at the nodes for the ratio
+    assert len(calls) == 2 * 2 * 17
+    # the value of the estimator that also evaluated g for the time derivatives, bit for bit
+    assert got == 5.022790438256732
 
 
 def test_maxreg_single_horizon_returns_float(rng):
