@@ -1,8 +1,9 @@
 """Configuration-driven experiment runner.
 
 ``parastrip <command> --config <path> [--output <dir>] [--seed <u64>]
-[--jobs <k>]`` reads a single JSON tree, validates it against the chosen
-command, runs the jobs one after another, and writes canonical CSV tables,
+[--jobs <k>]`` reads a single JSON tree, checks it against the config tables
+of the chosen command (``_TOP`` and the tables it nests: one per section),
+runs the jobs one after another, and writes canonical CSV tables,
 optional SVG line charts, a pass/fail report, and a manifest indexing every
 emitted file.  Identical config and seed give byte identical CSVs.
 ``--jobs`` is accepted and recorded in the manifest but ignored.
@@ -15,7 +16,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .analyticity import (
     solve_shift_family,
 )
 from .errors import ConfigurationError, ParastripError
-from .grid import ComplexField, HermiteData, StripSpec, _shifted_points, make_grid
+from .grid import ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
 from .norms import NormParams, _besov_norms, _fit_blocks, lp_norm
 from .operators import (
     DivergenceOperator,
@@ -54,6 +55,7 @@ from .xva import (
     compute_xva_surfaces,
     evaluate_at,
     hermite_payoff_fit,
+    heston_chart_generator,
     heston_generator,
 )
 
@@ -207,8 +209,160 @@ def emit_report(checks, out_dir: Path) -> list:
     return files
 
 
+
 # ---------------------------------------------------------------------------
-# config plumbing
+# config tables
+
+REQUIRED = object()
+_ALL = frozenset(COMMANDS)
+_NOT_XVA = _ALL - {"xva"}
+_SOLVING = frozenset({"solve", "verify-analyticity", "convergence"})
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: the type and bounds of its value, its default, and the commands that read it.
+
+    ``kind`` is a type of ``_KINDS``, ``enum``, ``object`` or ``objects``; ``gt``, ``ge`` and
+    ``le`` bound a number, an integer or each entry of a list.  REQUIRED makes a key
+    mandatory; a None default leaves the value to the library or to other keys.  ``of``
+    holds an enum's choices (a dict maps each to the keys it brings) or the table of an
+    object or of each entry of a list.  Commands outside ``cmds`` accept the key unread.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    gt: float = None
+    ge: float = None
+    le: float = None
+    of: object = None
+    cmds: frozenset = _ALL
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _finite_array(v):
+    """``v`` as a float array when it nests lists of finite numbers evenly, else None."""
+    try:
+        array = np.asarray(v) if isinstance(v, list) else None
+    except ValueError:
+        return None
+    ok = array is not None and array.size > 0 and array.dtype.kind in "if" and np.isfinite(array).all()
+    return array.astype(np.float64) if ok else None
+
+
+_KINDS = {  # kind: (what a value must be, its test, its conversion)
+    "number": ("a finite number", _is_finite, float),
+    "int": ("an integer", _is_int, int),
+    "pow2": ("a power of two", lambda v: _is_int(v) and v > 0 and v & (v - 1) == 0, int),
+    "odd": ("an odd integer", lambda v: _is_int(v) and v % 2 == 1, int),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "numbers": ("a nonempty list of finite numbers",
+                lambda v: isinstance(v, list) and v and all(map(_is_finite, v)),
+                lambda v: [float(x) for x in v]),
+    "ints": ("an integer or a nonempty list of integers",
+             lambda v: _is_int(v) or isinstance(v, list) and v and all(map(_is_int, v)),
+             lambda v: [v] if _is_int(v) else list(v)),
+    "array": ("a nonempty, evenly nested list of finite numbers",
+              lambda v: _finite_array(v) is not None, _finite_array),
+}
+
+_STRIP = Key("strip_half_width", "number", math.inf, gt=0.0)
+_HESTON = tuple(Key(name, "number", REQUIRED) for name in ("kappa", "theta", "sigma_v", "rho", "v_min", "v_max"))
+_MARKET = (Key("sigma", "number", 0.2), Key("q_S", "number", 0.0), Key("gamma_S", "number", 0.0))
+_OPERATOR = (Key("kind", "enum", REQUIRED, of={
+    "heat": (_STRIP, Key("diffusivity", "number", 1.0, gt=0.0)),
+    "variable_heat": (_STRIP, Key("base", "number", 1.0, gt=0.0),
+                      Key("variation", "number", 0.25, ge=0.0, le=0.95), Key("wavenumber", "int", 1, ge=1)),
+    "bs": _MARKET,
+    "heston": _MARKET + (Key("heston", "object", REQUIRED, of=_HESTON),),
+    "heston_chart": _MARKET + (Key("heston", "object", REQUIRED, of=_HESTON), Key("v_center", "number")),
+    "custom": (_STRIP, Key("order_half", "int", 1), Key("components", "int", 1),
+               Key("terms", "objects", REQUIRED, of=(
+                   Key("alpha", "ints", REQUIRED), Key("beta", "ints", REQUIRED),
+                   Key("re", "number", 0.0), Key("im", "number", 0.0)))),
+}),)
+_INITIAL = (Key("kind", "enum", REQUIRED, of={
+    "gaussian": (Key("amplitude", "number", 1.0), Key("width", "number", 1.0, gt=0.0), Key("center", "numbers")),
+    "hermite": (Key("coeffs", "array", REQUIRED), Key("basis", "string", "hermite")),
+    "mode": (Key("index", "ints"), Key("amplitude", "number", 1.0)),
+}),)
+_REACTION = (Key("kind", "enum", "none", of={
+    "none": (),
+    "linear": (Key("rate", "number", 0.0), Key("rate_im", "number", 0.0)),
+    "quadratic_surrogate": (Key("strength", "number", 1.0),),
+}),)
+_SOURCE = (Key("kind", "enum", "none", of={
+    "none": (),
+    "modulated": (Key("datum", "object", REQUIRED, of=_INITIAL), Key("rate", "number", 0.0)),
+}),)
+_SOLVER = tuple(Key(name, kind) for name, kind in (  # SolverConfig checks the values
+    ("dt", "number"), ("window", "number"), ("picard_tol", "number"), ("picard_max_iter", "int"),
+    ("max_window_halvings", "int"), ("p", "number"), ("integrator", "string"), ("snapshot_stride", "int"),
+    ("gmres_tol", "number"))) + (Key("check_reaction_domain", "enum", of=(True, False)),)
+_XVA_PARAMS = (Key("sigma", "number", REQUIRED),) + tuple(Key(name, "number") for name in (
+    "epsilon", "r", "lambda_B", "lambda_C", "R_B", "R_C", "s_F", "q_S", "gamma_S", "theta_mtm",
+)) + (Key("heston", "object", of=_HESTON),)  # XvaParams checks the values
+_SMOOTHED = (Key("strike", "number", REQUIRED), Key("epsilon", "number"), Key("admissible_half_width", "number"))
+_PAYOFF = (Key("kind", "enum", "smoothed_call", of={  # PayoffSpec checks the values
+    "smoothed_call": _SMOOTHED,
+    "smoothed_put": _SMOOTHED,
+    "hermite_expansion": (Key("from", "enum", "smoothed_call", of=("smoothed_call", "smoothed_put")),
+                          Key("strike", "number", REQUIRED), Key("epsilon", "number"), Key("n_terms", "int", 40)),
+}),)
+_ANALYTICITY = (
+    Key("y_half_width", "number", REQUIRED, gt=0.0), Key("n_shifts", "odd", 9, ge=5),
+    Key("times", "numbers"), Key("strides", "ints", [1, 2, 4], ge=1), Key("d_mu", "numbers", [0.05, 0.025]),
+    Key("rho", "number", gt=0.0), Key("mu_center_re", "number", 1.0), Key("mu_center_im", "number", 0.0),
+    Key("path", "object", {}, of=(Key("sigma", "number"), Key("tau", "number"), Key("t_primes", "numbers"))),
+    Key("hardy", "object", {}, of=(Key("p", "number", 4.0), Key("c0", "number", 1.0))),
+)
+_GRID = (Key("dim", "enum", 1, of=(1, 2)), Key("half_length", "number", REQUIRED, gt=0.0),
+         Key("points_per_axis", "pow2", REQUIRED, ge=8))
+_TOP = (
+    Key("seed", "int", 0, ge=0),
+    Key("output_dir", "string", "parastrip-out"),
+    Key("grid", "object", REQUIRED, of=_GRID, cmds=_NOT_XVA),
+    Key("grid", "object", {"half_length": 6.0, "points_per_axis": 256}, of=_GRID, cmds={"xva"}),
+    Key("run", "object", REQUIRED, cmds=_SOLVING, of=(
+        Key("horizon", "number", REQUIRED, gt=0.0), Key("t0", "number", 0.0, ge=0.0, cmds={"solve"}))),
+    Key("temporal", "object", {}, cmds=_NOT_XVA, of=(
+        Key("angle", "number", 0.25 * math.pi), Key("t_prime", "number", gt=0.0),
+        Key("horizon", "number", gt=0.0))),
+    Key("problem", "object", REQUIRED, cmds=_NOT_XVA, of=(
+        Key("operator", "object", REQUIRED, of=_OPERATOR),
+        Key("initial", "object", REQUIRED, of=_INITIAL, cmds=_SOLVING),
+        Key("reaction", "object", {}, of=_REACTION, cmds=_SOLVING),
+        Key("source", "object", {}, of=_SOURCE, cmds=_SOLVING))),
+    Key("solver", "object", of=_SOLVER, cmds=_ALL - {"ellipticity"}),
+    Key("analyticity", "object", REQUIRED, of=_ANALYTICITY, cmds={"verify-analyticity"}),
+    Key("xva", "object", REQUIRED, cmds={"xva"}, of=(
+        Key("horizon", "number", REQUIRED, gt=0.0), Key("params", "object", REQUIRED, of=_XVA_PARAMS),
+        Key("payoff", "object", REQUIRED, of=_PAYOFF))),
+    Key("sweep", "object", {}, of=(Key("epsilon", "numbers"),), cmds={"xva"}),
+    Key("ellipticity", "object", {}, cmds={"ellipticity"}, of=(
+        Key("n_thetas", "int", 9, ge=1), Key("n_directions", "int", 8, ge=1), Key("n_fields", "int", 12, ge=1),
+        Key("t_points", "numbers", [0.0]), Key("z_points", "array"))),
+    Key("maxreg", "object", REQUIRED, cmds={"maxreg"}, of=(
+        Key("horizons", "numbers", [0.25, 0.5, 1.0], gt=0.0), Key("p", "number", 2.0, gt=1.0),
+        Key("samples", "int", 20, ge=3), Key("support", "number", gt=0.0))),
+    Key("convergence", "object", {}, cmds={"convergence"}, of=(
+        Key("dts", "numbers", gt=0.0), Key("base_dt", "number", gt=0.0), Key("levels", "int", 4, ge=2))),
+)
+
+
+# ---------------------------------------------------------------------------
+# the walk
 
 class _Invalid(Exception):
     def __init__(self, violations):
@@ -221,183 +375,152 @@ def _config_digest(cfg) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _section(cfg: dict, name: str, errors: list, required: bool = True, label: str = None) -> dict:
-    label = label or name
-    block = cfg.get(name)
-    if block is None:
-        if required:
-            errors.append(f"{label}: required section is missing")
-        return {}
+def _check(v, key: Key, name: str, command: str, errors: list):
+    """``v`` as ``key`` reads it, or None with the violation recorded under ``name``."""
+    if key.kind == "object":
+        return _walk(v, key.of, name, command, errors)
+    if key.kind == "objects":
+        if isinstance(v, list) and v:
+            return [_walk(entry, key.of, f"{name}[{i}]", command, errors) for i, entry in enumerate(v)]
+        what = "a nonempty list of objects"
+    elif key.kind == "enum":
+        # by type too: JSON's true is not the choice 1, nor 1.0 the choice 1
+        if any(v == choice and type(v) is type(choice) for choice in key.of):
+            return v
+        what = "one of " + ", ".join(json.dumps(choice) for choice in key.of)
+    else:
+        what, test, convert = _KINDS[key.kind]
+        value = convert(v) if test(v) else None
+        if value is not None and all((key.gt is None or x > key.gt) and (key.ge is None or x >= key.ge)
+                                     and (key.le is None or x <= key.le)
+                                     for x in (value if isinstance(value, list) else [value])):
+            return value
+    bounds = [f"{op} {bound:g}" for op, bound in ((">", key.gt), (">=", key.ge), ("<=", key.le))
+              if bound is not None]
+    errors.append(f"{name}: must be {' and '.join([what] + bounds)}, got {v!r}")
+    return None
+
+
+def _walk(block, table, label: str, command: str, errors: list):
+    """The values of ``block`` under ``table`` as ``command`` reads them.
+
+    Each key that ``command`` reads gets its checked value, its default, or
+    None after a violation, which goes to ``errors`` as ``section.key: ...``;
+    keys outside the table are violations too.
+    """
+    where = label or "top level"
     if not isinstance(block, dict):
-        errors.append(f"{label}: must be an object")
-        return {}
-    return block
-
-
-def _number(block: dict, section: str, key: str, errors: list, default=None,
-            required: bool = False, minimum=None, strict_min=None, maximum=None):
-    if key not in block:
-        if required:
-            errors.append(f"{section}.{key}: required value is missing")
-        return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append(f"{section}.{key}: must be a number, got {v!r}")
-        return default
-    v = float(v)
-    if not np.isfinite(v):
-        errors.append(f"{section}.{key}: must be finite, got {v!r}")
-        return default
-    if minimum is not None and v < minimum:
-        errors.append(f"{section}.{key}: must be >= {minimum}, got {v!r}")
-        return default
-    if strict_min is not None and v <= strict_min:
-        errors.append(f"{section}.{key}: must be > {strict_min}, got {v!r}")
-        return default
-    if maximum is not None and v > maximum:
-        errors.append(f"{section}.{key}: must be <= {maximum}, got {v!r}")
-        return default
-    return v
-
-
-def _build_grid(cfg: dict, errors: list):
-    block = _section(cfg, "grid", errors)
-    if not block:
+        errors.append(f"{where}: must be an object, got {block!r}")
         return None
-    dim = block.get("dim", 1)
-    bad_dim = dim not in (1, 2)
-    if bad_dim:
-        errors.append(f"grid.dim: must be 1 or 2, got {dim!r}")
-    half = _number(block, "grid", "half_length", errors, required=True, strict_min=0.0)
-    n = block.get("points_per_axis")
-    bad_n = not (isinstance(n, int) and not isinstance(n, bool) and n >= 8 and (n & (n - 1)) == 0)
-    if bad_n:
-        errors.append(f"grid.points_per_axis: must be a power of two >= 8, got {n!r}")
-    if bad_dim or bad_n or half is None:
-        return None
-    return make_grid(dim, half, n)
+    out, keys, judged = {}, list(table), True
+    for key in keys:  # a chosen enum value appends the keys it brings
+        if command not in key.cmds:
+            continue
+        name = f"{label}.{key.name}" if label else key.name
+        if key.name in block:
+            value = _check(block[key.name], key, name, command, errors)
+        elif key.default is REQUIRED:
+            errors.append(f"{name}: required {'section' if key.kind == 'object' else 'value'} is missing")
+            # a missing section's own required keys are named too
+            value = _walk({}, key.of, name, command, errors) if key.kind == "object" else None
+        elif key.kind == "object" and key.default is not None:
+            value = _walk(key.default, key.of, name, command, errors)
+        else:
+            value = key.default
+        out[key.name] = value
+        if isinstance(key.of, dict):
+            keys.extend(key.of.get(value, ()))
+            judged = judged and value in key.of
+    unknown = sorted(set(block) - {key.name for key in keys})
+    if unknown and judged:  # with its kind unknown, a section's other keys cannot be judged
+        errors.append(f"{where}: unknown keys {unknown}")
+    return out
 
 
-def _build_temporal(cfg: dict, horizon: float, errors: list):
-    block = _section(cfg, "temporal", errors, required=False)
-    angle = _number(block, "temporal", "angle", errors, default=0.25 * math.pi,
-                    strict_min=0.0, maximum=0.5 * math.pi - 1e-9)
-    t_prime = _number(block, "temporal", "t_prime", errors, default=horizon, strict_min=0.0)
-    total = _number(block, "temporal", "horizon", errors, default=2.0 * horizon, strict_min=0.0)
+# ---------------------------------------------------------------------------
+# builders: walked values in, library objects out
+
+def _library(label: str, errors: list, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the ParastripError it raises is recorded under ``label``."""
     try:
-        return TemporalDomain(angle=angle, t_prime=min(t_prime, total), horizon=max(total, horizon))
+        return build(*args, **kwargs)
     except ParastripError as exc:
-        errors.append(f"temporal: {exc}")
+        errors.append(f"{label}: {exc}")
         return None
 
 
-def _build_operator(cfg: dict, grid, temporal, errors: list, literal_heston: bool = False):
+def _given(values: dict) -> dict:
+    """The values the config sets; None leaves a value to the library's default."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _solver_config(solver, errors: list):
+    return None if solver is None else _library("solver", errors, SolverConfig, **_given(solver))
+
+
+def _build_temporal(temporal: dict, horizon: float, errors: list):
+    t_prime = horizon if temporal["t_prime"] is None else temporal["t_prime"]
+    total = 2.0 * horizon if temporal["horizon"] is None else temporal["horizon"]
+    return _library("temporal", errors, TemporalDomain, angle=temporal["angle"],
+                    t_prime=min(t_prime, total), horizon=max(total, horizon))
+
+
+def _build_operator(op: dict, grid, temporal, errors: list, literal_heston: bool = False):
     """The configured operator; ``kind: heston`` only where ``literal_heston`` (ellipticity)."""
-    block = _section(cfg.get("problem", cfg), "operator", errors)
-    if not block or grid is None or temporal is None:
-        return None
-    kind = block.get("kind")
+    kind = op["kind"]
     if kind == "heston" and not literal_heston:
         errors.append(
             "problem.operator.kind: heston reads the variance as clip(Re v), which is not "
             "holomorphic, and is accepted by ellipticity only; use heston_chart to solve"
         )
         return None
-    strip_width = _number(block, "problem.operator", "strip_half_width", errors,
-                          default=math.inf, strict_min=0.0)
-    strip = StripSpec(strip_width)
-    if kind == "heat":
-        a = _number(block, "problem.operator", "diffusivity", errors, default=1.0, strict_min=0.0)
-        terms = {}
-        for ax in range(grid.dim):
-            e = tuple(1 if i == ax else 0 for i in range(grid.dim))
-            terms[(e, e)] = a
-        return DivergenceOperator.from_terms(1, 1, grid.dim, terms, strip, temporal)
-    if kind == "variable_heat":
-        base = _number(block, "problem.operator", "base", errors, default=1.0, strict_min=0.0)
-        ripple = _number(block, "problem.operator", "variation", errors, default=0.25,
-                         minimum=0.0, maximum=0.95)
-        wave = block.get("wavenumber", 1)
-        if not (isinstance(wave, int) and wave >= 1):
-            errors.append(f"problem.operator.wavenumber: must be a positive integer, got {wave!r}")
-            return None
-        k0 = wave * math.pi / grid.half_length
 
-        def coeff(z, t):
-            return base * (1.0 + ripple * np.cos(k0 * np.asarray(z)[0]))
+    def build():
+        strip = StripSpec(op.get("strip_half_width", math.inf))
+        if kind == "custom":
+            terms = {(tuple(t["alpha"]), tuple(t["beta"])): complex(t["re"], t["im"]) for t in op["terms"]}
+            return DivergenceOperator.from_terms(op["order_half"], op["components"], grid.dim,
+                                                 terms, strip, temporal)
+        if kind == "heat":
+            coeff = op["diffusivity"]
+        elif kind == "variable_heat":
+            base, ripple, k0 = op["base"], op["variation"], op["wavenumber"] * math.pi / grid.half_length
 
-        terms = {}
-        for ax in range(grid.dim):
-            e = tuple(1 if i == ax else 0 for i in range(grid.dim))
-            terms[(e, e)] = coeff
-        return DivergenceOperator.from_terms(1, 1, grid.dim, terms, strip, temporal, autonomous=True)
-    if kind in ("bs", "heston", "heston_chart"):
-        try:
-            params = XvaParams(
-                sigma=block.get("sigma", 0.2),
-                q_S=block.get("q_S", 0.0),
-                gamma_S=block.get("gamma_S", 0.0),
-                heston=block.get("heston"),
-            )
+            def coeff(z, t):
+                return base * (1.0 + ripple * np.cos(k0 * np.asarray(z)[0]))
+        else:
+            params = XvaParams(sigma=op["sigma"], q_S=op["q_S"], gamma_S=op["gamma_S"], heston=op.get("heston"))
             if kind == "bs":
-                op = bs_log_generator(params, temporal)
-            elif kind == "heston":
-                op = heston_generator(params, temporal)
-            else:
-                from .xva import heston_chart_generator
+                return bs_log_generator(params, temporal)
+            if kind == "heston":
+                return heston_generator(params, temporal)
+            return heston_chart_generator(params, grid, v_center=op["v_center"], temporal=temporal)[0]
+        axes = [tuple(1 if i == ax else 0 for i in range(grid.dim)) for ax in range(grid.dim)]
+        return DivergenceOperator.from_terms(1, 1, grid.dim, {(e, e): coeff for e in axes}, strip, temporal,
+                                             autonomous=True)
 
-                op, _ = heston_chart_generator(params, grid, v_center=block.get("v_center"),
-                                               temporal=temporal)
-        except ParastripError as exc:
-            errors.append(f"problem.operator: {exc}")
-            return None
-        if op.dim != grid.dim:
-            errors.append(f"problem.operator.kind: {kind} acts in {op.dim} dimension(s), "
-                          f"but grid.dim is {grid.dim}")
-            return None
-        return op
-    if kind == "custom":
-        raw = block.get("terms")
-        if not isinstance(raw, list) or not raw:
-            errors.append("problem.operator.terms: custom operators need a nonempty term list")
-            return None
-        terms = {}
-        for i, entry in enumerate(raw):
-            try:
-                alpha = tuple(int(a) for a in entry["alpha"])
-                beta = tuple(int(b) for b in entry["beta"])
-                value = complex(entry.get("re", 0.0), entry.get("im", 0.0))
-            except (KeyError, TypeError, ValueError):
-                errors.append(f"problem.operator.terms[{i}]: needs alpha, beta and re/im entries")
-                return None
-            terms[(alpha, beta)] = value
-        try:
-            return DivergenceOperator.from_terms(
-                block.get("order_half", 1), block.get("components", 1), grid.dim,
-                terms, strip, temporal,
-            )
-        except ParastripError as exc:
-            errors.append(f"problem.operator: {exc}")
-            return None
-    errors.append(
-        f"problem.operator.kind: must be one of heat, variable_heat, bs, heston, heston_chart, "
-        f"custom, got {kind!r}"
-    )
-    return None
-
-
-def _build_initial(cfg: dict, grid, errors: list):
-    block = _section(cfg.get("problem", cfg), "initial", errors)
-    if not block or grid is None:
+    built = _library("problem.operator", errors, build) if temporal is not None else None
+    if built is not None and built.dim != grid.dim:
+        errors.append(f"problem.operator.kind: {kind} acts in {built.dim} dimension(s), "
+                      f"but grid.dim is {grid.dim}")
         return None
-    kind = block.get("kind")
+    return built
+
+
+def _build_initial(initial: dict, grid, errors: list, label: str = "problem.initial"):
+    kind = initial["kind"]
+    if kind == "hermite":
+        return _library(label, errors, HermiteData, np.asarray(initial["coeffs"], dtype=np.complex128),
+                        grid.dim, initial["basis"])
+    key = "center" if kind == "gaussian" else "index"
+    given = initial[key]
+    if given is not None and len(given) != grid.dim:
+        errors.append(f"{label}.{key}: needs {grid.dim} entries, got {given!r}")
+        return None
+    amp = initial["amplitude"]
     if kind == "gaussian":
-        amp = _number(block, "problem.initial", "amplitude", errors, default=1.0)
-        width = _number(block, "problem.initial", "width", errors, default=1.0, strict_min=0.0)
-        center = np.asarray(block.get("center", [0.0] * grid.dim), dtype=np.float64).reshape(-1)
-        if center.shape != (grid.dim,):
-            errors.append(f"problem.initial.center: needs {grid.dim} coordinates")
-            return None
+        width = initial["width"]
+        center = np.asarray([0.0] * grid.dim if given is None else given, dtype=np.float64)
 
         def datum(pts):
             pts = np.asarray(pts, dtype=np.complex128)
@@ -405,130 +528,58 @@ def _build_initial(cfg: dict, grid, errors: list):
             return amp * np.exp(-quad / (2.0 * width ** 2))
 
         return datum
-    if kind == "hermite":
-        basis = block.get("basis", "hermite")
-        try:
-            return HermiteData(np.asarray(block.get("coeffs"), dtype=np.complex128), grid.dim, basis)
-        except (ParastripError, TypeError, ValueError) as exc:
-            errors.append(f"problem.initial: {exc}")
-            return None
-    if kind == "mode":
-        idx = block.get("index", [1] * grid.dim)
-        idx = [idx] if isinstance(idx, int) else list(idx)
-        if len(idx) != grid.dim or not all(isinstance(j, int) for j in idx):
-            errors.append(f"problem.initial.index: needs {grid.dim} integer entries")
-            return None
-        amp = _number(block, "problem.initial", "amplitude", errors, default=1.0)
-        ks = [j * math.pi / grid.half_length for j in idx]
+    ks = [j * math.pi / grid.half_length for j in ([1] * grid.dim if given is None else given)]
 
-        def datum(pts):
-            pts = np.asarray(pts, dtype=np.complex128)
-            phase = sum(k * pts[ax] for ax, k in enumerate(ks))
-            return amp * np.exp(1j * phase)
+    def datum(pts):
+        pts = np.asarray(pts, dtype=np.complex128)
+        phase = sum(k * pts[ax] for ax, k in enumerate(ks))
+        return amp * np.exp(1j * phase)
 
-        return datum
-    errors.append(f"problem.initial.kind: must be gaussian, hermite or mode, got {kind!r}")
-    return None
+    return datum
 
 
-def _build_reaction(cfg: dict, grid, errors: list):
-    block = _section(cfg.get("problem", cfg), "reaction", errors, required=False)
-    kind = block.get("kind", "none") if block else "none"
-    if kind == "none":
-        return None
-    if grid is None:
-        return None
+def _build_reaction(reaction: dict, grid):
+    kind = reaction["kind"]
     if kind == "linear":
-        rate = complex(_number(block, "problem.reaction", "rate", errors, default=0.0) or 0.0,
-                       _number(block, "problem.reaction", "rate_im", errors, default=0.0) or 0.0)
+        rate = complex(reaction["rate"], reaction["rate_im"])
 
-        def lin(z, t, X):
+        def react(z, t, X):
             return rate * X[0]
+    elif kind == "quadratic_surrogate":
+        strength = reaction["strength"]
 
-        return ReactionSpec(order_half=1, components=1, dim=grid.dim, eval=lin)
-    if kind == "quadratic_surrogate":
-        strength = _number(block, "problem.reaction", "strength", errors, default=1.0)
-
-        def surrogate(z, t, X):
+        def react(z, t, X):
             # deliberately non-holomorphic (conjugate-quadratic); negative control
             return strength * X[0] * np.conj(X[0])
-
-        return ReactionSpec(order_half=1, components=1, dim=grid.dim, eval=surrogate)
-    errors.append(
-        f"problem.reaction.kind: must be none, linear or quadratic_surrogate, got {kind!r}"
-    )
-    return None
-
-
-def _build_source(cfg: dict, grid, errors: list):
-    block = _section(cfg.get("problem", cfg), "source", errors, required=False)
-    if not block or block.get("kind", "none") == "none":
+    else:
         return None
-    if block.get("kind") != "modulated":
-        errors.append(f"problem.source.kind: must be none or modulated, got {block.get('kind')!r}")
+    return ReactionSpec(order_half=1, components=1, dim=grid.dim, eval=react)
+
+
+def _build_source(source: dict, grid, errors: list):
+    if source["kind"] == "none":
         return None
-    datum_cfg = {"problem": {"initial": block.get("datum", {})}}
-    datum = _build_initial(datum_cfg, grid, errors)
-    rate = _number(block, "problem.source", "rate", errors, default=0.0)
-    if datum is None:
-        return None
+    datum, rate = _build_initial(source["datum"], grid, errors, "problem.source.datum"), source["rate"]
 
-    def source(t, grid_, shift):
-        pts = _shifted_points(grid_, shift)
-        vals = np.asarray(datum(pts) if callable(datum) else None, dtype=np.complex128)
-        if vals.shape == grid_.shape:
-            vals = vals[np.newaxis]
-        return vals * np.exp(-rate * t)
+    def forcing(t, grid_, shift):
+        return sample_on_shifted_grid(datum, grid_, shift).values * np.exp(-rate * t)
 
-    return source
+    return forcing
 
 
-def _build_solver_config(cfg: dict, errors: list, **overrides):
-    block = dict(_section(cfg, "solver", errors, required=False))
-    block.update(overrides)
-    allowed = {
-        "dt", "window", "picard_tol", "picard_max_iter", "max_window_halvings", "p",
-        "integrator", "snapshot_stride", "gmres_tol", "check_reaction_domain",
-    }
-    unknown = [k for k in block if k not in allowed]
-    if unknown:
-        errors.append(f"solver: unknown keys {sorted(unknown)}")
-        return None
-    try:
-        return SolverConfig(**block)
-    except (ParastripError, TypeError) as exc:
-        errors.append(f"solver: {exc}")
-        return None
-
-
-def _build_problem(cfg: dict, horizon: float, errors: list):
-    grid = _build_grid(cfg, errors)
-    temporal = _build_temporal(cfg, horizon, errors)
-    op = _build_operator(cfg, grid, temporal, errors)
-    initial = _build_initial(cfg, grid, errors)
-    reaction = _build_reaction(cfg, grid, errors)
-    source = _build_source(cfg, grid, errors)
-    if errors or op is None or initial is None:
+def _build_problem(v: dict, horizon: float, errors: list):
+    grid, p = make_grid(**v["grid"]), v["problem"]
+    op = _build_operator(p["operator"], grid, _build_temporal(v["temporal"], horizon, errors), errors)
+    initial = _build_initial(p["initial"], grid, errors)
+    source = _build_source(p["source"], grid, errors)
+    if errors:
         return None, grid
-    try:
-        problem = CauchyProblem(grid=grid, op=op, initial=initial, reaction=reaction, source=source)
-    except ParastripError as exc:
-        errors.append(f"problem: {exc}")
-        return None, grid
-    return problem, grid
+    return _library("problem", errors, CauchyProblem, grid=grid, op=op, initial=initial,
+                    reaction=_build_reaction(p["reaction"], grid), source=source), grid
 
 
 # ---------------------------------------------------------------------------
-# norms table shared by solve / verify
-
-def _check_norm_grid(grid, errors: list):
-    """Reject a grid too coarse for the Besov norm tables of solve and verify-analyticity."""
-    if grid is not None:
-        try:
-            _fit_blocks(grid)
-        except ConfigurationError as exc:
-            errors.append(str(exc))
-
+# cross-field checks, run after the walk
 
 def _check_integrator(op, integrator: str, errors: list, key: str = "solver.integrator"):
     """Reject a system under picard_voc, which handles scalar problems only."""
@@ -539,14 +590,24 @@ def _check_integrator(op, integrator: str, errors: list, key: str = "solver.inte
         )
 
 
-def _check_initial(cfg: dict, op, errors: list):
-    """Reject a system: every initial-data kind is scalar, so no datum can start it."""
+def _check_solvable(v: dict, problem, grid, config, errors: list):
+    """Checks of solve and verify-analyticity: a grid fine enough for the Besov norm
+    tables; a system needs imex, and no initial datum (every kind is scalar) starts it."""
+    try:
+        _fit_blocks(grid)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+    op = problem.op if problem is not None else None
+    _check_integrator(op, config.integrator if config is not None else None, errors)
     if op is not None and op.components > 1:
         errors.append(
             f"problem.operator.components: {op.components} components, but problem.initial.kind "
-            f"{cfg.get('problem', cfg)['initial']['kind']!r} gives one, as every initial kind is scalar"
+            f"{v['problem']['initial']['kind']!r} gives one, as every initial kind is scalar"
         )
 
+
+# ---------------------------------------------------------------------------
+# norms table shared by solve / verify
 
 def _norm_rows(members, p: float, order_half: int):
     """Per snapshot: t, the L2, L^p and Besov norms of members[0], and the Besov sup over members."""
@@ -560,6 +621,19 @@ def _norm_rows(members, p: float, order_half: int):
     return rows
 
 
+def _orders(steps, errs) -> list:
+    """Observed orders log(e_a / e_b) / log(h_a / h_b) of neighbouring steps h and their errors e;
+    nan where an error is not positive or two steps are equal."""
+    return [math.log(ea / eb) / math.log(ha / hb) if ea > 0 and eb > 0 and ha != hb else math.nan
+            for (ha, ea), (hb, eb) in zip(zip(steps, errs), zip(steps[1:], errs[1:]))]
+
+
+def _order_check(name: str, orders) -> list:
+    """The report check that the worst finite order reaches 1.9; none without a finite order."""
+    finite = [order for order in orders if math.isfinite(order)]
+    return [(name, min(finite), ">= 1.9", min(finite) >= 1.9)] if finite else []
+
+
 def _stride_indices(n: int, limit: int = 60):
     step = max(1, (n - 1) // limit or 1)
     idx = list(range(0, n, step))
@@ -569,41 +643,30 @@ def _stride_indices(n: int, limit: int = 60):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the walked values, runs its checks, then its jobs
 
-def _cmd_solve(cfg, out_dir, rng, record):
+def _cmd_solve(v, out_dir, rng, record):
     errors = []
-    run = _section(cfg, "run", errors)
-    horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
-    t0 = _number(run, "run", "t0", errors, default=0.0, minimum=0.0)
-    problem, grid = _build_problem(cfg, horizon or 1.0, errors)
-    _check_norm_grid(grid, errors)
-    config = _build_solver_config(cfg, errors)
-    if problem is not None and config is not None:
-        _check_integrator(problem.op, config.integrator, errors)
-    if problem is not None:
-        _check_initial(cfg, problem.op, errors)
+    horizon = v["run"]["horizon"]
+    problem, grid = _build_problem(v, horizon, errors)
+    config = _solver_config(v["solver"] or {}, errors)
+    _check_solvable(v, problem, grid, config, errors)
     if errors:
         raise _Invalid(errors)
 
-    result = record("solve", lambda: solve_real(problem, t0, horizon, config))
+    result = record("solve", lambda: solve_real(problem, v["run"]["t0"], horizon, config))
     if result is None:
-        return []
-    files = []
-    idx = _stride_indices(len(result.times))
-    mesh = grid.meshgrid()
+        return [], []
+    coords = grid.meshgrid().reshape(grid.dim, -1)
     head = ["t", "x1"] + (["x2"] if grid.dim == 2 else []) + ["component", "re_u", "im_u"]
     rows = []
-    for j in idx:
+    for j in _stride_indices(len(result.times)):
         t = float(np.real(result.times[j]))
-        vals = result.fields[j].values
-        for comp in range(vals.shape[0]):
-            flat = vals[comp].reshape(-1)
-            coords = mesh.reshape(grid.dim, -1)
+        for comp, flat in enumerate(result.fields[j].values.reshape(-1, coords.shape[1])):
             for kk in range(flat.size):
                 rows.append((t, *[float(coords[ax, kk]) for ax in range(grid.dim)],
                              comp, float(flat[kk].real), float(flat[kk].imag)))
-    files.append(write_csv(out_dir, "trajectory.csv", head, rows))
+    files = [write_csv(out_dir, "trajectory.csv", head, rows)]
     norm_rows = record("norms", lambda: _norm_rows([result], config.p, problem.op.order_half))
     if norm_rows is not None:
         files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
@@ -618,49 +681,27 @@ def _cmd_solve(cfg, out_dir, rng, record):
         files.append(write_svg(out_dir, "final_state.svg",
                                [("re u", x, final.real), ("im u", x, final.imag)],
                                "final state", "x", "u"))
-    checks = [("solve_finite", float(lp_norm(result.final, 2.0)), "finite", bool(np.isfinite(lp_norm(result.final, 2.0))))]
-    return files, checks
+    l2 = float(lp_norm(result.final, 2.0))
+    return files, [("solve_finite", l2, "finite", bool(np.isfinite(l2)))]
 
 
-def _cmd_verify_analyticity(cfg, out_dir, rng, record):
+def _cmd_verify_analyticity(v, out_dir, rng, record):
     errors = []
-    run = _section(cfg, "run", errors)
-    horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
-    block = _section(cfg, "analyticity", errors)
-    y_max = _number(block, "analyticity", "y_half_width", errors, required=True, strict_min=0.0)
-    n_shifts = block.get("n_shifts", 9)
-    if not (isinstance(n_shifts, int) and n_shifts >= 5 and n_shifts % 2 == 1):
-        errors.append(f"analyticity.n_shifts: must be an odd integer >= 5, got {n_shifts!r}")
-        n_shifts = 9
-    times = block.get("times", [horizon] if horizon else [])
-    strides = block.get("strides", [1, 2, 4])
-    d_mus = block.get("d_mu", [0.05, 0.025])
-    rho = _number(block, "analyticity", "rho", errors, default=(horizon or 1.0) * 0.5, strict_min=0.0)
-    mu_re = _number(block, "analyticity", "mu_center_re", errors, default=1.0)
-    mu_im = _number(block, "analyticity", "mu_center_im", errors, default=0.0)
-    path = _section(block, "path", [], required=False, label="analyticity.path") or {}
-    sigma = float(path.get("sigma", horizon or 1.0))
-    tau = float(path.get("tau", 0.1 * (horizon or 1.0)))
-    t_primes = [float(v) for v in path.get("t_primes", [0.4 * sigma, 0.6 * sigma])]
-    hardy = _section(block, "hardy", [], required=False, label="analyticity.hardy") or {}
-    hardy_p = float(hardy.get("p", 4.0))
-    hardy_c0 = float(hardy.get("c0", 1.0))
-    problem, grid = _build_problem(cfg, horizon or 1.0, errors)
-    _check_norm_grid(grid, errors)
-    config = _build_solver_config(cfg, errors)
-    if problem is not None and config is not None:
-        _check_integrator(problem.op, config.integrator, errors)
-    if problem is not None:
-        _check_initial(cfg, problem.op, errors)
-    if problem is not None and y_max is not None and not problem.data_strip.contains(1j * y_max):
+    horizon, block = v["run"]["horizon"], v["analyticity"]
+    y_max, n_shifts, strides, path = block["y_half_width"], block["n_shifts"], block["strides"], block["path"]
+    times = [horizon] if block["times"] is None else block["times"]
+    rho = 0.5 * horizon if block["rho"] is None else block["rho"]
+    sigma = horizon if path["sigma"] is None else path["sigma"]
+    tau = 0.1 * horizon if path["tau"] is None else path["tau"]
+    t_primes = [0.4 * sigma, 0.6 * sigma] if path["t_primes"] is None else path["t_primes"]
+    problem, grid = _build_problem(v, horizon, errors)
+    config = _solver_config(v["solver"] or {}, errors)
+    _check_solvable(v, problem, grid, config, errors)
+    if problem is not None and not problem.data_strip.contains(1j * y_max):
         errors.append(
             f"analyticity.y_half_width: {y_max!r} must lie inside the coefficient strip, "
             f"problem.operator.strip_half_width = {problem.data_strip.half_width!r}"
         )
-    if not (isinstance(strides, list) and strides and all(
-            isinstance(s, int) and s >= 1 for s in strides)):
-        errors.append(f"analyticity.strides: must be a nonempty list of positive integers, got {strides!r}")
-        strides = [1]
     if errors:
         raise _Invalid(errors)
 
@@ -687,15 +728,9 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, record):
             per_t = {}
             for dy_eff, t, res in rows:
                 per_t.setdefault(t, []).append((dy_eff, res))
-            orders = []
-            for t, pairs in per_t.items():
-                pairs.sort()
-                for (d1, r1), (d2, r2) in zip(pairs, pairs[1:]):
-                    if r1 > 0 and r2 > 0:
-                        orders.append(math.log(r2 / r1) / math.log(d2 / d1))
-            if orders:
-                worst = min(orders)
-                checks.append(("cr_space_order", worst, ">= 1.9", worst >= 1.9))
+            # each stride against the next smaller one
+            checks += _order_check("cr_space_order", [
+                order for pairs in per_t.values() for order in _orders(*zip(*sorted(pairs, reverse=True)))])
             files.append(write_svg(out_dir, "cr_space.svg",
                                    [(f"t={t:g}", [p[0] for p in sorted(pairs)], [p[1] for p in sorted(pairs)])
                                     for t, pairs in per_t.items()],
@@ -707,26 +742,19 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, record):
             files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
 
     def time_rows():
-        widths = [float(d_mu) for d_mu in d_mus]
-        residuals = cr_residual_time(problem, complex(mu_re, mu_im), widths, rho, config)
-        return [(d_mu, rho, residual) for d_mu, residual in zip(widths, residuals)]
+        mu = complex(block["mu_center_re"], block["mu_center_im"])
+        residuals = cr_residual_time(problem, mu, block["d_mu"], rho, config)
+        return [(d_mu, rho, residual) for d_mu, residual in zip(block["d_mu"], residuals)]
 
     rows = record("cr_time", time_rows)
     if rows is not None:
         files.append(write_csv(out_dir, "cr_time.csv", ["d_mu", "rho", "residual"], rows))
 
     def path_rows():
-        ends = {}
-        for tp in t_primes:
-            ends[tp] = solve_along_path(problem, sigma, tau, tp, config)
-        rows = []
-        spread = 0.0
-        for i, a in enumerate(t_primes):
-            for b in t_primes[i + 1:]:
-                gap = float(np.max(np.abs(ends[a].final.values - ends[b].final.values)))
-                spread = max(spread, gap)
-                rows.append((sigma, tau, a, b, gap))
-        return rows, spread, ends
+        ends = {tp: solve_along_path(problem, sigma, tau, tp, config) for tp in t_primes}
+        rows = [(sigma, tau, a, b, float(np.max(np.abs(ends[a].final.values - ends[b].final.values))))
+                for i, a in enumerate(t_primes) for b in t_primes[i + 1:]]
+        return rows, max([0.0] + [row[-1] for row in rows]), ends
 
     out = record("path_independence", path_rows)
     if out is not None:
@@ -736,11 +764,9 @@ def _cmd_verify_analyticity(cfg, out_dir, rng, record):
         checks.append(("path_spread", spread, "< 1e-6", spread < 1e-6))
 
         def hardy_rows():
-            hrows = []
-            traj = ends[t_primes[0]]
-            parts = hardy_integral(traj, hardy_p, hardy_c0, problem.op.order_half)
-            hrows.append((0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"]))
-            return hrows
+            parts = hardy_integral(ends[t_primes[0]], block["hardy"]["p"], block["hardy"]["c0"],
+                                   problem.op.order_half)
+            return [(0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"])]
 
         hrows = record("hardy", hardy_rows)
         if hrows is not None:
@@ -759,46 +785,28 @@ def _xva_point(params, payoff, grid, horizon, config):
     return surfaces, xva_atm, gap
 
 
-def _cmd_xva(cfg, out_dir, rng, record):
+def _cmd_xva(v, out_dir, rng, record):
     errors = []
-    block = _section(cfg, "xva", errors)
-    horizon = _number(block, "xva", "horizon", errors, required=True, strict_min=0.0)
-    pblock = _section(block, "params", [], required=False, label="xva.params")
-    if not pblock:
-        errors.append("xva.params: required section is missing")
-    params = None
-    if pblock:
-        try:
-            params = XvaParams(**pblock)
-        except (ParastripError, TypeError) as exc:
-            errors.append(f"xva.params: {exc}")
-    grid = _build_grid(cfg, errors) if "grid" in cfg else make_grid(1, 6.0, 256)
-    if params is not None and grid is not None and grid.dim == 2 and params.heston is None:
+    grid, horizon, pay = make_grid(**v["grid"]), v["xva"]["horizon"], v["xva"]["payoff"]
+    params = _library("xva.params", errors, XvaParams, **_given(v["xva"]["params"]))
+    payoff, sweep = None, []
+    if params is not None and grid.dim == 2 and params.heston is None:
         errors.append("xva.params.heston: required on a 2-D grid (grid.dim 2), whose second "
                       "axis is the variance chart")
-    payoff = None
-    pay = _section(block, "payoff", [], required=False, label="xva.payoff")
-    if not pay:
-        errors.append("xva.payoff: required section is missing")
-    elif params is not None and grid is not None:
-        try:
-            payoff = PayoffSpec(
-                kind=pay.get("kind", "smoothed_call"),
-                strike=pay.get("strike"),
-                epsilon=pay.get("epsilon", params.epsilon),
-                admissible_half_width=pay.get("admissible_half_width"),
-            ) if pay.get("kind", "smoothed_call") != "hermite_expansion" else None
-            if payoff is None:
-                base = PayoffSpec(kind=pay.get("from", "smoothed_call"),
-                                  strike=pay.get("strike"),
-                                  epsilon=pay.get("epsilon", params.epsilon))
-                payoff = hermite_payoff_fit(base, grid.half_length,
-                                            n_terms=pay.get("n_terms", 40))
-        except ParastripError as exc:
-            errors.append(f"xva.payoff: {exc}")
-    config = _build_solver_config(cfg, errors) if "solver" in cfg else None
-    sweep = cfg.get("sweep", {})
-    eps_list = sweep.get("epsilon", []) if isinstance(sweep, dict) else []
+    elif params is not None:
+        epsilon = params.epsilon if pay["epsilon"] is None else pay["epsilon"]
+        if pay["kind"] != "hermite_expansion":
+            payoff = _library("xva.payoff", errors, PayoffSpec, pay["kind"], pay["strike"], epsilon,
+                              admissible_half_width=pay["admissible_half_width"])
+        elif (base := _library("xva.payoff", errors, PayoffSpec, pay["from"], pay["strike"], epsilon)) is not None:
+            payoff = _library("xva.payoff", errors, hermite_payoff_fit, base, grid.half_length,
+                              n_terms=pay["n_terms"])
+    for eps in v["sweep"]["epsilon"] or []:
+        if payoff is not None:  # each point reprices with its own smoothing scale
+            pay_eps = payoff if payoff.kind == "hermite_expansion" else _library(
+                "sweep.epsilon", errors, PayoffSpec, payoff.kind, payoff.strike, eps)
+            sweep.append((eps, _library("sweep.epsilon", errors, replace, params, epsilon=eps), pay_eps))
+    config = _solver_config(v["solver"], errors)
     if errors:
         raise _Invalid(errors)
 
@@ -817,12 +825,12 @@ def _cmd_xva(cfg, out_dir, rng, record):
                 vals = res.fields[j].values[0]
                 return vals if grid.dim == 1 else vals[:, center]
 
-            v = slice_of(surfaces["riskfree"])
+            vr = slice_of(surfaces["riskfree"])
             vn = slice_of(surfaces["nonlinear"])
             vl = slice_of(surfaces["linear"])
             for kk in range(x.size):
-                rows.append((float(x[kk]), t, float(v[kk].real), float(vn[kk].real),
-                             float(vl[kk].real), float((vn[kk] - v[kk]).real)))
+                rows.append((float(x[kk]), t, float(vr[kk].real), float(vn[kk].real),
+                             float(vl[kk].real), float((vn[kk] - vr[kk]).real)))
         files.append(write_csv(out_dir, "xva.csv",
                                ["X", "tau", "V", "V_hat_nonlinear", "V_hat_linear", "xva"], rows))
         final_v = surfaces["riskfree"].final.values[0]
@@ -840,16 +848,9 @@ def _cmd_xva(cfg, out_dir, rng, record):
             worst = float(np.max(np.real(surfaces["xva"])))
             checks.append(("xva_sign_bound", worst, f"<= {bound:.3e}", worst <= bound))
 
-    if eps_list:
-        def one_eps(eps):
-            p_eps = replace(params, epsilon=float(eps))
-            pay_eps = payoff
-            if payoff.kind != "hermite_expansion":
-                pay_eps = PayoffSpec(kind=payoff.kind, strike=payoff.strike, epsilon=float(eps))
-            _, xva_atm, gap = _xva_point(p_eps, pay_eps, grid, horizon, config)
-            return float(eps), xva_atm, gap
-
-        rows = record("epsilon_sweep", lambda: [one_eps(e) for e in eps_list])
+    if sweep:
+        rows = record("epsilon_sweep", lambda: [
+            (eps, *_xva_point(p_eps, pay_eps, grid, horizon, config)[1:]) for eps, p_eps, pay_eps in sweep])
         if rows is not None:
             files.append(write_csv(out_dir, "xva_sweep.csv",
                                    ["epsilon", "xva_at_atm", "sup_diff_linear_nonlinear"], rows))
@@ -860,32 +861,30 @@ def _cmd_xva(cfg, out_dir, rng, record):
     return files, checks
 
 
-def _cmd_ellipticity(cfg, out_dir, rng, record):
+def _cmd_ellipticity(v, out_dir, rng, record):
     errors = []
-    grid = _build_grid(cfg, errors)
-    temporal = _build_temporal(cfg, 1.0, errors)
-    op = _build_operator(cfg, grid, temporal, errors, literal_heston=True)
-    block = _section(cfg, "ellipticity", errors, required=False)
-    n_thetas = block.get("n_thetas", 9)
-    if not (isinstance(n_thetas, int) and n_thetas >= 1):
-        errors.append(f"ellipticity.n_thetas: must be a positive integer, got {n_thetas!r}")
-        n_thetas = 9
-    n_dirs = block.get("n_directions", 8)
-    n_fields = block.get("n_fields", 12)
-    t_points = [float(v) for v in block.get("t_points", [0.0])]
+    grid, block = make_grid(**v["grid"]), v["ellipticity"]
+    op = _build_operator(v["problem"]["operator"], grid, _build_temporal(v["temporal"], 1.0, errors), errors,
+                         literal_heston=True)
+    n_dirs, t_points, z_points = block["n_directions"], block["t_points"], block["z_points"]
+    if z_points is not None:
+        z_points = z_points.reshape(len(z_points), -1)
+        if op is not None and z_points.shape[1] != op.dim:
+            errors.append(f"ellipticity.z_points: each point needs {op.dim} coordinate(s), "
+                          f"got {z_points.shape[1]}")
     if errors:
         raise _Invalid(errors)
 
-    thetas = np.linspace(-op.temporal.angle, op.temporal.angle, n_thetas)
-    if "z_points" in block:
-        z_points = [np.asarray(z, dtype=np.complex128).reshape(op.dim) for z in block["z_points"]]
+    thetas = np.linspace(-op.temporal.angle, op.temporal.angle, block["n_thetas"])
+    if z_points is not None:
+        z_points = list(z_points.astype(np.complex128))
     else:
         nodes = grid.axis_nodes()[:: max(1, grid.points_per_axis // 8)]
         if op.dim == 1:
             z_points = [np.array([x], dtype=np.complex128) for x in nodes]
         else:
             z_points = [np.array([x, y], dtype=np.complex128) for x in nodes for y in nodes]
-    fields = random_band_limited_fields(grid, op.components, n_fields, rng)
+    fields = random_band_limited_fields(grid, op.components, block["n_fields"], rng)
 
     def one_theta(theta):
         samples = ellipticity_samples(op, z_points, t_points, rng=np.random.default_rng(
@@ -908,30 +907,19 @@ def _cmd_ellipticity(cfg, out_dir, rng, record):
     return files, checks
 
 
-def _cmd_maxreg(cfg, out_dir, rng, record):
+def _cmd_maxreg(v, out_dir, rng, record):
     errors = []
-    grid = _build_grid(cfg, errors)
-    temporal = _build_temporal(cfg, 1.0, errors)
-    op = _build_operator(cfg, grid, temporal, errors)
-    block = _section(cfg, "maxreg", errors)
-    horizons = block.get("horizons", [0.25, 0.5, 1.0])
-    if not (isinstance(horizons, list) and horizons and all(
-            isinstance(h, (int, float)) and h > 0 for h in horizons)):
-        errors.append(f"maxreg.horizons: must be a nonempty list of positive numbers, got {horizons!r}")
-    p = _number(block, "maxreg", "p", errors, default=2.0, strict_min=1.0)
-    count = block.get("samples", 20)
-    if not (isinstance(count, int) and count >= 3):
-        errors.append(f"maxreg.samples: must be an integer >= 3, got {count!r}")
-        count = 20
-    config = _build_solver_config(cfg, errors) if "solver" in cfg else None
-    if config is not None or "solver" not in cfg:
+    grid, block = make_grid(**v["grid"]), v["maxreg"]
+    op = _build_operator(v["problem"]["operator"], grid, _build_temporal(v["temporal"], 1.0, errors), errors)
+    config = _solver_config(v["solver"], errors)
+    if config is not None or v["solver"] is None:
         _check_integrator(op, config.integrator if config is not None else "picard_voc", errors)
     if errors:
         raise _Invalid(errors)
 
-    horizons = sorted(float(h) for h in horizons)
-    support = float(block.get("support", horizons[0]))
-    ensemble = default_maxreg_ensemble(grid, op.components, count, rng, support=support)
+    horizons, p = sorted(block["horizons"]), block["p"]
+    support = horizons[0] if block["support"] is None else block["support"]
+    ensemble = default_maxreg_ensemble(grid, op.components, block["samples"], rng, support=support)
     estimates = record("maxreg_estimate",
                        lambda: estimate_max_reg_constant(op, grid, horizons, p, ensemble, config))
     files, checks = [], []
@@ -947,51 +935,35 @@ def _cmd_maxreg(cfg, out_dir, rng, record):
     return files, checks
 
 
-def _cmd_convergence(cfg, out_dir, rng, record):
+def _cmd_convergence(v, out_dir, rng, record):
     errors = []
-    run = _section(cfg, "run", errors)
-    horizon = _number(run, "run", "horizon", errors, required=True, strict_min=0.0)
-    block = _section(cfg, "convergence", errors, required=False)
-    dts = block.get("dts")
-    if dts is None:
-        base = _number(block, "convergence", "base_dt", errors, default=(horizon or 1.0) / 50.0,
-                       strict_min=0.0)
-        levels = block.get("levels", 4)
-        if not (isinstance(levels, int) and levels >= 2):
-            errors.append(f"convergence.levels: must be an integer >= 2, got {levels!r}")
-            levels = 4
-        dts = [base / 2 ** j for j in range(levels)]
-    problem, grid = _build_problem(cfg, horizon or 1.0, errors)
-    if problem is not None:
-        _check_integrator(problem.op, "picard_voc", errors, key="the convergence sweep's first integrator")
+    horizon, block = v["run"]["horizon"], v["convergence"]
+    base = horizon / 50.0 if block["base_dt"] is None else block["base_dt"]
+    dts = [base / 2 ** j for j in range(block["levels"])] if block["dts"] is None else block["dts"]
+    problem, grid = _build_problem(v, horizon, errors)
+    _check_integrator(problem and problem.op, "picard_voc", errors, key="the convergence sweep's first integrator")
+    # the sweep sets dt, integrator and snapshot_stride over the solver section
+    config = _solver_config(v["solver"] or {}, errors)
     if errors:
         raise _Invalid(errors)
 
     def one_dt(dt):
-        diffs = []
-        for integ in ("picard_voc", "imex"):
-            cfg_i = _build_solver_config(cfg, [], dt=dt, integrator=integ, snapshot_stride=10 ** 9)
-            diffs.append(solve_real(problem, 0.0, horizon, cfg_i).final.values)
-        return float(np.max(np.abs(diffs[0] - diffs[1])))
+        finals = [solve_real(problem, 0.0, horizon, replace(config, dt=dt, integrator=integ,
+                                                            snapshot_stride=10 ** 9)).final.values
+                  for integ in ("picard_voc", "imex")]
+        return float(np.max(np.abs(finals[0] - finals[1])))
 
     gaps = record("dt_sweep", lambda: [one_dt(dt) for dt in dts])
     files, checks = [], []
     if gaps is not None:
-        rows = []
-        for j, dt in enumerate(dts):
-            order = math.nan
-            if j > 0 and gaps[j] > 0 and gaps[j - 1] > 0:
-                order = math.log(gaps[j - 1] / gaps[j]) / math.log(dts[j - 1] / dts[j])
-            rows.append((float(dt), gaps[j], order))
+        orders = [math.nan] + _orders(dts, gaps)
+        rows = [(float(dt), gap, order) for dt, gap, order in zip(dts, gaps, orders)]
         files.append(write_csv(out_dir, "convergence.csv", ["dt", "sup_diff", "order"], rows))
         files.append(write_svg(out_dir, "convergence.svg",
                                [("cross-integrator gap", dts, gaps)],
                                "integrator agreement under dt refinement", "dt", "sup diff",
                                log_y=True))
-        orders = [r[2] for r in rows[1:] if np.isfinite(r[2])]
-        if orders:
-            worst = min(orders)
-            checks.append(("cross_integrator_order", worst, ">= 1.9", worst >= 1.9))
+        checks += _order_check("cross_integrator_order", orders)
     return files, checks
 
 
@@ -1033,18 +1005,16 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(_machine_error("unreadable config", str(exc)), file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print(_machine_error("invalid configuration", ["top level: must be a JSON object"]),
-              file=sys.stderr)
+    errors = []
+    v = _walk(cfg, _TOP, "", args.command, errors)
+    if args.seed is not None and args.seed < 0:
+        errors.append("--seed: must be a nonnegative integer")
+    if errors:
+        print(_machine_error("invalid configuration", errors), file=sys.stderr)
         return 2
-
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    if seed < 0:
-        print(_machine_error("invalid configuration", ["seed: must be a nonnegative integer"]),
-              file=sys.stderr)
-        return 2
+    seed = args.seed if args.seed is not None else v["seed"]
     jobs = max(1, int(args.jobs))
-    out_dir = Path(args.output or cfg.get("output_dir", "parastrip-out"))
+    out_dir = Path(args.output or v["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
@@ -1061,12 +1031,11 @@ def main(argv=None) -> int:
         return out
 
     try:
-        result = _RUNNERS[args.command](cfg, out_dir, rng, record)
+        result = _RUNNERS[args.command](v, out_dir, rng, record)
     except _Invalid as exc:
         print(_machine_error("invalid configuration", exc.violations), file=sys.stderr)
         return 2
-    files, checks = result if isinstance(result, tuple) else (result, [])
-    files = list(files)
+    files, checks = result
     files.extend(emit_report(checks, out_dir))
 
     manifest = {

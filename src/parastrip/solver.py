@@ -1110,8 +1110,8 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
     raises.  The list ends at the first exception, the one a serial run of
     the members in order raises first.
     """
-    if not s_total > 0.0:
-        raise ConfigurationError(f"integration length must be positive, got {s_total!r}")
+    if not s_total > 1e-12:  # _march counts a span within 1e-12 of its end as done
+        raise ConfigurationError(f"integration length must exceed 1e-12, got {s_total!r}")
     config = config if config is not None else SolverConfig()
     if config.integrator == "imex":
         window = s_total

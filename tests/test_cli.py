@@ -233,7 +233,7 @@ def test_cli_reactions_accept_broadcast_node_times():
     import numpy as np
 
     import parastrip as ps
-    from parastrip.cli import _build_reaction
+    from parastrip.cli import _REACTION, _build_reaction, _walk
 
     grid = ps.make_grid(1, 6.0, 16)
     B = 3
@@ -243,7 +243,7 @@ def test_cli_reactions_accept_broadcast_node_times():
     for block in ({"kind": "linear", "rate": 0.3, "rate_im": 0.1},
                   {"kind": "quadratic_surrogate", "strength": 0.5}):
         errors = []
-        spec = _build_reaction({"problem": {"reaction": block}}, grid, errors)
+        spec = _build_reaction(_walk(block, _REACTION, "problem.reaction", "solve", errors), grid)
         assert not errors
         out = spec.eval(points, ts, X)
         assert out.shape == (1, B) + grid.shape

@@ -52,6 +52,14 @@ def test_problem_validation():
         ps.CauchyProblem(ps.make_grid(1, 5.0, 16), op, gaussian_datum(), reaction=bad_reaction)
 
 
+@pytest.mark.parametrize("length", [5e-324, 1e-13, 1e-12])
+def test_an_integration_too_short_to_march_is_refused(length):
+    # it used to march no window at all and fail reading the final row, with an IndexError
+    problem = ps.CauchyProblem(ps.make_grid(1, 5.0, 16), make_heat_operator(), gaussian_datum())
+    with pytest.raises(ConfigurationError, match="integration length"):
+        ps.solve_real(problem, 0.0, length, ps.SolverConfig(dt=0.01))
+
+
 def test_voc_is_exact_for_frozen_linear_mode():
     problem, grid = mode_problem(k=3.0)
     res = ps.solve_real(problem, 0.0, 0.1, ps.SolverConfig(dt=1e-2))
