@@ -97,7 +97,8 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     each gets the bits of its own serial solve.  ``jobs`` is accepted and
     ignored.  A failing member aborts the family with an error naming its
     shift; when several fail, the one with the smallest y, which a serial
-    run in ascending order of y would meet first.
+    run in ascending order of y would meet first.  The error keeps the
+    member's type when that is a ParastripError; any other is wrapped in one.
     """
     dim = problem.grid.dim
     ys = [_as_vector(y, dim) for y in np.atleast_1d(np.asarray(y_grid, dtype=np.float64)).reshape(-1, dim)]
@@ -116,7 +117,8 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     results = {}
     for y, out in zip(ys, outcomes):
         if isinstance(out, Exception):
-            raise ParastripError(f"shift family member y={tuple(map(float, y))} failed: {out}") from out
+            kind = type(out) if isinstance(out, ParastripError) else ParastripError
+            raise kind(f"shift family member y={tuple(map(float, y))} failed: {out}") from out
         results[_key(y)] = out
     return ShiftFamily(
         y_values=[tuple(y) for y in ys],

@@ -293,7 +293,7 @@ _OPERATOR = (Key("kind", "enum", REQUIRED, of={
                    Key("re", "number", 0.0), Key("im", "number", 0.0)))),
 }),)
 _INITIAL = (Key("kind", "enum", REQUIRED, of={
-    "gaussian": (Key("amplitude", "number", 1.0), Key("width", "number", 1.0, gt=0.0), Key("center", "numbers")),
+    "gaussian": (Key("amplitude", "number", 1.0), Key("width", "number", 1.0, ge=1e-150), Key("center", "numbers")),
     "hermite": (Key("coeffs", "array", REQUIRED), Key("basis", "string", "hermite")),
     "mode": (Key("index", "ints"), Key("amplitude", "number", 1.0)),
 }),)

@@ -12,17 +12,18 @@ blocks of rows checked once:
   stiffness/nonlinearity diagnostic.  Several members run in lockstep: one
   (K, n + 1, M, *grid) stack per window, each with its own plan.
 * ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting; it also
-  integrates multi-component systems.  Its implicit half is the resolvent
-  (I + (mu dt / 2) P)^-1 on Fourier coefficients.  Under an autonomous
-  operator that is one matrix for the whole march: it is block diagonal
-  over the Fourier modes of the axes the coefficients do not vary along.
-  Only the rows of its blocks that couple are inverted and kept, the
+  integrates multi-component systems.  One march carries the solution's
+  Fourier coefficients, and its implicit half, the resolvent
+  (I + (mu dt / 2) P)^-1, is one of two steps.  Under an autonomous
+  operator the resolvent is one matrix for the whole march, block diagonal
+  over the Fourier modes of the axes the coefficients do not vary along;
+  only the coupled rows of its blocks are inverted and kept, the
   dealiased-out rest as a diagonal, checked once against the GMRES
   residual bound (``_Resolvent``), so a step is a diagonal multiply and one
-  batched matmul over the coupled rows.  Time-dependent operators, and
-  blocks too large to store, take a restarted GMRES written
-  on numpy (``_gmres``), left-preconditioned by the inverse of the frozen
-  Fourier symbol, which is a diagonal there.
+  batched matmul.  Time-dependent operators, and blocks too large to
+  store, take a restarted GMRES written on numpy (``_gmres``),
+  left-preconditioned by the inverse of the frozen Fourier symbol, which
+  is a diagonal there.
 
 Both integrate dw/ds = mu [A w + F(jets) + g] with A = -P, so a solve along
 s with rotation mu produces u(t) on the ray t = t_base + mu s.
@@ -106,6 +107,15 @@ class CauchyProblem:
                 )
         if self.temporal is None:
             self.temporal = self.op.temporal
+        # both boundaries are piecewise linear in sigma with kinks at their t', so the
+        # problem's upper boundary lies inside the operator's domain when these points do
+        inner, outer = self.temporal, self.op.temporal
+        sigmas = (inner.t_prime, min(outer.t_prime, inner.horizon), inner.horizon)
+        if not all(outer.contains(s + 1j * math.tan(inner.angle) * min(s, inner.t_prime)) for s in sigmas):
+            raise ConfigurationError(
+                f"problem temporal domain (angle {inner.angle}, t' {inner.t_prime}, horizon {inner.horizon}) "
+                f"is wider than the operator's (angle {outer.angle}, t' {outer.t_prime}, horizon {outer.horizon})"
+            )
 
     @property
     def data_strip(self) -> StripSpec:
@@ -827,142 +837,116 @@ class _Resolvent:
                      "build_s": time.perf_counter() - start}
 
 
-def _imex_blocks(problem: CauchyProblem, plan: OperatorPlan, resolvent: _Resolvent, w0: ComplexField,
-                 t_nodes, mu, dt, config: SolverConfig):
-    """The imex nodes and solve counts, the implicit half solved by the resolvent blocks.
+def _blocks_step(resolvent: _Resolvent):
+    """The implicit half by the resolvent blocks, as a step of ``_march_imex``.
 
     With B = I + c P^ and C = I - c P^ = 2I - B, the step B w^_{j+1} = C w^_j
     + f^_j reads w^_{j+1} = B^-1 (2 w^_j + f^_j) - w^_j, where B^-1 is
     ``resolvent.apply``: the diagonal times every row, then one batched
     matmul of the compact coupled rows that overwrites theirs.
-    f^_j is the transform of mu dt times the explicit combination; a problem
-    with neither a reaction nor a source has none.  w^ is carried as block
-    rows from step to step, and each node takes one inverse FFT, checked
-    finite.  One coefficient lookup checks every node against the
-    operator's temporal domain, as the GMRES matvecs do node by node.
     """
-    grid = problem.grid
-    plan.coefficients(t_nodes)
-    forced = problem.reaction is not None or problem.source is not None
-    solves = []
-
-    def solve(rows, explicit, t_next):
+    def step(j, w_hat, f_hat, guess):
+        rows = resolvent.to_blocks(w_hat)
         rhs = 2.0 * rows
-        if explicit is not None:
-            rhs += resolvent.to_blocks(_fftn(mu * dt * explicit, grid))
+        if f_hat is not None:
+            rhs += resolvent.to_blocks(f_hat)
         new = resolvent.apply(rhs)
         new -= rows
-        values = _ifftn(resolvent.from_blocks(new), grid)
-        if not np.all(np.isfinite(values)):
-            raise InstabilityError(f"non-finite iterate at t={t_next}; reduce dt")
-        solves.append(0)
-        return new, values
+        return resolvent.from_blocks(new), 0
 
-    fields = [w0.values.copy()]
-    rows = resolvent.to_blocks(_fftn(fields[0], grid))
-    e_j = explicit = None
-    for j in range(len(t_nodes) - 1):
-        if forced:
-            e_prev, e_j = e_j, _explicit_part(problem, plan, fields[j], t_nodes[j], config)
-            explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
-        if j == 0:
-            # predictor with the frozen explicit part, corrector with the trapezoid
-            _, pred = solve(rows, explicit, t_nodes[1])
-            if forced:
-                explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        rows, values = solve(rows, explicit, t_nodes[j + 1])
-        fields.append(values)
-    return fields, solves
+    return step
 
 
-def _imex_gmres(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, t_nodes, mu, dt,
-                config: SolverConfig):
-    """The imex nodes and GMRES iteration counts, each implicit solve by GMRES.
+def _gmres_step(problem: CauchyProblem, plan: OperatorPlan, t_nodes, c: complex, config: SolverConfig):
+    """The implicit half by GMRES, as a step of ``_march_imex``.
 
-    GMRES runs on the Fourier coefficients of b and of the start, with the
-    plan's spectral core as the operator and the frozen symbol's inverse as
-    a diagonal preconditioner (scalar problems).  Under an autonomous
-    operator P(t_j) = P(t_{j+1}), so the P w_j that gives a_j also gives
-    GMRES its initial residual when it starts from w_j.
+    GMRES solves (I + c P^(t_{j+1})) x = w^_j - c P^(t_j) w^_j + f^_j from
+    ``guess``, with the plan's spectral core as the operator and the frozen
+    symbol's inverse as a diagonal preconditioner (scalar problems).
+    c P^(t_j) w^_j is applied once per node.  Under an autonomous operator
+    P(t_j) = P(t_{j+1}), so it also gives the initial residual of a start
+    from w^_j.
     """
-    op, grid = problem.op, problem.grid
-    shape = (op.components,) + grid.shape
+    shape = (problem.op.components,) + problem.grid.shape
     precond = None
-    if op.components == 1:
-        precond = (1.0 / (1.0 + 0.5 * mu * dt * _frozen_symbol(plan, t_nodes[0]))).ravel()
+    if problem.op.components == 1:
+        precond = (1.0 / (1.0 + c * _frozen_symbol(plan, t_nodes[0]))).ravel()
+    applied = {}                  # node j: c P^(t_j) w^_j, shared by node 0's predictor and corrector
 
-    def implicit_solve(t_next, b_vals, x0_hat, ax0, iters):
+    def step(j, w_hat, f_hat, guess):
+        if j not in applied:
+            applied.clear()
+            applied[j] = c * plan.apply_hat(w_hat[np.newaxis], (t_nodes[j],))[0]
+        t_next = t_nodes[j + 1]
+
         def matvec(v_hat):
-            return v_hat + 0.5 * mu * dt * plan.apply_hat(v_hat.reshape((1,) + shape), (t_next,)).ravel()
+            return v_hat + c * plan.apply_hat(v_hat.reshape((1,) + shape), (t_next,)).ravel()
 
-        x_hat, count, converged = _gmres(
-            matvec, _fftn(b_vals, grid).ravel(), x0_hat.ravel(), config.gmres_tol, precond, ax0=ax0
-        )
+        b = w_hat - applied[j]
+        if f_hat is not None:
+            b += f_hat
+        ax0 = (w_hat + applied[j]).ravel() if problem.op.autonomous and guess is w_hat else None
+        x_hat, count, converged = _gmres(matvec, b.ravel(), guess.ravel(), config.gmres_tol, precond, ax0=ax0)
         if not converged:
-            raise ConvergenceError(
-                f"implicit solve failed to converge at t={t_next} ({count} GMRES iterations)"
-            )
-        iters.append(count)
-        x = _ifftn(x_hat.reshape(shape), grid)
-        if not np.all(np.isfinite(x)):
-            raise InstabilityError(f"non-finite iterate at t={t_next}; reduce dt")
-        return x
+            raise ConvergenceError(f"implicit solve failed to converge at t={t_next} ({count} GMRES iterations)")
+        return x_hat.reshape(shape), count
 
-    gmres_iters = []
-    fields = [w0.values.copy()]
-    w_hat = _fftn(fields[0][np.newaxis], grid)
-    e_j = None                    # only the last two explicit parts are kept
-    for j in range(len(t_nodes) - 1):
-        w_j = fields[j]
-        e_prev, e_j = e_j, _explicit_part(problem, plan, w_j, t_nodes[j], config)
-        p_hat = plan.apply_hat(w_hat, (t_nodes[j],))
-        a_j = -_ifftn(p_hat, grid)[0]
-        base = w_j + 0.5 * mu * dt * a_j
-        ax0 = (w_hat + 0.5 * mu * dt * p_hat).ravel() if op.autonomous else None
-        if j == 0:
-            # predictor with the frozen explicit part, corrector with the trapezoid
-            b = base + mu * dt * e_j
-            pred = implicit_solve(t_nodes[1], b, w_hat, ax0, gmres_iters)
-            e_pred = _explicit_part(problem, plan, pred, t_nodes[1], config)
-            b = base + 0.5 * mu * dt * (e_j + e_pred)
-            w_next = implicit_solve(t_nodes[1], b, _fftn(pred, grid), None, gmres_iters)
-        else:
-            b = base + mu * dt * (1.5 * e_j - 0.5 * e_prev)
-            w_next = implicit_solve(t_nodes[j + 1], b, w_hat, ax0, gmres_iters)
-        fields.append(w_next)
-        w_hat = _fftn(w_next[np.newaxis], grid)
-    return fields, gmres_iters
+    return step
 
 
 def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
                 config: SolverConfig, t_base=0.0, check_mu=True):
     """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
 
-    The implicit half solves (I + c P^) w^_{j+1} = b^_j on Fourier
-    coefficients, c = mu dt / 2: the resolvent of the generator, one matrix
-    for every step when the operator is autonomous.  Its blocks are then
-    built once and inverted on their coupled rows only, 1 / B_ii on every
-    other row (``_Resolvent``), and every step is a diagonal multiply and
-    one batched matmul over the coupled rows (``_imex_blocks``).  A
-    time-dependent operator, dense blocks beyond the size cap, a singular
-    block, or an inverse that fails the residual check leave each solve to
-    GMRES (``_imex_gmres``).  Both record one ``gmres_iterations`` entry per
-    implicit solve (0 under the blocks), which one served the window as
-    ``implicit``, and as ``resolvent`` the record of the build or why the
-    blocks were refused (see ``_Resolvent.build``).  Returns a _Window whose
-    fields are a list of value arrays, one per node.
+    One march on w^, the solution's Fourier coefficients.  Node j forms the
+    explicit part (AB2; at node 0 a predictor with the frozen explicit part,
+    then a trapezoid corrector) and f^_j = FFT(mu dt explicit), None for a
+    problem with neither a reaction nor a source.  It leaves the implicit
+    half, the resolvent (I + c P^)^-1 with c = mu dt / 2, to a step
+    ``(j, w^_j, f^_j, guess) -> (w^_{j+1}, iterations)`` and takes one
+    inverse FFT of each result, checked finite.  An autonomous operator's
+    resolvent is one matrix for the whole march, built once (``_Resolvent``)
+    and applied by ``_blocks_step``; a time-dependent operator, or blocks
+    that ``_Resolvent.build`` refuses, leave each step to ``_gmres_step``.
+    The problem's temporal domain lies inside the operator's, so
+    ``_time_nodes`` checks the nodes for both.  The window's fields are a
+    list of value arrays, one per node; it records one ``gmres_iterations``
+    entry per implicit solve (0 under the blocks), the step that served it
+    as ``implicit`` and the build record as ``resolvent``.
     """
     mu = complex(mu)
     if check_mu:
         _check_rotation(mu, problem.temporal)
     s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, problem.temporal)
+    grid, c = problem.grid, 0.5 * mu * dt
     resolvent, record = None, {"refused": "time_dependent"}
     if problem.op.autonomous:
-        resolvent, record = _Resolvent.build(plan, t_nodes[0], 0.5 * mu * dt, config.gmres_tol)
-    if resolvent is None:
-        fields, iterations = _imex_gmres(problem, plan, w0, t_nodes, mu, dt, config)
-    else:
-        fields, iterations = _imex_blocks(problem, plan, resolvent, w0, t_nodes, mu, dt, config)
+        resolvent, record = _Resolvent.build(plan, t_nodes[0], c, config.gmres_tol)
+    step = _gmres_step(problem, plan, t_nodes, c, config) if resolvent is None else _blocks_step(resolvent)
+    forced = problem.reaction is not None or problem.source is not None
+    fields, iterations = [w0.values.copy()], []
+
+    def solve(j, w_hat, explicit, guess):
+        new, count = step(j, w_hat, None if explicit is None else _fftn(mu * dt * explicit, grid), guess)
+        iterations.append(count)
+        values = _ifftn(new, grid)
+        if not np.all(np.isfinite(values)):
+            raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
+        return new, values
+
+    w_hat = _fftn(fields[0], grid)
+    e_j = explicit = None
+    for j in range(len(t_nodes) - 1):
+        if forced:
+            e_prev, e_j = e_j, _explicit_part(problem, plan, fields[j], t_nodes[j], config)
+            explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
+        guess = w_hat
+        if j == 0:             # predictor with the frozen explicit part, corrector with the trapezoid
+            guess, pred = solve(0, w_hat, explicit, w_hat)
+            if forced:
+                explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
+        w_hat, values = solve(j, w_hat, explicit, guess)
+        fields.append(values)
     return _Window(s_nodes, fields, gmres_iterations=iterations,
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 

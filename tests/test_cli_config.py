@@ -251,6 +251,7 @@ def _merged(base, drawn):
     return out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # a numeric warning is an untyped failure path
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(BASE)).flatmap(
     lambda command: st.tuples(st.just(command), _drawn(_TOP, command))))

@@ -7,7 +7,7 @@ import pytest
 
 import parastrip as ps
 import parastrip.solver
-from parastrip.errors import DomainError, InstabilityError
+from parastrip.errors import ConfigurationError, InstabilityError
 
 from conftest import make_heat_operator
 
@@ -207,6 +207,32 @@ def test_the_cap_admits_blocks_that_fit_it(monkeypatch):
     assert implicit(real_solve()(problem_1d())) == "blocks"
 
 
+@pytest.mark.parametrize("half, applies", [("blocks", 4), ("gmres", 101), ("time_dependent", 111)])
+def test_one_march_transforms_once_in_and_once_out_per_solve(half, applies, monkeypatch):
+    # 10 unforced steps: one FFT of the start, one inverse FFT per implicit solve (the
+    # predictor's too), no explicit part; P is applied as often as each step needs
+    counts = {}
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: counts.update({name: counts.get(name, 0) + 1})
+                            or inner(*a, **kw))
+
+    for name in ("_fftn", "_ifftn", "_explicit_part"):
+        count(parastrip.solver, name)
+    count(ps.OperatorPlan, "apply_hat")
+    problem = problem_1d()
+    if half == "gmres":
+        monkeypatch.setattr(parastrip.solver, "_BLOCK_BYTES_CAP", 0)
+    elif half == "time_dependent":
+        problem = time_dependent(problem)
+    (window,) = real_solve()(problem).diagnostics["windows"]
+    assert window["implicit"] == ("blocks" if half == "blocks" else "gmres") and window["steps"] == 10
+    assert counts == {"_fftn": 1, "_ifftn": 11, "apply_hat": applies}
+    # the corrector of node 0 starts from the predictor, which already solves the unforced step
+    assert window["gmres_iterations"] == ([0] * 11 if half == "blocks" else [8, 0] + [8] * 9)
+
+
 def test_a_non_finite_iterate_raises_instability():
     def source(t, grid_, shift):
         return np.full((1,) + grid_.shape, np.inf if t.real > 0.025 else 0.0)
@@ -217,16 +243,12 @@ def test_a_non_finite_iterate_raises_instability():
         real_solve()(problem)
 
 
-def test_a_node_outside_the_operators_temporal_domain_raises(monkeypatch):
-    # the problem's own domain reaches further than the operator's coefficients do
+def test_a_node_outside_the_operators_temporal_domain_raises():
+    # the problem's own domain reaches further than the operator's coefficients do: refused
+    # when the problem is built, naming both domains
     op = dataclasses.replace(variable_1d(), temporal=ps.TemporalDomain(np.pi / 4, 0.05, 0.05))
-    problem = problem_1d(op, temporal=TEMPORAL)
-    calls = []
-    inner = parastrip.solver._imex_blocks
-    monkeypatch.setattr(parastrip.solver, "_imex_blocks", lambda *a: calls.append(1) or inner(*a))
-    with pytest.raises(DomainError, match="outside the temporal domain"):
-        real_solve()(problem)
-    assert calls == [1]
+    with pytest.raises(ConfigurationError, match=r"horizon 2\.0\) is wider than .*horizon 0\.05\)"):
+        problem_1d(op, temporal=TEMPORAL)
 
 
 def test_reading_time_derivatives_stacks_consecutive_blocks(monkeypatch):

@@ -155,6 +155,28 @@ def test_a_failing_member_is_the_one_a_serial_run_meets_first(heat_problem):
     assert reached[0.0] == reached[0.1] == pytest.approx(0.32) and reached[0.2] == pytest.approx(0.15)
 
 
+def test_a_failing_member_keeps_its_error_type(heat_problem):
+    # a member's typed error surfaces with its own type; anything else is wrapped as the base one
+    def source(t, grid, shift):
+        if np.imag(shift[0]) > 0.05:
+            raise ConfigurationError("source refuses this shift")
+        if np.imag(shift[0]) < -0.05:
+            raise ZeroDivisionError("untyped")
+        return np.zeros((1,) + grid.shape)
+
+    problem = dataclasses.replace(heat_problem, source=source)
+    config = ps.SolverConfig(dt=0.01)
+    with pytest.raises(ConfigurationError, match=r"member y=\(0\.1,\) failed: source refuses") as info:
+        ps.solve_shift_family(problem, [0.0, 0.1], 0.0, 0.02, config)
+    assert isinstance(info.value.__cause__, ConfigurationError)
+    with pytest.raises(ParastripError, match=r"member y=\(-0\.1,\) failed: untyped") as info:
+        ps.solve_shift_family(problem, [-0.1, 0.0], 0.0, 0.02, config)
+    assert type(info.value) is ParastripError and isinstance(info.value.__cause__, ZeroDivisionError)
+    # a setting every member shares is reported by the first one, with its type
+    with pytest.raises(ConfigurationError, match=r"member y=\(0\.0,\) failed: integration length"):
+        ps.solve_shift_family(heat_problem, [0.0, 0.1], 0.0, 1e-13, config)
+
+
 def test_a_failing_shared_stage_is_redone_member_by_member():
     # the reaction refuses the members with y > 0.25 after t = 0.05, naming
     # the largest shift it sees; it sees every member in one call, so the

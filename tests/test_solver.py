@@ -148,6 +148,28 @@ def test_linear_reaction_shifts_decay_rate():
     np.testing.assert_allclose(res.final.values[0], want, atol=1e-8)
 
 
+@pytest.mark.parametrize("angle, t_prime, horizon, inside", [
+    (np.pi / 4, 1.0, 2.0, True),                # the operator's own domain
+    (np.pi / 8, 0.5, 1.5, True),
+    (np.arctan(0.5), 2.0, 2.0, True),           # a later split under a narrower angle
+    (np.arctan(0.9), 1.1, 2.0, True),
+    (np.arctan(0.6), 2.0, 2.0, False),          # reaches tau = 1.2 at sigma = 2
+    (np.pi / 3, 1.0, 2.0, False),
+    (np.pi / 4, 1.5, 2.0, False),
+    (np.pi / 4, 0.5, 2.5, False),
+])
+def test_a_problem_temporal_domain_may_only_narrow_the_operators(angle, t_prime, horizon, inside):
+    grid = ps.make_grid(1, np.pi, 16)
+    temporal = ps.TemporalDomain(angle, t_prime, horizon)
+    build = lambda: ps.CauchyProblem(grid, make_heat_operator(), gaussian_datum(), temporal=temporal)
+    if inside:
+        assert build().temporal is temporal
+    else:
+        with pytest.raises(ConfigurationError, match=rf"horizon {horizon}\) is wider than the operator's "
+                                                     r"\(angle 0\.785\d*, t' 1\.0, horizon 2\.0\)"):
+            build()
+
+
 def test_voc_rejects_systems():
     op = ps.DivergenceOperator.from_terms(
         order_half=1,
