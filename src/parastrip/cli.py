@@ -29,7 +29,7 @@ from .analyticity import (
     solve_shift_family,
 )
 from .errors import ConfigurationError, ParastripError
-from .grid import ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
+from .grid import _EXP_OVERFLOW, ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
 from .norms import NormParams, _besov_norms, _fit_blocks, lp_norm
 from .operators import (
     DivergenceOperator,
@@ -701,6 +701,16 @@ def _cmd_verify_analyticity(v, out_dir, rng, record):
         errors.append(
             f"analyticity.y_half_width: {y_max!r} must lie inside the coefficient strip, "
             f"problem.operator.strip_half_width = {problem.data_strip.half_width!r}"
+        )
+    initial = v["problem"]["initial"]
+    # at x = center the shifted gaussian is exp(y^2 / (2 width^2)), and the family's norms
+    # raise it to the power max(2, p): that must not overflow
+    power = max(2.0, config.p) if config is not None else 2.0
+    if initial["kind"] == "gaussian" and y_max >= math.sqrt(2.0 * _EXP_OVERFLOW / power) * initial["width"]:
+        errors.append(
+            f"problem.initial.width: {initial['width']!r} is too narrow for analyticity.y_half_width = "
+            f"{y_max!r}: the shift family's norms take exp(y_half_width^2 / (2 width^2)) to the power "
+            f"max(2, solver.p) = {power:g}, which must stay below exp({_EXP_OVERFLOW:g})"
         )
     if errors:
         raise _Invalid(errors)

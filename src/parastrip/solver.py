@@ -16,7 +16,8 @@ blocks of rows checked once:
   Fourier coefficients, and its implicit half, the resolvent
   (I + (mu dt / 2) P)^-1, is one of two steps.  Under an autonomous
   operator the resolvent is one matrix for the whole march, block diagonal
-  over the Fourier modes of the axes the coefficients do not vary along;
+  over the Fourier modes of the axes the coefficients do not vary along,
+  and its blocks are assembled from the coefficients' Fourier modes;
   only the coupled rows of its blocks are inverted and kept, the
   dealiased-out rest as a diagonal, checked once against the GMRES
   residual bound (``_Resolvent``), so a step is a diagonal multiply and one
@@ -710,7 +711,6 @@ def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w: np.ndarray, t,
 
 
 _BLOCK_BYTES_CAP = 8 * 2 ** 20    # dense resolvent blocks beyond this leave the implicit half to GMRES
-_BLOCK_CHUNK = 8                  # unit vectors per apply_hat call while the blocks are built
 
 
 class _Resolvent:
@@ -758,19 +758,64 @@ class _Resolvent:
         return permuted.transpose(list(range(lead)) + [lead + p for p in np.argsort(self.order)])
 
     def matrix(self, plan: OperatorPlan, t, c: complex) -> np.ndarray:
-        """The dense blocks of B = I + c P^(t), (F, b, b).
+        """The dense blocks of B = I + c P^(t), (F, b, b), from the coefficients' Fourier modes.
 
-        The columns of P^ are its applications to unit vectors along the var
-        axes that are one along the fixed axes, _BLOCK_CHUNK per call.
+        k^alpha and the 2/3 dealias mask factor over the grid axes, into a
+        part over the fixed axes (kX, maskX: one value per block) and one
+        over the var axes (kV, maskV: one per mode of a block).  So block f
+        of P^ is sum_e kX[f]^e (maskX[f] H_e + D_e) over the fixed-axis
+        exponents e = alphaX + betaX of the terms, one (F x E) @ (E x b^2)
+        matmul.  As ``apply_hat`` applies them, H_e sums the variable terms'
+        diag(maskV kV^alphaV) Circ(c^) diag(kV^betaV), with Circ(c^)[k, l] =
+        c^[k - l] / n_var and c^ the FFT along the var axes of an entry of
+        the coefficient at index 0 of the fixed axes (``var_axes`` makes
+        that exact), and D_e the constant terms' C kV^(alphaV + betaV),
+        with no mask.  An entry whose samples are all equal is its value
+        times the identity exactly, never a Circ(c^) with rounding off its
+        diagonal, so every zero of the exact operator is a zero of B.
         """
-        b = self.size
-        blocks = np.empty((self.count, b, b), dtype=np.complex128)
-        for start in range(0, b, _BLOCK_CHUNK):
-            stop = min(start + _BLOCK_CHUNK, b)
-            units = np.zeros((stop - start, self.count, b), dtype=np.complex128)
-            units[np.arange(stop - start), :, np.arange(start, stop)] = 1.0
-            applied = plan.apply_hat(self.from_blocks(units), (t,) * (stop - start))
-            blocks[:, :, start:stop] = np.moveaxis(self.to_blocks(applied), 0, -1)
+        grid, dim, m = plan.grid, plan.grid.dim, plan.op.components
+        var = [dim + a for a in plan.var_axes]
+        fixed = [a for a in range(dim) if a not in var]
+        n_var, b = self.size // m, self.size
+
+        def part(full, axes):
+            """A grid array constant along the axes outside ``axes``, on ``axes``, raveled."""
+            return full[tuple(slice(None) if a in axes else 0 for a in range(dim))].ravel()
+
+        def power(idx, axes):
+            """k^idx's factor over ``axes``, raveled."""
+            return part(derivative_multiplier(grid, [idx[a] if a in axes else 0 for a in range(dim)]), axes)
+
+        mask, shape = grid.dealias_mask(), tuple(grid.shape[a] for a in var)
+        modes, diff = np.arange(n_var), None     # diff: flat index of k - l (mod n) along the var axes
+        stacks = {}                              # (masked, e) -> H_e or D_e as (m, n_var, m, n_var)
+        for (alpha, beta), term in zip(plan.op.terms, plan.coefficients((t,))):
+            e = tuple(alpha[a] + beta[a] if a in fixed else 0 for a in range(dim))
+            if term.const_rows is not None:
+                block = stacks.setdefault((False, e), np.zeros((m, n_var, m, n_var), np.complex128))
+                kv = power(alpha, var) * power(beta, var)
+                block[:, modes, :, modes] += term.const_values[0] * kv[:, np.newaxis, np.newaxis]
+            if term.var_rows is None:
+                continue
+            left, right = part(mask, var) * power(alpha, var), power(beta, var)
+            block = stacks.setdefault((True, e), np.zeros((m, n_var, m, n_var), np.complex128))
+            for i, j in itertools.product(range(m), repeat=2):
+                entry = part(term.var_fields[0, i, j], var)
+                if np.all(entry == entry[0]):
+                    block[i, modes, j, modes] += entry[0] * left * right
+                    continue
+                if diff is None:
+                    k = np.unravel_index(modes, shape)
+                    diff = np.ravel_multi_index(tuple((q[:, None] - q) % n for q, n in zip(k, shape)), shape)
+                spectrum = np.fft.fftn(entry.reshape(shape)).ravel() / n_var
+                block[i, :, j, :] += left[:, np.newaxis] * spectrum[diff] * right
+        weights = [power(e, fixed) * (part(mask, fixed) if masked else 1.0) for masked, e in stacks]
+        if stacks:
+            blocks = np.stack(weights, axis=1) @ np.stack(list(stacks.values())).reshape(len(stacks), b * b)
+        else:                                    # every term vanishes: P^ = 0
+            blocks = np.zeros((self.count, b * b), dtype=np.complex128)
+        blocks = blocks.reshape(self.count, b, b)
         blocks *= c
         blocks[:, np.arange(b), np.arange(b)] += 1.0
         return blocks
@@ -792,7 +837,7 @@ class _Resolvent:
         it exceeds ``tol``, so that X cannot promise the residual GMRES is
         held to.  Coupled rows are found by exact comparison with zero.  A
         kept resolvent records its coupled blocks and rows, its bytes, the
-        residual and the build time.
+        residual, the build time and the part of it ``inv`` took.
         """
         start = time.perf_counter()
         out = cls(plan, t)
@@ -810,10 +855,12 @@ class _Resolvent:
         counts = b - np.count_nonzero(lone, axis=1)
         out.blocks = np.flatnonzero(counts)
         sub, matrix = matrix[out.blocks], None
+        inverted = time.perf_counter()
         try:
             inverse = np.linalg.inv(sub)
         except np.linalg.LinAlgError:
             return None, {"refused": "singular"}
+        inverted = time.perf_counter() - inverted
         # coupled rows first, then the lone rows in order, as many as the widest block needs
         rows = np.argsort(lone[out.blocks], axis=1, kind="stable")[:, :counts.max()]
         out.coupled = np.take_along_axis(inverse, rows[..., np.newaxis], axis=1)
@@ -834,7 +881,7 @@ class _Resolvent:
         kept = (out.diagonal, out.blocks, out.kept, out.coupled)
         return out, {"coupled_blocks": len(out.blocks), "coupled_rows": rows.shape[1],
                      "bytes": sum(a.nbytes for a in kept), "residual": residual,
-                     "build_s": time.perf_counter() - start}
+                     "build_s": time.perf_counter() - start, "invert_s": inverted}
 
 
 def _blocks_step(resolvent: _Resolvent):
@@ -980,11 +1027,13 @@ class _Member:
         self.w, self.s, self.window = start, 0.0, window
         self.halvings, self.gstep, self.carried, self.error = 0, 0, None, None
         self.constants = {}           # window constants by exact dt (autonomous operators)
-        self.times, self.blocks, self.win_diag = [], [], []
+        self.times, self.blocks, self.win_diag, self.win_wall = [], [], [], []
 
-    def store(self, win: _Window, bounds, last_window: bool, config: SolverConfig, t_base, final_only):
+    def store(self, win: _Window, bounds, wall_s: float, last_window: bool, config: SolverConfig, t_base,
+              final_only):
         """Keep the window's rows due by the snapshot stride (the final row only with
-        ``final_only``), record its diagnostics and move the state to its end."""
+        ``final_only``), record its diagnostics and move the state to its end.  ``wall_s``
+        is the wall time of the call that marched the window (shared by a lockstep group)."""
         n = len(win.s_nodes) - 1
         kept = []
         for j in range(1, n + 1):
@@ -1010,6 +1059,7 @@ class _Member:
                 "contraction_ratio": win.contraction_ratio,
             }
         )
+        self.win_wall.append(wall_s)
         self.w = ComplexField._trusted(self.plan.grid, np.array(win.fields[-1]))
         self.carried = win.carry
         self.s = bounds[1]             # s + span, rounded as a serial march adds it
@@ -1022,6 +1072,7 @@ class _Member:
             "dt": config.dt,
             "windows": self.win_diag,
             "picard_iterations": [d["sweeps"] for d in self.win_diag],
+            "window_wall_s": self.win_wall,
             "window_halvings": self.halvings,
         }
         rhs = functools.partial(_group_rhs, problem, [self.plan], config=config, sources=None)
@@ -1052,6 +1103,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
             span = min(lead.window, s_total - lead.s)
             bounds = (float(lead.s), float(lead.s + span))     # plain numbers, as messages print them
             last_window = lead.s + span >= s_total - eps
+            started = time.perf_counter()
             if config.integrator == "imex":
                 try:
                     outcomes = [_march_imex(problem, lead.plan, lead.w, bounds, lead.mu, config, t_base, check_mu)]
@@ -1059,6 +1111,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                     outcomes = [exc]
             else:
                 outcomes = _picard_window(problem, group, bounds, config, t_base, check_mu)
+            wall_s = time.perf_counter() - started
             stay = []
             for m, out in zip(group, outcomes):
                 if out is None:
@@ -1074,7 +1127,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                     m.error = out
                 else:
                     try:
-                        m.store(out, bounds, last_window, config, t_base, final_only)
+                        m.store(out, bounds, wall_s, last_window, config, t_base, final_only)
                     except InstabilityError as exc:
                         m.error = exc
                         continue
@@ -1203,6 +1256,7 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         "segments": [first.diagnostics["windows"], second.diagnostics["windows"]],
         "picard_iterations": first.diagnostics["picard_iterations"]
         + second.diagnostics["picard_iterations"],
+        "window_wall_s": first.diagnostics["window_wall_s"] + second.diagnostics["window_wall_s"],
         "window_halvings": first.diagnostics["window_halvings"]
         + second.diagnostics["window_halvings"],
     }

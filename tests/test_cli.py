@@ -370,6 +370,28 @@ def test_shift_family_beyond_the_coefficient_strip_exits_2(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gaussian_that_overflows_under_the_shift_family_exits_2(tmp_path, capsys):
+    # exp(0.1^2 / (2 * 1e-6)) = exp(5000) overflows: refused at validation, not in the family job
+    cfg = {
+        "grid": {"dim": 1, "half_length": 3.0, "points_per_axis": 32},
+        "run": {"horizon": 0.05},
+        "problem": {"operator": {"kind": "heat", "strip_half_width": 1.0},
+                    "initial": {"kind": "gaussian", "width": 1e-3}},
+        "solver": {"dt": 0.01},
+        "analyticity": {"y_half_width": 0.1, "n_shifts": 5},
+    }
+    code, out = _run_in_process(tmp_path, "narrow", "verify-analyticity", cfg)
+    assert code == 2
+    detail = _invalid_detail(capsys)
+    assert "problem.initial.width" in detail and "analyticity.y_half_width" in detail
+    assert not (out / "manifest.json").exists()
+    # a width that keeps exp(y^2 / (2 width^2)) in range still runs
+    cfg["problem"]["initial"]["width"] = 0.05
+    code, _ = _run_in_process(tmp_path, "wide_enough", "verify-analyticity", cfg)
+    assert code in (0, 1)
+
+
 def test_system_under_the_scalar_integrator_exits_2(tmp_path, capsys):
     cfg = {
         "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 128},

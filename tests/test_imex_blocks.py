@@ -179,8 +179,8 @@ def test_a_compact_step_equals_the_dense_inverse_step():
 
 
 def test_blocks_with_uneven_coupled_rows():
-    # the constant zero-order entry 0.1 couples all 16 rows of component 0 in every block; in the
-    # blocks inside the 2/3 mask the variable diffusion couples 8 rows of component 1 as well
+    # the constant zero-order entry 0.1 couples all 16 rows of component 0 in every block; the
+    # constant diffusion of component 1 sits on the diagonal exactly, so its rows couple nothing
     def diffusion(z, t):
         one, zero = np.ones_like(z[0]), np.zeros_like(z[0])
         return np.stack([np.stack([1.0 + 0.3 * np.cos(z[0]), zero]), np.stack([zero, one])])
@@ -195,11 +195,79 @@ def test_blocks_with_uneven_coupled_rows():
     matrix = resolvent.matrix(plan, 0.0, 0.005)
     off = matrix.copy()
     off[:, np.arange(32), np.arange(32)] = 0.0
-    assert set(np.count_nonzero(np.any(off != 0.0, axis=2), axis=1)) == {16, 24}
+    assert set(np.count_nonzero(np.any(off != 0.0, axis=2), axis=1)) == {16}
     init = lambda pts: np.stack([np.exp(np.cos(pts[0])), np.exp(1j * np.sin(pts[1]))])
     fast, _ = against_gmres(ps.CauchyProblem(grid, op, init), real_solve())
     record = fast.diagnostics["windows"][0]["resolvent"]
-    assert (record["coupled_blocks"], record["coupled_rows"]) == (16, 24)
+    assert (record["coupled_blocks"], record["coupled_rows"]) == (16, 16)
+
+
+def columns_of_p_hat(plan, resolvent, t, c):
+    """B = I + c P^ with the columns of P^ from ``apply_hat`` on unit vectors along the var axes
+    that are one along the fixed axes: the blocks as they were once built, kept as an oracle."""
+    b = resolvent.size
+    units = np.zeros((b, resolvent.count, b), dtype=np.complex128)
+    units[np.arange(b), :, np.arange(b)] = 1.0
+    applied = plan.apply_hat(resolvent.from_blocks(units), (t,) * b)
+    blocks = c * np.moveaxis(resolvent.to_blocks(applied), 0, -1)
+    blocks[:, np.arange(b), np.arange(b)] += 1.0
+    return blocks
+
+
+def two_component_2d():
+    """A 2-component system whose coefficients vary along both axes, off the diagonal too."""
+    def diffusion(z, t):
+        return np.stack([np.stack([1.0 + 0.2 * np.cos(z[0]) * np.cos(z[1]), 0.1 * np.sin(z[1])]),
+                         np.stack([0.05 * np.sin(z[0]), 0.8 + 0.1 * np.cos(z[1])])])
+
+    def drift(z, t):
+        zero = np.zeros_like(z[0])
+        return np.stack([np.stack([0.1j * np.cos(z[1]), zero]), np.stack([zero, 0.2 + zero])])
+
+    return ps.DivergenceOperator.from_terms(
+        1, 2, 2, {((1, 0), (1, 0)): diffusion, ((0, 1), (0, 1)): diffusion, ((1, 0), (0, 1)): 0.1,
+                  ((0, 0), (1, 0)): drift, ((0, 0), (0, 0)): np.array([[0.2, 0.1], [0.0, 0.3]])},
+        ps.StripSpec(1.0), TEMPORAL, autonomous=True)
+
+
+@pytest.mark.parametrize("case", ["variable_heat_1d", "heston_chart", "system_2d", "shifted", "constant"])
+def test_the_assembled_blocks_equal_p_hat_on_unit_vectors(case, monkeypatch):
+    c = 0.005
+    if case == "heston_chart":
+        plan, c = heston_resolvent()[0], 0.5 / 400
+    elif case == "system_2d":
+        plan = ps.OperatorPlan(two_component_2d(), ps.make_grid(2, np.pi, 8))
+    elif case == "constant":
+        plan = ps.OperatorPlan(make_heat_operator(dim=2, strip_width=1.0), ps.make_grid(2, np.pi, 16))
+    else:
+        plan = ps.OperatorPlan(variable_1d(), ps.make_grid(1, np.pi, 32), [0.2j] if case == "shifted" else None)
+    resolvent = parastrip.solver._Resolvent(plan, 0.0)
+    if case == "system_2d":         # one 128 x 128 block: both axes and both components couple
+        assert plan.var_axes == (-2, -1) and (resolvent.count, resolvent.size) == (1, 128)
+    want = columns_of_p_hat(plan, resolvent, 0.0, c)
+    calls = []
+    inner = ps.OperatorPlan.apply_hat
+    monkeypatch.setattr(ps.OperatorPlan, "apply_hat", lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+    got = resolvent.matrix(plan, 0.0, c)
+    assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the build assembles the blocks from the coefficients: P^ is never applied
+    built, record = parastrip.solver._Resolvent.build(plan, 0.0, c, IMEX.gmres_tol)
+    assert built is not None and calls == []
+    assert 0.0 < record["invert_s"] <= record["build_s"]
+
+
+@pytest.mark.parametrize("integrator", ["imex", "picard_voc"])
+def test_each_window_records_its_wall_time(integrator):
+    config = ps.SolverConfig(dt=0.01, integrator=integrator, window=0.04)
+    diag = real_solve(config=config)(problem_1d()).diagnostics
+    walls = diag["window_wall_s"]
+    assert len(walls) == len(diag["windows"]) == (1 if integrator == "imex" else 3)
+    assert all(wall > 0.0 for wall in walls)
+    # a path past its split keeps both segments' wall times, in order
+    path = ps.solve_along_path(problem_1d(), 0.1, 0.02, 0.05, config).diagnostics
+    windows = [w for segment in path["segments"] for w in segment]
+    assert len(path["window_wall_s"]) == len(windows) >= 2
+    assert all(wall > 0.0 for wall in path["window_wall_s"])
 
 
 def test_the_cap_admits_blocks_that_fit_it(monkeypatch):
@@ -207,10 +275,11 @@ def test_the_cap_admits_blocks_that_fit_it(monkeypatch):
     assert implicit(real_solve()(problem_1d())) == "blocks"
 
 
-@pytest.mark.parametrize("half, applies", [("blocks", 4), ("gmres", 101), ("time_dependent", 111)])
+@pytest.mark.parametrize("half, applies", [("blocks", 0), ("gmres", 101), ("time_dependent", 111)])
 def test_one_march_transforms_once_in_and_once_out_per_solve(half, applies, monkeypatch):
     # 10 unforced steps: one FFT of the start, one inverse FFT per implicit solve (the
-    # predictor's too), no explicit part; P is applied as often as each step needs
+    # predictor's too), no explicit part; P is applied as often as each step needs, never
+    # under the blocks, which are assembled from the coefficients
     counts = {}
 
     def count(owner, name):
@@ -228,7 +297,8 @@ def test_one_march_transforms_once_in_and_once_out_per_solve(half, applies, monk
         problem = time_dependent(problem)
     (window,) = real_solve()(problem).diagnostics["windows"]
     assert window["implicit"] == ("blocks" if half == "blocks" else "gmres") and window["steps"] == 10
-    assert counts == {"_fftn": 1, "_ifftn": 11, "apply_hat": applies}
+    want = {"_fftn": 1, "_ifftn": 11, "apply_hat": applies}
+    assert counts == {name: calls for name, calls in want.items() if calls}   # none uncalled
     # the corrector of node 0 starts from the predictor, which already solves the unforced step
     assert window["gmres_iterations"] == ([0] * 11 if half == "blocks" else [8, 0] + [8] * 9)
 
