@@ -994,6 +994,23 @@ def _machine_error(kind: str, detail) -> str:
     return json.dumps({"error": kind, "detail": detail}, sort_keys=True)
 
 
+_PACKAGE = Path(__file__).resolve().parent
+
+
+def _origin(exc: BaseException) -> str:
+    """``parastrip/module.py:line`` of the innermost frame of the library in ``exc``'s traceback.
+
+    A job's traceback starts in ``record``, so it always holds one.
+    """
+    origin, tb = None, exc.__traceback__
+    while tb is not None:
+        path = Path(tb.tb_frame.f_code.co_filename).resolve()
+        if path.is_relative_to(_PACKAGE):
+            origin = f"{path.relative_to(_PACKAGE.parent).as_posix()}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return origin
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="parastrip",
@@ -1031,13 +1048,15 @@ def main(argv=None) -> int:
     job_status = []
 
     def record(name, fn):
-        """Run one job; failures are recorded and the run continues."""
+        """Run one job, timed; failures are recorded with their origin and the run continues."""
+        started = time.perf_counter()
         try:
             out = fn()
         except Exception as exc:
-            job_status.append({"name": name, "status": "failed", "error": f"{type(exc).__name__}: {exc}"})
+            job_status.append({"name": name, "status": "failed", "error": f"{type(exc).__name__}: {exc}",
+                               "origin": _origin(exc), "duration_s": time.perf_counter() - started})
             return None
-        job_status.append({"name": name, "status": "ok"})
+        job_status.append({"name": name, "status": "ok", "duration_s": time.perf_counter() - started})
         return out
 
     try:

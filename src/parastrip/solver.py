@@ -158,9 +158,9 @@ class SolverConfig:
 class _Rows(Sequence):
     """The rows of a trajectory's blocks as ComplexFields, wrapped on demand.
 
-    The blocks were checked finite once, when stored or derived, so rows
-    are wrapped without a second check.  Assigning a field to an index writes
-    its values into the block row.
+    The blocks were checked finite once, when stored, transformed or
+    derived, so rows are wrapped without a second check.  Assigning a field
+    to an index writes its values into the block row.
     """
 
     def __init__(self, grid: Grid, blocks: list):
@@ -207,6 +207,21 @@ def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
     return block
 
 
+class _Coefficients(NamedTuple):
+    """One node of an unforced imex march kept as its Fourier coefficients, checked finite there.
+
+    ``hat`` is the (M, *grid) array the step returned and ``t`` the node's
+    time.  ``values`` is the one-row block a per-node inverse transform
+    gives, with the same bits, checked finite (InstabilityError names t).
+    """
+
+    hat: np.ndarray
+    t: complex
+
+    def values(self, grid: Grid) -> np.ndarray:
+        return _check_finite(_ifftn(self.hat, grid)[np.newaxis], [self.t], "value")
+
+
 # bytes of stored rows per right-hand-side evaluation of a SolveResult: enough rows
 # to share the Python overhead, few enough that the stages' stacks stay in cache
 _RHS_BYTES = 2 ** 18
@@ -229,12 +244,18 @@ def _runs(blocks: list, nbytes: int):
 class SolveResult:
     """Trajectory snapshots along one time ray or path, stored as blocks.
 
-    ``blocks`` lists (rows, M, *grid) arrays: a one-row block for the start,
+    ``stored`` lists (rows, M, *grid) arrays: a one-row block for the start,
     then the kept rows of each window (of each node under ``imex``).  In
     order, their rows are the values at ``times``.  The solve checks every
-    block finite once, as it stores it, so ``fields``, ``final`` and
-    ``snapshots`` wrap rows in ComplexField on demand without a second
-    check; ``fields[j] = f`` writes f's values into the block.
+    block finite once, as it stores it.  An unforced imex march keeps the
+    rows before its last as ``_Coefficients``; ``blocks`` inverse-transforms
+    each the first time it is read, one transform and one finite check per
+    row, and the values replace the coefficients in ``stored``.  So
+    ``blocks``, ``fields``, ``snapshots``, ``time_derivatives`` and
+    ``hardy_integral`` see values; ``final`` reads the last row, which
+    every march stores as values.  ``fields`` and ``snapshots`` wrap rows
+    in ComplexField on demand without a second check; ``fields[j] = f``
+    writes f's values into the block.
 
     ``rhs`` is the right-hand side A u + F + g as the solve binds it
     (``_group_rhs`` with its problem, plan and config).  The time
@@ -250,9 +271,21 @@ class SolveResult:
 
     grid: Grid
     times: np.ndarray
-    blocks: list
+    stored: list
     diagnostics: dict
     rhs: object
+
+    def _block(self, b: int) -> np.ndarray:
+        block = self.stored[b]
+        if isinstance(block, _Coefficients):
+            block = self.stored[b] = block.values(self.grid)
+        return block
+
+    @property
+    def blocks(self) -> list:
+        for b in range(len(self.stored)):
+            self._block(b)
+        return self.stored
 
     @functools.cached_property
     def fields(self) -> _Rows:
@@ -275,7 +308,7 @@ class SolveResult:
 
     @property
     def final(self) -> ComplexField:
-        return ComplexField._trusted(self.grid, self.blocks[-1][-1])
+        return ComplexField._trusted(self.grid, self._block(-1)[-1])
 
     @property
     def snapshots(self) -> list:
@@ -950,16 +983,21 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     then a trapezoid corrector) and f^_j = FFT(mu dt explicit), None for a
     problem with neither a reaction nor a source.  It leaves the implicit
     half, the resolvent (I + c P^)^-1 with c = mu dt / 2, to a step
-    ``(j, w^_j, f^_j, guess) -> (w^_{j+1}, iterations)`` and takes one
-    inverse FFT of each result, checked finite.  An autonomous operator's
-    resolvent is one matrix for the whole march, built once (``_Resolvent``)
-    and applied by ``_blocks_step``; a time-dependent operator, or blocks
-    that ``_Resolvent.build`` refuses, leave each step to ``_gmres_step``.
-    The problem's temporal domain lies inside the operator's, so
-    ``_time_nodes`` checks the nodes for both.  The window's fields are a
-    list of value arrays, one per node; it records one ``gmres_iterations``
-    entry per implicit solve (0 under the blocks), the step that served it
-    as ``implicit`` and the build record as ``resolvent``.
+    ``(j, w^_j, f^_j, guess) -> (w^_{j+1}, iterations)``.  A forced march
+    needs every node's values for its explicit part, so it takes one
+    inverse FFT of each result and checks the values finite.  An unforced
+    one checks each w^_{j+1} finite on its coefficients and transforms the
+    last node only, the next start; the nodes before it stay
+    ``_Coefficients`` until a SolveResult reads them.  An autonomous
+    operator's resolvent is one matrix for the whole march, built once
+    (``_Resolvent``) and applied by ``_blocks_step``; a time-dependent
+    operator, or blocks that ``_Resolvent.build`` refuses, leave each step
+    to ``_gmres_step``.  The problem's temporal domain lies inside the
+    operator's, so ``_time_nodes`` checks the nodes for both.  The window's
+    fields are a list with one entry per node, values or coefficients; it
+    records one ``gmres_iterations`` entry per implicit solve (0 under the
+    blocks), the step that served it as ``implicit`` and the build record
+    as ``resolvent``.
     """
     mu = complex(mu)
     if check_mu:
@@ -971,29 +1009,30 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         resolvent, record = _Resolvent.build(plan, t_nodes[0], c, config.gmres_tol)
     step = _gmres_step(problem, plan, t_nodes, c, config) if resolvent is None else _blocks_step(resolvent)
     forced = problem.reaction is not None or problem.source is not None
-    fields, iterations = [w0.values.copy()], []
+    fields, iterations, n = [w0.values.copy()], [], len(t_nodes) - 1
 
-    def solve(j, w_hat, explicit, guess):
+    def solve(j, w_hat, explicit, guess, transform):
+        """w^_{j+1} and, with ``transform``, its values (else None), checked finite if taken, else w^_{j+1}."""
         new, count = step(j, w_hat, None if explicit is None else _fftn(mu * dt * explicit, grid), guess)
         iterations.append(count)
-        values = _ifftn(new, grid)
-        if not np.all(np.isfinite(values)):
+        values = _ifftn(new, grid) if transform else None
+        if not np.all(np.isfinite(new if values is None else values)):
             raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
         return new, values
 
     w_hat = _fftn(fields[0], grid)
     e_j = explicit = None
-    for j in range(len(t_nodes) - 1):
+    for j in range(n):
         if forced:
             e_prev, e_j = e_j, _explicit_part(problem, plan, fields[j], t_nodes[j], config)
             explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
         guess = w_hat
         if j == 0:             # predictor with the frozen explicit part, corrector with the trapezoid
-            guess, pred = solve(0, w_hat, explicit, w_hat)
+            guess, pred = solve(0, w_hat, explicit, w_hat, forced)
             if forced:
                 explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        w_hat, values = solve(j, w_hat, explicit, guess)
-        fields.append(values)
+        w_hat, values = solve(j, w_hat, explicit, guess, forced or j == n - 1)
+        fields.append(_Coefficients(w_hat, t_nodes[j + 1]) if values is None else values)
     return _Window(s_nodes, fields, gmres_iterations=iterations,
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
@@ -1006,17 +1045,17 @@ def _store_rows(out: list, values, rows, times: list):
     into one small array per node, between which the next window's stacks
     kept landing on fresh pages (one page fault each).  A list of node
     arrays (imex) gives one block per row, a view: copying a whole march
-    into one block would double its memory for a moment.  ``times`` holds
-    the time of each row, for the message of a non-finite one.
+    into one block would double its memory for a moment.  A node kept as
+    ``_Coefficients`` was checked finite by the march and is stored as it
+    is.  ``times`` holds the time of each row, for the message of a
+    non-finite one.
     """
     if isinstance(values, np.ndarray):
-        blocks = [values[rows]]
-    else:
-        blocks = [values[j][np.newaxis] for j in rows]
-    start = 0
-    for block in blocks:
-        out.append(_check_finite(block, times[start:], "value"))
-        start += len(block)
+        out.append(_check_finite(values[rows], times, "value"))
+        return
+    for j, t in zip(rows, times):
+        node = values[j]
+        out.append(node if isinstance(node, _Coefficients) else _check_finite(node[np.newaxis], [t], "value"))
 
 
 class _Member:
@@ -1247,7 +1286,7 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
     )
     # the second segment's one-row start block is the first segment's final row
     times = np.concatenate([first.times, second.times[1:]])
-    blocks = first.blocks + second.blocks[1:]
+    blocks = first.stored + second.stored[1:]
     diag = {
         "integrator": first.diagnostics["integrator"],
         "mu": (first.diagnostics["mu"], second.diagnostics["mu"]),

@@ -148,6 +148,12 @@ def test_failed_job_is_recorded_and_exits_1(tmp_path):
     assert any(j["status"] == "failed" for j in statuses.values())
     failed = next(j for j in statuses.values() if j["status"] == "failed")
     assert "does not land" in failed["error"]
+    assert all(j["duration_s"] >= 0.0 for j in statuses.values())
+    # the origin is the library line that raised, not the CLI's call of the job
+    module, line = failed["origin"].split(":")
+    assert module == "parastrip/solver.py"
+    source = (Path(SRC) / module).read_text().splitlines()
+    assert "raise ConfigurationError(" in source[int(line) - 1]
     assert (out / "report.txt").exists()
 
 

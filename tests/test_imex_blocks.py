@@ -277,9 +277,9 @@ def test_the_cap_admits_blocks_that_fit_it(monkeypatch):
 
 @pytest.mark.parametrize("half, applies", [("blocks", 0), ("gmres", 101), ("time_dependent", 111)])
 def test_one_march_transforms_once_in_and_once_out_per_solve(half, applies, monkeypatch):
-    # 10 unforced steps: one FFT of the start, one inverse FFT per implicit solve (the
-    # predictor's too), no explicit part; P is applied as often as each step needs, never
-    # under the blocks, which are assembled from the coefficients
+    # 10 unforced steps: one FFT of the start, one inverse FFT of the last node, no explicit
+    # part; P is applied as often as each step needs, never under the blocks, which are
+    # assembled from the coefficients
     counts = {}
 
     def count(owner, name):
@@ -295,10 +295,16 @@ def test_one_march_transforms_once_in_and_once_out_per_solve(half, applies, monk
         monkeypatch.setattr(parastrip.solver, "_BLOCK_BYTES_CAP", 0)
     elif half == "time_dependent":
         problem = time_dependent(problem)
-    (window,) = real_solve()(problem).diagnostics["windows"]
+    res = real_solve()(problem)
+    (window,) = res.diagnostics["windows"]
     assert window["implicit"] == ("blocks" if half == "blocks" else "gmres") and window["steps"] == 10
-    want = {"_fftn": 1, "_ifftn": 11, "apply_hat": applies}
+    want = {"_fftn": 1, "_ifftn": 1, "apply_hat": applies}
     assert counts == {name: calls for name, calls in want.items() if calls}   # none uncalled
+    # the final row is the march's one transform; reading the rows transforms the nine
+    # between it and the start
+    res.final
+    assert counts["_ifftn"] == 1
+    assert len(res.fields) == 11 and counts["_ifftn"] == 10
     # the corrector of node 0 starts from the predictor, which already solves the unforced step
     assert window["gmres_iterations"] == ([0] * 11 if half == "blocks" else [8, 0] + [8] * 9)
 
