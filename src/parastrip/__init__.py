@@ -1,176 +1,31 @@
 """Pseudo-spectral solver and analyticity verifier for semilinear parabolic
 Cauchy problems whose solutions extend holomorphically to complex strips in
-space and sectors in time, plus a counterparty-risk pricing application."""
+space and sectors in time, plus a counterparty-risk pricing application.
+
+Each public name is defined, and listed in ``__all__``, by its own module;
+the package re-exports them all.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ParastripError,
-    ConfigurationError,
-    DomainError,
-    ConvergenceError,
-    InstabilityError,
-)
-from .grid import (
-    ComplexField,
-    Grid,
-    HermiteData,
-    StripSpec,
-    derivative_multiplier,
-    eval_hermite,
-    make_grid,
-    sample_on_shifted_grid,
-    spectral_derivative,
-)
-from .norms import (
-    NormParams,
-    besov_norm,
-    littlewood_paley_blocks,
-    lp_norm,
-    sobolev_hs_norm,
-    strip_norm,
-)
-from .operators import (
-    DivergenceOperator,
-    GardingFit,
-    OperatorPlan,
-    TemporalDomain,
-    apply_operator,
-    ellipticity_samples,
-    estimate_ellipticity_constant,
-    leading_symbol,
-    multi_indices,
-    random_band_limited_fields,
-    verify_garding,
-)
-from .reaction import (
-    ReactionSpec,
-    SmootherParams,
-    f_minus,
-    f_minus_prime,
-    f_plus,
-    f_plus_prime,
-    in_branch_domain,
-    jet_lipschitz_estimate,
-    nemytskii,
-    smoother_identity_check,
-)
-from .solver import (
-    CauchyProblem,
-    MaxRegSample,
-    SolveResult,
-    SolverConfig,
-    StepConstants,
-    analyticity_time_horizon,
-    contraction_step_fraction,
-    default_maxreg_ensemble,
-    estimate_max_reg_constant,
-    solve_along_path,
-    solve_complex_ray,
-    solve_real,
-    step_size_from_estimates,
-)
-from .analyticity import (
-    ShiftFamily,
-    cr_residual_space,
-    cr_residual_time,
-    hardy_integral,
-    path_independence_check,
-    shift_consistency_check,
-    solve_shift_family,
-    strip_sup_over_time,
-)
-from .xva import (
-    PayoffSpec,
-    XvaParams,
-    bs_log_generator,
-    compute_xva_surfaces,
-    evaluate_at,
-    hermite_payoff_fit,
-    heston_chart_generator,
-    heston_generator,
-    price_riskfree,
-    price_xva_linear,
-    price_xva_nonlinear,
-    terminal_data,
-    verify_price_analyticity,
-)
+from . import analyticity, errors, grid, norms, operators, reaction, solver, xva
+from .analyticity import *
+from .errors import *
+from .grid import *
+from .norms import *
+from .operators import *
+from .reaction import *
+from .solver import *
+from .xva import *
 
 __all__ = [
     "__version__",
-    "ParastripError",
-    "ConfigurationError",
-    "DomainError",
-    "ConvergenceError",
-    "InstabilityError",
-    "ComplexField",
-    "Grid",
-    "HermiteData",
-    "StripSpec",
-    "derivative_multiplier",
-    "eval_hermite",
-    "make_grid",
-    "sample_on_shifted_grid",
-    "spectral_derivative",
-    "NormParams",
-    "besov_norm",
-    "littlewood_paley_blocks",
-    "lp_norm",
-    "sobolev_hs_norm",
-    "strip_norm",
-    "DivergenceOperator",
-    "GardingFit",
-    "OperatorPlan",
-    "TemporalDomain",
-    "apply_operator",
-    "ellipticity_samples",
-    "estimate_ellipticity_constant",
-    "leading_symbol",
-    "multi_indices",
-    "random_band_limited_fields",
-    "verify_garding",
-    "ReactionSpec",
-    "SmootherParams",
-    "f_minus",
-    "f_minus_prime",
-    "f_plus",
-    "f_plus_prime",
-    "in_branch_domain",
-    "jet_lipschitz_estimate",
-    "nemytskii",
-    "smoother_identity_check",
-    "CauchyProblem",
-    "MaxRegSample",
-    "SolveResult",
-    "SolverConfig",
-    "StepConstants",
-    "analyticity_time_horizon",
-    "contraction_step_fraction",
-    "default_maxreg_ensemble",
-    "estimate_max_reg_constant",
-    "solve_along_path",
-    "solve_complex_ray",
-    "solve_real",
-    "step_size_from_estimates",
-    "ShiftFamily",
-    "cr_residual_space",
-    "cr_residual_time",
-    "hardy_integral",
-    "path_independence_check",
-    "shift_consistency_check",
-    "solve_shift_family",
-    "strip_sup_over_time",
-    "PayoffSpec",
-    "XvaParams",
-    "bs_log_generator",
-    "compute_xva_surfaces",
-    "evaluate_at",
-    "hermite_payoff_fit",
-    "heston_chart_generator",
-    "heston_generator",
-    "price_riskfree",
-    "price_xva_linear",
-    "price_xva_nonlinear",
-    "terminal_data",
-    "verify_price_analyticity",
+    *errors.__all__,
+    *grid.__all__,
+    *norms.__all__,
+    *operators.__all__,
+    *reaction.__all__,
+    *solver.__all__,
+    *analyticity.__all__,
+    *xva.__all__,
 ]

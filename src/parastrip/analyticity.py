@@ -89,13 +89,13 @@ class ShiftFamily:
 
 
 def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
-                       config: SolverConfig = None, jobs: int = None) -> ShiftFamily:
+                       config: SolverConfig = None) -> ShiftFamily:
     """Solve the problem once per imaginary shift iy, y in ``y_grid``.
 
     Members are solves sharing every discretization knob, each with its own
-    operator plan, run in lockstep through one driver (``solver._solve``);
-    each gets the bits of its own serial solve.  ``jobs`` is accepted and
-    ignored.  A failing member aborts the family with an error naming its
+    operator plan, run through one driver (``solver._solve``), in lockstep
+    under ``picard_voc``; each gets the bits of its own serial solve.  A
+    failing member aborts the family with an error naming its
     shift; when several fail, the one with the smallest y, which a serial
     run in ascending order of y would meet first.  The error keeps the
     member's type when that is a ParastripError; any other is wrapped in one.
@@ -280,23 +280,21 @@ def path_independence_check(problem: CauchyProblem, sigma, tau, t_prime_list,
     return spread
 
 
-def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int,
-                   dyadic_blocks: int = None) -> dict:
+def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int) -> dict:
     """Weighted space-time integrals of |du/dt|^p and the derivative jet along a path.
 
     Returns the time-derivative part, the c0-weighted sum over all spatial
     derivatives of order <= 2m, their total, and the companion quantity that
     replaces the time-derivative part with the endpoint Besov norm.  All
     integrals use the real arclength of the stored (possibly complex) times,
-    so prefixes of a trajectory give nondecreasing values.  ``dyadic_blocks``
-    sets the companion norm's block count; by default it is the most the
-    grid hosts, up to 4 (``norms._fit_blocks``).
+    so prefixes of a trajectory give nondecreasing values.  The companion
+    norm uses the most dyadic blocks the grid hosts, up to 4
+    (``norms._fit_blocks``).
     """
     if len(result) < 2:
         raise ConfigurationError("need at least two snapshots to integrate")
     grid = result.grid
-    blocks = _fit_blocks(grid) if dyadic_blocks is None else dyadic_blocks
-    nparams = NormParams(p=p, m=order_half, dyadic_blocks=blocks)
+    nparams = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
     weight = grid.cell_volume
 
     def pth_powers(rows: np.ndarray) -> list:

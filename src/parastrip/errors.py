@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all parastrip modules."""
 
+__all__ = ["ParastripError", "ConfigurationError", "DomainError", "ConvergenceError", "InstabilityError"]
+
 
 class ParastripError(Exception):
     """Base class for everything raised deliberately by this package."""

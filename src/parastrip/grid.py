@@ -26,6 +26,7 @@ __all__ = [
     "spectral_derivative",
     "eval_hermite",
     "sample_on_shifted_grid",
+    "derivative_multiplier",
 ]
 
 
@@ -147,7 +148,7 @@ class ComplexField:
             )
         if v.shape[0] < 1:
             raise ConfigurationError("field needs at least one component")
-        if not np.all(np.isfinite(v.view(np.float64))):
+        if not np.all(np.isfinite(v)):
             raise ConfigurationError("field values must be finite")
         self.values = v
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import ComplexField, Grid, _fftn, _ifftn, _read_only
 
-__all__ = ["NormParams", "lp_norm", "sobolev_hs_norm", "besov_norm", "strip_norm"]
+__all__ = ["NormParams", "lp_norm", "sobolev_hs_norm", "littlewood_paley_blocks", "besov_norm", "strip_norm"]
 
 
 # fewest Littlewood-Paley blocks a Besov norm may use
@@ -45,8 +45,8 @@ class NormParams:
     """Exponents for the data norms.
 
     ``s`` defaults to the parabolic trace smoothness 2 m (1 - 1/p).  The
-    standing condition p > 2 + N/m depends on the dimension and is enforced
-    where fields (hence N) are available.
+    standing condition p > 2 + N/m depends on the dimension N, so it is a
+    separate check, ``require_standing_condition(N)``.
     """
 
     p: float = 4.0
@@ -165,9 +165,10 @@ def _besov_norms(values: np.ndarray, grid: Grid, params: NormParams) -> list:
 def besov_norm(field: ComplexField, params: NormParams) -> float:
     """Discrete Littlewood-Paley Besov norm B^{s;p,p}.
 
-    The norm itself is meaningful for any p > 1; the nonlinear machinery
-    additionally requires ``params.require_standing_condition(dim)``, which
-    callers enforce where it matters.
+    The norm itself is meaningful for any p > 1.  The paper's nonlinear
+    theory additionally requires ``params.require_standing_condition(dim)``;
+    no library code calls it, so a caller who relies on that theory checks
+    it first.
     """
     return _besov_norms(field.values[np.newaxis], field.grid, params)[0]
 

@@ -20,7 +20,6 @@ from .grid import ComplexField, Grid, _shifted_points
 from .operators import multi_indices
 
 __all__ = [
-    "SmootherParams",
     "f_plus",
     "f_minus",
     "f_plus_prime",
@@ -33,19 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SmootherParams:
-    """Smoothing scale for the analytic positive/negative part."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigurationError(f"smoothing epsilon must lie in (0, 1), got {self.epsilon!r}")
-
-
 def _eps_value(eps) -> float:
-    eps = getattr(eps, "epsilon", eps)
     eps = float(eps)
     if not eps > 0.0:
         raise ConfigurationError(f"smoothing epsilon must be positive, got {eps!r}")
@@ -168,11 +155,6 @@ class ReactionSpec:
     @property
     def n_slots(self) -> int:
         return len(self.jet_indices)
-
-    @property
-    def jet_arity(self) -> int:
-        """Total number of scalar jet entries, components times slots."""
-        return self.components * self.n_slots
 
 
 def _offender(bad: np.ndarray, ts, grid: Grid):

@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 import time
 import warnings
 from collections.abc import Sequence
@@ -125,6 +126,15 @@ class CauchyProblem:
 
 @dataclass
 class SolverConfig:
+    """Discretization and iteration settings of a solve.
+
+    Only ``picard_voc`` reads ``window``, ``picard_tol``,
+    ``picard_max_iter`` and ``max_window_halvings``: it halves a window
+    whose fixed point fails to converge.  ``imex`` marches the whole span
+    as one window of steps of at most ``dt``, and a GMRES failure ends its
+    solve.
+    """
+
     dt: float = 1e-3
     window: float = None          # picard window length; default 32 dt
     picard_tol: float = 1e-10
@@ -251,11 +261,10 @@ class SolveResult:
     rows before its last as ``_Coefficients``; ``blocks`` inverse-transforms
     each the first time it is read, one transform and one finite check per
     row, and the values replace the coefficients in ``stored``.  So
-    ``blocks``, ``fields``, ``snapshots``, ``time_derivatives`` and
-    ``hardy_integral`` see values; ``final`` reads the last row, which
-    every march stores as values.  ``fields`` and ``snapshots`` wrap rows
-    in ComplexField on demand without a second check; ``fields[j] = f``
-    writes f's values into the block.
+    ``blocks``, ``fields``, ``time_derivatives`` and ``hardy_integral``
+    see values; ``final`` reads the last row, which every march stores as
+    values.  ``fields`` wraps rows in ComplexField on demand without a
+    second check; ``fields[j] = f`` writes f's values into the block.
 
     ``rhs`` is the right-hand side A u + F + g as the solve binds it
     (``_group_rhs`` with its problem, plan and config).  The time
@@ -309,10 +318,6 @@ class SolveResult:
     @property
     def final(self) -> ComplexField:
         return ComplexField._trusted(self.grid, self._block(-1)[-1])
-
-    @property
-    def snapshots(self) -> list:
-        return list(zip(self.times, self.fields))
 
     def __len__(self):
         return len(self.times)
@@ -521,28 +526,27 @@ class _Lane:
         self.sweeps, self.ratio, self.delta_prev, self.converged = 0, None, None, False
 
     def check(self, sweep: int, finite: bool, delta: float, scale: float, span, config: SolverConfig):
-        """Judge the member's new iterate as its serial window would; returns the exception it raises, or None."""
+        """Judge the member's new iterate as its serial window would, raising the error it raises."""
         if not finite:
-            return InstabilityError(
+            raise InstabilityError(
                 f"non-finite iterate in window {span} at sweep {sweep}; reduce dt or the window length"
             )
         self.sweeps = sweep
         if delta <= config.picard_tol * scale:
             self.converged = True
-            return None
+            return
         if self.delta_prev is not None and self.delta_prev > 0.0:
             self.ratio = delta / self.delta_prev
             if self.ratio >= 1.0 and delta > 10.0 * config.picard_tol * scale:
-                return ConvergenceError(
+                raise ConvergenceError(
                     f"window fixed point is not contracting (ratio {self.ratio:.3f} over {span}); "
                     "shorten the window"
                 )
         self.delta_prev = delta
         if sweep == config.picard_max_iter:
-            return ConvergenceError(
+            raise ConvergenceError(
                 f"window fixed point needed more than {config.picard_max_iter} sweeps over {span}"
             )
-        return None
 
 
 def _rows_of(keep: list, lanes: list, *stacks) -> list:
@@ -636,7 +640,11 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
             deltas = np.max(np.abs(np.subtract(new_phys, traj_phys, out=traj_phys)).reshape(flat), axis=1)
             peaks = np.max(np.abs(new_phys).reshape(flat), axis=1)
         for a, (lane, ok, delta, peak) in enumerate(zip(lanes, finite, deltas, peaks)):
-            outcomes[lane.k] = lane.check(sweep, ok, float(delta), max(1.0, float(peak)), span, config)
+            try:
+                lane.check(sweep, ok, float(delta), max(1.0, float(peak)), span, config)
+            except (ConvergenceError, InstabilityError) as exc:
+                outcomes[lane.k] = exc
+                continue
             if lane.converged:
                 carry = None if sources is None else (complex(lane.t_nodes[-1]), sources[a, -1].copy())
                 outcomes[lane.k] = _Window(s_nodes, new_phys[a], lane.sweeps, None, lane.ratio, carry)
@@ -775,6 +783,7 @@ class _Resolvent:
         dim = plan.grid.dim
         var = [dim + 1 + a for a in plan.var_axes]
         self.order = [p for p in range(1, dim + 1) if p not in var] + [0] + var
+        self.inverse = [int(p) for p in np.argsort(self.order)]
         self.shape = (plan.op.components,) + plan.grid.shape
         self.size = math.prod(self.shape[p] for p in [0] + var)
         self.count = math.prod(self.shape) // self.size
@@ -788,7 +797,7 @@ class _Resolvent:
     def from_blocks(self, rows: np.ndarray) -> np.ndarray:
         lead = rows.ndim - 2
         permuted = rows.reshape(rows.shape[:lead] + tuple(self.shape[p] for p in self.order))
-        return permuted.transpose(list(range(lead)) + [lead + p for p in np.argsort(self.order)])
+        return permuted.transpose(list(range(lead)) + [lead + p for p in self.inverse])
 
     def matrix(self, plan: OperatorPlan, t, c: complex) -> np.ndarray:
         """The dense blocks of B = I + c P^(t), (F, b, b), from the coefficients' Fourier modes.
@@ -1118,6 +1127,24 @@ class _Member:
         return SolveResult(self.plan.grid, np.asarray(self.times, dtype=np.complex128), self.blocks, diag, rhs)
 
 
+def _release(error: Exception, frame) -> None:
+    """Clear the locals of the finished frames from ``error``'s raise up to ``frame``.
+
+    A kept error keeps the frame that raised it, and through each caller
+    (``f_back``) every frame up to ``frame``.  A window's frame holds its
+    stacks and its outcomes, ``error`` among them: a reference cycle.  A
+    cleared frame keeps its code and line, so a failed job's ``origin``
+    still names the raise.
+    """
+    tb = error.__traceback__
+    while tb is not None and tb.tb_next is not None:
+        tb = tb.tb_next
+    caller = None if tb is None else tb.tb_frame
+    while caller is not None and caller is not frame:
+        caller.clear()
+        caller = caller.f_back
+
+
 def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig,
            t_base, check_mu: bool, final_only: bool):
     """Advance every member to s_total, recording each one's blocks or error on it.
@@ -1126,7 +1153,8 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
     spans.  A member that halves its window, or has to redo one alone,
     leaves the group and, once the group is done, continues alone (K = 1)
     from its own state, on the serial schedule.  Under imex every member
-    marches alone, one after another.  Members after the first one to fail
+    marches alone, one after another, and no window is halved: a failed
+    march is the member's error.  Members after the first one to fail
     are abandoned: a serial run in member order would never reach them.
     """
     eps = 1e-12 * max(1.0, s_total)
@@ -1155,11 +1183,12 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
             for m, out in zip(group, outcomes):
                 if out is None:
                     pending.append(m)
-                elif isinstance(out, ConvergenceError):
+                elif isinstance(out, ConvergenceError) and config.integrator == "picard_voc":
                     m.halvings += 1
                     if m.halvings > config.max_window_halvings or span <= config.dt * (1.0 + 1e-9):
                         m.error = out
                     else:
+                        _release(out, sys._getframe())
                         m.window = span / 2.0
                         (stay if len(group) == 1 else pending).append(m)
                 elif isinstance(out, Exception):
@@ -1204,7 +1233,11 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
             states.append(exc)
             break
         states.append(_Member(index, mu, shift, plan, w, window))
-    _march(problem, [m for m in states if isinstance(m, _Member)], s_total, config, t_base, check_mu, final_only)
+    marched = [m for m in states if isinstance(m, _Member)]
+    _march(problem, marched, s_total, config, t_base, check_mu, final_only)
+    for m in marched:
+        if m.error is not None:
+            _release(m.error, sys._getframe())
     out = []
     for state in states:
         error = state if isinstance(state, Exception) else state.error

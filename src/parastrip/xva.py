@@ -524,15 +524,15 @@ def evaluate_at(field: ComplexField, point) -> np.ndarray:
 
 def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_grid,
                              config: SolverConfig = None, grid: Grid = None,
-                             t_prime_list=None, tau_target: float = None,
-                             jobs: int = None) -> dict:
+                             t_prime_list=None, tau_target: float = None) -> dict:
     """Analyticity report for the semilinear adjusted price.
 
     Runs the shift-family Cauchy-Riemann residuals at the requested times,
     one two-segment path-independence spread, and the strip sup norm, after
     rejecting shifts that would touch the payoff's branch cut and grids
-    too coarse for the strip norm's dyadic blocks.  ``jobs`` is accepted
-    and ignored: the family members run one after another.
+    too coarse for the strip norm's dyadic blocks.  The family is one
+    ``solve_shift_family`` call, so under ``picard_voc`` its members march
+    in lockstep.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=np.float64))
     cap = payoff.admissible_half_width

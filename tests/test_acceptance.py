@@ -55,14 +55,14 @@ def test_shift_family_cauchy_riemann_within_a_minute():
     problem = big_heat_problem()
     cfg = ps.SolverConfig(dt=1e-3, snapshot_stride=50)
 
-    family = ps.solve_shift_family(problem, np.linspace(-0.25, 0.25, 9), 0.0, 0.5, cfg, jobs=4)
+    family = ps.solve_shift_family(problem, np.linspace(-0.25, 0.25, 9), 0.0, 0.5, cfg)
     r1 = ps.cr_residual_space(family, 0.5, stride=1)
     r2 = ps.cr_residual_space(family, 0.5, stride=2)
     assert math.log2(r2 / r1) >= 1.9           # second-order stencil convergence
 
     # residual floor: a tight three-member family sits at the solver floor
     floor_family = ps.solve_shift_family(
-        problem, np.linspace(-5e-4, 5e-4, 3), 0.0, 0.5, cfg, jobs=3
+        problem, np.linspace(-5e-4, 5e-4, 3), 0.0, 0.5, cfg
     )
     assert ps.cr_residual_space(floor_family, 0.5) <= 1e-6
 

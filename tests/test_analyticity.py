@@ -10,9 +10,9 @@ from oracles import heat_kernel_gaussian
 FAST = ps.SolverConfig(dt=5e-3)
 
 
-def small_family(problem, n_shifts=5, half=0.2, horizon=0.05, jobs=None):
+def small_family(problem, n_shifts=5, half=0.2, horizon=0.05):
     y_grid = np.linspace(-half, half, n_shifts)
-    return ps.solve_shift_family(problem, y_grid, 0.0, horizon, FAST, jobs=jobs)
+    return ps.solve_shift_family(problem, y_grid, 0.0, horizon, FAST)
 
 
 def test_family_construction_and_member_lookup(heat_problem):
@@ -39,13 +39,16 @@ def test_family_rejects_shift_outside_strip():
         ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 3), 0.0, 0.02, FAST)
 
 
-def test_family_parallel_matches_serial(heat_problem):
-    serial = small_family(heat_problem, n_shifts=3, horizon=0.02)
-    threaded = small_family(heat_problem, n_shifts=3, horizon=0.02, jobs=3)
-    for y in serial.y_values:
-        np.testing.assert_array_equal(
-            serial.member(y).final.values, threaded.member(y).final.values
-        )
+def test_cr_residual_space_of_a_coupled_imex_system():
+    # the rows of a 2-component imex result are not C-contiguous
+    op = ps.DivergenceOperator.from_terms(
+        1, 2, 1, {((1,), (1,)): np.array([[1.0, 0.3], [0.1, 0.5]])},
+        ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
+    grid = ps.make_grid(1, 10.0, 64)
+    problem = ps.CauchyProblem(grid, op, lambda pts: np.stack([np.exp(-pts[0] ** 2 / 2)] * 2))
+    cfg = ps.SolverConfig(dt=0.01, integrator="imex")
+    family = ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 5), 0.0, 0.05, cfg)
+    assert np.isfinite(ps.cr_residual_space(family, 0.05))
 
 
 def test_cr_residual_space_vanishes_for_analytic_solution(heat_problem):
@@ -118,7 +121,8 @@ def test_hardy_integral_fits_its_blocks_to_the_grid():
     problem = ps.CauchyProblem(grid, make_heat_operator(), gaussian_datum())
     res = ps.solve_real(problem, 0.0, 0.05, FAST)
     out = ps.hardy_integral(res, 4.0, 0.5, 1)
-    assert out == ps.hardy_integral(res, 4.0, 0.5, 1, dyadic_blocks=3)
+    three = ps.NormParams(p=4.0, m=1, dyadic_blocks=3)
+    assert out["companion"] == ps.besov_norm(res.final, three) ** 4.0 + out["derivatives"]
     coarse = ps.make_grid(1, 6.0, 32)
     res = ps.solve_real(ps.CauchyProblem(coarse, make_heat_operator(), gaussian_datum()), 0.0, 0.05, FAST)
     with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):

@@ -3,10 +3,12 @@ reference lists every key, and configs drawn from the tables never raise past ma
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from parastrip.cli import _KINDS, _TOP, REQUIRED, main
+from parastrip.cli import _KINDS, _TOP, REQUIRED, _walk, main
 from parastrip.grid import _EXP_OVERFLOW
 from parastrip.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = README.parent / "perfbench"
 TYPED = ("ParastripError", "ConfigurationError", "DomainError", "ConvergenceError", "InstabilityError")
 
 GRID = {"dim": 1, "half_length": 3.0, "points_per_axis": 32}
@@ -275,3 +278,19 @@ def test_a_config_drawn_inside_the_tables_runs_or_fails_typed(drawn):
     assert code in (0, 1), (cfg, stderr)
     failed = [job for job in manifest["job_status"] if job["status"] != "ok"]
     assert all(job["error"].startswith(TYPED) for job in failed), (cfg, failed)
+
+
+def test_the_benchmark_configs_pass_the_tables(monkeypatch):
+    """perfbench's CLI configs walk clean, so a table change that would break the benchmark fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # workloads imports perfbench's own oracles; the tests' module of that name comes back afterwards
+    monkeypatch.delitem(sys.modules, "oracles", raising=False)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in (0, 7):
+        for command, cfg in (("verify-analyticity", workloads.analyticity_config(seed)),
+                             ("xva", workloads.xva_config(seed))):
+            errors = []
+            _walk(cfg, _TOP, "", command, errors)
+            assert errors == [], (command, seed, errors)

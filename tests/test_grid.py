@@ -140,6 +140,17 @@ def test_complex_field_shape_validation():
     assert f.values[0, 0] == 0.0
 
 
+def test_complex_field_takes_rows_whose_last_axis_is_strided():
+    # a row of a 2-component imex result: strides (16, 32)
+    g = ps.make_grid(1, 1.0, 8)
+    rows = np.ones((8, 2), dtype=np.complex128).T
+    assert rows.strides == (16, 32)
+    assert ps.ComplexField(g, rows).values.shape == (2, 8)
+    rows[1, 3] = np.inf
+    with pytest.raises(ConfigurationError, match="finite"):
+        ps.ComplexField(g, rows)
+
+
 def test_gaussian_oracle_consistency():
     # the frozen oracle itself satisfies the heat equation semigroup property
     x = np.linspace(-3, 3, 7)

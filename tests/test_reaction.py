@@ -7,14 +7,6 @@ from parastrip.errors import ConfigurationError, DomainError
 from parastrip.reaction import f_minus_prime, f_plus_prime, in_branch_domain
 
 
-def test_smoother_params_validation():
-    ps.SmootherParams(0.5)
-    with pytest.raises(ConfigurationError):
-        ps.SmootherParams(0.0)
-    with pytest.raises(ConfigurationError):
-        ps.SmootherParams(1.0)
-
-
 def test_smoothers_restrict_to_arctan_profile_on_reals():
     eps = 0.01
     v = np.linspace(-3.0, 3.0, 41)
@@ -79,7 +71,6 @@ def test_reaction_spec_jet_layout():
     spec = ps.ReactionSpec(order_half=1, components=2, dim=2, eval=lambda z, t, X: X[0])
     assert spec.jet_indices == [(0, 0), (0, 1), (1, 0)]
     assert spec.n_slots == 3
-    assert spec.jet_arity == 6
 
 
 def test_nemytskii_linear_reaction():

@@ -568,19 +568,60 @@ def test_gmres_returns_zero_for_a_zero_right_hand_side():
     assert (iterations, converged, calls) == (0, True, [])
 
 
-def test_imex_raises_when_gmres_cannot_converge():
-    # a tolerance far below rounding cannot be met in 200 restarts
+def _variable_heat_on_eight_points():
     op = ps.DivergenceOperator.from_terms(
         1, 1, 1, {((1,), (1,)): lambda z, t: 1.0 + 0.5 * np.cos(z[0])},
         ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0), autonomous=True,
     )
     grid = ps.make_grid(1, np.pi, 8)
-    problem = ps.CauchyProblem(grid, op, lambda pts: np.exp(np.cos(pts[0])))
+    return ps.CauchyProblem(grid, op, lambda pts: np.exp(np.cos(pts[0])))
+
+
+def test_imex_raises_when_gmres_cannot_converge():
+    # a tolerance far below rounding cannot be met in 200 restarts
+    problem = _variable_heat_on_eight_points()
     cfg = ps.SolverConfig(dt=0.01, integrator="imex", gmres_tol=1e-300, max_window_halvings=0)
     with pytest.raises(ps.ConvergenceError, match="implicit solve failed to converge at t="):
         ps.solve_real(problem, 0.0, 0.02, cfg)
     res = ps.solve_real(problem, 0.0, 0.02, ps.SolverConfig(dt=0.01, integrator="imex"))
     assert [len(w["gmres_iterations"]) for w in res.diagnostics["windows"]] == [3]
+
+
+def test_imex_gmres_failure_is_not_retried_on_halved_windows(monkeypatch):
+    # window halving is picard_voc's remedy: a failed imex march ends the solve at dt, not below it
+    march, spans = parastrip.solver._march_imex, []
+
+    def counted(problem, plan, w0, span, *args):
+        spans.append(span)
+        return march(problem, plan, w0, span, *args)
+
+    monkeypatch.setattr(parastrip.solver, "_march_imex", counted)
+    cfg = ps.SolverConfig(dt=0.01, integrator="imex", gmres_tol=1e-300)
+    with pytest.raises(ps.ConvergenceError, match=r"at t=\(0\.02"):
+        ps.solve_real(_variable_heat_on_eight_points(), 0.0, 0.5, cfg)
+    assert spans == [(0.0, 0.5)]
+
+
+def test_picard_failure_is_raised_where_it_is_judged():
+    grid = ps.make_grid(1, 3.0, 64)
+    op = ps.DivergenceOperator.from_terms(
+        1, 1, 1, {((1,), (1,)): lambda z, t: 1.0 + 0.25 * np.cos(np.pi * z[0] / 3.0)},
+        ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0), autonomous=True,
+    )
+    problem = ps.CauchyProblem(grid, op, lambda pts: np.exp(-pts[0] ** 2 / 2))
+    with pytest.raises(ps.ConvergenceError, match="needed more than 25 sweeps") as info:
+        ps.solve_real(problem, 0.0, 0.05, ps.SolverConfig(dt=0.01))
+    tb = info.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code is parastrip.solver._Lane.check.__code__
+    # the error pins every frame up to the solve; those of the window and the march hold no locals,
+    # so no window stack stays alive through the error
+    pinned, frame = {}, tb.tb_frame
+    while frame is not None:
+        pinned.setdefault(frame.f_code.co_name, dict(frame.f_locals))
+        frame = frame.f_back
+    assert pinned["_picard_window"] == pinned["_march"] == {}
 
 
 def test_gmres_residual_is_minimal_over_each_krylov_space():

@@ -167,7 +167,7 @@ def test_verify_price_analyticity_report():
     payoff = call_payoff(eps=0.05)
     cfg = ps.SolverConfig(dt=2e-3)
     report = ps.verify_price_analyticity(
-        params, payoff, np.linspace(-0.02, 0.02, 3), [0.1, 0.2], cfg, jobs=3
+        params, payoff, np.linspace(-0.02, 0.02, 3), [0.1, 0.2], cfg
     )
     assert set(report["cr_space"]) == {0.1, 0.2}
     assert all(v < 1e-2 for v in report["cr_space"].values())
