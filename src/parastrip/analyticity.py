@@ -9,6 +9,7 @@ analyticity estimates bound.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .solver import (
     SolverConfig,
     SolveResult,
     _real_span,
+    _release,
     _solve,
     solve_along_path,
     solve_real,
@@ -117,8 +119,12 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     results = {}
     for y, out in zip(ys, outcomes):
         if isinstance(out, Exception):
+            _release(out, sys._getframe())
             kind = type(out) if isinstance(out, ParastripError) else ParastripError
-            raise kind(f"shift family member y={tuple(map(float, y))} failed: {out}") from out
+            try:
+                raise kind(f"shift family member y={tuple(map(float, y))} failed: {out}") from out
+            finally:
+                outcomes = out = None     # the raise pins this frame, which must not keep the error
         results[_key(y)] = out
     return ShiftFamily(
         y_values=[tuple(y) for y in ys],
@@ -247,7 +253,11 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in rays], config, final_only=True)
     for out in outcomes:
         if isinstance(out, Exception):
-            raise out
+            _release(out, sys._getframe())
+            try:
+                raise out
+            finally:
+                outcomes = out = None     # the raise pins this frame, which must not keep the error
     ends = [out.final.values for out in outcomes]
     center = outcomes[4].final
     scale = lp_norm(center, 2.0)

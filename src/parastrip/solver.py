@@ -218,7 +218,7 @@ def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
 
 
 class _Coefficients(NamedTuple):
-    """One node of an unforced imex march kept as its Fourier coefficients, checked finite there.
+    """One node of an unforced GMRES imex march kept as its Fourier coefficients, checked finite there.
 
     ``hat`` is the (M, *grid) array the step returned and ``t`` the node's
     time.  ``values`` is the one-row block a per-node inverse transform
@@ -230,6 +230,34 @@ class _Coefficients(NamedTuple):
 
     def values(self, grid: Grid) -> np.ndarray:
         return _check_finite(_ifftn(self.hat, grid)[np.newaxis], [self.t], "value")
+
+
+class _Replay:
+    """An unforced blocks march kept as its start w^_0 and its ``_Resolvent``, marched again when read.
+
+    ``times`` are the march's node times.  ``rows`` repeats the march's
+    steps from ``start``, the same call on the same input, so every node
+    gets the coefficients the march computed, bit for bit.
+    """
+
+    def __init__(self, start: np.ndarray, resolvent, times):
+        self.start, self.resolvent, self.times = start, resolvent, times
+
+    def rows(self, nodes, grid: Grid):
+        """(j, values) for each node j of the ascending ``nodes``, as ``_Coefficients.values`` gives them."""
+        step, w_hat, j = _blocks_step(self.resolvent), self.start, 0
+        for node in nodes:
+            while j < node:
+                w_hat, _ = step(j, w_hat, None, w_hat)
+                j += 1
+            yield node, _Coefficients(w_hat, self.times[node]).values(grid)
+
+
+class _Pending(NamedTuple):
+    """Node ``j`` of a ``_Replay``'s march, stored as a placeholder until it is read."""
+
+    replay: _Replay
+    j: int
 
 
 # bytes of stored rows per right-hand-side evaluation of a SolveResult: enough rows
@@ -258,12 +286,17 @@ class SolveResult:
     then the kept rows of each window (of each node under ``imex``).  In
     order, their rows are the values at ``times``.  The solve checks every
     block finite once, as it stores it.  An unforced imex march keeps the
-    rows before its last as ``_Coefficients``; ``blocks`` inverse-transforms
-    each the first time it is read, one transform and one finite check per
-    row, and the values replace the coefficients in ``stored``.  So
-    ``blocks``, ``fields``, ``time_derivatives`` and ``hardy_integral``
-    see values; ``final`` reads the last row, which every march stores as
-    values.  ``fields`` wraps rows in ComplexField on demand without a
+    rows before its last unread.  Under the blocks step they are
+    ``_Pending`` placeholders: the first read re-marches from the march's
+    start once (one more batched matvec per node, so a caller who reads
+    every row pays for a second matvec march) and gives each row the bits
+    it had in the march.  Under GMRES they are ``_Coefficients``.  Either
+    way a row is read as one inverse transform and one finite check, and
+    the values replace the placeholder or the coefficients in ``stored``;
+    a fully read result holds no resolvent.  So ``blocks``, ``fields``,
+    ``time_derivatives`` and ``hardy_integral`` see values; ``final``
+    reads the last row, which every march stores as values, and replays
+    nothing.  ``fields`` wraps rows in ComplexField on demand without a
     second check; ``fields[j] = f`` writes f's values into the block.
 
     ``rhs`` is the right-hand side A u + F + g as the solve binds it
@@ -288,6 +321,13 @@ class SolveResult:
         block = self.stored[b]
         if isinstance(block, _Coefficients):
             block = self.stored[b] = block.values(self.grid)
+        elif isinstance(block, _Pending):
+            # one replay gives every stored node of its march
+            replay = block.replay
+            at = {p.j: i for i, p in enumerate(self.stored) if isinstance(p, _Pending) and p.replay is replay}
+            for j, values in replay.rows(sorted(at), self.grid):
+                self.stored[at[j]] = values
+            block = self.stored[b]
         return block
 
     @property
@@ -877,9 +917,12 @@ class _Resolvent:
         than _BLOCK_BYTES_CAP bytes, when B is singular, or when the
         residual max_k ||I - B_k X_k||_F of the inverse X as ``apply`` uses
         it exceeds ``tol``, so that X cannot promise the residual GMRES is
-        held to.  Coupled rows are found by exact comparison with zero.  A
-        kept resolvent records its coupled blocks and rows, its bytes, the
-        residual, the build time and the part of it ``inv`` took.
+        held to.  Coupled rows are found by exact comparison with zero.  Each
+        coupled block is inverted, has its rows kept and its residual taken
+        on its own, so no stack of inverses or products outlives one block.
+        A kept resolvent records its coupled blocks and rows, its bytes, the
+        residual, the build time and the part of it the coupled blocks'
+        loop took (their inversions, mostly).
         """
         start = time.perf_counter()
         out = cls(plan, t)
@@ -896,27 +939,28 @@ class _Resolvent:
         out.diagonal = np.divide(1.0, pivots, out=np.zeros(pivots.shape, np.complex128), where=lone)
         counts = b - np.count_nonzero(lone, axis=1)
         out.blocks = np.flatnonzero(counts)
-        sub, matrix = matrix[out.blocks], None
-        inverted = time.perf_counter()
-        try:
-            inverse = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            return None, {"refused": "singular"}
-        inverted = time.perf_counter() - inverted
         # coupled rows first, then the lone rows in order, as many as the widest block needs
         rows = np.argsort(lone[out.blocks], axis=1, kind="stable")[:, :counts.max()]
-        out.coupled = np.take_along_axis(inverse, rows[..., np.newaxis], axis=1)
+        out.coupled = np.empty(rows.shape + (b,), np.complex128)
         out.kept = (b * out.blocks[:, np.newaxis] + rows).ravel()
-        # the inverse as apply uses it: every row it does not keep is e_i / B_ii
-        dropped = np.ones(sub.shape[:2], dtype=bool)
-        np.put_along_axis(dropped, rows, False, axis=1)
-        inverse[dropped] = 0.0
-        k, i = np.nonzero(dropped)
-        inverse[k, i, i] = out.diagonal[out.blocks[k], i]
-        product = np.matmul(sub, inverse)
-        product[:, idx, idx] -= 1.0
         norms = np.linalg.norm(1.0 - pivots * out.diagonal, axis=1)
-        norms[out.blocks] = np.linalg.norm(product, axis=(1, 2))
+        inverted = time.perf_counter()
+        for block, k, kept in zip(out.coupled, out.blocks, rows):
+            try:
+                inverse = np.linalg.inv(matrix[k])
+            except np.linalg.LinAlgError:
+                return None, {"refused": "singular"}
+            block[...] = inverse[kept]
+            # the inverse as apply uses it: every row it does not keep is e_i / B_ii
+            dropped = np.ones(b, dtype=bool)
+            dropped[kept] = False
+            inverse[dropped] = 0.0
+            i = np.flatnonzero(dropped)
+            inverse[i, i] = out.diagonal[k, i]
+            product = matrix[k] @ inverse
+            product[idx, idx] -= 1.0
+            norms[k] = np.linalg.norm(product, axis=(0, 1))
+        inverted = time.perf_counter() - inverted
         residual = float(np.max(norms))
         if not residual <= tol:
             return None, {"refused": "residual", "value": residual, "limit": tol}
@@ -996,14 +1040,18 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     needs every node's values for its explicit part, so it takes one
     inverse FFT of each result and checks the values finite.  An unforced
     one checks each w^_{j+1} finite on its coefficients and transforms the
-    last node only, the next start; the nodes before it stay
-    ``_Coefficients`` until a SolveResult reads them.  An autonomous
+    last node only, the next start.  The nodes before it wait for a
+    SolveResult to read them: under the blocks step each is a ``_Pending``
+    placeholder of one ``_Replay``, which keeps w^_0 and the resolvent, not
+    a row per node, and re-marches when read (n - 1 more matvecs for a
+    caller who reads every row); under GMRES, whose replay would repeat
+    every solve, each is kept as ``_Coefficients``.  An autonomous
     operator's resolvent is one matrix for the whole march, built once
     (``_Resolvent``) and applied by ``_blocks_step``; a time-dependent
     operator, or blocks that ``_Resolvent.build`` refuses, leave each step
     to ``_gmres_step``.  The problem's temporal domain lies inside the
     operator's, so ``_time_nodes`` checks the nodes for both.  The window's
-    fields are a list with one entry per node, values or coefficients; it
+    fields are a list with one entry per node, values or a node kept unread; it
     records one ``gmres_iterations`` entry per implicit solve (0 under the
     blocks), the step that served it as ``implicit`` and the build record
     as ``resolvent``.
@@ -1030,6 +1078,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         return new, values
 
     w_hat = _fftn(fields[0], grid)
+    replay = None if forced or resolvent is None else _Replay(w_hat, resolvent, t_nodes)
     e_j = explicit = None
     for j in range(n):
         if forced:
@@ -1041,7 +1090,9 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             if forced:
                 explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
         w_hat, values = solve(j, w_hat, explicit, guess, forced or j == n - 1)
-        fields.append(_Coefficients(w_hat, t_nodes[j + 1]) if values is None else values)
+        if values is None:
+            values = _Coefficients(w_hat, t_nodes[j + 1]) if replay is None else _Pending(replay, j + 1)
+        fields.append(values)
     return _Window(s_nodes, fields, gmres_iterations=iterations,
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
@@ -1054,17 +1105,17 @@ def _store_rows(out: list, values, rows, times: list):
     into one small array per node, between which the next window's stacks
     kept landing on fresh pages (one page fault each).  A list of node
     arrays (imex) gives one block per row, a view: copying a whole march
-    into one block would double its memory for a moment.  A node kept as
-    ``_Coefficients`` was checked finite by the march and is stored as it
-    is.  ``times`` holds the time of each row, for the message of a
-    non-finite one.
+    into one block would double its memory for a moment.  A node kept
+    unread (``_Coefficients`` or ``_Pending``) was checked finite on its
+    coefficients by the march and is stored as it is.  ``times`` holds the
+    time of each row, for the message of a non-finite one.
     """
     if isinstance(values, np.ndarray):
         out.append(_check_finite(values[rows], times, "value"))
         return
     for j, t in zip(rows, times):
         node = values[j]
-        out.append(node if isinstance(node, _Coefficients) else _check_finite(node[np.newaxis], [t], "value"))
+        out.append(_check_finite(node[np.newaxis], [t], "value") if isinstance(node, np.ndarray) else node)
 
 
 class _Member:
@@ -1134,7 +1185,11 @@ def _release(error: Exception, frame) -> None:
     (``f_back``) every frame up to ``frame``.  A window's frame holds its
     stacks and its outcomes, ``error`` among them: a reference cycle.  A
     cleared frame keeps its code and line, so a failed job's ``origin``
-    still names the raise.
+    still names the raise.  A running frame cannot be cleared, so
+    ``_solve`` clears the frames below its own, and each caller of
+    ``_solve`` that raises an error clears ``_solve``'s, which holds the
+    members' plans and rows, then drops its own reference to the error as
+    it raises it.
     """
     tb = error.__traceback__
     while tb is not None and tb.tb_next is not None:
@@ -1251,7 +1306,11 @@ def _solve_one(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base
                shift=None, start: ComplexField = None, check_mu=True) -> SolveResult:
     (out,) = _solve(problem, s_total, [(mu, shift, start)], config, t_base, check_mu)
     if isinstance(out, Exception):
-        raise out
+        _release(out, sys._getframe())
+        try:
+            raise out
+        finally:
+            out = None            # the raise pins this frame, which must not keep the error
     return out
 
 

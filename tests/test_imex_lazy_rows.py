@@ -1,11 +1,15 @@
-"""Unforced imex marches keep their rows as Fourier coefficients until they are read.
+"""Unforced imex marches keep their rows unread until they are read.
 
-The oracle is the same problem with a zero source: it takes the forced march,
-which transforms every node as it goes, with the same arithmetic, so every
-row and every time derivative must agree bit for bit.
+Under the blocks step a row is a placeholder that the first read re-marches;
+under GMRES it is kept as Fourier coefficients.  The oracle is the same
+problem with a zero source: it takes the forced march, which transforms every
+node as it goes, with the same arithmetic, so every row and every time
+derivative must agree bit for bit.
 """
 
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +17,9 @@ import pytest
 import parastrip as ps
 import parastrip.solver
 from parastrip.errors import InstabilityError
-from parastrip.solver import _Coefficients
+from parastrip.solver import _Coefficients, _Pending, _Resolvent
 
-from test_imex_blocks import IMEX, problem_1d, real_solve, time_dependent
+from test_imex_blocks import IMEX, implicit, problem_1d, real_solve, time_dependent
 
 
 def zero_source(problem):
@@ -23,11 +27,11 @@ def zero_source(problem):
 
 
 def lazy_rows(res):
-    return sum(isinstance(block, _Coefficients) for block in res.stored)
+    return sum(isinstance(block, (_Coefficients, _Pending)) for block in res.stored)
 
 
 def assert_same_rows(lazy, eager, pending):
-    """``lazy`` kept ``pending`` rows as coefficients; read, they equal ``eager``'s every row."""
+    """``lazy`` kept ``pending`` rows unread; read, they equal ``eager``'s every row."""
     assert lazy_rows(lazy) == pending and lazy_rows(eager) == 0
     np.testing.assert_array_equal(lazy.times, eager.times)
     assert len(lazy.fields) == len(eager.fields)
@@ -103,13 +107,18 @@ def test_final_only_stores_the_transformed_last_node():
     assert_same_rows(lazy, eager, 0)
 
 
+def heston_chart():
+    """The benchmark's 64^2 Heston chart at its nominal inputs: params, payoff and grid."""
+    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
+                                                              rho=0.0, v_min=0.02, v_max=0.06))
+    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
+    return params, payoff, ps.make_grid(2, 6.0, 64)
+
+
 def test_the_heston_chart():
     from parastrip.xva import _pricing_config, _pricing_problem
 
-    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
-                                                              rho=0.0, v_min=0.02, v_max=0.06))
-    grid = ps.make_grid(2, 6.0, 64)
-    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
+    params, payoff, grid = heston_chart()
     lazy = ps.price_riskfree(params, payoff, grid, 1.0)
     eager = ps.solve_real(zero_source(_pricing_problem(params, payoff, grid)), 0.0, 1.0,
                           _pricing_config(grid, 1.0, None))
@@ -143,7 +152,8 @@ def test_a_non_finite_coefficient_iterate_raises_in_the_march(monkeypatch):
     assert transforms == []          # found on the coefficients, before any transform
 
 
-def test_a_row_whose_transform_is_not_finite_raises_when_read():
+def test_a_row_whose_transform_is_not_finite_raises_when_read(monkeypatch):
+    monkeypatch.setattr(parastrip.solver, "_BLOCK_BYTES_CAP", 0)     # GMRES keeps _Coefficients
     res = real_solve()(problem_1d())
     b = next(b for b, block in enumerate(res.stored) if isinstance(block, _Coefficients))
     # finite coefficients whose inverse transform overflows
@@ -156,3 +166,52 @@ def test_a_row_whose_transform_is_not_finite_raises_when_read():
             pytest.raises(InstabilityError, match=rf"non-finite value at t=\({res.times[b].real}"):
         res.fields
     np.testing.assert_array_equal(res.final.values, final)
+
+
+def test_a_replayed_row_that_is_not_finite_raises_when_read():
+    res = real_solve()(problem_1d())
+    assert implicit(res) == "blocks" and lazy_rows(res) == 9
+    replay = res.stored[1].replay
+    # a finite start whose first replayed step overflows: node 1 is the first bad row
+    replay.start = np.full_like(replay.start, 1.5e308)
+    final = res.final.values.copy()          # the final row is read without replaying
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InstabilityError, match=rf"non-finite value at t=\({res.times[1].real}"):
+        res.fields
+    # nothing was replaced: a later read replays again from the start
+    assert lazy_rows(res) == 9
+    np.testing.assert_array_equal(res.final.values, final)
+
+
+def test_a_read_replays_the_march_once(monkeypatch):
+    calls = []
+    inner = _Resolvent.apply
+    monkeypatch.setattr(_Resolvent, "apply", lambda self, rhs: calls.append(1) or inner(self, rhs))
+    res = real_solve()(problem_1d())
+    (window,) = res.diagnostics["windows"]
+    n = window["steps"]
+    assert window["implicit"] == "blocks" and n == 10
+    # node 0's predictor and corrector, then one step per node
+    assert len(calls) == n + 1
+    resolvent = weakref.ref(res.stored[1].replay.resolvent)
+    res.final
+    assert len(calls) == n + 1
+    # the first read re-marches nodes 1 to n - 1 once; the last was stored as values
+    assert len(res.fields) == n + 1 and len(calls) == 2 * n
+    res.blocks, res.time_derivatives
+    assert len(calls) == 2 * n and lazy_rows(res) == 0
+    assert resolvent() is None          # every row read: the result holds no resolvent
+
+
+def test_a_price_that_reads_the_final_row_keeps_no_rows():
+    params, payoff, grid = heston_chart()
+    tracemalloc.start()
+    try:
+        res = ps.price_riskfree(params, payoff, grid, 1.0)
+        price = ps.evaluate_at(res.final, [0.0, 0.04])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(price) and lazy_rows(res) == 399
+    # 399 coefficient rows of 64 KiB would be 26 MB alone
+    assert peak <= 12e6

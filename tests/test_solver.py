@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -602,13 +605,18 @@ def test_imex_gmres_failure_is_not_retried_on_halved_windows(monkeypatch):
     assert spans == [(0.0, 0.5)]
 
 
-def test_picard_failure_is_raised_where_it_is_judged():
+def _picard_failure():
+    """A variable_heat problem whose picard_voc fixed point needs more than 25 sweeps at dt = 0.01."""
     grid = ps.make_grid(1, 3.0, 64)
     op = ps.DivergenceOperator.from_terms(
         1, 1, 1, {((1,), (1,)): lambda z, t: 1.0 + 0.25 * np.cos(np.pi * z[0] / 3.0)},
         ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0), autonomous=True,
     )
-    problem = ps.CauchyProblem(grid, op, lambda pts: np.exp(-pts[0] ** 2 / 2))
+    return ps.CauchyProblem(grid, op, lambda pts: np.exp(-pts[0] ** 2 / 2))
+
+
+def test_picard_failure_is_raised_where_it_is_judged():
+    problem = _picard_failure()
     with pytest.raises(ps.ConvergenceError, match="needed more than 25 sweeps") as info:
         ps.solve_real(problem, 0.0, 0.05, ps.SolverConfig(dt=0.01))
     tb = info.value.__traceback__
@@ -622,6 +630,42 @@ def test_picard_failure_is_raised_where_it_is_judged():
         pinned.setdefault(frame.f_code.co_name, dict(frame.f_locals))
         frame = frame.f_back
     assert pinned["_picard_window"] == pinned["_march"] == {}
+    assert pinned["_solve"] == {}
+
+
+@pytest.mark.parametrize("entry", ["solve_real", "solve_shift_family", "cr_residual_time"])
+def test_a_dropped_solver_error_keeps_nothing_alive(entry):
+    from parastrip.analyticity import cr_residual_time
+
+    problem, config = _picard_failure(), ps.SolverConfig(dt=0.01)
+    solve = {"solve_real": lambda: ps.solve_real(problem, 0.0, 0.05, config),
+             "solve_shift_family": lambda: ps.solve_shift_family(problem, [0.0, 0.1], 0.0, 0.05, config),
+             "cr_residual_time": lambda: cr_residual_time(problem, 1.0, 0.01, 0.05, config)}[entry]
+
+    def fail():
+        """A weak reference to the error the solve raises, which is then dropped."""
+        try:
+            solve()
+        except ps.ConvergenceError as exc:
+            return weakref.ref(exc)
+        raise AssertionError("the solve did not fail")
+
+    def array_bytes():
+        arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        return sum(trace.size for trace in tracemalloc.take_snapshot().filter_traces([arrays]).traces)
+
+    fail()                       # the grid fills its caches
+    gc.collect()
+    gc.disable()                 # no collector: only a reference cycle could keep anything alive
+    tracemalloc.start()
+    try:
+        before = array_bytes()
+        error = fail()
+        assert error() is None
+        assert array_bytes() == before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def test_gmres_residual_is_minimal_over_each_krylov_space():
