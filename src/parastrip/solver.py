@@ -166,11 +166,10 @@ class SolverConfig:
 
 
 class _Rows(Sequence):
-    """The rows of a trajectory's blocks as ComplexFields, wrapped on demand.
+    """The rows of a trajectory's blocks as read-only ComplexFields, wrapped on demand.
 
     The blocks were checked finite once, when stored, transformed or
-    derived, so rows are wrapped without a second check.  Assigning a field
-    to an index writes its values into the block row.
+    derived, so rows are wrapped without a second check.
     """
 
     def __init__(self, grid: Grid, blocks: list):
@@ -180,7 +179,9 @@ class _Rows(Sequence):
     def __len__(self):
         return self._ends[-1] if self._ends else 0
 
-    def _locate(self, j):
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
         n = len(self)
         j = operator.index(j)
         if j < 0:
@@ -188,17 +189,7 @@ class _Rows(Sequence):
         if not 0 <= j < n:
             raise IndexError(f"row {j} of a trajectory with {n} rows")
         b = bisect.bisect_right(self._ends, j)
-        return self._blocks[b], j - (self._ends[b - 1] if b else 0)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        block, row = self._locate(j)
-        return ComplexField._trusted(self._grid, block[row])
-
-    def __setitem__(self, j, field: ComplexField):
-        block, row = self._locate(j)
-        block[row] = field.values
+        return ComplexField._trusted(self._grid, self._blocks[b][j - (self._ends[b - 1] if b else 0)])
 
     def __iter__(self):
         for block in self._blocks:
@@ -217,40 +208,26 @@ def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
     return block
 
 
-class _Coefficients(NamedTuple):
-    """One node of an unforced GMRES imex march kept as its Fourier coefficients, checked finite there.
-
-    ``hat`` is the (M, *grid) array the step returned and ``t`` the node's
-    time.  ``values`` is the one-row block a per-node inverse transform
-    gives, with the same bits, checked finite (InstabilityError names t).
-    """
-
-    hat: np.ndarray
-    t: complex
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return _check_finite(_ifftn(self.hat, grid)[np.newaxis], [self.t], "value")
-
-
 class _Replay:
     """An unforced blocks march kept as its start w^_0 and its ``_Resolvent``, marched again when read.
 
     ``times`` are the march's node times.  ``rows`` repeats the march's
     steps from ``start``, the same call on the same input, so every node
-    gets the coefficients the march computed, bit for bit.
+    gets the coefficients the march computed, bit for bit, and its values
+    by the per-node inverse transform a forced march takes.
     """
 
     def __init__(self, start: np.ndarray, resolvent, times):
         self.start, self.resolvent, self.times = start, resolvent, times
 
     def rows(self, nodes, grid: Grid):
-        """(j, values) for each node j of the ascending ``nodes``, as ``_Coefficients.values`` gives them."""
+        """(j, values) for each node j of the ascending ``nodes``: a one-row block, checked finite."""
         step, w_hat, j = _blocks_step(self.resolvent), self.start, 0
         for node in nodes:
             while j < node:
                 w_hat, _ = step(j, w_hat, None, w_hat)
                 j += 1
-            yield node, _Coefficients(w_hat, self.times[node]).values(grid)
+            yield node, _check_finite(_ifftn(w_hat, grid)[np.newaxis], [self.times[node]], "value")
 
 
 class _Pending(NamedTuple):
@@ -285,19 +262,17 @@ class SolveResult:
     ``stored`` lists (rows, M, *grid) arrays: a one-row block for the start,
     then the kept rows of each window (of each node under ``imex``).  In
     order, their rows are the values at ``times``.  The solve checks every
-    block finite once, as it stores it.  An unforced imex march keeps the
-    rows before its last unread.  Under the blocks step they are
-    ``_Pending`` placeholders: the first read re-marches from the march's
-    start once (one more batched matvec per node, so a caller who reads
-    every row pays for a second matvec march) and gives each row the bits
-    it had in the march.  Under GMRES they are ``_Coefficients``.  Either
-    way a row is read as one inverse transform and one finite check, and
-    the values replace the placeholder or the coefficients in ``stored``;
-    a fully read result holds no resolvent.  So ``blocks``, ``fields``,
-    ``time_derivatives`` and ``hardy_integral`` see values; ``final``
-    reads the last row, which every march stores as values, and replays
-    nothing.  ``fields`` wraps rows in ComplexField on demand without a
-    second check; ``fields[j] = f`` writes f's values into the block.
+    block finite once, as it stores it.  An unforced imex march under the
+    blocks step keeps the rows before its last unread, as ``_Pending``
+    placeholders: the first read re-marches from the march's start once
+    (one more batched matvec per node, so a caller who reads every row pays
+    for a second matvec march), gives each row the bits it had in the
+    march by one inverse transform and one finite check, and puts the
+    values in ``stored``; a fully read result holds no resolvent.  So
+    ``blocks``, ``fields``, ``time_derivatives`` and ``hardy_integral``
+    see values; ``final`` reads the last row, which every march stores as
+    values, and replays nothing.  ``fields`` is a read-only sequence that
+    wraps rows in ComplexField on demand without a second check.
 
     ``rhs`` is the right-hand side A u + F + g as the solve binds it
     (``_group_rhs`` with its problem, plan and config).  The time
@@ -319,9 +294,7 @@ class SolveResult:
 
     def _block(self, b: int) -> np.ndarray:
         block = self.stored[b]
-        if isinstance(block, _Coefficients):
-            block = self.stored[b] = block.values(self.grid)
-        elif isinstance(block, _Pending):
+        if isinstance(block, _Pending):
             # one replay gives every stored node of its march
             replay = block.replay
             at = {p.j: i for i, p in enumerate(self.stored) if isinstance(p, _Pending) and p.replay is replay}
@@ -528,7 +501,7 @@ class _Window(NamedTuple):
     """One member's finished window: its node values as an (n + 1, M, *grid) array."""
 
     s_nodes: np.ndarray
-    fields: object                # an array, or a list of node arrays (imex)
+    fields: object                # an array, or a list of node arrays and _Pending nodes (imex)
     sweeps: int = None
     gmres_iterations: list = None
     contraction_ratio: float = None
@@ -1038,23 +1011,23 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     half, the resolvent (I + c P^)^-1 with c = mu dt / 2, to a step
     ``(j, w^_j, f^_j, guess) -> (w^_{j+1}, iterations)``.  A forced march
     needs every node's values for its explicit part, so it takes one
-    inverse FFT of each result and checks the values finite.  An unforced
-    one checks each w^_{j+1} finite on its coefficients and transforms the
-    last node only, the next start.  The nodes before it wait for a
-    SolveResult to read them: under the blocks step each is a ``_Pending``
-    placeholder of one ``_Replay``, which keeps w^_0 and the resolvent, not
-    a row per node, and re-marches when read (n - 1 more matvecs for a
-    caller who reads every row); under GMRES, whose replay would repeat
-    every solve, each is kept as ``_Coefficients``.  An autonomous
-    operator's resolvent is one matrix for the whole march, built once
-    (``_Resolvent``) and applied by ``_blocks_step``; a time-dependent
-    operator, or blocks that ``_Resolvent.build`` refuses, leave each step
-    to ``_gmres_step``.  The problem's temporal domain lies inside the
-    operator's, so ``_time_nodes`` checks the nodes for both.  The window's
-    fields are a list with one entry per node, values or a node kept unread; it
-    records one ``gmres_iterations`` entry per implicit solve (0 under the
-    blocks), the step that served it as ``implicit`` and the build record
-    as ``resolvent``.
+    inverse FFT of each result and checks the values finite; so does an
+    unforced march under GMRES, whose replay would repeat every solve.  An
+    unforced blocks march checks each w^_{j+1} finite on its coefficients
+    and transforms the last node only, the next start.  The nodes before it
+    wait for a SolveResult to read them: each is a ``_Pending`` placeholder
+    of one ``_Replay``, which keeps w^_0 and the resolvent, not a row per
+    node, and re-marches when read (n - 1 more matvecs for a caller who
+    reads every row).  An autonomous operator's resolvent is one matrix
+    for the whole march, built once (``_Resolvent``) and applied by
+    ``_blocks_step``; a time-dependent operator, or blocks that
+    ``_Resolvent.build`` refuses, leave each step to ``_gmres_step``.  The
+    problem's temporal domain lies inside the operator's, so
+    ``_time_nodes`` checks the nodes for both.  The window's fields are a
+    list with one entry per node, values or a ``_Pending``; it records one
+    ``gmres_iterations`` entry per implicit solve (0 under the blocks), the
+    step that served it as ``implicit`` and the build record as
+    ``resolvent``.
     """
     mu = complex(mu)
     if check_mu:
@@ -1089,10 +1062,8 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             guess, pred = solve(0, w_hat, explicit, w_hat, forced)
             if forced:
                 explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        w_hat, values = solve(j, w_hat, explicit, guess, forced or j == n - 1)
-        if values is None:
-            values = _Coefficients(w_hat, t_nodes[j + 1]) if replay is None else _Pending(replay, j + 1)
-        fields.append(values)
+        w_hat, values = solve(j, w_hat, explicit, guess, replay is None or j == n - 1)
+        fields.append(_Pending(replay, j + 1) if values is None else values)
     return _Window(s_nodes, fields, gmres_iterations=iterations,
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
@@ -1105,10 +1076,10 @@ def _store_rows(out: list, values, rows, times: list):
     into one small array per node, between which the next window's stacks
     kept landing on fresh pages (one page fault each).  A list of node
     arrays (imex) gives one block per row, a view: copying a whole march
-    into one block would double its memory for a moment.  A node kept
-    unread (``_Coefficients`` or ``_Pending``) was checked finite on its
-    coefficients by the march and is stored as it is.  ``times`` holds the
-    time of each row, for the message of a non-finite one.
+    into one block would double its memory for a moment.  A ``_Pending``
+    node was checked finite on its coefficients by the march and is stored
+    as it is.  ``times`` holds the time of each row, for the message of a
+    non-finite one.
     """
     if isinstance(values, np.ndarray):
         out.append(_check_finite(values[rows], times, "value"))
@@ -1239,10 +1210,13 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                 if out is None:
                     pending.append(m)
                 elif isinstance(out, ConvergenceError) and config.integrator == "picard_voc":
-                    m.halvings += 1
-                    if m.halvings > config.max_window_halvings or span <= config.dt * (1.0 + 1e-9):
+                    if m.halvings >= config.max_window_halvings or span <= config.dt * (1.0 + 1e-9):
+                        # the error keeps its type and traceback, so its origin stays the judging line
+                        out.args = (f"{out} after {m.halvings} window halvings at solver.dt = {config.dt}; "
+                                    "try a smaller dt or integrator 'imex'",)
                         m.error = out
                     else:
+                        m.halvings += 1
                         _release(out, sys._getframe())
                         m.window = span / 2.0
                         (stay if len(group) == 1 else pending).append(m)

@@ -66,8 +66,8 @@ def test_cr_residual_space_flags_non_family(heat_problem):
     fam = small_family(heat_problem, n_shifts=5, half=0.2)
     key = (0.1,)
     fake = fam.results[key]
-    for j in range(len(fake.fields)):
-        fake.fields[j] = ps.ComplexField(fake.fields[j].grid, np.conj(fake.fields[j].values))
+    blocks = fake.blocks
+    blocks[:] = [np.conj(block) for block in blocks]
     assert ps.cr_residual_space(fam, 0.05) > 0.05
 
 

@@ -1,9 +1,9 @@
-"""Unforced imex marches keep their rows unread until they are read.
+"""Unforced blocks marches keep their rows unread until they are read.
 
 Under the blocks step a row is a placeholder that the first read re-marches;
-under GMRES it is kept as Fourier coefficients.  The oracle is the same
-problem with a zero source: it takes the forced march, which transforms every
-node as it goes, with the same arithmetic, so every row and every time
+under GMRES every row is transformed as it is marched.  The oracle is the
+same problem with a zero source: it takes the forced march, which transforms
+every node as it goes, with the same arithmetic, so every row and every time
 derivative must agree bit for bit.
 """
 
@@ -17,7 +17,7 @@ import pytest
 import parastrip as ps
 import parastrip.solver
 from parastrip.errors import InstabilityError
-from parastrip.solver import _Coefficients, _Pending, _Resolvent
+from parastrip.solver import _Pending, _Resolvent
 
 from test_imex_blocks import IMEX, implicit, problem_1d, real_solve, time_dependent
 
@@ -27,7 +27,7 @@ def zero_source(problem):
 
 
 def lazy_rows(res):
-    return sum(isinstance(block, (_Coefficients, _Pending)) for block in res.stored)
+    return sum(isinstance(block, _Pending) for block in res.stored)
 
 
 def assert_same_rows(lazy, eager, pending):
@@ -72,13 +72,14 @@ def test_the_gmres_step(monkeypatch):
     lazy, eager = twins(problem_1d(), real_solve())
     (window,) = lazy.diagnostics["windows"]
     assert window["implicit"] == "gmres" and window["resolvent"]["refused"] == "cap"
-    assert_same_rows(lazy, eager, 9)
+    # GMRES transforms every node as it marches it
+    assert_same_rows(lazy, eager, 0)
 
 
 def test_a_time_dependent_operator():
     lazy, eager = twins(time_dependent(problem_1d()), real_solve())
     assert lazy.diagnostics["windows"][0]["resolvent"] == {"refused": "time_dependent"}
-    assert_same_rows(lazy, eager, 9)
+    assert_same_rows(lazy, eager, 0)
 
 
 def test_the_snapshot_stride_keeps_its_rows_as_coefficients():
@@ -152,20 +153,23 @@ def test_a_non_finite_coefficient_iterate_raises_in_the_march(monkeypatch):
     assert transforms == []          # found on the coefficients, before any transform
 
 
-def test_a_row_whose_transform_is_not_finite_raises_when_read(monkeypatch):
-    monkeypatch.setattr(parastrip.solver, "_BLOCK_BYTES_CAP", 0)     # GMRES keeps _Coefficients
-    res = real_solve()(problem_1d())
-    b = next(b for b, block in enumerate(res.stored) if isinstance(block, _Coefficients))
-    # finite coefficients whose inverse transform overflows
-    hat = np.full_like(res.stored[b].hat, 1.5e308)
-    res.stored[b] = res.stored[b]._replace(hat=hat)
-    assert np.all(np.isfinite(hat))
-    final = res.final.values.copy()          # the final row is read without transforming row b
-    assert isinstance(res.stored[b], _Coefficients)
+def test_a_gmres_node_whose_transform_is_not_finite_raises_in_the_march(monkeypatch):
+    inner = parastrip.solver._gmres_step
+
+    def sabotaged(*args):
+        step = inner(*args)
+
+        def overflowing(j, w_hat, f_hat, guess):
+            new, count = step(j, w_hat, f_hat, guess)
+            # finite coefficients whose inverse transform overflows
+            return (np.full_like(new, 1.5e308) if j == 3 else new), count
+
+        return overflowing
+
+    monkeypatch.setattr(parastrip.solver, "_gmres_step", sabotaged)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(InstabilityError, match=rf"non-finite value at t=\({res.times[b].real}"):
-        res.fields
-    np.testing.assert_array_equal(res.final.values, final)
+            pytest.raises(InstabilityError, match=r"non-finite iterate at t=\(0\.04"):
+        real_solve()(time_dependent(problem_1d()))
 
 
 def test_a_replayed_row_that_is_not_finite_raises_when_read():
