@@ -52,6 +52,7 @@ from .grid import (
     _fftn,
     _ifftn,
     _normalize_shift,
+    _read_only,
     derivative_multiplier,
     sample_on_shifted_grid,
 )
@@ -172,7 +173,7 @@ class _Rows(Sequence):
     derived, so rows are wrapped without a second check.
     """
 
-    def __init__(self, grid: Grid, blocks: list):
+    def __init__(self, grid: Grid, blocks: tuple):
         self._grid, self._blocks = grid, blocks
         self._ends = list(itertools.accumulate(len(block) for block in blocks))
 
@@ -201,11 +202,15 @@ class _Rows(Sequence):
 
 
 def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
-    """``block`` once every row is finite; else InstabilityError naming the first bad row's time."""
+    """``block``, made read-only, once every row is finite; else InstabilityError naming the first bad row.
+
+    Every block that passes is kept as it was checked: a write to a stored
+    row would go unseen by the time derivatives cached from it.
+    """
     finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
     if not finite.all():
         raise InstabilityError(f"non-finite {what} at t={complex(times[int(np.argmin(finite))])}; reduce dt")
-    return block
+    return _read_only(block)
 
 
 class _Replay:
@@ -237,8 +242,9 @@ class _Pending(NamedTuple):
     j: int
 
 
-# bytes of stored rows per right-hand-side evaluation of a SolveResult: enough rows
-# to share the Python overhead, few enough that the stages' stacks stay in cache
+# bytes of stored rows per right-hand-side evaluation of a SolveResult, and of dense
+# resolvent blocks per chunk of their build: enough rows or blocks to share the Python
+# overhead, few enough that the stacks stay in cache
 _RHS_BYTES = 2 ** 18
 
 
@@ -304,17 +310,17 @@ class SolveResult:
         return block
 
     @property
-    def blocks(self) -> list:
+    def blocks(self) -> tuple:
         for b in range(len(self.stored)):
             self._block(b)
-        return self.stored
+        return tuple(self.stored)
 
     @functools.cached_property
     def fields(self) -> _Rows:
         return _Rows(self.grid, self.blocks)
 
     @functools.cached_property
-    def derivative_blocks(self) -> list:
+    def derivative_blocks(self) -> tuple:
         out, start = [], 0
         for run in _runs(self.blocks, _RHS_BYTES):
             stack = run[0] if len(run) == 1 else np.concatenate(run)
@@ -322,7 +328,7 @@ class SolveResult:
             start += len(stack)
             values = _check_finite(self.rhs(stack[np.newaxis], [ts])[0], ts, "right-hand side")
             out.extend(np.split(values, list(itertools.accumulate(map(len, run)))[:-1]))
-        return out
+        return tuple(out)
 
     @functools.cached_property
     def time_derivatives(self) -> _Rows:
@@ -764,7 +770,9 @@ def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w: np.ndarray, t,
     return _add_forcing(problem, plan, w[np.newaxis], (t,), config, zero)[0]
 
 
-_BLOCK_BYTES_CAP = 8 * 2 ** 20    # dense resolvent blocks beyond this leave the implicit half to GMRES
+# dense resolvent blocks over this in total leave the implicit half to GMRES: the build holds one
+# chunk of them at a time, but the coupled rows it keeps of their inverses can reach this size
+_BLOCK_BYTES_CAP = 8 * 2 ** 20
 
 
 class _Resolvent:
@@ -777,7 +785,8 @@ class _Resolvent:
     (M n_var) x (M n_var) block per fixed mode.  ``to_blocks`` lays an
     (..., M, *grid) array of coefficients out as (..., F, b) rows against
     the F blocks of size b (fixed axes first, then the component and the
-    var axes); ``from_blocks`` undoes it.
+    var axes); ``from_blocks`` undoes it.  ``matrix`` assembles the blocks
+    of B ``chunk`` at a time, as many as fit _RHS_BYTES (at least one).
 
     Most rows of B = I + c P^ couple nothing: the 2/3 dealias rule drops
     every variable product outside its mask, so a mode there meets the
@@ -801,6 +810,7 @@ class _Resolvent:
         self.size = math.prod(self.shape[p] for p in [0] + var)
         self.count = math.prod(self.shape) // self.size
         self.diagonal = self.blocks = self.kept = self.coupled = None
+        self.chunk = max(1, _RHS_BYTES // (self.size * self.size * np.dtype(np.complex128).itemsize))
 
     def to_blocks(self, hat: np.ndarray) -> np.ndarray:
         lead = hat.ndim - len(self.shape)
@@ -812,22 +822,26 @@ class _Resolvent:
         permuted = rows.reshape(rows.shape[:lead] + tuple(self.shape[p] for p in self.order))
         return permuted.transpose(list(range(lead)) + [lead + p for p in self.inverse])
 
-    def matrix(self, plan: OperatorPlan, t, c: complex) -> np.ndarray:
-        """The dense blocks of B = I + c P^(t), (F, b, b), from the coefficients' Fourier modes.
+    def matrix(self, plan: OperatorPlan, t, c: complex):
+        """The dense blocks of B = I + c P^(t) from the coefficients' Fourier modes, a chunk at a time.
 
-        k^alpha and the 2/3 dealias mask factor over the grid axes, into a
-        part over the fixed axes (kX, maskX: one value per block) and one
-        over the var axes (kV, maskV: one per mode of a block).  So block f
-        of P^ is sum_e kX[f]^e (maskX[f] H_e + D_e) over the fixed-axis
-        exponents e = alphaX + betaX of the terms, one (F x E) @ (E x b^2)
-        matmul.  As ``apply_hat`` applies them, H_e sums the variable terms'
-        diag(maskV kV^alphaV) Circ(c^) diag(kV^betaV), with Circ(c^)[k, l] =
-        c^[k - l] / n_var and c^ the FFT along the var axes of an entry of
-        the coefficient at index 0 of the fixed axes (``var_axes`` makes
-        that exact), and D_e the constant terms' C kV^(alphaV + betaV),
-        with no mask.  An entry whose samples are all equal is its value
-        times the identity exactly, never a Circ(c^) with rounding off its
-        diagonal, so every zero of the exact operator is a zero of B.
+        Returns ``assemble``: assemble(f) is blocks f, ..., f + k - 1 of B as
+        a (k, b, b) array, k = ``self.chunk`` (fewer at the end), so no
+        (F, b, b) stack of every block is ever held.  k^alpha and the 2/3
+        dealias mask factor over the grid axes, into a part over the fixed
+        axes (kX, maskX: one value per block) and one over the var axes (kV,
+        maskV: one per mode of a block).  So block f of P^ is sum_e kX[f]^e
+        (maskX[f] H_e + D_e) over the fixed-axis exponents e = alphaX + betaX
+        of the terms: ``assemble`` keeps the weights (F x E) and the stacked
+        terms (E x b^2) and multiplies k rows of the weights by the terms.
+        As ``apply_hat`` applies them, H_e sums the variable terms' diag(maskV
+        kV^alphaV) Circ(c^) diag(kV^betaV), with Circ(c^)[k, l] = c^[k - l] /
+        n_var and c^ the FFT along the var axes of an entry of the
+        coefficient at index 0 of the fixed axes (``var_axes`` makes that
+        exact), and D_e the constant terms' C kV^(alphaV + betaV), with no
+        mask.  An entry whose samples are all equal is its value times the
+        identity exactly, never a Circ(c^) with rounding off its diagonal,
+        so every zero of the exact operator is a zero of B.
         """
         grid, dim, m = plan.grid, plan.grid.dim, plan.op.components
         var = [dim + a for a in plan.var_axes]
@@ -865,15 +879,20 @@ class _Resolvent:
                     diff = np.ravel_multi_index(tuple((q[:, None] - q) % n for q, n in zip(k, shape)), shape)
                 spectrum = np.fft.fftn(entry.reshape(shape)).ravel() / n_var
                 block[i, :, j, :] += left[:, np.newaxis] * spectrum[diff] * right
-        weights = [power(e, fixed) * (part(mask, fixed) if masked else 1.0) for masked, e in stacks]
-        if stacks:
-            blocks = np.stack(weights, axis=1) @ np.stack(list(stacks.values())).reshape(len(stacks), b * b)
-        else:                                    # every term vanishes: P^ = 0
-            blocks = np.zeros((self.count, b * b), dtype=np.complex128)
-        blocks = blocks.reshape(self.count, b, b)
-        blocks *= c
-        blocks[:, np.arange(b), np.arange(b)] += 1.0
-        return blocks
+        if not stacks:                           # every term vanishes: P^ = 0
+            stacks[False, (0,) * dim] = np.zeros((m, n_var, m, n_var), np.complex128)
+        weights = np.stack([power(e, fixed) * (part(mask, fixed) if masked else 1.0) for masked, e in stacks],
+                           axis=1)
+        terms = np.stack(list(stacks.values())).reshape(len(stacks), b * b)
+        diagonal = np.arange(b)
+
+        def assemble(f):
+            blocks = (weights[f:f + self.chunk] @ terms).reshape(-1, b, b)
+            blocks *= c
+            blocks[:, diagonal, diagonal] += 1.0
+            return blocks
+
+        return assemble
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """B^-1 rhs on (F, b) block rows: the diagonal, then the coupled rows by one batched matmul."""
@@ -890,23 +909,30 @@ class _Resolvent:
         than _BLOCK_BYTES_CAP bytes, when B is singular, or when the
         residual max_k ||I - B_k X_k||_F of the inverse X as ``apply`` uses
         it exceeds ``tol``, so that X cannot promise the residual GMRES is
-        held to.  Coupled rows are found by exact comparison with zero.  Each
-        coupled block is inverted, has its rows kept and its residual taken
-        on its own, so no stack of inverses or products outlives one block.
-        A kept resolvent records its coupled blocks and rows, its bytes, the
-        residual, the build time and the part of it the coupled blocks'
-        loop took (their inversions, mostly).
+        held to.  B is read in chunks of ``chunk`` consecutive blocks (see
+        ``matrix``), in two passes: the first records every block's pivots
+        and the rows that couple nothing, found by exact comparison with
+        zero; the second assembles again only the chunks that hold coupled
+        blocks.  Each coupled block is inverted, has its rows kept and its
+        residual taken on its own, so no stack of blocks, inverses or
+        products outlives one chunk.  A kept resolvent records its coupled
+        blocks and rows, its bytes, the residual, the build time and the part
+        of it the second pass took (the inversions, mostly).
         """
         start = time.perf_counter()
         out = cls(plan, t)
-        b = out.size
+        b, step = out.size, out.chunk
         dense = out.count * b * b * np.dtype(np.complex128).itemsize
         if dense > _BLOCK_BYTES_CAP:
             return None, {"refused": "cap", "value": dense, "limit": _BLOCK_BYTES_CAP}
-        matrix = out.matrix(plan, t, c)
+        assemble = out.matrix(plan, t, c)
         idx = np.arange(b)
-        pivots = matrix[:, idx, idx]
-        lone = np.count_nonzero(matrix, axis=2) <= (pivots != 0)     # no off-diagonal entry
+        pivots = np.empty((out.count, b), np.complex128)
+        lone = np.empty((out.count, b), dtype=bool)          # no off-diagonal entry
+        for f in range(0, out.count, step):
+            chunk = assemble(f)
+            pivots[f:f + step] = chunk[:, idx, idx]
+            lone[f:f + step] = np.count_nonzero(chunk, axis=2) <= (pivots[f:f + step] != 0)
         if not np.all(pivots[lone]):
             return None, {"refused": "singular"}
         out.diagonal = np.divide(1.0, pivots, out=np.zeros(pivots.shape, np.complex128), where=lone)
@@ -917,10 +943,14 @@ class _Resolvent:
         out.coupled = np.empty(rows.shape + (b,), np.complex128)
         out.kept = (b * out.blocks[:, np.newaxis] + rows).ravel()
         norms = np.linalg.norm(1.0 - pivots * out.diagonal, axis=1)
-        inverted = time.perf_counter()
+        inverted, f = time.perf_counter(), -step
         for block, k, kept in zip(out.coupled, out.blocks, rows):
+            if k >= f + step:                 # the blocks are ascending: each chunk is assembled once
+                f = k - k % step
+                chunk = assemble(f)
+            matrix = chunk[k - f]
             try:
-                inverse = np.linalg.inv(matrix[k])
+                inverse = np.linalg.inv(matrix)
             except np.linalg.LinAlgError:
                 return None, {"refused": "singular"}
             block[...] = inverse[kept]
@@ -930,7 +960,7 @@ class _Resolvent:
             inverse[dropped] = 0.0
             i = np.flatnonzero(dropped)
             inverse[i, i] = out.diagonal[k, i]
-            product = matrix[k] @ inverse
+            product = matrix @ inverse
             product[idx, idx] -= 1.0
             norms[k] = np.linalg.norm(product, axis=(0, 1))
         inverted = time.perf_counter() - inverted
@@ -1112,7 +1142,7 @@ class _Member:
                 kept.append(j)
         if not self.win_diag and not final_only:
             self.times.append(complex(t_base))          # the start row comes first
-            self.blocks.append(self.w.values[np.newaxis])
+            self.blocks.append(_read_only(self.w.values[np.newaxis]))
         times = [complex(t_base + self.mu * win.s_nodes[j]) for j in kept]
         if kept:
             _store_rows(self.blocks, win.fields, kept, times)

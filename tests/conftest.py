@@ -29,6 +29,14 @@ def gaussian_datum(width=1.0, amplitude=1.0):
     return datum
 
 
+def heston_chart():
+    """The benchmark's 64^2 Heston chart at its nominal inputs: params, payoff and grid."""
+    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
+                                                              rho=0.0, v_min=0.02, v_max=0.06))
+    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
+    return params, payoff, ps.make_grid(2, 6.0, 64)
+
+
 @pytest.fixture
 def heat_problem():
     """1-D heat benchmark: Gaussian data on [-10, 10), n = 256."""

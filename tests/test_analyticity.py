@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,7 @@ def test_cr_residual_space_flags_non_family(heat_problem):
     fam = small_family(heat_problem, n_shifts=5, half=0.2)
     key = (0.1,)
     fake = fam.results[key]
-    blocks = fake.blocks
-    blocks[:] = [np.conj(block) for block in blocks]
+    fam.results[key] = dataclasses.replace(fake, stored=[np.conj(block) for block in fake.blocks])
     assert ps.cr_residual_space(fam, 0.05) > 0.05
 
 

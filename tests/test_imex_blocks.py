@@ -1,6 +1,7 @@
 """The imex march's implicit half by resolvent blocks, against its GMRES march."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import parastrip as ps
 import parastrip.solver
 from parastrip.errors import ConfigurationError, InstabilityError
 
-from conftest import make_heat_operator
+from conftest import heston_chart, make_heat_operator
 
 TEMPORAL = ps.TemporalDomain(np.pi / 4, 1.0, 2.0)
 IMEX = ps.SolverConfig(dt=0.01, integrator="imex")
@@ -148,16 +149,24 @@ def test_falls_back_to_gmres_when_the_blocks_are_refused(sabotage, monkeypatch):
         np.testing.assert_array_equal(a.values, b.values)
 
 
-def heston_resolvent():
-    """The benchmark's 64^2 Heston chart at its nominal inputs: plan, resolvent and build record."""
+def heston_plan():
+    """The operator plan of the benchmark's 64^2 Heston chart at its nominal inputs."""
     from parastrip.xva import _pricing_problem
 
-    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
-                                                              rho=0.0, v_min=0.02, v_max=0.06))
-    grid = ps.make_grid(2, 6.0, 64)
-    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
-    plan = ps.OperatorPlan(_pricing_problem(params, payoff, grid).op, grid)
+    params, payoff, grid = heston_chart()
+    return ps.OperatorPlan(_pricing_problem(params, payoff, grid).op, grid)
+
+
+def heston_resolvent():
+    """The benchmark's 64^2 Heston chart at its nominal inputs: plan, resolvent and build record."""
+    plan = heston_plan()
     return plan, *parastrip.solver._Resolvent.build(plan, 0.0, 0.5 / 400, IMEX.gmres_tol)
+
+
+def dense(resolvent, plan, t, c):
+    """B = I + c P^(t) as one (F, b, b) stack: the chunks ``matrix`` assembles, concatenated."""
+    assemble = resolvent.matrix(plan, t, c)
+    return np.concatenate([assemble(f) for f in range(0, resolvent.count, resolvent.chunk)])
 
 
 def test_the_heston_chart_keeps_43_blocks_of_43_coupled_rows():
@@ -169,12 +178,43 @@ def test_the_heston_chart_keeps_43_blocks_of_43_coupled_rows():
     assert record["build_s"] > 0.0
 
 
+def test_the_build_holds_no_stack_of_every_block():
+    # the 64 dense blocks of the chart take 4 MiB together; a chunk of four takes 256 KiB
+    plan = heston_plan()
+    plan.coefficients((0.0,))       # evaluated and kept by the plan, not by the build
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        resolvent, _ = parastrip.solver._Resolvent.build(plan, 0.0, 0.5 / 400, IMEX.gmres_tol)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert resolvent is not None and resolvent.chunk == 4
+    assert peak <= 4e6
+
+
+def test_a_chunk_boundary_changes_no_bit_of_the_build(monkeypatch):
+    # five 64 KiB blocks per chunk: 64 = 12 * 5 + 4, and the chunk of blocks 20-24 holds the
+    # coupled 20 and 21 with the lone 22-24; one chunk of all 64 blocks is the reference
+    def build(nbytes):
+        monkeypatch.setattr(parastrip.solver, "_RHS_BYTES", nbytes)
+        plan, resolvent, record = heston_resolvent()
+        return resolvent, {k: v for k, v in record.items() if not k.endswith("_s")}
+
+    (split, split_record), (whole, whole_record) = build(5 * 2 ** 16), build(64 * 2 ** 16)
+    assert (split.chunk, whole.chunk) == (5, 64)
+    assert list(split.blocks) == list(range(22)) + list(range(43, 64))
+    for name in ("diagonal", "blocks", "kept", "coupled"):
+        np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+    assert split_record == whole_record
+
+
 def test_a_compact_step_equals_the_dense_inverse_step():
     plan, resolvent, _ = heston_resolvent()
-    dense = np.linalg.inv(resolvent.matrix(plan, 0.0, 0.5 / 400))
+    inverse = np.linalg.inv(dense(resolvent, plan, 0.0, 0.5 / 400))
     rng = np.random.default_rng(0)
     w = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    want = np.matmul(dense, (2.0 * w)[..., np.newaxis])[..., 0] - w
+    want = np.matmul(inverse, (2.0 * w)[..., np.newaxis])[..., 0] - w
     np.testing.assert_array_equal(resolvent.apply(2.0 * w) - w, want)
 
 
@@ -192,7 +232,7 @@ def test_blocks_with_uneven_coupled_rows():
     grid = ps.make_grid(2, np.pi, 16)
     plan = ps.OperatorPlan(op, grid)
     resolvent = parastrip.solver._Resolvent(plan, 0.0)
-    matrix = resolvent.matrix(plan, 0.0, 0.005)
+    matrix = dense(resolvent, plan, 0.0, 0.005)
     off = matrix.copy()
     off[:, np.arange(32), np.arange(32)] = 0.0
     assert set(np.count_nonzero(np.any(off != 0.0, axis=2), axis=1)) == {16}
@@ -230,7 +270,8 @@ def two_component_2d():
         ps.StripSpec(1.0), TEMPORAL, autonomous=True)
 
 
-@pytest.mark.parametrize("case", ["variable_heat_1d", "heston_chart", "system_2d", "shifted", "constant"])
+@pytest.mark.parametrize("case", ["variable_heat_1d", "heston_chart", "system_2d", "shifted", "constant",
+                                  "vanishing"])
 def test_the_assembled_blocks_equal_p_hat_on_unit_vectors(case, monkeypatch):
     c = 0.005
     if case == "heston_chart":
@@ -239,6 +280,9 @@ def test_the_assembled_blocks_equal_p_hat_on_unit_vectors(case, monkeypatch):
         plan = ps.OperatorPlan(two_component_2d(), ps.make_grid(2, np.pi, 8))
     elif case == "constant":
         plan = ps.OperatorPlan(make_heat_operator(dim=2, strip_width=1.0), ps.make_grid(2, np.pi, 16))
+    elif case == "vanishing":       # every term is zero: B = I
+        plan = ps.OperatorPlan(make_heat_operator(dim=2, diffusivity=0.0, strip_width=1.0),
+                               ps.make_grid(2, np.pi, 16))
     else:
         plan = ps.OperatorPlan(variable_1d(), ps.make_grid(1, np.pi, 32), [0.2j] if case == "shifted" else None)
     resolvent = parastrip.solver._Resolvent(plan, 0.0)
@@ -248,7 +292,7 @@ def test_the_assembled_blocks_equal_p_hat_on_unit_vectors(case, monkeypatch):
     calls = []
     inner = ps.OperatorPlan.apply_hat
     monkeypatch.setattr(ps.OperatorPlan, "apply_hat", lambda *a, **kw: calls.append(1) or inner(*a, **kw))
-    got = resolvent.matrix(plan, 0.0, c)
+    got = dense(resolvent, plan, 0.0, c)
     assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the build assembles the blocks from the coefficients: P^ is never applied
     built, record = parastrip.solver._Resolvent.build(plan, 0.0, c, IMEX.gmres_tol)
@@ -333,10 +377,7 @@ def test_reading_time_derivatives_stacks_consecutive_blocks(monkeypatch):
     monkeypatch.setattr(parastrip.solver, "_group_rhs",
                         lambda problem, plans, stack, *a, **kw: calls.append(stack.shape[1])
                         or inner(problem, plans, stack, *a, **kw))
-    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
-                                                              rho=0.0, v_min=0.02, v_max=0.06))
-    grid = ps.make_grid(2, 6.0, 64)
-    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
+    params, payoff, grid = heston_chart()
     res = ps.price_riskfree(params, payoff, grid, 1.0)
     assert len(res.blocks) == 401 and calls == []
     derivatives = res.derivative_blocks

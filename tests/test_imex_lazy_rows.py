@@ -19,6 +19,7 @@ import parastrip.solver
 from parastrip.errors import InstabilityError
 from parastrip.solver import _Pending, _Resolvent
 
+from conftest import heston_chart
 from test_imex_blocks import IMEX, implicit, problem_1d, real_solve, time_dependent
 
 
@@ -106,14 +107,6 @@ def test_final_only_stores_the_transformed_last_node():
     lazy, eager = twins(problem_1d(), solve)
     assert len(lazy.stored) == 1
     assert_same_rows(lazy, eager, 0)
-
-
-def heston_chart():
-    """The benchmark's 64^2 Heston chart at its nominal inputs: params, payoff and grid."""
-    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.01,
-                                                              rho=0.0, v_min=0.02, v_max=0.06))
-    payoff = ps.hermite_payoff_fit(ps.PayoffSpec(kind="smoothed_call", strike=1.0, epsilon=1e-3), 6.0)
-    return params, payoff, ps.make_grid(2, 6.0, 64)
 
 
 def test_the_heston_chart():

@@ -233,6 +233,25 @@ def test_trajectory_rows_are_wrapped_on_demand_without_a_second_check(heat_probl
         res.fields[4] = ComplexField(heat_problem.grid, np.zeros(heat_problem.grid.shape))
 
 
+@pytest.mark.parametrize("integrator", ["picard_voc", "imex"])
+def test_stored_rows_and_their_derivatives_are_read_only(heat_problem, integrator):
+    # a row written after time_derivatives was read would keep the derivative of the old row;
+    # under imex the rows between the start and the final row are replayed when first read
+    res = ps.solve_real(heat_problem, 0.0, 0.1, ps.SolverConfig(dt=0.01, window=0.03, integrator=integrator))
+    res.time_derivatives
+    assert not any(block.flags.writeable for block in res.blocks + res.derivative_blocks)
+    with pytest.raises(ValueError):
+        res.blocks[2][0] = 0
+    with pytest.raises(ValueError):
+        res.final.values[0] = 0
+    with pytest.raises(ValueError):
+        res.derivative_blocks[2][0] = 0
+    with pytest.raises(TypeError):
+        res.blocks[2] = np.zeros_like(res.blocks[2])
+    with pytest.raises(TypeError):
+        res.derivative_blocks[2] = np.zeros_like(res.derivative_blocks[2])
+
+
 def hardy_reference(res, p, c0, m):
     """hardy_integral by its definition, one field at a time."""
     grid = res.fields[0].grid
