@@ -10,13 +10,13 @@ analyticity estimates bound.
 
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParastripError
 from .grid import ComplexField, _fftn, _ifftn, derivative_multiplier, spectral_derivative
-from .norms import NormParams, _fit_blocks, besov_norm, lp_norm
+from .norms import NormParams, _fit_blocks, _lp_norms, besov_norm, lp_norm
 from .operators import multi_indices
 from .solver import (
     CauchyProblem,
@@ -91,7 +91,7 @@ class ShiftFamily:
 
 
 def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
-                       config: SolverConfig = None) -> ShiftFamily:
+                       config: SolverConfig = None, keep=None) -> ShiftFamily:
     """Solve the problem once per imaginary shift iy, y in ``y_grid``.
 
     Members are solves sharing every discretization knob, each with its own
@@ -101,6 +101,13 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     shift; when several fail, the one with the smallest y, which a serial
     run in ascending order of y would meet first.  The error keeps the
     member's type when that is a ParastripError; any other is wrapped in one.
+
+    ``keep(index, times, block)`` is the members' row hook (see
+    ``solver._solve``): member ``index``, in ascending order of y, offers it
+    each row it would store and keeps those it holds and its last row, so a
+    caller can reduce the rows as they march and hold only the few it reads
+    again.  A hook must hold the same times for every member.  None keeps
+    every row.
     """
     dim = problem.grid.dim
     ys = [_as_vector(y, dim) for y in np.atleast_1d(np.asarray(y_grid, dtype=np.float64)).reshape(-1, dim)]
@@ -113,7 +120,8 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     ys = sorted(ys, key=_key)
     try:
         start, s_total = _real_span(t0, horizon)
-        outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys], config, t_base=start)
+        outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys], config, t_base=start,
+                          keep=keep)
     except Exception as exc:          # a setting all members share: the first one reports it
         outcomes = [exc]
     results = {}
@@ -150,12 +158,26 @@ def _family_axis(family: ShiftFamily):
     return axis, float(steps[0]), line
 
 
+def _tolerance(t) -> float:
+    """How far a stored time may lie from t and still be the snapshot at t."""
+    return 1e-9 * max(1.0, abs(complex(t)))
+
+
 def _time_index(times: np.ndarray, t) -> int:
     gaps = np.abs(times - complex(t))
     j = int(np.argmin(gaps))
-    if gaps[j] > 1e-9 * max(1.0, abs(complex(t))):
+    if gaps[j] > _tolerance(t):
         raise ConfigurationError(f"time {t} is not among the stored snapshots")
     return j
+
+
+def _at_times(times, targets) -> np.ndarray:
+    """Mask of the ``times`` that are the snapshot at one of ``targets``, as ``_time_index`` finds it."""
+    times = np.asarray(times, dtype=np.complex128)
+    out = np.zeros(len(times), dtype=bool)
+    for t in targets:
+        out |= np.abs(times - complex(t)) <= _tolerance(t)
+    return out
 
 
 def cr_residual_space(family: ShiftFamily, t, stride: int = 1) -> float:
@@ -225,6 +247,14 @@ def shift_consistency_check(family: ShiftFamily, problem: CauchyProblem, x0, y0,
     return worst
 
 
+# a snapshot stride past any march's node count: only the march's last row is due
+_NO_SNAPSHOTS = 10 ** 9
+
+
+def _hold_none(index, times, block):
+    return np.zeros(len(block), dtype=bool)
+
+
 def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: SolverConfig = None,
                      shift=None):
     """Normalized Wirtinger residual of mu -> omega_mu(rho) over a four-point stencil.
@@ -232,7 +262,9 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     Pass one stencil width ``d_mu`` for a float result, a sequence of them
     for a list in the same order.  Every stencil point and the centre, which
     all widths share, is one ray solved once; the rays run in lockstep and
-    keep their final rows only.
+    keep their final rows only: no row but the start and the last is due
+    under their snapshot stride, which changes no bit of the march, and the
+    row hook holds neither, so the march's last row alone is stored.
     """
     single = np.isscalar(d_mu)
     widths = [float(d_mu)] if single else [float(d) for d in d_mu]
@@ -250,7 +282,8 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
                 raise DomainError(f"stencil point mu={mu} leaves the disc of radius {radius}")
         # in the order a serial run solves them: each stencil, the centre after the first
         rays.extend(stencil if rays else stencil + [mu_center])
-    outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in rays], config, final_only=True)
+    config = replace(config if config is not None else SolverConfig(), snapshot_stride=_NO_SNAPSHOTS)
+    outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in rays], config, keep=_hold_none)
     for out in outcomes:
         if isinstance(out, Exception):
             _release(out, sys._getframe())
@@ -305,12 +338,10 @@ def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int) ->
         raise ConfigurationError("need at least two snapshots to integrate")
     grid = result.grid
     nparams = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
-    weight = grid.cell_volume
 
     def pth_powers(rows: np.ndarray) -> list:
-        # lp_norm(row, p) ** p of every row of a block, with lp_norm's rounding
-        sums = np.sum(np.abs(rows) ** p, axis=tuple(range(1, rows.ndim)))
-        return [float((total * weight) ** (1.0 / p)) ** p for total in sums]
+        # lp_norm(row, p) ** p of every row of a block
+        return [norm ** p for norm in _lp_norms(rows, grid, p)]
 
     arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(result.times)))])
     du = np.array([v for block in result.derivative_blocks for v in pth_powers(block)])

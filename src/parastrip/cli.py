@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analyticity import (
+    _at_times,
     cr_residual_space,
     cr_residual_time,
     hardy_integral,
@@ -30,7 +31,7 @@ from .analyticity import (
 )
 from .errors import ConfigurationError, ParastripError
 from .grid import _EXP_OVERFLOW, ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
-from .norms import NormParams, _besov_norms, _fit_blocks, lp_norm
+from .norms import NormParams, _besov_norms, _fit_blocks, _lp_norms, lp_norm
 from .operators import (
     DivergenceOperator,
     TemporalDomain,
@@ -609,16 +610,33 @@ def _check_solvable(v: dict, problem, grid, config, errors: list):
 # ---------------------------------------------------------------------------
 # norms table shared by solve / verify
 
-def _norm_rows(members, p: float, order_half: int):
-    """Per snapshot: t, the L2, L^p and Besov norms of members[0], and the Besov sup over members."""
-    grid = members[0].fields[0].grid
-    params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
-    rows = []
-    for j, t in enumerate(members[0].times):
-        f = members[0].fields[j]
-        besov = _besov_norms(np.stack([m.fields[j].values for m in members]), grid, params)
-        rows.append((float(np.real(t)), lp_norm(f, 2.0), lp_norm(f, p), besov[0], max(besov)))
-    return rows
+class _NormTable:
+    """The norm table of a solve or a shift family, taken as the rows come.
+
+    ``add(index, times, block)`` takes the Besov norm of every row of member
+    ``index``'s block and, for member 0, its L2 and L^p norms, each rounded
+    as ``besov_norm`` and ``lp_norm`` round one row alone.  It returns the
+    mask of the rows at the ``hold`` times (within ``_time_index``'s
+    tolerance), so it is a shift family's row hook.  ``rows`` lists, per
+    snapshot: t, the L2, L^p and Besov norms of member 0 and the Besov sup
+    over the members.
+    """
+
+    def __init__(self, grid, p: float, order_half: int, hold=()):
+        self.grid, self.p, self.hold = grid, p, hold
+        self.params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
+        self.first, self.besov = [], {}      # (t, L2, L^p) of member 0's rows; Besov norms by member
+
+    def add(self, index: int, times, block: np.ndarray) -> np.ndarray:
+        self.besov.setdefault(index, []).extend(_besov_norms(block, self.grid, self.params))
+        if index == 0:
+            self.first.extend(zip((float(np.real(t)) for t in times), _lp_norms(block, self.grid, 2.0),
+                                  _lp_norms(block, self.grid, self.p)))
+        return _at_times(times, self.hold)
+
+    def rows(self) -> list:
+        besov = zip(*(self.besov[k] for k in sorted(self.besov)))
+        return [(t, l2, lp, b[0], max(b)) for (t, l2, lp), b in zip(self.first, besov)]
 
 
 def _orders(steps, errs) -> list:
@@ -645,7 +663,7 @@ def _stride_indices(n: int, limit: int = 60):
 # ---------------------------------------------------------------------------
 # commands: each takes the walked values, runs its checks, then its jobs
 
-def _cmd_solve(v, out_dir, rng, record):
+def _cmd_solve(v, out_dir, seed, record):
     errors = []
     horizon = v["run"]["horizon"]
     problem, grid = _build_problem(v, horizon, errors)
@@ -667,7 +685,15 @@ def _cmd_solve(v, out_dir, rng, record):
                 rows.append((t, *[float(coords[ax, kk]) for ax in range(grid.dim)],
                              comp, float(flat[kk].real), float(flat[kk].imag)))
     files = [write_csv(out_dir, "trajectory.csv", head, rows)]
-    norm_rows = record("norms", lambda: _norm_rows([result], config.p, problem.op.order_half))
+
+    def norm_table():
+        norms, start = _NormTable(grid, config.p, problem.op.order_half), 0
+        for block in result.blocks:
+            norms.add(0, result.times[start:start + len(block)], block)
+            start += len(block)
+        return norms.rows()
+
+    norm_rows = record("norms", norm_table)
     if norm_rows is not None:
         files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
         ts = [r[0] for r in norm_rows]
@@ -685,7 +711,7 @@ def _cmd_solve(v, out_dir, rng, record):
     return files, [("solve_finite", l2, "finite", bool(np.isfinite(l2)))]
 
 
-def _cmd_verify_analyticity(v, out_dir, rng, record):
+def _cmd_verify_analyticity(v, out_dir, seed, record):
     errors = []
     horizon, block = v["run"]["horizon"], v["analyticity"]
     y_max, n_shifts, strides, path = block["y_half_width"], block["n_shifts"], block["strides"], block["path"]
@@ -718,8 +744,11 @@ def _cmd_verify_analyticity(v, out_dir, rng, record):
     y_line = np.linspace(-y_max, y_max, n_shifts)
     # the family shifts along the first axis: y -> (y, 0) on a 2-D grid
     y_grid = np.column_stack([y_line] + [np.zeros_like(y_line)] * (grid.dim - 1))
+    # the family's rows go to the norm table as they march; it holds the rows at ``times``, which
+    # cr_space reads again, and each member's last row
+    norms = _NormTable(grid, config.p, problem.op.order_half, hold=times)
     family = record("shift_family",
-                    lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config))
+                    lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config, keep=norms.add))
     files, checks = [], []
     if family is not None:
         def space_rows():
@@ -746,8 +775,7 @@ def _cmd_verify_analyticity(v, out_dir, rng, record):
                                     for t, pairs in per_t.items()],
                                    "spatial CR residual", "dy", "residual", log_y=True))
 
-        norm_rows = record("family_norms", lambda: _norm_rows(
-            list(family.results.values()), config.p, problem.op.order_half))
+        norm_rows = record("family_norms", norms.rows)
         if norm_rows is not None:
             files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
 
@@ -795,7 +823,7 @@ def _xva_point(params, payoff, grid, horizon, config):
     return surfaces, xva_atm, gap
 
 
-def _cmd_xva(v, out_dir, rng, record):
+def _cmd_xva(v, out_dir, seed, record):
     errors = []
     grid, horizon, pay = make_grid(**v["grid"]), v["xva"]["horizon"], v["xva"]["payoff"]
     params = _library("xva.params", errors, XvaParams, **_given(v["xva"]["params"]))
@@ -871,7 +899,7 @@ def _cmd_xva(v, out_dir, rng, record):
     return files, checks
 
 
-def _cmd_ellipticity(v, out_dir, rng, record):
+def _cmd_ellipticity(v, out_dir, seed, record):
     errors = []
     grid, block = make_grid(**v["grid"]), v["ellipticity"]
     op = _build_operator(v["problem"]["operator"], grid, _build_temporal(v["temporal"], 1.0, errors), errors,
@@ -894,6 +922,7 @@ def _cmd_ellipticity(v, out_dir, rng, record):
             z_points = [np.array([x], dtype=np.complex128) for x in nodes]
         else:
             z_points = [np.array([x, y], dtype=np.complex128) for x in nodes for y in nodes]
+    rng = np.random.default_rng(seed)
     fields = random_band_limited_fields(grid, op.components, block["n_fields"], rng)
 
     def one_theta(theta):
@@ -917,7 +946,7 @@ def _cmd_ellipticity(v, out_dir, rng, record):
     return files, checks
 
 
-def _cmd_maxreg(v, out_dir, rng, record):
+def _cmd_maxreg(v, out_dir, seed, record):
     errors = []
     grid, block = make_grid(**v["grid"]), v["maxreg"]
     op = _build_operator(v["problem"]["operator"], grid, _build_temporal(v["temporal"], 1.0, errors), errors)
@@ -929,7 +958,8 @@ def _cmd_maxreg(v, out_dir, rng, record):
 
     horizons, p = sorted(block["horizons"]), block["p"]
     support = horizons[0] if block["support"] is None else block["support"]
-    ensemble = default_maxreg_ensemble(grid, op.components, block["samples"], rng, support=support)
+    ensemble = default_maxreg_ensemble(grid, op.components, block["samples"], np.random.default_rng(seed),
+                                       support=support)
     estimates = record("maxreg_estimate",
                        lambda: estimate_max_reg_constant(op, grid, horizons, p, ensemble, config))
     files, checks = [], []
@@ -945,7 +975,7 @@ def _cmd_maxreg(v, out_dir, rng, record):
     return files, checks
 
 
-def _cmd_convergence(v, out_dir, rng, record):
+def _cmd_convergence(v, out_dir, seed, record):
     errors = []
     horizon, block = v["run"]["horizon"], v["convergence"]
     base = horizon / 50.0 if block["base_dt"] is None else block["base_dt"]
@@ -1043,8 +1073,6 @@ def main(argv=None) -> int:
     jobs = max(1, int(args.jobs))
     out_dir = Path(args.output or v["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-
     job_status = []
 
     def record(name, fn):
@@ -1060,7 +1088,7 @@ def main(argv=None) -> int:
         return out
 
     try:
-        result = _RUNNERS[args.command](v, out_dir, rng, record)
+        result = _RUNNERS[args.command](v, out_dir, seed, record)
     except _Invalid as exc:
         print(_machine_error("invalid configuration", exc.violations), file=sys.stderr)
         return 2

@@ -83,6 +83,12 @@ def lp_norm(field: ComplexField, p: float) -> float:
     return float((np.sum(np.abs(field.values) ** p) * weight) ** (1.0 / p))
 
 
+def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> list:
+    """lp_norm of every row of a (B, M, *grid) stack, with the same rounding."""
+    sums = np.sum(np.abs(values) ** p, axis=tuple(range(1, values.ndim)))
+    return [float((total * grid.cell_volume) ** (1.0 / p)) for total in sums]
+
+
 def sobolev_hs_norm(field: ComplexField, s: float) -> float:
     """Bessel-potential H^s norm via the (1 + |k|^2)^(s/2) multiplier."""
     grid = field.grid

@@ -248,6 +248,11 @@ class _Pending(NamedTuple):
 _RHS_BYTES = 2 ** 18
 
 
+# bytes of imex rows stacked per call of a row hook: few calls, while a hook that takes the
+# rows' norms holds about 11 times its block in temporaries
+_HOOK_BYTES = 2 ** 16
+
+
 def _runs(blocks: list, nbytes: int):
     """Consecutive blocks in runs of at most ``nbytes`` bytes; a larger block is a run alone."""
     run, size = [], 0
@@ -266,8 +271,9 @@ class SolveResult:
     """Trajectory snapshots along one time ray or path, stored as blocks.
 
     ``stored`` lists (rows, M, *grid) arrays: a one-row block for the start,
-    then the kept rows of each window (of each node under ``imex``).  In
-    order, their rows are the values at ``times``.  The solve checks every
+    then the kept rows of each window (of each node under ``imex``), or the
+    rows a row hook holds (see ``_solve``).  In order, their rows are the
+    values at ``times``.  The solve checks every
     block finite once, as it stores it.  An unforced imex march under the
     blocks step keeps the rows before its last unread, as ``_Pending``
     placeholders: the first read re-marches from the march's start once
@@ -1098,25 +1104,16 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
 
-def _store_rows(out: list, values, rows, times: list):
-    """Append rows ``rows`` of a window's values to ``out`` as blocks, each checked finite once.
+def _due_rows(values: np.ndarray, rows: list):
+    """Rows ``rows`` of a window's (n + 1, M, *grid) stack, and whether they are a view of it.
 
-    A stack's rows are copied out together into one block of their own:
-    stored snapshots then hold no window stack alive, and the heap is not cut
-    into one small array per node, between which the next window's stacks
-    kept landing on fresh pages (one page fault each).  A list of node
-    arrays (imex) gives one block per row, a view: copying a whole march
-    into one block would double its memory for a moment.  A ``_Pending``
-    node was checked finite on its coefficients by the march and is stored
-    as it is.  ``times`` holds the time of each row, for the message of a
-    non-finite one.
+    Evenly spaced rows, as a snapshot stride leaves them, are a view; any
+    others (the last row after a stride that does not divide the march) a copy.
     """
-    if isinstance(values, np.ndarray):
-        out.append(_check_finite(values[rows], times, "value"))
-        return
-    for j, t in zip(rows, times):
-        node = values[j]
-        out.append(_check_finite(node[np.newaxis], [t], "value") if isinstance(node, np.ndarray) else node)
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if rows == list(range(rows[0], rows[-1] + 1, step)):
+        return values[rows[0]:rows[-1] + 1:step], True
+    return values[rows], False
 
 
 class _Member:
@@ -1130,23 +1127,52 @@ class _Member:
         self.times, self.blocks, self.win_diag, self.win_wall = [], [], [], []
 
     def store(self, win: _Window, bounds, wall_s: float, last_window: bool, config: SolverConfig, t_base,
-              final_only):
-        """Keep the window's rows due by the snapshot stride (the final row only with
-        ``final_only``), record its diagnostics and move the state to its end.  ``wall_s``
-        is the wall time of the call that marched the window (shared by a lockstep group)."""
+              keep):
+        """Keep the window's rows due by the snapshot stride, record its diagnostics and
+        move the state to its end.  ``wall_s`` is the wall time of the call that marched
+        the window (shared by a lockstep group).
+
+        Each due row is checked finite once and offered to ``keep`` (see
+        ``_solve``), the start row first, in time order: the rows of a
+        window's stack together, as a read-only view where they are evenly
+        spaced, and the node arrays of an imex march stacked in runs of at
+        most _HOOK_BYTES, a ``_Pending`` node replayed for it by the call a
+        read makes (a call per node took an imex family's norm table about
+        twice as long as building it from the read rows).  Only the rows it
+        holds, and the march's last row, are copied out and stored.
+        Without ``keep`` every due row is stored; an imex march's as one
+        block per node, a view, or the ``_Pending`` node itself: copying a
+        whole march into one block would double its memory for a moment.
+        """
         n = len(win.s_nodes) - 1
-        kept = []
+        due = []
         for j in range(1, n + 1):
             self.gstep += 1
-            if (last_window and j == n) or (not final_only and self.gstep % config.snapshot_stride == 0):
-                kept.append(j)
-        if not self.win_diag and not final_only:
-            self.times.append(complex(t_base))          # the start row comes first
-            self.blocks.append(_read_only(self.w.values[np.newaxis]))
-        times = [complex(t_base + self.mu * win.s_nodes[j]) for j in kept]
-        if kept:
-            _store_rows(self.blocks, win.fields, kept, times)
-            self.times.extend(times)
+            if (last_window and j == n) or self.gstep % config.snapshot_stride == 0:
+                due.append(j)
+        if not self.win_diag:                 # the start row comes first
+            self._hold([complex(t_base)], _read_only(self.w.values[np.newaxis]), keep, False, False)
+        times = [complex(t_base + self.mu * win.s_nodes[j]) for j in due]
+        values = win.fields
+        if due and isinstance(values, np.ndarray):
+            rows, view = _due_rows(values, due)
+            self._hold(times, _check_finite(rows, times, "value"), keep, last_window, view)
+        elif due and keep is None:
+            for j, t in zip(due, times):
+                node = values[j]           # a _Pending node was checked finite on its coefficients
+                self.times.append(t)
+                self.blocks.append(node if isinstance(node, _Pending) else _check_finite(
+                    node[np.newaxis], [t], "value"))
+        elif due:
+            pending = [values[j] for j in due if isinstance(values[j], _Pending)]
+            if pending:                    # one replay gives every pending row
+                replayed = pending[0].replay.rows([node.j for node in pending], self.plan.grid)
+            size = max(1, _HOOK_BYTES // self.w.values.nbytes)
+            for k in range(0, len(due), size):
+                js, ts = due[k:k + size], times[k:k + size]
+                run = np.stack([next(replayed)[1][0] if isinstance(values[j], _Pending) else values[j]
+                                for j in js])
+                self._hold(ts, _check_finite(run, ts, "value"), keep, last_window and js[-1] == n, False)
         self.win_diag.append(
             {
                 "s_start": bounds[0],
@@ -1163,6 +1189,26 @@ class _Member:
         self.w = ComplexField._trusted(self.plan.grid, np.array(win.fields[-1]))
         self.carried = win.carry
         self.s = bounds[1]             # s + span, rounded as a serial march adds it
+
+    def _hold(self, times: list, block: np.ndarray, keep, last: bool, view: bool):
+        """Store the rows of a checked ``block`` at ``times`` that ``keep`` holds (all without
+        ``keep``), its last row too when ``last``.
+
+        The rows of a ``view`` of a window's stack are copied out together
+        into one block of their own: stored snapshots then hold no window
+        stack alive, and the heap is not cut into one small array per node,
+        between which the next window's stacks kept landing on fresh pages
+        (one page fault each).
+        """
+        if keep is not None:
+            held = np.array(keep(self.index, times, block), dtype=bool)
+            held[-1] |= last
+            if not held.all():
+                times = [t for t, h in zip(times, held) if h]
+                block, view = _read_only(block[held]), False
+        if times:
+            self.times.extend(times)
+            self.blocks.append(_read_only(block.copy()) if view else block)
 
     def result(self, problem: CauchyProblem, config: SolverConfig) -> SolveResult:
         diag = {
@@ -1202,7 +1248,7 @@ def _release(error: Exception, frame) -> None:
 
 
 def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig,
-           t_base, check_mu: bool, final_only: bool):
+           t_base, check_mu: bool, keep):
     """Advance every member to s_total, recording each one's blocks or error on it.
 
     Under picard_voc the members start as one lockstep group sharing window
@@ -1254,7 +1300,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                     m.error = out
                 else:
                     try:
-                        m.store(out, bounds, wall_s, last_window, config, t_base, final_only)
+                        m.store(out, bounds, wall_s, last_window, config, t_base, keep)
                     except InstabilityError as exc:
                         m.error = exc
                         continue
@@ -1264,12 +1310,21 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
 
 
 def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_base=0.0,
-           check_mu=True, final_only=False) -> list:
+           check_mu=True, keep=None) -> list:
     """Solve for every member (mu, shift, start) along t = t_base + mu s, s in [0, s_total].
 
     One driver for one member or many (see ``_march``); every member gets
     the bits, sweep counts and halvings of its own serial solve.
-    ``final_only`` stores the final row alone.  Returns one entry per
+    ``keep(index, times, block)`` is a row hook: every row a member would
+    store (the start row and the rows due by the snapshot stride, checked
+    finite, in time order, each once) reaches it as a read-only (rows, M,
+    *grid) block with its times, and it returns a boolean mask of the rows
+    to store.  The member stores those and its march's last row, which
+    ``final`` reads; ``times`` lists the stored rows.  ``index`` is the
+    member's place in ``members``: the members of a lockstep group take
+    turns window by window, so the calls of different members interleave.
+    A block may view a whole window, so a hook keeps none past its call.
+    With ``keep=None`` every such row is stored.  Returns one entry per
     member, in order: its SolveResult, or the exception its serial solve
     raises.  The list ends at the first exception, the one a serial run of
     the members in order raises first.
@@ -1293,7 +1348,7 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
             break
         states.append(_Member(index, mu, shift, plan, w, window))
     marched = [m for m in states if isinstance(m, _Member)]
-    _march(problem, marched, s_total, config, t_base, check_mu, final_only)
+    _march(problem, marched, s_total, config, t_base, check_mu, keep)
     for m in marched:
         if m.error is not None:
             _release(m.error, sys._getframe())

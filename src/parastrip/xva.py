@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyticity import path_independence_check, cr_residual_space, solve_shift_family, strip_sup_over_time
+from .analyticity import _at_times, cr_residual_space, path_independence_check, solve_shift_family
 from .errors import ConfigurationError, DomainError
 from .grid import ComplexField, Grid, HermiteData, StripSpec, _fftn, eval_hermite, make_grid
-from .norms import NormParams, _fit_blocks
+from .norms import NormParams, _besov_norms, _fit_blocks
 from .operators import DivergenceOperator, TemporalDomain
 from .reaction import ReactionSpec, _smoothed_parts, f_minus, f_plus, in_branch_domain
 from .solver import CauchyProblem, SolverConfig, SolveResult, solve_real
@@ -532,7 +532,11 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
     rejecting shifts that would touch the payoff's branch cut and grids
     too coarse for the strip norm's dyadic blocks.  The family is one
     ``solve_shift_family`` call, so under ``picard_voc`` its members march
-    in lockstep.
+    in lockstep.  Its row hook takes the strip sup over every row as the
+    members march, each row's Besov norm rounded as ``besov_norm`` rounds it
+    alone, so it equals ``strip_sup_over_time`` of a family that keeps every
+    row; the family holds only the rows at ``tau_grid``, which the
+    Cauchy-Riemann residuals read.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=np.float64))
     cap = payoff.admissible_half_width
@@ -552,14 +556,20 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
     config = _pricing_config(grid, horizon, config)
     strip_params = NormParams(p=config.p, m=problem.op.order_half, dyadic_blocks=_fit_blocks(grid))
     shifts = [(y,) + (0.0,) * (grid.dim - 1) for y in y_arr]
-    family = solve_shift_family(problem, shifts, 0.0, horizon, config)
+    strip_sup = 0.0
+
+    def keep(index, times, block):
+        nonlocal strip_sup
+        strip_sup = max([strip_sup] + _besov_norms(block, grid, strip_params))
+        return _at_times(times, taus)
+
+    family = solve_shift_family(problem, shifts, 0.0, horizon, config, keep=keep)
     cr_space = {tau: cr_residual_space(family, tau) for tau in taus}
     if t_prime_list is None:
         t_prime_list = (0.4 * horizon, 0.6 * horizon)
     if tau_target is None:
         tau_target = 0.05 * horizon
     spread = path_independence_check(problem, horizon, tau_target, t_prime_list, config)
-    strip_sup = strip_sup_over_time(family, strip_params)
     return {
         "admissible_half_width": cap,
         "y_grid": [float(y) for y in y_arr],

@@ -232,6 +232,93 @@ def test_verify_analyticity_on_a_2d_grid(tmp_path):
     assert all(j["status"] == "ok" for j in manifest["job_status"])
 
 
+# a family of 9 members over 501 snapshots, whose rows outweigh the other jobs' working sets
+FAMILY_CFG = {
+    "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
+    "run": {"horizon": 0.1},
+    "problem": {
+        "operator": {"kind": "heat", "diffusivity": 1.0, "strip_half_width": 2.0},
+        "initial": {"kind": "gaussian"},
+    },
+    "solver": {"dt": 2e-4, "window": 1.6e-3},
+    "analyticity": {
+        "y_half_width": 0.2,
+        "n_shifts": 9,
+        "times": [0.05, 0.1],
+        "strides": [1, 2],
+        "d_mu": [0.05],
+        "rho": 0.02,
+        "path": {"sigma": 0.02, "tau": 0.002, "t_primes": [0.01, 0.015]},
+    },
+}
+
+
+@pytest.mark.parametrize("integrator", ["picard_voc", "imex"])
+def test_the_norm_table_is_taken_as_the_family_marches(tmp_path, monkeypatch, integrator):
+    import tracemalloc
+
+    import numpy as np
+
+    import parastrip.cli as cli
+    from parastrip.norms import NormParams, _besov_norms, _fit_blocks, lp_norm
+
+    cfg = json.loads(json.dumps(FAMILY_CFG))
+    cfg["solver"]["integrator"] = integrator
+    tables, write = {}, cli.write_csv
+
+    def spy(out, name, head, rows):
+        tables[name] = rows
+        return write(out, name, head, rows)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    tracemalloc.start()
+    try:
+        code, out = _run_in_process(tmp_path, integrator, "verify-analyticity", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+
+    # the tables of a family solved without a hook, as the norms of each row read alone give them
+    errors = []
+    v = cli._walk(cfg, cli._TOP, "", "verify-analyticity", errors)
+    problem, grid = cli._build_problem(v, 0.1, errors)
+    config = cli._solver_config(v["solver"], errors)
+    assert not errors
+    line = np.linspace(-0.2, 0.2, 9)
+    family = parastrip.solve_shift_family(problem, line[:, np.newaxis], 0.0, 0.1, config)
+    members = list(family.results.values())
+    assert len(family.times) == 501
+    params = NormParams(p=config.p, m=1, dyadic_blocks=_fit_blocks(grid))
+    norms = []
+    for j, t in enumerate(family.times):
+        f = members[0].fields[j]
+        besov = [_besov_norms(m.fields[j].values[np.newaxis], grid, params)[0] for m in members]
+        norms.append((float(np.real(t)), lp_norm(f, 2.0), lp_norm(f, config.p), besov[0], max(besov)))
+    assert repr(tables["norms.csv"]) == repr(norms)
+    space = [(stride * (line[1] - line[0]), t, parastrip.cr_residual_space(family, t, stride=stride))
+             for stride in (1, 2) for t in (0.05, 0.1)]
+    assert repr(tables["cr_space.csv"]) == repr(space)
+    # the family holds the rows at analyticity.times, not all of its rows
+    rows = sum(block.nbytes for m in members for block in m.blocks)
+    assert peak < rows / 2, (peak, rows)
+
+
+def test_verify_analyticity_draws_no_random_numbers(tmp_path):
+    # only ellipticity and maxreg build a random generator; no other command imports numpy.random
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(FAMILY_CFG, solver={"dt": 0.01})))
+    code = (
+        "import sys, parastrip.cli\n"
+        f"code = parastrip.cli.main(['verify-analyticity', '--config', {str(cfg_path)!r}, "
+        f"'--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_grid_too_coarse_for_the_norm_table_exits_2(tmp_path):
     cfg = dict(SOLVE_CFG, grid={"dim": 1, "half_length": 8.0, "points_per_axis": 32})
     proc, out = run_cli(tmp_path, "solve", cfg)

@@ -99,9 +99,10 @@ def test_a_two_segment_path():
     assert_same_rows(lazy, eager, 8)
 
 
-def test_final_only_stores_the_transformed_last_node():
+def test_a_hook_that_holds_nothing_stores_the_transformed_last_node():
     def solve(problem):
-        (res,) = parastrip.solver._solve(problem, 0.1, [(1.0, None, None)], IMEX, final_only=True)
+        (res,) = parastrip.solver._solve(problem, 0.1, [(1.0, None, None)], IMEX,
+                                         keep=lambda index, times, block: np.zeros(len(block), bool))
         return res
 
     lazy, eager = twins(problem_1d(), solve)

@@ -111,7 +111,7 @@ def test_cr_residual_time_solves_the_shared_centre_once(heat_problem, monkeypatc
 
     monkeypatch.setattr(analyticity, "_solve", spy)
     got = ps.cr_residual_time(heat_problem, 1.0, widths, 0.1, config)
-    assert calls == [(9, {"final_only": True})]
+    assert calls == [(9, {"keep": analyticity._hold_none})]
     grid = heat_problem.grid
 
     def end(mu):
@@ -126,6 +126,70 @@ def test_cr_residual_time_solves_the_shared_centre_once(heat_problem, monkeypatc
     assert isinstance(single, float) and single == got[1]
     with pytest.raises(ConfigurationError, match="positive"):
         ps.cr_residual_time(heat_problem, 1.0, [0.05, 0.0], 0.1, config)
+
+
+def family_through_a_hook(problem, y_grid, horizon, config, hold):
+    """A family whose row hook records every row it is offered and holds the rows at the times
+    ``hold``, checked against the same family solved without a hook; returns the hooked family."""
+    from parastrip.analyticity import _at_times
+
+    offered = {}
+
+    def keep(index, times, block):
+        assert not block.flags.writeable
+        offered.setdefault(index, []).append((list(times), block.copy()))
+        return _at_times(times, hold)
+
+    got = ps.solve_shift_family(problem, y_grid, 0.0, horizon, config, keep=keep)
+    want = ps.solve_shift_family(problem, y_grid, 0.0, horizon, config)
+    assert sorted(offered) == list(range(len(want.y_values)))
+    for index, y in enumerate(want.y_values):
+        full, held = want.member(y), got.member(y)
+        # each row once, in time order, with the bits a read of the unhooked member gives
+        times = [t for ts, _ in offered[index] for t in ts]
+        np.testing.assert_array_equal(times, full.times)
+        rows = np.concatenate([block for _, block in offered[index]])
+        np.testing.assert_array_equal(rows, np.stack([f.values for f in full.fields]))
+        # the held rows and the last row, and nothing else
+        mask = _at_times(full.times, hold)
+        mask[-1] = True
+        assert 1 < mask.sum() < len(mask)
+        np.testing.assert_array_equal(held.times, full.times[mask])
+        np.testing.assert_array_equal(np.stack([f.values for f in held.fields]), rows[mask])
+        np.testing.assert_array_equal(held.final.values, full.final.values)
+        untimed = [[dict(w, resolvent=None) for w in r.diagnostics["windows"]] for r in (held, full)]
+        assert untimed[0] == untimed[1]
+        for key in ("picard_iterations", "window_halvings"):
+            assert held.diagnostics[key] == full.diagnostics[key], key
+    return got
+
+
+def test_a_hook_sees_every_row_of_a_member_that_halves_its_window():
+    config = ps.SolverConfig(dt=0.01, window=0.08, picard_max_iter=9)
+    fam = family_through_a_hook(semilinear_problem(), SEMILINEAR_YS, 0.16, config, [0.04, 0.1])
+    assert [fam.member(y).diagnostics["window_halvings"] for y in fam.y_values] == [1] + [0] * 8
+
+
+def test_a_hook_sees_the_strided_rows_of_a_2d_family():
+    grid = ps.make_grid(2, 6.0, 16)
+    problem = ps.CauchyProblem(grid, make_heat_operator(dim=2, strip_width=1.0),
+                               lambda pts: np.exp(-0.5 * (pts[0] ** 2 + pts[1] ** 2)))
+    line = np.linspace(-0.3, 0.3, 5)
+    # windows of 8 nodes under stride 3: evenly spaced rows in each window, and a last row off the stride
+    config = ps.SolverConfig(dt=2e-3, window=0.016, snapshot_stride=3)
+    fam = family_through_a_hook(problem, np.column_stack([line, np.zeros_like(line)]), 0.05, config,
+                                [0.0, 0.024])
+    assert len(fam.times) == 3
+
+
+def test_a_hook_sees_the_replayed_rows_of_an_unforced_imex_march(heat_problem):
+    config = ps.SolverConfig(dt=5e-3, integrator="imex")
+    unhooked = ps.solve_shift_family(heat_problem, np.linspace(-0.2, 0.2, 3), 0.0, 0.05, config)
+    assert unhooked.member([0.0]).diagnostics["windows"][0]["implicit"] == "blocks"
+    assert sum(isinstance(b, solver._Pending) for b in unhooked.member([0.0]).stored) == 9
+    fam = family_through_a_hook(heat_problem, np.linspace(-0.2, 0.2, 3), 0.05, config, [0.02])
+    # the replayed rows were handed to the hook, so nothing is left to replay
+    assert not any(isinstance(b, solver._Pending) for y in fam.y_values for b in fam.member(y).stored)
 
 
 def test_a_failing_member_is_the_one_a_serial_run_meets_first(heat_problem):

@@ -173,6 +173,18 @@ def test_verify_price_analyticity_report():
     assert all(v < 1e-2 for v in report["cr_space"].values())
     assert report["path_spread"] < 1e-6
     assert np.isfinite(report["strip_sup"]) and report["strip_sup"] > 0.0
+    # the hook's strip sup and the held rows' residuals are those of a family that keeps every row
+    from parastrip.norms import _fit_blocks
+    from parastrip.xva import _adjustment_reaction, _pricing_config
+
+    grid = ps.make_grid(1, 6.0, 256)
+    problem = _pricing_problem(params, payoff, grid, reaction=_adjustment_reaction(params, 1))
+    config = _pricing_config(grid, 0.2, cfg)
+    family = ps.solve_shift_family(problem, [(y,) for y in np.linspace(-0.02, 0.02, 3)], 0.0, 0.2, config)
+    assert len(family.times) == 101
+    strip_params = ps.NormParams(p=config.p, m=problem.op.order_half, dyadic_blocks=_fit_blocks(grid))
+    assert report["strip_sup"] == ps.strip_sup_over_time(family, strip_params)
+    assert report["cr_space"] == {tau: ps.cr_residual_space(family, tau) for tau in (0.1, 0.2)}
     with pytest.raises(DomainError, match="branch cut"):
         ps.verify_price_analyticity(params, payoff, [-0.06, 0.0, 0.06], [0.1], cfg)
 
