@@ -10,7 +10,6 @@ emitted file.  Identical config and seed give byte identical CSVs.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import platform
@@ -20,6 +19,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+# CPython's builtin sha256 gives hashlib's digest; hashlib itself loads OpenSSL (3.5 MB of RSS)
+try:
+    from _sha2 import sha256 as _sha256             # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256       # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import __version__
 from .analyticity import (
@@ -53,11 +61,13 @@ from .xva import (
     PayoffSpec,
     XvaParams,
     bs_log_generator,
-    compute_xva_surfaces,
     evaluate_at,
     hermite_payoff_fit,
     heston_chart_generator,
     heston_generator,
+    price_riskfree,
+    price_xva_linear,
+    price_xva_nonlinear,
 )
 
 FLOAT_FMT = "%.12e"
@@ -373,7 +383,7 @@ class _Invalid(Exception):
 
 def _config_digest(cfg) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return _sha256(canon.encode()).hexdigest()
 
 
 def _check(v, key: Key, name: str, command: str, errors: list):
@@ -789,20 +799,25 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
         files.append(write_csv(out_dir, "cr_time.csv", ["d_mu", "rho", "residual"], rows))
 
     def path_rows():
-        ends = {tp: solve_along_path(problem, sigma, tau, tp, config) for tp in t_primes}
-        rows = [(sigma, tau, a, b, float(np.max(np.abs(ends[a].final.values - ends[b].final.values))))
+        # hardy reads the first path whole; of the others only the finals are kept
+        first, finals = None, {}
+        for tp in t_primes:
+            end = solve_along_path(problem, sigma, tau, tp, config)
+            first = end if first is None else first
+            finals[tp] = np.array(end.final.values)     # a copy: a view would pin the last block
+        rows = [(sigma, tau, a, b, float(np.max(np.abs(finals[a] - finals[b]))))
                 for i, a in enumerate(t_primes) for b in t_primes[i + 1:]]
-        return rows, max([0.0] + [row[-1] for row in rows]), ends
+        return rows, max([0.0] + [row[-1] for row in rows]), first
 
     out = record("path_independence", path_rows)
     if out is not None:
-        rows, spread, ends = out
+        rows, spread, first = out
         files.append(write_csv(out_dir, "path_independence.csv",
                                ["sigma", "tau", "t_prime_a", "t_prime_b", "spread"], rows))
         checks.append(("path_spread", spread, "< 1e-6", spread < 1e-6))
 
         def hardy_rows():
-            parts = hardy_integral(ends[t_primes[0]], block["hardy"]["p"], block["hardy"]["c0"],
+            parts = hardy_integral(first, block["hardy"]["p"], block["hardy"]["c0"],
                                    problem.op.order_half)
             return [(0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"])]
 
@@ -813,13 +828,38 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
     return files, checks
 
 
-def _xva_point(params, payoff, grid, horizon, config):
-    surfaces = compute_xva_surfaces(params, payoff, grid, horizon, config)
+def _xva_point(params, payoff, grid, horizon, config, strided=True):
+    """The three prices (as ``compute_xva_surfaces`` gives them), the adjustment at the money
+    and the sup gap between the two adjusted finals.
+
+    V stores every row: the linear price's source reads it at every time
+    node.  The adjusted prices store only the rows at V's strided times,
+    which ``xva.csv`` reads, with ``strided``, and otherwise only their finals.
+    """
+    riskfree = price_riskfree(params, payoff, grid, horizon, config)
+    held = riskfree.times[_stride_indices(len(riskfree.times), limit=12)] if strided else []
+
+    def keep(index, times, block):
+        return _at_times(times, held)
+
+    nonlinear = price_xva_nonlinear(params, payoff, grid, horizon, config, reference=riskfree, keep=keep)
+    linear = price_xva_linear(params, payoff, riskfree, grid, horizon, config, keep=keep)
+    for name, res in (("semilinear", nonlinear), ("linearised", linear)):
+        # only a halved Picard window moves an adjusted price's time nodes off V's
+        missing = [t for t in held if not _at_times(res.times, [t]).any()]
+        if missing:
+            raise ConfigurationError(
+                f"solver.window: a halved Picard window put the {name} price's time nodes off V's "
+                f"t = {float(missing[0].real)!r} (solver.dt {res.diagnostics['dt']!r}); choose a "
+                "solver.window that is solver.dt times a power of two, or a smaller solver.dt so "
+                "that no window halves")
+    surfaces = {"riskfree": riskfree, "nonlinear": nonlinear, "linear": linear,
+                "xva": nonlinear.final.values - riskfree.final.values}
     atm = [math.log(payoff.strike) if payoff.kind != "hermite_expansion" else 0.0]
     atm += [0.0] * (grid.dim - 1)
     xva_atm = float(np.real(evaluate_at(
         ComplexField(grid, surfaces["xva"]), atm))[0])
-    gap = float(np.max(np.abs(surfaces["nonlinear"].final.values - surfaces["linear"].final.values)))
+    gap = float(np.max(np.abs(nonlinear.final.values - linear.final.values)))
     return surfaces, xva_atm, gap
 
 
@@ -856,16 +896,17 @@ def _cmd_xva(v, out_dir, seed, record):
         x = grid.axis_nodes()
         center = grid.points_per_axis // 2
         rows = []
-        for j in idx:
+
+        def slice_of(res, j):
+            vals = res.fields[j].values[0]
+            return vals if grid.dim == 1 else vals[:, center]
+
+        # the adjusted prices hold the rows at V's strided times: the k-th of them is V's idx[k]
+        for k, j in enumerate(idx):
             t = float(np.real(surfaces["riskfree"].times[j]))
-
-            def slice_of(res):
-                vals = res.fields[j].values[0]
-                return vals if grid.dim == 1 else vals[:, center]
-
-            vr = slice_of(surfaces["riskfree"])
-            vn = slice_of(surfaces["nonlinear"])
-            vl = slice_of(surfaces["linear"])
+            vr = slice_of(surfaces["riskfree"], j)
+            vn = slice_of(surfaces["nonlinear"], k)
+            vl = slice_of(surfaces["linear"], k)
             for kk in range(x.size):
                 rows.append((float(x[kk]), t, float(vr[kk].real), float(vn[kk].real),
                              float(vl[kk].real), float((vn[kk] - vr[kk]).real)))
@@ -888,7 +929,8 @@ def _cmd_xva(v, out_dir, seed, record):
 
     if sweep:
         rows = record("epsilon_sweep", lambda: [
-            (eps, *_xva_point(p_eps, pay_eps, grid, horizon, config)[1:]) for eps, p_eps, pay_eps in sweep])
+            (eps, *_xva_point(p_eps, pay_eps, grid, horizon, config, strided=False)[1:])
+            for eps, p_eps, pay_eps in sweep])
         if rows is not None:
             files.append(write_csv(out_dir, "xva_sweep.csv",
                                    ["epsilon", "xva_at_atm", "sup_diff_linear_nonlinear"], rows))

@@ -1362,8 +1362,8 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
 
 
 def _solve_one(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0,
-               shift=None, start: ComplexField = None, check_mu=True) -> SolveResult:
-    (out,) = _solve(problem, s_total, [(mu, shift, start)], config, t_base, check_mu)
+               shift=None, start: ComplexField = None, check_mu=True, keep=None) -> SolveResult:
+    (out,) = _solve(problem, s_total, [(mu, shift, start)], config, t_base, check_mu, keep)
     if isinstance(out, Exception):
         _release(out, sys._getframe())
         try:
@@ -1381,10 +1381,16 @@ def _real_span(t0, horizon):
     return t0, float(horizon) - t0
 
 
-def solve_real(problem: CauchyProblem, t0, horizon, config: SolverConfig = None, shift=None) -> SolveResult:
-    """March along real time from t0 to ``horizon``."""
+def solve_real(problem: CauchyProblem, t0, horizon, config: SolverConfig = None, shift=None,
+               keep=None) -> SolveResult:
+    """March along real time from t0 to ``horizon``.
+
+    ``keep(index, times, block)`` is the row hook of ``_solve`` (``index``
+    is 0): the result stores the rows it holds and the last row.  None
+    keeps every row.
+    """
     t0, s_total = _real_span(t0, horizon)
-    return _solve_one(problem, s_total, 1.0 + 0.0j, config, t_base=t0, shift=shift)
+    return _solve_one(problem, s_total, 1.0 + 0.0j, config, t_base=t0, shift=shift, keep=keep)
 
 
 def solve_complex_ray(problem: CauchyProblem, mu, rho_max, config: SolverConfig = None,

@@ -377,8 +377,13 @@ def _pricing_problem(params: XvaParams, payoff: PayoffSpec, grid: Grid, rate: fl
     )
 
 
-def _surface_lookup(result: SolveResult):
-    """Stored values at time t, (M, *grid); an array of times stacks them to (M, B, *grid)."""
+def _surface_lookup(result: SolveResult, grid: Grid):
+    """Stored values at time t, (M, *grid); an array of times stacks them to (M, B, *grid).
+
+    ``result`` must be priced on ``grid``.
+    """
+    if result.grid != grid:
+        raise ConfigurationError("reference surface was priced on a different grid")
     times = np.asarray(result.times)
 
     def one(t):
@@ -433,44 +438,55 @@ def _adjustment_reaction(params: XvaParams, dim: int, mark_lookup=None) -> React
 
 def price_riskfree(params: XvaParams, payoff: PayoffSpec, grid: Grid, horizon: float,
                    config: SolverConfig = None) -> SolveResult:
-    """Default-free value V: the discounted linear equation, no adjustments."""
+    """Default-free value V: the discounted linear equation, no adjustments.
+
+    V stores every row: the linear adjusted price and a blended mark read
+    it at every time node of their own solves.
+    """
     problem = _pricing_problem(params, payoff, grid)
     return solve_real(problem, 0.0, horizon, _pricing_config(grid, horizon, config))
 
 
 def price_xva_nonlinear(params: XvaParams, payoff: PayoffSpec, grid: Grid, horizon: float,
-                        config: SolverConfig = None) -> SolveResult:
+                        config: SolverConfig = None, reference: SolveResult = None,
+                        keep=None) -> SolveResult:
     """Adjusted value V_hat with the semilinear own-mark reaction.
 
-    With theta_mtm < 1 the mark blends in the default-free surface, which is
-    priced first on the same grid and time step.
+    With theta_mtm < 1 the mark blends in the default-free surface V:
+    ``reference``, priced on the same grid and time step with every row
+    stored, or, when None, V priced here first.  ``keep`` is the row hook
+    of ``solve_real``: the result stores the rows it holds and the final
+    row.  None keeps every row.
     """
     config = _pricing_config(grid, horizon, config)
     lookup = None
     if params.theta_mtm < 1.0:
-        lookup = _surface_lookup(price_riskfree(params, payoff, grid, horizon, config))
+        if reference is None:
+            reference = price_riskfree(params, payoff, grid, horizon, config)
+        lookup = _surface_lookup(reference, grid)
     reaction = _adjustment_reaction(params, grid.dim, mark_lookup=lookup)
     problem = _pricing_problem(params, payoff, grid, reaction=reaction)
-    return solve_real(problem, 0.0, horizon, config)
+    return solve_real(problem, 0.0, horizon, config, keep=keep)
 
 
 def price_xva_linear(params: XvaParams, payoff: PayoffSpec, reference: SolveResult, grid: Grid,
-                     horizon: float, config: SolverConfig = None) -> SolveResult:
+                     horizon: float, config: SolverConfig = None, keep=None) -> SolveResult:
     """Adjusted value marked to the default-free surface: linear with sources.
 
     The default intensities move into the discount rate and the smoothers
     act on the stored reference V, giving the inhomogeneous equation with
     source (R_B lam_B + lam_C) f_minus(V) + (lam_B + R_C lam_C - s_F)
     f_plus(V); the reference must live on the same grid with stored
-    snapshots at every time node of this solve.
+    snapshots at every time node of this solve (a missing one raises a
+    ConfigurationError naming its time).  ``keep`` is the row hook of
+    ``solve_real``, as for ``price_xva_nonlinear``; it thins this price's
+    rows, never the reference's.
     """
-    if reference.fields[0].grid != grid:
-        raise ConfigurationError("reference surface was priced on a different grid")
+    lookup = _surface_lookup(reference, grid)
     eps = params.epsilon
     lam_b, lam_c = params.lambda_B, params.lambda_C
     gain_minus = params.R_B * lam_b + lam_c
     gain_plus = lam_b + params.R_C * lam_c - params.s_F
-    lookup = _surface_lookup(reference)
 
     def source(t, grid_, shift):
         if shift is not None and np.any(np.asarray(shift) != 0):
@@ -482,18 +498,19 @@ def price_xva_linear(params: XvaParams, payoff: PayoffSpec, reference: SolveResu
         return gain_minus * minus + gain_plus * plus
 
     problem = _pricing_problem(params, payoff, grid, rate=params.r + lam_b + lam_c, source=source)
-    return solve_real(problem, 0.0, horizon, _pricing_config(grid, horizon, config))
+    return solve_real(problem, 0.0, horizon, _pricing_config(grid, horizon, config), keep=keep)
 
 
 def compute_xva_surfaces(params: XvaParams, payoff: PayoffSpec, grid: Grid, horizon: float,
                          config: SolverConfig = None) -> dict:
     """Price V, V_hat (semilinear), V_hat (linearized) and the adjustment.
 
-    The returned dict carries the three SolveResults plus the terminal
-    adjustment surface xva = V_hat - V.
+    The returned dict carries the three SolveResults, each with every row
+    stored, plus the terminal adjustment surface xva = V_hat - V.  V is
+    priced once and serves as the reference of both adjusted prices.
     """
     riskfree = price_riskfree(params, payoff, grid, horizon, config)
-    nonlinear = price_xva_nonlinear(params, payoff, grid, horizon, config)
+    nonlinear = price_xva_nonlinear(params, payoff, grid, horizon, config, reference=riskfree)
     linear = price_xva_linear(params, payoff, riskfree, grid, horizon, config)
     return {
         "riskfree": riskfree,

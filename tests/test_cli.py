@@ -319,6 +319,133 @@ def test_verify_analyticity_draws_no_random_numbers(tmp_path):
     assert proc.stdout.split() == ["0", "False"]
 
 
+def test_hardy_holds_only_the_first_path_whole(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    import parastrip.cli as cli
+
+    paths, alive = [], []
+    solve, hardy = cli.solve_along_path, cli.hardy_integral
+
+    def spy_path(*args, **kw):
+        result = solve(*args, **kw)
+        paths.append(weakref.ref(result))
+        return result
+
+    def spy_hardy(result, *args, **kw):
+        gc.collect()
+        alive.extend([path() is result, path() is not None] for path in paths)
+        return hardy(result, *args, **kw)
+
+    monkeypatch.setattr(cli, "solve_along_path", spy_path)
+    monkeypatch.setattr(cli, "hardy_integral", spy_hardy)
+    code, _ = _run_in_process(tmp_path, "va", "verify-analyticity", FAMILY_CFG)
+    assert code == 0
+    # hardy reads the first path; of the second only the final, taken by path_independence, was kept
+    assert alive == [[True, True], [False, False]]
+
+
+# perfbench's xva_semilinear_1d study at its nominal inputs
+XVA_STUDY_CFG = {
+    "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 256},
+    "xva": {"horizon": 1.0,
+            "params": {"sigma": 0.2, "epsilon": 1e-3, "lambda_B": 0.02, "lambda_C": 0.05,
+                       "R_B": 0.4, "R_C": 0.4, "s_F": 0.01},
+            "payoff": {"kind": "smoothed_call", "strike": 1.0, "epsilon": 1e-3}},
+}
+
+
+def test_xva_keeps_only_the_rows_it_writes(tmp_path):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out = _run_in_process(tmp_path, "xva", "xva", XVA_STUDY_CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((out / "xva.csv").read_text().splitlines()) == 1 + 14 * 256
+    # three prices of 501 rows of 4 KiB would hold 6.2 MB; V alone holds 2.1 MB
+    assert peak <= 6.5e6, peak
+
+
+def test_xva_prices_v_once_per_point_and_sweeps_keep_finals(tmp_path, monkeypatch):
+    import parastrip.xva as xva
+
+    solve, solves = xva.solve_real, []
+
+    def spy(problem, *args, **kw):
+        result = solve(problem, *args, **kw)
+        solves.append((problem.reaction is None and problem.source is None, len(result.times)))
+        return result
+
+    monkeypatch.setattr(xva, "solve_real", spy)
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
+        "xva": {"horizon": 0.25,
+                "params": {"sigma": 0.2, "epsilon": 0.05, "lambda_B": 0.02, "lambda_C": 0.05,
+                           "R_B": 0.4, "R_C": 0.4, "s_F": 0.01, "theta_mtm": 0.5},
+                "payoff": {"kind": "smoothed_call", "strike": 1.0, "epsilon": 0.05}},
+        "solver": {"dt": 0.005},
+        "sweep": {"epsilon": [0.05, 0.02]},
+    }
+    code, _ = _run_in_process(tmp_path, "xva", "xva", cfg)
+    assert code == 0
+    # per point: V with every row, then the two adjusted prices; 51 rows strided by 4, or finals only
+    point = [(True, 51), (False, 14), (False, 14)]
+    assert solves == point + [(True, 51), (False, 1), (False, 1)] * 2
+
+
+def test_xva_refuses_adjusted_rows_off_the_default_free_times(tmp_path):
+    # the semilinear price halves a window of 37 steps of 0.01 into two of 19 shorter steps, so
+    # its rows are not at V's times (V's t = 0.08 has the semilinear price's t = 0.0779)
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
+        "xva": {"horizon": 1.0,
+                "params": {"sigma": 0.2, "epsilon": 1e-3, "lambda_B": 5.0, "lambda_C": 5.0,
+                           "R_B": 0.4, "R_C": 0.4, "s_F": 5.0},
+                "payoff": {"kind": "smoothed_call", "strike": 1.0, "epsilon": 1e-3}},
+        "solver": {"dt": 0.01, "window": 0.37},
+    }
+    code, out = _run_in_process(tmp_path, "xva", "xva", cfg)
+    assert code == 1
+    (job,) = json.loads((out / "manifest.json").read_text())["job_status"]
+    assert job["status"] == "failed"
+    assert job["error"] == (
+        "ConfigurationError: solver.window: a halved Picard window put the semilinear price's time "
+        "nodes off V's t = 0.08 (solver.dt 0.01); choose a solver.window that is solver.dt times a "
+        "power of two, or a smaller solver.dt so that no window halves")
+
+
+def test_the_cli_loads_no_openssl(tmp_path):
+    # hashlib loads OpenSSL (_hashlib); the config hash takes CPython's builtin sha256
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SOLVE_CFG))
+    code = (
+        "import sys, parastrip.cli\n"
+        "loaded = [m for m in ('hashlib', '_hashlib') if m in sys.modules]\n"
+        f"code = parastrip.cli.main(['solve', '--config', {str(cfg_path)!r}, "
+        f"'--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code, loaded, [m for m in ('hashlib', '_hashlib') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]", "[]"]
+
+
+def test_the_config_digest_is_sha256_of_the_canonical_json():
+    import hashlib
+
+    from parastrip.cli import _config_digest
+
+    canon = json.dumps(FAMILY_CFG, sort_keys=True, separators=(",", ":"))
+    assert _config_digest(FAMILY_CFG) == hashlib.sha256(canon.encode()).hexdigest()
+    assert _config_digest({"a": "\u00e9", "b": [1.5, None]}) == hashlib.sha256(
+        b'{"a":"\\u00e9","b":[1.5,null]}').hexdigest()
+
+
 def test_grid_too_coarse_for_the_norm_table_exits_2(tmp_path):
     cfg = dict(SOLVE_CFG, grid={"dim": 1, "half_length": 8.0, "points_per_axis": 32})
     proc, out = run_cli(tmp_path, "solve", cfg)

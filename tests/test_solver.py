@@ -438,6 +438,33 @@ def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
 @pytest.mark.parametrize("config", [ps.SolverConfig(dt=0.01, window=0.04, snapshot_stride=3),
                                     ps.SolverConfig(dt=0.01, integrator="imex")],
                          ids=["picard_voc", "imex"])
+def test_solve_real_stores_the_rows_its_hook_holds_and_the_last(config):
+    from parastrip.analyticity import _at_times
+
+    # forced: the imex march keeps node arrays, which the hook sees stacked
+    problem, _ = _forcing_problem(1)
+    full = ps.solve_real(problem, 0.0, 0.1, config)
+    held, calls, seen = full.times[:-1:3], set(), []
+
+    def keep(index, times, block):
+        calls.add((index, block.flags.writeable))
+        seen.extend(times)
+        return _at_times(times, held)
+
+    thin = ps.solve_real(problem, 0.0, 0.1, config, keep=keep)
+    assert calls == {(0, False)}                   # member 0, read-only blocks
+    np.testing.assert_array_equal(seen, full.times)
+    picks = list(range(0, len(full.times) - 1, 3)) + [len(full.times) - 1]
+    assert len(picks) < len(full.times)
+    np.testing.assert_array_equal(thin.times, full.times[picks])
+    for a, j in zip(thin.fields, picks):
+        np.testing.assert_array_equal(a.values, full.fields[j].values)
+    assert thin.diagnostics["picard_iterations"] == full.diagnostics["picard_iterations"]
+
+
+@pytest.mark.parametrize("config", [ps.SolverConfig(dt=0.01, window=0.04, snapshot_stride=3),
+                                    ps.SolverConfig(dt=0.01, integrator="imex")],
+                         ids=["picard_voc", "imex"])
 def test_every_stored_time_derivative_is_a_fresh_rhs_of_its_row(config):
     from parastrip.solver import _jet_fields
 

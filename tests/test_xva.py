@@ -151,6 +151,70 @@ def test_price_xva_linear_requires_matching_grid():
         ps.price_xva_linear(params, call_payoff(), ref, g2, 0.1, cfg)
 
 
+def adjusted_market(**kw):
+    return market(lambda_B=0.02, lambda_C=0.05, R_B=0.4, R_C=0.4, s_F=0.01, **kw)
+
+
+def test_adjusted_prices_store_the_rows_their_hook_holds():
+    from parastrip.analyticity import _at_times
+
+    params, grid, cfg = adjusted_market(theta_mtm=0.5), ps.make_grid(1, 6.0, 64), ps.SolverConfig(dt=5e-3)
+    full = ps.compute_xva_surfaces(params, call_payoff(), grid, 0.25, cfg)
+    # V stores every row: the linear price's source and the blended mark read it at every node
+    riskfree = full["riskfree"]
+    n = len(riskfree.times)
+    strided = list(range(0, n, 10))
+    assert n == 51 and strided[-1] == n - 1
+    held = riskfree.times[strided]
+
+    def keep(index, times, block):
+        return _at_times(times, held)
+
+    thin = {
+        "nonlinear": ps.price_xva_nonlinear(params, call_payoff(), grid, 0.25, cfg,
+                                            reference=riskfree, keep=keep),
+        "linear": ps.price_xva_linear(params, call_payoff(), riskfree, grid, 0.25, cfg, keep=keep),
+    }
+    for name, res in thin.items():
+        np.testing.assert_array_equal(res.times, held)
+        for k, j in enumerate(strided):
+            np.testing.assert_array_equal(res.fields[k].values, full[name].fields[j].values)
+
+
+def test_a_thinned_reference_is_refused_naming_the_missing_time():
+    from parastrip.analyticity import _at_times
+
+    params, grid, cfg = adjusted_market(), ps.make_grid(1, 6.0, 64), ps.SolverConfig(dt=1e-2)
+    full = ps.price_riskfree(params, call_payoff(), grid, 0.1, cfg)
+    missing = float(full.times[4].real)
+    thin = ps.solve_real(_pricing_problem(params, call_payoff(), grid), 0.0, 0.1, cfg,
+                         keep=lambda index, times, block: ~_at_times(times, [missing]))
+    assert len(thin.times) == len(full.times) - 1
+    with pytest.raises(ConfigurationError, match=f"no stored price surface at t = {missing!r}"):
+        ps.price_xva_linear(params, call_payoff(), thin, grid, 0.1, cfg)
+
+
+def test_a_blended_mark_prices_the_default_free_surface_once(monkeypatch):
+    import parastrip.xva as xva
+
+    params = adjusted_market(theta_mtm=0.5)
+    grid, cfg = ps.make_grid(1, 6.0, 64), ps.SolverConfig(dt=0.1 / 40)
+    # alone, the semilinear price prices its own reference first
+    want = ps.price_xva_nonlinear(params, call_payoff(), grid, 0.1, cfg)
+    solve, riskfree = xva.solve_real, []
+
+    def counted(problem, *args, **kw):
+        riskfree.append(problem.reaction is None and problem.source is None)
+        return solve(problem, *args, **kw)
+
+    monkeypatch.setattr(xva, "solve_real", counted)
+    got = ps.compute_xva_surfaces(params, call_payoff(), grid, 0.1, cfg)
+    assert riskfree == [True, False, False]
+    np.testing.assert_array_equal(got["nonlinear"].times, want.times)
+    for a, b in zip(got["nonlinear"].fields, want.fields):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
 def test_evaluate_at_trig_interpolation():
     grid = ps.make_grid(1, np.pi, 32)
     k = 3.0
