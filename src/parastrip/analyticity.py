@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParastripError
 from .grid import ComplexField, _fftn, _ifftn, derivative_multiplier, spectral_derivative
-from .norms import NormParams, _fit_blocks, _lp_norms, besov_norm, lp_norm
+from .norms import NormParams, _besov_norms, _fit_blocks, _lp_norms, besov_norm, lp_norm
 from .operators import multi_indices
 from .solver import (
     CauchyProblem,
@@ -306,21 +306,32 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     return residuals[0] if single else residuals
 
 
+def _distinct_splits(t_primes) -> list:
+    """``t_primes`` as a list; refused with fewer than two distinct splits, whose paths would agree trivially."""
+    t_primes = list(t_primes)
+    if len(set(t_primes)) < 2:
+        raise ConfigurationError(f"path independence needs at least two distinct segment splits, got {t_primes}")
+    return t_primes
+
+
+def _paths(problem: CauchyProblem, sigma, tau, t_primes, config: SolverConfig = None, shift=None):
+    """A row (sigma, tau, t'_a, t'_b, sup |u_a - u_b|) per pair of splits of the two-segment paths
+    to sigma + i tau, and the first path whole; of the others only the finals are kept."""
+    t_primes, first, finals = _distinct_splits(t_primes), None, {}
+    for tp in t_primes:
+        end = solve_along_path(problem, sigma, tau, tp, config, shift=shift)
+        first = end if first is None else first
+        finals[tp] = np.array(end.final.values)     # a copy: a view would pin the last block
+    rows = [(sigma, tau, a, b, float(np.max(np.abs(finals[a] - finals[b]))))
+            for i, a in enumerate(t_primes) for b in t_primes[i + 1:]]
+    return rows, first
+
+
 def path_independence_check(problem: CauchyProblem, sigma, tau, t_prime_list,
                             config: SolverConfig = None, shift=None) -> float:
-    """Sup-norm spread of solve_along_path endpoints over the segment splits."""
-    t_primes = list(t_prime_list)
-    if len(t_primes) < 2:
-        raise ConfigurationError("path independence needs at least two segment splits")
-    endpoints = [
-        solve_along_path(problem, sigma, tau, tp, config, shift=shift).final.values
-        for tp in t_primes
-    ]
-    spread = 0.0
-    for i in range(len(endpoints)):
-        for k in range(i + 1, len(endpoints)):
-            spread = max(spread, float(np.max(np.abs(endpoints[i] - endpoints[k]))))
-    return spread
+    """Sup-norm spread of solve_along_path endpoints over at least two distinct segment splits."""
+    rows, _ = _paths(problem, sigma, tau, t_prime_list, config, shift=shift)
+    return max(row[-1] for row in rows)
 
 
 def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int) -> dict:
@@ -373,3 +384,81 @@ def strip_sup_over_time(family: ShiftFamily, params: NormParams) -> float:
         for f in family.results[key].fields:
             worst = max(worst, besov_norm(f, params))
     return float(worst)
+
+
+class _NormTable:
+    """The norm table of a solve or a shift family, taken as the rows come.
+
+    ``add(index, times, block)`` takes the Besov norm of every row of member
+    ``index``'s block and, for member 0, its L2 and L^p norms, each rounded
+    as ``besov_norm`` and ``lp_norm`` round one row alone.  It returns the
+    mask of the rows at the ``hold`` times (within ``_time_index``'s
+    tolerance), so it is a shift family's row hook.  ``rows`` lists, per
+    snapshot: t, the L2, L^p and Besov norms of member 0 and the Besov sup
+    over the members.
+    """
+
+    def __init__(self, grid, p: float, order_half: int, hold=()):
+        self.grid, self.p, self.hold = grid, p, hold
+        self.params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
+        self.first, self.besov = [], {}      # (t, L2, L^p) of member 0's rows; Besov norms by member
+
+    def add(self, index: int, times, block: np.ndarray) -> np.ndarray:
+        self.besov.setdefault(index, []).extend(_besov_norms(block, self.grid, self.params))
+        if index == 0:
+            self.first.extend(zip((float(np.real(t)) for t in times), _lp_norms(block, self.grid, 2.0),
+                                  _lp_norms(block, self.grid, self.p)))
+        return _at_times(times, self.hold)
+
+    def rows(self) -> list:
+        besov = zip(*(self.besov[k] for k in sorted(self.besov)))
+        return [(t, l2, lp, b[0], max(b)) for (t, l2, lp), b in zip(self.first, besov)]
+
+
+def _run(name, job):
+    return job()
+
+
+def _study(problem: CauchyProblem, config: SolverConfig, y_line, times, horizon, strides=(1,), path=None,
+           cr_time=None, hardy=None, record=_run) -> dict:
+    """Run the analyticity jobs on ``problem`` over [0, horizon]; their outputs by job name.
+
+    Each job runs as ``record(name, job)``, which returns its output, or None
+    for a failed job, whose dependants are then skipped; the default raises.
+    In order: ``shift_family`` (shifts i y, y in the ascending ``y_line``,
+    along the first axis; a ``_NormTable`` hook holds the rows at
+    ``times``), ``cr_space`` ((stride dy, t, residual) per stride with three
+    shifts, per t), ``family_norms`` (the table's rows), ``cr_time`` ((d,
+    rho, residual) per d, given ``cr_time = (mu, d_mu, rho)``),
+    ``path_independence`` (``_paths``' rows, given ``path = (sigma, tau,
+    t_primes)``) and ``hardy`` (``hardy_integral`` of the first path, given
+    ``hardy = (p, c0)``).  Too few shifts or distinct splits, or a grid too
+    coarse for the norm table, raise ``ConfigurationError`` before any solve.
+    """
+    if len(y_line) < 3:
+        raise ConfigurationError("central differencing needs at least three shifts")
+    if path is not None:
+        _distinct_splits(path[2])
+    grid = problem.grid
+    norms = _NormTable(grid, config.p, problem.op.order_half, hold=times)
+    y_grid = np.column_stack([y_line] + [np.zeros_like(y_line)] * (grid.dim - 1))
+    out = {}
+    family = record("shift_family",
+                    lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config, keep=norms.add))
+    if family is not None:
+        dy = y_line[1] - y_line[0]
+        out["cr_space"] = record("cr_space", lambda: [
+            (stride * dy, float(t), cr_residual_space(family, t, stride=stride))
+            for stride in strides if (len(y_line) - 1) // stride >= 2 for t in times])
+        out["family_norms"] = record("family_norms", norms.rows)
+    if cr_time is not None:
+        mu, d_mu, rho = cr_time
+        out["cr_time"] = record("cr_time", lambda: [
+            (d, rho, residual) for d, residual in zip(d_mu, cr_residual_time(problem, mu, d_mu, rho, config))])
+    if path is not None:
+        paths = record("path_independence", lambda: _paths(problem, *path, config))
+        if paths is not None:
+            out["path_independence"], first = paths
+            if hardy is not None:
+                out["hardy"] = record("hardy", lambda: hardy_integral(first, *hardy, problem.op.order_half))
+    return out

@@ -30,16 +30,10 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from . import __version__
-from .analyticity import (
-    _at_times,
-    cr_residual_space,
-    cr_residual_time,
-    hardy_integral,
-    solve_shift_family,
-)
+from .analyticity import _at_times, _distinct_splits, _NormTable, _study
 from .errors import ConfigurationError, ParastripError
 from .grid import _EXP_OVERFLOW, ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
-from .norms import NormParams, _besov_norms, _fit_blocks, _lp_norms, lp_norm
+from .norms import _fit_blocks, lp_norm
 from .operators import (
     DivergenceOperator,
     TemporalDomain,
@@ -54,7 +48,6 @@ from .solver import (
     SolverConfig,
     default_maxreg_ensemble,
     estimate_max_reg_constant,
-    solve_along_path,
     solve_real,
 )
 from .xva import (
@@ -617,38 +610,6 @@ def _check_solvable(v: dict, problem, grid, config, errors: list):
         )
 
 
-# ---------------------------------------------------------------------------
-# norms table shared by solve / verify
-
-class _NormTable:
-    """The norm table of a solve or a shift family, taken as the rows come.
-
-    ``add(index, times, block)`` takes the Besov norm of every row of member
-    ``index``'s block and, for member 0, its L2 and L^p norms, each rounded
-    as ``besov_norm`` and ``lp_norm`` round one row alone.  It returns the
-    mask of the rows at the ``hold`` times (within ``_time_index``'s
-    tolerance), so it is a shift family's row hook.  ``rows`` lists, per
-    snapshot: t, the L2, L^p and Besov norms of member 0 and the Besov sup
-    over the members.
-    """
-
-    def __init__(self, grid, p: float, order_half: int, hold=()):
-        self.grid, self.p, self.hold = grid, p, hold
-        self.params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
-        self.first, self.besov = [], {}      # (t, L2, L^p) of member 0's rows; Besov norms by member
-
-    def add(self, index: int, times, block: np.ndarray) -> np.ndarray:
-        self.besov.setdefault(index, []).extend(_besov_norms(block, self.grid, self.params))
-        if index == 0:
-            self.first.extend(zip((float(np.real(t)) for t in times), _lp_norms(block, self.grid, 2.0),
-                                  _lp_norms(block, self.grid, self.p)))
-        return _at_times(times, self.hold)
-
-    def rows(self) -> list:
-        besov = zip(*(self.besov[k] for k in sorted(self.besov)))
-        return [(t, l2, lp, b[0], max(b)) for (t, l2, lp), b in zip(self.first, besov)]
-
-
 def _orders(steps, errs) -> list:
     """Observed orders log(e_a / e_b) / log(h_a / h_b) of neighbouring steps h and their errors e;
     nan where an error is not positive or two steps are equal."""
@@ -748,83 +709,41 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
             f"{y_max!r}: the shift family's norms take exp(y_half_width^2 / (2 width^2)) to the power "
             f"max(2, solver.p) = {power:g}, which must stay below exp({_EXP_OVERFLOW:g})"
         )
+    _library("analyticity.path.t_primes", errors, _distinct_splits, t_primes)
     if errors:
         raise _Invalid(errors)
 
-    y_line = np.linspace(-y_max, y_max, n_shifts)
-    # the family shifts along the first axis: y -> (y, 0) on a 2-D grid
-    y_grid = np.column_stack([y_line] + [np.zeros_like(y_line)] * (grid.dim - 1))
-    # the family's rows go to the norm table as they march; it holds the rows at ``times``, which
-    # cr_space reads again, and each member's last row
-    norms = _NormTable(grid, config.p, problem.op.order_half, hold=times)
-    family = record("shift_family",
-                    lambda: solve_shift_family(problem, y_grid, 0.0, horizon, config, keep=norms.add))
+    out = _study(problem, config, np.linspace(-y_max, y_max, n_shifts), times, horizon, strides,
+                 path=(sigma, tau, t_primes), hardy=(block["hardy"]["p"], block["hardy"]["c0"]), record=record,
+                 cr_time=(complex(block["mu_center_re"], block["mu_center_im"]), block["d_mu"], rho))
     files, checks = [], []
-    if family is not None:
-        def space_rows():
-            dy = y_line[1] - y_line[0]
-            rows = []
-            for stride in strides:
-                if (n_shifts - 1) // stride < 2:
-                    continue
-                for t in times:
-                    rows.append((stride * dy, float(t), cr_residual_space(family, t, stride=stride)))
-            return rows
-
-        rows = record("cr_space", space_rows)
-        if rows is not None:
-            files.append(write_csv(out_dir, "cr_space.csv", ["dy", "t", "residual"], rows))
-            per_t = {}
-            for dy_eff, t, res in rows:
-                per_t.setdefault(t, []).append((dy_eff, res))
-            # each stride against the next smaller one
-            checks += _order_check("cr_space_order", [
-                order for pairs in per_t.values() for order in _orders(*zip(*sorted(pairs, reverse=True)))])
-            files.append(write_svg(out_dir, "cr_space.svg",
-                                   [(f"t={t:g}", [p[0] for p in sorted(pairs)], [p[1] for p in sorted(pairs)])
-                                    for t, pairs in per_t.items()],
-                                   "spatial CR residual", "dy", "residual", log_y=True))
-
-        norm_rows = record("family_norms", norms.rows)
-        if norm_rows is not None:
-            files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
-
-    def time_rows():
-        mu = complex(block["mu_center_re"], block["mu_center_im"])
-        residuals = cr_residual_time(problem, mu, block["d_mu"], rho, config)
-        return [(d_mu, rho, residual) for d_mu, residual in zip(block["d_mu"], residuals)]
-
-    rows = record("cr_time", time_rows)
+    rows = out.get("cr_space")
     if rows is not None:
-        files.append(write_csv(out_dir, "cr_time.csv", ["d_mu", "rho", "residual"], rows))
-
-    def path_rows():
-        # hardy reads the first path whole; of the others only the finals are kept
-        first, finals = None, {}
-        for tp in t_primes:
-            end = solve_along_path(problem, sigma, tau, tp, config)
-            first = end if first is None else first
-            finals[tp] = np.array(end.final.values)     # a copy: a view would pin the last block
-        rows = [(sigma, tau, a, b, float(np.max(np.abs(finals[a] - finals[b]))))
-                for i, a in enumerate(t_primes) for b in t_primes[i + 1:]]
-        return rows, max([0.0] + [row[-1] for row in rows]), first
-
-    out = record("path_independence", path_rows)
-    if out is not None:
-        rows, spread, first = out
+        files.append(write_csv(out_dir, "cr_space.csv", ["dy", "t", "residual"], rows))
+        per_t = {}
+        for dy_eff, t, res in rows:
+            per_t.setdefault(t, []).append((dy_eff, res))
+        # each stride against the next smaller one
+        checks += _order_check("cr_space_order", [
+            order for pairs in per_t.values() for order in _orders(*zip(*sorted(pairs, reverse=True)))])
+        files.append(write_svg(out_dir, "cr_space.svg",
+                               [(f"t={t:g}", [p[0] for p in sorted(pairs)], [p[1] for p in sorted(pairs)])
+                                for t, pairs in per_t.items()],
+                               "spatial CR residual", "dy", "residual", log_y=True))
+    if out.get("family_norms") is not None:
+        files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], out["family_norms"]))
+    if out.get("cr_time") is not None:
+        files.append(write_csv(out_dir, "cr_time.csv", ["d_mu", "rho", "residual"], out["cr_time"]))
+    rows = out.get("path_independence")
+    if rows is not None:
         files.append(write_csv(out_dir, "path_independence.csv",
                                ["sigma", "tau", "t_prime_a", "t_prime_b", "spread"], rows))
+        spread = max(row[-1] for row in rows)
         checks.append(("path_spread", spread, "< 1e-6", spread < 1e-6))
-
-        def hardy_rows():
-            parts = hardy_integral(first, block["hardy"]["p"], block["hardy"]["c0"],
-                                   problem.op.order_half)
-            return [(0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"])]
-
-        hrows = record("hardy", hardy_rows)
-        if hrows is not None:
-            files.append(write_csv(out_dir, "hardy.csv",
-                                   ["y", "tau", "lhs_du_dt", "lhs_derivs", "total"], hrows))
+    parts = out.get("hardy")
+    if parts is not None:
+        files.append(write_csv(out_dir, "hardy.csv", ["y", "tau", "lhs_du_dt", "lhs_derivs", "total"],
+                               [(0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"])]))
     return files, checks
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyticity import _at_times, cr_residual_space, path_independence_check, solve_shift_family
+from .analyticity import _study
 from .errors import ConfigurationError, DomainError
 from .grid import ComplexField, Grid, HermiteData, StripSpec, _fftn, eval_hermite, make_grid
-from .norms import NormParams, _besov_norms, _fit_blocks
 from .operators import DivergenceOperator, TemporalDomain
 from .reaction import ReactionSpec, _smoothed_parts, f_minus, f_plus, in_branch_domain
 from .solver import CauchyProblem, SolverConfig, SolveResult, solve_real
@@ -544,16 +543,15 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
                              t_prime_list=None, tau_target: float = None) -> dict:
     """Analyticity report for the semilinear adjusted price.
 
-    Runs the shift-family Cauchy-Riemann residuals at the requested times,
-    one two-segment path-independence spread, and the strip sup norm, after
-    rejecting shifts that would touch the payoff's branch cut and grids
-    too coarse for the strip norm's dyadic blocks.  The family is one
-    ``solve_shift_family`` call, so under ``picard_voc`` its members march
-    in lockstep.  Its row hook takes the strip sup over every row as the
-    members march, each row's Besov norm rounded as ``besov_norm`` rounds it
-    alone, so it equals ``strip_sup_over_time`` of a family that keeps every
-    row; the family holds only the rows at ``tau_grid``, which the
-    Cauchy-Riemann residuals read.
+    Rejects shifts that would touch the payoff's branch cut, then runs the
+    library's analyticity study (``analyticity._study``) on the pricing
+    problem: the shift-family Cauchy-Riemann residuals at ``tau_grid``, one
+    two-segment path-independence spread over ``t_prime_list`` and the
+    strip sup norm, the largest Besov norm of any member's row as the study's
+    norm table takes it while the members march.  The family holds only the
+    rows at ``tau_grid``, which the residuals read.  Fewer than three shifts,
+    fewer than two distinct splits and grids too coarse for the strip norm's
+    dyadic blocks raise ``ConfigurationError`` before any solve.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=np.float64))
     cap = payoff.admissible_half_width
@@ -571,29 +569,18 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
         grid = make_grid(1, 6.0, 256)
     problem = _pricing_problem(params, payoff, grid, reaction=_adjustment_reaction(params, grid.dim))
     config = _pricing_config(grid, horizon, config)
-    strip_params = NormParams(p=config.p, m=problem.op.order_half, dyadic_blocks=_fit_blocks(grid))
-    shifts = [(y,) + (0.0,) * (grid.dim - 1) for y in y_arr]
-    strip_sup = 0.0
-
-    def keep(index, times, block):
-        nonlocal strip_sup
-        strip_sup = max([strip_sup] + _besov_norms(block, grid, strip_params))
-        return _at_times(times, taus)
-
-    family = solve_shift_family(problem, shifts, 0.0, horizon, config, keep=keep)
-    cr_space = {tau: cr_residual_space(family, tau) for tau in taus}
     if t_prime_list is None:
         t_prime_list = (0.4 * horizon, 0.6 * horizon)
     if tau_target is None:
         tau_target = 0.05 * horizon
-    spread = path_independence_check(problem, horizon, tau_target, t_prime_list, config)
+    out = _study(problem, config, np.sort(y_arr), taus, horizon, path=(horizon, tau_target, t_prime_list))
     return {
         "admissible_half_width": cap,
         "y_grid": [float(y) for y in y_arr],
         "tau_grid": taus,
-        "cr_space": cr_space,
+        "cr_space": {t: residual for _, t, residual in out["cr_space"]},
         "path_t_primes": [float(t) for t in t_prime_list],
         "path_tau": float(tau_target),
-        "path_spread": float(spread),
-        "strip_sup": float(strip_sup),
+        "path_spread": max(row[-1] for row in out["path_independence"]),
+        "strip_sup": max(row[-1] for row in out["family_norms"]),
     }

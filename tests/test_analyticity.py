@@ -95,6 +95,16 @@ def test_path_independence_spread(heat_problem):
         ps.path_independence_check(heat_problem, 0.5, 0.1, [0.2], FAST)
 
 
+def test_path_independence_refuses_equal_splits_before_solving(heat_problem, monkeypatch):
+    import parastrip.analyticity as analyticity
+
+    solves = []
+    monkeypatch.setattr(analyticity, "solve_along_path", lambda *args, **kw: solves.append(args))
+    with pytest.raises(ConfigurationError, match="two distinct segment splits"):
+        ps.path_independence_check(heat_problem, 0.5, 0.1, [0.2, 0.2], FAST)
+    assert solves == []
+
+
 def test_hardy_integral_parts(heat_problem):
     res = ps.solve_along_path(heat_problem, 0.4, 0.1, 0.2, ps.SolverConfig(dt=2e-3))
     out = ps.hardy_integral(res, 4.0, 0.5, 1)

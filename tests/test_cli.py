@@ -323,10 +323,10 @@ def test_hardy_holds_only_the_first_path_whole(tmp_path, monkeypatch):
     import gc
     import weakref
 
-    import parastrip.cli as cli
+    import parastrip.analyticity as analyticity
 
     paths, alive = [], []
-    solve, hardy = cli.solve_along_path, cli.hardy_integral
+    solve, hardy = analyticity.solve_along_path, analyticity.hardy_integral
 
     def spy_path(*args, **kw):
         result = solve(*args, **kw)
@@ -338,12 +338,70 @@ def test_hardy_holds_only_the_first_path_whole(tmp_path, monkeypatch):
         alive.extend([path() is result, path() is not None] for path in paths)
         return hardy(result, *args, **kw)
 
-    monkeypatch.setattr(cli, "solve_along_path", spy_path)
-    monkeypatch.setattr(cli, "hardy_integral", spy_hardy)
+    monkeypatch.setattr(analyticity, "solve_along_path", spy_path)
+    monkeypatch.setattr(analyticity, "hardy_integral", spy_hardy)
     code, _ = _run_in_process(tmp_path, "va", "verify-analyticity", FAMILY_CFG)
     assert code == 0
     # hardy reads the first path; of the second only the final, taken by path_independence, was kept
     assert alive == [[True, True], [False, False]]
+
+
+def _jobs(out) -> list:
+    return [(job["name"], job["status"]) for job in json.loads((out / "manifest.json").read_text())["job_status"]]
+
+
+def test_a_failed_family_skips_only_the_jobs_that_read_it(tmp_path, monkeypatch):
+    import parastrip.analyticity as analyticity
+    from parastrip.errors import InstabilityError
+
+    def fail(*args, **kw):
+        raise InstabilityError("the family blew up")
+
+    monkeypatch.setattr(analyticity, "solve_shift_family", fail)
+    code, out = _run_in_process(tmp_path, "va", "verify-analyticity", FAMILY_CFG)
+    assert code == 1
+    assert _jobs(out) == [("shift_family", "failed"), ("cr_time", "ok"), ("path_independence", "ok"),
+                          ("hardy", "ok")]
+    assert not (out / "cr_space.csv").exists() and not (out / "norms.csv").exists()
+    assert (out / "hardy.csv").exists()
+
+
+def _benchmark_config(monkeypatch, seed: int = 0) -> dict:
+    """perfbench's analyticity_heat_1d config; workloads imports perfbench's own oracles."""
+    import importlib.util
+
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.delitem(sys.modules, "oracles", raising=False)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.analyticity_config(seed)
+
+
+def test_a_failed_path_job_skips_hardy(tmp_path, monkeypatch):
+    cfg = _benchmark_config(monkeypatch)
+    cfg["analyticity"]["path"]["tau"] = 5.0
+    code, out = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
+    assert code == 1
+    assert _jobs(out) == [("shift_family", "ok"), ("cr_space", "ok"), ("family_norms", "ok"), ("cr_time", "ok"),
+                          ("path_independence", "failed")]
+    failed = json.loads((out / "manifest.json").read_text())["job_status"][-1]
+    assert failed["error"].startswith("DomainError: ")
+    assert failed["origin"].startswith("parastrip/solver.py:")
+    assert not (out / "hardy.csv").exists() and not (out / "path_independence.csv").exists()
+
+
+@pytest.mark.parametrize("t_primes", [[0.01], [0.01, 0.01]])
+def test_path_splits_that_check_nothing_exit_2(tmp_path, capsys, t_primes):
+    # one split, or two equal ones, give paths that agree trivially: a spread of 0 checks nothing
+    cfg = json.loads(json.dumps(FAMILY_CFG))
+    cfg["analyticity"]["path"]["t_primes"] = t_primes
+    code, out = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
+    assert code == 2
+    detail = _invalid_detail(capsys)
+    assert "analyticity.path.t_primes" in detail and "two distinct segment splits" in detail
+    assert not (out / "manifest.json").exists()
 
 
 # perfbench's xva_semilinear_1d study at its nominal inputs

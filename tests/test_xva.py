@@ -271,6 +271,42 @@ def test_verify_price_analyticity_fits_the_strip_norm_to_the_grid(monkeypatch):
     assert solves == []
 
 
+def test_verify_price_analyticity_family_holds_only_the_rows_at_tau_grid(monkeypatch):
+    import parastrip.analyticity as analyticity
+
+    families, solve = [], analyticity.solve_shift_family
+
+    def spy(*args, **kw):
+        families.append(solve(*args, **kw))
+        return families[-1]
+
+    monkeypatch.setattr(analyticity, "solve_shift_family", spy)
+    params = market(s_F=0.02, epsilon=0.05)
+    ps.verify_price_analyticity(params, call_payoff(), np.linspace(-0.02, 0.02, 3), [0.04, 0.1],
+                                ps.SolverConfig(dt=2e-3), grid=ps.make_grid(1, 6.0, 64))
+    (family,) = families
+    # of 51 rows each member stores the two at tau_grid, the last of which is its last row
+    for member in family.results.values():
+        assert np.allclose(member.times, [0.04, 0.1], rtol=0.0, atol=1e-12)
+        assert [len(block) for block in member.blocks] == [1, 1]
+
+
+@pytest.mark.parametrize("shifts, t_primes, match", [
+    (np.linspace(-0.02, 0.02, 3), [0.04, 0.04], "two distinct segment splits"),
+    ([0.0], None, "three shifts"),
+])
+def test_verify_price_analyticity_refuses_checks_that_check_nothing_before_solving(monkeypatch, shifts,
+                                                                                   t_primes, match):
+    import parastrip.analyticity as analyticity
+
+    solves = []
+    monkeypatch.setattr(analyticity, "solve_shift_family", lambda *args, **kw: solves.append(args))
+    with pytest.raises(ConfigurationError, match=match):
+        ps.verify_price_analyticity(market(s_F=0.02, epsilon=0.05), call_payoff(), shifts, [0.1],
+                                    ps.SolverConfig(dt=2e-3), grid=ps.make_grid(1, 6.0, 64), t_prime_list=t_primes)
+    assert solves == []
+
+
 def test_adjustment_reaction_takes_one_guard_and_one_log_per_mark(monkeypatch):
     import parastrip.reaction as reaction
     from parastrip.xva import _adjustment_reaction
