@@ -314,6 +314,16 @@ def _distinct_splits(t_primes) -> list:
     return t_primes
 
 
+def _usable_strides(n_shifts: int, strides) -> list:
+    """The ``strides`` that leave the three shifts of ``n_shifts`` central differencing needs;
+    refused when none does, since ``cr_space`` would then check nothing."""
+    usable = [stride for stride in strides if (n_shifts - 1) // stride >= 2]
+    if not usable:
+        raise ConfigurationError(f"no stride in {list(strides)} leaves three of the {n_shifts} shifts "
+                                 "that central differencing needs")
+    return usable
+
+
 def _paths(problem: CauchyProblem, sigma, tau, t_primes, config: SolverConfig = None, shift=None):
     """A row (sigma, tau, t'_a, t'_b, sup |u_a - u_b|) per pair of splits of the two-segment paths
     to sigma + i tau, and the first path whole; of the others only the finals are kept."""
@@ -428,15 +438,17 @@ def _study(problem: CauchyProblem, config: SolverConfig, y_line, times, horizon,
     In order: ``shift_family`` (shifts i y, y in the ascending ``y_line``,
     along the first axis; a ``_NormTable`` hook holds the rows at
     ``times``), ``cr_space`` ((stride dy, t, residual) per stride with three
-    shifts, per t), ``family_norms`` (the table's rows), ``cr_time`` ((d,
-    rho, residual) per d, given ``cr_time = (mu, d_mu, rho)``),
-    ``path_independence`` (``_paths``' rows, given ``path = (sigma, tau,
-    t_primes)``) and ``hardy`` (``hardy_integral`` of the first path, given
-    ``hardy = (p, c0)``).  Too few shifts or distinct splits, or a grid too
-    coarse for the norm table, raise ``ConfigurationError`` before any solve.
+    shifts, per t; the other strides are skipped), ``family_norms`` (the
+    table's rows), ``cr_time`` ((d, rho, residual) per d, given ``cr_time =
+    (mu, d_mu, rho)``), ``path_independence`` (``_paths``' rows, given
+    ``path = (sigma, tau, t_primes)``) and ``hardy`` (``hardy_integral`` of
+    the first path, given ``hardy = (p, c0)``).  Too few shifts, no stride
+    with three, too few distinct splits, or a grid too coarse for the norm
+    table raise ``ConfigurationError`` before any solve.
     """
     if len(y_line) < 3:
         raise ConfigurationError("central differencing needs at least three shifts")
+    strides = _usable_strides(len(y_line), strides)
     if path is not None:
         _distinct_splits(path[2])
     grid = problem.grid
@@ -449,7 +461,7 @@ def _study(problem: CauchyProblem, config: SolverConfig, y_line, times, horizon,
         dy = y_line[1] - y_line[0]
         out["cr_space"] = record("cr_space", lambda: [
             (stride * dy, float(t), cr_residual_space(family, t, stride=stride))
-            for stride in strides if (len(y_line) - 1) // stride >= 2 for t in times])
+            for stride in strides for t in times])
         out["family_norms"] = record("family_norms", norms.rows)
     if cr_time is not None:
         mu, d_mu, rho = cr_time

@@ -30,7 +30,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from . import __version__
-from .analyticity import _at_times, _distinct_splits, _NormTable, _study
+from .analyticity import _at_times, _distinct_splits, _NormTable, _study, _usable_strides
 from .errors import ConfigurationError, ParastripError
 from .grid import _EXP_OVERFLOW, ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
 from .norms import _fit_blocks, lp_norm
@@ -710,6 +710,8 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
             f"max(2, solver.p) = {power:g}, which must stay below exp({_EXP_OVERFLOW:g})"
         )
     _library("analyticity.path.t_primes", errors, _distinct_splits, t_primes)
+    if None not in (n_shifts, strides):
+        _library("analyticity.strides", errors, _usable_strides, n_shifts, strides)
     if errors:
         raise _Invalid(errors)
 

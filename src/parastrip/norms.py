@@ -1,4 +1,4 @@
-"""Discrete L^p, Sobolev, Besov, and strip norms.
+"""Discrete L^p and Besov norms.
 
 The Besov norm is the discrete Littlewood-Paley proxy
 
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import ComplexField, Grid, _fftn, _ifftn, _read_only
 
-__all__ = ["NormParams", "lp_norm", "sobolev_hs_norm", "littlewood_paley_blocks", "besov_norm", "strip_norm"]
+__all__ = ["NormParams", "lp_norm", "littlewood_paley_blocks", "besov_norm"]
 
 
 # fewest Littlewood-Paley blocks a Besov norm may use
@@ -87,18 +87,6 @@ def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> list:
     """lp_norm of every row of a (B, M, *grid) stack, with the same rounding."""
     sums = np.sum(np.abs(values) ** p, axis=tuple(range(1, values.ndim)))
     return [float((total * grid.cell_volume) ** (1.0 / p)) for total in sums]
-
-
-def sobolev_hs_norm(field: ComplexField, s: float) -> float:
-    """Bessel-potential H^s norm via the (1 + |k|^2)^(s/2) multiplier."""
-    grid = field.grid
-    hat = _fftn(field.values, grid) / grid.points_per_axis ** grid.dim
-    k2 = np.zeros(grid.shape)
-    for k_axis in grid.wavenumbers():
-        k2 = k2 + k_axis ** 2
-    weighted = (1.0 + k2) ** s * np.sum(np.abs(hat) ** 2, axis=0)
-    # Plancherel on the box: sum of |coefficients|^2 times the box volume
-    return float(np.sqrt(np.sum(weighted) * (2.0 * grid.half_length) ** grid.dim))
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
@@ -177,22 +165,3 @@ def besov_norm(field: ComplexField, params: NormParams) -> float:
     it first.
     """
     return _besov_norms(field.values[np.newaxis], field.grid, params)[0]
-
-
-def strip_norm(shift_samples, params: NormParams) -> float:
-    """Sup over strip shifts of the Besov norm of u(. + i y).
-
-    ``shift_samples`` maps imaginary shifts y to sampled fields, either a
-    dict or a sequence of (y, field) pairs.  The y grid is caller-chosen;
-    the norm is monotone under refinement by construction.
-    """
-    if hasattr(shift_samples, "items"):
-        items = list(shift_samples.items())
-    else:
-        items = list(shift_samples)
-    if not items:
-        raise ConfigurationError("strip norm needs at least one shift sample")
-    grid = items[0][1].grid
-    if any(field.grid != grid for _, field in items):
-        raise ConfigurationError("strip norm samples must share one grid")
-    return max(_besov_norms(np.stack([field.values for _, field in items]), grid, params))

@@ -23,7 +23,6 @@ __all__ = [
     "f_plus",
     "f_minus",
     "f_plus_prime",
-    "f_minus_prime",
     "in_branch_domain",
     "smoother_identity_check",
     "ReactionSpec",
@@ -100,12 +99,6 @@ def f_plus_prime(eps, z):
     z = np.asarray(z, dtype=np.complex128)
     _guard_branch(eps, z)
     out = 0.5 + (1j / (2.0 * np.pi)) * _log_factor(eps, z) + z * eps / (np.pi * (eps ** 2 + z * z))
-    return out if out.ndim else complex(out)
-
-
-def f_minus_prime(eps, z):
-    """Complex derivative of f_minus; the two derivatives sum to one."""
-    out = 1.0 - np.asarray(f_plus_prime(eps, z))
     return out if out.ndim else complex(out)
 
 

@@ -30,15 +30,12 @@ Both integrate dw/ds = mu [A w + F(jets) + g] with A = -P, so a solve along
 s with rotation mu produces u(t) on the ray t = t_base + mu s.
 """
 
-import bisect
 import functools
 import itertools
 import math
-import operator
 import sys
 import time
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -166,41 +163,6 @@ class SolverConfig:
             raise ConfigurationError(f"max_window_halvings must be >= 0, got {self.max_window_halvings!r}")
 
 
-class _Rows(Sequence):
-    """The rows of a trajectory's blocks as read-only ComplexFields, wrapped on demand.
-
-    The blocks were checked finite once, when stored, transformed or
-    derived, so rows are wrapped without a second check.
-    """
-
-    def __init__(self, grid: Grid, blocks: tuple):
-        self._grid, self._blocks = grid, blocks
-        self._ends = list(itertools.accumulate(len(block) for block in blocks))
-
-    def __len__(self):
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        n = len(self)
-        j = operator.index(j)
-        if j < 0:
-            j += n
-        if not 0 <= j < n:
-            raise IndexError(f"row {j} of a trajectory with {n} rows")
-        b = bisect.bisect_right(self._ends, j)
-        return ComplexField._trusted(self._grid, self._blocks[b][j - (self._ends[b - 1] if b else 0)])
-
-    def __iter__(self):
-        for block in self._blocks:
-            for row in block:
-                yield ComplexField._trusted(self._grid, row)
-
-    def __add__(self, other):
-        return list(self) + list(other)
-
-
 def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
     """``block``, made read-only, once every row is finite; else InstabilityError naming the first bad row.
 
@@ -225,21 +187,25 @@ class _Replay:
     def __init__(self, start: np.ndarray, resolvent, times):
         self.start, self.resolvent, self.times = start, resolvent, times
 
-    def rows(self, nodes, grid: Grid):
-        """(j, values) for each node j of the ascending ``nodes``: a one-row block, checked finite."""
+    def rows(self, nodes, grid: Grid, size: int):
+        """The values at the ascending ``nodes`` as checked (k, M, *grid) runs of at most ``size`` rows."""
         step, w_hat, j = _blocks_step(self.resolvent), self.start, 0
-        for node in nodes:
-            while j < node:
-                w_hat, _ = step(j, w_hat, None, w_hat)
-                j += 1
-            yield node, _check_finite(_ifftn(w_hat, grid)[np.newaxis], [self.times[node]], "value")
+        for at in range(0, len(nodes), size):
+            run = nodes[at:at + size]
+            out = np.empty((len(run),) + self.start.shape, np.complex128)
+            for i, node in enumerate(run):
+                while j < node:
+                    w_hat, _ = step(j, w_hat, None, w_hat)
+                    j += 1
+                out[i] = _ifftn(w_hat, grid)
+            yield _check_finite(out, [self.times[k] for k in run], "value")
 
 
 class _Pending(NamedTuple):
-    """Node ``j`` of a ``_Replay``'s march, stored as a placeholder until it is read."""
+    """The due ``nodes`` before the last of a ``_Replay``'s march, stored unread until they are read."""
 
     replay: _Replay
-    j: int
+    nodes: list
 
 
 # bytes of stored rows per right-hand-side evaluation of a SolveResult, and of dense
@@ -248,9 +214,14 @@ class _Pending(NamedTuple):
 _RHS_BYTES = 2 ** 18
 
 
-# bytes of imex rows stacked per call of a row hook: few calls, while a hook that takes the
-# rows' norms holds about 11 times its block in temporaries
+# bytes of imex rows per run handed to a row hook or replayed: few calls, while a hook that
+# takes the rows' norms holds about 11 times its block in temporaries
 _HOOK_BYTES = 2 ** 16
+
+
+def _hook_rows(row: np.ndarray) -> int:
+    """Rows like ``row`` per run of _HOOK_BYTES, at least one."""
+    return max(1, _HOOK_BYTES // row.nbytes)
 
 
 def _runs(blocks: list, nbytes: int):
@@ -270,21 +241,17 @@ def _runs(blocks: list, nbytes: int):
 class SolveResult:
     """Trajectory snapshots along one time ray or path, stored as blocks.
 
-    ``stored`` lists (rows, M, *grid) arrays: a one-row block for the start,
-    then the kept rows of each window (of each node under ``imex``), or the
-    rows a row hook holds (see ``_solve``).  In order, their rows are the
-    values at ``times``.  The solve checks every
-    block finite once, as it stores it.  An unforced imex march under the
-    blocks step keeps the rows before its last unread, as ``_Pending``
-    placeholders: the first read re-marches from the march's start once
-    (one more batched matvec per node, so a caller who reads every row pays
-    for a second matvec march), gives each row the bits it had in the
-    march by one inverse transform and one finite check, and puts the
-    values in ``stored``; a fully read result holds no resolvent.  So
-    ``blocks``, ``fields``, ``time_derivatives`` and ``hardy_integral``
-    see values; ``final`` reads the last row, which every march stores as
-    values, and replays nothing.  ``fields`` is a read-only sequence that
-    wraps rows in ComplexField on demand without a second check.
+    ``stored`` lists (rows, M, *grid) arrays, each checked finite once: a
+    one-row block for the start, then the due rows of each window, or those
+    a row hook holds (see ``_Member.store``); in order, their rows are the
+    values at ``times``.  An unforced blocks march keeps its due rows
+    before its last unread, as one ``_Pending``: the first read of
+    ``blocks`` replays them (one more batched matvec per node) in checked
+    runs of _HOOK_BYTES, with the bits they had in the march, which then
+    replace it; a fully read result holds no resolvent.  ``final`` reads
+    the last row, which every march stores as values, and replays nothing.
+    ``fields`` and ``time_derivatives`` are tuples of ComplexField views of
+    the rows, wrapped without a second check.
 
     ``rhs`` is the right-hand side A u + F + g as the solve binds it
     (``_group_rhs`` with its problem, plan and config).  The time
@@ -304,26 +271,18 @@ class SolveResult:
     diagnostics: dict
     rhs: object
 
-    def _block(self, b: int) -> np.ndarray:
-        block = self.stored[b]
-        if isinstance(block, _Pending):
-            # one replay gives every stored node of its march
-            replay = block.replay
-            at = {p.j: i for i, p in enumerate(self.stored) if isinstance(p, _Pending) and p.replay is replay}
-            for j, values in replay.rows(sorted(at), self.grid):
-                self.stored[at[j]] = values
-            block = self.stored[b]
-        return block
-
     @property
     def blocks(self) -> tuple:
-        for b in range(len(self.stored)):
-            self._block(b)
+        if any(isinstance(part, _Pending) for part in self.stored):
+            # every run is replayed and checked before any replaces its placeholder
+            self.stored[:] = [run for part in self.stored for run in (
+                part.replay.rows(part.nodes, self.grid, _hook_rows(part.replay.start))
+                if isinstance(part, _Pending) else (part,))]
         return tuple(self.stored)
 
     @functools.cached_property
-    def fields(self) -> _Rows:
-        return _Rows(self.grid, self.blocks)
+    def fields(self) -> tuple:
+        return tuple(ComplexField._trusted(self.grid, row) for block in self.blocks for row in block)
 
     @functools.cached_property
     def derivative_blocks(self) -> tuple:
@@ -337,12 +296,12 @@ class SolveResult:
         return tuple(out)
 
     @functools.cached_property
-    def time_derivatives(self) -> _Rows:
-        return _Rows(self.grid, self.derivative_blocks)
+    def time_derivatives(self) -> tuple:
+        return tuple(ComplexField._trusted(self.grid, row) for block in self.derivative_blocks for row in block)
 
     @property
     def final(self) -> ComplexField:
-        return ComplexField._trusted(self.grid, self._block(-1)[-1])
+        return ComplexField._trusted(self.grid, self.stored[-1][-1])
 
     def __len__(self):
         return len(self.times)
@@ -510,10 +469,10 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
 
 
 class _Window(NamedTuple):
-    """One member's finished window: its node values as an (n + 1, M, *grid) array."""
+    """One member's finished window: the values of its nodes."""
 
     s_nodes: np.ndarray
-    fields: object                # an array, or a list of node arrays and _Pending nodes (imex)
+    fields: object                # every node (picard_voc), or a march's due rows (see _march_imex)
     sweeps: int = None
     gmres_iterations: list = None
     contraction_ratio: float = None
@@ -1050,20 +1009,20 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     inverse FFT of each result and checks the values finite; so does an
     unforced march under GMRES, whose replay would repeat every solve.  An
     unforced blocks march checks each w^_{j+1} finite on its coefficients
-    and transforms the last node only, the next start.  The nodes before it
-    wait for a SolveResult to read them: each is a ``_Pending`` placeholder
-    of one ``_Replay``, which keeps w^_0 and the resolvent, not a row per
-    node, and re-marches when read (n - 1 more matvecs for a caller who
-    reads every row).  An autonomous operator's resolvent is one matrix
-    for the whole march, built once (``_Resolvent``) and applied by
-    ``_blocks_step``; a time-dependent operator, or blocks that
-    ``_Resolvent.build`` refuses, leave each step to ``_gmres_step``.  The
-    problem's temporal domain lies inside the operator's, so
-    ``_time_nodes`` checks the nodes for both.  The window's fields are a
-    list with one entry per node, values or a ``_Pending``; it records one
-    ``gmres_iterations`` entry per implicit solve (0 under the blocks), the
-    step that served it as ``implicit`` and the build record as
-    ``resolvent``.
+    and transforms the last node only, the next start.  An autonomous
+    operator's resolvent is one matrix for the whole march, built once
+    (``_Resolvent``) and applied by ``_blocks_step``; a time-dependent
+    operator, or blocks that ``_Resolvent.build`` refuses, leave each step
+    to ``_gmres_step``.  The problem's temporal domain lies inside the
+    operator's, so ``_time_nodes`` checks the nodes for both.
+
+    The march is its member's only window, and only the rows of its due
+    nodes, ``_due_nodes(0, n, True, stride)``, outlive their step: the
+    window's fields are their values as one read-only stack, after, for an
+    unforced blocks march, one ``_Pending`` of the due nodes before the
+    last, whose ``_Replay`` keeps w^_0 and the resolvent.  The window records
+    one ``gmres_iterations`` entry per implicit solve (0 under the blocks),
+    the step that served it as ``implicit`` and the build record as ``resolvent``.
     """
     mu = complex(mu)
     if check_mu:
@@ -1075,7 +1034,13 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         resolvent, record = _Resolvent.build(plan, t_nodes[0], c, config.gmres_tol)
     step = _gmres_step(problem, plan, t_nodes, c, config) if resolvent is None else _blocks_step(resolvent)
     forced = problem.reaction is not None or problem.source is not None
-    fields, iterations, n = [w0.values.copy()], [], len(t_nodes) - 1
+    lazy = not forced and resolvent is not None        # transforms its last node only
+    n = len(t_nodes) - 1
+    due = _due_nodes(0, n, True, config.snapshot_stride)
+    deferred = due[:-1] if lazy else []
+    slot = {j: k for k, j in enumerate(due[len(deferred):])}
+    rows = np.empty((len(slot),) + w0.values.shape, np.complex128)
+    iterations = []
 
     def solve(j, w_hat, explicit, guess, transform):
         """w^_{j+1} and, with ``transform``, its values (else None), checked finite if taken, else w^_{j+1}."""
@@ -1086,34 +1051,40 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
         return new, values
 
-    w_hat = _fftn(fields[0], grid)
-    replay = None if forced or resolvent is None else _Replay(w_hat, resolvent, t_nodes)
+    w_hat, values = _fftn(w0.values, grid), w0.values
+    fields = [_Pending(_Replay(w_hat, resolvent, t_nodes), deferred)] if deferred else []
     e_j = explicit = None
     for j in range(n):
         if forced:
-            e_prev, e_j = e_j, _explicit_part(problem, plan, fields[j], t_nodes[j], config)
+            e_prev, e_j = e_j, _explicit_part(problem, plan, values, t_nodes[j], config)
             explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
         guess = w_hat
         if j == 0:             # predictor with the frozen explicit part, corrector with the trapezoid
             guess, pred = solve(0, w_hat, explicit, w_hat, forced)
             if forced:
                 explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        w_hat, values = solve(j, w_hat, explicit, guess, replay is None or j == n - 1)
-        fields.append(_Pending(replay, j + 1) if values is None else values)
+        w_hat, values = solve(j, w_hat, explicit, guess, not lazy or j == n - 1)
+        if j + 1 in slot:
+            rows[slot[j + 1]] = values
+    fields.append(_read_only(rows))
     return _Window(s_nodes, fields, gmres_iterations=iterations,
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
 
-def _due_rows(values: np.ndarray, rows: list):
-    """Rows ``rows`` of a window's (n + 1, M, *grid) stack, and whether they are a view of it.
+def _due_nodes(done: int, n: int, last_window: bool, stride: int) -> list:
+    """The nodes 1..n of a window, ``done`` steps into its march, whose rows a solve stores:
+    those whose step count the snapshot stride divides, and the last of the last window."""
+    return [j for j in range(1, n + 1) if (done + j) % stride == 0 or (last_window and j == n)]
 
-    Evenly spaced rows, as a snapshot stride leaves them, are a view; any
-    others (the last row after a stride that does not divide the march) a copy.
+
+def _due_rows(values: np.ndarray, rows: list, times: list):
+    """Rows ``rows`` of a window's (n + 1, M, *grid) stack at ``times``, checked finite, and
+    whether they are a view of it: evenly spaced rows, as a snapshot stride leaves them, are;
+    any others (the last row after a stride that does not divide the march) are a copy.
     """
     step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if rows == list(range(rows[0], rows[-1] + 1, step)):
-        return values[rows[0]:rows[-1] + 1:step], True
-    return values[rows], False
+    view = rows == list(range(rows[0], rows[-1] + 1, step))
+    return _check_finite(values[rows[0]:rows[-1] + 1:step] if view else values[rows], times, "value"), view
 
 
 class _Member:
@@ -1128,51 +1099,29 @@ class _Member:
 
     def store(self, win: _Window, bounds, wall_s: float, last_window: bool, config: SolverConfig, t_base,
               keep):
-        """Keep the window's rows due by the snapshot stride, record its diagnostics and
-        move the state to its end.  ``wall_s`` is the wall time of the call that marched
-        the window (shared by a lockstep group).
+        """Hand the window's due rows (``_due_nodes``) to ``_hold`` after the start row, record
+        its diagnostics and move the state to its end.  ``wall_s`` is the wall time of the
+        call that marched the window (shared by a lockstep group).
 
-        Each due row is checked finite once and offered to ``keep`` (see
-        ``_solve``), the start row first, in time order: the rows of a
-        window's stack together, as a read-only view where they are evenly
-        spaced, and the node arrays of an imex march stacked in runs of at
-        most _HOOK_BYTES, a ``_Pending`` node replayed for it by the call a
-        read makes (a call per node took an imex family's norm table about
-        twice as long as building it from the read rows).  Only the rows it
-        holds, and the march's last row, are copied out and stored.
-        Without ``keep`` every due row is stored; an imex march's as one
-        block per node, a view, or the ``_Pending`` node itself: copying a
-        whole march into one block would double its memory for a moment.
+        A Picard window's due rows go at once (``_due_rows``), an imex
+        march's in runs of at most _HOOK_BYTES (``_march_runs``).
         """
         n = len(win.s_nodes) - 1
-        due = []
-        for j in range(1, n + 1):
-            self.gstep += 1
-            if (last_window and j == n) or self.gstep % config.snapshot_stride == 0:
-                due.append(j)
+        due = _due_nodes(self.gstep, n, last_window, config.snapshot_stride)
+        self.gstep += n
         if not self.win_diag:                 # the start row comes first
             self._hold([complex(t_base)], _read_only(self.w.values[np.newaxis]), keep, False, False)
         times = [complex(t_base + self.mu * win.s_nodes[j]) for j in due]
-        values = win.fields
-        if due and isinstance(values, np.ndarray):
-            rows, view = _due_rows(values, due)
-            self._hold(times, _check_finite(rows, times, "value"), keep, last_window, view)
-        elif due and keep is None:
-            for j, t in zip(due, times):
-                node = values[j]           # a _Pending node was checked finite on its coefficients
-                self.times.append(t)
-                self.blocks.append(node if isinstance(node, _Pending) else _check_finite(
-                    node[np.newaxis], [t], "value"))
-        elif due:
-            pending = [values[j] for j in due if isinstance(values[j], _Pending)]
-            if pending:                    # one replay gives every pending row
-                replayed = pending[0].replay.rows([node.j for node in pending], self.plan.grid)
-            size = max(1, _HOOK_BYTES // self.w.values.nbytes)
-            for k in range(0, len(due), size):
-                js, ts = due[k:k + size], times[k:k + size]
-                run = np.stack([next(replayed)[1][0] if isinstance(values[j], _Pending) else values[j]
-                                for j in js])
-                self._hold(ts, _check_finite(run, ts, "value"), keep, last_window and js[-1] == n, False)
+        if isinstance(win.fields, np.ndarray):
+            last_row, runs = win.fields[-1], [_due_rows(win.fields, due, times)] if due else []
+        else:
+            last_row, runs = win.fields[-1][-1], self._march_runs(win.fields, keep)
+        offered = 0
+        for block, view in runs:
+            count = len(block.nodes) if isinstance(block, _Pending) else len(block)
+            ts = times[offered:offered + count]
+            offered += count
+            self._hold(ts, block, keep, last_window and offered == len(due), view)
         self.win_diag.append(
             {
                 "s_start": bounds[0],
@@ -1186,13 +1135,29 @@ class _Member:
             }
         )
         self.win_wall.append(wall_s)
-        self.w = ComplexField._trusted(self.plan.grid, np.array(win.fields[-1]))
+        self.w = ComplexField._trusted(self.plan.grid, np.array(last_row))
         self.carried = win.carry
         self.s = bounds[1]             # s + span, rounded as a serial march adds it
 
-    def _hold(self, times: list, block: np.ndarray, keep, last: bool, view: bool):
-        """Store the rows of a checked ``block`` at ``times`` that ``keep`` holds (all without
-        ``keep``), its last row too when ``last``.
+    def _march_runs(self, parts: list, keep):
+        """An imex march's due rows as (block, view) runs of at most _HOOK_BYTES (a call per
+        row took an imex family's norm table twice as long): a ``_Pending`` whole without
+        ``keep``, else replayed as a read replays it; a hook that holds all of a run of a
+        longer stack gets it copied out, as the view would pin the stack."""
+        size = _hook_rows(self.w.values)
+        for part in parts:
+            if not isinstance(part, _Pending):
+                for k in range(0, len(part), size):
+                    yield part[k:k + size], keep is not None and len(part) > size
+            elif keep is None:
+                yield part, False
+            else:
+                yield from ((run, False) for run in part.replay.rows(part.nodes, self.plan.grid, size))
+
+    def _hold(self, times: list, block, keep, last: bool, view: bool):
+        """Store the rows of a checked ``block`` at ``times`` that ``keep`` holds (all, or a
+        ``_Pending`` as it is, without ``keep``; anything but one boolean per row raises
+        ConfigurationError), its last row too when ``last``.
 
         The rows of a ``view`` of a window's stack are copied out together
         into one block of their own: stored snapshots then hold no window
@@ -1201,7 +1166,12 @@ class _Member:
         (one page fault each).
         """
         if keep is not None:
-            held = np.array(keep(self.index, times, block), dtype=bool)
+            mask = keep(self.index, times, block)
+            if np.shape(mask) != (len(times),):
+                got = repr(mask) if np.ndim(mask) == 0 else f"shape {np.shape(mask)}"
+                raise ConfigurationError(f"row hook keep must return one boolean per row of {len(times)}, "
+                                         f"got {got}")
+            held = np.array(mask, dtype=bool)
             held[-1] |= last
             if not held.all():
                 times = [t for t, h in zip(times, held) if h]

@@ -63,6 +63,16 @@ def test_cr_residual_space_vanishes_for_analytic_solution(heat_problem):
         ps.cr_residual_space(fam, 0.05, stride=3)
 
 
+def test_the_study_refuses_strides_that_leave_no_three_shifts_before_any_solve(heat_problem, monkeypatch):
+    from parastrip import analyticity
+
+    monkeypatch.setattr(analyticity, "solve_shift_family", lambda *a, **kw: pytest.fail("solved"))
+    with pytest.raises(ConfigurationError, match=r"no stride in \[4, 3\] leaves three of the 5 shifts"):
+        analyticity._study(heat_problem, FAST, np.linspace(-0.2, 0.2, 5), [0.05], 0.05, strides=[4, 3])
+    # a single usable stride is enough, and the others are skipped
+    assert analyticity._usable_strides(5, [4, 2, 1]) == [2, 1]
+
+
 def test_cr_residual_space_flags_non_family(heat_problem):
     # swap one member for an unrelated field: the stencil sees a jump
     fam = small_family(heat_problem, n_shifts=5, half=0.2)

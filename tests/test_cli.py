@@ -404,6 +404,17 @@ def test_path_splits_that_check_nothing_exit_2(tmp_path, capsys, t_primes):
     assert not (out / "manifest.json").exists()
 
 
+def test_strides_that_leave_no_three_shifts_exit_2(tmp_path, capsys):
+    # with 5 shifts a stride of 4 leaves 2 of them: cr_space would write no residual and check nothing
+    cfg = json.loads(json.dumps(FAMILY_CFG))
+    cfg["analyticity"].update(n_shifts=5, strides=[4])
+    code, out = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
+    assert code == 2
+    detail = _invalid_detail(capsys)
+    assert "analyticity.strides: no stride in [4] leaves three of the 5 shifts" in detail
+    assert not (out / "manifest.json").exists()
+
+
 # perfbench's xva_semilinear_1d study at its nominal inputs
 XVA_STUDY_CFG = {
     "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 256},

@@ -19,7 +19,7 @@ import parastrip.solver
 from parastrip.errors import InstabilityError
 from parastrip.solver import _Pending, _Resolvent
 
-from conftest import heston_chart
+from conftest import gaussian_datum, heston_chart, make_heat_operator
 from test_imex_blocks import IMEX, implicit, problem_1d, real_solve, time_dependent
 
 
@@ -28,7 +28,8 @@ def zero_source(problem):
 
 
 def lazy_rows(res):
-    return sum(isinstance(block, _Pending) for block in res.stored)
+    """The rows ``res`` keeps unread."""
+    return sum(len(block.nodes) for block in res.stored if isinstance(block, _Pending))
 
 
 def assert_same_rows(lazy, eager, pending):
@@ -213,3 +214,46 @@ def test_a_price_that_reads_the_final_row_keeps_no_rows():
     assert np.isfinite(price) and lazy_rows(res) == 399
     # 399 coefficient rows of 64 KiB would be 26 MB alone
     assert peak <= 12e6
+
+
+def _heat_1d(**kw):
+    """1-D heat on 256 points: rows of 4 KiB."""
+    grid = ps.make_grid(1, 10.0, 256)
+    return ps.CauchyProblem(grid, make_heat_operator(strip_width=2.0), gaussian_datum(), **kw)
+
+
+def _traced_peak(run):
+    run()                                   # caches and imports outside the measurement
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_forced_march_that_stores_its_final_row_holds_one_row():
+    # only the last node is due under this stride, so the march keeps no other row
+    source = lambda t, grid, shift: 0.1 * np.exp(-np.real(t)) * np.ones((1,) + grid.shape)
+    config = ps.SolverConfig(dt=2e-4, integrator="imex", snapshot_stride=10 ** 9)
+    res, peak = _traced_peak(lambda: ps.solve_real(_heat_1d(source=source), 0.0, 0.1, config))
+    assert len(res.times) == 2 and res.diagnostics["windows"][0]["steps"] == 500
+    # all 501 rows of 4 KiB would be 2 MB
+    assert peak <= 0.5e6, peak
+
+
+def test_a_hooked_imex_family_replays_its_rows_in_runs():
+    from parastrip.analyticity import _NormTable
+
+    config = ps.SolverConfig(dt=2e-4, integrator="imex")
+    problem = _heat_1d()
+
+    def run():
+        table = _NormTable(problem.grid, config.p, 1, hold=[0.05, 0.1])
+        return ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 9), 0.0, 0.1, config, keep=table.add), table
+
+    (fam, table), peak = _traced_peak(run)
+    assert len(table.rows()) == 501 and np.allclose(fam.times, [0.05, 0.1], rtol=0.0, atol=1e-12)
+    assert lazy_rows(fam.member([0.0])) == 0
+    # one march's 500 due rows alone are 2 MB
+    assert peak <= 2.5e6, peak

@@ -54,14 +54,6 @@ def test_lp_norm_sums_components():
     assert ps.lp_norm(f, 2.0) == pytest.approx(np.sqrt(2.0) * 2.0 ** 0.5, rel=1e-13)
 
 
-def test_sobolev_norm_single_mode(pi_grid):
-    f = mode(pi_grid, 3)
-    want = np.sqrt((1.0 + 9.0) * 2.0 * np.pi)
-    assert ps.sobolev_hs_norm(f, 1.0) == pytest.approx(want, rel=1e-12)
-    # s = 0 reduces to the L^2 norm
-    assert ps.sobolev_hs_norm(f, 0.0) == pytest.approx(ps.lp_norm(f, 2.0), rel=1e-12)
-
-
 def test_littlewood_paley_reconstruction(pi_grid):
     f = mode(pi_grid, 3, amplitude=1.5)
     pieces = ps.littlewood_paley_blocks(f, 4)
@@ -100,22 +92,6 @@ def test_besov_norm_homogeneous(amp):
     assert ps.besov_norm(scaled, params) == pytest.approx(
         amp * ps.besov_norm(f, params), rel=1e-10
     )
-
-
-def test_strip_norm_takes_sup(pi_grid):
-    params = ps.NormParams(p=4.0, m=1)
-    small = mode(pi_grid, 2, amplitude=1.0)
-    big = mode(pi_grid, 2, amplitude=3.0)
-    samples = {0.0: small, 0.1: big}
-    assert ps.strip_norm(samples, params) == pytest.approx(
-        ps.besov_norm(big, params), rel=1e-13
-    )
-    pairs = [(np.array([0.0]), small), (np.array([0.1]), big)]
-    assert ps.strip_norm(pairs, params) == ps.strip_norm(samples, params)
-    with pytest.raises(ConfigurationError):
-        ps.strip_norm({}, params)
-    with pytest.raises(ConfigurationError, match="share one grid"):
-        ps.strip_norm([(0.0, small), (0.1, mode(ps.make_grid(1, np.pi, 128), 2))], params)
 
 
 def reference_besov(field, params):

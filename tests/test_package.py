@@ -10,14 +10,14 @@ PUBLIC = """
     apply_operator besov_norm bs_log_generator compute_xva_surfaces
     contraction_step_fraction cr_residual_space cr_residual_time default_maxreg_ensemble
     derivative_multiplier ellipticity_samples estimate_ellipticity_constant
-    estimate_max_reg_constant eval_hermite evaluate_at f_minus f_minus_prime f_plus
+    estimate_max_reg_constant eval_hermite evaluate_at f_minus f_plus
     f_plus_prime hardy_integral hermite_payoff_fit heston_chart_generator heston_generator
     in_branch_domain jet_lipschitz_estimate leading_symbol littlewood_paley_blocks lp_norm
     make_grid multi_indices nemytskii path_independence_check price_riskfree
     price_xva_linear price_xva_nonlinear random_band_limited_fields sample_on_shifted_grid
-    shift_consistency_check smoother_identity_check sobolev_hs_norm solve_along_path
+    shift_consistency_check smoother_identity_check solve_along_path
     solve_complex_ray solve_real solve_shift_family spectral_derivative
-    step_size_from_estimates strip_norm strip_sup_over_time terminal_data verify_garding
+    step_size_from_estimates strip_sup_over_time terminal_data verify_garding
     verify_price_analyticity
 """.split()
 
@@ -36,3 +36,49 @@ def test_each_module_lists_the_names_it_defines():
     for module in modules:
         for name in module.__all__:
             assert getattr(module, name).__module__ == module.__name__, (module.__name__, name)
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of each name the module imports and never reads, ``# noqa: F401`` lines aside.
+
+    A name counts as read when it appears as a name anywhere in the module
+    (attribute bases included) or is listed in its ``__all__``.
+    """
+    import ast
+
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {elt.value for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read:
+                out.append((node.lineno, name))
+    return out
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    import pathlib
+
+    unused = {}
+    for path in sorted(pathlib.Path(parastrip.__file__).parent.glob("*.py")):
+        found = _unused_imports(path.read_text())
+        if found:
+            unused[path.name] = found
+    assert not unused, unused
+
+
+def test_the_unused_import_check_sees_what_it_should():
+    source = "\n".join([
+        "import os", "import sys", "from math import pi, tau  # noqa: F401",
+        "from typing import (Any,", "    Dict)  # noqa: F401", "from collections import OrderedDict as OD",
+        "import numpy.linalg", "__all__ = ['sys']", "def f():", "    import json", "    return numpy.linalg",
+    ])
+    assert _unused_imports(source) == [(1, "os"), (6, "OD"), (10, "json")]

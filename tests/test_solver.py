@@ -441,7 +441,7 @@ def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
 def test_solve_real_stores_the_rows_its_hook_holds_and_the_last(config):
     from parastrip.analyticity import _at_times
 
-    # forced: the imex march keeps node arrays, which the hook sees stacked
+    # forced: the imex march stacks its due rows, which the hook sees in runs
     problem, _ = _forcing_problem(1)
     full = ps.solve_real(problem, 0.0, 0.1, config)
     held, calls, seen = full.times[:-1:3], set(), []
@@ -460,6 +460,27 @@ def test_solve_real_stores_the_rows_its_hook_holds_and_the_last(config):
     for a, j in zip(thin.fields, picks):
         np.testing.assert_array_equal(a.values, full.fields[j].values)
     assert thin.diagnostics["picard_iterations"] == full.diagnostics["picard_iterations"]
+
+
+@pytest.mark.parametrize("integrator", ["picard_voc", "imex"])
+@pytest.mark.parametrize("answer, got", [(lambda n: np.ones(n - 1, bool), r"shape \(\d+,\)"),
+                                         (lambda n: True, "True"), (lambda n: None, "None")],
+                         ids=["short", "scalar", "none"])
+def test_a_hook_that_returns_no_mask_of_its_rows_raises_a_configuration_error(heat_problem, integrator,
+                                                                              answer, got):
+    config = ps.SolverConfig(dt=0.01, integrator=integrator)
+    offered = []
+
+    def keep(index, times, block):
+        offered.append(len(times))
+        return answer(len(times))
+
+    pattern = rf"row hook keep must return one boolean per row of (\d+), got {got}$"
+    with pytest.raises(ConfigurationError, match=pattern) as info:
+        ps.solve_real(heat_problem, 0.0, 0.05, config, keep=keep)
+    assert info.match(rf"of {offered[-1]}, ")
+    with pytest.raises(ConfigurationError, match=pattern):
+        ps.solve_shift_family(heat_problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config, keep=keep)
 
 
 @pytest.mark.parametrize("config", [ps.SolverConfig(dt=0.01, window=0.04, snapshot_stride=3),
