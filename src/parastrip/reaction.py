@@ -8,6 +8,17 @@ The smoothers
 are holomorphic off the cuts {+-i y : y >= eps}, restrict on the real line to
 v [1/2 +- arctan(v/eps)/pi], and satisfy f_plus + f_minus = id exactly.  They
 approximate max(v, 0) and min(v, 0) with O(eps) error away from the kink.
+
+Off the cuts (i / 2 pi) log((1 - i w) / (1 + i w)) = arctan(w) / pi, and the
+complex arctan has its cuts at +-i[1, inf) in w = z/eps, which are the
+smoothers' cuts.  The code computes the arctan form,
+
+    f_eps_plus(z) = z [ 1/2 + arctan(z/eps) / pi ],
+
+because the log's argument has modulus 1 on the real line, where a complex
+log is several times slower than the arctan, and because on the real line
+the arctan form is exactly real while the log form leaves an imaginary part
+of about 1e-17 |z|.
 """
 
 from dataclasses import dataclass
@@ -63,13 +74,13 @@ def _guard_branch(eps: float, z: np.ndarray):
         )
 
 
-def _log_factor(eps: float, z: np.ndarray) -> np.ndarray:
-    w = z / eps
-    return np.log((1.0 - 1j * w) / (1.0 + 1j * w))
+def _turn(eps: float, z: np.ndarray) -> np.ndarray:
+    """arctan(z/eps)/pi, the part the smoothers add to and take from 1/2."""
+    return np.arctan(z / eps) / np.pi
 
 
 def _smoothed_parts(eps, z):
-    """(f_minus(z), f_plus(z)) from one branch guard and one log.
+    """(f_minus(z), f_plus(z)) from one branch guard and one arctan.
 
     Both smoothers and the XVA reaction and source form the parts here, so
     each part rounds the same way wherever it is taken.
@@ -77,7 +88,7 @@ def _smoothed_parts(eps, z):
     eps = _eps_value(eps)
     z = np.asarray(z, dtype=np.complex128)
     _guard_branch(eps, z)
-    turn = (1j / (2.0 * np.pi)) * _log_factor(eps, z)
+    turn = _turn(eps, z)
     return z * (0.5 - turn), z * (0.5 + turn)
 
 
@@ -98,7 +109,7 @@ def f_plus_prime(eps, z):
     eps = _eps_value(eps)
     z = np.asarray(z, dtype=np.complex128)
     _guard_branch(eps, z)
-    out = 0.5 + (1j / (2.0 * np.pi)) * _log_factor(eps, z) + z * eps / (np.pi * (eps ** 2 + z * z))
+    out = 0.5 + _turn(eps, z) + z * eps / (np.pi * (eps ** 2 + z * z))
     return out if out.ndim else complex(out)
 
 

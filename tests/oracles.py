@@ -59,3 +59,13 @@ def maxreg_mode_numerator(lam, p, horizon, mode_lp_norm):
 def smoother_tail_gap(eps):
     """|f_plus(v) - v^+| tends to eps/pi as |v| -> infinity on the real line."""
     return eps / math.pi
+
+
+def smoother_real_line(v, eps):
+    """(f_minus(v), f_plus(v)) of the smoothers at a real v, as Python floats.
+
+    On the real line (i/2pi) log((1 - iw)/(1 + iw)) = arctan(w)/pi for
+    w = v/eps, so the smoothers restrict to v (1/2 -+ arctan(v/eps)/pi).
+    """
+    turn = math.atan(v / eps) / math.pi
+    return v * (0.5 - turn), v * (0.5 + turn)

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 import parastrip as ps
 from parastrip.errors import ConfigurationError, DomainError
-from parastrip.reaction import f_plus_prime, in_branch_domain
+from parastrip.reaction import _guard_branch, f_plus_prime, in_branch_domain
+
+from oracles import smoother_real_line
 
 
 def test_smoothers_restrict_to_arctan_profile_on_reals():
@@ -54,12 +56,15 @@ def test_smoother_branch_cut_guard():
     np.testing.assert_array_equal(mask, [True, False])
 
 
-def test_smoother_derivatives():
+def test_smoother_derivatives(rng):
     eps = 0.1
-    z = np.array([0.3 + 0.02j, -1.7 + 0.0j, 4.0 - 0.05j])
+    cloud = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-0.5 * eps, 0.5 * eps, 200)
+    z = np.concatenate([[0.3 + 0.02j, -1.7 + 0.0j, 4.0 - 0.05j], cloud])
     h = 1e-6
-    fd = (np.asarray(ps.f_plus(eps, z + h)) - np.asarray(ps.f_plus(eps, z - h))) / (2 * h)
-    np.testing.assert_allclose(np.asarray(f_plus_prime(eps, z)), fd, atol=1e-8)
+    # a complex derivative: centred differences along both axes agree with it
+    for step in (h, 1j * h):
+        fd = (np.asarray(ps.f_plus(eps, z + step)) - np.asarray(ps.f_plus(eps, z - step))) / (2 * step)
+        np.testing.assert_allclose(np.asarray(f_plus_prime(eps, z)), fd, atol=1e-8)
 
 
 def test_reaction_spec_jet_layout():
@@ -115,13 +120,13 @@ def test_jet_lipschitz_estimate_uses_analytic_jacobian(rng):
     assert got == pytest.approx(7.0, rel=1e-12)
 
 
-def test_smoothed_parts_share_one_log_and_match_the_smoothers(monkeypatch):
+def test_smoothed_parts_share_one_turn_and_match_the_smoothers(monkeypatch):
     import parastrip.reaction as reaction
 
     z = np.array([0.3 + 0.02j, -1.7 + 0.0j, 4.0 - 0.05j, 0.0])
     calls = []
-    log = reaction._log_factor
-    monkeypatch.setattr(reaction, "_log_factor", lambda eps, w: calls.append(1) or log(eps, w))
+    turn = reaction._turn
+    monkeypatch.setattr(reaction, "_turn", lambda eps, w: calls.append(1) or turn(eps, w))
     minus, plus = reaction._smoothed_parts(0.1, z)
     assert len(calls) == 1
     np.testing.assert_array_equal(minus, ps.f_minus(0.1, z))
@@ -148,3 +153,51 @@ def test_nemytskii_is_the_stack_core_with_one_node():
     spec.eval = lambda z, t, X: X[0, 0, 0, :2]
     with pytest.raises(ConfigurationError, match="returned shape"):
         ps.nemytskii(spec, jets, None, 0.5, g)
+
+
+def _log_form(eps, z):
+    """(f_minus, f_plus) written with the log of the quotient, as the smoothers are defined."""
+    w = z / eps
+    turn = (1j / (2.0 * np.pi)) * np.log((1.0 - 1j * w) / (1.0 + 1j * w))
+    return z * (0.5 - turn), z * (0.5 + turn)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.25])
+def test_smoothers_are_exactly_real_and_match_the_arctan_oracle_on_the_real_line(eps, rng):
+    w = np.concatenate([np.linspace(-5e5, 5e5, 2001), rng.uniform(-5e5, 5e5, 2000),
+                        np.geomspace(1e-8, 5e5, 1000), -np.geomspace(1e-8, 5e5, 1000), [0.0]])
+    v = w * eps
+    want = np.array([smoother_real_line(x, eps) for x in v]).T
+    for got, oracle, large in zip((ps.f_minus(eps, v), ps.f_plus(eps, v)), want, (v <= 0.0, v >= 0.0)):
+        assert np.all(got.imag == 0.0)
+        gap = np.abs(got.real - oracle)
+        # one part cancels to ~|v|/|w| in its tail, so ulps there count at the scale of
+        # f_minus + f_plus = v; the other part is at least |v|/2 and counts its own ulps
+        assert np.all(gap <= 4.0 * np.spacing(np.abs(v)))
+        assert np.all(gap[large] <= 4.0 * np.spacing(np.abs(oracle[large])))
+
+
+def test_smoothers_match_the_log_form_off_the_real_line(rng):
+    eps = 0.05
+    cloud = rng.uniform(-5.0, 5.0, 4000) + 1j * rng.uniform(-3.0 * eps, 3.0 * eps, 4000)
+    # beside the cuts on both sides, and on the imaginary axis between the branch points
+    edges = np.array([s * 1e-6 + 1j * y for s in (1.0, -1.0) for y in eps * np.array([-40.0, -2.0, 2.0, 40.0])])
+    z = np.concatenate([cloud, edges, 1j * eps * np.linspace(-0.99, 0.99, 21)])
+    for got, want in zip((ps.f_minus(eps, z), ps.f_plus(eps, z)), _log_form(eps, z)):
+        # both forms take one part as the difference 1/2 - turn, which cancels in its tail, so
+        # there the relative scale is |z|, that of f_minus + f_plus = z
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), np.abs(z)))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.5])
+def test_the_branch_guard_still_refuses_the_cuts_and_their_ends(eps):
+    along = 1j * eps * np.array([1.0, 1.5, 10.0, 1e6])
+    near = 0.9e-9 * eps * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+    for z in [*along, *-along, *(1j * eps + near), *(-1j * eps + near)]:
+        with pytest.raises(DomainError, match="branch cut"):
+            _guard_branch(eps, np.asarray(z))
+        with pytest.raises(DomainError, match="branch cut"):
+            ps.f_plus(eps, z)
+    # just past the guard, and beside the cut, the smoothers are finite
+    for z in (1j * eps + 2e-9 * eps, -1j * eps - 2e-9 * eps, 1e-12 + 2j * eps):
+        assert np.isfinite(ps.f_plus(eps, z)) and np.isfinite(ps.f_minus(eps, z))

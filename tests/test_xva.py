@@ -307,7 +307,7 @@ def test_verify_price_analyticity_refuses_checks_that_check_nothing_before_solvi
     assert solves == []
 
 
-def test_adjustment_reaction_takes_one_guard_and_one_log_per_mark(monkeypatch):
+def test_adjustment_reaction_takes_one_guard_and_one_turn_per_mark(monkeypatch):
     import parastrip.reaction as reaction
     from parastrip.xva import _adjustment_reaction
 
@@ -315,11 +315,11 @@ def test_adjustment_reaction_takes_one_guard_and_one_log_per_mark(monkeypatch):
     spec = _adjustment_reaction(params, 1)
     X = np.stack([np.linspace(-2.0, 2.0, 33), np.linspace(1.0, -1.0, 33)]).astype(np.complex128)[:, None]
     calls = []
-    for name in ("_log_factor", "_guard_branch"):
+    for name in ("_turn", "_guard_branch"):
         fn = getattr(reaction, name)
         monkeypatch.setattr(reaction, name, lambda eps, z, fn=fn, name=name: calls.append(name) or fn(eps, z))
     got = spec.eval(None, 0.0, X)
-    assert sorted(calls) == ["_guard_branch", "_log_factor"]
+    assert sorted(calls) == ["_guard_branch", "_turn"]
     cost_minus, cost_plus = 0.6 * 0.02, 0.6 * 0.05 + 0.01
     want = -cost_minus * ps.f_minus(0.01, X[0]) - cost_plus * ps.f_plus(0.01, X[0])
     np.testing.assert_array_equal(got, want)
