@@ -709,7 +709,10 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
             f"{y_max!r}: the shift family's norms take exp(y_half_width^2 / (2 width^2)) to the power "
             f"max(2, solver.p) = {power:g}, which must stay below exp({_EXP_OVERFLOW:g})"
         )
-    _library("analyticity.path.t_primes", errors, _distinct_splits, t_primes)
+    # default splits that round to one value (a subnormal sigma) are the fault of the key that set sigma
+    splits = ("analyticity.path.t_primes" if path["t_primes"] is not None
+              else "run.horizon" if path["sigma"] is None else "analyticity.path.sigma")
+    _library(splits, errors, _distinct_splits, t_primes)
     if None not in (n_shifts, strides):
         _library("analyticity.strides", errors, _usable_strides, n_shifts, strides)
     if errors:

@@ -53,7 +53,7 @@ from .grid import (
     derivative_multiplier,
     sample_on_shifted_grid,
 )
-from .norms import NormParams, _fit_blocks, besov_norm, lp_norm, _smooth_step
+from .norms import NormParams, _fit_blocks, _lp_norms, _smooth_step, besov_norm
 # apply_operator stays importable as parastrip.solver.apply_operator, the name that
 # perfbench/test_oracles.py reads; the solver itself applies P through one plan per solve
 from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
@@ -176,7 +176,8 @@ def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
 
 
 class _Replay:
-    """An unforced blocks march kept as its start w^_0 and its ``_Resolvent``, marched again when read.
+    """An unhooked unforced blocks march kept as its start w^_0 and its ``_Resolvent``, marched
+    again when its result is read.
 
     ``times`` are the march's node times.  ``rows`` repeats the march's
     steps from ``start``, the same call on the same input, so every node
@@ -187,9 +188,9 @@ class _Replay:
     def __init__(self, start: np.ndarray, resolvent, times):
         self.start, self.resolvent, self.times = start, resolvent, times
 
-    def rows(self, nodes, grid: Grid, size: int):
-        """The values at the ascending ``nodes`` as checked (k, M, *grid) runs of at most ``size`` rows."""
-        step, w_hat, j = _blocks_step(self.resolvent), self.start, 0
+    def rows(self, nodes, grid: Grid):
+        """The values at the ascending ``nodes`` as checked (k, M, *grid) runs of _HOOK_BYTES."""
+        step, w_hat, j, size = _blocks_step(self.resolvent), self.start, 0, _hook_rows(self.start)
         for at in range(0, len(nodes), size):
             run = nodes[at:at + size]
             out = np.empty((len(run),) + self.start.shape, np.complex128)
@@ -214,8 +215,8 @@ class _Pending(NamedTuple):
 _RHS_BYTES = 2 ** 18
 
 
-# bytes of imex rows per run handed to a row hook or replayed: few calls, while a hook that
-# takes the rows' norms holds about 11 times its block in temporaries
+# bytes of imex rows per run handed to a member's _hold or replayed: few calls, while a hook
+# that takes the rows' norms holds about 11 times its block in temporaries
 _HOOK_BYTES = 2 ** 16
 
 
@@ -242,14 +243,15 @@ class SolveResult:
     """Trajectory snapshots along one time ray or path, stored as blocks.
 
     ``stored`` lists (rows, M, *grid) arrays, each checked finite once: a
-    one-row block for the start, then the due rows of each window, or those
-    a row hook holds (see ``_Member.store``); in order, their rows are the
-    values at ``times``.  An unforced blocks march keeps its due rows
-    before its last unread, as one ``_Pending``: the first read of
-    ``blocks`` replays them (one more batched matvec per node) in checked
-    runs of _HOOK_BYTES, with the bits they had in the march, which then
-    replace it; a fully read result holds no resolvent.  ``final`` reads
-    the last row, which every march stores as values, and replays nothing.
+    one-row block for the start, then the due rows of each Picard window
+    or each run of an imex march, or those a row hook holds (see
+    ``_Member._hold``); in order, their rows are the values at ``times``.
+    An unforced blocks march without a row hook keeps its due rows before
+    its last unread, as one ``_Pending``: the first read of ``blocks``
+    replays them (one more batched matvec per node) in checked runs of
+    _HOOK_BYTES, with the bits they had in the march, which then replace
+    it; a fully read result holds no resolvent.  ``final`` reads the last
+    row, which every march stores as values, and replays nothing.
     ``fields`` and ``time_derivatives`` are tuples of ComplexField views of
     the rows, wrapped without a second check.
 
@@ -276,7 +278,7 @@ class SolveResult:
         if any(isinstance(part, _Pending) for part in self.stored):
             # every run is replayed and checked before any replaces its placeholder
             self.stored[:] = [run for part in self.stored for run in (
-                part.replay.rows(part.nodes, self.grid, _hook_rows(part.replay.start))
+                part.replay.rows(part.nodes, self.grid)
                 if isinstance(part, _Pending) else (part,))]
         return tuple(self.stored)
 
@@ -469,10 +471,10 @@ def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
 
 
 class _Window(NamedTuple):
-    """One member's finished window: the values of its nodes."""
+    """One member's finished window: the values of its nodes, unless it held its own rows."""
 
     s_nodes: np.ndarray
-    fields: object                # every node (picard_voc), or a march's due rows (see _march_imex)
+    fields: np.ndarray = None     # every node (picard_voc); an imex march holds its rows as it goes
     sweeps: int = None
     gmres_iterations: list = None
     contraction_ratio: float = None
@@ -996,7 +998,7 @@ def _gmres_step(problem: CauchyProblem, plan: OperatorPlan, t_nodes, c: complex,
 
 
 def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
-                config: SolverConfig, t_base=0.0, check_mu=True):
+                config: SolverConfig, t_base, check_mu: bool, hold, hooked: bool):
     """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
 
     One march on w^, the solution's Fourier coefficients.  Node j forms the
@@ -1004,12 +1006,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     then a trapezoid corrector) and f^_j = FFT(mu dt explicit), None for a
     problem with neither a reaction nor a source.  It leaves the implicit
     half, the resolvent (I + c P^)^-1 with c = mu dt / 2, to a step
-    ``(j, w^_j, f^_j, guess) -> (w^_{j+1}, iterations)``.  A forced march
-    needs every node's values for its explicit part, so it takes one
-    inverse FFT of each result and checks the values finite; so does an
-    unforced march under GMRES, whose replay would repeat every solve.  An
-    unforced blocks march checks each w^_{j+1} finite on its coefficients
-    and transforms the last node only, the next start.  An autonomous
+    ``(j, w^_j, f^_j, guess) -> (w^_{j+1}, iterations)``.  An autonomous
     operator's resolvent is one matrix for the whole march, built once
     (``_Resolvent``) and applied by ``_blocks_step``; a time-dependent
     operator, or blocks that ``_Resolvent.build`` refuses, leave each step
@@ -1017,12 +1014,20 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     operator's, so ``_time_nodes`` checks the nodes for both.
 
     The march is its member's only window, and only the rows of its due
-    nodes, ``_due_nodes(0, n, True, stride)``, outlive their step: the
-    window's fields are their values as one read-only stack, after, for an
-    unforced blocks march, one ``_Pending`` of the due nodes before the
-    last, whose ``_Replay`` keeps w^_0 and the resolvent.  The window records
-    one ``gmres_iterations`` entry per implicit solve (0 under the blocks),
-    the step that served it as ``implicit`` and the build record as ``resolvent``.
+    nodes, ``_due_nodes(0, n, True, stride)``, outlive their step: it hands
+    them to ``hold(times, block, last)``, its member's ``_hold``, as soon as
+    it has made them, in read-only runs of at most _HOOK_BYTES, the run of
+    node n with ``last``.  A node it transforms takes one inverse FFT and a
+    finite check of its values, any other a check of w^_{j+1}.  A forced
+    march needs every node's values for its explicit part, so it transforms
+    them all; so does an unforced march under GMRES, whose replay would
+    repeat every solve.  An unforced blocks march transforms its due nodes
+    when its member has a row hook (``hooked``).  Without one it transforms
+    its last node only, and first hands over the due nodes before it as one
+    ``_Pending``, whose ``_Replay`` keeps w^_0 and the resolvent.  The
+    window it returns has no fields; it records one ``gmres_iterations``
+    entry per implicit solve (0 under the blocks), the step that served it
+    as ``implicit`` and the build record as ``resolvent``.
     """
     mu = complex(mu)
     if check_mu:
@@ -1034,12 +1039,10 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         resolvent, record = _Resolvent.build(plan, t_nodes[0], c, config.gmres_tol)
     step = _gmres_step(problem, plan, t_nodes, c, config) if resolvent is None else _blocks_step(resolvent)
     forced = problem.reaction is not None or problem.source is not None
-    lazy = not forced and resolvent is not None        # transforms its last node only
+    eager = forced or resolvent is None        # transforms every node
     n = len(t_nodes) - 1
     due = _due_nodes(0, n, True, config.snapshot_stride)
-    deferred = due[:-1] if lazy else []
-    slot = {j: k for k, j in enumerate(due[len(deferred):])}
-    rows = np.empty((len(slot),) + w0.values.shape, np.complex128)
+    times = [complex(t_base + mu * s_nodes[j]) for j in due]
     iterations = []
 
     def solve(j, w_hat, explicit, guess, transform):
@@ -1052,7 +1055,10 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         return new, values
 
     w_hat, values = _fftn(w0.values, grid), w0.values
-    fields = [_Pending(_Replay(w_hat, resolvent, t_nodes), deferred)] if deferred else []
+    if not (eager or hooked) and len(due) > 1:
+        hold(times[:-1], _Pending(_Replay(w_hat, resolvent, t_nodes), due[:-1]))
+        due, times = due[-1:], times[-1:]
+    size, run, at = _hook_rows(w0.values), [], 0       # run: the due rows made since the last hold
     e_j = explicit = None
     for j in range(n):
         if forced:
@@ -1063,11 +1069,14 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             guess, pred = solve(0, w_hat, explicit, w_hat, forced)
             if forced:
                 explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        w_hat, values = solve(j, w_hat, explicit, guess, not lazy or j == n - 1)
-        if j + 1 in slot:
-            rows[slot[j + 1]] = values
-    fields.append(_read_only(rows))
-    return _Window(s_nodes, fields, gmres_iterations=iterations,
+        w_hat, values = solve(j, w_hat, explicit, guess, eager or j + 1 == due[at])
+        if j + 1 == due[at]:
+            run.append(values)
+            at += 1
+            if len(run) == size or at == len(due):
+                hold(times[at - len(run):at], _read_only(np.stack(run)), at == len(due))
+                run = []
+    return _Window(s_nodes, gmres_iterations=iterations,
                    implicit="gmres" if resolvent is None else "blocks", resolvent=record)
 
 
@@ -1088,40 +1097,36 @@ def _due_rows(values: np.ndarray, rows: list, times: list):
 
 
 class _Member:
-    """One trajectory of a (lockstep) solve: its plan, marching state and stored blocks."""
+    """One trajectory of a (lockstep) solve: its plan, marching state and stored blocks.
 
-    def __init__(self, index: int, mu, shift, plan: OperatorPlan, start: ComplexField, window: float):
+    ``keep`` is the solve's row hook (see ``_solve``), offered the start
+    row, at ``t_base``, as the member is made.
+    """
+
+    def __init__(self, index: int, mu, shift, plan: OperatorPlan, start: ComplexField, window: float,
+                 t_base, keep):
         self.index, self.mu, self.shift, self.plan = index, complex(mu), shift, plan
-        self.w, self.s, self.window = start, 0.0, window
+        self.w, self.s, self.window, self.t_base, self.keep = start, 0.0, window, t_base, keep
         self.halvings, self.gstep, self.carried, self.error = 0, 0, None, None
         self.constants = {}           # window constants by exact dt (autonomous operators)
         self.times, self.blocks, self.win_diag, self.win_wall = [], [], [], []
+        self._hold([complex(t_base)], _read_only(start.values[np.newaxis]))
 
-    def store(self, win: _Window, bounds, wall_s: float, last_window: bool, config: SolverConfig, t_base,
-              keep):
-        """Hand the window's due rows (``_due_nodes``) to ``_hold`` after the start row, record
-        its diagnostics and move the state to its end.  ``wall_s`` is the wall time of the
-        call that marched the window (shared by a lockstep group).
-
-        A Picard window's due rows go at once (``_due_rows``), an imex
-        march's in runs of at most _HOOK_BYTES (``_march_runs``).
+    def store(self, win: _Window, bounds, wall_s: float, last_window: bool, config: SolverConfig):
+        """Hand a Picard window's due rows (``_due_nodes``) to ``_hold`` at once (``_due_rows``),
+        record the window's diagnostics and move the state to its end.  ``wall_s`` is the wall
+        time of the call that marched the window (shared by a lockstep group).  An imex march,
+        its member's only window, has held its rows as it made them.
         """
         n = len(win.s_nodes) - 1
-        due = _due_nodes(self.gstep, n, last_window, config.snapshot_stride)
+        if win.fields is not None:
+            due = _due_nodes(self.gstep, n, last_window, config.snapshot_stride)
+            if due:
+                times = [complex(self.t_base + self.mu * win.s_nodes[j]) for j in due]
+                block, view = _due_rows(win.fields, due, times)
+                self._hold(times, block, last_window, view)
+            self.w = ComplexField._trusted(self.plan.grid, np.array(win.fields[-1]))
         self.gstep += n
-        if not self.win_diag:                 # the start row comes first
-            self._hold([complex(t_base)], _read_only(self.w.values[np.newaxis]), keep, False, False)
-        times = [complex(t_base + self.mu * win.s_nodes[j]) for j in due]
-        if isinstance(win.fields, np.ndarray):
-            last_row, runs = win.fields[-1], [_due_rows(win.fields, due, times)] if due else []
-        else:
-            last_row, runs = win.fields[-1][-1], self._march_runs(win.fields, keep)
-        offered = 0
-        for block, view in runs:
-            count = len(block.nodes) if isinstance(block, _Pending) else len(block)
-            ts = times[offered:offered + count]
-            offered += count
-            self._hold(ts, block, keep, last_window and offered == len(due), view)
         self.win_diag.append(
             {
                 "s_start": bounds[0],
@@ -1135,26 +1140,10 @@ class _Member:
             }
         )
         self.win_wall.append(wall_s)
-        self.w = ComplexField._trusted(self.plan.grid, np.array(last_row))
         self.carried = win.carry
         self.s = bounds[1]             # s + span, rounded as a serial march adds it
 
-    def _march_runs(self, parts: list, keep):
-        """An imex march's due rows as (block, view) runs of at most _HOOK_BYTES (a call per
-        row took an imex family's norm table twice as long): a ``_Pending`` whole without
-        ``keep``, else replayed as a read replays it; a hook that holds all of a run of a
-        longer stack gets it copied out, as the view would pin the stack."""
-        size = _hook_rows(self.w.values)
-        for part in parts:
-            if not isinstance(part, _Pending):
-                for k in range(0, len(part), size):
-                    yield part[k:k + size], keep is not None and len(part) > size
-            elif keep is None:
-                yield part, False
-            else:
-                yield from ((run, False) for run in part.replay.rows(part.nodes, self.plan.grid, size))
-
-    def _hold(self, times: list, block, keep, last: bool, view: bool):
+    def _hold(self, times: list, block, last: bool = False, view: bool = False):
         """Store the rows of a checked ``block`` at ``times`` that ``keep`` holds (all, or a
         ``_Pending`` as it is, without ``keep``; anything but one boolean per row raises
         ConfigurationError), its last row too when ``last``.
@@ -1165,8 +1154,8 @@ class _Member:
         between which the next window's stacks kept landing on fresh pages
         (one page fault each).
         """
-        if keep is not None:
-            mask = keep(self.index, times, block)
+        if self.keep is not None:
+            mask = self.keep(self.index, times, block)
             if np.shape(mask) != (len(times),):
                 got = repr(mask) if np.ndim(mask) == 0 else f"shape {np.shape(mask)}"
                 raise ConfigurationError(f"row hook keep must return one boolean per row of {len(times)}, "
@@ -1217,8 +1206,7 @@ def _release(error: Exception, frame) -> None:
         caller = caller.f_back
 
 
-def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig,
-           t_base, check_mu: bool, keep):
+def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig, check_mu: bool):
     """Advance every member to s_total, recording each one's blocks or error on it.
 
     Under picard_voc the members start as one lockstep group sharing window
@@ -1245,11 +1233,12 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
             started = time.perf_counter()
             if config.integrator == "imex":
                 try:
-                    outcomes = [_march_imex(problem, lead.plan, lead.w, bounds, lead.mu, config, t_base, check_mu)]
+                    outcomes = [_march_imex(problem, lead.plan, lead.w, bounds, lead.mu, config, lead.t_base,
+                                            check_mu, lead._hold, lead.keep is not None)]
                 except Exception as exc:
                     outcomes = [exc]
             else:
-                outcomes = _picard_window(problem, group, bounds, config, t_base, check_mu)
+                outcomes = _picard_window(problem, group, bounds, config, lead.t_base, check_mu)
             wall_s = time.perf_counter() - started
             stay = []
             for m, out in zip(group, outcomes):
@@ -1270,7 +1259,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                     m.error = out
                 else:
                     try:
-                        m.store(out, bounds, wall_s, last_window, config, t_base, keep)
+                        m.store(out, bounds, wall_s, last_window, config)
                     except InstabilityError as exc:
                         m.error = exc
                         continue
@@ -1291,10 +1280,13 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
     *grid) block with its times, and it returns a boolean mask of the rows
     to store.  The member stores those and its march's last row, which
     ``final`` reads; ``times`` lists the stored rows.  ``index`` is the
-    member's place in ``members``: the members of a lockstep group take
-    turns window by window, so the calls of different members interleave.
-    A block may view a whole window, so a hook keeps none past its call.
-    With ``keep=None`` every such row is stored.  Returns one entry per
+    member's place in ``members``: each member's start row is offered as it
+    is made, then the members of a lockstep group take turns window by
+    window, so the calls of different members interleave.  An imex march
+    offers its rows in runs as it makes them, so an error the hook raises
+    there is its member's, as any other raised in the march.  A block may
+    view a whole window, so a hook keeps none past its call.  With
+    ``keep=None`` every such row is stored.  Returns one entry per
     member, in order: its SolveResult, or the exception its serial solve
     raises.  The list ends at the first exception, the one a serial run of
     the members in order raises first.
@@ -1316,9 +1308,9 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
         except Exception as exc:       # a serial run raises it here and never reaches later members
             states.append(exc)
             break
-        states.append(_Member(index, mu, shift, plan, w, window))
+        states.append(_Member(index, mu, shift, plan, w, window, t_base, keep))
     marched = [m for m in states if isinstance(m, _Member)]
-    _march(problem, marched, s_total, config, t_base, check_mu, keep)
+    _march(problem, marched, s_total, config, check_mu)
     for m in marched:
         if m.error is not None:
             _release(m.error, sys._getframe())
@@ -1604,14 +1596,9 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
                                         "right-hand side"))
             start = stop
         derivs = np.concatenate(derivs)
-        load = np.array(
-            [
-                lp_norm(ComplexField(grid, derivs[j]), p) ** p
-                + lp_norm(ComplexField(grid, derivs[j] - g_vals[j]), p) ** p
-                for j in range(len(nodes))
-            ]
-        )
-        forcing = np.array([lp_norm(ComplexField(grid, g), p) ** p for g in g_vals])
+        load = np.array([a ** p + b ** p for a, b in zip(_lp_norms(derivs, grid, p),
+                                                        _lp_norms(derivs - g_vals, grid, p))])
+        forcing = np.array([g ** p for g in _lp_norms(g_vals, grid, p)])
         num = np.concatenate([[0.0], np.cumsum(0.5 * dt * (load[1:] + load[:-1]))])
         den_g = np.concatenate([[0.0], np.cumsum(0.5 * dt * (forcing[1:] + forcing[:-1]))])
         den0 = besov_norm(sample.initial, bparams) ** p

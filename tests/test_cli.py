@@ -404,6 +404,24 @@ def test_path_splits_that_check_nothing_exit_2(tmp_path, capsys, t_primes):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key", ["run.horizon", "analyticity.path.sigma"])
+def test_default_splits_that_round_to_one_name_the_key_that_set_sigma(tmp_path, capsys, key):
+    # the default splits 0.4 sigma and 0.6 sigma of a subnormal sigma are one value
+    cfg = json.loads(json.dumps(FAMILY_CFG))
+    for name in ("times", "rho", "path"):
+        del cfg["analyticity"][name]
+    if key == "run.horizon":
+        cfg["run"]["horizon"] = 1e-323
+    else:
+        cfg["analyticity"]["path"] = {"sigma": 1e-323}
+    code, out = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
+    assert code == 2
+    detail = _invalid_detail(capsys)
+    assert f"{key}: path independence needs at least two distinct segment splits" in detail
+    assert "t_primes" not in detail
+    assert not (out / "manifest.json").exists()
+
+
 def test_strides_that_leave_no_three_shifts_exit_2(tmp_path, capsys):
     # with 5 shifts a stride of 4 leaves 2 of them: cr_space would write no residual and check nothing
     cfg = json.loads(json.dumps(FAMILY_CFG))

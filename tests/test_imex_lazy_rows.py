@@ -242,7 +242,7 @@ def test_a_forced_march_that_stores_its_final_row_holds_one_row():
     assert peak <= 0.5e6, peak
 
 
-def test_a_hooked_imex_family_replays_its_rows_in_runs():
+def test_a_hooked_imex_family_hands_over_its_rows_in_runs():
     from parastrip.analyticity import _NormTable
 
     config = ps.SolverConfig(dt=2e-4, integrator="imex")
@@ -257,3 +257,49 @@ def test_a_hooked_imex_family_replays_its_rows_in_runs():
     assert lazy_rows(fam.member([0.0])) == 0
     # one march's 500 due rows alone are 2 MB
     assert peak <= 2.5e6, peak
+
+
+def test_a_hooked_unforced_family_marches_each_member_once(monkeypatch):
+    from parastrip.analyticity import _at_times
+
+    calls = []
+    inner = _Resolvent.apply
+    monkeypatch.setattr(_Resolvent, "apply", lambda self, rhs: calls.append(1) or inner(self, rhs))
+    ys = np.linspace(-0.2, 0.2, 9)
+    fam = ps.solve_shift_family(_heat_1d(), ys, 0.0, 0.1, ps.SolverConfig(dt=2e-3, integrator="imex"),
+                                keep=lambda index, times, block: _at_times(times, [0.05]))
+    windows = [fam.member(y).diagnostics["windows"] for y in fam.y_values]
+    assert all(w["implicit"] == "blocks" and w["steps"] == 50 for (w,) in windows)
+    # node 0's predictor and corrector, then one step per node: the hook's rows replay nothing
+    assert len(calls) == len(ys) * 51
+    assert all(len(fam.member(y).fields) == 2 and lazy_rows(fam.member(y)) == 0 for y in fam.y_values)
+    assert len(calls) == len(ys) * 51
+
+
+def test_a_hooked_forced_march_holds_a_run_of_rows_not_every_row():
+    from parastrip.analyticity import _at_times
+
+    params, payoff, _ = heston_chart()
+    params = dataclasses.replace(params, lambda_B=0.02, lambda_C=0.05, R_B=0.4, R_C=0.4, s_F=0.01)
+    grid = ps.make_grid(2, 6.0, 32)
+
+    def run(trace):
+        riskfree = ps.price_riskfree(params, payoff, grid, 0.25)
+        held = riskfree.times[::40]
+        keep = lambda index, times, block: _at_times(times, held)
+        if trace:
+            tracemalloc.start()
+        try:
+            res = ps.price_xva_linear(params, payoff, riskfree, grid, 0.25, keep=keep)
+            return res, held, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(False)                              # caches and imports outside the measurement
+    res, held, peak = run(True)
+    (window,) = res.diagnostics["windows"]
+    assert window["implicit"] == "blocks" and window["steps"] == 400 and len(held) == 11
+    np.testing.assert_array_equal(res.times, held)
+    # the reference's 401 rows of 16 KiB, read by the source, are 6.4 MB; the price's own
+    # 400 due rows would be 6.6 MB more
+    assert peak <= 9e6, peak

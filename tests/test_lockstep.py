@@ -182,13 +182,13 @@ def test_a_hook_sees_the_strided_rows_of_a_2d_family():
     assert len(fam.times) == 3
 
 
-def test_a_hook_sees_the_replayed_rows_of_an_unforced_imex_march(heat_problem):
+def test_a_hook_sees_the_rows_a_read_replays_of_an_unforced_imex_march(heat_problem):
     config = ps.SolverConfig(dt=5e-3, integrator="imex")
     unhooked = ps.solve_shift_family(heat_problem, np.linspace(-0.2, 0.2, 3), 0.0, 0.05, config)
     assert unhooked.member([0.0]).diagnostics["windows"][0]["implicit"] == "blocks"
     assert sum(len(b.nodes) for b in unhooked.member([0.0]).stored if isinstance(b, solver._Pending)) == 9
     fam = family_through_a_hook(heat_problem, np.linspace(-0.2, 0.2, 3), 0.05, config, [0.02])
-    # the replayed rows were handed to the hook, so nothing is left to replay
+    # a hooked march transforms its rows for the hook as it makes them: nothing is left to replay
     assert not any(isinstance(b, solver._Pending) for y in fam.y_values for b in fam.member(y).stored)
 
 

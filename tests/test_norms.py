@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import parastrip as ps
 from parastrip.errors import ConfigurationError
-from parastrip.norms import _besov_norms, _lp_windows
+from parastrip.norms import _besov_norms, _lp_norms, _lp_windows
 
 
 def mode(grid, k, amplitude=1.0):
@@ -52,6 +52,15 @@ def test_lp_norm_sums_components():
     f = ps.ComplexField(g, v)
     # two unit components double the p-th power mass
     assert ps.lp_norm(f, 2.0) == pytest.approx(np.sqrt(2.0) * 2.0 ** 0.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_stacked_lp_norms_are_each_rows_lp_norm_bit_for_bit(dim, p):
+    grid = ps.make_grid(dim, 3.0, 16)
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((41, 2) + grid.shape) + 1j * rng.standard_normal((41, 2) + grid.shape)
+    assert _lp_norms(stack, grid, p) == [ps.lp_norm(ps.ComplexField(grid, row), p) for row in stack]
 
 
 def test_littlewood_paley_reconstruction(pi_grid):

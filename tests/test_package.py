@@ -82,3 +82,64 @@ def test_the_unused_import_check_sees_what_it_should():
         "import numpy.linalg", "__all__ = ['sys']", "def f():", "    import json", "    return numpy.linalg",
     ])
     assert _unused_imports(source) == [(1, "os"), (6, "OD"), (10, "json")]
+
+
+def _unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each private name that no module of ``sources`` reads.
+
+    ``sources`` maps module names to their source.  The private names are
+    the ``_``-prefixed, non-dunder module-level functions, classes and
+    assigned constants, and the methods of module-level classes.  A name
+    counts as read when some module loads it as a name or as an attribute;
+    being imported, assigned or defined does not count.
+    """
+    import ast
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    out = []
+    for module, tree in trees.items():
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node)
+            if isinstance(node, ast.ClassDef):
+                defined += [item for item in node.body if isinstance(item, ast.FunctionDef)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [(module, node.lineno, t.id) for t in targets
+                        if isinstance(t, ast.Name) and private(t.id) and t.id not in read]
+        out += [(module, node.lineno, node.name) for node in defined
+                if private(node.name) and node.name not in read]
+    return sorted(out)
+
+
+def test_every_private_name_is_read_by_the_package():
+    import pathlib
+
+    sources = {path.stem: path.read_text()
+               for path in sorted(pathlib.Path(parastrip.__file__).parent.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_unread_private_name_check_sees_what_it_should():
+    a = "\n".join([
+        "from b import _imported_only, _used", "_UNREAD = 1", "_READ = 2", "__dunder__ = 3", "def _lonely():",
+        "    return _READ", "class _Kept:", "    def _spare(self):", "        pass",
+        "    def _called(self):", "        return self.__class__", "    def __len__(self):", "        return 0",
+    ])
+    b = "\n".join([
+        "import a", "def _used():", "    return a._Kept()._called()", "def _imported_only():", "    pass",
+        "def public():", "    _used()",
+    ])
+    assert _unread_private_names({"a": a, "b": b}) == [
+        ("a", 2, "_UNREAD"), ("a", 5, "_lonely"), ("a", 8, "_spare"), ("b", 4, "_imported_only")]

@@ -441,7 +441,7 @@ def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
 def test_solve_real_stores_the_rows_its_hook_holds_and_the_last(config):
     from parastrip.analyticity import _at_times
 
-    # forced: the imex march stacks its due rows, which the hook sees in runs
+    # forced: the imex march hands its due rows to the hook in runs as it makes them
     problem, _ = _forcing_problem(1)
     full = ps.solve_real(problem, 0.0, 0.1, config)
     held, calls, seen = full.times[:-1:3], set(), []
