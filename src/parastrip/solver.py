@@ -6,11 +6,12 @@ blocks of rows checked once:
 
 * ``picard_voc`` freezes the generator at the window start, integrates the
   frozen part exactly in Fourier space, and sweeps a variation-of-constants
-  fixed point over the window until the trajectory stops moving.  For a
-  spatially constant, autonomous, linear problem the first sweep already
-  reproduces the exact semigroup, so the iteration count is an honest
-  stiffness/nonlinearity diagnostic.  Several members run in lockstep: one
-  (K, n + 1, M, *grid) stack per window, each with its own plan.
+  fixed point over the window, on the iterate's Fourier coefficients, until
+  the trajectory stops moving.  For a spatially constant, autonomous,
+  linear problem the first sweep already reproduces the exact semigroup,
+  so the iteration count is an honest stiffness/nonlinearity diagnostic.
+  Several members run in lockstep: one (K, n + 1, M, *grid) stack per
+  window, each with its own plan.
 * ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting; it also
   integrates multi-component systems.  One march carries the solution's
   Fourier coefficients, and its implicit half, the resolvent
@@ -157,10 +158,10 @@ class SolverConfig:
             raise ConfigurationError(f"p must exceed 1, got {self.p!r}")
         if self.integrator not in ("picard_voc", "imex"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
-        if self.picard_max_iter < 1 or self.snapshot_stride < 1:
-            raise ConfigurationError("picard_max_iter and snapshot_stride must be >= 1")
-        if self.max_window_halvings < 0:
-            raise ConfigurationError(f"max_window_halvings must be >= 0, got {self.max_window_halvings!r}")
+        for name, least in (("picard_max_iter", 1), ("snapshot_stride", 1), ("max_window_halvings", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+                raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_finite(block: np.ndarray, times, what: str) -> np.ndarray:
@@ -255,9 +256,9 @@ class SolveResult:
     ``fields`` and ``time_derivatives`` are tuples of ComplexField views of
     the rows, wrapped without a second check.
 
-    ``rhs`` is the right-hand side A u + F + g as the solve binds it
-    (``_group_rhs`` with its problem, plan and config).  The time
-    derivatives are evaluated from the stored values when first read:
+    ``rhs(stack, ts, sources=None)`` is the right-hand side A u + F + g as
+    the solve binds it (``_rhs`` with its problem, plan and config).  The
+    time derivatives are evaluated from the stored values when first read:
     ``derivative_blocks`` holds rhs of every block at its times, evaluated
     on runs of consecutive blocks stacked up to ``_RHS_BYTES`` per call
     and checked finite once (InstabilityError names the time of a
@@ -293,7 +294,7 @@ class SolveResult:
             stack = run[0] if len(run) == 1 else np.concatenate(run)
             ts = self.times[start:start + len(stack)]
             start += len(stack)
-            values = _check_finite(self.rhs(stack[np.newaxis], [ts])[0], ts, "right-hand side")
+            values = _check_finite(self.rhs(stack, ts), ts, "right-hand side")
             out.extend(np.split(values, list(itertools.accumulate(map(len, run)))[:-1]))
         return tuple(out)
 
@@ -342,31 +343,31 @@ def _source_stack(problem: CauchyProblem, plan: OperatorPlan, ts, carried=None):
     return np.stack(rows)
 
 
-def _jet_fields(stack: np.ndarray, indices, grid: Grid) -> list:
-    """Plain partial derivatives d^beta of every row of a (B, M, *grid) stack, one stack per beta."""
-    hat = _fftn(stack, grid)
+def _jet_fields(hat: np.ndarray, indices, grid: Grid) -> list:
+    """Plain partial derivatives d^beta of a (B, M, *grid) stack from its coefficients, one per beta."""
     return [(1j) ** int(sum(beta)) * _ifftn(hat * derivative_multiplier(grid, beta), grid)
             for beta in indices]
 
 
-def _add_forcing(problem: CauchyProblem, plan, stack: np.ndarray, ts,
+def _add_forcing(problem: CauchyProblem, plan, hat: np.ndarray, ts,
                  config: SolverConfig, vals: np.ndarray, sources=None) -> np.ndarray:
     """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``.
 
-    The reaction sees the whole stack in one call: the points broadcast to
-    (dim, B, *grid), the jets as (n_slots, M, B, *grid) and the node times
-    shaped (B,) + (1,) * dim.  ``plan`` is the OperatorPlan of every row,
-    or a list of K plans, one per equal run of rows (a lockstep group's
-    members); then ``sources`` must be given, or the problem has no source.
-    ``sources`` is g at the nodes, ``_source_stack(problem, plan, ts)``,
-    evaluated here when not given; a Picard window evaluates it once and
-    passes it to every sweep.
+    The reaction takes its jets from ``hat``, the Fourier coefficients of
+    the (B, M, *grid) stack, and sees the whole stack in one call: the
+    points broadcast to (dim, B, *grid), the jets as (n_slots, M, B, *grid)
+    and the node times shaped (B,) + (1,) * dim.  ``plan`` is the
+    OperatorPlan of every row, or a list of K plans, one per equal run of
+    rows (a lockstep group's members); then ``sources`` must be given, or
+    the problem has no source.  ``sources`` is g at the nodes,
+    ``_source_stack(problem, plan, ts)``, evaluated here when not given; a
+    Picard window evaluates it once and passes it to every sweep.
     """
     grid = problem.grid
     if problem.reaction is not None:
         spec = problem.reaction
-        B = stack.shape[0]
-        X = np.stack(_jet_fields(stack, spec.jet_indices, grid)).swapaxes(1, 2)
+        B = hat.shape[0]
+        X = np.stack(_jet_fields(hat, spec.jet_indices, grid)).swapaxes(1, 2)
         plans = plan if isinstance(plan, list) else [plan]
         runs = [np.broadcast_to(p.points[:, np.newaxis], (grid.dim, B // len(plans)) + grid.shape)
                 for p in plans]
@@ -381,29 +382,14 @@ def _add_forcing(problem: CauchyProblem, plan, stack: np.ndarray, ts,
     return vals
 
 
-def _group_rhs(problem: CauchyProblem, plans: list, stack: np.ndarray, t_nodes: list,
-               config: SolverConfig, sources) -> np.ndarray:
-    """Physical right-hand side A w + F(jets) + g of a (K, n + 1, M, *grid) stack.
-
-    Member a's slice is at its nodes t_nodes[a] and goes through its own
-    plan; the FFTs in and out are batched over all members, and the
-    reaction sees the K (n + 1) rows in one call.  ``sources`` is g as a
-    (K, n + 1, M, *grid) stack; None evaluates it here (K = 1 only) if the
-    problem has a source.
-    """
-    grid = problem.grid
-    hat = _fftn(stack, grid)
-    applied = np.empty_like(hat)
-    for a, (plan, ts) in enumerate(zip(plans, t_nodes)):
-        applied[a] = plan.apply_hat(hat[a], ts)
-    hat = None
-    vals, applied = _ifftn(applied, grid), None
+def _rhs(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
+         config: SolverConfig, sources=None) -> np.ndarray:
+    """Physical right-hand side A w + F(jets) + g of a (B, M, *grid) stack, row b at node ts[b]: one
+    FFT of the stack serves ``plan.apply_hat`` and the jets; ``sources`` as ``_add_forcing`` takes it."""
+    hat = _fftn(stack, problem.grid)
+    vals = _ifftn(plan.apply_hat(hat, ts), problem.grid)
     np.negative(vals, out=vals)
-    rows = (-1,) + stack.shape[2:]
-    vals = _add_forcing(problem, plans if len(plans) > 1 else plans[0], stack.reshape(rows),
-                        np.concatenate(t_nodes), config, vals.reshape(rows),
-                        None if sources is None else sources.reshape(rows))
-    return vals.reshape(stack.shape)
+    return _add_forcing(problem, plan, hat, ts, config, vals, sources)
 
 
 def _frozen_symbol(plan: OperatorPlan, t) -> np.ndarray:
@@ -544,14 +530,16 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
                    t_base=0.0, check_mu=True) -> list:
     """Integrate one window for every member, in lockstep, with the frozen-generator scheme.
 
-    The members' n + 1 nodes form one (K, n + 1, M, *grid) stack: each
-    stage of a sweep (free flight, the FFTs around each member's
-    ``apply_hat``, the reaction, fft(rhs), the inverse of the new iterate)
-    is one batched call.  Convergence and its checks are per member, and a
-    member whose fixed point has converged stops sweeping, so each gets the
-    bits and sweep count of its own serial window.  A sweep evaluates the
-    right-hand side once, at the iterate it starts from; none is evaluated
-    at the converged iterate.
+    The members' n + 1 nodes form one (K, n + 1, M, *grid) stack.  A sweep
+    forms its bracket h = P^_0 w^ - P^ w^ + FFT(F + g) (P^_0 the frozen
+    symbol, each member's ``apply_hat``, the reaction's jets) from w^, the
+    coefficients of the iterate it starts from, and transforms only F + g
+    forward, when the problem has a reaction or a source; the inverse of the
+    new iterate is its other batched FFT.  Convergence and its checks are
+    per member, and a member whose fixed point has converged stops sweeping,
+    so each gets the bits and sweep count of its own serial window.  A sweep
+    evaluates h once, at the iterate it starts from; none is evaluated at
+    the converged iterate.
 
     Returns one outcome per member: a _Window, emitted by the sweep that
     converges; or the exception its serial window raises (ConvergenceError
@@ -594,11 +582,20 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
         traj_hat[:, j + 1] = consts[:, 1, None] * traj_hat[:, j]
     traj_phys = _ifftn(traj_hat, grid)
 
+    forced = problem.reaction is not None or problem.source is not None
     sweep = 0
     while True:
         try:
-            rhs = _group_rhs(problem, [members[lane.k].plan for lane in lanes], traj_phys,
-                             [lane.t_nodes for lane in lanes], config, sources)
+            h = consts[:, 0, None, None] * traj_hat
+            for a, lane in enumerate(lanes):
+                h[a] -= members[lane.k].plan.apply_hat(traj_hat[a], lane.t_nodes)
+            if forced:
+                plans, rows = [members[lane.k].plan for lane in lanes], traj_hat.reshape((-1,) + h.shape[2:])
+                forcing = _add_forcing(problem, plans if len(plans) > 1 else plans[0], rows,
+                                       np.concatenate([lane.t_nodes for lane in lanes]), config, np.zeros_like(rows),
+                                       None if sources is None else sources.reshape(rows.shape))
+                h += _fftn(forcing.reshape(h.shape), grid)
+                rows = forcing = None
         except Exception as exc:
             if len(lanes) == 1:
                 outcomes[lanes[0].k] = exc
@@ -607,9 +604,7 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
         # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
         # overwritten in place, as soon as the sweep is done with it
         sweep += 1
-        frozen, w_explicit, w_implicit = (consts[:, i, None, None] for i in (0, 2, 3))
-        h, rhs = _fftn(rhs, grid), None
-        h += frozen * traj_hat
+        w_explicit, w_implicit = (consts[:, i, None, None] for i in (2, 3))
         new_hat = np.empty_like(traj_hat)
         new_hat[:, 0] = traj_hat[:, 0]
         traj_hat = None
@@ -734,7 +729,8 @@ def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w: np.ndarray, t,
                    config: SolverConfig) -> np.ndarray:
     """F(jets) + g of one (M, *grid) field at time t."""
     zero = np.zeros((1,) + w.shape, dtype=np.complex128)
-    return _add_forcing(problem, plan, w[np.newaxis], (t,), config, zero)[0]
+    hat = None if problem.reaction is None else _fftn(w[np.newaxis], problem.grid)
+    return _add_forcing(problem, plan, hat, (t,), config, zero)[0]
 
 
 # dense resolvent blocks over this in total leave the implicit half to GMRES: the build holds one
@@ -1020,11 +1016,11 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     node n with ``last``.  A node it transforms takes one inverse FFT and a
     finite check of its values, any other a check of w^_{j+1}.  A forced
     march needs every node's values for its explicit part, so it transforms
-    them all; so does an unforced march under GMRES, whose replay would
-    repeat every solve.  An unforced blocks march transforms its due nodes
-    when its member has a row hook (``hooked``).  Without one it transforms
-    its last node only, and first hands over the due nodes before it as one
-    ``_Pending``, whose ``_Replay`` keeps w^_0 and the resolvent.  The
+    them all.  An unforced march transforms its due nodes only.  Under the
+    blocks step and without a row hook (``hooked``) it transforms its last
+    node only, and first hands over the due nodes before it as one
+    ``_Pending``, whose ``_Replay`` keeps w^_0 and the resolvent; a GMRES
+    replay would repeat every solve, so a GMRES march has none.  The
     window it returns has no fields; it records one ``gmres_iterations``
     entry per implicit solve (0 under the blocks), the step that served it
     as ``implicit`` and the build record as ``resolvent``.
@@ -1039,7 +1035,6 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         resolvent, record = _Resolvent.build(plan, t_nodes[0], c, config.gmres_tol)
     step = _gmres_step(problem, plan, t_nodes, c, config) if resolvent is None else _blocks_step(resolvent)
     forced = problem.reaction is not None or problem.source is not None
-    eager = forced or resolvent is None        # transforms every node
     n = len(t_nodes) - 1
     due = _due_nodes(0, n, True, config.snapshot_stride)
     times = [complex(t_base + mu * s_nodes[j]) for j in due]
@@ -1055,7 +1050,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         return new, values
 
     w_hat, values = _fftn(w0.values, grid), w0.values
-    if not (eager or hooked) and len(due) > 1:
+    if not (forced or hooked) and resolvent is not None and len(due) > 1:
         hold(times[:-1], _Pending(_Replay(w_hat, resolvent, t_nodes), due[:-1]))
         due, times = due[-1:], times[-1:]
     size, run, at = _hook_rows(w0.values), [], 0       # run: the due rows made since the last hold
@@ -1069,7 +1064,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             guess, pred = solve(0, w_hat, explicit, w_hat, forced)
             if forced:
                 explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        w_hat, values = solve(j, w_hat, explicit, guess, eager or j + 1 == due[at])
+        w_hat, values = solve(j, w_hat, explicit, guess, forced or j + 1 == due[at])
         if j + 1 == due[at]:
             run.append(values)
             at += 1
@@ -1180,7 +1175,7 @@ class _Member:
             "window_wall_s": self.win_wall,
             "window_halvings": self.halvings,
         }
-        rhs = functools.partial(_group_rhs, problem, [self.plan], config=config, sources=None)
+        rhs = functools.partial(_rhs, problem, self.plan, config=config)
         return SolveResult(self.plan.grid, np.asarray(self.times, dtype=np.complex128), self.blocks, diag, rhs)
 
 
@@ -1591,9 +1586,8 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
         derivs, start = [], 0
         for block in res.blocks:
             stop = start + len(block)
-            ts, sources = res.times[start:stop], None if source is None else g_vals[np.newaxis, start:stop]
-            derivs.append(_check_finite(res.rhs(block[np.newaxis], [ts], sources=sources)[0], ts,
-                                        "right-hand side"))
+            ts, sources = res.times[start:stop], None if source is None else g_vals[start:stop]
+            derivs.append(_check_finite(res.rhs(block, ts, sources=sources), ts, "right-hand side"))
             start = stop
         derivs = np.concatenate(derivs)
         load = np.array([a ** p + b ** p for a, b in zip(_lp_norms(derivs, grid, p),

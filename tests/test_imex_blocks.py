@@ -353,6 +353,23 @@ def test_one_march_transforms_once_in_and_once_out_per_solve(half, applies, monk
     assert window["gmres_iterations"] == ([0] * 11 if half == "blocks" else [8, 0] + [8] * 9)
 
 
+def test_an_unforced_gmres_march_transforms_its_due_nodes_only(monkeypatch):
+    # 10 steps at stride 3 store the start and nodes 3, 6, 9 and 10: four inverse transforms,
+    # the other six nodes checked finite on their coefficients
+    problem = time_dependent(problem_1d())
+    dense = real_solve()(problem)
+    calls = []
+    inner = parastrip.solver._ifftn
+    monkeypatch.setattr(parastrip.solver, "_ifftn", lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+    thin = real_solve(config=dataclasses.replace(IMEX, snapshot_stride=3))(problem)
+    assert implicit(thin) == "gmres" and len(thin) == 5 and len(calls) == 4
+    picks = [0, 3, 6, 9, 10]
+    np.testing.assert_array_equal(thin.times, dense.times[picks])
+    for a, j in zip(thin.fields, picks):
+        np.testing.assert_array_equal(a.values, dense.fields[j].values)
+    assert len(calls) == 4                 # reading the stored rows transforms nothing more
+
+
 def test_a_non_finite_iterate_raises_instability():
     def source(t, grid_, shift):
         return np.full((1,) + grid_.shape, np.inf if t.real > 0.025 else 0.0)
@@ -373,10 +390,10 @@ def test_a_node_outside_the_operators_temporal_domain_raises():
 
 def test_reading_time_derivatives_stacks_consecutive_blocks(monkeypatch):
     calls = []
-    inner = parastrip.solver._group_rhs
-    monkeypatch.setattr(parastrip.solver, "_group_rhs",
-                        lambda problem, plans, stack, *a, **kw: calls.append(stack.shape[1])
-                        or inner(problem, plans, stack, *a, **kw))
+    inner = parastrip.solver._rhs
+    monkeypatch.setattr(parastrip.solver, "_rhs",
+                        lambda problem, plan, stack, *a, **kw: calls.append(stack.shape[0])
+                        or inner(problem, plan, stack, *a, **kw))
     params, payoff, grid = heston_chart()
     res = ps.price_riskfree(params, payoff, grid, 1.0)
     assert len(res.blocks) == 401 and calls == []
@@ -384,4 +401,4 @@ def test_reading_time_derivatives_stacks_consecutive_blocks(monkeypatch):
     # 64 KiB rows, four per 256 KiB run
     assert calls == [4] * 100 + [1]
     for block, ts, got in zip(res.blocks, res.times, derivatives):
-        np.testing.assert_array_equal(got, res.rhs(block[np.newaxis], [[ts]])[0])
+        np.testing.assert_array_equal(got, res.rhs(block, [ts]))

@@ -41,6 +41,20 @@ def test_solver_config_rejects_each_bad_field_by_name(field, value):
         ps.SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("picard_max_iter", 1.5), ("snapshot_stride", 2.5),
+                                          ("max_window_halvings", 0.5), ("snapshot_stride", 2.0),
+                                          ("picard_max_iter", True), ("max_window_halvings", "2")])
+def test_solver_config_rejects_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be an integer >= [01], got "):
+        ps.SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_integer_counts():
+    counts = dict(picard_max_iter=np.int64(3), snapshot_stride=np.int32(2), max_window_halvings=np.uint8(0))
+    config = ps.SolverConfig(**counts)
+    assert [getattr(config, name) for name in counts] == [3, 2, 0]
+
+
 def test_solver_config_accepts_a_tiny_gmres_tolerance_and_no_window():
     assert ps.SolverConfig(gmres_tol=1e-300, window=None, max_window_halvings=0).gmres_tol == 1e-300
 
@@ -410,7 +424,7 @@ def _forcing_problem(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
-    from parastrip.solver import _add_forcing, _jet_fields
+    from parastrip.solver import _add_forcing, _fftn, _jet_fields
 
     problem, grid = _forcing_problem(dim)
     shift = np.full(dim, 0.2j)
@@ -419,9 +433,10 @@ def test_batched_forcing_equals_a_per_node_nemytskii_loop(dim, rng):
     stack = rng.standard_normal((B, 1) + grid.shape) + 1j * rng.standard_normal((B, 1) + grid.shape)
     ts = 0.1 + 0.02j * np.arange(B)
     base = rng.standard_normal((B, 1) + grid.shape).astype(np.complex128)
-    got = _add_forcing(problem, plan, stack, ts, ps.SolverConfig(), base.copy())
+    hat = _fftn(stack, grid)
+    got = _add_forcing(problem, plan, hat, ts, ps.SolverConfig(), base.copy())
 
-    jets = _jet_fields(stack, problem.reaction.jet_indices, grid)
+    jets = _jet_fields(hat, problem.reaction.jet_indices, grid)
     want = base.copy()
     direct = base.copy()
     for b, t in enumerate(ts):
@@ -487,7 +502,7 @@ def test_a_hook_that_returns_no_mask_of_its_rows_raises_a_configuration_error(he
                                     ps.SolverConfig(dt=0.01, integrator="imex")],
                          ids=["picard_voc", "imex"])
 def test_every_stored_time_derivative_is_a_fresh_rhs_of_its_row(config):
-    from parastrip.solver import _jet_fields
+    from parastrip.solver import _fftn, _jet_fields
 
     problem, grid = _forcing_problem(1)
     op = ps.DivergenceOperator.from_terms(
@@ -502,10 +517,48 @@ def test_every_stored_time_derivative_is_a_fresh_rhs_of_its_row(config):
     # -P u + F + g of the stored row itself, the start row included
     for t, w, du in zip(res.times, res.fields, res.time_derivatives):
         want = -ps.apply_operator(op, w, t, shift).values
-        jets = [ps.ComplexField(grid, j[0]) for j in _jet_fields(w.values[np.newaxis], spec.jet_indices, grid)]
+        hat = _fftn(w.values[np.newaxis], grid)
+        jets = [ps.ComplexField(grid, j[0]) for j in _jet_fields(hat, spec.jet_indices, grid)]
         want += ps.nemytskii(spec, jets, shift, t, grid).values
         want += problem.source(t, grid, shift)
         np.testing.assert_array_equal(du.values, want)
+
+
+def _count_stack_transforms(monkeypatch):
+    """One entry per solver._fftn and _ifftn call, by name: whether the call transforms the value
+    _add_forcing returned last (F + g)."""
+    calls, forcing = {"_fftn": [], "_ifftn": []}, []
+    for name in calls:
+        inner = getattr(parastrip.solver, name)
+
+        def spy(values, *a, inner=inner, name=name, **kw):
+            calls[name].append(bool(forcing) and np.shares_memory(values, forcing[-1]))
+            return inner(values, *a, **kw)
+
+        monkeypatch.setattr(parastrip.solver, name, spy)
+    add = parastrip.solver._add_forcing
+    monkeypatch.setattr(parastrip.solver, "_add_forcing",
+                        lambda *a, **kw: forcing.append(add(*a, **kw)) or forcing[-1])
+    return calls
+
+
+def test_a_picard_window_transforms_its_coefficients_once_in_and_each_iterate_once_out(monkeypatch):
+    calls = _count_stack_transforms(monkeypatch)
+    problem, _ = mode_problem()
+    res = ps.solve_real(problem, 0.0, 0.04, ps.SolverConfig(dt=0.01, window=0.04))
+    # the start's coefficients, then the free flight's and the one sweep's inverse transforms
+    assert res.diagnostics["picard_iterations"] == [1]
+    assert (len(calls["_fftn"]), len(calls["_ifftn"])) == (1, 2)
+
+
+def test_a_forced_picard_sweep_transforms_only_its_forcing_forward(monkeypatch):
+    calls = _count_stack_transforms(monkeypatch)
+    problem, _ = _forcing_problem(1)
+    res = ps.solve_real(problem, 0.0, 0.04, ps.SolverConfig(dt=0.01, window=0.04))
+    (sweeps,) = res.diagnostics["picard_iterations"]
+    assert sweeps >= 2
+    # after the start, one forward transform per sweep, of F + g
+    assert calls["_fftn"] == [False] + [True] * sweeps
 
 
 def test_reaction_runs_once_per_sweep():
@@ -545,7 +598,7 @@ def test_source_runs_once_per_window_node():
 
 
 def test_batched_forcing_names_the_node_and_point_of_the_first_offender():
-    from parastrip.solver import _add_forcing
+    from parastrip.solver import _add_forcing, _fftn
 
     grid = ps.make_grid(1, 2.0, 16)
     plan = ps.OperatorPlan(make_heat_operator(), grid)
@@ -556,18 +609,19 @@ def test_batched_forcing_names_the_node_and_point_of_the_first_offender():
                            domain_check=lambda X: np.abs(X[0]) < 1.0)
     problem = ps.CauchyProblem(grid, plan.op, lambda pts: np.zeros_like(pts[0]), reaction=spec)
     point = float(grid.axis_nodes()[5])
+    hat = _fftn(stack, grid)
     with pytest.raises(DomainError, match=rf"grid point \({point},\) \(t=0.5\)"):
-        _add_forcing(problem, plan, stack, ts, ps.SolverConfig(), np.zeros_like(stack))
+        _add_forcing(problem, plan, hat, ts, ps.SolverConfig(), np.zeros_like(stack))
     # the check can be switched off; then non-finite jets and values are instabilities
-    _add_forcing(problem, plan, stack, ts, ps.SolverConfig(check_reaction_domain=False), np.zeros_like(stack))
+    _add_forcing(problem, plan, hat, ts, ps.SolverConfig(check_reaction_domain=False), np.zeros_like(stack))
     nan_stack = np.full_like(stack, 0.1)
     nan_stack[1, 0, 3] = np.nan
     with pytest.raises(InstabilityError, match=r"non-finite jet value .*\(t=0.25\)"):
-        _add_forcing(problem, plan, nan_stack, ts, ps.SolverConfig(), np.zeros_like(stack))
+        _add_forcing(problem, plan, _fftn(nan_stack, grid), ts, ps.SolverConfig(), np.zeros_like(stack))
     spec.eval = lambda z, t, X: np.where(np.abs(X[0]) > 1.0, np.inf, X[0])
     offender = rf"non-finite reaction value at grid point \({point},\) \(t=0.5\)"
     with pytest.raises(InstabilityError, match=offender):
-        _add_forcing(problem, plan, stack, ts, ps.SolverConfig(check_reaction_domain=False),
+        _add_forcing(problem, plan, hat, ts, ps.SolverConfig(check_reaction_domain=False),
                      np.zeros_like(stack))
 
 

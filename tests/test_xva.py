@@ -334,11 +334,11 @@ def test_blended_mark_solve_equals_a_per_node_reference(monkeypatch):
     cfg = ps.SolverConfig(dt=0.1 / 40)
     got = ps.price_xva_nonlinear(params, call_payoff(), grid, 0.1, cfg)
 
-    def per_node(problem, plan, stack, ts, config, vals, sources=None):
+    def per_node(problem, plan, hat, ts, config, vals, sources=None):
         spec = problem.reaction
         if spec is None:                     # the default-free reference solve
             return vals
-        jets = solver._jet_fields(stack, spec.jet_indices, problem.grid)
+        jets = solver._jet_fields(hat, spec.jet_indices, problem.grid)
         for b, t in enumerate(ts):
             vals[b] += spec.eval(plan.points, t, np.stack([jet[b] for jet in jets]))
         return vals
