@@ -7,9 +7,12 @@ blocks of rows checked once:
 * ``picard_voc`` freezes the generator at the window start, integrates the
   frozen part exactly in Fourier space, and sweeps a variation-of-constants
   fixed point over the window, on the iterate's Fourier coefficients, until
-  the trajectory stops moving.  For a spatially constant, autonomous,
-  linear problem the first sweep already reproduces the exact semigroup,
-  so the iteration count is an honest stiffness/nonlinearity diagnostic.
+  the trajectory stops moving.  Only the terms the frozen generator does
+  not reproduce exactly enter the sweep, so a window of a spatially
+  constant, autonomous, linear problem is its own free flight: it reports
+  the one sweep that would reproduce the exact semigroup without running
+  it, and the iteration count is an honest stiffness/nonlinearity
+  diagnostic.
   Several members run in lockstep: one (K, n + 1, M, *grid) stack per
   window, each with its own plan.
 * ``imex`` is a Crank-Nicolson / Adams-Bashforth(2) splitting; it also
@@ -392,15 +395,38 @@ def _rhs(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
     return _add_forcing(problem, plan, hat, ts, config, vals, sources)
 
 
-def _frozen_symbol(plan: OperatorPlan, t) -> np.ndarray:
-    """Spatial mean of the full symbol of P at time t, shape grid.shape (scalar case)."""
+def _frozen_symbol(plan: OperatorPlan, ts, terms=None) -> np.ndarray:
+    """Frozen symbol of P at the first of the nodes ``ts``, shape grid.shape (scalar case).
+
+    It sums c-bar k^alpha k^beta over the terms of ``op.terms`` at the
+    indices ``terms`` (None: every term), with c-bar the exact value of a
+    coefficient that is constant in space at ts[0] and the spatial mean of
+    a variable one.
+    """
     p_hat = np.zeros(plan.grid.shape, dtype=np.complex128)
-    for (alpha, beta), term in zip(plan.op.terms, plan.coefficients((t,))):
-        # the mean runs over the full field even when c is constant, so the
-        # symbol keeps the rounding of the mean of n^dim equal values
-        cbar = np.mean(term.fields[0, 0, 0])
+    coefficients = plan.coefficients(ts)
+    for k in range(len(coefficients)) if terms is None else terms:
+        (alpha, beta), term = plan.op.terms[k], coefficients[k]
+        # a constant term enters as its value, not as the mean of n^dim copies of it, so that
+        # its part of P^_0 - P^ is exactly zero and a Picard bracket can leave it out
+        field, value = term.fields[0, 0, 0], term.values[0, 0, 0]
+        cbar = value if np.all(field == value) else np.mean(field)
         p_hat += cbar * plan.multipliers[alpha] * plan.multipliers[beta]
     return p_hat
+
+
+def _bracket_terms(plan: OperatorPlan, ts) -> tuple:
+    """Indices into ``op.terms`` of the terms a Picard bracket over the nodes ``ts`` keeps.
+
+    A term that is constant in space at every node, with one value at all
+    of them, is its own frozen symbol there (``_frozen_symbol`` takes its
+    exact value), so its part of P^_0 w^ - P^ w^ is exactly zero and it is
+    left out.  Every other term stays: a variable one, and a spatially
+    constant one whose value changes over the nodes, which keeps
+    (c(t_0) - c(t_j)) k^alpha k^beta w^ in the bracket.
+    """
+    return tuple(k for k, term in enumerate(plan.coefficients(ts))
+                 if term.var_rows is not None or np.any(term.values != term.values[0]))
 
 
 def _check_rotation(mu: complex, temporal):
@@ -469,22 +495,28 @@ class _Window(NamedTuple):
     resolvent: dict = None        # imex: the record of the resolvent's build, see _Resolvent.build
 
 
-def _window_constants(problem: CauchyProblem, member, t0, dt):
-    """Frozen symbol, propagator and the two phi weights of one window of ``member``.
+def _window_constants(problem: CauchyProblem, member, t_nodes, dt):
+    """The bracket's terms and the constants of one window of ``member`` on the nodes ``t_nodes``.
 
-    Under an autonomous operator they depend on dt alone (a member has one
-    mu), so they are kept per exact dt: windows whose dt differs in the last
-    bit miss the cache and keep their own rounding.  Otherwise they are
-    evaluated at each window start.
+    The terms are ``_bracket_terms``.  The constants are one (4, *grid)
+    stack: the frozen symbol of the bracket's terms, which a sweep reads,
+    then the propagator e^{-mu dt P^_0} and the two phi weights, which
+    take the frozen symbol P^_0 of every term.  Under an autonomous
+    operator they depend on dt alone (a member has one mu), so they are
+    kept per exact dt: windows whose dt differs in the last bit miss the
+    cache and keep their own rounding.  Otherwise they are evaluated for
+    each window.
     """
     autonomous = problem.op.autonomous
     if autonomous and dt in member.constants:
         return member.constants[dt]
-    mu = member.mu
-    frozen = _frozen_symbol(member.plan, t0)
+    mu, plan = member.mu, member.plan
+    terms = _bracket_terms(plan, t_nodes)
+    frozen = _frozen_symbol(plan, t_nodes)
     a_hat = -mu * dt * frozen
     phi1, phi2 = _phi_weights(a_hat)
-    out = (frozen, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2)
+    bracket = frozen if len(terms) == len(plan.op.terms) else _frozen_symbol(plan, t_nodes, terms)
+    out = terms, np.stack((bracket, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2))
     if autonomous:
         member.constants[dt] = out
     return out
@@ -493,8 +525,8 @@ def _window_constants(problem: CauchyProblem, member, t0, dt):
 class _Lane:
     """One member's sweep state inside a lockstep Picard window."""
 
-    def __init__(self, k: int, t_nodes: np.ndarray):
-        self.k, self.t_nodes = k, t_nodes
+    def __init__(self, k: int, t_nodes: np.ndarray, terms: tuple):
+        self.k, self.t_nodes, self.terms = k, t_nodes, terms      # terms: see _bracket_terms
         self.sweeps, self.ratio, self.delta_prev, self.converged = 0, None, None, False
 
     def check(self, sweep: int, finite: bool, delta: float, scale: float, span, config: SolverConfig):
@@ -530,16 +562,22 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
                    t_base=0.0, check_mu=True) -> list:
     """Integrate one window for every member, in lockstep, with the frozen-generator scheme.
 
-    The members' n + 1 nodes form one (K, n + 1, M, *grid) stack.  A sweep
-    forms its bracket h = P^_0 w^ - P^ w^ + FFT(F + g) (P^_0 the frozen
-    symbol, each member's ``apply_hat``, the reaction's jets) from w^, the
-    coefficients of the iterate it starts from, and transforms only F + g
-    forward, when the problem has a reaction or a source; the inverse of the
-    new iterate is its other batched FFT.  Convergence and its checks are
-    per member, and a member whose fixed point has converged stops sweeping,
-    so each gets the bits and sweep count of its own serial window.  A sweep
-    evaluates h once, at the iterate it starts from; none is evaluated at
-    the converged iterate.
+    The members' n + 1 nodes form one (K, n + 1, M, *grid) stack, whose
+    zeroth iterate is the free flight under the frozen symbol P^_0.  A sweep
+    forms its bracket h = P^_v w^ - P^_var w^ + FFT(F + g) from w^, the
+    coefficients of the iterate it starts from: P^_var is each member's
+    ``apply_hat`` on the terms ``_bracket_terms`` keeps, P^_v their frozen
+    symbol, and the reaction takes its jets from w^.  A constant term's part
+    of P^_0 w^ - P^ w^ is exactly zero, so it never enters.  F + g is
+    transformed forward only when the problem has a reaction or a source;
+    the inverse of the new iterate is the sweep's other batched FFT.  When
+    no member keeps a term and nothing forces the problem, h is exactly
+    zero: the first sweep would give back the free flight with delta = 0,
+    so the window skips it and judges the free flight as that sweep's
+    iterate.  Convergence and its checks are per member, and a member whose
+    fixed point has converged stops sweeping, so each gets the bits and
+    sweep count of its own serial window.  A sweep evaluates h once, at the
+    iterate it starts from; none is evaluated at the converged iterate.
 
     Returns one outcome per member: a _Window, emitted by the sweep that
     converges; or the exception its serial window raises (ConvergenceError
@@ -561,18 +599,18 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
             if check_mu:
                 _check_rotation(m.mu, temporal)
             s_nodes, t_nodes, dt = _time_nodes(span, config, m.mu, t_base, temporal)
-            c = _window_constants(problem, m, t_nodes[0], dt)
+            terms, c = _window_constants(problem, m, t_nodes, dt)
             g = _source_stack(problem, m.plan, t_nodes, m.carried)
         except Exception as exc:       # where this member's serial window raises it
             outcomes[k] = exc
             continue
-        lanes.append(_Lane(k, t_nodes))
-        consts.append(np.stack(c))
+        lanes.append(_Lane(k, t_nodes, terms))
+        consts.append(c)
         sources.append(g)
     if not lanes:
         return outcomes
     n = len(s_nodes) - 1
-    consts = np.stack(consts)          # (K, 4, *grid): frozen, propagator, w_explicit, w_implicit
+    consts = np.stack(consts)          # (K, 4, *grid): bracket symbol, propagator, w_explicit, w_implicit
     sources = None if sources[0] is None else np.stack(sources)
 
     # zeroth iterate: free flight under the frozen generator
@@ -583,42 +621,39 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
     traj_phys = _ifftn(traj_hat, grid)
 
     forced = problem.reaction is not None or problem.source is not None
+    free = not forced and not any(lane.terms for lane in lanes)
     sweep = 0
     while True:
-        try:
-            h = consts[:, 0, None, None] * traj_hat
-            for a, lane in enumerate(lanes):
-                h[a] -= members[lane.k].plan.apply_hat(traj_hat[a], lane.t_nodes)
-            if forced:
-                plans, rows = [members[lane.k].plan for lane in lanes], traj_hat.reshape((-1,) + h.shape[2:])
-                forcing = _add_forcing(problem, plans if len(plans) > 1 else plans[0], rows,
-                                       np.concatenate([lane.t_nodes for lane in lanes]), config, np.zeros_like(rows),
-                                       None if sources is None else sources.reshape(rows.shape))
-                h += _fftn(forcing.reshape(h.shape), grid)
-                rows = forcing = None
-        except Exception as exc:
-            if len(lanes) == 1:
-                outcomes[lanes[0].k] = exc
-            return outcomes              # a shared stage raised: the members redo the window alone
-
-        # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
-        # overwritten in place, as soon as the sweep is done with it
         sweep += 1
-        w_explicit, w_implicit = (consts[:, i, None, None] for i in (2, 3))
-        new_hat = np.empty_like(traj_hat)
-        new_hat[:, 0] = traj_hat[:, 0]
-        traj_hat = None
-        explicit = w_explicit * h[:, :-1]
-        implicit = np.multiply(w_implicit, h[:, 1:], out=h[:, 1:])
-        for j in range(n):
-            new_hat[:, j + 1] = consts[:, 1, None] * new_hat[:, j] + explicit[:, j] + implicit[:, j]
-        h = explicit = implicit = None
-        new_phys = _ifftn(new_hat, grid)
         flat = (len(lanes), -1)
+        if free:                 # h = 0 exactly: the sweep would give back the free flight, delta = 0
+            new_phys, deltas = traj_phys, np.zeros(len(lanes))
+        else:
+            try:
+                h = _bracket(problem, members, lanes, consts[:, 0], traj_hat, sources, config)
+            except Exception as exc:
+                if len(lanes) == 1:
+                    outcomes[lanes[0].k] = exc
+                return outcomes              # a shared stage raised: the members redo the window alone
+
+            # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
+            # overwritten in place, as soon as the sweep is done with it
+            w_explicit, w_implicit = (consts[:, i, None, None] for i in (2, 3))
+            new_hat = np.empty_like(traj_hat)
+            new_hat[:, 0] = traj_hat[:, 0]
+            traj_hat = None
+            explicit = w_explicit * h[:, :-1]
+            implicit = np.multiply(w_implicit, h[:, 1:], out=h[:, 1:])
+            for j in range(n):
+                new_hat[:, j + 1] = consts[:, 1, None] * new_hat[:, j] + explicit[:, j] + implicit[:, j]
+            h = explicit = implicit = None
+            new_phys = _ifftn(new_hat, grid)
+            with np.errstate(invalid="ignore"):       # a non-finite member fails below, unread
+                # the old iterate becomes the difference; no emitted outcome views it
+                deltas = np.max(np.abs(np.subtract(new_phys, traj_phys, out=traj_phys)).reshape(flat), axis=1)
+            traj_hat = new_hat
         finite = np.isfinite(new_phys).reshape(flat).all(axis=1)
-        with np.errstate(invalid="ignore"):       # a non-finite member fails below, unread
-            # the old iterate becomes the difference; no emitted outcome views it
-            deltas = np.max(np.abs(np.subtract(new_phys, traj_phys, out=traj_phys)).reshape(flat), axis=1)
+        with np.errstate(invalid="ignore"):
             peaks = np.max(np.abs(new_phys).reshape(flat), axis=1)
         for a, (lane, ok, delta, peak) in enumerate(zip(lanes, finite, deltas, peaks)):
             try:
@@ -629,13 +664,39 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
             if lane.converged:
                 carry = None if sources is None else (complex(lane.t_nodes[-1]), sources[a, -1].copy())
                 outcomes[lane.k] = _Window(s_nodes, new_phys[a], lane.sweeps, None, lane.ratio, carry)
-        traj_hat, traj_phys = new_hat, new_phys
+        traj_phys = new_phys
         keep = [a for a, lane in enumerate(lanes) if outcomes[lane.k] is None]
         if not keep:
             return outcomes
         if len(keep) < len(lanes):
             lanes, traj_hat, traj_phys, consts, sources = _rows_of(
                 keep, lanes, traj_hat, traj_phys, consts, sources)
+
+
+def _bracket(problem: CauchyProblem, members: list, lanes: list, symbols: np.ndarray, traj_hat: np.ndarray,
+             sources, config: SolverConfig) -> np.ndarray:
+    """A sweep's h = P^_v w^ - P^_var w^ + FFT(F + g) of every lane's nodes (see ``_picard_window``).
+
+    ``symbols`` (K, *grid) holds each lane's P^_v, ``traj_hat`` the
+    (K, n + 1, M, *grid) coefficients w^, and ``sources`` g at the nodes or
+    None.  A lane that keeps no term has no operator part.
+    """
+    h = None
+    if any(lane.terms for lane in lanes):
+        h = symbols[:, None, None] * traj_hat
+        for a, lane in enumerate(lanes):
+            if lane.terms:
+                h[a] -= members[lane.k].plan.apply_hat(traj_hat[a], lane.t_nodes, lane.terms)
+    if problem.reaction is not None or problem.source is not None:
+        plans, rows = [members[lane.k].plan for lane in lanes], traj_hat.reshape((-1,) + traj_hat.shape[2:])
+        forcing = _add_forcing(problem, plans if len(plans) > 1 else plans[0], rows,
+                               np.concatenate([lane.t_nodes for lane in lanes]), config, np.zeros_like(rows),
+                               None if sources is None else sources.reshape(rows.shape))
+        forcing = _fftn(forcing.reshape(traj_hat.shape), problem.grid)
+        if h is None:
+            return forcing
+        h += forcing
+    return h
 
 
 def _givens(f, g):
@@ -725,12 +786,11 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
     return x, iterations, False
 
 
-def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w: np.ndarray, t,
+def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w_hat: np.ndarray, t,
                    config: SolverConfig) -> np.ndarray:
-    """F(jets) + g of one (M, *grid) field at time t."""
-    zero = np.zeros((1,) + w.shape, dtype=np.complex128)
-    hat = None if problem.reaction is None else _fftn(w[np.newaxis], problem.grid)
-    return _add_forcing(problem, plan, hat, (t,), config, zero)[0]
+    """F(jets) + g at time t of the (M, *grid) field whose Fourier coefficients are ``w_hat``."""
+    zero = np.zeros((1,) + w_hat.shape, dtype=np.complex128)
+    return _add_forcing(problem, plan, w_hat[np.newaxis], (t,), config, zero)[0]
 
 
 # dense resolvent blocks over this in total leave the implicit half to GMRES: the build holds one
@@ -969,7 +1029,7 @@ def _gmres_step(problem: CauchyProblem, plan: OperatorPlan, t_nodes, c: complex,
     shape = (problem.op.components,) + problem.grid.shape
     precond = None
     if problem.op.components == 1:
-        precond = (1.0 / (1.0 + c * _frozen_symbol(plan, t_nodes[0]))).ravel()
+        precond = (1.0 / (1.0 + c * _frozen_symbol(plan, t_nodes[:1]))).ravel()
     applied = {}                  # node j: c P^(t_j) w^_j, shared by node 0's predictor and corrector
 
     def step(j, w_hat, f_hat, guess):
@@ -1014,16 +1074,17 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     them to ``hold(times, block, last)``, its member's ``_hold``, as soon as
     it has made them, in read-only runs of at most _HOOK_BYTES, the run of
     node n with ``last``.  A node it transforms takes one inverse FFT and a
-    finite check of its values, any other a check of w^_{j+1}.  A forced
-    march needs every node's values for its explicit part, so it transforms
-    them all.  An unforced march transforms its due nodes only.  Under the
-    blocks step and without a row hook (``hooked``) it transforms its last
-    node only, and first hands over the due nodes before it as one
-    ``_Pending``, whose ``_Replay`` keeps w^_0 and the resolvent; a GMRES
-    replay would repeat every solve, so a GMRES march has none.  The
-    window it returns has no fields; it records one ``gmres_iterations``
-    entry per implicit solve (0 under the blocks), the step that served it
-    as ``implicit`` and the build record as ``resolvent``.
+    finite check of its values, any other a check of w^_{j+1}.  The explicit
+    part takes the reaction's jets from w^_j (the corrector's from the
+    predictor's coefficients), so a march transforms its due nodes only.
+    Unforced, under the blocks step and without a row hook (``hooked``),
+    it transforms its last node only, and first hands over the due nodes
+    before it as one ``_Pending``, whose ``_Replay`` keeps w^_0 and the
+    resolvent; a GMRES replay would repeat every solve, so a GMRES march
+    has none.  The window it returns has no fields; it records one
+    ``gmres_iterations`` entry per implicit solve (0 under the blocks), the
+    step that served it as ``implicit`` and the build record as
+    ``resolvent``.
     """
     mu = complex(mu)
     if check_mu:
@@ -1049,7 +1110,7 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
         return new, values
 
-    w_hat, values = _fftn(w0.values, grid), w0.values
+    w_hat = _fftn(w0.values, grid)
     if not (forced or hooked) and resolvent is not None and len(due) > 1:
         hold(times[:-1], _Pending(_Replay(w_hat, resolvent, t_nodes), due[:-1]))
         due, times = due[-1:], times[-1:]
@@ -1057,14 +1118,14 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     e_j = explicit = None
     for j in range(n):
         if forced:
-            e_prev, e_j = e_j, _explicit_part(problem, plan, values, t_nodes[j], config)
+            e_prev, e_j = e_j, _explicit_part(problem, plan, w_hat, t_nodes[j], config)
             explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
         guess = w_hat
         if j == 0:             # predictor with the frozen explicit part, corrector with the trapezoid
-            guess, pred = solve(0, w_hat, explicit, w_hat, forced)
+            guess, _ = solve(0, w_hat, explicit, w_hat, False)
             if forced:
-                explicit = 0.5 * (e_j + _explicit_part(problem, plan, pred, t_nodes[1], config))
-        w_hat, values = solve(j, w_hat, explicit, guess, forced or j + 1 == due[at])
+                explicit = 0.5 * (e_j + _explicit_part(problem, plan, guess, t_nodes[1], config))
+        w_hat, values = solve(j, w_hat, explicit, guess, j + 1 == due[at])
         if j + 1 == due[at]:
             run.append(values)
             at += 1

@@ -695,7 +695,7 @@ def test_shift_family_beyond_the_coefficient_strip_exits_2(tmp_path, capsys):
 def test_a_gaussian_that_overflows_under_the_shift_family_exits_2(tmp_path, capsys):
     # exp(0.1^2 / (2 * 1e-6)) = exp(5000) overflows: refused at validation, not in the family job
     cfg = {
-        "grid": {"dim": 1, "half_length": 3.0, "points_per_axis": 32},
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
         "run": {"horizon": 0.05},
         "problem": {"operator": {"kind": "heat", "strip_half_width": 1.0},
                     "initial": {"kind": "gaussian", "width": 1e-3}},
@@ -798,3 +798,51 @@ def test_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.split() == ["[]", "[]"]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert sorted(manifest["versions"]) == ["numpy", "parastrip", "python"]
+
+
+def test_a_constant_heat_study_applies_no_operator_in_its_picard_windows(tmp_path, monkeypatch):
+    # heat is its own frozen generator: every Picard window of the study returns its free flight,
+    # with no operator application and one inverse transform, that of the free flight
+    import parastrip.solver as solver
+    from parastrip.operators import OperatorPlan
+
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
+        "run": {"horizon": 0.05},
+        "problem": {
+            "operator": {"kind": "heat", "diffusivity": 1.0, "strip_half_width": 2.0},
+            "initial": {"kind": "gaussian"},
+        },
+        "solver": {"dt": 0.005},
+        "analyticity": {
+            "y_half_width": 0.2,
+            "n_shifts": 5,
+            "times": [0.025, 0.05],
+            "strides": [1, 2],
+            "d_mu": [0.05],
+            "rho": 0.02,
+            "path": {"sigma": 0.05, "tau": 0.01, "t_primes": [0.02, 0.03]},
+        },
+    }
+    windows, open_windows = [], []
+    picard, apply_hat, ifftn = solver._picard_window, OperatorPlan.apply_hat, solver._ifftn
+
+    def count(name):
+        if open_windows:
+            open_windows[-1][name] += 1
+
+    def window(*a, **kw):
+        open_windows.append({"apply_hat": 0, "_ifftn": 0})
+        try:
+            return picard(*a, **kw)
+        finally:
+            windows.append(open_windows.pop())
+
+    monkeypatch.setattr(solver, "_picard_window", window)
+    monkeypatch.setattr(OperatorPlan, "apply_hat", lambda *a, **kw: count("apply_hat") or apply_hat(*a, **kw))
+    monkeypatch.setattr(solver, "_ifftn", lambda *a, **kw: count("_ifftn") or ifftn(*a, **kw))
+    code, _ = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
+    assert code == 0
+    # the shift family's lockstep window, the time stencil's, and both segments of both paths
+    assert len(windows) >= 6
+    assert all(w == {"apply_hat": 0, "_ifftn": 1} for w in windows), windows

@@ -71,6 +71,13 @@ def test_semilinear_members_sweep_their_own_counts():
     assert len(ratios) >= 2
 
 
+def test_a_group_judges_the_members_left_after_one_converges():
+    # four members converge at sweep 9; the fifth sweeps on alone, on a stack one member long
+    fam = family_against_serial(semilinear_problem(), np.linspace(-0.4, 0.4, 5), 0.16,
+                                ps.SolverConfig(dt=0.01, window=0.08))
+    assert [fam.member(y).diagnostics["picard_iterations"][0] for y in fam.y_values] == [10, 9, 9, 9, 9]
+
+
 def test_a_family_calls_the_reaction_once_per_sweep_of_its_slowest_member():
     problem = semilinear_problem()
     calls = []

@@ -546,9 +546,83 @@ def test_a_picard_window_transforms_its_coefficients_once_in_and_each_iterate_on
     calls = _count_stack_transforms(monkeypatch)
     problem, _ = mode_problem()
     res = ps.solve_real(problem, 0.0, 0.04, ps.SolverConfig(dt=0.01, window=0.04))
-    # the start's coefficients, then the free flight's and the one sweep's inverse transforms
+    # the start's coefficients, then the free flight's inverse transform: an unforced constant
+    # window is its own free flight and skips the sweep
     assert res.diagnostics["picard_iterations"] == [1]
-    assert (len(calls["_fftn"]), len(calls["_ifftn"])) == (1, 2)
+    assert (len(calls["_fftn"]), len(calls["_ifftn"])) == (1, 1)
+
+
+def test_a_sweeping_picard_window_transforms_each_iterate_once_out(monkeypatch):
+    calls = _count_stack_transforms(monkeypatch)
+    res = ps.solve_real(_variable_heat_on_eight_points(), 0.0, 0.04, ps.SolverConfig(dt=0.01, window=0.04))
+    (sweeps,) = res.diagnostics["picard_iterations"]
+    assert sweeps >= 2
+    # the start's coefficients, then the free flight's inverse transform and one per sweep
+    assert (len(calls["_fftn"]), len(calls["_ifftn"])) == (1, 1 + sweeps)
+
+
+def _constant_operator(terms, horizon=2.0):
+    return ps.DivergenceOperator.from_terms(1, 1, 1, terms, ps.StripSpec(1.0),
+                                            ps.TemporalDomain(np.pi / 4, 1.0, horizon))
+
+
+def _count_applies(monkeypatch):
+    applies = []
+    inner = ps.OperatorPlan.apply_hat
+    monkeypatch.setattr(ps.OperatorPlan, "apply_hat", lambda *a, **kw: applies.append(1) or inner(*a, **kw))
+    return applies
+
+
+def test_an_unforced_constant_window_returns_its_free_flight_bit_for_bit(monkeypatch):
+    from parastrip.grid import _fftn, _ifftn, derivative_multiplier
+
+    terms = {((1,), (1,)): 0.7, ((0,), (1,)): -0.2j, ((0,), (0,)): 0.3}
+    grid = ps.make_grid(1, 10.0, 64)
+    problem = ps.CauchyProblem(grid, _constant_operator(terms), gaussian_datum())
+    applies = _count_applies(monkeypatch)
+    # one window of 8 steps of 2^-7, binary fractions both
+    res = ps.solve_real(problem, 0.0, 2.0 ** -4, ps.SolverConfig(dt=2.0 ** -7, window=2.0 ** -4))
+    assert res.diagnostics["picard_iterations"] == [1] and applies == []
+    # the frozen symbol takes each constant coefficient as it is, not as a mean of its samples
+    symbol = np.zeros(grid.shape, dtype=np.complex128)
+    for (alpha, beta), c in terms.items():
+        symbol += c * derivative_multiplier(grid, alpha) * derivative_multiplier(grid, beta)
+    mu, dt = 1.0 + 0.0j, 2.0 ** -7
+    propagator = np.exp(-mu * dt * symbol)
+    flight = [_fftn(res.fields[0].values[np.newaxis], grid)[0]]
+    for _ in range(8):
+        flight.append(propagator * flight[-1])
+    want = _ifftn(np.stack(flight), grid)
+    assert len(res.fields) == 9
+    for j in range(1, 9):
+        np.testing.assert_array_equal(res.fields[j].values, want[j])
+
+
+def test_a_free_flight_that_overflows_raises_through_the_exit(monkeypatch):
+    # u' = 800 u from data of size 1e300: four steps of dt = 0.01 grow it by e^32 and overflow
+    grid = ps.make_grid(1, np.pi, 16)
+    op = _constant_operator({((1,), (1,)): 1.0, ((0,), (0,)): -800.0})
+    problem = ps.CauchyProblem(grid, op, ps.ComplexField(grid, np.full((1, 16), 1e300 + 0j)))
+    applies = _count_applies(monkeypatch)
+    with pytest.raises(InstabilityError, match=r"non-finite iterate in window \(0\.0, 0\.04\) at sweep 1"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        ps.solve_real(problem, 0.0, 0.04, ps.SolverConfig(dt=0.01, window=0.04))
+    assert applies == []
+
+
+def test_a_constant_diffusivity_that_changes_in_time_keeps_its_part_of_the_bracket():
+    # a(t) = 1 + t is constant in x but not in t: each window freezes a(t_0), and the sweep must
+    # integrate (a(t_0) - a(t_j)) k^2 w^ to reach exp(-k^2 (t + t^2 / 2))
+    op = _constant_operator({((1,), (1,)): lambda z, t: 1.0 + t})
+    assert not op.autonomous
+    problem, grid = mode_problem(k=3.0)
+    problem = dataclasses.replace(problem, op=op)
+    res = ps.solve_real(problem, 0.0, 0.1, ps.SolverConfig(dt=0.01, window=0.04))
+    want = np.exp(-9.0 * (0.1 + 0.1 ** 2 / 2)) * np.exp(3j * grid.axis_nodes())
+    # second order in dt: 5.1e-5 off here; windows frozen at a(t_0) alone would be 6.3e-3 off
+    np.testing.assert_allclose(res.final.values[0], want, rtol=0.0, atol=1e-4)
+    assert len(res.diagnostics["picard_iterations"]) == 3
+    assert min(res.diagnostics["picard_iterations"]) >= 2
 
 
 def test_a_forced_picard_sweep_transforms_only_its_forcing_forward(monkeypatch):
