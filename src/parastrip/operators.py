@@ -312,13 +312,10 @@ class OperatorPlan:
         self._keys = keys
         return self._coefficients
 
-    def apply_hat(self, hat: np.ndarray, ts, terms=None) -> np.ndarray:
+    def apply_hat(self, hat: np.ndarray, ts) -> np.ndarray:
         """The spectral core: Fourier coefficients of P(x + shift, ts[b], D) on row b.
 
         ``hat`` holds the Fourier coefficients of a (B, M, *grid) stack.
-        ``terms`` restricts P to the terms of ``op.terms`` at those ascending
-        indices (None: every term); it then rounds as the plan of an operator
-        of just those terms with the same ``var_axes``.
         Spatially constant coefficients act in Fourier space.  Variable ones
         take one inverse FFT per distinct beta; their products are summed
         per alpha in physical space and take one dealiased forward FFT per
@@ -342,13 +339,12 @@ class OperatorPlan:
                 f"operator expects {self.op.components} components, field has {hat.shape[1]}"
             )
         coefficients = self.coefficients(ts)
-        chosen = [(k, self.op.terms[k], coefficients[k])
-                  for k in (range(len(coefficients)) if terms is None else terms)]
         axes = self.var_axes
-        last = {alpha: k for k, (alpha, _), term in chosen if term.var_rows is not None}
+        last = {alpha: k for k, ((alpha, _), term) in enumerate(zip(self.op.terms, coefficients))
+                if term.var_rows is not None}
         out_hat = np.zeros_like(hat)
         inner, products = {}, {}
-        for k, (alpha, beta), term in chosen:
+        for k, ((alpha, beta), term) in enumerate(zip(self.op.terms, coefficients)):
             if term.const_rows is not None:
                 const_hat = np.einsum("bij,bj...->bi...", term.const_values, hat[term.const_rows] * mult[beta])
                 out_hat[term.const_rows] += const_hat * mult[alpha]

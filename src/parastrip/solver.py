@@ -7,8 +7,8 @@ blocks of rows checked once:
 * ``picard_voc`` freezes the generator at the window start, integrates the
   frozen part exactly in Fourier space, and sweeps a variation-of-constants
   fixed point over the window, on the iterate's Fourier coefficients, until
-  the trajectory stops moving.  Only the terms the frozen generator does
-  not reproduce exactly enter the sweep, so a window of a spatially
+  the trajectory stops moving.  When the frozen generator is the
+  generator, the sweep has no operator part, so a window of a spatially
   constant, autonomous, linear problem is its own free flight: it reports
   the one sweep that would reproduce the exact semigroup without running
   it, and the iteration count is an honest stiffness/nonlinearity
@@ -395,38 +395,31 @@ def _rhs(problem: CauchyProblem, plan: OperatorPlan, stack: np.ndarray, ts,
     return _add_forcing(problem, plan, hat, ts, config, vals, sources)
 
 
-def _frozen_symbol(plan: OperatorPlan, ts, terms=None) -> np.ndarray:
-    """Frozen symbol of P at the first of the nodes ``ts``, shape grid.shape (scalar case).
-
-    It sums c-bar k^alpha k^beta over the terms of ``op.terms`` at the
-    indices ``terms`` (None: every term), with c-bar the exact value of a
-    coefficient that is constant in space at ts[0] and the spatial mean of
-    a variable one.
-    """
+def _frozen_symbol(plan: OperatorPlan, ts) -> np.ndarray:
+    """Frozen symbol of P at the first of the nodes ``ts``, shape grid.shape (scalar case)."""
     p_hat = np.zeros(plan.grid.shape, dtype=np.complex128)
-    coefficients = plan.coefficients(ts)
-    for k in range(len(coefficients)) if terms is None else terms:
-        (alpha, beta), term = plan.op.terms[k], coefficients[k]
+    for (alpha, beta), term in zip(plan.op.terms, plan.coefficients(ts)):
         # a constant term enters as its value, not as the mean of n^dim copies of it, so that
-        # its part of P^_0 - P^ is exactly zero and a Picard bracket can leave it out
-        field, value = term.fields[0, 0, 0], term.values[0, 0, 0]
-        cbar = value if np.all(field == value) else np.mean(field)
+        # its part of P^_0 - P^ is exactly zero; a variable one enters as its spatial mean
+        rows = term.var_rows
+        varies = rows is not None and (isinstance(rows, slice) or rows[0])
+        cbar = np.mean(term.fields[0, 0, 0]) if varies else term.values[0, 0, 0]
         p_hat += cbar * plan.multipliers[alpha] * plan.multipliers[beta]
     return p_hat
 
 
-def _bracket_terms(plan: OperatorPlan, ts) -> tuple:
-    """Indices into ``op.terms`` of the terms a Picard bracket over the nodes ``ts`` keeps.
+def _keeps_operator(plan: OperatorPlan, ts) -> bool:
+    """Whether a Picard bracket over the nodes ``ts`` keeps its operator part P^_0 w^ - P^ w^.
 
-    A term that is constant in space at every node, with one value at all
-    of them, is its own frozen symbol there (``_frozen_symbol`` takes its
-    exact value), so its part of P^_0 w^ - P^ w^ is exactly zero and it is
-    left out.  Every other term stays: a variable one, and a spatially
-    constant one whose value changes over the nodes, which keeps
-    (c(t_0) - c(t_j)) k^alpha k^beta w^ in the bracket.
+    A term constant in space at every node, with one value at all of them,
+    is its own frozen symbol there (``_frozen_symbol`` takes its exact
+    value).  When every term is, P^_0 w^ - P^ w^ is zero but for rounding
+    and the bracket leaves it out.  A variable term, or a spatially
+    constant one whose value changes over the nodes and so leaves
+    (c(t_0) - c(t_j)) k^alpha k^beta w^, keeps the whole part.
     """
-    return tuple(k for k, term in enumerate(plan.coefficients(ts))
-                 if term.var_rows is not None or np.any(term.values != term.values[0]))
+    return any(term.var_rows is not None or np.any(term.values != term.values[0])
+               for term in plan.coefficients(ts))
 
 
 def _check_rotation(mu: complex, temporal):
@@ -496,27 +489,24 @@ class _Window(NamedTuple):
 
 
 def _window_constants(problem: CauchyProblem, member, t_nodes, dt):
-    """The bracket's terms and the constants of one window of ``member`` on the nodes ``t_nodes``.
+    """Constants of one window of ``member`` on the nodes ``t_nodes``.
 
-    The terms are ``_bracket_terms``.  The constants are one (4, *grid)
-    stack: the frozen symbol of the bracket's terms, which a sweep reads,
-    then the propagator e^{-mu dt P^_0} and the two phi weights, which
-    take the frozen symbol P^_0 of every term.  Under an autonomous
-    operator they depend on dt alone (a member has one mu), so they are
-    kept per exact dt: windows whose dt differs in the last bit miss the
-    cache and keep their own rounding.  Otherwise they are evaluated for
-    each window.
+    They are ``_keeps_operator`` and one (4, *grid) stack: the frozen
+    symbol P^_0, the propagator e^{-mu dt P^_0} and the two phi weights.
+    Under an autonomous operator they depend on dt alone (a member has one
+    mu), so they are kept per exact dt: windows whose dt differs in the
+    last bit miss the cache and keep their own rounding.  Otherwise they
+    are evaluated for each window.
     """
     autonomous = problem.op.autonomous
     if autonomous and dt in member.constants:
         return member.constants[dt]
     mu, plan = member.mu, member.plan
-    terms = _bracket_terms(plan, t_nodes)
     frozen = _frozen_symbol(plan, t_nodes)
     a_hat = -mu * dt * frozen
     phi1, phi2 = _phi_weights(a_hat)
-    bracket = frozen if len(terms) == len(plan.op.terms) else _frozen_symbol(plan, t_nodes, terms)
-    out = terms, np.stack((bracket, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2))
+    out = (_keeps_operator(plan, t_nodes),
+           np.stack((frozen, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2)))
     if autonomous:
         member.constants[dt] = out
     return out
@@ -525,8 +515,8 @@ def _window_constants(problem: CauchyProblem, member, t_nodes, dt):
 class _Lane:
     """One member's sweep state inside a lockstep Picard window."""
 
-    def __init__(self, k: int, t_nodes: np.ndarray, terms: tuple):
-        self.k, self.t_nodes, self.terms = k, t_nodes, terms      # terms: see _bracket_terms
+    def __init__(self, k: int, t_nodes: np.ndarray, keeps: bool):
+        self.k, self.t_nodes, self.keeps = k, t_nodes, keeps      # keeps: see _keeps_operator
         self.sweeps, self.ratio, self.delta_prev, self.converged = 0, None, None, False
 
     def check(self, sweep: int, finite: bool, delta: float, scale: float, span, config: SolverConfig):
@@ -564,20 +554,21 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
 
     The members' n + 1 nodes form one (K, n + 1, M, *grid) stack, whose
     zeroth iterate is the free flight under the frozen symbol P^_0.  A sweep
-    forms its bracket h = P^_v w^ - P^_var w^ + FFT(F + g) from w^, the
-    coefficients of the iterate it starts from: P^_var is each member's
-    ``apply_hat`` on the terms ``_bracket_terms`` keeps, P^_v their frozen
-    symbol, and the reaction takes its jets from w^.  A constant term's part
-    of P^_0 w^ - P^ w^ is exactly zero, so it never enters.  F + g is
-    transformed forward only when the problem has a reaction or a source;
-    the inverse of the new iterate is the sweep's other batched FFT.  When
-    no member keeps a term and nothing forces the problem, h is exactly
-    zero: the first sweep would give back the free flight with delta = 0,
-    so the window skips it and judges the free flight as that sweep's
-    iterate.  Convergence and its checks are per member, and a member whose
-    fixed point has converged stops sweeping, so each gets the bits and
-    sweep count of its own serial window.  A sweep evaluates h once, at the
-    iterate it starts from; none is evaluated at the converged iterate.
+    forms its bracket h = P^_0 w^ - P^ w^ + FFT(F + g) from w^, the
+    coefficients of the iterate it starts from: P^ is each member's
+    ``apply_hat``, and the reaction takes its jets from w^.  A member whose
+    terms are all constant in space and over the window's nodes
+    (``_keeps_operator`` is false) is its own frozen generator, so its h
+    has no operator part.  F + g is transformed forward only when the
+    problem has a reaction or a source; the inverse of the new iterate is
+    the sweep's other batched FFT.  When no member keeps its operator part
+    and nothing forces the problem, h is exactly zero: the first sweep
+    would give back the free flight with delta = 0, so the window skips it
+    and judges the free flight as that sweep's iterate.  Convergence and
+    its checks are per member, and a member whose fixed point has
+    converged stops sweeping, so each gets the bits and sweep count of its
+    own serial window.  A sweep evaluates h once, at the iterate it starts
+    from; none is evaluated at the converged iterate.
 
     Returns one outcome per member: a _Window, emitted by the sweep that
     converges; or the exception its serial window raises (ConvergenceError
@@ -599,18 +590,18 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
             if check_mu:
                 _check_rotation(m.mu, temporal)
             s_nodes, t_nodes, dt = _time_nodes(span, config, m.mu, t_base, temporal)
-            terms, c = _window_constants(problem, m, t_nodes, dt)
+            keeps, c = _window_constants(problem, m, t_nodes, dt)
             g = _source_stack(problem, m.plan, t_nodes, m.carried)
         except Exception as exc:       # where this member's serial window raises it
             outcomes[k] = exc
             continue
-        lanes.append(_Lane(k, t_nodes, terms))
+        lanes.append(_Lane(k, t_nodes, keeps))
         consts.append(c)
         sources.append(g)
     if not lanes:
         return outcomes
     n = len(s_nodes) - 1
-    consts = np.stack(consts)          # (K, 4, *grid): bracket symbol, propagator, w_explicit, w_implicit
+    consts = np.stack(consts)          # (K, 4, *grid): frozen, propagator, w_explicit, w_implicit
     sources = None if sources[0] is None else np.stack(sources)
 
     # zeroth iterate: free flight under the frozen generator
@@ -621,7 +612,7 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
     traj_phys = _ifftn(traj_hat, grid)
 
     forced = problem.reaction is not None or problem.source is not None
-    free = not forced and not any(lane.terms for lane in lanes)
+    free = not forced and not any(lane.keeps for lane in lanes)
     sweep = 0
     while True:
         sweep += 1
@@ -675,18 +666,20 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
 
 def _bracket(problem: CauchyProblem, members: list, lanes: list, symbols: np.ndarray, traj_hat: np.ndarray,
              sources, config: SolverConfig) -> np.ndarray:
-    """A sweep's h = P^_v w^ - P^_var w^ + FFT(F + g) of every lane's nodes (see ``_picard_window``).
+    """A sweep's h = P^_0 w^ - P^ w^ + FFT(F + g) of every lane's nodes (see ``_picard_window``).
 
-    ``symbols`` (K, *grid) holds each lane's P^_v, ``traj_hat`` the
+    ``symbols`` (K, *grid) holds each lane's P^_0, ``traj_hat`` the
     (K, n + 1, M, *grid) coefficients w^, and ``sources`` g at the nodes or
-    None.  A lane that keeps no term has no operator part.
+    None.  A lane that does not keep its operator part has none.
     """
     h = None
-    if any(lane.terms for lane in lanes):
+    if any(lane.keeps for lane in lanes):
         h = symbols[:, None, None] * traj_hat
         for a, lane in enumerate(lanes):
-            if lane.terms:
-                h[a] -= members[lane.k].plan.apply_hat(traj_hat[a], lane.t_nodes, lane.terms)
+            if lane.keeps:
+                h[a] -= members[lane.k].plan.apply_hat(traj_hat[a], lane.t_nodes)
+            else:
+                h[a] = 0.0
     if problem.reaction is not None or problem.source is not None:
         plans, rows = [members[lane.k].plan for lane in lanes], traj_hat.reshape((-1,) + traj_hat.shape[2:])
         forcing = _add_forcing(problem, plans if len(plans) > 1 else plans[0], rows,

@@ -695,7 +695,7 @@ def test_shift_family_beyond_the_coefficient_strip_exits_2(tmp_path, capsys):
 def test_a_gaussian_that_overflows_under_the_shift_family_exits_2(tmp_path, capsys):
     # exp(0.1^2 / (2 * 1e-6)) = exp(5000) overflows: refused at validation, not in the family job
     cfg = {
-        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 64},
+        "grid": {"dim": 1, "half_length": 3.0, "points_per_axis": 32},
         "run": {"horizon": 0.05},
         "problem": {"operator": {"kind": "heat", "strip_half_width": 1.0},
                     "initial": {"kind": "gaussian", "width": 1e-3}},

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,22 +402,6 @@ def test_spectral_core_of_constant_coefficients_is_the_symbol():
         c = op.coeff(alpha, beta, None, 0.0)
         want += c * (hat * ps.derivative_multiplier(g, beta)) * ps.derivative_multiplier(g, alpha)
     np.testing.assert_array_equal(ps.OperatorPlan(op, g, shift).apply_hat(hat, [0.0, 0.5]), want)
-
-
-def test_spectral_core_on_some_terms_is_the_core_of_an_operator_of_those_terms():
-    params = ps.XvaParams(sigma=0.2, epsilon=1e-3, heston=dict(kappa=1.0, theta=0.04, sigma_v=0.2,
-                                                              rho=0.3, v_min=0.02, v_max=0.06))
-    g = ps.make_grid(2, 6.0, 16)
-    op, _ = ps.heston_chart_generator(params, g)
-    op = dataclasses.replace(op, terms=op.terms + (((0, 0), (0, 0)),),
-                             coeff=lambda a, b, z, t, inner=op.coeff: 0.3 if a == b == (0, 0) else inner(a, b, z, t))
-    rng = np.random.default_rng(11)
-    hat = rng.standard_normal((2, 1) + g.shape) + 1j * rng.standard_normal((2, 1) + g.shape)
-    # alpha (0, 0) keeps one of its two variable terms, and the constant term stays
-    chosen = (0, 3, 4, 6)
-    alone = dataclasses.replace(op, terms=tuple(op.terms[k] for k in chosen))
-    np.testing.assert_array_equal(ps.OperatorPlan(op, g, [0.1j, 0.0]).apply_hat(hat, [0.0, 0.5], chosen),
-                                  ps.OperatorPlan(alone, g, [0.1j, 0.0]).apply_hat(hat, [0.0, 0.5]))
 
 
 def axis_case(axes):
