@@ -138,7 +138,7 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
         y_values=[tuple(y) for y in ys],
         results=results,
         strip=strip,
-        meta={"problem": problem, "config": config, "t0": float(t0), "horizon": float(horizon)},
+        meta={"config": config, "t0": float(t0), "horizon": float(horizon)},
     )
 
 

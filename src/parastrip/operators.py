@@ -66,14 +66,15 @@ class TemporalDomain:
         """Radius sin(angle) of the admissible rotation disc around mu = 1."""
         return float(np.sin(self.angle))
 
-    def contains(self, t: complex, tol: float = 1e-12) -> bool:
-        return self.first_outside((complex(t),), tol) is None
+    def contains(self, t: complex) -> bool:
+        return self.first_outside((complex(t),)) is None
 
-    def first_outside(self, ts, tol: float = 1e-12):
-        """Index of the first of the times ``ts`` outside the domain, or None."""
+    def first_outside(self, ts):
+        """Index of the first of the times ``ts`` outside the domain (to 1e-12), or None."""
         t = np.asarray(ts, dtype=np.complex128).ravel()
         sigma = t.real
         reach = np.tan(self.angle) * np.minimum(np.maximum(sigma, 0.0), self.t_prime)
+        tol = 1e-12
         inside = (sigma >= -tol) & (sigma <= self.horizon + tol) & (np.abs(t.imag) <= reach + tol)
         outside = np.flatnonzero(~inside)
         return int(outside[0]) if len(outside) else None
@@ -466,22 +467,20 @@ def _l2_pairing(a: ComplexField, b_values: np.ndarray) -> complex:
     return complex(np.sum(np.conj(a.values) * b_values) * a.grid.cell_volume)
 
 
-def verify_garding(op: DivergenceOperator, fields, thetas=(0.0,), shifts=None, t_points=(0.0,)) -> GardingFit:
+def verify_garding(op: DivergenceOperator, fields, thetas=(0.0,), t_points=(0.0,)) -> GardingFit:
     """Fit Garding constants (c1, c2) on an ensemble of test fields.
 
     For each sample the quadratic form
 
         G = Re[e^{i theta} sum_{|alpha|=|beta|=m} (D^alpha w, c_{alpha beta} D^beta w)]
 
-    is regressed against c1 * sum ||D^alpha w||^2 - c2 * ||w||^2, then c2 is
-    raised to restore G >= c1 A - c2 B on every sample.  Returns the fit and
-    the worst-case slack of the inequality.
+    is regressed against c1 * sum ||D^alpha w||^2 - c2 * ||w||^2 on the real
+    grid, then c2 is raised to restore G >= c1 A - c2 B on every sample.
+    Returns the fit and the worst-case slack of the inequality.
     """
     from .grid import spectral_derivative
     from .norms import lp_norm
 
-    if shifts is None:
-        shifts = [np.zeros(op.dim, dtype=np.complex128)]
     m = op.order_half
     top = [a for a in multi_indices(op.dim, m) if sum(a) == m]
     rows, targets = [], []
@@ -490,19 +489,18 @@ def verify_garding(op: DivergenceOperator, fields, thetas=(0.0,), shifts=None, t
         d_fields = {a: spectral_derivative(w, a) for a in top}
         quad_a = sum(lp_norm(d_fields[a], 2.0) ** 2 for a in top)
         quad_b = lp_norm(w, 2.0) ** 2
-        for shift in shifts:
-            pts = _shifted_points(grid, shift)
-            for t in t_points:
-                form = 0.0 + 0.0j
-                for alpha, beta in op.terms:
-                    if sum(alpha) != m or sum(beta) != m:
-                        continue
-                    c = op.coefficient_matrix(alpha, beta, pts, t)
-                    cb = np.einsum("ij...,j...->i...", c, d_fields[beta].values)
-                    form += _l2_pairing(d_fields[alpha], cb)
-                for theta in thetas:
-                    rows.append((quad_a, quad_b))
-                    targets.append(np.real(np.exp(1j * theta) * form))
+        pts = _shifted_points(grid, np.zeros(op.dim, dtype=np.complex128))
+        for t in t_points:
+            form = 0.0 + 0.0j
+            for alpha, beta in op.terms:
+                if sum(alpha) != m or sum(beta) != m:
+                    continue
+                c = op.coefficient_matrix(alpha, beta, pts, t)
+                cb = np.einsum("ij...,j...->i...", c, d_fields[beta].values)
+                form += _l2_pairing(d_fields[alpha], cb)
+            for theta in thetas:
+                rows.append((quad_a, quad_b))
+                targets.append(np.real(np.exp(1j * theta) * form))
     rows = np.asarray(rows, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if not len(rows) or np.allclose(rows[:, 0], 0.0):
@@ -517,14 +515,13 @@ def verify_garding(op: DivergenceOperator, fields, thetas=(0.0,), shifts=None, t
     return GardingFit(c1=c1, c2=c2, slack=slack, n_samples=len(rows))
 
 
-def random_band_limited_fields(grid: Grid, components: int, count: int, rng,
-                               band_fraction: float = 0.25) -> list:
-    """Seeded random fields supported on low wavenumbers, unit L^2 scale."""
+def random_band_limited_fields(grid: Grid, components: int, count: int, rng) -> list:
+    """Seeded random fields on the lowest quarter of the wavenumbers, unit L^2 scale."""
     from .norms import lp_norm
 
     n = grid.points_per_axis
     idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep1 = idx <= max(1, int(band_fraction * n))
+    keep1 = idx <= max(1, int(0.25 * n))
     mask = keep1
     for _ in range(grid.dim - 1):
         mask = np.logical_and.outer(mask, keep1)

@@ -33,7 +33,6 @@ from .operators import multi_indices
 __all__ = [
     "f_plus",
     "f_minus",
-    "f_plus_prime",
     "in_branch_domain",
     "smoother_identity_check",
     "ReactionSpec",
@@ -104,15 +103,6 @@ def f_minus(eps, z):
     return out if out.ndim else complex(out)
 
 
-def f_plus_prime(eps, z):
-    """Complex derivative of f_plus."""
-    eps = _eps_value(eps)
-    z = np.asarray(z, dtype=np.complex128)
-    _guard_branch(eps, z)
-    out = 0.5 + _turn(eps, z) + z * eps / (np.pi * (eps ** 2 + z * z))
-    return out if out.ndim else complex(out)
-
-
 def smoother_identity_check(eps, samples) -> float:
     """Max deviation of f_plus + f_minus from the identity on the samples."""
     z = np.asarray(samples, dtype=np.complex128)
@@ -174,7 +164,7 @@ def _offender(bad: np.ndarray, ts, grid: Grid):
 
 
 def _nemytskii_stack(spec: ReactionSpec, X: np.ndarray, points: np.ndarray, ts, grid: Grid,
-                     check_domain: bool = True) -> np.ndarray:
+                     check_domain: bool) -> np.ndarray:
     """F(ts[b], jets) at every node of a stack, in one ``eval`` call.
 
     ``X`` holds the jets as (n_slots, M, B, *grid), ``points`` the shifted
@@ -209,13 +199,13 @@ def _nemytskii_stack(spec: ReactionSpec, X: np.ndarray, points: np.ndarray, ts, 
     return vals
 
 
-def nemytskii(spec: ReactionSpec, jets, shift, t, grid: Grid, check_domain: bool = True) -> ComplexField:
+def nemytskii(spec: ReactionSpec, jets, shift, t, grid: Grid) -> ComplexField:
     """Evaluate the shifted superposition operator F^(shift)(t, jets).
 
     ``jets`` lists one ComplexField per multi-index in canonical order.
     Jet values outside the declared holomorphy domain raise a domain error
-    naming the first offending grid point (disable with ``check_domain``).
-    This is the solver's stack core with one node.
+    naming the first offending grid point.  This is the solver's stack core
+    with one node.
     """
     if len(jets) != spec.n_slots:
         raise ConfigurationError(
@@ -224,7 +214,7 @@ def nemytskii(spec: ReactionSpec, jets, shift, t, grid: Grid, check_domain: bool
     X = np.stack([j.values for j in jets])[:, :, np.newaxis]
     points = _shifted_points(grid, shift)[:, np.newaxis]
     ts = np.reshape(t, (1,) + (1,) * grid.dim)
-    return ComplexField(grid, _nemytskii_stack(spec, X, points, ts, grid, check_domain)[:, 0])
+    return ComplexField(grid, _nemytskii_stack(spec, X, points, ts, grid, check_domain=True)[:, 0])
 
 
 def _numeric_jet_jacobian(spec: ReactionSpec, z, t, X) -> np.ndarray:

@@ -346,14 +346,19 @@ def _source_stack(problem: CauchyProblem, plan: OperatorPlan, ts, carried=None):
     return np.stack(rows)
 
 
-def _jet_fields(hat: np.ndarray, indices, grid: Grid) -> list:
-    """Plain partial derivatives d^beta of a (B, M, *grid) stack from its coefficients, one per beta."""
-    return [(1j) ** int(sum(beta)) * _ifftn(hat * derivative_multiplier(grid, beta), grid)
+def _jet_fields(hat: np.ndarray, indices, grid: Grid, values=None) -> list:
+    """Plain partial derivatives d^beta of a (B, M, *grid) stack from its coefficients, one per beta.
+
+    ``values``, when given, are exactly ``_ifftn(hat)``, which beta = 0
+    takes instead of transforming ``hat`` again (the multiplier k^0 is 1).
+    """
+    return [(1j) ** int(sum(beta)) * (values if values is not None and not any(beta)
+                                      else _ifftn(hat * derivative_multiplier(grid, beta), grid))
             for beta in indices]
 
 
 def _add_forcing(problem: CauchyProblem, plan, hat: np.ndarray, ts,
-                 config: SolverConfig, vals: np.ndarray, sources=None) -> np.ndarray:
+                 config: SolverConfig, vals: np.ndarray, sources=None, values=None) -> np.ndarray:
     """Add F(jets) + g at node ts[b] to row b of ``vals`` in place; returns ``vals``.
 
     The reaction takes its jets from ``hat``, the Fourier coefficients of
@@ -365,12 +370,14 @@ def _add_forcing(problem: CauchyProblem, plan, hat: np.ndarray, ts,
     the problem has no source.  ``sources`` is g at the nodes,
     ``_source_stack(problem, plan, ts)``, evaluated here when not given; a
     Picard window evaluates it once and passes it to every sweep.
+    ``values``, when given, are the stack's own values, ``_ifftn(hat)``,
+    from which ``_jet_fields`` takes the beta = 0 jet.
     """
     grid = problem.grid
     if problem.reaction is not None:
         spec = problem.reaction
         B = hat.shape[0]
-        X = np.stack(_jet_fields(hat, spec.jet_indices, grid)).swapaxes(1, 2)
+        X = np.stack(_jet_fields(hat, spec.jet_indices, grid, values)).swapaxes(1, 2)
         plans = plan if isinstance(plan, list) else [plan]
         runs = [np.broadcast_to(p.points[:, np.newaxis], (grid.dim, B // len(plans)) + grid.shape)
                 for p in plans]
@@ -780,10 +787,12 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, precond=None,
 
 
 def _explicit_part(problem: CauchyProblem, plan: OperatorPlan, w_hat: np.ndarray, t,
-                   config: SolverConfig) -> np.ndarray:
-    """F(jets) + g at time t of the (M, *grid) field whose Fourier coefficients are ``w_hat``."""
+                   config: SolverConfig, values=None) -> np.ndarray:
+    """F(jets) + g at time t of the (M, *grid) field whose Fourier coefficients are ``w_hat``;
+    ``values``, when given, are exactly ``_ifftn(w_hat)`` (see ``_jet_fields``)."""
     zero = np.zeros((1,) + w_hat.shape, dtype=np.complex128)
-    return _add_forcing(problem, plan, w_hat[np.newaxis], (t,), config, zero)[0]
+    return _add_forcing(problem, plan, w_hat[np.newaxis], (t,), config, zero,
+                        values=None if values is None else values[np.newaxis])[0]
 
 
 # dense resolvent blocks over this in total leave the implicit half to GMRES: the build holds one
@@ -1069,7 +1078,8 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     node n with ``last``.  A node it transforms takes one inverse FFT and a
     finite check of its values, any other a check of w^_{j+1}.  The explicit
     part takes the reaction's jets from w^_j (the corrector's from the
-    predictor's coefficients), so a march transforms its due nodes only.
+    predictor's coefficients), its beta = 0 jet from node j's values when
+    node j was transformed, so a march transforms its due nodes only.
     Unforced, under the blocks step and without a row hook (``hooked``),
     it transforms its last node only, and first hands over the due nodes
     before it as one ``_Pending``, whose ``_Replay`` keeps w^_0 and the
@@ -1108,10 +1118,10 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
         hold(times[:-1], _Pending(_Replay(w_hat, resolvent, t_nodes), due[:-1]))
         due, times = due[-1:], times[-1:]
     size, run, at = _hook_rows(w0.values), [], 0       # run: the due rows made since the last hold
-    e_j = explicit = None
+    e_j = explicit = values = None      # values: _ifftn(w_hat) once node j was transformed, else None
     for j in range(n):
         if forced:
-            e_prev, e_j = e_j, _explicit_part(problem, plan, w_hat, t_nodes[j], config)
+            e_prev, e_j = e_j, _explicit_part(problem, plan, w_hat, t_nodes[j], config, values)
             explicit = e_j if j == 0 else 1.5 * e_j - 0.5 * e_prev
         guess = w_hat
         if j == 0:             # predictor with the frozen explicit part, corrector with the trapezoid
@@ -1135,14 +1145,15 @@ def _due_nodes(done: int, n: int, last_window: bool, stride: int) -> list:
     return [j for j in range(1, n + 1) if (done + j) % stride == 0 or (last_window and j == n)]
 
 
-def _due_rows(values: np.ndarray, rows: list, times: list):
-    """Rows ``rows`` of a window's (n + 1, M, *grid) stack at ``times``, checked finite, and
-    whether they are a view of it: evenly spaced rows, as a snapshot stride leaves them, are;
-    any others (the last row after a stride that does not divide the march) are a copy.
+def _due_rows(values: np.ndarray, rows: list):
+    """Rows ``rows`` of a window's (n + 1, M, *grid) stack, read-only, and whether they are a
+    view of it: evenly spaced rows, as a snapshot stride leaves them, are; any others (the last
+    row after a stride that does not divide the march) are a copy.  The window's lane has
+    checked every row finite (``_Lane.check``).
     """
     step = rows[1] - rows[0] if len(rows) > 1 else 1
     view = rows == list(range(rows[0], rows[-1] + 1, step))
-    return _check_finite(values[rows[0]:rows[-1] + 1:step] if view else values[rows], times, "value"), view
+    return _read_only(values[rows[0]:rows[-1] + 1:step] if view else values[rows]), view
 
 
 class _Member:
@@ -1172,7 +1183,7 @@ class _Member:
             due = _due_nodes(self.gstep, n, last_window, config.snapshot_stride)
             if due:
                 times = [complex(self.t_base + self.mu * win.s_nodes[j]) for j in due]
-                block, view = _due_rows(win.fields, due, times)
+                block, view = _due_rows(win.fields, due)
                 self._hold(times, block, last_window, view)
             self.w = ComplexField._trusted(self.plan.grid, np.array(win.fields[-1]))
         self.gstep += n
@@ -1309,7 +1320,7 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
                 else:
                     try:
                         m.store(out, bounds, wall_s, last_window, config)
-                    except InstabilityError as exc:
+                    except Exception as exc:      # the row hook's error is its member's
                         m.error = exc
                         continue
                     stay.append(m)
@@ -1332,12 +1343,12 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
     member's place in ``members``: each member's start row is offered as it
     is made, then the members of a lockstep group take turns window by
     window, so the calls of different members interleave.  An imex march
-    offers its rows in runs as it makes them, so an error the hook raises
-    there is its member's, as any other raised in the march.  A block may
-    view a whole window, so a hook keeps none past its call.  With
-    ``keep=None`` every such row is stored.  Returns one entry per
-    member, in order: its SolveResult, or the exception its serial solve
-    raises.  The list ends at the first exception, the one a serial run of
+    offers its rows in runs as it makes them.  Under either integrator an
+    error the hook raises is its member's, as any other raised in the
+    member's march.  A block may view a whole window, so a hook keeps none
+    past its call.  With ``keep=None`` every such row is stored.  Returns
+    one entry per member, in order: its SolveResult, or the exception its
+    serial solve raises.  The list ends at the first exception, the one a serial run of
     the members in order raises first.
     """
     if not s_total > 1e-12:  # _march counts a span within 1e-12 of its end as done
@@ -1353,11 +1364,11 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
         try:
             shift = _normalize_shift(problem.grid.dim, shift)
             w = start if start is not None else _initial_field(problem, shift)
-            plan = OperatorPlan(problem.op, problem.grid, shift)
+            states.append(_Member(index, mu, shift, OperatorPlan(problem.op, problem.grid, shift), w, window,
+                                  t_base, keep))
         except Exception as exc:       # a serial run raises it here and never reaches later members
             states.append(exc)
             break
-        states.append(_Member(index, mu, shift, plan, w, window, t_base, keep))
     marched = [m for m in states if isinstance(m, _Member)]
     _march(problem, marched, s_total, config, check_mu)
     for m in marched:
@@ -1556,13 +1567,13 @@ class MaxRegSample:
 
 
 def default_maxreg_ensemble(grid: Grid, components: int, count: int, rng,
-                            support: float, band_fraction: float = 0.25) -> list:
+                            support: float) -> list:
     """Band-limited random data paired with smooth compactly supported forcings."""
     from .operators import random_band_limited_fields
 
     if count < 3:
         raise ConfigurationError("the ensemble needs at least three samples")
-    fields = random_band_limited_fields(grid, components, count, rng, band_fraction=band_fraction)
+    fields = random_band_limited_fields(grid, components, count, rng)
     zero = ComplexField.zeros(grid, components)
     out = []
     for i, u0 in enumerate(fields):

@@ -173,20 +173,19 @@ def terminal_data(payoff: PayoffSpec, half_length: float):
     return values
 
 
-def hermite_payoff_fit(payoff: PayoffSpec, half_length: float, n_terms: int = 40,
-                       fit_width: float = 9.0, n_samples: int = 2001) -> PayoffSpec:
+def hermite_payoff_fit(payoff: PayoffSpec, half_length: float, n_terms: int = 40) -> PayoffSpec:
     """Replace a smoothed call/put by an entire Hermite-function expansion.
 
-    Least squares against the tapered payoff on a dense real window, using
-    the normalized three-term recurrence (stable far beyond degree 40); the
-    coefficients are stored in the physicists' convention that the datum
-    evaluator expects.
+    Least squares against the tapered payoff at 2001 points of the real
+    window [-9, 9], using the normalized three-term recurrence (stable far
+    beyond degree 40); the coefficients are stored in the physicists'
+    convention that the datum evaluator expects.
     """
     if payoff.kind == "hermite_expansion":
         return payoff
     if not 1 <= n_terms <= 200:
         raise ConfigurationError(f"expansion length must lie in [1, 200], got {n_terms!r}")
-    x = np.linspace(-fit_width, fit_width, n_samples)
+    x = np.linspace(-9.0, 9.0, 2001)
     target = np.asarray(terminal_data(payoff, half_length)(x[np.newaxis]), dtype=np.complex128)
     psi = np.empty((n_terms, x.size))
     psi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -540,18 +539,19 @@ def evaluate_at(field: ComplexField, point) -> np.ndarray:
 
 def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_grid,
                              config: SolverConfig = None, grid: Grid = None,
-                             t_prime_list=None, tau_target: float = None) -> dict:
+                             t_prime_list=None) -> dict:
     """Analyticity report for the semilinear adjusted price.
 
     Rejects shifts that would touch the payoff's branch cut, then runs the
     library's analyticity study (``analyticity._study``) on the pricing
     problem: the shift-family Cauchy-Riemann residuals at ``tau_grid``, one
-    two-segment path-independence spread over ``t_prime_list`` and the
-    strip sup norm, the largest Besov norm of any member's row as the study's
-    norm table takes it while the members march.  The family holds only the
-    rows at ``tau_grid``, which the residuals read.  Fewer than three shifts,
-    fewer than two distinct splits and grids too coarse for the strip norm's
-    dyadic blocks raise ``ConfigurationError`` before any solve.
+    two-segment path-independence spread at tau = 0.05 * horizon over
+    ``t_prime_list`` and the strip sup norm, the largest Besov norm of any
+    member's row as the study's norm table takes it while the members
+    march.  The family holds only the rows at ``tau_grid``, which the
+    residuals read.  Fewer than three shifts, fewer than two distinct splits
+    and grids too coarse for the strip norm's dyadic blocks raise
+    ``ConfigurationError`` before any solve.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=np.float64))
     cap = payoff.admissible_half_width
@@ -571,8 +571,7 @@ def verify_price_analyticity(params: XvaParams, payoff: PayoffSpec, y_grid, tau_
     config = _pricing_config(grid, horizon, config)
     if t_prime_list is None:
         t_prime_list = (0.4 * horizon, 0.6 * horizon)
-    if tau_target is None:
-        tau_target = 0.05 * horizon
+    tau_target = 0.05 * horizon
     out = _study(problem, config, np.sort(y_arr), taus, horizon, path=(horizon, tau_target, t_prime_list))
     return {
         "admissible_half_width": cap,

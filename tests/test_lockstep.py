@@ -402,3 +402,48 @@ def test_imex_reuses_p_w_for_its_gmres_start_under_an_autonomous_operator(monkey
     np.testing.assert_array_equal(fast.times, full.times)
     for a, b in zip(fast.fields + fast.time_derivatives, full.fields + full.time_derivatives):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_a_lockstep_window_drops_the_operator_part_of_the_lanes_that_keep_none(heat_problem, monkeypatch):
+    # a diffusivity 1 + Im(t)/2 is constant along the real rays of a time stencil, which keep no
+    # operator part, and changes along the complex ones, which keep all of it: one window holds both
+    import parastrip.analyticity as analyticity
+
+    op = ps.DivergenceOperator.from_terms(1, 1, 1, {((1,), (1,)): lambda z, t: 1.0 + 0.5 * np.imag(t)},
+                                          ps.StripSpec(2.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
+    problem = dataclasses.replace(heat_problem, op=op)
+    config = ps.SolverConfig(dt=0.01, window=0.04)
+    outcomes = []
+
+    def spy(*args, **kwargs):
+        outcomes.extend(_solve(*args, **kwargs))
+        return outcomes
+
+    monkeypatch.setattr(analyticity, "_solve", spy)
+    ps.cr_residual_time(problem, 1.0, 0.05, 0.04, config)
+    rays = [1.05, 0.95, 1.0 + 0.05j, 1.0 - 0.05j, 1.0]
+    assert len(outcomes) == len(rays)
+    for mu, got in zip(rays, outcomes):
+        want = ps.solve_complex_ray(problem, mu, 0.04, config)
+        np.testing.assert_array_equal(got.final.values, want.final.values)
+        assert got.diagnostics["picard_iterations"] == want.diagnostics["picard_iterations"]
+    sweeps = [got.diagnostics["picard_iterations"] for got in outcomes]
+    assert sweeps[0] == sweeps[1] == sweeps[4] == [1] and min(sweeps[2] + sweeps[3]) > 1
+
+
+@pytest.mark.parametrize("integrator", ["picard_voc", "imex"])
+@pytest.mark.parametrize("start, named", [(False, "0.1"), (True, "0.0")], ids=["later_row", "start_row"])
+def test_an_error_a_row_hook_raises_belongs_to_its_member(heat_problem, integrator, start, named):
+    # member 2 (y = 0.1) refuses a later row, or member 1 (y = 0.0) its start row: a serial run
+    # in ascending y meets that member's error first, so the family names it
+    who = 1 if start else 2
+
+    def keep(index, times, block):
+        if index == who and (times[0] == 0.0) == start:
+            raise ValueError(f"hook refuses member {index}")
+        return np.ones(len(times), bool)
+
+    config = ps.SolverConfig(dt=0.01, integrator=integrator)
+    with pytest.raises(ParastripError, match=rf"member y=\({named},\) failed: hook refuses member {who}$") as info:
+        ps.solve_shift_family(heat_problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config, keep=keep)
+    assert isinstance(info.value.__cause__, ValueError)

@@ -11,7 +11,7 @@ PUBLIC = """
     contraction_step_fraction cr_residual_space cr_residual_time default_maxreg_ensemble
     derivative_multiplier ellipticity_samples estimate_ellipticity_constant
     estimate_max_reg_constant eval_hermite evaluate_at f_minus f_plus
-    f_plus_prime hardy_integral hermite_payoff_fit heston_chart_generator heston_generator
+    hardy_integral hermite_payoff_fit heston_chart_generator heston_generator
     in_branch_domain jet_lipschitz_estimate leading_symbol littlewood_paley_blocks lp_norm
     make_grid multi_indices nemytskii path_independence_check price_riskfree
     price_xva_linear price_xva_nonlinear random_band_limited_fields sample_on_shifted_grid
@@ -84,6 +84,20 @@ def test_the_unused_import_check_sees_what_it_should():
     assert _unused_imports(source) == [(1, "os"), (6, "OD"), (10, "json")]
 
 
+def _loaded_names(trees) -> set:
+    """Every name the parsed modules ``trees`` load as a name or as an attribute."""
+    import ast
+
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
 def _unread_private_names(sources: dict) -> list:
     """(module, line, name) of each private name that no module of ``sources`` reads.
 
@@ -99,13 +113,7 @@ def _unread_private_names(sources: dict) -> list:
         return name.startswith("_") and not name.endswith("__")
 
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = _loaded_names(trees.values())
     out = []
     for module, tree in trees.items():
         defined = []
@@ -143,3 +151,103 @@ def test_the_unread_private_name_check_sees_what_it_should():
     ])
     assert _unread_private_names({"a": a, "b": b}) == [
         ("a", 2, "_UNREAD"), ("a", 5, "_lonely"), ("a", 8, "_spare"), ("b", 4, "_imported_only")]
+
+
+# The public names that no module of the package reads, each with the reason it stays.
+ENTRY_POINTS = {
+    "apply_operator": "test reference for OperatorPlan's stack core; perfbench target",
+    "compute_xva_surfaces": "acceptance-pinned",
+    "jet_lipschitz_estimate": "an input of StepConstants, for the paper's step bounds (ROADMAP item 8)",
+    "littlewood_paley_blocks": "test reference for besov_norm's block sums",
+    "nemytskii": "test reference for the solver's reaction stack core; perfbench target",
+    "path_independence_check": "acceptance-pinned",
+    "shift_consistency_check": "acceptance-pinned",
+    "smoother_identity_check": "acceptance-pinned",
+    "solve_complex_ray": "acceptance-pinned; perfbench target",
+    "step_size_from_estimates": "acceptance-pinned; the paper's step bounds (ROADMAP item 8)",
+    "strip_sup_over_time": "test reference: the sup over a family's members and rows",
+    "verify_price_analyticity": "the pricing problem's analyticity report (ROADMAP item 10)",
+}
+
+
+def _unread_public_names(sources: dict) -> list:
+    """(module, name) of each name listed in a module's ``__all__`` that no module of ``sources`` reads.
+
+    ``sources`` maps module names to their source.  A module's public names
+    are the strings of its module-level ``__all__`` list; a name counts as
+    read as in ``_unread_private_names``, so being listed, imported or
+    re-exported does not count.
+    """
+    import ast
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _loaded_names(trees.values())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                out += [(module, elt.value) for elt in node.value.elts
+                        if isinstance(elt, ast.Constant) and elt.value not in read]
+    return sorted(out)
+
+
+def test_every_public_name_is_read_by_the_package_or_is_an_entry_point():
+    import pathlib
+
+    sources = {path.stem: path.read_text()
+               for path in sorted(pathlib.Path(parastrip.__file__).parent.glob("*.py"))}
+    unread = {name for _, name in _unread_public_names(sources)}
+    assert unread - set(ENTRY_POINTS) == set(), "public names nothing reads: read them, delete them or list them"
+    assert set(ENTRY_POINTS) - unread == set(), "entry points the package now reads: take them off the list"
+    assert set(ENTRY_POINTS) <= set(parastrip.__all__)
+
+
+def test_the_unread_public_name_check_sees_what_it_should():
+    a = "\n".join([
+        "from b import helper", "__all__ = ['Kept', 'lonely', 'annotated']", "__version__ = '1'",
+        "class Kept:", "    pass", "def lonely():", "    return helper()", "def annotated(x: 'str') -> int:",
+        "    return 0",
+    ])
+    b = "\n".join([
+        "import a", "from a import lonely", "__all__ = ['helper', 'spare', *a.__all__]",
+        "def helper(k: a.Kept, n: annotated = None):", "    pass", "def spare():", "    pass",
+    ])
+    assert _unread_public_names({"a": a, "b": b}) == [("a", "lonely"), ("b", "spare")]
+
+
+def _removed_api(readme: str) -> list:
+    """(name, param) of each bullet of README's "Removed API" section that starts with a backticked
+    ``name:``, ``Class.attr:`` (param None) or ``f(param=):``, in order."""
+    import re
+
+    section = readme.split("\n## Removed API\n", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for line in section.splitlines():
+        match = re.match(r"- `([A-Za-z_]\w*(?:\.\w+)?)(?:\((\w+)=\))?`:", line)
+        if match:
+            out.append(match.groups())
+    return out
+
+
+def test_removed_api_stays_removed():
+    import inspect
+    import pathlib
+
+    removed = _removed_api((pathlib.Path(__file__).parents[1] / "README.md").read_text())
+    assert removed
+    for name, param in removed:
+        owner, _, attr = name.rpartition(".")
+        base = getattr(parastrip, owner) if owner else parastrip
+        if param is None:
+            assert not hasattr(base, attr), name
+        else:
+            assert param not in inspect.signature(getattr(base, attr)).parameters, (name, param)
+
+
+def test_the_removed_api_reader_sees_what_it_should():
+    readme = "\n".join([
+        "## Usage", "- `kept`: not removed.", "## Removed API", "", "- `gone`: nothing read it.",
+        "- `Spec.field`: a bullet", "  that wraps.", "- `f(width=)`: a constant now.",
+        "- The `jobs` argument: prose.", "- `Result.rows[j] = r`: not a name.", "## Later", "- `after`: elsewhere.",
+    ])
+    assert _removed_api(readme) == [("gone", None), ("Spec.field", None), ("f", "width")]

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import parastrip as ps
 from parastrip.errors import ConfigurationError, DomainError
-from parastrip.reaction import _guard_branch, f_plus_prime, in_branch_domain
+from parastrip.reaction import _guard_branch, in_branch_domain
 
 from oracles import smoother_real_line
 
@@ -61,10 +61,10 @@ def test_smoother_derivatives(rng):
     cloud = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-0.5 * eps, 0.5 * eps, 200)
     z = np.concatenate([[0.3 + 0.02j, -1.7 + 0.0j, 4.0 - 0.05j], cloud])
     h = 1e-6
-    # a complex derivative: centred differences along both axes agree with it
-    for step in (h, 1j * h):
-        fd = (np.asarray(ps.f_plus(eps, z + step)) - np.asarray(ps.f_plus(eps, z - step))) / (2 * step)
-        np.testing.assert_allclose(np.asarray(f_plus_prime(eps, z)), fd, atol=1e-8)
+    # holomorphic: centred differences along the real and the imaginary axis agree
+    real_step, imag_step = ((np.asarray(ps.f_plus(eps, z + step)) - np.asarray(ps.f_plus(eps, z - step))) / (2 * step)
+                            for step in (h, 1j * h))
+    np.testing.assert_allclose(real_step, imag_step, atol=1e-8)
 
 
 def test_reaction_spec_jet_layout():
@@ -118,6 +118,26 @@ def test_jet_lipschitz_estimate_uses_analytic_jacobian(rng):
     box = [((0.0, 1.0), (0.0, 0.0))]
     got = ps.jet_lipschitz_estimate(spec, box, [np.zeros(1)], [0.0], rng, n_samples=5)
     assert got == pytest.approx(7.0, rel=1e-12)
+
+
+def test_jet_lipschitz_estimate_takes_a_complex_step_on_a_real_reaction_at_real_jets():
+    # real jets of a reaction real on them: the imaginary step has no cancellation, so the
+    # estimate meets the analytic jacobian's to rounding, which a central difference cannot
+    def eval_(z, t, X):
+        return X[0] ** 3 - 2.0 * X[0] * X[1]
+
+    def jac(z, t, X):
+        out = np.zeros((1, 2, 1) + X.shape[2:], dtype=np.complex128)
+        out[0, 0, 0] = 3.0 * X[0, 0] ** 2 - 2.0 * X[1, 0]
+        out[0, 1, 0] = -2.0 * X[0, 0]
+        return out
+
+    box = [((-1.0, 1.5), (0.0, 0.0)), ((-2.0, 1.0), (0.0, 0.0))]
+    numeric, analytic = (
+        ps.jet_lipschitz_estimate(ps.ReactionSpec(order_half=1, components=1, dim=1, eval=eval_, jet_jacobian=j),
+                                  box, [np.zeros(1)], [0.0], np.random.default_rng(5), n_samples=50)
+        for j in (None, jac))
+    assert numeric == pytest.approx(analytic, rel=1e-14, abs=0.0)
 
 
 def test_smoothed_parts_share_one_turn_and_match_the_smoothers(monkeypatch):

@@ -131,6 +131,15 @@ def test_path_reaches_complex_target(heat_problem):
     assert len(res.diagnostics["segments"]) == 2
 
 
+def test_a_path_split_at_its_target_is_one_ray(heat_problem):
+    config = ps.SolverConfig(dt=1e-3)
+    res = ps.solve_along_path(heat_problem, 0.2, 0.05, 0.2, config)
+    ray = ps.solve_complex_ray(heat_problem, 1.0 + 0.25j, 0.2, config)
+    np.testing.assert_array_equal(res.times, ray.times)
+    np.testing.assert_array_equal(res.final.values, ray.final.values)
+    assert res.diagnostics["segments"] == [ray.diagnostics["windows"]]
+
+
 def test_path_rejects_targets_outside_sector(heat_problem):
     # angle pi/4: reach tan(angle) t_prime = 0.2 < 0.3
     with pytest.raises(DomainError, match="temporal domain"):
@@ -633,6 +642,29 @@ def test_a_forced_picard_sweep_transforms_only_its_forcing_forward(monkeypatch):
     assert sweeps >= 2
     # after the start, one forward transform per sweep, of F + g
     assert calls["_fftn"] == [False] + [True] * sweeps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_imex_step_takes_the_value_jet_from_a_transformed_node(monkeypatch, dim):
+    # 10 steps at stride 3 transform the due nodes 3, 6, 9 and 10.  The explicit parts of nodes
+    # 0 to 9 and node 1's corrector take every jet from the coefficients, but beta = 0 at nodes
+    # 3, 6 and 9 from their values: three inverse transforms fewer, with the bits of the three
+    problem, _ = _forcing_problem(dim)
+    config = ps.SolverConfig(dt=0.01, integrator="imex", snapshot_stride=3)
+    calls = []
+    ifftn = parastrip.solver._ifftn
+    monkeypatch.setattr(parastrip.solver, "_ifftn", lambda *a, **kw: calls.append(1) or ifftn(*a, **kw))
+    got = ps.solve_real(problem, 0.0, 0.1, config)
+    assert len(calls) == 4 + 11 * problem.reaction.n_slots - 3
+    jets = parastrip.solver._jet_fields
+    monkeypatch.setattr(parastrip.solver, "_jet_fields",
+                        lambda hat, indices, grid, values=None: jets(hat, indices, grid))
+    calls.clear()
+    want = ps.solve_real(problem, 0.0, 0.1, config)
+    assert len(calls) == 4 + 11 * problem.reaction.n_slots
+    np.testing.assert_array_equal(got.times, want.times)
+    for a, b in zip(got.fields, want.fields):
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_reaction_runs_once_per_sweep():
