@@ -831,9 +831,8 @@ def _cmd_xva(v, out_dir, seed, record):
             vr = slice_of(surfaces["riskfree"], j)
             vn = slice_of(surfaces["nonlinear"], k)
             vl = slice_of(surfaces["linear"], k)
-            for kk in range(x.size):
-                rows.append((float(x[kk]), t, float(vr[kk].real), float(vn[kk].real),
-                             float(vl[kk].real), float((vn[kk] - vr[kk]).real)))
+            rows.extend(zip(x.tolist(), [t] * x.size, vr.real.tolist(), vn.real.tolist(),
+                            vl.real.tolist(), (vn - vr).real.tolist()))
         files.append(write_csv(out_dir, "xva.csv",
                                ["X", "tau", "V", "V_hat_nonlinear", "V_hat_linear", "xva"], rows))
         final_v = surfaces["riskfree"].final.values[0]

@@ -314,11 +314,11 @@ def _fftn(field_values: np.ndarray, grid: Grid, axes: tuple = None) -> np.ndarra
     return np.fft.fftn(field_values, s=[field_values.shape[a] for a in axes], axes=axes)
 
 
-def _ifftn(hat: np.ndarray, grid: Grid, axes: tuple = None) -> np.ndarray:
-    """Inverse of ``_fftn`` over the same axes."""
+def _ifftn(hat: np.ndarray, grid: Grid, axes: tuple = None, out: np.ndarray = None) -> np.ndarray:
+    """Inverse of ``_fftn`` over the same axes, into ``out`` when given (``hat`` itself may be it)."""
     if axes is None:
         axes = tuple(range(-grid.dim, 0))
-    return np.fft.ifftn(hat, s=[hat.shape[a] for a in axes], axes=axes)
+    return np.fft.ifftn(hat, s=[hat.shape[a] for a in axes], axes=axes, out=out)
 
 
 def _check_multi_index(alpha, dim: int) -> tuple:

@@ -139,19 +139,27 @@ def littlewood_paley_blocks(field: ComplexField, blocks: int) -> list:
 
 
 def _besov_norms(values: np.ndarray, grid: Grid, params: NormParams) -> list:
-    """besov_norm of every row of a (B, M, *grid) stack, with the same rounding."""
+    """besov_norm of every row of a (B, M, *grid) stack, with the same rounding.
+
+    The core works in place: the (J + 1, B, M, *grid) pieces are
+    inverse-transformed into the product that holds them, and |piece|^p is
+    raised in the buffer of |piece|.
+    """
     windows = _lp_windows(grid, params.dyadic_blocks)
-    hat = _fftn(values, grid)
     # (J + 1, B, M, *grid): every block of every row in one inverse transform
-    pieces = _ifftn(hat[np.newaxis] * windows[:, np.newaxis, np.newaxis], grid)
-    sums = np.sum(np.abs(pieces) ** params.p, axis=tuple(range(2, pieces.ndim)))
+    pieces = _fftn(values, grid)[np.newaxis] * windows[:, np.newaxis, np.newaxis]
+    powers = np.abs(_ifftn(pieces, grid, out=pieces))
+    pieces = None
+    powers **= params.p
+    sums = np.sum(powers, axis=tuple(range(2, powers.ndim)))
     weight, p = grid.cell_volume, params.p
+    scales = [2.0 ** (j * params.s * p) for j in range(1, len(sums))]
     out = []
-    for row in sums.T:
+    for row in sums.T.tolist():
         # the scalar steps of lp_norm(piece, p) ** p, block by block
-        total = float((row[0] * weight) ** (1.0 / p)) ** p
-        for j in range(1, len(row)):
-            total += 2.0 ** (j * params.s * p) * float((row[j] * weight) ** (1.0 / p)) ** p
+        total = ((row[0] * weight) ** (1.0 / p)) ** p
+        for scale, block in zip(scales, row[1:]):
+            total += scale * ((block * weight) ** (1.0 / p)) ** p
         out.append(float(total ** (1.0 / p)))
     return out
 

@@ -495,7 +495,7 @@ class _Window(NamedTuple):
     resolvent: dict = None        # imex: the record of the resolvent's build, see _Resolvent.build
 
 
-def _window_constants(problem: CauchyProblem, member, t_nodes, dt):
+def _window_constants(problem: CauchyProblem, member, t_nodes, dt, shared: dict):
     """Constants of one window of ``member`` on the nodes ``t_nodes``.
 
     They are ``_keeps_operator`` and one (4, *grid) stack: the frozen
@@ -503,17 +503,22 @@ def _window_constants(problem: CauchyProblem, member, t_nodes, dt):
     Under an autonomous operator they depend on dt alone (a member has one
     mu), so they are kept per exact dt: windows whose dt differs in the
     last bit miss the cache and keep their own rounding.  Otherwise they
-    are evaluated for each window.
+    are evaluated for each window.  ``shared`` holds the stacks built in
+    this window by (mu, dt, P^_0), byte for byte: members whose three agree
+    share one stack, and so one ``_phi_weights`` call.
     """
     autonomous = problem.op.autonomous
     if autonomous and dt in member.constants:
         return member.constants[dt]
     mu, plan = member.mu, member.plan
     frozen = _frozen_symbol(plan, t_nodes)
-    a_hat = -mu * dt * frozen
-    phi1, phi2 = _phi_weights(a_hat)
-    out = (_keeps_operator(plan, t_nodes),
-           np.stack((frozen, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2)))
+    key = (np.complex128(mu).tobytes(), dt, frozen.tobytes())
+    stack = shared.get(key)
+    if stack is None:
+        a_hat = -mu * dt * frozen
+        phi1, phi2 = _phi_weights(a_hat)
+        stack = shared[key] = np.stack((frozen, np.exp(a_hat), mu * dt * (phi1 - phi2), mu * dt * phi2))
+    out = (_keeps_operator(plan, t_nodes), stack)
     if autonomous:
         member.constants[dt] = out
     return out
@@ -563,19 +568,22 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
     zeroth iterate is the free flight under the frozen symbol P^_0.  A sweep
     forms its bracket h = P^_0 w^ - P^ w^ + FFT(F + g) from w^, the
     coefficients of the iterate it starts from: P^ is each member's
-    ``apply_hat``, and the reaction takes its jets from w^.  A member whose
-    terms are all constant in space and over the window's nodes
-    (``_keeps_operator`` is false) is its own frozen generator, so its h
-    has no operator part.  F + g is transformed forward only when the
-    problem has a reaction or a source; the inverse of the new iterate is
-    the sweep's other batched FFT.  When no member keeps its operator part
-    and nothing forces the problem, h is exactly zero: the first sweep
-    would give back the free flight with delta = 0, so the window skips it
-    and judges the free flight as that sweep's iterate.  Convergence and
-    its checks are per member, and a member whose fixed point has
-    converged stops sweeping, so each gets the bits and sweep count of its
-    own serial window.  A sweep evaluates h once, at the iterate it starts
-    from; none is evaluated at the converged iterate.
+    ``apply_hat``, and the reaction takes its jets from w^ and from the
+    iterate's values.  A member whose terms are all constant in space and
+    over the window's nodes (``_keeps_operator`` is false) is its own
+    frozen generator, so its h has no operator part.  F + g is transformed
+    forward only when the problem has a reaction or a source; the inverse
+    of the new iterate is the sweep's other batched FFT.  When no member
+    keeps its operator part and there is no reaction, h reads no iterate:
+    without a source it is zero, and the window judges the free flight as
+    sweep 1's iterate; with one, it is the same at every sweep, and the
+    window judges sweep 1's iterate again as sweep 2, which would give it
+    back with delta = 0.  Convergence and its checks
+    are per member, and a member whose fixed point has converged stops
+    sweeping, so each gets the bits and sweep count of its own serial
+    window.  A sweep evaluates h once, at the iterate it starts from; none
+    at the converged iterate.  Members on one ray share its nodes, and
+    members whose constants agree share them (``_window_constants``).
 
     Returns one outcome per member: a _Window, emitted by the sweep that
     converges; or the exception its serial window raises (ConvergenceError
@@ -592,12 +600,16 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
         )
     outcomes = [None] * len(members)
     lanes, consts, sources = [], [], []
+    rays, shared = {}, {}              # nodes by mu, byte for byte; constants, see _window_constants
     for k, m in enumerate(members):
         try:
             if check_mu:
                 _check_rotation(m.mu, temporal)
-            s_nodes, t_nodes, dt = _time_nodes(span, config, m.mu, t_base, temporal)
-            keeps, c = _window_constants(problem, m, t_nodes, dt)
+            ray = np.complex128(m.mu).tobytes()
+            if ray not in rays:        # kept once computed, so a member that raises raises its own error
+                rays[ray] = _time_nodes(span, config, m.mu, t_base, temporal)
+            s_nodes, t_nodes, dt = rays[ray]
+            keeps, c = _window_constants(problem, m, t_nodes, dt, shared)
             g = _source_stack(problem, m.plan, t_nodes, m.carried)
         except Exception as exc:       # where this member's serial window raises it
             outcomes[k] = exc
@@ -614,21 +626,22 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
     # zeroth iterate: free flight under the frozen generator
     traj_hat = np.empty((len(lanes), n + 1, 1) + grid.shape, dtype=np.complex128)
     traj_hat[:, 0] = _fftn(np.stack([members[lane.k].w.values for lane in lanes]), grid)
+    prop = consts[:, 1, None]
     for j in range(n):
-        traj_hat[:, j + 1] = consts[:, 1, None] * traj_hat[:, j]
+        np.multiply(prop, traj_hat[:, j], out=traj_hat[:, j + 1])
     traj_phys = _ifftn(traj_hat, grid)
 
-    forced = problem.reaction is not None or problem.source is not None
-    free = not forced and not any(lane.keeps for lane in lanes)
-    sweep = 0
+    static = problem.reaction is None and not any(lane.keeps for lane in lanes)   # h reads no iterate
+    sweep, peaks = 0, None
     while True:
         sweep += 1
         flat = (len(lanes), -1)
-        if free:                 # h = 0 exactly: the sweep would give back the free flight, delta = 0
+        repeat = static and (sweep > 1 or problem.source is None)
+        if repeat:               # this sweep would give back the iterate it starts from, delta = 0
             new_phys, deltas = traj_phys, np.zeros(len(lanes))
         else:
             try:
-                h = _bracket(problem, members, lanes, consts[:, 0], traj_hat, sources, config)
+                h = _bracket(problem, members, lanes, consts[:, 0], traj_hat, traj_phys, sources, config)
             except Exception as exc:
                 if len(lanes) == 1:
                     outcomes[lanes[0].k] = exc
@@ -636,23 +649,28 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
 
             # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
             # overwritten in place, as soon as the sweep is done with it
-            w_explicit, w_implicit = (consts[:, i, None, None] for i in (2, 3))
+            prop, w_explicit, w_implicit = (consts[:, i, None] for i in (1, 2, 3))
             new_hat = np.empty_like(traj_hat)
             new_hat[:, 0] = traj_hat[:, 0]
             traj_hat = None
-            explicit = w_explicit * h[:, :-1]
-            implicit = np.multiply(w_implicit, h[:, 1:], out=h[:, 1:])
+            explicit = w_explicit[:, None] * h[:, :-1]
+            implicit = np.multiply(w_implicit[:, None], h[:, 1:], out=h[:, 1:])
             for j in range(n):
-                new_hat[:, j + 1] = consts[:, 1, None] * new_hat[:, j] + explicit[:, j] + implicit[:, j]
-            h = explicit = implicit = None
+                row = np.multiply(prop, new_hat[:, j], out=new_hat[:, j + 1])
+                row += explicit[:, j]
+                row += implicit[:, j]
+            h = explicit = implicit = row = None      # row views this stack, which the next sweep drops
             new_phys = _ifftn(new_hat, grid)
             with np.errstate(invalid="ignore"):       # a non-finite member fails below, unread
                 # the old iterate becomes the difference; no emitted outcome views it
                 deltas = np.max(np.abs(np.subtract(new_phys, traj_phys, out=traj_phys)).reshape(flat), axis=1)
             traj_hat = new_hat
         finite = np.isfinite(new_phys).reshape(flat).all(axis=1)
-        with np.errstate(invalid="ignore"):
-            peaks = np.max(np.abs(new_phys).reshape(flat), axis=1)
+        if not repeat:
+            with np.errstate(invalid="ignore"):
+                peaks = np.max(np.abs(new_phys).reshape(flat), axis=1)
+        elif peaks is None:      # the free flight: delta = 0 passes at any scale
+            peaks = np.ones(len(lanes))
         for a, (lane, ok, delta, peak) in enumerate(zip(lanes, finite, deltas, peaks)):
             try:
                 lane.check(sweep, ok, float(delta), max(1.0, float(peak)), span, config)
@@ -667,17 +685,19 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
         if not keep:
             return outcomes
         if len(keep) < len(lanes):
-            lanes, traj_hat, traj_phys, consts, sources = _rows_of(
-                keep, lanes, traj_hat, traj_phys, consts, sources)
+            lanes, traj_hat, traj_phys, consts, sources, peaks = _rows_of(
+                keep, lanes, traj_hat, traj_phys, consts, sources, peaks)
 
 
 def _bracket(problem: CauchyProblem, members: list, lanes: list, symbols: np.ndarray, traj_hat: np.ndarray,
-             sources, config: SolverConfig) -> np.ndarray:
+             traj_phys: np.ndarray, sources, config: SolverConfig) -> np.ndarray:
     """A sweep's h = P^_0 w^ - P^ w^ + FFT(F + g) of every lane's nodes (see ``_picard_window``).
 
     ``symbols`` (K, *grid) holds each lane's P^_0, ``traj_hat`` the
-    (K, n + 1, M, *grid) coefficients w^, and ``sources`` g at the nodes or
-    None.  A lane that does not keep its operator part has none.
+    (K, n + 1, M, *grid) coefficients w^, ``traj_phys`` their values
+    ``_ifftn(traj_hat)``, from which the reaction takes its beta = 0 jet,
+    and ``sources`` g at the nodes or None.  A lane that does not keep its
+    operator part has none.
     """
     h = None
     if any(lane.keeps for lane in lanes):
@@ -691,7 +711,8 @@ def _bracket(problem: CauchyProblem, members: list, lanes: list, symbols: np.nda
         plans, rows = [members[lane.k].plan for lane in lanes], traj_hat.reshape((-1,) + traj_hat.shape[2:])
         forcing = _add_forcing(problem, plans if len(plans) > 1 else plans[0], rows,
                                np.concatenate([lane.t_nodes for lane in lanes]), config, np.zeros_like(rows),
-                               None if sources is None else sources.reshape(rows.shape))
+                               None if sources is None else sources.reshape(rows.shape),
+                               values=traj_phys.reshape(rows.shape))
         forcing = _fftn(forcing.reshape(traj_hat.shape), problem.grid)
         if h is None:
             return forcing

@@ -846,3 +846,63 @@ def test_a_constant_heat_study_applies_no_operator_in_its_picard_windows(tmp_pat
     # the shift family's lockstep window, the time stencil's, and both segments of both paths
     assert len(windows) >= 6
     assert all(w == {"apply_hat": 0, "_ifftn": 1} for w in windows), windows
+
+
+def test_the_analyticity_study_prepares_each_ray_once_per_window(tmp_path, monkeypatch):
+    # the benchmark's analyticity config at horizon 0.1 and n = 128.  Members on one ray share its
+    # time nodes, and members that also share the frozen symbol share its phi weights: set-up
+    # repeated per member would make 62 _time_nodes and 43 _phi_weights calls here
+    import parastrip.solver as solver
+
+    cfg = {
+        "grid": {"dim": 1, "half_length": 10.0, "points_per_axis": 128},
+        "run": {"horizon": 0.1},
+        "problem": {
+            "operator": {"kind": "heat", "diffusivity": 1.0, "strip_half_width": 2.0},
+            "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+        },
+        "solver": {"dt": 1e-3, "snapshot_stride": 1},
+        "analyticity": {
+            "y_half_width": 0.25,
+            "n_shifts": 9,
+            "times": [0.05, 0.1],
+            "strides": [1, 2],
+            "d_mu": [0.05, 0.025],
+            "rho": 0.06,
+            "path": {"sigma": 0.1, "tau": 0.02, "t_primes": [0.04, 0.06]},
+            "hardy": {"p": 4.0},
+        },
+    }
+    counts = dict.fromkeys(("_fftn", "_ifftn", "_phi_weights", "_time_nodes"), 0)
+    for name in counts:
+        inner = getattr(solver, name)
+
+        def spy(*a, inner=inner, name=name, **kw):
+            counts[name] += 1
+            return inner(*a, **kw)
+
+        monkeypatch.setattr(solver, name, spy)
+    code, _ = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
+    assert code == 0
+    assert counts == {"_fftn": 15, "_ifftn": 15, "_phi_weights": 27, "_time_nodes": 30}
+
+
+def test_the_xva_study_transforms_no_iterate_twice(tmp_path, monkeypatch):
+    # the benchmark's xva config.  A Picard sweep takes the reaction's beta = 0 jet from the
+    # iterate's values instead of transforming it again (272 inverse transforms without), and
+    # the linear price, forced by a source alone, judges each window's first iterate again as
+    # its second sweep (32 brackets without, 16 with)
+    import parastrip.solver as solver
+
+    counts = dict.fromkeys(("_ifftn", "_bracket"), 0)
+    for name in counts:
+        inner = getattr(solver, name)
+
+        def spy(*a, inner=inner, name=name, **kw):
+            counts[name] += 1
+            return inner(*a, **kw)
+
+        monkeypatch.setattr(solver, name, spy)
+    code, _ = _run_in_process(tmp_path, "xva", "xva", XVA_STUDY_CFG)
+    assert code == 0
+    assert counts == {"_ifftn": 192, "_bracket": 80}

@@ -376,6 +376,34 @@ def test_window_constants_follow_each_window_start_for_a_time_dependent_operator
     assert len(calls) == len(res.diagnostics["windows"]) == 8
 
 
+def test_a_constant_family_evaluates_its_phi_weights_once_per_window_dt(heat_problem, monkeypatch):
+    # the nine members share mu, dt and the frozen symbol of the constant diffusivity, so one
+    # _phi_weights call serves them all; each keeps the bits of its serial solve
+    calls = count_phi_weights(monkeypatch)
+    config = ps.SolverConfig(dt=1e-3)
+    fam = ps.solve_shift_family(heat_problem, np.linspace(-0.25, 0.25, 9), 0.0, 0.1, config)
+    windows = fam.member(0.0).diagnostics["windows"]
+    assert len(calls) == len({(w["s_end"] - w["s_start"]) / w["steps"] for w in windows}) == 2
+    for y in fam.y_values:
+        assert_same_solve(fam.member(y), ps.solve_real(heat_problem, 0.0, 0.1, config, shift=1j * np.asarray(y)))
+
+
+def test_a_family_whose_frozen_symbols_differ_evaluates_the_weights_per_member(monkeypatch):
+    # the mean of the shifted diffusivity 1 + (x + iy) / 20, and so P^_0, differs from member to
+    # member (a periodic one's mean would not depend on y but for rounding)
+    op = ps.DivergenceOperator.from_terms(1, 1, 1, {((1,), (1,)): lambda z, t: 1.0 + 0.05 * z[0]},
+                                          ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0),
+                                          autonomous=True)
+    problem = ps.CauchyProblem(ps.make_grid(1, 8.0, 32), op, gaussian_datum())
+    calls = count_phi_weights(monkeypatch)
+    # binary fractions: every window has the same dt to the last bit
+    config = ps.SolverConfig(dt=1 / 64, window=4 / 64)
+    fam = ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 5), 0.0, 0.25, config)
+    assert len(fam.member(0.0).diagnostics["windows"]) == 4 and len(calls) == 5
+    for y in fam.y_values:
+        assert_same_solve(fam.member(y), ps.solve_real(problem, 0.0, 0.25, config, shift=1j * np.asarray(y)))
+
+
 def test_imex_reuses_p_w_for_its_gmres_start_under_an_autonomous_operator(monkeypatch):
     op = ps.DivergenceOperator.from_terms(
         1, 1, 2, {((1, 0), (1, 0)): lambda z, t: 1.0 + 0.3 * np.cos(z[0]) * np.cos(z[1]),

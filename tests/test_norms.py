@@ -127,3 +127,16 @@ def test_batched_besov_matches_besov_norm_bit_for_bit(dim, n, components, blocks
     assert windows is _lp_windows(grid, blocks)
     with pytest.raises(ValueError):
         windows[0, 0] = 0.0
+
+
+def test_batched_besov_matches_besov_norm_bit_for_bit_on_a_gaussian_family():
+    # the analyticity study's shape: a family of 32 shifted Gaussians on n = 256, L = 10, in one call
+    grid = ps.make_grid(1, 10.0, 256)
+    params = ps.NormParams(p=4.0, m=1)
+    ys = np.linspace(-0.25, 0.25, 32)
+    stack = np.exp(-0.5 * (grid.axis_nodes() + 1j * ys[:, np.newaxis]) ** 2)[:, np.newaxis]
+    assert stack.shape == (32, 1, 256)
+    got = _besov_norms(stack, grid, params)
+    for b, v in enumerate(stack):
+        field = ps.ComplexField(grid, v)
+        assert got[b] == ps.besov_norm(field, params) == reference_besov(field, params)

@@ -644,6 +644,36 @@ def test_a_forced_picard_sweep_transforms_only_its_forcing_forward(monkeypatch):
     assert calls["_fftn"] == [False] + [True] * sweeps
 
 
+def test_a_source_only_window_judges_its_first_iterate_again_as_its_second_sweep(monkeypatch):
+    # no reaction and a constant operator: h = FFT(g) reads no iterate, so a second sweep would give
+    # back the first one's iterate with delta = 0.  The window judges that iterate again instead and
+    # keeps the rows and sweep counts of a twin whose all-zero reaction takes every sweep
+    from parastrip.errors import ConvergenceError
+
+    problem, _ = _forcing_problem(1)
+    source_only = dataclasses.replace(problem, reaction=None)
+    zero = ps.ReactionSpec(order_half=1, components=1, dim=1, eval=lambda z, t, X: 0.0 * X[0])
+    twin = dataclasses.replace(problem, reaction=zero)
+    config = ps.SolverConfig(dt=0.01, window=0.04)
+    brackets = []
+    inner = parastrip.solver._bracket
+    monkeypatch.setattr(parastrip.solver, "_bracket", lambda *a: brackets.append(1) or inner(*a))
+    got = ps.solve_real(source_only, 0.0, 0.08, config)
+    assert len(brackets) == 2
+    brackets.clear()
+    want = ps.solve_real(twin, 0.0, 0.08, config)
+    assert len(brackets) == 4
+    assert got.diagnostics["picard_iterations"] == want.diagnostics["picard_iterations"] == [2, 2]
+    assert got.diagnostics["windows"] == want.diagnostics["windows"]
+    assert all(w["contraction_ratio"] is None for w in got.diagnostics["windows"])
+    np.testing.assert_array_equal(got.times, want.times)
+    for a, b in zip(got.fields, want.fields):
+        np.testing.assert_array_equal(a.values, b.values)
+    # the first sweep is still judged on its own: a budget of one sweep fails there
+    with pytest.raises(ConvergenceError, match="more than 1 sweeps"):
+        ps.solve_real(source_only, 0.0, 0.08, dataclasses.replace(config, picard_max_iter=1))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_an_imex_step_takes_the_value_jet_from_a_transformed_node(monkeypatch, dim):
     # 10 steps at stride 3 transform the due nodes 3, 6, 9 and 10.  The explicit parts of nodes

@@ -334,7 +334,7 @@ def test_blended_mark_solve_equals_a_per_node_reference(monkeypatch):
     cfg = ps.SolverConfig(dt=0.1 / 40)
     got = ps.price_xva_nonlinear(params, call_payoff(), grid, 0.1, cfg)
 
-    def per_node(problem, plan, hat, ts, config, vals, sources=None):
+    def per_node(problem, plan, hat, ts, config, vals, sources=None, values=None):
         spec = problem.reaction
         if spec is None:                     # the default-free reference solve
             return vals
