@@ -30,7 +30,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from . import __version__
-from .analyticity import _at_times, _distinct_splits, _NormTable, _study, _usable_strides
+from .analyticity import _NO_SNAPSHOTS, _at_times, _distinct_splits, _NormTable, _study, _usable_strides
 from .errors import ConfigurationError, ParastripError
 from .grid import _EXP_OVERFLOW, ComplexField, HermiteData, StripSpec, make_grid, sample_on_shifted_grid
 from .norms import _fit_blocks, lp_norm
@@ -954,7 +954,7 @@ def _cmd_convergence(v, out_dir, seed, record):
 
     def one_dt(dt):
         finals = [solve_real(problem, 0.0, horizon, replace(config, dt=dt, integrator=integ,
-                                                            snapshot_stride=10 ** 9)).final.values
+                                                            snapshot_stride=_NO_SNAPSHOTS)).final.values
                   for integ in ("picard_voc", "imex")]
         return float(np.max(np.abs(finals[0] - finals[1])))
 

@@ -4,9 +4,10 @@ The Besov norm is the discrete Littlewood-Paley proxy
 
     ( ||S_0 u||_p^p + sum_{j=1..J} 2^(j s p) ||Delta_j u||_p^p )^(1/p)
 
-with smooth dyadic cutoffs supported in [2^(j-1), 2^(j+1)].  It replaces the
-trace-method interpolation norm everywhere a data norm is needed; on a fixed
-grid the two are equivalent and only the proxy is implemented.
+with smooth dyadic cutoffs supported in [2^(j-1), 2^(j+1)] for j < J and a
+last block that takes every mode above 2^(J-1).  It replaces the trace-method
+interpolation norm everywhere a data norm is needed; on a fixed grid the two
+are equivalent and only the proxy is implemented.
 """
 
 import math
@@ -104,9 +105,10 @@ def _lowpass_profile(r: np.ndarray) -> np.ndarray:
 
 
 def _lp_windows(grid: Grid, blocks: int) -> np.ndarray:
-    """Spectral windows [psi_0, psi_1 - psi_0, ..., psi_J - psi_(J-1)], stacked.
+    """Spectral windows [psi_0, psi_1 - psi_0, ..., psi_(J-1) - psi_(J-2), 1 - psi_(J-1)], stacked.
 
-    Cached per grid and block count, read-only like the grid's multipliers.
+    They sum to 1 on every mode.  Cached per grid and block count,
+    read-only like the grid's multipliers.
     """
     if 2.0 ** (blocks + 1) > grid.nyquist * (1.0 + 1e-12):
         raise ConfigurationError(
@@ -122,10 +124,11 @@ def _lp_windows(grid: Grid, blocks: int) -> np.ndarray:
         kabs = np.sqrt(k2)
         prev = _lowpass_profile(kabs)
         rows = [prev]
-        for j in range(1, blocks + 1):
+        for j in range(1, blocks):
             cur = _lowpass_profile(kabs / 2.0 ** j)
             rows.append(cur - prev)
             prev = cur
+        rows.append(1.0 - prev)
         windows = cache[blocks] = _read_only(np.stack(rows))
     return windows
 

@@ -429,13 +429,6 @@ def _keeps_operator(plan: OperatorPlan, ts) -> bool:
                for term in plan.coefficients(ts))
 
 
-def _check_rotation(mu: complex, temporal):
-    if abs(mu - 1.0) > temporal.mu_disc_radius + 1e-12:
-        raise DomainError(
-            f"ray rotation mu={mu} leaves the admissible disc of radius sin(angle)={temporal.mu_disc_radius}"
-        )
-
-
 _PHI_CONTOUR_POINTS = 32
 
 
@@ -525,10 +518,10 @@ def _window_constants(problem: CauchyProblem, member, t_nodes, dt, shared: dict)
 
 
 class _Lane:
-    """One member's sweep state inside a lockstep Picard window."""
+    """Member ``k``'s sweep state inside a lockstep Picard window."""
 
-    def __init__(self, k: int, t_nodes: np.ndarray, keeps: bool):
-        self.k, self.t_nodes, self.keeps = k, t_nodes, keeps      # keeps: see _keeps_operator
+    def __init__(self, k: int, member, t_nodes: np.ndarray, keeps: bool):
+        self.k, self.member, self.t_nodes, self.keeps = k, member, t_nodes, keeps   # keeps: see _keeps_operator
         self.sweeps, self.ratio, self.delta_prev, self.converged = 0, None, None, False
 
     def check(self, sweep: int, finite: bool, delta: float, scale: float, span, config: SolverConfig):
@@ -560,8 +553,7 @@ def _rows_of(keep: list, lanes: list, *stacks) -> list:
     return [[lanes[a] for a in keep]] + [None if x is None else x[keep] for x in stacks]
 
 
-def _picard_window(problem: CauchyProblem, members: list, span, config: SolverConfig,
-                   t_base=0.0, check_mu=True) -> list:
+def _picard_window(problem: CauchyProblem, members: list, span, config: SolverConfig) -> list:
     """Integrate one window for every member, in lockstep, with the frozen-generator scheme.
 
     The members' n + 1 nodes form one (K, n + 1, M, *grid) stack, whose
@@ -589,9 +581,9 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
     converges; or the exception its serial window raises (ConvergenceError
     when the fixed point stalls or exceeds the sweep budget,
     InstabilityError on non-finite iterates, whatever its coefficients,
-    source or reaction raise); or None when a stage shared with other
-    members raised, and the member has to redo the window alone to learn
-    its own outcome.
+    source or reaction raise).  When a stage the lanes share raises, each
+    lane still sweeping redoes the window alone, as its serial solve does,
+    to learn its own outcome.
     """
     op, grid, temporal = problem.op, problem.grid, problem.temporal
     if op.components != 1:
@@ -600,21 +592,19 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
         )
     outcomes = [None] * len(members)
     lanes, consts, sources = [], [], []
-    rays, shared = {}, {}              # nodes by mu, byte for byte; constants, see _window_constants
+    rays, shared = {}, {}              # nodes by (mu, t_base), byte for byte; constants, see _window_constants
     for k, m in enumerate(members):
         try:
-            if check_mu:
-                _check_rotation(m.mu, temporal)
-            ray = np.complex128(m.mu).tobytes()
+            ray = np.complex128([m.mu, m.t_base]).tobytes()
             if ray not in rays:        # kept once computed, so a member that raises raises its own error
-                rays[ray] = _time_nodes(span, config, m.mu, t_base, temporal)
+                rays[ray] = _time_nodes(span, config, m.mu, m.t_base, temporal)
             s_nodes, t_nodes, dt = rays[ray]
             keeps, c = _window_constants(problem, m, t_nodes, dt, shared)
             g = _source_stack(problem, m.plan, t_nodes, m.carried)
         except Exception as exc:       # where this member's serial window raises it
             outcomes[k] = exc
             continue
-        lanes.append(_Lane(k, t_nodes, keeps))
+        lanes.append(_Lane(k, m, t_nodes, keeps))
         consts.append(c)
         sources.append(g)
     if not lanes:
@@ -625,7 +615,7 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
 
     # zeroth iterate: free flight under the frozen generator
     traj_hat = np.empty((len(lanes), n + 1, 1) + grid.shape, dtype=np.complex128)
-    traj_hat[:, 0] = _fftn(np.stack([members[lane.k].w.values for lane in lanes]), grid)
+    traj_hat[:, 0] = _fftn(np.stack([lane.member.w.values for lane in lanes]), grid)
     prop = consts[:, 1, None]
     for j in range(n):
         np.multiply(prop, traj_hat[:, j], out=traj_hat[:, j + 1])
@@ -641,11 +631,12 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
             new_phys, deltas = traj_phys, np.zeros(len(lanes))
         else:
             try:
-                h = _bracket(problem, members, lanes, consts[:, 0], traj_hat, traj_phys, sources, config)
+                h = _bracket(problem, lanes, consts[:, 0], traj_hat, traj_phys, sources, config)
             except Exception as exc:
-                if len(lanes) == 1:
-                    outcomes[lanes[0].k] = exc
-                return outcomes              # a shared stage raised: the members redo the window alone
+                if len(lanes) > 1:
+                    break                    # a stage the lanes share raised: each redoes the window below
+                outcomes[lanes[0].k] = exc
+                return outcomes
 
             # few (K, n + 1, M, *grid) stacks live at once: each is dropped, or
             # overwritten in place, as soon as the sweep is done with it
@@ -687,9 +678,13 @@ def _picard_window(problem: CauchyProblem, members: list, span, config: SolverCo
         if len(keep) < len(lanes):
             lanes, traj_hat, traj_phys, consts, sources, peaks = _rows_of(
                 keep, lanes, traj_hat, traj_phys, consts, sources, peaks)
+    traj_hat = traj_phys = new_hat = new_phys = consts = sources = None
+    for lane in lanes:
+        (outcomes[lane.k],) = _picard_window(problem, [lane.member], span, config)
+    return outcomes
 
 
-def _bracket(problem: CauchyProblem, members: list, lanes: list, symbols: np.ndarray, traj_hat: np.ndarray,
+def _bracket(problem: CauchyProblem, lanes: list, symbols: np.ndarray, traj_hat: np.ndarray,
              traj_phys: np.ndarray, sources, config: SolverConfig) -> np.ndarray:
     """A sweep's h = P^_0 w^ - P^ w^ + FFT(F + g) of every lane's nodes (see ``_picard_window``).
 
@@ -704,11 +699,11 @@ def _bracket(problem: CauchyProblem, members: list, lanes: list, symbols: np.nda
         h = symbols[:, None, None] * traj_hat
         for a, lane in enumerate(lanes):
             if lane.keeps:
-                h[a] -= members[lane.k].plan.apply_hat(traj_hat[a], lane.t_nodes)
+                h[a] -= lane.member.plan.apply_hat(traj_hat[a], lane.t_nodes)
             else:
                 h[a] = 0.0
     if problem.reaction is not None or problem.source is not None:
-        plans, rows = [members[lane.k].plan for lane in lanes], traj_hat.reshape((-1,) + traj_hat.shape[2:])
+        plans, rows = [lane.member.plan for lane in lanes], traj_hat.reshape((-1,) + traj_hat.shape[2:])
         forcing = _add_forcing(problem, plans if len(plans) > 1 else plans[0], rows,
                                np.concatenate([lane.t_nodes for lane in lanes]), config, np.zeros_like(rows),
                                None if sources is None else sources.reshape(rows.shape),
@@ -1076,11 +1071,11 @@ def _gmres_step(problem: CauchyProblem, plan: OperatorPlan, t_nodes, c: complex,
     return step
 
 
-def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, span, mu,
-                config: SolverConfig, t_base, check_mu: bool, hold, hooked: bool):
+def _march_imex(problem: CauchyProblem, member, s_total, config: SolverConfig):
     """Crank-Nicolson on A with two-step Adams-Bashforth on the explicit part.
 
-    One march on w^, the solution's Fourier coefficients.  Node j forms the
+    One march on w^, the solution's Fourier coefficients, over the whole
+    span [0, s_total] of ``member``'s ray, from its start.  Node j forms the
     explicit part (AB2; at node 0 a predictor with the frozen explicit part,
     then a trapezoid corrector) and f^_j = FFT(mu dt explicit), None for a
     problem with neither a reaction nor a source.  It leaves the implicit
@@ -1094,15 +1089,15 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
 
     The march is its member's only window, and only the rows of its due
     nodes, ``_due_nodes(0, n, True, stride)``, outlive their step: it hands
-    them to ``hold(times, block, last)``, its member's ``_hold``, as soon as
-    it has made them, in read-only runs of at most _HOOK_BYTES, the run of
-    node n with ``last``.  A node it transforms takes one inverse FFT and a
+    them to its member's ``_hold(times, block, last)`` as soon as it has
+    made them, in read-only runs of at most _HOOK_BYTES, the run of node n
+    with ``last``.  A node it transforms takes one inverse FFT and a
     finite check of its values, any other a check of w^_{j+1}.  The explicit
     part takes the reaction's jets from w^_j (the corrector's from the
     predictor's coefficients), its beta = 0 jet from node j's values when
     node j was transformed, so a march transforms its due nodes only.
-    Unforced, under the blocks step and without a row hook (``hooked``),
-    it transforms its last node only, and first hands over the due nodes
+    Unforced, under the blocks step and without a row hook (``keep``), it
+    transforms its last node only, and first hands over the due nodes
     before it as one ``_Pending``, whose ``_Replay`` keeps w^_0 and the
     resolvent; a GMRES replay would repeat every solve, so a GMRES march
     has none.  The window it returns has no fields; it records one
@@ -1110,10 +1105,8 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
     step that served it as ``implicit`` and the build record as
     ``resolvent``.
     """
-    mu = complex(mu)
-    if check_mu:
-        _check_rotation(mu, problem.temporal)
-    s_nodes, t_nodes, dt = _time_nodes(span, config, mu, t_base, problem.temporal)
+    mu, t_base, plan, hold = member.mu, member.t_base, member.plan, member._hold
+    s_nodes, t_nodes, dt = _time_nodes((0.0, s_total), config, mu, t_base, problem.temporal)
     grid, c = problem.grid, 0.5 * mu * dt
     resolvent, record = None, {"refused": "time_dependent"}
     if problem.op.autonomous:
@@ -1134,11 +1127,11 @@ def _march_imex(problem: CauchyProblem, plan: OperatorPlan, w0: ComplexField, sp
             raise InstabilityError(f"non-finite iterate at t={t_nodes[j + 1]}; reduce dt")
         return new, values
 
-    w_hat = _fftn(w0.values, grid)
-    if not (forced or hooked) and resolvent is not None and len(due) > 1:
+    w_hat = _fftn(member.w.values, grid)
+    if not forced and member.keep is None and resolvent is not None and len(due) > 1:
         hold(times[:-1], _Pending(_Replay(w_hat, resolvent, t_nodes), due[:-1]))
         due, times = due[-1:], times[-1:]
-    size, run, at = _hook_rows(w0.values), [], 0       # run: the due rows made since the last hold
+    size, run, at = _hook_rows(member.w.values), [], 0       # run: the due rows made since the last hold
     e_j = explicit = values = None      # values: _ifftn(w_hat) once node j was transformed, else None
     for j in range(n):
         if forced:
@@ -1287,19 +1280,17 @@ def _release(error: Exception, frame) -> None:
         caller = caller.f_back
 
 
-def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig, check_mu: bool):
-    """Advance every member to s_total, recording each one's blocks or error on it.
+def _march(problem: CauchyProblem, members: list, s_total: float, config: SolverConfig):
+    """Advance every member to s_total by Picard windows, recording each one's blocks or error on it.
 
-    Under picard_voc the members start as one lockstep group sharing window
-    spans.  A member that halves its window, or has to redo one alone,
-    leaves the group and, once the group is done, continues alone (K = 1)
-    from its own state, on the serial schedule.  Under imex every member
-    marches alone, one after another, and no window is halved: a failed
-    march is the member's error.  Members after the first one to fail
-    are abandoned: a serial run in member order would never reach them.
+    The members start as one lockstep group sharing window spans.  A member
+    that halves its window leaves the group and, once the group is done,
+    continues alone (K = 1) from its own state, on the serial schedule.
+    Members after the first one to fail are abandoned: a serial run in
+    member order would never reach them.
     """
     eps = 1e-12 * max(1.0, s_total)
-    queue = [members] if config.integrator == "picard_voc" else [[m] for m in members]
+    queue = [members]
     while queue:
         group, pending = queue.pop(0), []
         while True:
@@ -1312,20 +1303,11 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
             bounds = (float(lead.s), float(lead.s + span))     # plain numbers, as messages print them
             last_window = lead.s + span >= s_total - eps
             started = time.perf_counter()
-            if config.integrator == "imex":
-                try:
-                    outcomes = [_march_imex(problem, lead.plan, lead.w, bounds, lead.mu, config, lead.t_base,
-                                            check_mu, lead._hold, lead.keep is not None)]
-                except Exception as exc:
-                    outcomes = [exc]
-            else:
-                outcomes = _picard_window(problem, group, bounds, config, lead.t_base, check_mu)
+            outcomes = _picard_window(problem, group, bounds, config)
             wall_s = time.perf_counter() - started
             stay = []
             for m, out in zip(group, outcomes):
-                if out is None:
-                    pending.append(m)
-                elif isinstance(out, ConvergenceError) and config.integrator == "picard_voc":
+                if isinstance(out, ConvergenceError):
                     if m.halvings >= config.max_window_halvings or span <= config.dt * (1.0 + 1e-9):
                         # the error keeps its type and traceback, so its origin stays the judging line
                         out.args = (f"{out} after {m.halvings} window halvings at solver.dt = {config.dt}; "
@@ -1349,11 +1331,11 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
         queue[:0] = [[m] for m in pending]
 
 
-def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_base=0.0,
-           check_mu=True, keep=None) -> list:
+def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_base=0.0, keep=None) -> list:
     """Solve for every member (mu, shift, start) along t = t_base + mu s, s in [0, s_total].
 
-    One driver for one member or many (see ``_march``); every member gets
+    One driver for one member or many: lockstep Picard windows (``_march``),
+    or under imex one ``_march_imex`` per member in turn; every member gets
     the bits, sweep counts and halvings of its own serial solve.
     ``keep(index, times, block)`` is a row hook: every row a member would
     store (the start row and the rows due by the snapshot stride, checked
@@ -1375,10 +1357,7 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
     if not s_total > 1e-12:  # _march counts a span within 1e-12 of its end as done
         raise ConfigurationError(f"integration length must exceed 1e-12, got {s_total!r}")
     config = config if config is not None else SolverConfig()
-    if config.integrator == "imex":
-        window = s_total
-    else:
-        window = config.window if config.window is not None else 32.0 * config.dt
+    window = config.window if config.window is not None else 32.0 * config.dt
 
     states = []
     for index, (mu, shift, start) in enumerate(members):
@@ -1391,7 +1370,17 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
             states.append(exc)
             break
     marched = [m for m in states if isinstance(m, _Member)]
-    _march(problem, marched, s_total, config, check_mu)
+    if config.integrator == "picard_voc":
+        _march(problem, marched, s_total, config)
+    else:
+        for m in marched:
+            started = time.perf_counter()
+            try:
+                win = _march_imex(problem, m, s_total, config)
+            except Exception as exc:   # a serial run in member order stops at the first error
+                m.error = exc
+                break
+            m.store(win, (0.0, float(s_total)), time.perf_counter() - started, True, config)
     for m in marched:
         if m.error is not None:
             _release(m.error, sys._getframe())
@@ -1405,8 +1394,8 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
 
 
 def _solve_one(problem: CauchyProblem, s_total, mu, config: SolverConfig, t_base=0.0,
-               shift=None, start: ComplexField = None, check_mu=True, keep=None) -> SolveResult:
-    (out,) = _solve(problem, s_total, [(mu, shift, start)], config, t_base, check_mu, keep)
+               shift=None, start: ComplexField = None, keep=None) -> SolveResult:
+    (out,) = _solve(problem, s_total, [(mu, shift, start)], config, t_base, keep)
     if isinstance(out, Exception):
         _release(out, sys._getframe())
         try:
@@ -1438,7 +1427,10 @@ def solve_real(problem: CauchyProblem, t0, horizon, config: SolverConfig = None,
 
 def solve_complex_ray(problem: CauchyProblem, mu, rho_max, config: SolverConfig = None,
                       shift=None) -> SolveResult:
-    """March along the rotated ray t = mu rho for rho in [0, rho_max]."""
+    """March along the rotated ray t = mu rho for rho in [0, rho_max], mu in the admissible disc."""
+    if abs(complex(mu) - 1.0) > problem.temporal.mu_disc_radius + 1e-12:
+        raise DomainError(f"ray rotation mu={complex(mu)} leaves the admissible disc of radius "
+                          f"sin(angle)={problem.temporal.mu_disc_radius}")
     return _solve_one(problem, float(rho_max), mu, config, t_base=0.0, shift=shift)
 
 
@@ -1470,7 +1462,7 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         raise DomainError(f"target t={complex(sigma, tau)} lies outside the temporal domain")
 
     mu1 = 1.0 + 1j * tau / t_prime
-    first = _solve_one(problem, t_prime, mu1, config, t_base=0.0, shift=shift, check_mu=False)
+    first = _solve_one(problem, t_prime, mu1, config, t_base=0.0, shift=shift)
     if sigma <= t_prime + 1e-12:
         first.diagnostics["segments"] = [first.diagnostics["windows"]]
         return first

@@ -212,7 +212,7 @@ def _inside(key):
 
 # What the tables do not decide: the library checks these (SolverConfig, XvaParams,
 # PayoffSpec, TemporalDomain, HermiteData, operator terms), or another key bounds them.
-HELD = {"seed", "output_dir", "grid.dim", "grid.points_per_axis", "solver", "temporal.angle",
+HELD = {"seed", "output_dir", "solver", "temporal.angle",
         "problem.operator.strip_half_width", "problem.operator.sigma", "problem.operator.q_S",
         "problem.operator.gamma_S", "problem.initial.center", "problem.initial.index",
         "problem.source.datum.center", "problem.source.datum.index", "run.t0",
@@ -220,8 +220,12 @@ HELD = {"seed", "output_dir", "grid.dim", "grid.points_per_axis", "solver", "tem
         "analyticity.mu_center_im", "analyticity.d_mu", "analyticity.path", "analyticity.hardy",
         "xva", "sweep", "ellipticity.z_points", "ellipticity.t_points",
         "maxreg.horizons", "maxreg.support", "convergence.dts", "convergence.base_dt"}
-# keys the tables bound loosely, drawn from the small ranges that keep the fuzz fast
-RANGES = {"grid.half_length": st.floats(1.0, math.pi), "run.horizon": st.floats(0.0, 0.05, exclude_min=True)}
+# keys the tables bound loosely, drawn from the small ranges that keep the fuzz fast; a normal
+# horizon keeps the default path splits, 0.4 and 0.6 of it, apart, and strides up to 2 leave the
+# three shifts central differencing needs of the fewest n_shifts the table admits, 5
+RANGES = {"grid.half_length": st.floats(1.0, math.pi), "grid.points_per_axis": st.sampled_from([8, 16, 32]),
+          "run.horizon": st.floats(0.0, 0.05, exclude_min=True, allow_subnormal=False),
+          "analyticity.strides": st.lists(st.integers(1, 2), min_size=1, max_size=2)}
 KINDS = {"problem.operator.kind": ["heat", "variable_heat"],
          "problem.initial.kind": ["gaussian", "mode"],
          "problem.source.datum.kind": ["gaussian", "mode"]}
@@ -266,16 +270,11 @@ def _too_narrow_for_the_shift(command, cfg) -> bool:
     return power * cfg["analyticity"]["y_half_width"] ** 2 / (2.0 * width ** 2) >= _EXP_OVERFLOW
 
 
-def _checks_nothing(command, cfg) -> bool:
-    """Whether ``verify-analyticity`` refuses the config because one of its checks would check
-    nothing, cross-field rules that ``tests/test_cli.py`` covers on their own: no stride leaves the
-    three of the ``n_shifts`` shifts that central differencing needs, or the default path splits,
-    0.4 and 0.6 of a (subnormal) horizon, round to one value."""
-    if command != "verify-analyticity":
-        return False
-    block, horizon = cfg["analyticity"], cfg["run"]["horizon"]
-    return (not any((block["n_shifts"] - 1) // stride >= 2 for stride in block["strides"])
-            or 0.4 * horizon == 0.6 * horizon)
+def _below_the_besov_floor(cfg) -> bool:
+    """Whether the config's grid is too coarse for a Besov norm of 3 dyadic blocks: a Nyquist
+    wavenumber pi n / (2 L), computed as ``Grid.nyquist`` computes it, below 2^4."""
+    grid = cfg["grid"]
+    return math.pi / (2.0 * grid["half_length"] / grid["points_per_axis"]) < 16.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # a numeric warning is an untyped failure path
@@ -286,11 +285,22 @@ def test_a_config_drawn_inside_the_tables_runs_or_fails_typed(drawn):
     command, sections = drawn
     cfg = _merged(BASE[command], sections)
     assume(not _too_narrow_for_the_shift(command, cfg))
-    assume(not _checks_nothing(command, cfg))
+    coarse = _below_the_besov_floor(cfg)
     code, stderr, manifest = _run(command, cfg)
+    # cross-field rules on the drawn grid: the Black-Scholes generator is one-dimensional, and the
+    # norm tables of solve and verify-analyticity need the Besov floor
+    if command == "xva" and cfg["grid"]["dim"] == 2:
+        assert code == 2 and "xva.params.heston:" in _invalid_detail(stderr), (cfg, stderr)
+        return
+    if coarse and command in ("solve", "verify-analyticity"):
+        assert code == 2 and "grid.points_per_axis" in _invalid_detail(stderr), (cfg, stderr)
+        return
     assert code in (0, 1), (cfg, stderr)
     failed = [job for job in manifest["job_status"] if job["status"] != "ok"]
     assert all(job["error"].startswith(TYPED) for job in failed), (cfg, failed)
+    if coarse and command == "maxreg":
+        (job,) = failed
+        assert "grid.points_per_axis" in job["error"] and "grid.half_length" in job["error"], (cfg, job)
 
 
 def test_the_benchmark_configs_pass_the_tables(monkeypatch):

@@ -274,6 +274,44 @@ def test_a_failing_shared_stage_is_redone_member_by_member():
         assert_same_solve(res, ps.solve_real(problem, 0.0, 0.12, config, shift=[y * 1j]))
 
 
+def test_the_members_that_pass_a_redone_window_march_together_again(monkeypatch):
+    # the reaction refuses y > 0.25 after t = 0.05, in the second window: each member redoes
+    # that window alone, and the seven it accepts march the third window as one group again
+    problem = semilinear_problem()
+    inner = problem.reaction.eval
+
+    def refusing(z, t, X):
+        if np.any(z.imag > 0.25) and np.any(np.real(t) > 0.05):
+            raise DomainError(f"refused at shift {float(np.max(z.imag)):.2f}")
+        return inner(z, t, X)
+
+    problem.reaction.eval = refusing
+    window, sizes = solver._picard_window, []
+    monkeypatch.setattr(solver, "_picard_window",
+                        lambda problem, members, *a: sizes.append(len(members)) or window(problem, members, *a))
+    config = ps.SolverConfig(dt=0.01, window=0.04)
+    got = _solve(problem, 0.12, [(1.0, [y * 1j], None) for y in SEMILINEAR_YS], config)
+    assert sizes == [9, 9] + [1] * 9 + [7]
+    assert len(got) == 8 and str(got[-1]) == "refused at shift 0.30"
+    for y, res in zip(SEMILINEAR_YS, got[:-1]):
+        assert_same_solve(res, ps.solve_real(problem, 0.0, 0.12, config, shift=[y * 1j]))
+
+
+def test_an_imex_family_marches_each_member_once_over_its_whole_span(heat_problem, monkeypatch):
+    march, calls = solver._march_imex, []
+
+    def counted(problem, member, s_total, config):
+        calls.append((member.index, s_total))
+        return march(problem, member, s_total, config)
+
+    monkeypatch.setattr(solver, "_march", lambda *a: pytest.fail("an imex solve marches no Picard window"))
+    monkeypatch.setattr(solver, "_march_imex", counted)
+    config = ps.SolverConfig(dt=0.01, window=0.02, integrator="imex")
+    fam = ps.solve_shift_family(heat_problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config)
+    assert calls == [(0, 0.05), (1, 0.05), (2, 0.05)]
+    assert all(len(fam.member(y).diagnostics["windows"]) == 1 for y in fam.y_values)
+
+
 def test_a_non_finite_right_hand_side_block_raises_an_instability(heat_problem):
     # the source turns to nan at the last node only: every iterate stays
     # finite, and only the right-hand side evaluated there when read shows it

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import parastrip as ps
 from parastrip.errors import ConfigurationError
-from parastrip.norms import _besov_norms, _lp_norms, _lp_windows
+from parastrip.norms import _besov_norms, _fit_blocks, _lp_norms, _lp_windows
 
 
 def mode(grid, k, amplitude=1.0):
@@ -140,3 +140,33 @@ def test_batched_besov_matches_besov_norm_bit_for_bit_on_a_gaussian_family():
     for b, v in enumerate(stack):
         field = ps.ComplexField(grid, v)
         assert got[b] == ps.besov_norm(field, params) == reference_besov(field, params)
+
+
+@pytest.mark.parametrize("dim, n, L", [(1, 256, 10.0), (1, 256, 6.0), (1, 64, np.pi), (2, 128, 10.0), (2, 32, 3.0)])
+def test_the_windows_sum_to_one_on_every_mode(dim, n, L):
+    # the last window is the remainder above 2^(J-1), so no mode up to the Nyquist weighs zero
+    grid = ps.make_grid(dim, L, n)
+    windows = _lp_windows(grid, _fit_blocks(grid))
+    np.testing.assert_allclose(windows.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim, k", [(1, (16,)), (1, (33,)), (1, (127,)), (2, (20, 10)), (2, (31, 31))])
+def test_a_single_mode_above_2_to_the_j_weighs_2_to_the_js_times_its_lp_norm(dim, k):
+    grid = ps.make_grid(dim, np.pi, 256 if dim == 1 else 64)
+    params = ps.NormParams(p=4.0, m=1, dyadic_blocks=_fit_blocks(grid))
+    assert params.dyadic_blocks == 4 and np.linalg.norm(k) >= 2 ** params.dyadic_blocks
+    phase = sum(k_axis * x for k_axis, x in zip(k, grid.meshgrid()))
+    field = ps.ComplexField(grid, np.exp(1j * phase)[np.newaxis])
+    assert ps.besov_norm(field, params) == pytest.approx(2.0 ** (4 * params.s) * ps.lp_norm(field, 4.0), rel=1e-12)
+
+
+def test_a_top_band_perturbation_moves_the_norm():
+    # the benchmark grid: Nyquist 40.2 hosts J = 4; a Gaussian has no energy above 2^J, so a small
+    # mode at |k| = 34.6 > 2^(J+1) adds its own weighted L^p mass to the norm's p-th power
+    grid = ps.make_grid(1, 10.0, 256)
+    params = ps.NormParams(p=4.0, m=1, dyadic_blocks=_fit_blocks(grid))
+    gaussian = ps.ComplexField(grid, np.exp(-0.5 * grid.axis_nodes() ** 2)[np.newaxis])
+    bump = mode(grid, np.pi * 110 / 10.0, amplitude=1e-3)
+    perturbed = ps.ComplexField(grid, gaussian.values + bump.values)
+    added = ps.besov_norm(perturbed, params) ** 4 - ps.besov_norm(gaussian, params) ** 4
+    assert added == pytest.approx(2.0 ** (4 * params.s * 4) * ps.lp_norm(bump, 4.0) ** 4, rel=1e-6)

@@ -121,6 +121,16 @@ def test_ray_rotation_outside_disc_rejected(heat_problem):
         ps.solve_complex_ray(heat_problem, 1.0 + 0.8j, 0.1, ps.SolverConfig(dt=1e-2))
 
 
+@pytest.mark.parametrize("integrator", ["picard_voc", "imex"])
+def test_a_ray_outside_the_disc_is_refused_before_any_march(heat_problem, integrator, monkeypatch):
+    # the disc is a rule of the ray API, checked once before the solve, not in every window
+    for name in ("_picard_window", "_march_imex"):
+        monkeypatch.setattr(parastrip.solver, name, lambda *a, name=name: pytest.fail(f"{name} was called"))
+    config = ps.SolverConfig(dt=1e-2, integrator=integrator)
+    with pytest.raises(DomainError, match=r"^ray rotation mu=\(1\+0\.8j\) leaves the admissible disc of radius"):
+        ps.solve_complex_ray(heat_problem, 1.0 + 0.8j, 0.1, config)
+
+
 def test_path_reaches_complex_target(heat_problem):
     res = ps.solve_along_path(heat_problem, 0.5, 0.1, 0.2, ps.SolverConfig(dt=1e-3))
     assert res.times[-1] == pytest.approx(0.5 + 0.1j, abs=1e-12)
@@ -832,15 +842,15 @@ def test_imex_gmres_failure_is_not_retried_on_halved_windows(monkeypatch):
     # window halving is picard_voc's remedy: a failed imex march ends the solve at dt, not below it
     march, spans = parastrip.solver._march_imex, []
 
-    def counted(problem, plan, w0, span, *args):
-        spans.append(span)
-        return march(problem, plan, w0, span, *args)
+    def counted(problem, member, s_total, config):
+        spans.append(s_total)
+        return march(problem, member, s_total, config)
 
     monkeypatch.setattr(parastrip.solver, "_march_imex", counted)
     cfg = ps.SolverConfig(dt=0.01, integrator="imex", gmres_tol=1e-300)
     with pytest.raises(ps.ConvergenceError, match=r"at t=\(0\.02"):
         ps.solve_real(_variable_heat_on_eight_points(), 0.0, 0.5, cfg)
-    assert spans == [(0.0, 0.5)]
+    assert spans == [0.5]
 
 
 def _picard_failure():
