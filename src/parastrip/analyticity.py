@@ -53,6 +53,13 @@ def _key(y):
     return tuple(round(float(v), 12) for v in np.atleast_1d(y))
 
 
+def _check_symmetric(keys):
+    """Refuse a y-grid of snapped keys that is not symmetric about zero or lacks zero."""
+    negated = {tuple(-v for v in k) for k in keys}
+    if negated != set(keys) or all(any(v != 0.0 for v in k) for k in keys):
+        raise ConfigurationError("family y-grid must be symmetric about zero and contain zero")
+
+
 @dataclass
 class ShiftFamily:
     """Solutions of the same problem shifted by iy across a symmetric y-grid."""
@@ -66,9 +73,7 @@ class ShiftFamily:
         keys = [_key(y) for y in self.y_values]
         if sorted(keys) != sorted(self.results.keys()):
             raise ConfigurationError("family y-grid and result keys disagree")
-        negated = {tuple(-v for v in k) for k in keys}
-        if negated != set(keys) or all(any(v != 0.0 for v in k) for k in keys):
-            raise ConfigurationError("family y-grid must be symmetric about zero and contain zero")
+        _check_symmetric(keys)
         times = self.results[keys[0]].times
         for k in keys[1:]:
             other = self.results[k].times
@@ -117,6 +122,7 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     for y in ys:
         if not strip.contains(1j * y):
             raise DomainError(f"shift y={tuple(map(float, y))} leaves the strip of half width {strip.half_width}")
+    _check_symmetric([_key(y) for y in ys])
     ys = sorted(ys, key=_key)
     try:
         start, s_total = _real_span(t0, horizon)

@@ -200,14 +200,11 @@ def write_svg(out_dir: Path, name: str, series, title: str, x_label: str, y_labe
 
 def emit_report(checks, out_dir: Path) -> list:
     """Summary table of measured values against their targets, CSV plus text."""
-    rows = [(name, value, target, passed) for name, value, target, passed in checks]
     files = [write_csv(out_dir, "report.csv", ["name", "value", "target", "status"],
-                       [(n, v, t, "pass" if ok else "fail") for n, v, t, ok in rows])]
-    lines = []
-    for n, v, t, ok in rows:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {n}: {_fmt_cell(v)} (target {t})")
-    n_pass = sum(1 for r in rows if r[3])
-    lines.append(f"{n_pass}/{len(rows)} checks passed" if rows else "no checks recorded")
+                       [(n, v, t, "pass" if ok else "fail") for n, v, t, ok in checks])]
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {n}: {_fmt_cell(v)} (target {t})" for n, v, t, ok in checks]
+    n_pass = sum(1 for check in checks if check[3])
+    lines.append(f"{n_pass}/{len(checks)} checks passed" if checks else "no checks recorded")
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     files.append("report.txt")
     return files
@@ -594,9 +591,12 @@ def _check_integrator(op, integrator: str, errors: list, key: str = "solver.inte
         )
 
 
-def _check_solvable(v: dict, problem, grid, config, errors: list):
-    """Checks of solve and verify-analyticity: a grid fine enough for the Besov norm
-    tables; a system needs imex, and no initial datum (every kind is scalar) starts it."""
+def _solvable(v: dict, horizon, errors: list):
+    """The problem, grid and solver config of solve and verify-analyticity, checked: a grid fine
+    enough for the Besov norm tables; a system needs imex, and no initial datum (every kind is
+    scalar) starts it."""
+    problem, grid = _build_problem(v, horizon, errors)
+    config = _solver_config(v["solver"] or {}, errors)
     try:
         _fit_blocks(grid)
     except ConfigurationError as exc:
@@ -608,6 +608,7 @@ def _check_solvable(v: dict, problem, grid, config, errors: list):
             f"problem.operator.components: {op.components} components, but problem.initial.kind "
             f"{v['problem']['initial']['kind']!r} gives one, as every initial kind is scalar"
         )
+    return problem, grid, config
 
 
 def _orders(steps, errs) -> list:
@@ -634,27 +635,27 @@ def _stride_indices(n: int, limit: int = 60):
 # ---------------------------------------------------------------------------
 # commands: each takes the walked values, runs its checks, then its jobs
 
+_NORMS = ["t", "l2", "lp", "besov", "strip_norm"]   # the header of every norms.csv
+
+
 def _cmd_solve(v, out_dir, seed, record):
     errors = []
     horizon = v["run"]["horizon"]
-    problem, grid = _build_problem(v, horizon, errors)
-    config = _solver_config(v["solver"] or {}, errors)
-    _check_solvable(v, problem, grid, config, errors)
+    problem, grid, config = _solvable(v, horizon, errors)
     if errors:
         raise _Invalid(errors)
 
     result = record("solve", lambda: solve_real(problem, v["run"]["t0"], horizon, config))
     if result is None:
         return [], []
-    coords = grid.meshgrid().reshape(grid.dim, -1)
+    coords = grid.meshgrid().reshape(grid.dim, -1).tolist()
+    size = len(coords[0])
     head = ["t", "x1"] + (["x2"] if grid.dim == 2 else []) + ["component", "re_u", "im_u"]
     rows = []
     for j in _stride_indices(len(result.times)):
         t = float(np.real(result.times[j]))
-        for comp, flat in enumerate(result.fields[j].values.reshape(-1, coords.shape[1])):
-            for kk in range(flat.size):
-                rows.append((t, *[float(coords[ax, kk]) for ax in range(grid.dim)],
-                             comp, float(flat[kk].real), float(flat[kk].imag)))
+        for comp, flat in enumerate(result.fields[j].values.reshape(-1, size)):
+            rows.extend(zip([t] * size, *coords, [comp] * size, flat.real.tolist(), flat.imag.tolist()))
     files = [write_csv(out_dir, "trajectory.csv", head, rows)]
 
     def norm_table():
@@ -666,7 +667,7 @@ def _cmd_solve(v, out_dir, seed, record):
 
     norm_rows = record("norms", norm_table)
     if norm_rows is not None:
-        files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], norm_rows))
+        files.append(write_csv(out_dir, "norms.csv", _NORMS, norm_rows))
         ts = [r[0] for r in norm_rows]
         files.append(write_svg(out_dir, "norms.svg",
                                [("l2", ts, [r[1] for r in norm_rows]),
@@ -691,9 +692,7 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
     sigma = horizon if path["sigma"] is None else path["sigma"]
     tau = 0.1 * horizon if path["tau"] is None else path["tau"]
     t_primes = [0.4 * sigma, 0.6 * sigma] if path["t_primes"] is None else path["t_primes"]
-    problem, grid = _build_problem(v, horizon, errors)
-    config = _solver_config(v["solver"] or {}, errors)
-    _check_solvable(v, problem, grid, config, errors)
+    problem, grid, config = _solvable(v, horizon, errors)
     if problem is not None and not problem.data_strip.contains(1j * y_max):
         errors.append(
             f"analyticity.y_half_width: {y_max!r} must lie inside the coefficient strip, "
@@ -735,20 +734,17 @@ def _cmd_verify_analyticity(v, out_dir, seed, record):
                                [(f"t={t:g}", [p[0] for p in sorted(pairs)], [p[1] for p in sorted(pairs)])
                                 for t, pairs in per_t.items()],
                                "spatial CR residual", "dy", "residual", log_y=True))
-    if out.get("family_norms") is not None:
-        files.append(write_csv(out_dir, "norms.csv", ["t", "l2", "lp", "besov", "strip_norm"], out["family_norms"]))
-    if out.get("cr_time") is not None:
-        files.append(write_csv(out_dir, "cr_time.csv", ["d_mu", "rho", "residual"], out["cr_time"]))
-    rows = out.get("path_independence")
-    if rows is not None:
-        files.append(write_csv(out_dir, "path_independence.csv",
-                               ["sigma", "tau", "t_prime_a", "t_prime_b", "spread"], rows))
-        spread = max(row[-1] for row in rows)
+    paths, parts = out.get("path_independence"), out.get("hardy")
+    hardy = None if parts is None else [(0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"])]
+    for name, header, rows in (("norms", _NORMS, out.get("family_norms")),
+                               ("cr_time", ["d_mu", "rho", "residual"], out.get("cr_time")),
+                               ("path_independence", ["sigma", "tau", "t_prime_a", "t_prime_b", "spread"], paths),
+                               ("hardy", ["y", "tau", "lhs_du_dt", "lhs_derivs", "total"], hardy)):
+        if rows is not None:
+            files.append(write_csv(out_dir, f"{name}.csv", header, rows))
+    if paths is not None:
+        spread = max(row[-1] for row in paths)
         checks.append(("path_spread", spread, "< 1e-6", spread < 1e-6))
-    parts = out.get("hardy")
-    if parts is not None:
-        files.append(write_csv(out_dir, "hardy.csv", ["y", "tau", "lhs_du_dt", "lhs_derivs", "total"],
-                               [(0.0, tau, parts["du_dt"], parts["derivatives"], parts["total"])]))
     return files, checks
 
 

@@ -80,12 +80,11 @@ def lp_norm(field: ComplexField, p: float) -> float:
     """Discrete L^p norm over the box, components summed in the same power."""
     if not p >= 1.0:
         raise ConfigurationError(f"p must be >= 1, got {p!r}")
-    weight = field.grid.cell_volume
-    return float((np.sum(np.abs(field.values) ** p) * weight) ** (1.0 / p))
+    return _lp_norms(field.values[np.newaxis], field.grid, p)[0]
 
 
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> list:
-    """lp_norm of every row of a (B, M, *grid) stack, with the same rounding."""
+    """The L^p norm of every row of a (B, M, *grid) stack; ``lp_norm`` is its one-row case."""
     sums = np.sum(np.abs(values) ** p, axis=tuple(range(1, values.ndim)))
     return [float((total * grid.cell_volume) ** (1.0 / p)) for total in sums]
 

@@ -7,13 +7,12 @@ An operator of order 2m acts as
 applied pseudo-spectrally: D^beta by multiplier, variable coefficients by
 physical-space products dealiased with the 2/3 rule, then D^alpha by
 multiplier.  Constant coefficients skip the round trip and are exact on
-band-limited fields.  The same coefficient closures feed the ellipticity
-and Garding diagnostics.
+band-limited fields.  The same table of terms feeds the ellipticity and
+Garding diagnostics.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -97,23 +96,21 @@ def multi_indices(dim: int, max_order: int) -> list:
 class DivergenceOperator:
     """Order-2m divergence-form operator on M components.
 
-    ``coeff(alpha, beta, z, t)`` returns the coefficient of the
-    D^alpha(. D^beta) term; ``z`` stacks complex coordinates along the
-    leading axis and the result may be a scalar, an (M, M) matrix, or
-    either with trailing spatial axes.  ``terms`` lists the active
-    (alpha, beta) pairs; None means every pair with orders up to m.
-    ``autonomous`` records that ``coeff`` ignores t, so a plan evaluates
-    each term once; the default assumes nothing and evaluates at every
-    node.
+    ``terms`` is the table {(alpha, beta): c_{alpha beta}} of the active
+    D^alpha(. D^beta) terms, in summation order.  An entry is a constant or
+    a callable ``c(z, t)``, where ``z`` stacks complex coordinates along
+    the leading axis; either may be a scalar, an (M, M) matrix, or either
+    with trailing spatial axes.  ``autonomous`` records that no entry
+    depends on t, so a plan evaluates each term once; the default assumes
+    nothing and evaluates at every node.
     """
 
     order_half: int
     components: int
     dim: int
-    coeff: Callable
+    terms: dict
     strip: StripSpec
     temporal: TemporalDomain
-    terms: tuple = None
     autonomous: bool = False
 
     def __post_init__(self):
@@ -123,16 +120,13 @@ class DivergenceOperator:
             raise ConfigurationError("operator needs at least one component")
         if self.dim not in (1, 2):
             raise ConfigurationError("operator dimension must be 1 or 2")
-        if self.terms is None:
-            idx = multi_indices(self.dim, self.order_half)
-            self.terms = tuple(itertools.product(idx, idx))
-        else:
-            self.terms = tuple((tuple(a), tuple(b)) for a, b in self.terms)
-            for a, b in self.terms:
-                _check_multi_index(a, self.dim)
-                _check_multi_index(b, self.dim)
-                if sum(a) > self.order_half or sum(b) > self.order_half:
-                    raise ConfigurationError(f"term ({a}, {b}) exceeds operator order m={self.order_half}")
+        if not isinstance(self.terms, dict):
+            raise ConfigurationError("operator terms must be a dict {(alpha, beta): constant | callable(z, t)}")
+        self.terms = {(_check_multi_index(a, self.dim), _check_multi_index(b, self.dim)): entry
+                      for (a, b), entry in self.terms.items()}
+        for a, b in self.terms:
+            if sum(a) > self.order_half or sum(b) > self.order_half:
+                raise ConfigurationError(f"term ({a}, {b}) exceeds operator order m={self.order_half}")
 
     @classmethod
     def from_terms(cls, order_half, components, dim, term_map, strip, temporal,
@@ -142,47 +136,22 @@ class DivergenceOperator:
         The operator is autonomous when every entry is a constant, or when
         the caller states that its callables ignore t (``autonomous=True``).
         """
-        table = {
-            (tuple(a), tuple(b)): v for (a, b), v in term_map.items()
-        }
-
-        def coeff(alpha, beta, z, t):
-            entry = table.get((tuple(alpha), tuple(beta)))
-            if entry is None:
-                return 0.0
-            if callable(entry):
-                return entry(z, t)
-            return entry
-
-        return cls(
-            order_half=order_half,
-            components=components,
-            dim=dim,
-            coeff=coeff,
-            strip=strip,
-            temporal=temporal,
-            terms=tuple(table.keys()),
-            autonomous=autonomous or not any(map(callable, table.values())),
-        )
+        return cls(order_half, components, dim, term_map, strip, temporal,
+                   autonomous=autonomous or not any(map(callable, term_map.values())))
 
     def coefficient_matrix(self, alpha, beta, z, t) -> np.ndarray:
-        """Normalize a coefficient to shape (M, M) + trailing point axes."""
-        raw = np.asarray(self.coeff(tuple(alpha), tuple(beta), z, t), dtype=np.complex128)
+        """A term's coefficient at the points ``z``, shaped (M, M) + trailing point axes."""
+        entry = self.terms[(tuple(alpha), tuple(beta))]
+        raw = np.asarray(entry(z, t) if callable(entry) else entry, dtype=np.complex128)
         M = self.components
         point_shape = np.asarray(z).shape[1:]
-        if raw.ndim == 0:
+        if raw.shape in ((), point_shape):
             out = np.zeros((M, M) + point_shape, dtype=np.complex128)
-            out[(np.arange(M), np.arange(M))] = raw
-            return out
-        if raw.shape == point_shape:
-            out = np.zeros((M, M) + point_shape, dtype=np.complex128)
-            for i in range(M):
-                out[i, i] = raw
+            out[np.arange(M), np.arange(M)] = raw
             return out
         if raw.shape[:2] == (M, M) and raw.shape[2:] in ((), point_shape):
-            if raw.shape[2:] == ():
-                return np.broadcast_to(raw.reshape((M, M) + (1,) * len(point_shape)), (M, M) + point_shape).copy() if point_shape else raw
-            return raw
+            raw = raw.reshape((M, M) + (raw.shape[2:] or (1,) * len(point_shape)))
+            return np.broadcast_to(raw, (M, M) + point_shape).copy()
         raise ConfigurationError(
             f"coefficient for term ({alpha}, {beta}) has unusable shape {raw.shape}"
         )

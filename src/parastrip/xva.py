@@ -12,7 +12,7 @@ apply verbatim.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -310,29 +310,20 @@ def heston_chart_generator(params: XvaParams, grid: Grid, v_center: float = None
 
 
 def _with_zero_order(op: DivergenceOperator, rate: float) -> DivergenceOperator:
-    """Fold a constant zero-order rate (discounting) into the operator."""
+    """Fold a constant zero-order rate (discounting) into a copy of the operator's table.
+
+    A zero-order term keeps its place in the table; a missing one goes last.
+    """
     if rate == 0.0:
         return op
     zero = ((0,) * op.dim, (0,) * op.dim)
-    base = op.coeff
-
-    def coeff(alpha, beta, z, t):
-        val = base(alpha, beta, z, t)
-        if (tuple(alpha), tuple(beta)) == zero:
-            return np.asarray(val, dtype=np.complex128) + rate
-        return val
-
-    terms = tuple(dict.fromkeys(tuple(op.terms) + (zero,)))
-    return DivergenceOperator(
-        order_half=op.order_half,
-        components=op.components,
-        dim=op.dim,
-        coeff=coeff,
-        strip=op.strip,
-        temporal=op.temporal,
-        terms=terms,
-        autonomous=op.autonomous,
-    )
+    terms = dict(op.terms)
+    entry = terms.get(zero, 0.0)
+    if callable(entry):
+        terms[zero] = lambda z, t: np.asarray(entry(z, t), dtype=np.complex128) + rate
+    else:
+        terms[zero] = np.asarray(entry, dtype=np.complex128) + rate
+    return replace(op, terms=terms)
 
 
 def _pricing_config(grid: Grid, horizon: float, config: SolverConfig) -> SolverConfig:

@@ -28,9 +28,16 @@ def test_family_construction_and_member_lookup(heat_problem):
         fam.member([0.37])
 
 
-def test_family_rejects_asymmetric_grid(heat_problem):
-    with pytest.raises(ConfigurationError, match="symmetric"):
-        ps.solve_shift_family(heat_problem, [0.0, 0.1, 0.2], 0.0, 0.02, FAST)
+@pytest.mark.parametrize("y_grid", [[0.0, 0.1, 0.2], [-0.1, 0.1], [-0.2, 0.0, 0.1]])
+def test_family_rejects_asymmetric_grid(heat_problem, monkeypatch, y_grid):
+    # refused before any member is solved
+    from parastrip import analyticity
+
+    calls = []
+    monkeypatch.setattr(analyticity, "_solve", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigurationError, match="symmetric about zero and contain zero"):
+        ps.solve_shift_family(heat_problem, y_grid, 0.0, 0.02, FAST)
+    assert calls == []
 
 
 def test_family_rejects_shift_outside_strip():

@@ -228,24 +228,26 @@ def test_a_failing_member_is_the_one_a_serial_run_meets_first(heat_problem):
 
 def test_a_failing_member_keeps_its_error_type(heat_problem):
     # a member's typed error surfaces with its own type; anything else is wrapped as the base one
-    def source(t, grid, shift):
-        if np.imag(shift[0]) > 0.05:
-            raise ConfigurationError("source refuses this shift")
-        if np.imag(shift[0]) < -0.05:
-            raise ZeroDivisionError("untyped")
-        return np.zeros((1,) + grid.shape)
+    def refusing(sign, kind, message):
+        """A source that raises kind(message) for the member whose shift has sign * y > 0.05."""
+        def source(t, grid, shift):
+            if sign * np.imag(shift[0]) > 0.05:
+                raise kind(message)
+            return np.zeros((1,) + grid.shape)
+        return source
 
-    problem = dataclasses.replace(heat_problem, source=source)
-    config = ps.SolverConfig(dt=0.01)
+    y_grid, config = [-0.1, 0.0, 0.1], ps.SolverConfig(dt=0.01)
+    problem = dataclasses.replace(heat_problem, source=refusing(1, ConfigurationError, "source refuses this shift"))
     with pytest.raises(ConfigurationError, match=r"member y=\(0\.1,\) failed: source refuses") as info:
-        ps.solve_shift_family(problem, [0.0, 0.1], 0.0, 0.02, config)
+        ps.solve_shift_family(problem, y_grid, 0.0, 0.02, config)
     assert isinstance(info.value.__cause__, ConfigurationError)
+    problem = dataclasses.replace(heat_problem, source=refusing(-1, ZeroDivisionError, "untyped"))
     with pytest.raises(ParastripError, match=r"member y=\(-0\.1,\) failed: untyped") as info:
-        ps.solve_shift_family(problem, [-0.1, 0.0], 0.0, 0.02, config)
+        ps.solve_shift_family(problem, y_grid, 0.0, 0.02, config)
     assert type(info.value) is ParastripError and isinstance(info.value.__cause__, ZeroDivisionError)
     # a setting every member shares is reported by the first one, with its type
-    with pytest.raises(ConfigurationError, match=r"member y=\(0\.0,\) failed: integration length"):
-        ps.solve_shift_family(heat_problem, [0.0, 0.1], 0.0, 1e-13, config)
+    with pytest.raises(ConfigurationError, match=r"member y=\(-0\.1,\) failed: integration length"):
+        ps.solve_shift_family(heat_problem, y_grid, 0.0, 1e-13, config)
 
 
 def test_a_failing_shared_stage_is_redone_member_by_member():

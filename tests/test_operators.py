@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,9 @@ def test_operator_rejects_terms_above_order():
             strip=ps.StripSpec(1.0),
             temporal=ps.TemporalDomain(np.pi / 4, 1.0, 2.0),
         )
+    # the pairs alone, as the removed terms=/coeff= signature took them
+    with pytest.raises(ConfigurationError, match="terms must be a dict"):
+        ps.DivergenceOperator(1, 1, 1, (((1,), (1,)),), ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
 
 
 def test_heat_operator_is_squared_wavenumber_multiplier():
@@ -205,6 +210,34 @@ def test_leading_symbol_shapes_and_values():
     np.testing.assert_allclose(sym2, 8.0 * np.eye(2), atol=1e-14)
 
 
+def test_coefficient_matrix_shapes_every_kind_of_entry():
+    grid = ps.make_grid(2, 3.0, 8)
+    pts = grid.meshgrid().astype(complex) + 0.1j
+    e, z = [(1, 0), (0, 1)], (0, 0)
+    matrix = np.array([[1.0, 2.0 - 1j], [0.5j, 4.0]])
+    field = np.stack([np.cos(pts[0]), pts[1], np.sin(pts[1]), 1.0 + pts[0] * pts[1]]).reshape((2, 2) + grid.shape)
+    op = ps.DivergenceOperator.from_terms(1, 2, 2, {
+        (e[0], e[0]): 1.5 + 0.5j,                                  # a scalar
+        (e[1], e[1]): lambda z, t: np.cos(z[0]) + t * z[1],        # point-shaped
+        (e[0], e[1]): matrix,                                      # (M, M)
+        (z, z): lambda z, t: field,                                # (M, M, *points)
+        (z, e[0]): lambda z, t: np.ones(3),                        # none of those
+    }, ps.StripSpec(1.0), ps.TemporalDomain(np.pi / 4, 1.0, 2.0))
+    eye = np.eye(2).reshape((2, 2, 1, 1))
+    want = {(e[0], e[0]): eye * (1.5 + 0.5j), (e[1], e[1]): eye * (np.cos(pts[0]) + 0.25 * pts[1]),
+            (e[0], e[1]): matrix.reshape(2, 2, 1, 1), (z, z): field}
+    for (alpha, beta), expected in want.items():
+        got = op.coefficient_matrix(alpha, beta, pts, 0.25)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got, np.broadcast_to(expected, (2, 2) + grid.shape))
+    got = op.coefficient_matrix(e[0], e[1], pts, 0.25)
+    got[0, 0] = 0.0                                                # a copy: the table keeps its entry
+    assert matrix[0, 0] == 1.0
+    assert op.coefficient_matrix(e[0], e[1], pts[:, 0, 0], 0.0).shape == (2, 2)
+    with pytest.raises(ConfigurationError, match=r"unusable shape \(3,\)"):
+        op.coefficient_matrix(z, e[0], pts, 0.0)
+
+
 def test_ellipticity_constant_tracks_rotation(rng):
     op = make_heat_operator()
     z_points = [np.zeros(1, dtype=complex)]
@@ -330,6 +363,8 @@ def test_autonomous_is_inferred_from_constants_or_stated():
     assert ps.DivergenceOperator.from_terms(1, 1, 1, ripple, ps.StripSpec(1.0), temporal,
                                            autonomous=True).autonomous
     assert not periodic_variable_operator().autonomous
+    # stated on the operator itself, e.g. by dataclasses.replace, it is kept as stated
+    assert not dataclasses.replace(const, autonomous=False).autonomous
 
 
 def test_autonomous_plan_evaluates_each_coefficient_once():
@@ -399,7 +434,7 @@ def test_spectral_core_of_constant_coefficients_is_the_symbol():
     hat = rng.standard_normal((2, 1) + g.shape) + 1j * rng.standard_normal((2, 1) + g.shape)
     want = np.zeros_like(hat)
     for alpha, beta in op.terms:
-        c = op.coeff(alpha, beta, None, 0.0)
+        c = op.terms[(alpha, beta)]
         want += c * (hat * ps.derivative_multiplier(g, beta)) * ps.derivative_multiplier(g, alpha)
     np.testing.assert_array_equal(ps.OperatorPlan(op, g, shift).apply_hat(hat, [0.0, 0.5]), want)
 

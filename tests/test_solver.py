@@ -891,7 +891,7 @@ def test_a_dropped_solver_error_keeps_nothing_alive(entry):
 
     problem, config = _picard_failure(), ps.SolverConfig(dt=0.01)
     solve = {"solve_real": lambda: ps.solve_real(problem, 0.0, 0.05, config),
-             "solve_shift_family": lambda: ps.solve_shift_family(problem, [0.0, 0.1], 0.0, 0.05, config),
+             "solve_shift_family": lambda: ps.solve_shift_family(problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config),
              "cr_residual_time": lambda: cr_residual_time(problem, 1.0, 0.01, 0.05, config)}[entry]
 
     def fail():

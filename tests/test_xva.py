@@ -359,7 +359,29 @@ def test_heston_chart_generators_are_autonomous():
     from parastrip.xva import _with_zero_order
 
     discounted = _with_zero_order(op, 0.05)
-    assert discounted.autonomous and discounted.terms[-1] == ((0, 0), (0, 0))
+    assert discounted.autonomous and list(discounted.terms)[-1] == ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("as_callable", [False, True])
+def test_discount_adds_its_rate_to_a_zero_order_term_in_its_place(as_callable):
+    from parastrip.xva import _with_zero_order
+
+    zero = ((0,), (0,))
+    entry = (lambda z, t: 0.1 + 0.05 * np.cos(np.asarray(z)[0])) if as_callable else 0.1 - 0.02j
+    terms = {((1,), (1,)): 0.5, zero: entry, ((0,), (1,)): -0.3j}
+    temporal = ps.TemporalDomain(np.pi / 4, 1.0, 2.0)
+    op = ps.DivergenceOperator.from_terms(1, 1, 1, terms, ps.StripSpec(1.0), temporal)
+    discounted = _with_zero_order(op, 0.05)
+    assert list(discounted.terms) == list(terms) and discounted.autonomous == op.autonomous
+    assert op.terms[zero] is entry                      # the operator's own table is untouched
+    summed = dict(terms)
+    summed[zero] = (lambda z, t: entry(z, t) + 0.05) if as_callable else entry + 0.05
+    by_hand = ps.DivergenceOperator.from_terms(1, 1, 1, summed, ps.StripSpec(1.0), temporal)
+    grid = ps.make_grid(1, 3.0, 32)
+    x = grid.axis_nodes()
+    f = ps.ComplexField(grid, (np.exp(-x ** 2) * (1.0 + 0.5j * x))[np.newaxis])
+    np.testing.assert_array_equal(ps.apply_operator(discounted, f, 0.3).values,
+                                  ps.apply_operator(by_hand, f, 0.3).values)
 
 
 def test_heston_price_from_resolvent_blocks_matches_the_1200_iteration_gmres_march():
