@@ -330,12 +330,12 @@ def _usable_strides(n_shifts: int, strides) -> list:
     return usable
 
 
-def _paths(problem: CauchyProblem, sigma, tau, t_primes, config: SolverConfig = None, shift=None):
+def _paths(problem: CauchyProblem, sigma, tau, t_primes, config: SolverConfig = None):
     """A row (sigma, tau, t'_a, t'_b, sup |u_a - u_b|) per pair of splits of the two-segment paths
     to sigma + i tau, and the first path whole; of the others only the finals are kept."""
     t_primes, first, finals = _distinct_splits(t_primes), None, {}
     for tp in t_primes:
-        end = solve_along_path(problem, sigma, tau, tp, config, shift=shift)
+        end = solve_along_path(problem, sigma, tau, tp, config)
         first = end if first is None else first
         finals[tp] = np.array(end.final.values)     # a copy: a view would pin the last block
     rows = [(sigma, tau, a, b, float(np.max(np.abs(finals[a] - finals[b]))))
@@ -344,9 +344,9 @@ def _paths(problem: CauchyProblem, sigma, tau, t_primes, config: SolverConfig = 
 
 
 def path_independence_check(problem: CauchyProblem, sigma, tau, t_prime_list,
-                            config: SolverConfig = None, shift=None) -> float:
+                            config: SolverConfig = None) -> float:
     """Sup-norm spread of solve_along_path endpoints over at least two distinct segment splits."""
-    rows, _ = _paths(problem, sigma, tau, t_prime_list, config, shift=shift)
+    rows, _ = _paths(problem, sigma, tau, t_prime_list, config)
     return max(row[-1] for row in rows)
 
 

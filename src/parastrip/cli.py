@@ -70,21 +70,12 @@ COMMANDS = ("solve", "verify-analyticity", "xva", "ellipticity", "maxreg", "conv
 # ---------------------------------------------------------------------------
 # emission helpers
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return FLOAT_FMT % float(v)
-    return str(v)
-
-
 def _row_format(kinds: tuple):
-    """The %-template that formats a row of cells of types ``kinds`` as ``_fmt_cell`` does.
+    """The %-template of a row of cells of types ``kinds``: bool -> true/false, int -> %d,
+    float -> FLOAT_FMT, anything else -> %s.
 
-    Returns the template and the positions of bool cells, which the caller
-    spells out first.
+    Returns the template and the positions of bool cells, which
+    ``_format_row`` spells out first.
     """
     specs, bools = [], []
     for i, kind in enumerate(kinds):
@@ -100,23 +91,29 @@ def _row_format(kinds: tuple):
     return ",".join(specs), tuple(bools)
 
 
+def _format_row(row: tuple, formats: dict) -> str:
+    """``row``'s cells as ``_row_format`` spells them, comma-joined; ``formats`` caches its templates."""
+    kinds = tuple(map(type, row))
+    fmt = formats.get(kinds)
+    if fmt is None:
+        fmt = formats[kinds] = _row_format(kinds)
+    template, bools = fmt
+    if bools:
+        row = list(row)
+        for i in bools:
+            row[i] = "true" if row[i] else "false"
+        row = tuple(row)
+    return template % row
+
+
+def _fmt_cell(v) -> str:
+    return _format_row((v,), {})
+
+
 def write_csv(out_dir: Path, name: str, header, rows) -> str:
     """One %-format per row, its template chosen once per sequence of cell types."""
-    lines = [",".join(header)]
     formats = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = _row_format(kinds)
-        template, bools = fmt
-        if bools:
-            row = list(row)
-            for i in bools:
-                row[i] = "true" if row[i] else "false"
-            row = tuple(row)
-        lines.append(template % row)
+    lines = [",".join(header)] + [_format_row(tuple(row), formats) for row in rows]
     (out_dir / name).write_text("\n".join(lines) + "\n")
     return name
 
@@ -1020,7 +1017,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(_machine_error("unreadable config", str(exc)), file=sys.stderr)
         return 2
     errors = []
@@ -1033,7 +1030,12 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else v["seed"]
     jobs = max(1, int(args.jobs))
     out_dir = Path(args.output or v["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(_machine_error("unwritable output", f"{'--output' if args.output else 'output_dir'}: {exc}"),
+              file=sys.stderr)
+        return 2
     job_status = []
 
     def record(name, fn):

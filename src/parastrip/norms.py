@@ -45,14 +45,13 @@ def _fit_blocks(grid: Grid) -> int:
 class NormParams:
     """Exponents for the data norms.
 
-    ``s`` defaults to the parabolic trace smoothness 2 m (1 - 1/p).  The
-    standing condition p > 2 + N/m depends on the dimension N, so it is a
+    The smoothness ``s`` is the parabolic trace smoothness 2 m (1 - 1/p).
+    The standing condition p > 2 + N/m depends on the dimension N, so it is a
     separate check, ``require_standing_condition(N)``.
     """
 
     p: float = 4.0
     m: int = 1
-    s: float = None
     dyadic_blocks: int = 4
 
     def __post_init__(self):
@@ -60,13 +59,13 @@ class NormParams:
             raise ConfigurationError(f"p must exceed 1, got {self.p!r}")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ConfigurationError(f"m must be a positive integer, got {self.m!r}")
-        if self.s is None:
-            object.__setattr__(self, "s", 2.0 * self.m * (1.0 - 1.0 / self.p))
-        if not 0.0 < self.s <= 2.0 * self.m:
-            raise ConfigurationError(f"smoothness s must lie in (0, 2m], got {self.s!r}")
         J = self.dyadic_blocks
         if not (isinstance(J, (int, np.integer)) and J >= MIN_DYADIC_BLOCKS):
             raise ConfigurationError(f"dyadic_blocks must be an integer >= {MIN_DYADIC_BLOCKS}, got {J!r}")
+
+    @property
+    def s(self) -> float:
+        return 2.0 * self.m * (1.0 - 1.0 / self.p)
 
     def require_standing_condition(self, dim: int):
         bound = 2.0 + dim / self.m
@@ -154,8 +153,8 @@ def _besov_norms(values: np.ndarray, grid: Grid, params: NormParams) -> list:
     pieces = None
     powers **= params.p
     sums = np.sum(powers, axis=tuple(range(2, powers.ndim)))
-    weight, p = grid.cell_volume, params.p
-    scales = [2.0 ** (j * params.s * p) for j in range(1, len(sums))]
+    weight, p, smoothness = grid.cell_volume, params.p, params.s
+    scales = [2.0 ** (j * smoothness * p) for j in range(1, len(sums))]
     out = []
     for row in sums.T.tolist():
         # the scalar steps of lp_norm(piece, p) ** p, block by block

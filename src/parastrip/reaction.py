@@ -123,17 +123,15 @@ class ReactionSpec:
     axis of time nodes first, ``z`` is a read-only broadcast view, and
     ``t`` holds the node times shaped (B,) + (1,) * dim, so it broadcasts
     against the points.  Elsewhere ``t`` may be a scalar.  ``eval`` must be
-    pointwise in the point axes, batch axis included.  ``jet_jacobian(z, t,
-    X)``, if given, returns d f_j / d X_{slot,k} with shape (M, n_slots, M,
-    *points).  ``domain_check(X)`` returns a truth mask of admissible jet
-    values that broadcasts against ``X``.
+    pointwise in the point axes, batch axis included.  ``domain_check(X)``
+    returns a truth mask of admissible jet values that broadcasts against
+    ``X``.  ``jet_lipschitz_estimate`` differentiates ``eval`` numerically.
     """
 
     order_half: int
     components: int
     dim: int
     eval: Callable
-    jet_jacobian: Callable = None
     domain_check: Callable = None
 
     def __post_init__(self):
@@ -251,8 +249,8 @@ def jet_lipschitz_estimate(spec: ReactionSpec, jet_box, z_points, t_points, rng,
     """Sampled sup of |d f_j / d X_{slot,k}| over the jet box.
 
     ``jet_box`` gives one ((re_lo, re_hi), (im_lo, im_hi)) rectangle per jet
-    slot; samples are drawn uniformly.  Uses the analytic jacobian when the
-    spec provides one.
+    slot; samples are drawn uniformly.  The jacobian is ``_numeric_jet_jacobian``
+    of the spec's ``eval``.
     """
     if len(jet_box) != spec.n_slots:
         raise ConfigurationError(f"jet box must give one rectangle per slot ({spec.n_slots})")
@@ -268,9 +266,5 @@ def jet_lipschitz_estimate(spec: ReactionSpec, jet_box, z_points, t_points, rng,
             )
         z = np.asarray(z_points[rng.integers(len(z_points))], dtype=np.complex128).reshape(spec.dim, 1)
         t = t_points[rng.integers(len(t_points))]
-        if spec.jet_jacobian is not None:
-            jac = np.asarray(spec.jet_jacobian(z, t, X))
-        else:
-            jac = _numeric_jet_jacobian(spec, z, t, X)
-        sup = max(sup, float(np.max(np.abs(jac))))
+        sup = max(sup, float(np.max(np.abs(_numeric_jet_jacobian(spec, z, t, X)))))
     return sup

@@ -60,7 +60,7 @@ from .grid import (
 from .norms import NormParams, _fit_blocks, _lp_norms, _smooth_step, besov_norm
 # apply_operator stays importable as parastrip.solver.apply_operator, the name that
 # perfbench/test_oracles.py reads; the solver itself applies P through one plan per solve
-from .operators import DivergenceOperator, OperatorPlan, apply_operator  # noqa: F401
+from .operators import DivergenceOperator, OperatorPlan, TemporalDomain, apply_operator  # noqa: F401
 from .reaction import ReactionSpec, _nemytskii_stack
 
 __all__ = [
@@ -89,7 +89,8 @@ class CauchyProblem:
     ``source`` is ``g(t, grid, shift)`` returning field values; ``reaction``
     is a ReactionSpec acting on the derivative jets of the solution and must
     share the operator's component count, dimension, and jet depth.
-    ``temporal`` defaults to the operator's own domain and may only narrow it.
+    ``temporal`` is the operator's time domain, so a problem built with
+    ``replace(problem, op=...)`` has the new operator's.
     """
 
     grid: Grid
@@ -98,7 +99,6 @@ class CauchyProblem:
     reaction: ReactionSpec = None
     source: object = None
     strip: StripSpec = None
-    temporal: object = None
 
     def __post_init__(self):
         if self.grid.dim != self.op.dim:
@@ -109,17 +109,10 @@ class CauchyProblem:
                 raise ConfigurationError(
                     "reaction and operator must agree on dimension, components, and order"
                 )
-        if self.temporal is None:
-            self.temporal = self.op.temporal
-        # both boundaries are piecewise linear in sigma with kinks at their t', so the
-        # problem's upper boundary lies inside the operator's domain when these points do
-        inner, outer = self.temporal, self.op.temporal
-        sigmas = (inner.t_prime, min(outer.t_prime, inner.horizon), inner.horizon)
-        if not all(outer.contains(s + 1j * math.tan(inner.angle) * min(s, inner.t_prime)) for s in sigmas):
-            raise ConfigurationError(
-                f"problem temporal domain (angle {inner.angle}, t' {inner.t_prime}, horizon {inner.horizon}) "
-                f"is wider than the operator's (angle {outer.angle}, t' {outer.t_prime}, horizon {outer.horizon})"
-            )
+
+    @property
+    def temporal(self) -> TemporalDomain:
+        return self.op.temporal
 
     @property
     def data_strip(self) -> StripSpec:
@@ -1434,8 +1427,7 @@ def solve_complex_ray(problem: CauchyProblem, mu, rho_max, config: SolverConfig 
     return _solve_one(problem, float(rho_max), mu, config, t_base=0.0, shift=shift)
 
 
-def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: SolverConfig = None,
-                     shift=None) -> SolveResult:
+def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: SolverConfig = None) -> SolveResult:
     """Reach t = sigma + i tau along s + i min(s/t_prime, 1) tau, s in [0, sigma].
 
     Segment one is the rotated ray mu = 1 + i tau / t_prime up to s =
@@ -1462,20 +1454,13 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         raise DomainError(f"target t={complex(sigma, tau)} lies outside the temporal domain")
 
     mu1 = 1.0 + 1j * tau / t_prime
-    first = _solve_one(problem, t_prime, mu1, config, t_base=0.0, shift=shift)
+    first = _solve_one(problem, t_prime, mu1, config, t_base=0.0)
     if sigma <= t_prime + 1e-12:
         first.diagnostics["segments"] = [first.diagnostics["windows"]]
         return first
 
-    second = _solve_one(
-        problem,
-        sigma - t_prime,
-        1.0 + 0.0j,
-        config,
-        t_base=complex(t_prime, tau),
-        shift=shift,
-        start=first.final,
-    )
+    second = _solve_one(problem, sigma - t_prime, 1.0 + 0.0j, config, t_base=complex(t_prime, tau),
+                        start=first.final)
     # the second segment's one-row start block is the first segment's final row
     times = np.concatenate([first.times, second.times[1:]])
     blocks = first.stored + second.stored[1:]
@@ -1491,7 +1476,7 @@ def solve_along_path(problem: CauchyProblem, sigma, tau, t_prime, config: Solver
         "window_halvings": first.diagnostics["window_halvings"]
         + second.diagnostics["window_halvings"],
     }
-    # both segments share the problem, the shift and the config, hence the right-hand side
+    # both segments share the problem and the config, hence the right-hand side
     return SolveResult(first.grid, times, blocks, diag, first.rhs)
 
 
@@ -1607,7 +1592,7 @@ def default_maxreg_ensemble(grid: Grid, components: int, count: int, rng,
 
 
 def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: float,
-                              ensemble, config: SolverConfig = None, shift=None):
+                              ensemble, config: SolverConfig = None):
     """Empirical maximal-regularity constant M(T), a lower bound on the true one.
 
     For every sample the solution of u' = A u + g, u(0) = u0 is marched once
@@ -1654,7 +1639,7 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
         if sample.source is not None:
             source = lambda t, g, sh, f=sample.source: f(t)
         problem = CauchyProblem(grid, op, sample.initial, source=source)
-        res = solve_real(problem, 0.0, t_max, run_cfg, shift=shift)
+        res = solve_real(problem, 0.0, t_max, run_cfg)
         g_vals = np.zeros((len(nodes), op.components) + grid.shape, dtype=np.complex128)
         if sample.source is not None:
             for j, t in enumerate(nodes):

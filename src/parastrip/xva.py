@@ -215,13 +215,33 @@ def bs_log_generator(params: XvaParams, temporal: TemporalDomain = None) -> Dive
     )
 
 
+def _heston_terms(params: XvaParams, v, slope, rate) -> dict:
+    """The six terms of the stochastic-variance generator in (X = ln S, w).
+
+    ``v(z)`` is the variance at the points z, ``slope(z)`` its w-derivative
+    over ``rate``, and d/dv is taken as (1/rate) d/dw.  First-order
+    coefficients carry the divergence-form corrections for the
+    linear-in-v diffusion entries.
+    """
+    blk = params.heston
+    kappa, theta_v, sigma_v, rho = blk["kappa"], blk["theta"], blk["sigma_v"], blk["rho"]
+    drift_x = params.q_S - params.gamma_S
+    return {
+        ((1, 0), (1, 0)): lambda z, t: 0.5 * v(z),
+        ((1, 0), (0, 1)): lambda z, t: 0.5 * rho * sigma_v * v(z) / rate,
+        ((0, 1), (1, 0)): lambda z, t: 0.5 * rho * sigma_v * v(z) / rate,
+        ((0, 1), (0, 1)): lambda z, t: 0.5 * sigma_v ** 2 * v(z) / rate ** 2,
+        ((0, 0), (1, 0)): lambda z, t: -1j * (drift_x - 0.5 * v(z) - 0.5 * rho * sigma_v * slope(z)),
+        ((0, 0), (0, 1)): lambda z, t: -1j * (kappa * (theta_v - v(z)) - 0.5 * sigma_v ** 2 * slope(z)) / rate,
+    }
+
+
 def heston_generator(params: XvaParams, temporal: TemporalDomain = None) -> DivergenceOperator:
     """Stochastic-variance generator in (X = ln S, v), literal coordinates.
 
     The second coordinate is read as the variance and clamped to the
     declared band, so symbol and coercivity sampling ranges over exactly the
-    admissible states.  First-order coefficients carry the divergence-form
-    corrections for the linear-in-v diffusion entries.
+    admissible states.
     """
     if params.heston is None:
         raise ConfigurationError("heston block missing from the parameters")
@@ -231,21 +251,8 @@ def heston_generator(params: XvaParams, temporal: TemporalDomain = None) -> Dive
             f"variance floor v_min = {blk['v_min']!r} degenerates the diffusion; "
             "uniform ellipticity needs v_min > 0"
         )
-    kappa, theta_v, sigma_v, rho = blk["kappa"], blk["theta"], blk["sigma_v"], blk["rho"]
     v_lo, v_hi = blk["v_min"], blk["v_max"]
-    drift_x = params.q_S - params.gamma_S
-
-    def v_of(z):
-        return np.clip(np.real(np.asarray(z)[1]), v_lo, v_hi)
-
-    terms = {
-        ((1, 0), (1, 0)): lambda z, t: 0.5 * v_of(z),
-        ((1, 0), (0, 1)): lambda z, t: 0.5 * rho * sigma_v * v_of(z),
-        ((0, 1), (1, 0)): lambda z, t: 0.5 * rho * sigma_v * v_of(z),
-        ((0, 1), (0, 1)): lambda z, t: 0.5 * sigma_v ** 2 * v_of(z),
-        ((0, 0), (1, 0)): lambda z, t: -1j * (drift_x - 0.5 * v_of(z) - 0.5 * rho * sigma_v),
-        ((0, 0), (0, 1)): lambda z, t: -1j * (kappa * (theta_v - v_of(z)) - 0.5 * sigma_v ** 2),
-    }
+    terms = _heston_terms(params, lambda z: np.clip(np.real(np.asarray(z)[1]), v_lo, v_hi), lambda z: 1.0, 1.0)
     return DivergenceOperator.from_terms(
         1, 1, 2, terms, StripSpec(math.inf), temporal or _DEFAULT_TEMPORAL, autonomous=True
     )
@@ -269,9 +276,7 @@ def heston_chart_generator(params: XvaParams, grid: Grid, v_center: float = None
         raise ConfigurationError("heston block missing from the parameters")
     if grid.dim != 2:
         raise ConfigurationError("the variance chart needs a two-dimensional grid")
-    blk = params.heston
-    kappa, theta_v, sigma_v, rho = blk["kappa"], blk["theta"], blk["sigma_v"], blk["rho"]
-    v_lo, v_hi = blk["v_min"], blk["v_max"]
+    v_lo, v_hi = params.heston["v_min"], params.heston["v_max"]
     length = grid.half_length
     rate = (v_hi - v_lo) / (2.0 * length)
     amp = rate * length / math.pi
@@ -282,7 +287,6 @@ def heston_chart_generator(params: XvaParams, grid: Grid, v_center: float = None
             f"chart center {v_center!r} must keep v_center +- {amp:.6g} inside "
             f"the variance band [{v_lo!r}, {v_hi!r}]"
         )
-    drift_x = params.q_S - params.gamma_S
 
     def chart(w):
         w = np.asarray(w, dtype=np.complex128)
@@ -291,18 +295,7 @@ def heston_chart_generator(params: XvaParams, grid: Grid, v_center: float = None
     def chart_cos(w):
         return np.cos(math.pi * np.asarray(w, dtype=np.complex128) / length)
 
-    terms = {
-        ((1, 0), (1, 0)): lambda z, t: 0.5 * chart(np.asarray(z)[1]),
-        ((1, 0), (0, 1)): lambda z, t: 0.5 * rho * sigma_v * chart(np.asarray(z)[1]) / rate,
-        ((0, 1), (1, 0)): lambda z, t: 0.5 * rho * sigma_v * chart(np.asarray(z)[1]) / rate,
-        ((0, 1), (0, 1)): lambda z, t: 0.5 * sigma_v ** 2 * chart(np.asarray(z)[1]) / rate ** 2,
-        ((0, 0), (1, 0)): lambda z, t: -1j * (
-            drift_x - 0.5 * chart(np.asarray(z)[1]) - 0.5 * rho * sigma_v * chart_cos(np.asarray(z)[1])
-        ),
-        ((0, 0), (0, 1)): lambda z, t: -1j * (
-            kappa * (theta_v - chart(np.asarray(z)[1])) - 0.5 * sigma_v ** 2 * chart_cos(np.asarray(z)[1])
-        ) / rate,
-    }
+    terms = _heston_terms(params, lambda z: chart(np.asarray(z)[1]), lambda z: chart_cos(np.asarray(z)[1]), rate)
     op = DivergenceOperator.from_terms(
         1, 1, 2, terms, StripSpec(math.inf), temporal or _DEFAULT_TEMPORAL, autonomous=True
     )

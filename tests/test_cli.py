@@ -133,6 +133,44 @@ def test_unreadable_config_exits_2(tmp_path):
     assert "unreadable config" in proc.stderr
 
 
+def _solve_exit(tmp_path, capsys, *extra, prefix=b"", **keys):
+    """Exit code and machine error of an in-process ``solve`` on the ``BASE`` config with ``keys``
+    set, its file starting with the bytes ``prefix``."""
+    from parastrip.cli import main
+    from test_cli_config import BASE
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(prefix + json.dumps(dict(BASE["solve"], **keys)).encode())
+    code = main(["solve", "--config", str(cfg_path), *extra])
+    return code, json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_an_output_that_is_or_lies_under_a_file_exits_2_naming_output(tmp_path, capsys, under_a_file):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    code, err = _solve_exit(tmp_path, capsys, "--output", str(blocker / "out" if under_a_file else blocker))
+    assert code == 2
+    assert err["error"] == "unwritable output" and err["detail"].startswith("--output: ")
+    assert blocker.read_text() == "kept"
+
+
+def test_an_output_dir_that_names_a_file_exits_2_naming_the_key(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    code, err = _solve_exit(tmp_path, capsys, output_dir=str(blocker))
+    assert code == 2
+    assert err["error"] == "unwritable output" and err["detail"].startswith("output_dir: ")
+    assert blocker.read_text() == "kept"
+
+
+def test_a_config_that_does_not_decode_exits_2_as_unreadable(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, err = _solve_exit(tmp_path, capsys, "--output", str(out), prefix=b"\xff\xfe")
+    assert code == 2 and err["error"] == "unreadable config"
+    assert not out.exists()
+
+
 def test_failed_job_is_recorded_and_exits_1(tmp_path):
     cfg = {
         "grid": {"dim": 1, "half_length": 10.0, "points_per_axis": 64},

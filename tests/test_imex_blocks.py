@@ -8,7 +8,7 @@ import pytest
 
 import parastrip as ps
 import parastrip.solver
-from parastrip.errors import ConfigurationError, InstabilityError
+from parastrip.errors import DomainError, InstabilityError
 
 from conftest import heston_chart, make_heat_operator
 
@@ -381,11 +381,11 @@ def test_a_non_finite_iterate_raises_instability():
 
 
 def test_a_node_outside_the_operators_temporal_domain_raises():
-    # the problem's own domain reaches further than the operator's coefficients do: refused
-    # when the problem is built, naming both domains
+    # the problem's time domain is its operator's: an imex solve past that horizon is refused,
+    # naming it
     op = dataclasses.replace(variable_1d(), temporal=ps.TemporalDomain(np.pi / 4, 0.05, 0.05))
-    with pytest.raises(ConfigurationError, match=r"horizon 2\.0\) is wider than .*horizon 0\.05\)"):
-        problem_1d(op, temporal=TEMPORAL)
+    with pytest.raises(DomainError, match=r"horizon 0\.05\)"):
+        real_solve()(problem_1d(op))
 
 
 def test_reading_time_derivatives_stacks_consecutive_blocks(monkeypatch):

@@ -26,8 +26,6 @@ def test_norm_params_defaults_and_validation():
     with pytest.raises(ConfigurationError):
         ps.NormParams(p=4.0, m=0)
     with pytest.raises(ConfigurationError):
-        ps.NormParams(p=4.0, m=1, s=3.5)           # above 2m
-    with pytest.raises(ConfigurationError):
         ps.NormParams(p=4.0, dyadic_blocks=2)
 
 

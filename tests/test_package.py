@@ -215,6 +215,128 @@ def test_the_unread_public_name_check_sees_what_it_should():
     assert _unread_public_names({"a": a, "b": b}) == [("a", "lonely"), ("b", "spare")]
 
 
+# Defaulted parameters of the public callables that no call in the package sets, each with
+# the reason it stays.
+SETTINGS = {
+    "StepConstants(embedding=)": "an input of the paper's step bounds (ROADMAP item 8)",
+    "StepConstants(perturbation_lipschitz=)": "an input of the paper's step bounds (ROADMAP item 8)",
+    "StepConstants(zero_order=)": "an input of the paper's step bounds (ROADMAP item 8)",
+    "cr_residual_time(shift=)": "the shifted time residual of the strip check (ROADMAP item 14)",
+}
+
+
+def _defaulted_parameters(namespace, exempt) -> list:
+    """(label, callee, name, position, is a class's) of each parameter with a default of a public callable.
+
+    The callables are the names of ``namespace.__all__`` not in ``exempt``
+    and the public methods of its classes.  ``label`` reads ``f(name=)``,
+    ``Class(name=)`` or ``Class.method(name=)``; ``callee`` is the name a
+    call spells; ``position`` is the index among the positional
+    parameters, None for a keyword-only one.
+    """
+    import inspect
+
+    out = []
+    for name in namespace.__all__:
+        obj = getattr(namespace, name)
+        if name in exempt or not callable(obj):
+            continue
+        targets = [(name, name, obj, 0)]
+        if inspect.isclass(obj):
+            targets += [(f"{name}.{attr}", attr, getattr(obj, attr),
+                         0 if isinstance(raw, (staticmethod, classmethod)) else 1)
+                        for attr, raw in vars(obj).items()
+                        if not attr.startswith("_") and callable(getattr(obj, attr))]
+        for label, callee, fn, bound in targets:
+            try:
+                params = list(inspect.signature(fn).parameters.values())[bound:]
+            except ValueError:              # a builtin without a signature: nothing to set
+                continue
+            for i, param in enumerate(params):
+                if param.default is not param.empty:
+                    positional = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+                    out.append((f"{label}({param.name}=)", callee, param.name, i if positional else None,
+                                inspect.isclass(fn)))
+    return out
+
+
+def _calls(sources: dict) -> list:
+    """(callee, positional count, keyword names) of each call in the parsed ``sources``.
+
+    ``_library(label, errors, F, *args, **kwargs)`` counts as the call
+    ``F(*args, **kwargs)`` and ``cls(...)`` as a call of the class around
+    it.  A starred positional argument counts as any number of them, and a
+    ``**`` expansion puts None among the keyword names.
+    """
+    import ast
+    import math
+
+    out = []
+    for source in sources.values():
+        tree = ast.parse(source)
+        # ast.walk is breadth-first, so an inner class overrides the outer one's entries
+        owner = {id(inner): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", None) == "_library" and len(args) >= 3:
+                func, args = args[2], args[3:]
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            if callee == "cls":
+                callee = owner.get(id(node))
+            count = math.inf if any(isinstance(arg, ast.Starred) for arg in args) else len(args)
+            out.append((callee, count, {keyword.arg for keyword in node.keywords}))
+    return out
+
+
+def _unset_settings(namespace, sources: dict, exempt) -> list:
+    """Labels of the defaulted public parameters (``_defaulted_parameters``) that no call of ``sources`` sets.
+
+    A call sets a parameter by keyword, by position or by a ``**``
+    expansion; ``replace(obj, name=...)`` sets a class's parameter ``name``.
+    """
+    calls = _calls(sources)
+    out = []
+    for label, callee, name, position, of_class in _defaulted_parameters(namespace, exempt):
+        if not any(c == callee and (name in kw or None in kw or position is not None and position < n)
+                   or of_class and c == "replace" and name in kw for c, n, kw in calls):
+            out.append(label)
+    return sorted(out)
+
+
+def test_every_setting_is_set_by_the_package_or_is_listed():
+    import pathlib
+
+    sources = {path.stem: path.read_text()
+               for path in sorted(pathlib.Path(parastrip.__file__).parent.glob("*.py"))}
+    unset = set(_unset_settings(parastrip, sources, ENTRY_POINTS))
+    assert unset - set(SETTINGS) == set(), "settings nothing sets: set them, delete them or list them"
+    assert set(SETTINGS) - unset == set(), "listed settings the package now sets: take them off the list"
+
+
+def test_the_setting_check_sees_what_it_should():
+    import types
+
+    source = "\n".join([
+        "from dataclasses import dataclass, replace", "__all__ = ['Spec', 'f', 'g', 'h', 'entry']",
+        "@dataclass", "class Spec:", "    a: int", "    b: int = 0", "    c: int = 1", "    d: int = 2",
+        "    @classmethod", "    def make(cls, x=1):", "        return cls(0, c=x)",
+        "    def scaled(self, k=2, *, m=3):", "        return self.a * k * m",
+        "def f(x, y=1, z=2):", "    pass", "def g(p=1, q=2):", "    pass", "def h(x, z=2):", "    pass",
+        "def entry(w=1):", "    pass", "def _library(label, errors, build, *args, **kwargs):",
+        "    return build(*args, **kwargs)",
+        "def use(kw, args):", "    replace(Spec(1), b=2).scaled(3)", "    _library('f', [], f, 0, 1)",
+        "    h(0, **kw)", "    g(*args)",
+    ])
+    namespace = {}
+    exec(source, namespace)
+    module = types.SimpleNamespace(**namespace)
+    assert _unset_settings(module, {"m": source}, {"entry"}) == [
+        "Spec(d=)", "Spec.make(x=)", "Spec.scaled(m=)", "f(z=)"]
+
+
 def _removed_api(readme: str) -> list:
     """(name, param) of each bullet of README's "Removed API" section that starts with a backticked
     ``name:``, ``Class.attr:`` (param None) or ``f(param=):``, in order."""

@@ -106,20 +106,6 @@ def test_jet_lipschitz_estimate_linear_case(rng):
     assert got == pytest.approx(3.0, rel=1e-6)
 
 
-def test_jet_lipschitz_estimate_uses_analytic_jacobian(rng):
-    def jac(z, t, X):
-        out = np.zeros((1, 1, 1) + X.shape[2:], dtype=np.complex128)
-        out[0, 0, 0] = 7.0
-        return out
-
-    spec = ps.ReactionSpec(
-        order_half=0, components=1, dim=1, eval=lambda z, t, X: 7.0 * X[0], jet_jacobian=jac
-    )
-    box = [((0.0, 1.0), (0.0, 0.0))]
-    got = ps.jet_lipschitz_estimate(spec, box, [np.zeros(1)], [0.0], rng, n_samples=5)
-    assert got == pytest.approx(7.0, rel=1e-12)
-
-
 def test_jet_lipschitz_estimate_takes_a_complex_step_on_a_real_reaction_at_real_jets():
     # real jets of a reaction real on them: the imaginary step has no cancellation, so the
     # estimate meets the analytic jacobian's to rounding, which a central difference cannot
@@ -133,10 +119,16 @@ def test_jet_lipschitz_estimate_takes_a_complex_step_on_a_real_reaction_at_real_
         return out
 
     box = [((-1.0, 1.5), (0.0, 0.0)), ((-2.0, 1.0), (0.0, 0.0))]
-    numeric, analytic = (
-        ps.jet_lipschitz_estimate(ps.ReactionSpec(order_half=1, components=1, dim=1, eval=eval_, jet_jacobian=j),
-                                  box, [np.zeros(1)], [0.0], np.random.default_rng(5), n_samples=50)
-        for j in (None, jac))
+    numeric = ps.jet_lipschitz_estimate(ps.ReactionSpec(order_half=1, components=1, dim=1, eval=eval_),
+                                        box, [np.zeros(1)], [0.0], np.random.default_rng(5), n_samples=50)
+    # the closed-form jacobian's sup over the same seeded samples, drawn as the estimate draws them
+    rng, analytic = np.random.default_rng(5), 0.0
+    for _ in range(50):
+        X = np.zeros((2, 1, 1), dtype=np.complex128)
+        for slot, ((re_lo, re_hi), (im_lo, im_hi)) in enumerate(box):
+            X[slot] = rng.uniform(re_lo, re_hi, size=(1, 1)) + 1j * rng.uniform(im_lo, im_hi, size=(1, 1))
+        rng.integers(1), rng.integers(1)                        # the sampled point and time
+        analytic = max(analytic, float(np.max(np.abs(jac(None, 0.0, X)))))
     assert numeric == pytest.approx(analytic, rel=1e-14, abs=0.0)
 
 

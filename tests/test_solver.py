@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import tracemalloc
 import weakref
 
@@ -184,26 +185,21 @@ def test_linear_reaction_shifts_decay_rate():
     np.testing.assert_allclose(res.final.values[0], want, atol=1e-8)
 
 
-@pytest.mark.parametrize("angle, t_prime, horizon, inside", [
-    (np.pi / 4, 1.0, 2.0, True),                # the operator's own domain
-    (np.pi / 8, 0.5, 1.5, True),
-    (np.arctan(0.5), 2.0, 2.0, True),           # a later split under a narrower angle
-    (np.arctan(0.9), 1.1, 2.0, True),
-    (np.arctan(0.6), 2.0, 2.0, False),          # reaches tau = 1.2 at sigma = 2
-    (np.pi / 3, 1.0, 2.0, False),
-    (np.pi / 4, 1.5, 2.0, False),
-    (np.pi / 4, 0.5, 2.5, False),
-])
-def test_a_problem_temporal_domain_may_only_narrow_the_operators(angle, t_prime, horizon, inside):
+def test_a_problem_built_by_replace_solves_on_its_new_operators_time_domain():
     grid = ps.make_grid(1, np.pi, 16)
-    temporal = ps.TemporalDomain(angle, t_prime, horizon)
-    build = lambda: ps.CauchyProblem(grid, make_heat_operator(), gaussian_datum(), temporal=temporal)
-    if inside:
-        assert build().temporal is temporal
-    else:
-        with pytest.raises(ConfigurationError, match=rf"horizon {horizon}\) is wider than the operator's "
-                                                     r"\(angle 0\.785\d*, t' 1\.0, horizon 2\.0\)"):
-            build()
+    problem = ps.CauchyProblem(grid, make_heat_operator(), gaussian_datum())
+    assert "temporal" not in inspect.signature(ps.CauchyProblem).parameters
+    assert problem.temporal is problem.op.temporal
+    config = ps.SolverConfig(dt=0.05)
+    with pytest.raises(DomainError, match=r"horizon 2\.0\)"):
+        ps.solve_real(problem, 0.0, 3.0, config)
+    wider = dataclasses.replace(problem, op=make_heat_operator(horizon=4.0))
+    assert wider.temporal is wider.op.temporal
+    assert ps.solve_real(wider, 0.0, 3.0, config).times[-1] == pytest.approx(3.0)
+    narrower = dataclasses.replace(problem, op=make_heat_operator(horizon=1.5))
+    assert narrower.temporal.horizon == 1.5
+    with pytest.raises(DomainError, match=r"horizon 1\.5\)"):
+        ps.solve_real(narrower, 0.0, 1.75, config)
 
 
 def test_voc_rejects_systems():

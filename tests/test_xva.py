@@ -362,6 +362,42 @@ def test_heston_chart_generators_are_autonomous():
     assert discounted.autonomous and list(discounted.terms)[-1] == ((0, 0), (0, 0))
 
 
+def test_both_heston_generators_keep_the_bits_of_their_written_out_terms():
+    heston = dict(kappa=1.3, theta=0.04, sigma_v=0.3, rho=-0.6, v_min=0.02, v_max=0.07)
+    params = market(q_S=0.03, gamma_S=0.01, heston=heston)
+    kappa, theta, sigma_v, rho, drift = 1.3, 0.04, 0.3, -0.6, params.q_S - params.gamma_S
+    z = np.array([[0.1, -2.0 + 0.3j, 1.5, 0.0, -0.7j], [0.01, 0.045 + 0.2j, 0.09, -1.0 - 0.5j, 2.5]])
+    length = 6.0
+    rate = (0.07 - 0.02) / (2.0 * length)
+    w = np.asarray(z[1], dtype=np.complex128)
+    chart_v = 0.5 * (0.02 + 0.07) + rate * length / math.pi * np.sin(math.pi * w / length)
+    chart_c = np.cos(math.pi * w / length)
+    v = np.clip(np.real(z[1]), 0.02, 0.07)
+    literal = {
+        ((1, 0), (1, 0)): 0.5 * v,
+        ((1, 0), (0, 1)): 0.5 * rho * sigma_v * v,
+        ((0, 1), (1, 0)): 0.5 * rho * sigma_v * v,
+        ((0, 1), (0, 1)): 0.5 * sigma_v ** 2 * v,
+        ((0, 0), (1, 0)): -1j * (drift - 0.5 * v - 0.5 * rho * sigma_v),
+        ((0, 0), (0, 1)): -1j * (kappa * (theta - v) - 0.5 * sigma_v ** 2),
+    }
+    chart = {
+        ((1, 0), (1, 0)): 0.5 * chart_v,
+        ((1, 0), (0, 1)): 0.5 * rho * sigma_v * chart_v / rate,
+        ((0, 1), (1, 0)): 0.5 * rho * sigma_v * chart_v / rate,
+        ((0, 1), (0, 1)): 0.5 * sigma_v ** 2 * chart_v / rate ** 2,
+        ((0, 0), (1, 0)): -1j * (drift - 0.5 * chart_v - 0.5 * rho * sigma_v * chart_c),
+        ((0, 0), (0, 1)): -1j * (kappa * (theta - chart_v) - 0.5 * sigma_v ** 2 * chart_c) / rate,
+    }
+    chart_op, _ = ps.heston_chart_generator(params, ps.make_grid(2, length, 16))
+    for op, want in ((ps.heston_generator(params), literal), (chart_op, chart)):
+        assert list(op.terms) == list(want)
+        for (alpha, beta), value in want.items():
+            got = op.coefficient_matrix(alpha, beta, z, 0.0)
+            assert got.shape == (1, 1, 5)
+            assert got[0, 0].tobytes() == np.asarray(value, dtype=np.complex128).tobytes(), (op, alpha, beta)
+
+
 @pytest.mark.parametrize("as_callable", [False, True])
 def test_discount_adds_its_rate_to_a_zero_order_term_in_its_place(as_callable):
     from parastrip.xva import _with_zero_order
