@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +29,19 @@ def test_norm_params_defaults_and_validation():
         ps.NormParams(p=4.0, m=0)
     with pytest.raises(ConfigurationError):
         ps.NormParams(p=4.0, dyadic_blocks=2)
+
+
+def test_the_besov_smoothness_is_derived_from_p_and_m():
+    # s has one owner, (p, m): it is no field, so replacing p or m carries a new s
+    assert "s" not in {f.name for f in dataclasses.fields(ps.NormParams)}
+    assert ps.NormParams(p=4.0, m=1).s == 1.5
+    for p, m in ((2.5, 1), (3.0, 2), (7.3, 3), (np.pi + 2.0, 1)):
+        params = ps.NormParams(p=p, m=m)
+        assert params.s == 2.0 * m * (1.0 - 1.0 / p)
+        assert dataclasses.replace(params, p=p + 1.0).s == 2.0 * m * (1.0 - 1.0 / (p + 1.0))
+        assert dataclasses.replace(params, m=m + 1).s == 2.0 * (m + 1) * (1.0 - 1.0 / p)
+    with pytest.raises(AttributeError):
+        params.s = 1.0
 
 
 def test_standing_condition_depends_on_dimension():
