@@ -359,12 +359,12 @@ def hardy_integral(result: SolveResult, p: float, c0: float, order_half: int) ->
     integrals use the real arclength of the stored (possibly complex) times,
     so prefixes of a trajectory give nondecreasing values.  The companion
     norm uses the most dyadic blocks the grid hosts, up to 4
-    (``norms._fit_blocks``).
+    (``norms._fit_blocks``), and a coarser grid is refused first.
     """
     if len(result) < 2:
         raise ConfigurationError("need at least two snapshots to integrate")
-    grid = result.grid
-    nparams = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
+    grid, nparams = result.grid, NormParams(p=p, m=order_half)
+    _fit_blocks(grid)
 
     def pth_powers(rows: np.ndarray) -> list:
         # lp_norm(row, p) ** p of every row of a block
@@ -415,8 +415,8 @@ class _NormTable:
     """
 
     def __init__(self, grid, p: float, order_half: int, hold=()):
-        self.grid, self.p, self.hold = grid, p, hold
-        self.params = NormParams(p=p, m=order_half, dyadic_blocks=_fit_blocks(grid))
+        _fit_blocks(grid)
+        self.grid, self.p, self.hold, self.params = grid, p, hold, NormParams(p=p, m=order_half)
         self.first, self.besov = [], {}      # (t, L2, L^p) of member 0's rows; Besov norms by member
 
     def add(self, index: int, times, block: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +46,17 @@ from .reaction import ReactionSpec
 from .solver import (
     CauchyProblem,
     SolverConfig,
+    _check_support,
+    _max_reg_time_grid,
     default_maxreg_ensemble,
     estimate_max_reg_constant,
     solve_real,
 )
 from .xva import (
+    _HESTON_KEYS,
     PayoffSpec,
     XvaParams,
+    _pricing_generator,
     bs_log_generator,
     evaluate_at,
     hermite_payoff_fit,
@@ -275,8 +279,17 @@ _KINDS = {  # kind: (what a value must be, its test, its conversion)
               lambda v: _finite_array(v) is not None, _finite_array),
 }
 
+
+def _record_keys(record, **of) -> tuple:
+    """A key per field of the dataclass ``record``, which checks the values: REQUIRED without a default,
+    else None, which leaves the value to the record; a field named in ``of`` is an object of that table."""
+    kinds = {float: "number", int: "int", str: "string", bool: "enum"}
+    return tuple(Key(f.name, "object" if f.name in of else kinds[f.type], REQUIRED if f.default is MISSING else None,
+                     of=of.get(f.name, (True, False) if f.type is bool else None)) for f in fields(record))
+
+
 _STRIP = Key("strip_half_width", "number", math.inf, gt=0.0)
-_HESTON = tuple(Key(name, "number", REQUIRED) for name in ("kappa", "theta", "sigma_v", "rho", "v_min", "v_max"))
+_HESTON = tuple(Key(name, "number", REQUIRED) for name in _HESTON_KEYS)
 _MARKET = (Key("sigma", "number", 0.2), Key("q_S", "number", 0.0), Key("gamma_S", "number", 0.0))
 _OPERATOR = (Key("kind", "enum", REQUIRED, of={
     "heat": (_STRIP, Key("diffusivity", "number", 1.0, gt=0.0)),
@@ -304,13 +317,8 @@ _SOURCE = (Key("kind", "enum", "none", of={
     "none": (),
     "modulated": (Key("datum", "object", REQUIRED, of=_INITIAL), Key("rate", "number", 0.0)),
 }),)
-_SOLVER = tuple(Key(name, kind) for name, kind in (  # SolverConfig checks the values
-    ("dt", "number"), ("window", "number"), ("picard_tol", "number"), ("picard_max_iter", "int"),
-    ("max_window_halvings", "int"), ("p", "number"), ("integrator", "string"), ("snapshot_stride", "int"),
-    ("gmres_tol", "number"))) + (Key("check_reaction_domain", "enum", of=(True, False)),)
-_XVA_PARAMS = (Key("sigma", "number", REQUIRED),) + tuple(Key(name, "number") for name in (
-    "epsilon", "r", "lambda_B", "lambda_C", "R_B", "R_C", "s_F", "q_S", "gamma_S", "theta_mtm",
-)) + (Key("heston", "object", of=_HESTON),)  # XvaParams checks the values
+_SOLVER = _record_keys(SolverConfig)
+_XVA_PARAMS = _record_keys(XvaParams, heston=_HESTON)
 _SMOOTHED = (Key("strike", "number", REQUIRED), Key("epsilon", "number"), Key("admissible_half_width", "number"))
 _PAYOFF = (Key("kind", "enum", "smoothed_call", of={  # PayoffSpec checks the values
     "smoothed_call": _SMOOTHED,
@@ -594,10 +602,7 @@ def _solvable(v: dict, horizon, errors: list):
     scalar) starts it."""
     problem, grid = _build_problem(v, horizon, errors)
     config = _solver_config(v["solver"] or {}, errors)
-    try:
-        _fit_blocks(grid)
-    except ConfigurationError as exc:
-        errors.append(str(exc))
+    _library("grid", errors, _fit_blocks, grid)
     op = problem.op if problem is not None else None
     _check_integrator(op, config.integrator if config is not None else None, errors)
     if op is not None and op.components > 1:
@@ -785,10 +790,7 @@ def _cmd_xva(v, out_dir, seed, record):
     grid, horizon, pay = make_grid(**v["grid"]), v["xva"]["horizon"], v["xva"]["payoff"]
     params = _library("xva.params", errors, XvaParams, **_given(v["xva"]["params"]))
     payoff, sweep = None, []
-    if params is not None and grid.dim == 2 and params.heston is None:
-        errors.append("xva.params.heston: required on a 2-D grid (grid.dim 2), whose second "
-                      "axis is the variance chart")
-    elif params is not None:
+    if params is not None and _library("xva.params.heston", errors, _pricing_generator, params, grid) is not None:
         epsilon = params.epsilon if pay["epsilon"] is None else pay["epsilon"]
         if pay["kind"] != "hermite_expansion":
             payoff = _library("xva.payoff", errors, PayoffSpec, pay["kind"], pay["strike"], epsilon,
@@ -909,13 +911,16 @@ def _cmd_maxreg(v, out_dir, seed, record):
     grid, block = make_grid(**v["grid"]), v["maxreg"]
     op = _build_operator(v["problem"]["operator"], grid, _build_temporal(v["temporal"], 1.0, errors), errors)
     config = _solver_config(v["solver"], errors)
+    horizons, p = sorted(block["horizons"]), block["p"]
+    support = horizons[0] if block["support"] is None else block["support"]
     if config is not None or v["solver"] is None:
         _check_integrator(op, config.integrator if config is not None else "picard_voc", errors)
+        _library("maxreg.horizons", errors, _max_reg_time_grid, horizons, config)
+    _library("maxreg.support", errors, _check_support, support, horizons[0])
+    _library("grid", errors, _fit_blocks, grid)
     if errors:
         raise _Invalid(errors)
 
-    horizons, p = sorted(block["horizons"]), block["p"]
-    support = horizons[0] if block["support"] is None else block["support"]
     ensemble = default_maxreg_ensemble(grid, op.components, block["samples"], np.random.default_rng(seed),
                                        support=support)
     estimates = record("maxreg_estimate",

@@ -36,7 +36,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _cached(build):
-    """Memoize a no-argument Grid method on the instance.
+    """Memoize a no-argument Grid method, or a function of a Grid alone, on the instance.
 
     A Grid is frozen, so its geometry is a pure function of the instance.
     Every caller shares the cached arrays, which is why they are read-only.
@@ -102,13 +102,14 @@ class Grid:
     @_cached
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask over the spectral grid."""
-        n = self.points_per_axis
-        idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        keep = idx <= n // 3
-        mask = keep
-        for _ in range(self.dim - 1):
-            mask = np.logical_and.outer(mask, keep)
-        return _read_only(mask.reshape(self.shape))
+        return _read_only(_band_mask(self, self.points_per_axis // 3))
+
+
+def _band_mask(grid: Grid, cutoff: int) -> np.ndarray:
+    """Boolean mask of the modes whose integer wavenumber is at most ``cutoff`` on every axis."""
+    n = grid.points_per_axis
+    keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= cutoff
+    return functools.reduce(np.logical_and.outer, [keep] * grid.dim).reshape(grid.shape)
 
 
 def make_grid(dim: int, half_length: float, points_per_axis: int) -> Grid:

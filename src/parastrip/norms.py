@@ -5,9 +5,10 @@ The Besov norm is the discrete Littlewood-Paley proxy
     ( ||S_0 u||_p^p + sum_{j=1..J} 2^(j s p) ||Delta_j u||_p^p )^(1/p)
 
 with smooth dyadic cutoffs supported in [2^(j-1), 2^(j+1)] for j < J and a
-last block that takes every mode above 2^(J-1).  It replaces the trace-method
-interpolation norm everywhere a data norm is needed; on a fixed grid the two
-are equivalent and only the proxy is implemented.
+last block that takes every mode above 2^(J-1); the grid sets J
+(``_fit_blocks``).  It replaces the trace-method interpolation norm
+everywhere a data norm is needed; on a fixed grid the two are equivalent
+and only the proxy is implemented.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import ComplexField, Grid, _fftn, _ifftn, _read_only
+from .grid import ComplexField, Grid, _cached, _fftn, _ifftn, _read_only
 
 __all__ = ["NormParams", "lp_norm", "littlewood_paley_blocks", "besov_norm"]
 
@@ -46,22 +47,19 @@ class NormParams:
     """Exponents for the data norms.
 
     The smoothness ``s`` is the parabolic trace smoothness 2 m (1 - 1/p).
+    The block count is the grid's (``_fit_blocks``), so it is no field.
     The standing condition p > 2 + N/m depends on the dimension N, so it is a
     separate check, ``require_standing_condition(N)``.
     """
 
     p: float = 4.0
     m: int = 1
-    dyadic_blocks: int = 4
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ConfigurationError(f"p must exceed 1, got {self.p!r}")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ConfigurationError(f"m must be a positive integer, got {self.m!r}")
-        J = self.dyadic_blocks
-        if not (isinstance(J, (int, np.integer)) and J >= MIN_DYADIC_BLOCKS):
-            raise ConfigurationError(f"dyadic_blocks must be an integer >= {MIN_DYADIC_BLOCKS}, got {J!r}")
 
     @property
     def s(self) -> float:
@@ -102,39 +100,32 @@ def _lowpass_profile(r: np.ndarray) -> np.ndarray:
     return _smooth_step(2.0 - np.asarray(r, dtype=np.float64))
 
 
-def _lp_windows(grid: Grid, blocks: int) -> np.ndarray:
+@_cached
+def _lp_windows(grid: Grid) -> np.ndarray:
     """Spectral windows [psi_0, psi_1 - psi_0, ..., psi_(J-1) - psi_(J-2), 1 - psi_(J-1)], stacked.
 
-    They sum to 1 on every mode.  Cached per grid and block count,
-    read-only like the grid's multipliers.
+    J is ``_fit_blocks(grid)``, and the windows sum to 1 on every mode.
+    Cached per grid, read-only like the grid's multipliers.
     """
-    if 2.0 ** (blocks + 1) > grid.nyquist * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"{blocks} dyadic blocks need support up to 2^{blocks + 1} = {2 ** (blocks + 1)}, "
-            f"beyond the grid Nyquist wavenumber {grid.nyquist:.6g}"
-        )
-    cache = grid.__dict__.setdefault("_cached_lp_windows", {})
-    windows = cache.get(blocks)
-    if windows is None:
-        k2 = np.zeros(grid.shape)
-        for k_axis in grid.wavenumbers():
-            k2 = k2 + k_axis ** 2
-        kabs = np.sqrt(k2)
-        prev = _lowpass_profile(kabs)
-        rows = [prev]
-        for j in range(1, blocks):
-            cur = _lowpass_profile(kabs / 2.0 ** j)
-            rows.append(cur - prev)
-            prev = cur
-        rows.append(1.0 - prev)
-        windows = cache[blocks] = _read_only(np.stack(rows))
-    return windows
+    blocks = _fit_blocks(grid)
+    k2 = np.zeros(grid.shape)
+    for k_axis in grid.wavenumbers():
+        k2 = k2 + k_axis ** 2
+    kabs = np.sqrt(k2)
+    prev = _lowpass_profile(kabs)
+    rows = [prev]
+    for j in range(1, blocks):
+        cur = _lowpass_profile(kabs / 2.0 ** j)
+        rows.append(cur - prev)
+        prev = cur
+    rows.append(1.0 - prev)
+    return _read_only(np.stack(rows))
 
 
-def littlewood_paley_blocks(field: ComplexField, blocks: int) -> list:
-    """Split a field into [S_0, Delta_1, ..., Delta_J] pieces."""
+def littlewood_paley_blocks(field: ComplexField) -> list:
+    """Split a field into [S_0, Delta_1, ..., Delta_J] pieces, J = ``_fit_blocks(field.grid)``."""
     grid = field.grid
-    windows = _lp_windows(grid, blocks)
+    windows = _lp_windows(grid)
     hat = _fftn(field.values, grid)
     return [ComplexField(grid, _ifftn(hat * window, grid)) for window in windows]
 
@@ -146,7 +137,7 @@ def _besov_norms(values: np.ndarray, grid: Grid, params: NormParams) -> list:
     inverse-transformed into the product that holds them, and |piece|^p is
     raised in the buffer of |piece|.
     """
-    windows = _lp_windows(grid, params.dyadic_blocks)
+    windows = _lp_windows(grid)
     # (J + 1, B, M, *grid): every block of every row in one inverse transform
     pieces = _fftn(values, grid)[np.newaxis] * windows[:, np.newaxis, np.newaxis]
     powers = np.abs(_ifftn(pieces, grid, out=pieces))

@@ -21,6 +21,7 @@ from .grid import (
     ComplexField,
     Grid,
     StripSpec,
+    _band_mask,
     _check_multi_index,
     _fftn,
     _ifftn,
@@ -488,13 +489,7 @@ def random_band_limited_fields(grid: Grid, components: int, count: int, rng) -> 
     """Seeded random fields on the lowest quarter of the wavenumbers, unit L^2 scale."""
     from .norms import lp_norm
 
-    n = grid.points_per_axis
-    idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep1 = idx <= max(1, int(0.25 * n))
-    mask = keep1
-    for _ in range(grid.dim - 1):
-        mask = np.logical_and.outer(mask, keep1)
-    mask = mask.reshape(grid.shape)
+    mask = _band_mask(grid, max(1, grid.points_per_axis // 4))
     out = []
     for _ in range(count):
         hat = (rng.standard_normal((components,) + grid.shape)

@@ -1591,6 +1591,30 @@ def default_maxreg_ensemble(grid: Grid, components: int, count: int, rng,
     return out
 
 
+def _max_reg_time_grid(horizons, config: SolverConfig = None):
+    """(sorted horizons, march config, node times, {horizon: node}) of the estimator's march in equal
+    steps of at most ``config.dt`` (default: the smallest horizon / 64), every horizon on a node."""
+    horizons = sorted(float(T) for T in horizons)
+    if not horizons or horizons[0] <= 0.0:
+        raise ConfigurationError("horizons must be positive")
+    config = config if config is not None else SolverConfig(dt=horizons[0] / 64.0)
+    n_steps = max(1, math.ceil(horizons[-1] / config.dt - 1e-9))
+    dt = horizons[-1] / n_steps
+    nodes = dt * np.arange(n_steps + 1)
+    horizon_idx = {T: int(round(T / dt)) for T in horizons}
+    for T, j in horizon_idx.items():
+        if abs(nodes[j] - T) > 1e-9 * max(1.0, T):
+            raise ConfigurationError(f"horizon {T} does not land on the time grid (dt={dt}); adjust dt or horizons")
+    return horizons, replace(config, dt=dt, snapshot_stride=1), nodes, horizon_idx
+
+
+def _check_support(support: float, horizon: float):
+    """Refuse a forcing support past the smallest horizon, which would leave M(T) not monotone."""
+    if support > horizon + 1e-9:
+        raise ConfigurationError("forcing support must fit inside the smallest horizon for a monotone family, "
+                                 f"got {support!r} > {horizon!r}")
+
+
 def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: float,
                               ensemble, config: SolverConfig = None):
     """Empirical maximal-regularity constant M(T), a lower bound on the true one.
@@ -1606,40 +1630,22 @@ def estimate_max_reg_constant(op: DivergenceOperator, grid: Grid, horizons, p: f
     by construction whenever every forcing is supported in [0, min horizons]
     (zero extension leaves the denominator fixed while the numerator grows).
     Pass a single horizon for a float result, a sequence for a dict {T: M}.
+    Bad horizons, supports and grids are refused before any solve.
     """
     single = np.isscalar(horizons)
-    horizons = [float(horizons)] if single else sorted(float(T) for T in horizons)
-    if not horizons or horizons[0] <= 0.0:
-        raise ConfigurationError("horizons must be positive")
-    config = config if config is not None else SolverConfig(dt=horizons[0] / 64.0)
-    t_max = horizons[-1]
-    n_steps = max(1, math.ceil(t_max / config.dt - 1e-9))
-    dt = t_max / n_steps
-    nodes = dt * np.arange(n_steps + 1)
-    horizon_idx = {}
-    for T in horizons:
-        j = int(round(T / dt))
-        if abs(nodes[j] - T) > 1e-9 * max(1.0, T):
-            raise ConfigurationError(
-                f"horizon {T} does not land on the time grid (dt={dt}); adjust dt or the horizons"
-            )
-        horizon_idx[T] = j
-
-    bparams = NormParams(p=p, m=op.order_half, dyadic_blocks=_fit_blocks(grid))
-    run_cfg = replace(config, dt=dt, snapshot_stride=1)
+    horizons, run_cfg, nodes, horizon_idx = _max_reg_time_grid([horizons] if single else horizons, config)
+    _check_support(max([s.support for s in ensemble if s.source is not None], default=0.0), horizons[0])
+    _fit_blocks(grid)
+    bparams, dt = NormParams(p=p, m=op.order_half), run_cfg.dt
 
     best = {T: 0.0 for T in horizons}
     skipped = 0
     for sample in ensemble:
-        if sample.source is not None and sample.support > horizons[0] + 1e-9:
-            raise ConfigurationError(
-                "forcing support must fit inside the smallest horizon for a monotone family"
-            )
         source = None
         if sample.source is not None:
             source = lambda t, g, sh, f=sample.source: f(t)
         problem = CauchyProblem(grid, op, sample.initial, source=source)
-        res = solve_real(problem, 0.0, t_max, run_cfg)
+        res = solve_real(problem, 0.0, horizons[-1], run_cfg)
         g_vals = np.zeros((len(nodes), op.components) + grid.shape, dtype=np.complex128)
         if sample.source is not None:
             for j, t in enumerate(nodes):

@@ -124,6 +124,8 @@ class PayoffSpec:
         if self.kind == "hermite_expansion":
             if not isinstance(self.hermite, HermiteData):
                 raise ConfigurationError("hermite_expansion payoff needs HermiteData coefficients")
+            if self.hermite.dim != 1:
+                raise ConfigurationError("payoff expansions are one dimensional in log price")
             if self.admissible_half_width is None:
                 object.__setattr__(self, "admissible_half_width", math.inf)
             if not self.admissible_half_width > 0.0:
@@ -156,9 +158,6 @@ def terminal_data(payoff: PayoffSpec, half_length: float):
     puts are damped by an entire taper tied to the box half length so the
     periodic wrap-around of exp(X) is negligible.
     """
-    if payoff.kind == "hermite_expansion" and payoff.hermite.dim != 1:
-        raise ConfigurationError("payoff expansions are one dimensional in log price")
-
     def values(pts):
         x = np.asarray(pts, dtype=np.complex128)[0]
         if payoff.kind == "hermite_expansion":
@@ -203,9 +202,7 @@ _DEFAULT_TEMPORAL = TemporalDomain(angle=0.25 * math.pi, t_prime=2.0, horizon=16
 
 
 def bs_log_generator(params: XvaParams, temporal: TemporalDomain = None) -> DivergenceOperator:
-    """Constant-volatility generator in log price, without the discount term."""
-    if not params.sigma > 0.0:
-        raise ConfigurationError("sigma = 0 gives a degenerate (non-elliptic) generator")
+    """Constant-volatility generator in log price, without the discount term; ``XvaParams`` has sigma > 0."""
     drift = params.q_S - params.gamma_S + 0.5 * params.sigma ** 2
     terms = {((1,), (1,)): 0.5 * params.sigma ** 2}
     if drift != 0.0:
@@ -330,28 +327,31 @@ def _pricing_config(grid: Grid, horizon: float, config: SolverConfig) -> SolverC
 def _check_payoff(payoff: PayoffSpec, grid: Grid):
     if not isinstance(payoff, PayoffSpec):
         raise ConfigurationError("payoff must be a PayoffSpec")
-    if payoff.kind == "hermite_expansion" and payoff.hermite.dim != 1:
-        raise ConfigurationError("payoff expansions must be one dimensional in log price")
     if payoff.kind != "hermite_expansion" and abs(math.log(payoff.strike)) > grid.half_length:
         raise ConfigurationError("strike lies outside the log-price box")
+
+
+def _pricing_generator(params: XvaParams, grid: Grid) -> DivergenceOperator:
+    """With a heston block, the variance chart centred on its theta, on a 2-D grid; without one, the
+    log-price generator, on a 1-D grid.  A grid of the other dimension raises ConfigurationError."""
+    if (params.heston is not None) != (grid.dim == 2):
+        raise ConfigurationError(f"{'a' if params.heston else 'no'} heston block on a {grid.dim}-D grid: prices with "
+                                 "one march on the 2-D variance chart, those without on the 1-D log-price axis")
+    if params.heston is None:
+        return bs_log_generator(params)
+    return heston_chart_generator(params, grid, v_center=params.heston["theta"])[0]
 
 
 def _pricing_problem(params: XvaParams, payoff: PayoffSpec, grid: Grid, rate: float = None,
                      reaction: ReactionSpec = None, source=None) -> CauchyProblem:
     """The pricing problem on ``grid``, discounted at ``rate`` (default r).
 
-    The generator is the log-price one in 1-D and the variance chart centred
-    on the long-run variance in 2-D; the datum is the payoff, with its strip.
+    The generator is ``_pricing_generator``'s, the datum the payoff with its strip.
     """
     _check_payoff(payoff, grid)
-    if grid.dim == 1:
-        op = bs_log_generator(params)
-    else:
-        v_center = params.heston["theta"] if params.heston else None
-        op, _ = heston_chart_generator(params, grid, v_center=v_center)
     return CauchyProblem(
         grid=grid,
-        op=_with_zero_order(op, params.r if rate is None else rate),
+        op=_with_zero_order(_pricing_generator(params, grid), params.r if rate is None else rate),
         initial=terminal_data(payoff, grid.half_length),
         reaction=reaction,
         source=source,

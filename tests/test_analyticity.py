@@ -149,12 +149,26 @@ def test_hardy_integral_fits_its_blocks_to_the_grid():
     problem = ps.CauchyProblem(grid, make_heat_operator(), gaussian_datum())
     res = ps.solve_real(problem, 0.0, 0.05, FAST)
     out = ps.hardy_integral(res, 4.0, 0.5, 1)
-    three = ps.NormParams(p=4.0, m=1, dyadic_blocks=3)
+    three = ps.NormParams(p=4.0, m=1)
     assert out["companion"] == ps.besov_norm(res.final, three) ** 4.0 + out["derivatives"]
     coarse = ps.make_grid(1, 6.0, 32)
     res = ps.solve_real(ps.CauchyProblem(coarse, make_heat_operator(), gaussian_datum()), 0.0, 0.05, FAST)
     with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
         ps.hardy_integral(res, 4.0, 0.5, 1)
+
+
+def test_hardy_integral_refuses_a_coarse_grid_before_any_derivative(monkeypatch):
+    from parastrip import analyticity
+
+    coarse = ps.make_grid(1, 6.0, 32)      # Nyquist 8.4 hosts 2 dyadic blocks, below the floor of 3
+    res = ps.solve_real(ps.CauchyProblem(coarse, make_heat_operator(), gaussian_datum()), 0.0, 0.05, FAST)
+    calls = []
+    for name in ("_fftn", "_lp_norms"):
+        monkeypatch.setattr(analyticity, name, lambda *a, name=name, **k: calls.append(name))
+    monkeypatch.setattr(ps.SolveResult, "derivative_blocks", property(lambda self: calls.append("du/dt") or ()))
+    with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
+        ps.hardy_integral(res, 4.0, 0.5, 1)
+    assert calls == []
 
 
 def test_strip_sup_over_time_dominates_members(heat_problem):

@@ -172,11 +172,12 @@ def test_a_config_that_does_not_decode_exits_2_as_unreadable(tmp_path, capsys):
 
 
 def test_failed_job_is_recorded_and_exits_1(tmp_path):
+    # one Picard sweep cannot reach the fixed point of a variable coefficient: the solve fails in the job
     cfg = {
-        "grid": {"dim": 1, "half_length": 10.0, "points_per_axis": 64},
-        "problem": {"operator": {"kind": "heat", "diffusivity": 1.0}},
-        "maxreg": {"horizons": [0.3, 1.0], "p": 4.0, "samples": 3},
-        "solver": {"dt": 0.015625},
+        "grid": {"dim": 1, "half_length": 10.0, "points_per_axis": 128},
+        "problem": {"operator": {"kind": "variable_heat", "variation": 0.5}},
+        "maxreg": {"horizons": [0.25, 0.5], "p": 4.0, "samples": 3},
+        "solver": {"dt": 0.015625, "picard_max_iter": 1, "max_window_halvings": 0},
     }
     proc, out = run_cli(tmp_path, "maxreg", cfg)
     assert proc.returncode == 1
@@ -185,13 +186,13 @@ def test_failed_job_is_recorded_and_exits_1(tmp_path):
     statuses = {j["name"]: j for j in manifest["job_status"]}
     assert any(j["status"] == "failed" for j in statuses.values())
     failed = next(j for j in statuses.values() if j["status"] == "failed")
-    assert "does not land" in failed["error"]
+    assert "needed more than 1 sweeps" in failed["error"]
     assert all(j["duration_s"] >= 0.0 for j in statuses.values())
     # the origin is the library line that raised, not the CLI's call of the job
     module, line = failed["origin"].split(":")
     assert module == "parastrip/solver.py"
     source = (Path(SRC) / module).read_text().splitlines()
-    assert "raise ConfigurationError(" in source[int(line) - 1]
+    assert "raise ConvergenceError(" in source[int(line) - 1]
     assert (out / "report.txt").exists()
 
 
@@ -298,7 +299,7 @@ def test_the_norm_table_is_taken_as_the_family_marches(tmp_path, monkeypatch, in
     import numpy as np
 
     import parastrip.cli as cli
-    from parastrip.norms import NormParams, _besov_norms, _fit_blocks, lp_norm
+    from parastrip.norms import NormParams, _besov_norms, lp_norm
 
     cfg = json.loads(json.dumps(FAMILY_CFG))
     cfg["solver"]["integrator"] = integrator
@@ -327,7 +328,7 @@ def test_the_norm_table_is_taken_as_the_family_marches(tmp_path, monkeypatch, in
     family = parastrip.solve_shift_family(problem, line[:, np.newaxis], 0.0, 0.1, config)
     members = list(family.results.values())
     assert len(family.times) == 501
-    params = NormParams(p=config.p, m=1, dyadic_blocks=_fit_blocks(grid))
+    params = NormParams(p=config.p, m=1)
     norms = []
     for j, t in enumerate(family.times):
         f = members[0].fields[j]
@@ -624,15 +625,15 @@ def test_maxreg_fits_its_besov_blocks_to_the_grid(tmp_path):
     proc, out = run_cli(tmp_path, "maxreg", cfg)
     assert proc.returncode == 0, proc.stderr
     assert (out / "maxreg.csv").exists()
-    # Nyquist 10.05 hosts 2, below the floor of 3: the job fails naming both grid keys
+    # Nyquist 10.05 hosts 2, below the floor of 3: refused before any job, naming both grid keys
     coarse = tmp_path / "coarse"
     coarse.mkdir()
     coarse_cfg = dict(cfg, grid={"dim": 1, "half_length": 10.0, "points_per_axis": 64})
     proc, out = run_cli(coarse, "maxreg", coarse_cfg)
-    assert proc.returncode == 1
-    failed = json.loads((out / "manifest.json").read_text())["job_status"][0]
-    assert failed["status"] == "failed"
-    assert "grid.points_per_axis" in failed["error"] and "grid.half_length" in failed["error"]
+    assert proc.returncode == 2
+    detail = " ".join(json.loads(proc.stderr.strip().splitlines()[-1])["detail"])
+    assert "grid.points_per_axis" in detail and "grid.half_length" in detail
+    assert not (out / "manifest.json").exists()
 
 
 def _run_in_process(tmp_path, name, command, cfg, *extra):
@@ -817,6 +818,61 @@ def test_xva_on_a_2d_grid_without_a_heston_block_exits_2(tmp_path, capsys):
     assert code == 2
     assert "xva.params.heston" in _invalid_detail(capsys)
     assert not (out / "manifest.json").exists()
+
+
+def test_xva_on_a_1d_grid_with_a_heston_block_exits_2(tmp_path, capsys):
+    # a heston block prices on the 2-D variance chart, so a 1-D grid is refused before any job
+    cfg = {
+        "grid": {"dim": 1, "half_length": 6.0, "points_per_axis": 32},
+        "solver": {"dt": 0.01},
+        "xva": {"horizon": 0.05,
+                "params": {"sigma": 0.2, "epsilon": 0.05, "lambda_B": 0.02,
+                           "heston": {"kappa": 1.0, "theta": 0.04, "sigma_v": 0.2, "rho": 0.3,
+                                      "v_min": 0.02, "v_max": 0.06}},
+                "payoff": {"kind": "hermite_expansion", "strike": 1.0, "epsilon": 0.05, "n_terms": 24}},
+    }
+    code, out = _run_in_process(tmp_path, "xva", "xva", cfg)
+    assert code == 2
+    assert "xva.params.heston: a heston block on a 1-D grid" in _invalid_detail(capsys)
+    assert not (out / "manifest.json").exists()
+
+
+def _snapshot_run(name):
+    """The (command, config) of the run ``name`` of tools/snapshot_cli_outputs.py."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "snapshot_cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("snapshot_cli_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (run,) = [(command, cfg) for run_name, command, cfg, _ in tool._kind_runs() if run_name == name]
+    return run
+
+
+@pytest.mark.parametrize("name, files, checks", [
+    ("xva_heston_dim2", ["prices.svg", "xva.csv"], ["xva_at_atm", "sup_diff_linear_nonlinear"]),
+    ("xva_sign_bound", ["prices.svg", "xva.csv"], ["xva_at_atm", "sup_diff_linear_nonlinear", "xva_sign_bound"]),
+    ("ellipticity_z_points", ["ellipticity.csv", "ellipticity.svg"], ["c_hat_at_zero"]),
+])
+def test_the_snapshot_runs_of_the_rarer_cli_paths(tmp_path, name, files, checks):
+    # a 2-D xva price on the variance chart, the funding-only sign bound and explicit z_points
+    command, cfg = _snapshot_run(name)
+    code, out = _run_in_process(tmp_path, name, command, cfg)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == sorted(files + ["manifest.json", "report.csv", "report.txt"])
+    with open(out / "report.csv") as fh:
+        report = list(csv.DictReader(fh))
+    assert [row["name"] for row in report] == checks
+    assert all(row["status"] == "pass" for row in report)
+    if command == "xva":
+        with open(out / "xva.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # 14 of V's 401 (2-D) or 501 (1-D) times, each with the 32 X of the grid (of the centre w line in 2-D)
+        assert len({row["tau"] for row in rows}) == 14 and len(rows) == 32 * 14
+    else:
+        with open(out / "ellipticity.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == cfg["ellipticity"]["n_thetas"]
 
 
 def test_the_cli_loads_no_scipy(tmp_path):

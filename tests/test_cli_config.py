@@ -100,6 +100,19 @@ def test_malformed_values_exit_2_naming_the_field(command, path, value, field):
     assert manifest is None
 
 
+@pytest.mark.parametrize("path, value, field", [
+    ("maxreg.support", 0.04, "maxreg.support"),                # past the smallest horizon, 0.025
+    ("maxreg.horizons", [0.025, 0.03], "maxreg.horizons"),     # 0.025 is off the steps of 0.01 to 0.03
+    ("grid.points_per_axis", 16, "grid"),                      # below the Besov floor
+])
+def test_maxreg_refuses_what_its_estimate_would_refuse_before_any_job(path, value, field):
+    # the estimator's own rules, checked before any job and named by their keys
+    code, stderr, manifest = _run("maxreg", _with(BASE["maxreg"], path, value))
+    assert code == 2
+    assert f"{field}:" in _invalid_detail(stderr)
+    assert manifest is None
+
+
 @pytest.mark.parametrize("path, value, named", [
     ("solver", {"picard_tol": -1}, ("solver:", "picard_tol")),
     ("solver", {"foo": 1}, ("solver:", "foo")),
@@ -288,19 +301,16 @@ def test_a_config_drawn_inside_the_tables_runs_or_fails_typed(drawn):
     coarse = _below_the_besov_floor(cfg)
     code, stderr, manifest = _run(command, cfg)
     # cross-field rules on the drawn grid: the Black-Scholes generator is one-dimensional, and the
-    # norm tables of solve and verify-analyticity need the Besov floor
+    # norm tables of solve and verify-analyticity and the maxreg estimate need the Besov floor
     if command == "xva" and cfg["grid"]["dim"] == 2:
         assert code == 2 and "xva.params.heston:" in _invalid_detail(stderr), (cfg, stderr)
         return
-    if coarse and command in ("solve", "verify-analyticity"):
+    if coarse and command in ("solve", "verify-analyticity", "maxreg"):
         assert code == 2 and "grid.points_per_axis" in _invalid_detail(stderr), (cfg, stderr)
         return
     assert code in (0, 1), (cfg, stderr)
     failed = [job for job in manifest["job_status"] if job["status"] != "ok"]
     assert all(job["error"].startswith(TYPED) for job in failed), (cfg, failed)
-    if coarse and command == "maxreg":
-        (job,) = failed
-        assert "grid.points_per_axis" in job["error"] and "grid.half_length" in job["error"], (cfg, job)
 
 
 def test_the_benchmark_configs_pass_the_tables(monkeypatch):

@@ -374,7 +374,7 @@ def hardy_reference(res, p, c0, m):
         vals = np.array([ps.lp_norm(ps.spectral_derivative(f, alpha), p) ** p for f in res.fields])
         part += float(np.trapezoid(vals, x=arc))
     part *= c0
-    params = ps.NormParams(p=p, m=m, dyadic_blocks=ps.norms._fit_blocks(grid))
+    params = ps.NormParams(p=p, m=m)
     return {"du_dt": part_du, "derivatives": part, "total": part_du + part,
             "companion": ps.besov_norm(res.final, params) ** p + part}
 

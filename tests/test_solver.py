@@ -780,6 +780,20 @@ def test_maxreg_fits_the_block_count_to_the_grid(rng):
         ps.estimate_max_reg_constant(op, coarse, 0.25, 4.0, ens, ps.SolverConfig(dt=1.0 / 64))
 
 
+@pytest.mark.parametrize("case, match", [("grid", "grid.points_per_axis, grid.half_length"),
+                                         ("horizons", "does not land"), ("support", "support must fit")])
+def test_maxreg_refuses_before_any_solve(rng, monkeypatch, case, match):
+    # a coarse grid, a horizon off the time grid or a forcing support past the smallest horizon
+    grid = ps.make_grid(1, 10.0, 64 if case == "grid" else 128)
+    ens = ps.default_maxreg_ensemble(grid, 1, 3, rng, support=0.4 if case == "support" else 0.25)
+    horizons = [0.3, 1.0] if case == "horizons" else [0.25, 0.5]
+    solves = []
+    monkeypatch.setattr(parastrip.solver, "solve_real", lambda *a, **k: solves.append(a))
+    with pytest.raises(ConfigurationError, match=match):
+        ps.estimate_max_reg_constant(make_heat_operator(), grid, horizons, 4.0, ens, ps.SolverConfig(dt=1.0 / 64))
+    assert solves == []
+
+
 def _non_normal_system(n=24, seed=3):
     rng = np.random.default_rng(seed)
     A = np.diag(2.0 + rng.uniform(0.0, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n))

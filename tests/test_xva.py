@@ -52,6 +52,20 @@ def test_payoff_spec_strip_defaults():
     assert entire.admissible_half_width == math.inf
 
 
+def test_a_payoff_expansion_is_refused_unless_one_dimensional():
+    data = ps.HermiteData(np.array([[1.0, 0.5], [0.0, 0.2]], dtype=complex), 2)
+    with pytest.raises(ConfigurationError, match="one dimensional in log price"):
+        ps.PayoffSpec(kind="hermite_expansion", hermite=data)
+
+
+@pytest.mark.parametrize("dim, heston", [
+    (1, dict(kappa=1.0, theta=0.04, sigma_v=0.2, rho=0.3, v_min=0.02, v_max=0.06)), (2, None)])
+def test_the_heston_block_picks_the_generator_and_so_the_grid(dim, heston):
+    # with a block the price marches on the 2-D variance chart, without one on the 1-D log-price axis
+    with pytest.raises(ConfigurationError, match=f"heston block on a {dim}-D grid"):
+        ps.price_riskfree(market(heston=heston), call_payoff(), ps.make_grid(dim, 6.0, 16), 0.05)
+
+
 def test_terminal_data_call_put_parity():
     eps, strike, L = 0.01, 1.0, 6.0
     call = ps.terminal_data(call_payoff(eps=eps), L)
@@ -238,7 +252,6 @@ def test_verify_price_analyticity_report():
     assert report["path_spread"] < 1e-6
     assert np.isfinite(report["strip_sup"]) and report["strip_sup"] > 0.0
     # the hook's strip sup and the held rows' residuals are those of a family that keeps every row
-    from parastrip.norms import _fit_blocks
     from parastrip.xva import _adjustment_reaction, _pricing_config
 
     grid = ps.make_grid(1, 6.0, 256)
@@ -246,7 +259,7 @@ def test_verify_price_analyticity_report():
     config = _pricing_config(grid, 0.2, cfg)
     family = ps.solve_shift_family(problem, [(y,) for y in np.linspace(-0.02, 0.02, 3)], 0.0, 0.2, config)
     assert len(family.times) == 101
-    strip_params = ps.NormParams(p=config.p, m=problem.op.order_half, dyadic_blocks=_fit_blocks(grid))
+    strip_params = ps.NormParams(p=config.p, m=problem.op.order_half)
     assert report["strip_sup"] == ps.strip_sup_over_time(family, strip_params)
     assert report["cr_space"] == {tau: ps.cr_residual_space(family, tau) for tau in (0.1, 0.2)}
     with pytest.raises(DomainError, match="branch cut"):
@@ -262,9 +275,11 @@ def test_verify_price_analyticity_fits_the_strip_norm_to_the_grid(monkeypatch):
     report = ps.verify_price_analyticity(params, call_payoff(), np.linspace(-0.02, 0.02, 3), [0.1], cfg,
                                          grid=ps.make_grid(1, 6.0, 64))
     assert np.isfinite(report["strip_sup"]) and report["strip_sup"] > 0.0
-    # n = 32 hosts 2, below the floor: rejected before any solve, naming both grid keys
+    # n = 32 hosts 2, below the floor: rejected before any solve, naming both grid keys; the family
+    # marches through _solve and the paths through solve_along_path
     solves = []
-    monkeypatch.setattr(analyticity, "solve_real", lambda *a, **k: solves.append(a))
+    for name in ("_solve", "solve_along_path"):
+        monkeypatch.setattr(analyticity, name, lambda *a, **k: solves.append(a))
     with pytest.raises(ConfigurationError, match="grid.points_per_axis, grid.half_length"):
         ps.verify_price_analyticity(params, call_payoff(), np.linspace(-0.02, 0.02, 3), [0.1], cfg,
                                     grid=ps.make_grid(1, 6.0, 32))

@@ -13,12 +13,14 @@ defined here (``_kind_runs``): ``solve`` on ``variable_heat`` (dims 1 and 2),
 and ``hermite`` data, a ``linear`` and a ``quadratic_surrogate`` reaction and a
 ``modulated`` source, each under both integrators; ``ellipticity`` on
 ``heston``, ``heston_chart``, a 2-component ``custom`` system, ``bs`` and 2-D
-``variable_heat``; ``maxreg`` on that system and on ``variable_heat``; and one
-``xva`` run on a ``hermite_expansion`` payoff with ``theta_mtm`` 0.5, r > 0 and
-an epsilon sweep.  Each run writes into ``OUT_DIR/<name>/``.  The raw bytes
-of the 64^2 Heston ``price_riskfree`` final row at seeds 0 and 7 go to
-``OUT_DIR/heston_seed<S>/final.bin``, with the SHA-256 of every stored row,
-as a read replays them, in ``rows.sha256``.
+``variable_heat``, and on ``heston_chart`` at explicit ``z_points``;
+``maxreg`` on that system and on ``variable_heat``; and ``xva`` on a
+``hermite_expansion`` payoff with ``theta_mtm`` 0.5, r > 0 and an epsilon
+sweep, on the 2-D variance chart (a ``heston`` block), and with a funding
+spread alone, which adds the ``xva_sign_bound`` check.  Each run writes into
+``OUT_DIR/<name>/``.  The raw bytes of the 64^2 Heston ``price_riskfree``
+final row at seeds 0 and 7 go to ``OUT_DIR/heston_seed<S>/final.bin``, with
+the SHA-256 of every stored row, as a read replays them, in ``rows.sha256``.
 
 The perfbench and ``BASE`` configs are imported from those two files, not
 copied.  The library is the ``parastrip`` on ``PYTHONPATH``, or this
@@ -101,6 +103,13 @@ ELLIPTICITY = {  # name: (grid dim, operator)
     "variable_heat_dim2": (2, VARIABLE_HEAT),
 }
 MAXREG = {"system": (SYSTEM, {"dt": 0.0125, "integrator": "imex"}), "variable_heat": (VARIABLE_HEAT, {"dt": 0.0125})}
+CALL = {"kind": "smoothed_call", "strike": 1.0, "epsilon": 0.05}
+XVA = {  # name: (grid dim, xva.params beyond sigma and epsilon)
+    # the variance chart: a heston block on a 2-D grid, at the library's default imex step
+    "heston_dim2": (2, {"lambda_B": 0.02, "s_F": 0.01, "heston": HESTON}),
+    # a funding spread alone adds the xva_sign_bound check to the report
+    "sign_bound": (1, {"s_F": 0.01}),
+}
 
 
 def _kind_runs():
@@ -115,6 +124,9 @@ def _kind_runs():
         yield f"ellipticity_{name}", "ellipticity", {
             "grid": dict(GRID, dim=dim), "problem": {"operator": op},
             "ellipticity": {"n_thetas": 3, "n_directions": 2, "n_fields": 2, "t_points": [0.0, 0.5]}}, None
+    yield "ellipticity_z_points", "ellipticity", {
+        "grid": dict(GRID, dim=2), "problem": {"operator": {"kind": "heston_chart", "heston": HESTON}},
+        "ellipticity": {"n_thetas": 3, "n_directions": 2, "n_fields": 2, "z_points": [[0.0, 0.0], [1.5, -0.5]]}}, None
     for name, (op, solver) in MAXREG.items():
         yield f"maxreg_{name}", "maxreg", {
             "grid": GRID, "problem": {"operator": op}, "solver": solver,
@@ -125,6 +137,10 @@ def _kind_runs():
                 "params": {"sigma": 0.2, "epsilon": 0.05, "r": 0.03, "theta_mtm": 0.5, "lambda_B": 0.02,
                            "lambda_C": 0.05, "R_B": 0.4, "R_C": 0.4, "s_F": 0.01},
                 "payoff": {"kind": "hermite_expansion", "strike": 1.0, "epsilon": 0.05, "n_terms": 24}}}, None
+    for name, (dim, params) in XVA.items():
+        yield f"xva_{name}", "xva", {
+            "grid": dict(GRID, dim=dim, half_length=6.0),
+            "xva": {"horizon": 0.05, "params": dict(params, sigma=0.2, epsilon=0.05), "payoff": CALL}}, None
 
 
 def main(argv=None) -> int:
