@@ -8,6 +8,7 @@ independence, strip norms, and the weighted space-time integrals that the
 analyticity estimates bound.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field as dataclass_field, replace
@@ -15,13 +16,23 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParastripError
-from .grid import ComplexField, _fftn, _ifftn, derivative_multiplier, spectral_derivative
+from .grid import (
+    ComplexField,
+    _fftn,
+    _ifftn,
+    _normalize_shift,
+    _shifted_points,
+    derivative_multiplier,
+    spectral_derivative,
+)
 from .norms import NormParams, _besov_norms, _fit_blocks, _lp_norms, besov_norm, lp_norm
 from .operators import multi_indices
 from .solver import (
     CauchyProblem,
     SolverConfig,
     SolveResult,
+    _Conjugate,
+    _initial_field,
     _real_span,
     _release,
     _solve,
@@ -58,6 +69,98 @@ def _check_symmetric(keys):
     negated = {tuple(-v for v in k) for k in keys}
     if negated != set(keys) or all(any(v != 0.0 for v in k) for k in keys):
         raise ConfigurationError("family y-grid must be symmetric about zero and contain zero")
+
+
+# a sample may differ from the conjugate of its reflection by this share of its largest
+# modulus: the rounding of evaluating at conjugate points
+_REFLECTION_TOL = 1e-13
+
+
+def _conjugates(a, b) -> bool:
+    """Whether ``b`` is the conjugate of ``a`` but for rounding; both must be finite, of one shape."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if a.shape != b.shape or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return False
+    return bool(np.max(np.abs(b - np.conj(a)), initial=0.0) <= _REFLECTION_TOL * np.max(np.abs(a), initial=0.0))
+
+
+def _jet_samples(spec, grid) -> np.ndarray:
+    """Jet values (n_slots, M, 1, *grid) at which the reflection of a reaction is sampled: they
+    vary over slots, components and points, with moduli in [0.25, 0.75] and arguments within
+    0.3 of zero, off the imaginary axis where the smoothers' cuts lie."""
+    x = grid.meshgrid().sum(axis=0)
+    slot = np.arange(spec.n_slots).reshape((-1, 1, 1) + (1,) * grid.dim)
+    comp = np.arange(spec.components).reshape((1, -1, 1) + (1,) * grid.dim)
+    return (0.5 + 0.25 * np.cos(x * (1 + slot) + comp)) * np.exp(0.3j * np.sin(x + slot + 2 * comp))
+
+
+def _parity(alpha, beta) -> int:
+    """(-1)^(|alpha| + |beta|): D^alpha (c D^beta .) with D = -i d is real when c(conj z, conj t) is
+    this sign times conj c(z, t), so a real first-order term has an imaginary coefficient."""
+    return -1 if (sum(alpha) + sum(beta)) % 2 else 1
+
+
+def _reflected_samples(problem: CauchyProblem, pairs, times):
+    """(f(z, t), f(conj z, conj t)) for each sampled input f of ``problem``, lazily (see ``_is_real``)."""
+    op, grid, spec = problem.op, problem.grid, problem.reaction
+    for shift, mirror in pairs:
+        shift, mirror = _normalize_shift(grid.dim, shift), _normalize_shift(grid.dim, mirror)
+        yield _initial_field(problem, shift).values, _initial_field(problem, mirror).values
+        z, z_bar = _shifted_points(grid, shift), _shifted_points(grid, mirror)
+        for k, t in enumerate(times):
+            t_bar = np.conj(t)
+            for (alpha, beta), entry in op.terms.items():
+                if callable(entry) and (k == 0 or not op.autonomous):
+                    yield (_parity(alpha, beta) * op.coefficient_matrix(alpha, beta, z, t),
+                           op.coefficient_matrix(alpha, beta, z_bar, t_bar))
+            if problem.source is not None:
+                yield tuple(out.values if isinstance(out, ComplexField) else out for out in
+                            (problem.source(t, grid, shift), problem.source(t_bar, grid, mirror)))
+            if spec is not None:
+                jets, at = _jet_samples(spec, grid), (1,) + (1,) * grid.dim
+                yield (spec.eval(z[:, np.newaxis], np.reshape(t, at), jets),
+                       spec.eval(z_bar[:, np.newaxis], np.reshape(t_bar, at), np.conj(jets)))
+
+
+def _is_real(problem: CauchyProblem, pairs, times) -> bool:
+    """Whether the solve of ``problem`` at shift s' along the ray conj(mu) is the conjugate of the
+    solve at s along mu, for each (s, s') of ``pairs`` (complex vectors) and every ray through
+    ``times``.
+
+    That holds when f(conj z, conj t) = conj f(z, t) for the datum, the
+    source, the reaction (whose jets are plain derivatives) and each term of
+    ``op.terms`` up to its ``_parity``.  Constant terms are checked exactly;
+    the rest is sampled on the shifted grids x + s and x + s' at each of
+    the ``times`` and its conjugate (an autonomous operator's terms at the
+    first only, the reaction at ``_jet_samples``).  A sample that raises or
+    misses its partner's conjugate by more than rounding makes the problem
+    not real.  A reflection differs from the solve it stands for by the
+    solution's Nyquist content, which the grid holds with one sign under an
+    odd derivative.  Neither ``_solve`` nor ``OperatorPlan`` runs this test.
+    """
+    try:
+        return (all(np.all(_parity(*term) * np.conj(entry) == entry)
+                    for term, entry in problem.op.terms.items() if not callable(entry))
+                and all(_conjugates(a, b) for a, b in _reflected_samples(problem, pairs, times)))
+    except Exception:         # an input that cannot be sampled is not known to be real
+        return False
+
+
+def _reflected_rhs(rhs, stack, ts, sources=None):
+    """A reflected solve's right-hand side: the conjugate of its partner's ``rhs`` at the conjugate
+    stack, times and source rows."""
+    return np.conj(rhs(np.conj(stack), np.conj(ts), sources=None if sources is None else np.conj(sources)))
+
+
+def _mirror(partner: SolveResult, name) -> SolveResult:
+    """The reflection of ``partner``, a solve of a real problem: the solve at the conjugate shift
+    along the conjugate ray, whose rows and times are the conjugates of the partner's.  Its rows
+    are conjugated when first read (``solver._Conjugate``), so making it replays nothing; its
+    diagnostics are the partner's, with ``mirror_of`` set to ``name``."""
+    diag = dict(partner.diagnostics, mu=partner.diagnostics["mu"].conjugate(),
+                shift=np.conj(partner.diagnostics["shift"]), mirror_of=name)
+    return SolveResult(partner.grid, np.conj(partner.times), [_Conjugate(partner)], diag,
+                       functools.partial(_reflected_rhs, partner.rhs))
 
 
 @dataclass
@@ -102,17 +205,23 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     Members are solves sharing every discretization knob, each with its own
     operator plan, run through one driver (``solver._solve``), in lockstep
     under ``picard_voc``; each gets the bits of its own serial solve.  A
-    failing member aborts the family with an error naming its
-    shift; when several fail, the one with the smallest y, which a serial
-    run in ascending order of y would meet first.  The error keeps the
-    member's type when that is a ParastripError; any other is wrapped in one.
+    real problem (``_is_real``, sampled on the members' shifted grids at t0
+    and ``horizon``) has u(x - iy, t) = conj u(x + iy, t): then only the
+    members up to the middle of the ascending y-grid are solved, y <= 0 on
+    a line, and each other member is the ``_mirror`` of the one at -y,
+    which ``diagnostics["mirror_of"]`` names.  A failing member aborts the
+    family with an error naming its shift; when several fail, the one with
+    the smallest y, which a serial run in ascending order of y would meet
+    first.  The error keeps the member's type when that is a
+    ParastripError; any other is wrapped in one.
 
-    ``keep(index, times, block)`` is the members' row hook (see
+    ``keep(index, times, block)`` is the solved members' row hook (see
     ``solver._solve``): member ``index``, in ascending order of y, offers it
     each row it would store and keeps those it holds and its last row, so a
     caller can reduce the rows as they march and hold only the few it reads
-    again.  A hook must hold the same times for every member.  None keeps
-    every row.
+    again.  A mirror is offered nothing and holds the conjugates of its
+    partner's rows.  A hook must hold the same times for every member.
+    None keeps every row.
     """
     dim = problem.grid.dim
     ys = [_as_vector(y, dim) for y in np.atleast_1d(np.asarray(y_grid, dtype=np.float64)).reshape(-1, dim)]
@@ -123,15 +232,24 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
         if not strip.contains(1j * y):
             raise DomainError(f"shift y={tuple(map(float, y))} leaves the strip of half width {strip.half_width}")
     _check_symmetric([_key(y) for y in ys])
-    ys = sorted(ys, key=_key)
+    # sorted, the symmetric grid's member i has its reflection -y at n - 1 - i
+    ys, solved = sorted(ys, key=_key), len(ys)
     try:
         start, s_total = _real_span(t0, horizon)
-        outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys], config, t_base=start,
-                          keep=keep)
+        if _is_real(problem, [(1j * y, 1j * ys[-1 - i]) for i, y in enumerate(ys[:len(ys) // 2])],
+                    [start, float(horizon)]):
+            solved -= len(ys) // 2
+        outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys[:solved]], config,
+                          t_base=start, keep=keep)
     except Exception as exc:          # a setting all members share: the first one reports it
         outcomes = [exc]
     results = {}
-    for y, out in zip(ys, outcomes):
+    for i, y in enumerate(ys):
+        if i < solved:
+            out = outcomes[i]
+        else:
+            partner = tuple(map(float, ys[-1 - i]))
+            out = _mirror(results[_key(partner)], partner)
         if isinstance(out, Exception):
             _release(out, sys._getframe())
             kind = type(out) if isinstance(out, ParastripError) else ParastripError
@@ -270,7 +388,12 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     all widths share, is one ray solved once; the rays run in lockstep and
     keep their final rows only: no row but the start and the last is due
     under their snapshot stride, which changes no bit of the march, and the
-    row hook holds neither, so the march's last row alone is stored.
+    row hook holds neither, so the march's last row alone is stored.  When
+    the problem at ``shift`` is real (``_is_real``, sampled at the rays'
+    ends), the ray at conj(mu) ends at the conjugate of the ray at mu: a
+    ray whose conjugate comes before it is not solved, and takes that
+    ray's conjugated end.  So a real centre solves one ray of each pair
+    centre +- i d.
     """
     single = np.isscalar(d_mu)
     widths = [float(d_mu)] if single else [float(d) for d in d_mu]
@@ -288,8 +411,15 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
                 raise DomainError(f"stencil point mu={mu} leaves the disc of radius {radius}")
         # in the order a serial run solves them: each stencil, the centre after the first
         rays.extend(stencil if rays else stencil + [mu_center])
+    real = _is_real(problem, [(shift, shift)], [mu * float(rho) for mu in rays])
+    solved, ends_of = [], []        # the rays to solve; per ray, (its solved ray, whether conjugated)
+    for mu in rays:
+        flip = real and mu.imag != 0.0 and mu.conjugate() in solved
+        ends_of.append((solved.index(mu.conjugate()), True) if flip else (len(solved), False))
+        if not flip:
+            solved.append(mu)
     config = replace(config if config is not None else SolverConfig(), snapshot_stride=_NO_SNAPSHOTS)
-    outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in rays], config, keep=_hold_none)
+    outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in solved], config, keep=_hold_none)
     for out in outcomes:
         if isinstance(out, Exception):
             _release(out, sys._getframe())
@@ -297,9 +427,9 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
                 raise out
             finally:
                 outcomes = out = None     # the raise pins this frame, which must not keep the error
-    ends = [out.final.values for out in outcomes]
-    center = outcomes[4].final
-    scale = lp_norm(center, 2.0)
+    ends = [np.conj(outcomes[j].final.values) if flip else outcomes[j].final.values for j, flip in ends_of]
+    grid = problem.grid
+    scale = lp_norm(ComplexField._trusted(grid, ends[4]), 2.0)
     if scale == 0.0:
         raise ConfigurationError("cannot normalize the residual of a zero trajectory")
     residuals = []
@@ -308,7 +438,7 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
         d_re = (w_re_p - w_re_m) / (2.0 * d)
         d_im = (w_im_p - w_im_m) / (2.0 * d)
         resid = 0.5 * (d_re + 1j * d_im)
-        residuals.append(float(lp_norm(ComplexField(center.grid, resid), 2.0) / scale))
+        residuals.append(float(lp_norm(ComplexField(grid, resid), 2.0) / scale))
     return residuals[0] if single else residuals
 
 
@@ -411,7 +541,8 @@ class _NormTable:
     mask of the rows at the ``hold`` times (within ``_time_index``'s
     tolerance), so it is a shift family's row hook.  ``rows`` lists, per
     snapshot: t, the L2, L^p and Besov norms of member 0 and the Besov sup
-    over the members.
+    over the members offered: a real family offers only its solved members,
+    whose mirrors have equal norms.
     """
 
     def __init__(self, grid, p: float, order_half: int, hold=()):

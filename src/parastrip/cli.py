@@ -46,6 +46,7 @@ from .reaction import ReactionSpec
 from .solver import (
     CauchyProblem,
     SolverConfig,
+    _check_length,
     _check_support,
     _max_reg_time_grid,
     default_maxreg_ensemble,
@@ -56,6 +57,7 @@ from .xva import (
     _HESTON_KEYS,
     PayoffSpec,
     XvaParams,
+    _check_payoff,
     _pricing_generator,
     bs_log_generator,
     evaluate_at,
@@ -602,6 +604,7 @@ def _solvable(v: dict, horizon, errors: list):
     scalar) starts it."""
     problem, grid = _build_problem(v, horizon, errors)
     config = _solver_config(v["solver"] or {}, errors)
+    _library("run.horizon", errors, _check_length, horizon - (v["run"].get("t0") or 0.0))
     _library("grid", errors, _fit_blocks, grid)
     op = problem.op if problem is not None else None
     _check_integrator(op, config.integrator if config is not None else None, errors)
@@ -803,6 +806,8 @@ def _cmd_xva(v, out_dir, seed, record):
             pay_eps = payoff if payoff.kind == "hermite_expansion" else _library(
                 "sweep.epsilon", errors, PayoffSpec, payoff.kind, payoff.strike, eps)
             sweep.append((eps, _library("sweep.epsilon", errors, replace, params, epsilon=eps), pay_eps))
+    if payoff is not None:
+        _library("xva.payoff.strike", errors, _check_payoff, payoff, grid)
     config = _solver_config(v["solver"], errors)
     if errors:
         raise _Invalid(errors)

@@ -80,9 +80,28 @@ def lp_norm(field: ComplexField, p: float) -> float:
     return _lp_norms(field.values[np.newaxis], field.grid, p)[0]
 
 
+def _powers(values: np.ndarray, p: float, scratch=False) -> np.ndarray:
+    """|v|^p of every entry: for an even integer p, (re^2 + im^2)^(p/2), by multiplications for
+    p = 2 and 4; any other p as np.abs(v) ** p.  ``scratch`` lets it square ``values`` in place
+    (a C-contiguous complex stack), which saves a buffer of squares."""
+    if p % 2:
+        power = np.abs(values)
+        power **= p
+        return power
+    if scratch:
+        parts = values.view(np.float64)        # re, im interleaved
+        parts *= parts
+        square = parts[..., 0::2] + parts[..., 1::2]
+    else:
+        square = values.real * values.real
+        square += values.imag * values.imag
+    square **= p / 2
+    return square
+
+
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> list:
     """The L^p norm of every row of a (B, M, *grid) stack; ``lp_norm`` is its one-row case."""
-    sums = np.sum(np.abs(values) ** p, axis=tuple(range(1, values.ndim)))
+    sums = np.sum(_powers(values, p), axis=tuple(range(1, values.ndim)))
     return [float((total * grid.cell_volume) ** (1.0 / p)) for total in sums]
 
 
@@ -133,16 +152,15 @@ def littlewood_paley_blocks(field: ComplexField) -> list:
 def _besov_norms(values: np.ndarray, grid: Grid, params: NormParams) -> list:
     """besov_norm of every row of a (B, M, *grid) stack, with the same rounding.
 
-    The core works in place: the (J + 1, B, M, *grid) pieces are
-    inverse-transformed into the product that holds them, and |piece|^p is
-    raised in the buffer of |piece|.
+    The (J + 1, B, M, *grid) pieces are inverse-transformed into the
+    product that holds them, and ``_powers`` squares them there and raises
+    |piece|^p with the bits ``lp_norm`` gives.
     """
     windows = _lp_windows(grid)
     # (J + 1, B, M, *grid): every block of every row in one inverse transform
     pieces = _fftn(values, grid)[np.newaxis] * windows[:, np.newaxis, np.newaxis]
-    powers = np.abs(_ifftn(pieces, grid, out=pieces))
+    powers = _powers(_ifftn(pieces, grid, out=pieces), params.p, scratch=True)
     pieces = None
-    powers **= params.p
     sums = np.sum(powers, axis=tuple(range(2, powers.ndim)))
     weight, p, smoothness = grid.cell_volume, params.p, params.s
     scales = [2.0 ** (j * smoothness * p) for j in range(1, len(sums))]

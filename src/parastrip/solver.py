@@ -205,6 +205,23 @@ class _Pending(NamedTuple):
     replay: _Replay
     nodes: list
 
+    def rows(self, grid: Grid):
+        return self.replay.rows(self.nodes, grid)
+
+
+class _Conjugate(NamedTuple):
+    """Every row of ``partner``, conjugated when first read: the rows of a reflected solve
+    (``analyticity._mirror``).  ``final`` conjugates the partner's last row alone."""
+
+    partner: "SolveResult"
+
+    def rows(self, grid: Grid) -> list:
+        return [_read_only(np.conj(block)) for block in self.partner.blocks]
+
+    @property
+    def final(self) -> np.ndarray:
+        return _read_only(np.conj(self.partner.final.values))
+
 
 # bytes of stored rows per right-hand-side evaluation of a SolveResult, and of dense
 # resolvent blocks per chunk of their build: enough rows or blocks to share the Python
@@ -247,8 +264,10 @@ class SolveResult:
     its last unread, as one ``_Pending``: the first read of ``blocks``
     replays them (one more batched matvec per node) in checked runs of
     _HOOK_BYTES, with the bits they had in the march, which then replace
-    it; a fully read result holds no resolvent.  ``final`` reads the last
-    row, which every march stores as values, and replays nothing.
+    it; a fully read result holds no resolvent.  A reflected solve stores
+    one ``_Conjugate`` of its partner, which a read of ``blocks`` turns into
+    the conjugates of the partner's blocks.  ``final`` reads the last row,
+    which every march stores as values, and replays nothing.
     ``fields`` and ``time_derivatives`` are tuples of ComplexField views of
     the rows, wrapped without a second check.
 
@@ -272,11 +291,10 @@ class SolveResult:
 
     @property
     def blocks(self) -> tuple:
-        if any(isinstance(part, _Pending) for part in self.stored):
-            # every run is replayed and checked before any replaces its placeholder
+        if not all(isinstance(part, np.ndarray) for part in self.stored):
+            # every run is made and checked before any replaces its placeholder
             self.stored[:] = [run for part in self.stored for run in (
-                part.replay.rows(part.nodes, self.grid)
-                if isinstance(part, _Pending) else (part,))]
+                (part,) if isinstance(part, np.ndarray) else part.rows(self.grid))]
         return tuple(self.stored)
 
     @functools.cached_property
@@ -300,7 +318,8 @@ class SolveResult:
 
     @property
     def final(self) -> ComplexField:
-        return ComplexField._trusted(self.grid, self.stored[-1][-1])
+        last = self.stored[-1]
+        return ComplexField._trusted(self.grid, last.final if isinstance(last, _Conjugate) else last[-1])
 
     def __len__(self):
         return len(self.times)
@@ -431,24 +450,28 @@ def _phi_weights(a: np.ndarray):
     Near the removable singularity the values are recovered as contour means
     over a unit circle around each point (exact for entire functions up to
     the Taylor tail beyond order 32); elsewhere the direct formulas are fine.
+    Each distinct value of ``a`` is evaluated once and scattered to its
+    copies: a symbol repeats for +-k, and in 2-D for every k of equal |k|.
     """
     a = np.asarray(a, dtype=np.complex128)
-    phi1 = np.empty_like(a)
-    phi2 = np.empty_like(a)
-    small = np.abs(a) <= 0.5
+    distinct, inverse = np.unique(a, return_inverse=True)
+    phi1 = np.empty_like(distinct)
+    phi2 = np.empty_like(distinct)
+    small = np.abs(distinct) <= 0.5
     large = ~small
     if np.any(large):
-        al = a[large]
+        al = distinct[large]
         ea = np.exp(al)
         phi1[large] = (ea - 1.0) / al
         phi2[large] = (ea - 1.0 - al) / (al * al)
     if np.any(small):
         th = np.exp(2j * np.pi * (np.arange(_PHI_CONTOUR_POINTS) + 0.5) / _PHI_CONTOUR_POINTS)
-        z = a[small][..., np.newaxis] + th
+        z = distinct[small][..., np.newaxis] + th
         ez = np.exp(z)
         phi1[small] = np.mean((ez - 1.0) / z, axis=-1)
         phi2[small] = np.mean((ez - 1.0 - z) / (z * z), axis=-1)
-    return phi1, phi2
+    inverse = inverse.reshape(a.shape)
+    return phi1[inverse], phi2[inverse]
 
 
 def _time_nodes(span, config: SolverConfig, mu, t_base, temporal):
@@ -1324,6 +1347,12 @@ def _march(problem: CauchyProblem, members: list, s_total: float, config: Solver
         queue[:0] = [[m] for m in pending]
 
 
+def _check_length(s_total):
+    """Refuse an integration length of at most 1e-12, which ``_march`` counts as done."""
+    if not s_total > 1e-12:
+        raise ConfigurationError(f"integration length must exceed 1e-12, got {s_total!r}")
+
+
 def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_base=0.0, keep=None) -> list:
     """Solve for every member (mu, shift, start) along t = t_base + mu s, s in [0, s_total].
 
@@ -1347,8 +1376,7 @@ def _solve(problem: CauchyProblem, s_total, members, config: SolverConfig, t_bas
     serial solve raises.  The list ends at the first exception, the one a serial run of
     the members in order raises first.
     """
-    if not s_total > 1e-12:  # _march counts a span within 1e-12 of its end as done
-        raise ConfigurationError(f"integration length must exceed 1e-12, got {s_total!r}")
+    _check_length(s_total)
     config = config if config is not None else SolverConfig()
     window = config.window if config.window is not None else 32.0 * config.dt
 

@@ -329,10 +329,13 @@ def test_the_norm_table_is_taken_as_the_family_marches(tmp_path, monkeypatch, in
     members = list(family.results.values())
     assert len(family.times) == 501
     params = NormParams(p=config.p, m=1)
+    # the heat flow of a gaussian is real: y > 0 reflects -y, and the sup runs over the solved members
+    solved = [m for m in members if "mirror_of" not in m.diagnostics]
+    assert len(solved) == 5
     norms = []
     for j, t in enumerate(family.times):
         f = members[0].fields[j]
-        besov = [_besov_norms(m.fields[j].values[np.newaxis], grid, params)[0] for m in members]
+        besov = [_besov_norms(m.fields[j].values[np.newaxis], grid, params)[0] for m in solved]
         norms.append((float(np.real(t)), lp_norm(f, 2.0), lp_norm(f, config.p), besov[0], max(besov)))
     assert repr(tables["norms.csv"]) == repr(norms)
     space = [(stride * (line[1] - line[0]), t, parastrip.cr_residual_space(family, t, stride=stride))
@@ -945,7 +948,9 @@ def test_a_constant_heat_study_applies_no_operator_in_its_picard_windows(tmp_pat
 def test_the_analyticity_study_prepares_each_ray_once_per_window(tmp_path, monkeypatch):
     # the benchmark's analyticity config at horizon 0.1 and n = 128.  Members on one ray share its
     # time nodes, and members that also share the frozen symbol share its phi weights: set-up
-    # repeated per member would make 62 _time_nodes and 43 _phi_weights calls here
+    # repeated per member would make 62 _time_nodes and 43 _phi_weights calls here.  The problem
+    # is real, so the time stencil solves 7 of its 9 rays: each of the two rays mu = 1 - i d
+    # reflects 1 + i d, and saves its _time_nodes and _phi_weights call in each of 2 windows
     import parastrip.solver as solver
 
     cfg = {
@@ -978,7 +983,7 @@ def test_the_analyticity_study_prepares_each_ray_once_per_window(tmp_path, monke
         monkeypatch.setattr(solver, name, spy)
     code, _ = _run_in_process(tmp_path, "va", "verify-analyticity", cfg)
     assert code == 0
-    assert counts == {"_fftn": 15, "_ifftn": 15, "_phi_weights": 27, "_time_nodes": 30}
+    assert counts == {"_fftn": 15, "_ifftn": 15, "_phi_weights": 23, "_time_nodes": 26}
 
 
 def test_the_xva_study_transforms_no_iterate_twice(tmp_path, monkeypatch):

@@ -308,6 +308,10 @@ def test_a_config_drawn_inside_the_tables_runs_or_fails_typed(drawn):
     if coarse and command in ("solve", "verify-analyticity", "maxreg"):
         assert code == 2 and "grid.points_per_axis" in _invalid_detail(stderr), (cfg, stderr)
         return
+    # and the solver marches a length above 1e-12 only
+    if command in ("solve", "verify-analyticity") and cfg["run"]["horizon"] - cfg["run"].get("t0", 0.0) <= 1e-12:
+        assert code == 2 and "run.horizon:" in _invalid_detail(stderr), (cfg, stderr)
+        return
     assert code in (0, 1), (cfg, stderr)
     failed = [job for job in manifest["job_status"] if job["status"] != "ok"]
     assert all(job["error"].startswith(TYPED) for job in failed), (cfg, failed)
@@ -327,3 +331,15 @@ def test_the_benchmark_configs_pass_the_tables(monkeypatch):
             errors = []
             _walk(cfg, _TOP, "", command, errors)
             assert errors == [], (command, seed, errors)
+
+
+def test_a_strike_outside_the_log_price_box_exits_2_naming_the_strike():
+    # e^6 is about 403: strike 10000 lies beyond the box of half length 6
+    code, stderr, _ = _run("xva", _with(BASE["xva"], "xva.payoff.strike", 10000.0))
+    assert code == 2 and "xva.payoff.strike: strike lies outside the log-price box" in _invalid_detail(stderr)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify-analyticity"])
+def test_a_horizon_below_the_solvers_least_length_exits_2_naming_it(command):
+    code, stderr, _ = _run(command, _with(BASE[command], "run.horizon", 1e-13))
+    assert code == 2 and "run.horizon: integration length must exceed 1e-12, got 1e-13" in _invalid_detail(stderr)

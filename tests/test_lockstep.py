@@ -43,15 +43,51 @@ def semilinear_problem():
 SEMILINEAR_YS = np.linspace(-0.4, 0.4, 9)
 
 
+def assert_mirrors(got, partner, want, rtol=(1e-15, 1e-12)):
+    """A reflected member is the conjugate of its partner bit for bit, and its own serial solve
+    ``want`` within ``rtol[0]`` relative.  Its time derivatives apply P, which amplifies the last
+    bits of the top modes by |k|^2: they agree within ``rtol[1]`` (3.8e-13 for the heat flow)."""
+    np.testing.assert_array_equal(got.times, np.conj(partner.times))
+    np.testing.assert_array_equal(got.times, want.times)
+    for rows, partner_rows, want_rows, bound in ((got.fields, partner.fields, want.fields, rtol[0]),
+                                                 (got.time_derivatives, partner.time_derivatives,
+                                                  want.time_derivatives, rtol[1])):
+        assert len(rows) == len(partner_rows) == len(want_rows)
+        for a, b, c in zip(rows, partner_rows, want_rows):
+            np.testing.assert_array_equal(a.values, np.conj(b.values))
+            assert np.max(np.abs(a.values - c.values)) <= bound * np.max(np.abs(c.values))
+    for key in ("picard_iterations", "window_halvings", "integrator", "dt"):
+        assert got.diagnostics[key] == want.diagnostics[key], key
+    np.testing.assert_allclose(got.diagnostics["shift"], want.diagnostics["shift"], rtol=0.0, atol=1e-16)
+
+
 def family_against_serial(problem, y_grid, horizon, config):
-    fam = ps.solve_shift_family(problem, y_grid, 0.0, horizon, config)
+    return check_members(ps.solve_shift_family(problem, y_grid, 0.0, horizon, config), problem, horizon, config)
+
+
+def check_members(fam, problem, horizon, config, rtol=(1e-15, 1e-12)):
+    """Each solved member carries the bits of its serial solve, and each mirror reflects its partner
+    (``assert_mirrors`` with ``rtol``)."""
     for y in fam.y_values:
-        assert_same_solve(fam.member(y), ps.solve_real(problem, 0.0, horizon, config, shift=1j * np.asarray(y)))
+        got, want = fam.member(y), ps.solve_real(problem, 0.0, horizon, config, shift=1j * np.asarray(y))
+        if "mirror_of" in got.diagnostics:
+            assert_mirrors(got, fam.member(got.diagnostics["mirror_of"]), want, rtol)
+        else:
+            assert_same_solve(got, want)
     return fam
 
 
+def mirrored(fam) -> list:
+    """The y of every reflected member of a family, in ascending order."""
+    return [y for y in fam.y_values if "mirror_of" in fam.member(y).diagnostics]
+
+
 def test_a_nine_member_family_equals_one_member_solves(heat_problem):
-    family_against_serial(heat_problem, np.linspace(-0.25, 0.25, 9), 0.1, ps.SolverConfig(dt=1e-3))
+    # a real problem: the members y > 0 reflect those at -y
+    fam = family_against_serial(heat_problem, np.linspace(-0.25, 0.25, 9), 0.1, ps.SolverConfig(dt=1e-3))
+    assert mirrored(fam) == fam.y_values[5:]
+    assert [fam.member(y).diagnostics["mirror_of"] for y in mirrored(fam)] == [(-0.0625,), (-0.125,),
+                                                                               (-0.1875,), (-0.25,)]
 
 
 def test_a_nine_member_2d_family_equals_one_member_solves():
@@ -60,7 +96,11 @@ def test_a_nine_member_2d_family_equals_one_member_solves():
                                lambda pts: np.exp(-0.5 * (pts[0] ** 2 + pts[1] ** 2)))
     line = np.linspace(-0.3, 0.3, 9)
     y_grid = np.column_stack([line, np.zeros_like(line)])
-    family_against_serial(problem, y_grid, 0.05, ps.SolverConfig(dt=2e-3, snapshot_stride=3))
+    fam = family_against_serial(problem, y_grid, 0.05, ps.SolverConfig(dt=2e-3, snapshot_stride=3))
+    # the mirror of (y, 0) is the member at (-y, 0)
+    assert mirrored(fam) == fam.y_values[5:]
+    for y in mirrored(fam):
+        assert fam.member(y).diagnostics["mirror_of"] == pytest.approx((-y[0], 0.0), abs=1e-16)
 
 
 def test_semilinear_members_sweep_their_own_counts():
@@ -118,7 +158,8 @@ def test_cr_residual_time_solves_the_shared_centre_once(heat_problem, monkeypatc
 
     monkeypatch.setattr(analyticity, "_solve", spy)
     got = ps.cr_residual_time(heat_problem, 1.0, widths, 0.1, config)
-    assert calls == [(9, {"keep": analyticity._hold_none})]
+    # a real problem: the ray 1 - i d ends at the conjugate of the ray 1 + i d, so 7 of the 9 are solved
+    assert calls == [(7, {"keep": analyticity._hold_none})]
     grid = heat_problem.grid
 
     def end(mu):
@@ -126,8 +167,10 @@ def test_cr_residual_time_solves_the_shared_centre_once(heat_problem, monkeypatc
 
     scale = ps.lp_norm(end(1.0), 2.0)
     for d, residual in zip(widths, got):
+        up, down = end(1.0 + 1j * d).values, end(1.0 - 1j * d).values
+        assert np.max(np.abs(np.conj(up) - down)) <= 1e-15 * np.max(np.abs(down))
         d_re = (end(1.0 + d).values - end(1.0 - d).values) / (2.0 * d)
-        d_im = (end(1.0 + 1j * d).values - end(1.0 - 1j * d).values) / (2.0 * d)
+        d_im = (up - np.conj(up)) / (2.0 * d)
         assert residual == ps.lp_norm(ComplexField(grid, 0.5 * (d_re + 1j * d_im)), 2.0) / scale
     single = ps.cr_residual_time(heat_problem, 1.0, widths[1], 0.1, config)
     assert isinstance(single, float) and single == got[1]
@@ -149,9 +192,16 @@ def family_through_a_hook(problem, y_grid, horizon, config, hold):
 
     got = ps.solve_shift_family(problem, y_grid, 0.0, horizon, config, keep=keep)
     want = ps.solve_shift_family(problem, y_grid, 0.0, horizon, config)
-    assert sorted(offered) == list(range(len(want.y_values)))
+    # a mirror is offered no row: it holds the conjugates of its partner's held rows
+    assert sorted(offered) == [i for i, y in enumerate(want.y_values) if y not in mirrored(want)]
     for index, y in enumerate(want.y_values):
         full, held = want.member(y), got.member(y)
+        if index not in offered:
+            partner = got.member(held.diagnostics["mirror_of"])
+            np.testing.assert_array_equal(held.times, np.conj(partner.times))
+            np.testing.assert_array_equal(np.stack([f.values for f in held.fields]),
+                                          np.conj(np.stack([f.values for f in partner.fields])))
+            continue
         # each row once, in time order, with the bits a read of the unhooked member gives
         times = [t for ts, _ in offered[index] for t in ts]
         np.testing.assert_array_equal(times, full.times)
@@ -212,7 +262,9 @@ def test_a_failing_member_is_the_one_a_serial_run_meets_first(heat_problem):
             raise DomainError(f"source undefined at t={complex(t)}")
         return np.zeros((1,) + grid.shape)
 
-    problem = dataclasses.replace(heat_problem, source=source)
+    # a datum that is not real, so that every member is solved and the family samples no source
+    problem = dataclasses.replace(heat_problem, source=source,
+                                  initial=lambda pts: np.exp(-0.5 * pts[0] ** 2 + 0.5j * pts[0]))
     config = ps.SolverConfig(dt=0.01, window=0.04)
     with pytest.raises(DomainError) as serial:
         ps.solve_real(problem, 0.0, 0.4, config, shift=[-0.1j])
@@ -310,7 +362,8 @@ def test_an_imex_family_marches_each_member_once_over_its_whole_span(heat_proble
     monkeypatch.setattr(solver, "_march_imex", counted)
     config = ps.SolverConfig(dt=0.01, window=0.02, integrator="imex")
     fam = ps.solve_shift_family(heat_problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config)
-    assert calls == [(0, 0.05), (1, 0.05), (2, 0.05)]
+    # y = 0.1 reflects y = -0.1 and marches nothing
+    assert calls == [(0, 0.05), (1, 0.05)]
     assert all(len(fam.member(y).diagnostics["windows"]) == 1 for y in fam.y_values)
 
 
@@ -417,15 +470,14 @@ def test_window_constants_follow_each_window_start_for_a_time_dependent_operator
 
 
 def test_a_constant_family_evaluates_its_phi_weights_once_per_window_dt(heat_problem, monkeypatch):
-    # the nine members share mu, dt and the frozen symbol of the constant diffusivity, so one
-    # _phi_weights call serves them all; each keeps the bits of its serial solve
+    # the five solved members share mu, dt and the frozen symbol of the constant diffusivity, so
+    # one _phi_weights call serves them all; each keeps the bits of its serial solve
     calls = count_phi_weights(monkeypatch)
     config = ps.SolverConfig(dt=1e-3)
     fam = ps.solve_shift_family(heat_problem, np.linspace(-0.25, 0.25, 9), 0.0, 0.1, config)
     windows = fam.member(0.0).diagnostics["windows"]
     assert len(calls) == len({(w["s_end"] - w["s_start"]) / w["steps"] for w in windows}) == 2
-    for y in fam.y_values:
-        assert_same_solve(fam.member(y), ps.solve_real(heat_problem, 0.0, 0.1, config, shift=1j * np.asarray(y)))
+    assert len(mirrored(check_members(fam, heat_problem, 0.1, config))) == 4
 
 
 def test_a_family_whose_frozen_symbols_differ_evaluates_the_weights_per_member(monkeypatch):
@@ -439,9 +491,12 @@ def test_a_family_whose_frozen_symbols_differ_evaluates_the_weights_per_member(m
     # binary fractions: every window has the same dt to the last bit
     config = ps.SolverConfig(dt=1 / 64, window=4 / 64)
     fam = ps.solve_shift_family(problem, np.linspace(-0.2, 0.2, 5), 0.0, 0.25, config)
-    assert len(fam.member(0.0).diagnostics["windows"]) == 4 and len(calls) == 5
-    for y in fam.y_values:
-        assert_same_solve(fam.member(y), ps.solve_real(problem, 0.0, 0.25, config, shift=1j * np.asarray(y)))
+    # the diffusivity is real, so y > 0 reflects -y: three members are solved, each with its weights
+    assert len(fam.member(0.0).diagnostics["windows"]) == 4 and len(calls) == 3
+    # the grid holds the Nyquist mode of D u with one sign, and the product with the diffusivity
+    # spreads it: an unresolved Gaussian (n = 32, L = 8) leaves 2.7e-9 of its mass there, so a
+    # mirror and its serial solve differ by up to 1.5e-9 (9.2e-9 in du/dt)
+    assert len(mirrored(check_members(fam, problem, 0.25, config, rtol=(2e-9, 2e-8)))) == 2
 
 
 def test_imex_reuses_p_w_for_its_gmres_start_under_an_autonomous_operator(monkeypatch):
@@ -511,7 +566,74 @@ def test_an_error_a_row_hook_raises_belongs_to_its_member(heat_problem, integrat
             raise ValueError(f"hook refuses member {index}")
         return np.ones(len(times), bool)
 
+    # a datum that is not real, so that member 2 is solved, not reflected
+    problem = dataclasses.replace(heat_problem, initial=lambda pts: np.exp(-0.5 * pts[0] ** 2 + 0.5j * pts[0]))
     config = ps.SolverConfig(dt=0.01, integrator=integrator)
     with pytest.raises(ParastripError, match=rf"member y=\({named},\) failed: hook refuses member {who}$") as info:
-        ps.solve_shift_family(heat_problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config, keep=keep)
+        ps.solve_shift_family(problem, [-0.1, 0.0, 0.1], 0.0, 0.05, config, keep=keep)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def count_members(monkeypatch):
+    """The member count of every ``_solve`` call the analyticity module makes."""
+    import parastrip.analyticity as analyticity
+
+    counts = []
+    monkeypatch.setattr(analyticity, "_solve", lambda problem, s_total, members, *a, **k:
+                        counts.append(len(members)) or _solve(problem, s_total, members, *a, **k))
+    return counts
+
+
+def complex_term(op):
+    return dataclasses.replace(op, terms={((1,), (1,)): 1.0 + 0.1j})
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: dataclasses.replace(p, initial=lambda pts: np.exp(1j * np.pi / 10.0 * pts[0])),          # mode
+    lambda p: dataclasses.replace(p, initial=ps.HermiteData(np.array([1.0, 0.5j]), 1)),                  # hermite
+    lambda p: dataclasses.replace(p, op=complex_term(p.op)),                                             # custom
+    lambda p: dataclasses.replace(p, reaction=ps.ReactionSpec(1, 1, 1, lambda z, t, X: (0.3 + 0.2j) * X[0])),
+    lambda p: dataclasses.replace(p, initial=lambda pts: 2.0 * np.exp(-pts[0] ** 2 + 0.5j * pts[0])),  # lockstep
+], ids=["mode", "hermite", "custom", "linear_rate_im", "lockstep_datum"])
+def test_a_problem_that_is_not_real_solves_every_member(heat_problem, monkeypatch, change):
+    counts = count_members(monkeypatch)
+    fam = ps.solve_shift_family(change(heat_problem), np.linspace(-0.2, 0.2, 5), 0.0, 0.02, ps.SolverConfig(dt=1e-2))
+    assert counts == [5] and mirrored(fam) == []
+
+
+def test_a_real_problem_solves_half_its_family_and_one_ray_of_each_pair(heat_problem, monkeypatch):
+    counts = count_members(monkeypatch)
+    config = ps.SolverConfig(dt=1e-2)
+    fam = ps.solve_shift_family(heat_problem, np.linspace(-0.2, 0.2, 9), 0.0, 0.02, config)
+    ps.cr_residual_time(heat_problem, 1.0, [0.05, 0.025], 0.02, config)
+    # a real shift keeps the pairs; a complex centre or an imaginary shift has none
+    ps.cr_residual_time(heat_problem, 1.0, [0.05, 0.025], 0.02, config, shift=[0.5])
+    ps.cr_residual_time(heat_problem, 1.0 + 0.01j, [0.05, 0.025], 0.02, config)
+    ps.cr_residual_time(heat_problem, 1.0, [0.05, 0.025], 0.02, config, shift=[0.1j])
+    assert counts == [5, 7, 7, 9, 9]
+    # a mirror is made without reading its partner's rows, and reads them as conjugates
+    mirror = fam.member([0.2])
+    assert mirror.diagnostics["mirror_of"] == (-0.2,) and isinstance(mirror.stored[0], solver._Conjugate)
+    np.testing.assert_array_equal(mirror.final.values, np.conj(fam.member([-0.2]).final.values))
+    assert not mirror.final.values.flags.writeable
+
+
+def test_the_conjugate_quadratic_surrogate_is_mirrored_and_still_fails_its_checks(tmp_path, monkeypatch):
+    # u conj(u) / 2 is real, so y > 0 reflects -y; it is not holomorphic, so the CR checks fail
+    import json
+
+    from parastrip.cli import main
+
+    counts = count_members(monkeypatch)
+    cfg = {"grid": {"dim": 1, "half_length": 3.0, "points_per_axis": 32}, "run": {"horizon": 0.05},
+           "problem": {"operator": {"kind": "heat", "strip_half_width": 1.0},
+                       "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+                       "reaction": {"kind": "quadratic_surrogate", "strength": 0.5}},
+           "solver": {"dt": 0.01}, "analyticity": {"y_half_width": 0.2, "n_shifts": 5, "strides": [1]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify-analyticity", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert counts == [3, 7]
+    # the statuses of an all-solving run: its path spread, which reflects nothing, fails
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in report] == ["[FAIL] path_spread", "0/1 checks passed"]

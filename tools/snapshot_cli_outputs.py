@@ -14,7 +14,9 @@ and ``hermite`` data, a ``linear`` and a ``quadratic_surrogate`` reaction and a
 ``modulated`` source, each under both integrators; ``ellipticity`` on
 ``heston``, ``heston_chart``, a 2-component ``custom`` system, ``bs`` and 2-D
 ``variable_heat``, and on ``heston_chart`` at explicit ``z_points``;
-``maxreg`` on that system and on ``variable_heat``; and ``xva`` on a
+``maxreg`` on that system and on ``variable_heat``; ``verify-analyticity``
+on the heat flow of a ``mode`` datum, which is not real, and under a
+``quadratic_surrogate`` reaction, which is; and ``xva`` on a
 ``hermite_expansion`` payoff with ``theta_mtm`` 0.5, r > 0 and an epsilon
 sweep, on the 2-D variance chart (a ``heston`` block), and with a funding
 spread alone, which adds the ``xva_sign_bound`` check.  Each run writes into
@@ -102,6 +104,12 @@ ELLIPTICITY = {  # name: (grid dim, operator)
     "bs": (1, {"kind": "bs", "sigma": 0.3}),
     "variable_heat_dim2": (2, VARIABLE_HEAT),
 }
+ANALYTICITY = {  # name: (initial datum, reaction) of a small verify-analyticity run on the heat flow
+    # e^{ikx} is not real: every member and ray is solved
+    "mode": ({"kind": "mode", "index": [1], "amplitude": 0.5}, {}),
+    # u conj(u) / 2 is real, so the family and the time stencil reflect half their solves
+    "surrogate": (GAUSSIAN, {"kind": "quadratic_surrogate", "strength": 0.5}),
+}
 MAXREG = {"system": (SYSTEM, {"dt": 0.0125, "integrator": "imex"}), "variable_heat": (VARIABLE_HEAT, {"dt": 0.0125})}
 CALL = {"kind": "smoothed_call", "strike": 1.0, "epsilon": 0.05}
 XVA = {  # name: (grid dim, xva.params beyond sigma and epsilon)
@@ -131,6 +139,12 @@ def _kind_runs():
         yield f"maxreg_{name}", "maxreg", {
             "grid": GRID, "problem": {"operator": op}, "solver": solver,
             "maxreg": {"horizons": [0.025, 0.05], "p": 4.0, "samples": 3, "support": 0.025}}, None
+    for name, (initial, reaction) in ANALYTICITY.items():
+        yield f"analyticity_{name}", "verify-analyticity", {
+            "grid": GRID, "run": {"horizon": 0.05}, "solver": {"dt": 0.01},
+            "problem": {"operator": {"kind": "heat", "strip_half_width": 1.0}, "initial": initial,
+                        "reaction": reaction},
+            "analyticity": {"y_half_width": 0.2, "n_shifts": 5, "strides": [1]}}, None
     yield "xva_hermite", "xva", {
         "grid": dict(GRID, half_length=6.0), "solver": {"dt": 0.01}, "sweep": {"epsilon": [0.05, 0.02]},
         "xva": {"horizon": 0.05,
