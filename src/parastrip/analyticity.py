@@ -103,6 +103,7 @@ def _parity(alpha, beta) -> int:
 def _reflected_samples(problem: CauchyProblem, pairs, times):
     """(f(z, t), f(conj z, conj t)) for each sampled input f of ``problem``, lazily (see ``_is_real``)."""
     op, grid, spec = problem.op, problem.grid, problem.reaction
+    jets, at = (None if spec is None else _jet_samples(spec, grid)), (1,) + (1,) * grid.dim
     for shift, mirror in pairs:
         shift, mirror = _normalize_shift(grid.dim, shift), _normalize_shift(grid.dim, mirror)
         yield _initial_field(problem, shift).values, _initial_field(problem, mirror).values
@@ -117,7 +118,6 @@ def _reflected_samples(problem: CauchyProblem, pairs, times):
                 yield tuple(out.values if isinstance(out, ComplexField) else out for out in
                             (problem.source(t, grid, shift), problem.source(t_bar, grid, mirror)))
             if spec is not None:
-                jets, at = _jet_samples(spec, grid), (1,) + (1,) * grid.dim
                 yield (spec.eval(z[:, np.newaxis], np.reshape(t, at), jets),
                        spec.eval(z_bar[:, np.newaxis], np.reshape(t_bar, at), np.conj(jets)))
 
