@@ -74,6 +74,9 @@ def _check_symmetric(keys):
 # a sample may differ from the conjugate of its reflection by this share of its largest
 # modulus: the rounding of evaluating at conjugate points
 _REFLECTION_TOL = 1e-13
+# where inside a span its time-dependent inputs are sampled besides its ends: at no simple
+# fraction of it, where an input that is real at the ends need not be
+_INNER = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _conjugates(a, b) -> bool:
@@ -94,16 +97,25 @@ def _jet_samples(spec, grid) -> np.ndarray:
     return (0.5 + 0.25 * np.cos(x * (1 + slot) + comp)) * np.exp(0.3j * np.sin(x + slot + 2 * comp))
 
 
-def _parity(alpha, beta) -> int:
-    """(-1)^(|alpha| + |beta|): D^alpha (c D^beta .) with D = -i d is real when c(conj z, conj t) is
-    this sign times conj c(z, t), so a real first-order term has an imaginary coefficient."""
-    return -1 if (sum(alpha) + sum(beta)) % 2 else 1
+def _keeps_conjugation(alpha, beta, constant: bool) -> bool:
+    """Whether the grid's D^alpha (c D^beta .) maps the conjugate of a field to the conjugate of
+    its image for a real c.  An axis's Nyquist mode stands for both +-n/2 but carries the one
+    wavenumber -n/2, so an odd power of that axis gives it the wrong sign in the conjugate: a
+    constant c needs an even power per axis, a varying one, whose product carries the Nyquist
+    content of D^beta u to every mode, even alpha and beta."""
+    return all((a + b) % 2 == 0 if constant else a % 2 == b % 2 == 0 for a, b in zip(alpha, beta))
 
 
 def _reflected_samples(problem: CauchyProblem, pairs, times):
     """(f(z, t), f(conj z, conj t)) for each sampled input f of ``problem``, lazily (see ``_is_real``)."""
     op, grid, spec = problem.op, problem.grid, problem.reaction
-    jets, at = (None if spec is None else _jet_samples(spec, grid)), (1,) + (1,) * grid.dim
+    at = (1,) + (1,) * grid.dim
+    if spec is not None:
+        # the reflection's odd-order jets are doubled: the grid gives their Nyquist mode one
+        # sign, so a reaction that reads them does not reflect
+        jets = _jet_samples(spec, grid)
+        odd = np.array([2.0 if any(b % 2 for b in beta) else 1.0 for beta in spec.jet_indices])
+        jets_bar = np.conj(jets) * odd.reshape((-1,) + (1,) * (jets.ndim - 1))
     for shift, mirror in pairs:
         shift, mirror = _normalize_shift(grid.dim, shift), _normalize_shift(grid.dim, mirror)
         yield _initial_field(problem, shift).values, _initial_field(problem, mirror).values
@@ -112,14 +124,14 @@ def _reflected_samples(problem: CauchyProblem, pairs, times):
             t_bar = np.conj(t)
             for (alpha, beta), entry in op.terms.items():
                 if callable(entry) and (k == 0 or not op.autonomous):
-                    yield (_parity(alpha, beta) * op.coefficient_matrix(alpha, beta, z, t),
+                    yield (op.coefficient_matrix(alpha, beta, z, t),
                            op.coefficient_matrix(alpha, beta, z_bar, t_bar))
             if problem.source is not None:
                 yield tuple(out.values if isinstance(out, ComplexField) else out for out in
                             (problem.source(t, grid, shift), problem.source(t_bar, grid, mirror)))
             if spec is not None:
                 yield (spec.eval(z[:, np.newaxis], np.reshape(t, at), jets),
-                       spec.eval(z_bar[:, np.newaxis], np.reshape(t_bar, at), np.conj(jets)))
+                       spec.eval(z_bar[:, np.newaxis], np.reshape(t_bar, at), jets_bar))
 
 
 def _is_real(problem: CauchyProblem, pairs, times) -> bool:
@@ -129,18 +141,20 @@ def _is_real(problem: CauchyProblem, pairs, times) -> bool:
 
     That holds when f(conj z, conj t) = conj f(z, t) for the datum, the
     source, the reaction (whose jets are plain derivatives) and each term of
-    ``op.terms`` up to its ``_parity``.  Constant terms are checked exactly;
-    the rest is sampled on the shifted grids x + s and x + s' at each of
-    the ``times`` and its conjugate (an autonomous operator's terms at the
-    first only, the reaction at ``_jet_samples``).  A sample that raises or
-    misses its partner's conjugate by more than rounding makes the problem
-    not real.  A reflection differs from the solve it stands for by the
-    solution's Nyquist content, which the grid holds with one sign under an
-    odd derivative.  Neither ``_solve`` nor ``OperatorPlan`` runs this test.
+    ``op.terms``, and the grid keeps the reflection: every term passes
+    ``_keeps_conjugation`` and the reaction reads no odd-order jet.  Then a
+    reflection differs from the solve it stands for by rounding.  Constant
+    terms are checked exactly; the rest is sampled on the shifted grids
+    x + s and x + s' at each of the ``times`` and its conjugate (an
+    autonomous operator's terms at the first only, the reaction at
+    ``_jet_samples``).  A sample that raises or misses its partner's
+    conjugate by more than rounding makes the problem not real.  Neither
+    ``_solve`` nor ``OperatorPlan`` runs this test.
     """
+    terms = problem.op.terms.items()
     try:
-        return (all(np.all(_parity(*term) * np.conj(entry) == entry)
-                    for term, entry in problem.op.terms.items() if not callable(entry))
+        return (all(_keeps_conjugation(*term, not callable(entry)) for term, entry in terms)
+                and all(np.all(np.conj(entry) == entry) for _, entry in terms if not callable(entry))
                 and all(_conjugates(a, b) for a, b in _reflected_samples(problem, pairs, times)))
     except Exception:         # an input that cannot be sampled is not known to be real
         return False
@@ -204,12 +218,16 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
 
     Members are solves sharing every discretization knob, each with its own
     operator plan, run through one driver (``solver._solve``), in lockstep
-    under ``picard_voc``; each gets the bits of its own serial solve.  A
-    real problem (``_is_real``, sampled on the members' shifted grids at t0
-    and ``horizon``) has u(x - iy, t) = conj u(x + iy, t): then only the
-    members up to the middle of the ascending y-grid are solved, y <= 0 on
-    a line, and each other member is the ``_mirror`` of the one at -y,
-    which ``diagnostics["mirror_of"]`` names.  A failing member aborts the
+    under ``picard_voc``; each solved member gets the bits of its own serial
+    solve.  A real problem (``_is_real``, sampled on the members' shifted
+    grids at t0, inside the span and at ``horizon``) has
+    u(x - iy, t) = conj u(x + iy, t): then only the members up to the middle
+    of the ascending y-grid are solved, y <= 0 on a line, and each other
+    member is the ``_mirror`` of the one at -y, which
+    ``diagnostics["mirror_of"]`` names.  A mirror has the conjugated bits of
+    its partner; it differs from its own serial solve by the rounding of
+    the transforms, which P amplifies in the time derivatives by up to its
+    symbol's largest modulus.  A failing member aborts the
     family with an error naming its shift; when several fail, the one with
     the smallest y, which a serial run in ascending order of y would meet
     first.  The error keeps the member's type when that is a
@@ -237,7 +255,7 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     try:
         start, s_total = _real_span(t0, horizon)
         if _is_real(problem, [(1j * y, 1j * ys[-1 - i]) for i, y in enumerate(ys[:len(ys) // 2])],
-                    [start, float(horizon)]):
+                    [start, start + _INNER * s_total, float(horizon)]):
             solved -= len(ys) // 2
         outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys[:solved]], config,
                           t_base=start, keep=keep)
@@ -389,8 +407,8 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     keep their final rows only: no row but the start and the last is due
     under their snapshot stride, which changes no bit of the march, and the
     row hook holds neither, so the march's last row alone is stored.  When
-    the problem at ``shift`` is real (``_is_real``, sampled at the rays'
-    ends), the ray at conj(mu) ends at the conjugate of the ray at mu: a
+    the problem at ``shift`` is real (``_is_real``, sampled inside the rays
+    and at their ends), the ray at conj(mu) ends at the conjugate of the ray at mu: a
     ray whose conjugate comes before it is not solved, and takes that
     ray's conjugated end.  So a real centre solves one ray of each pair
     centre +- i d.
@@ -411,7 +429,7 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
                 raise DomainError(f"stencil point mu={mu} leaves the disc of radius {radius}")
         # in the order a serial run solves them: each stencil, the centre after the first
         rays.extend(stencil if rays else stencil + [mu_center])
-    real = _is_real(problem, [(shift, shift)], [mu * float(rho) for mu in rays])
+    real = _is_real(problem, [(shift, shift)], [mu * float(rho) * s for mu in rays for s in (_INNER, 1.0)])
     solved, ends_of = [], []        # the rays to solve; per ray, (its solved ray, whether conjugated)
     for mu in rays:
         flip = real and mu.imag != 0.0 and mu.conjugate() in solved

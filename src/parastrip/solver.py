@@ -450,11 +450,15 @@ def _phi_weights(a: np.ndarray):
     Near the removable singularity the values are recovered as contour means
     over a unit circle around each point (exact for entire functions up to
     the Taylor tail beyond order 32); elsewhere the direct formulas are fine.
-    Each distinct value of ``a`` is evaluated once and scattered to its
-    copies: a symbol repeats for +-k, and in 2-D for every k of equal |k|.
+    A symbol even in k, seen at k = +-1 on the last axis, repeats for +-k,
+    and in 2-D for every k of equal |k|: each distinct value of ``a`` is
+    evaluated once and scattered to its copies.  One with an odd part has
+    no repeats to find and skips the search.
     """
     a = np.asarray(a, dtype=np.complex128)
-    distinct, inverse = np.unique(a, return_inverse=True)
+    edge = (0,) * (a.ndim - 1)
+    even = a.ndim > 0 and a.shape[-1] > 2 and a[edge + (1,)] == a[edge + (-1,)]
+    distinct, inverse = np.unique(a, return_inverse=True) if even else (a, None)
     phi1 = np.empty_like(distinct)
     phi2 = np.empty_like(distinct)
     small = np.abs(distinct) <= 0.5
@@ -470,6 +474,8 @@ def _phi_weights(a: np.ndarray):
         ez = np.exp(z)
         phi1[small] = np.mean((ez - 1.0) / z, axis=-1)
         phi2[small] = np.mean((ez - 1.0 - z) / (z * z), axis=-1)
+    if inverse is None:
+        return phi1, phi2
     inverse = inverse.reshape(a.shape)
     return phi1[inverse], phi2[inverse]
 
