@@ -408,10 +408,10 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     under their snapshot stride, which changes no bit of the march, and the
     row hook holds neither, so the march's last row alone is stored.  When
     the problem at ``shift`` is real (``_is_real``, sampled inside the rays
-    and at their ends), the ray at conj(mu) ends at the conjugate of the ray at mu: a
-    ray whose conjugate comes before it is not solved, and takes that
-    ray's conjugated end.  So a real centre solves one ray of each pair
-    centre +- i d.
+    and at their ends), the ray at conj(mu) ends at the conjugate of the
+    ray at mu: a ray whose conjugate comes before it is not solved, and
+    takes that ray's conjugated end.  So a real centre solves one ray of
+    each pair centre +- i d.
     """
     single = np.isscalar(d_mu)
     widths = [float(d_mu)] if single else [float(d) for d in d_mu]
