@@ -106,7 +106,7 @@ def _keeps_conjugation(alpha, beta, constant: bool) -> bool:
     return all((a + b) % 2 == 0 if constant else a % 2 == b % 2 == 0 for a, b in zip(alpha, beta))
 
 
-def _reflected_samples(problem: CauchyProblem, pairs, times):
+def _reflected_samples(problem: CauchyProblem, shifts, times):
     """(f(z, t), f(conj z, conj t)) for each sampled input f of ``problem``, lazily (see ``_is_real``)."""
     op, grid, spec = problem.op, problem.grid, problem.reaction
     at = (1,) + (1,) * grid.dim
@@ -116,8 +116,7 @@ def _reflected_samples(problem: CauchyProblem, pairs, times):
         jets = _jet_samples(spec, grid)
         odd = np.array([2.0 if any(b % 2 for b in beta) else 1.0 for beta in spec.jet_indices])
         jets_bar = np.conj(jets) * odd.reshape((-1,) + (1,) * (jets.ndim - 1))
-    for shift, mirror in pairs:
-        shift, mirror = _normalize_shift(grid.dim, shift), _normalize_shift(grid.dim, mirror)
+    for shift, mirror in zip(shifts, np.conj(shifts)):
         yield _initial_field(problem, shift).values, _initial_field(problem, mirror).values
         z, z_bar = _shifted_points(grid, shift), _shifted_points(grid, mirror)
         for k, t in enumerate(times):
@@ -134,10 +133,10 @@ def _reflected_samples(problem: CauchyProblem, pairs, times):
                        spec.eval(z_bar[:, np.newaxis], np.reshape(t_bar, at), jets_bar))
 
 
-def _is_real(problem: CauchyProblem, pairs, times) -> bool:
-    """Whether the solve of ``problem`` at shift s' along the ray conj(mu) is the conjugate of the
-    solve at s along mu, for each (s, s') of ``pairs`` (complex vectors) and every ray through
-    ``times``.
+def _is_real(problem: CauchyProblem, shifts, times) -> bool:
+    """Whether the solve of ``problem`` at shift conj(s) along the ray conj(mu) is the conjugate
+    of the solve at s along mu, for each s of ``shifts`` (complex vectors of the grid's
+    dimension) and every ray through ``times``.
 
     That holds when f(conj z, conj t) = conj f(z, t) for the datum, the
     source, the reaction (whose jets are plain derivatives) and each term of
@@ -145,7 +144,7 @@ def _is_real(problem: CauchyProblem, pairs, times) -> bool:
     ``_keeps_conjugation`` and the reaction reads no odd-order jet.  Then a
     reflection differs from the solve it stands for by rounding.  Constant
     terms are checked exactly; the rest is sampled on the shifted grids
-    x + s and x + s' at each of the ``times`` and its conjugate (an
+    x + s and x + conj(s) at each of the ``times`` and its conjugate (an
     autonomous operator's terms at the first only, the reaction at
     ``_jet_samples``).  A sample that raises or misses its partner's
     conjugate by more than rounding makes the problem not real.  Neither
@@ -155,7 +154,7 @@ def _is_real(problem: CauchyProblem, pairs, times) -> bool:
     try:
         return (all(_keeps_conjugation(*term, not callable(entry)) for term, entry in terms)
                 and all(np.all(np.conj(entry) == entry) for _, entry in terms if not callable(entry))
-                and all(_conjugates(a, b) for a, b in _reflected_samples(problem, pairs, times)))
+                and all(_conjugates(a, b) for a, b in _reflected_samples(problem, shifts, times)))
     except Exception:         # an input that cannot be sampled is not known to be real
         return False
 
@@ -166,15 +165,50 @@ def _reflected_rhs(rhs, stack, ts, sources=None):
     return np.conj(rhs(np.conj(stack), np.conj(ts), sources=None if sources is None else np.conj(sources)))
 
 
-def _mirror(partner: SolveResult, name) -> SolveResult:
+def _mirror(partner: SolveResult) -> SolveResult:
     """The reflection of ``partner``, a solve of a real problem: the solve at the conjugate shift
     along the conjugate ray, whose rows and times are the conjugates of the partner's.  Its rows
     are conjugated when first read (``solver._Conjugate``), so making it replays nothing; its
-    diagnostics are the partner's, with ``mirror_of`` set to ``name``."""
-    diag = dict(partner.diagnostics, mu=partner.diagnostics["mu"].conjugate(),
-                shift=np.conj(partner.diagnostics["shift"]), mirror_of=name)
+    diagnostics are the partner's, with ``mirror_of`` the y of the partner's shift x + iy."""
+    shift = partner.diagnostics["shift"]
+    diag = dict(partner.diagnostics, mu=partner.diagnostics["mu"].conjugate(), shift=np.conj(shift),
+                mirror_of=tuple(map(float, np.imag(shift))))
     return SolveResult(partner.grid, np.conj(partner.times), [_Conjugate(partner)], diag,
                        functools.partial(_reflected_rhs, partner.rhs))
+
+
+def _solve_reflected(problem: CauchyProblem, s_total, members, config: SolverConfig, t_base=0.0, keep=None) -> list:
+    """``_solve`` for the (mu, shift) ``members``, each along t = t_base + mu s, where a real
+    problem solves one member of each conjugate pair.
+
+    Members are compared as ``_key`` snaps their (mu, shift).  Of a member
+    and its conjugate (conj mu, conj shift), the one met first in the list
+    is solved, and the other is the ``_mirror`` of it, when the problem is
+    real: ``_is_real``, asked once for the whole list, sampled on the
+    partners' shifts at t_base and inside and at the end of each partner's
+    ray.  Every other member is solved, one that is its own conjugate
+    always.  ``keep`` is ``_solve``'s row hook over the solved members: its
+    ``index`` counts them alone, and a mirror is offered no row.  Returns
+    one outcome per member, in order: its SolveResult, or the exception its
+    serial solve raises; the list ends at the first exception.
+    """
+    members = [np.concatenate([[complex(mu)], _normalize_shift(problem.grid.dim, shift)]) for mu, shift in members]
+    keys = [_key(m.view(np.float64)) for m in members]
+    bars = [_key(np.conj(m).view(np.float64)) for m in members]
+    # a mirror's conjugate key first appears before its own key does
+    partner = {j: keys.index(bar) for j, bar in enumerate(bars) if bar in keys[:keys.index(keys[j])]}
+    partners = [members[i] for i in partner.values()]
+    if partner and not _is_real(problem, np.unique([m[1:] for m in partners], axis=0),
+                                np.unique([t_base + m[0] * s_total * f for m in partners for f in (0.0, _INNER, 1.0)])):
+        partner = {}
+    solved = iter(_solve(problem, s_total, [(m[0], m[1:], None) for j, m in enumerate(members) if j not in partner],
+                         config, t_base=t_base, keep=keep))
+    out = []
+    for j in range(len(members)):
+        out.append(_mirror(out[partner[j]]) if j in partner else next(solved))
+        if isinstance(out[-1], Exception):
+            break
+    return out
 
 
 @dataclass
@@ -219,11 +253,9 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
     Members are solves sharing every discretization knob, each with its own
     operator plan, run through one driver (``solver._solve``), in lockstep
     under ``picard_voc``; each solved member gets the bits of its own serial
-    solve.  A real problem (``_is_real``, sampled on the members' shifted
-    grids at t0, inside the span and at ``horizon``) has
-    u(x - iy, t) = conj u(x + iy, t): then only the members up to the middle
-    of the ascending y-grid are solved, y <= 0 on a line, and each other
-    member is the ``_mirror`` of the one at -y, which
+    solve.  The members go to ``_solve_reflected`` in ascending order of y,
+    so a real problem solves those up to the middle of the grid, y <= 0 on
+    a line, and member y is the ``_mirror`` of member -y, which
     ``diagnostics["mirror_of"]`` names.  A mirror has the conjugated bits of
     its partner; it differs from its own serial solve by the rounding of
     the transforms, which P amplifies in the time derivatives by up to its
@@ -250,24 +282,14 @@ def solve_shift_family(problem: CauchyProblem, y_grid, t0, horizon,
         if not strip.contains(1j * y):
             raise DomainError(f"shift y={tuple(map(float, y))} leaves the strip of half width {strip.half_width}")
     _check_symmetric([_key(y) for y in ys])
-    # sorted, the symmetric grid's member i has its reflection -y at n - 1 - i
-    ys, solved = sorted(ys, key=_key), len(ys)
+    ys = sorted(ys, key=_key)
     try:
         start, s_total = _real_span(t0, horizon)
-        if _is_real(problem, [(1j * y, 1j * ys[-1 - i]) for i, y in enumerate(ys[:len(ys) // 2])],
-                    [start, start + _INNER * s_total, float(horizon)]):
-            solved -= len(ys) // 2
-        outcomes = _solve(problem, s_total, [(1.0 + 0.0j, 1j * y, None) for y in ys[:solved]], config,
-                          t_base=start, keep=keep)
+        outcomes = _solve_reflected(problem, s_total, [(1.0, 1j * y) for y in ys], config, start, keep)
     except Exception as exc:          # a setting all members share: the first one reports it
         outcomes = [exc]
     results = {}
-    for i, y in enumerate(ys):
-        if i < solved:
-            out = outcomes[i]
-        else:
-            partner = tuple(map(float, ys[-1 - i]))
-            out = _mirror(results[_key(partner)], partner)
+    for y, out in zip(ys, outcomes):
         if isinstance(out, Exception):
             _release(out, sys._getframe())
             kind = type(out) if isinstance(out, ParastripError) else ParastripError
@@ -406,12 +428,10 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
     all widths share, is one ray solved once; the rays run in lockstep and
     keep their final rows only: no row but the start and the last is due
     under their snapshot stride, which changes no bit of the march, and the
-    row hook holds neither, so the march's last row alone is stored.  When
-    the problem at ``shift`` is real (``_is_real``, sampled inside the rays
-    and at their ends), the ray at conj(mu) ends at the conjugate of the
-    ray at mu: a ray whose conjugate comes before it is not solved, and
-    takes that ray's conjugated end.  So a real centre solves one ray of
-    each pair centre +- i d.
+    row hook holds neither, so the march's last row alone is stored.  The
+    rays go to ``_solve_reflected`` in that order, so a real problem solves
+    one ray of each pair centre +- i d, and the other ends at its
+    conjugate.
     """
     single = np.isscalar(d_mu)
     widths = [float(d_mu)] if single else [float(d) for d in d_mu]
@@ -429,15 +449,8 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
                 raise DomainError(f"stencil point mu={mu} leaves the disc of radius {radius}")
         # in the order a serial run solves them: each stencil, the centre after the first
         rays.extend(stencil if rays else stencil + [mu_center])
-    real = _is_real(problem, [(shift, shift)], [mu * float(rho) * s for mu in rays for s in (_INNER, 1.0)])
-    solved, ends_of = [], []        # the rays to solve; per ray, (its solved ray, whether conjugated)
-    for mu in rays:
-        flip = real and mu.imag != 0.0 and mu.conjugate() in solved
-        ends_of.append((solved.index(mu.conjugate()), True) if flip else (len(solved), False))
-        if not flip:
-            solved.append(mu)
     config = replace(config if config is not None else SolverConfig(), snapshot_stride=_NO_SNAPSHOTS)
-    outcomes = _solve(problem, float(rho), [(mu, shift, None) for mu in solved], config, keep=_hold_none)
+    outcomes = _solve_reflected(problem, float(rho), [(mu, shift) for mu in rays], config, keep=_hold_none)
     for out in outcomes:
         if isinstance(out, Exception):
             _release(out, sys._getframe())
@@ -445,7 +458,7 @@ def cr_residual_time(problem: CauchyProblem, mu_center, d_mu, rho, config: Solve
                 raise out
             finally:
                 outcomes = out = None     # the raise pins this frame, which must not keep the error
-    ends = [np.conj(outcomes[j].final.values) if flip else outcomes[j].final.values for j, flip in ends_of]
+    ends = [out.final.values for out in outcomes]
     grid = problem.grid
     scale = lp_norm(ComplexField._trusted(grid, ends[4]), 2.0)
     if scale == 0.0:

@@ -105,6 +105,26 @@ def test_cr_residual_time_small_on_disc(heat_problem):
         ps.cr_residual_time(heat_problem, 1.0, 0.8, 0.2, FAST)
 
 
+def test_the_family_and_the_time_stencil_refuse_empty_or_zero_inputs(heat_problem):
+    with pytest.raises(ConfigurationError, match="empty shift grid"):
+        ps.solve_shift_family(heat_problem, [], 0.0, 0.05, FAST)
+    with pytest.raises(ConfigurationError, match="need at least one stencil width"):
+        ps.cr_residual_time(heat_problem, 1.0, [], 0.2, FAST)
+    zero = dataclasses.replace(heat_problem, initial=lambda pts: 0.0 * pts[0])
+    with pytest.raises(ConfigurationError, match="cannot normalize the residual of a zero trajectory"):
+        ps.cr_residual_time(zero, 1.0, 0.05, 0.2, FAST)
+
+
+def test_conjugates_refuses_non_finite_samples_and_mismatched_shapes():
+    from parastrip.analyticity import _conjugates
+
+    a = np.array([1.0 + 2.0j, -0.5j])
+    assert _conjugates(a, np.conj(a))
+    assert not _conjugates(a, np.conj(a)[:1])
+    nan = np.array([np.nan + 0.0j, 1.0])
+    assert not _conjugates(nan, nan)
+
+
 def test_path_independence_spread(heat_problem):
     spread = ps.path_independence_check(heat_problem, 0.5, 0.1, [0.2, 0.3], ps.SolverConfig(dt=1e-3))
     assert spread < 1e-9

@@ -167,7 +167,7 @@ def test_cr_residual_time_solves_the_shared_centre_once(heat_problem, monkeypatc
     monkeypatch.setattr(analyticity, "_solve", spy)
     got = ps.cr_residual_time(heat_problem, 1.0, widths, 0.1, config)
     # a real problem: the ray 1 - i d ends at the conjugate of the ray 1 + i d, so 7 of the 9 are solved
-    assert calls == [(7, {"keep": analyticity._hold_none})]
+    assert calls == [(7, {"t_base": 0.0, "keep": analyticity._hold_none})]
     grid = heat_problem.grid
 
     def end(mu):
@@ -652,6 +652,28 @@ def test_a_real_problem_solves_half_its_family_and_one_ray_of_each_pair(heat_pro
     assert mirror.diagnostics["mirror_of"] == (-0.2,) and isinstance(mirror.stored[0], solver._Conjugate)
     np.testing.assert_array_equal(mirror.final.values, np.conj(fam.member([-0.2]).final.values))
     assert not mirror.final.values.flags.writeable
+
+
+def test_one_reflection_rule_pairs_a_mixed_member_list(heat_problem, monkeypatch):
+    # (mu, 0.1i) and (conj mu, -0.1i) are a conjugate pair; (1, 0) is its own conjugate; the
+    # conjugate of (conj mu, 0.1i), (mu, -0.1i), is not in the list
+    from parastrip.analyticity import _solve_reflected
+
+    mu, config = 1.0 + 0.1j, ps.SolverConfig(dt=2e-3)
+    members = [(mu, [0.1j]), (1.0, None), (mu.conjugate(), [-0.1j]), (mu.conjugate(), [0.1j])]
+    counts = count_members(monkeypatch)
+    got = _solve_reflected(heat_problem, 0.1, members, config)
+    assert counts == [3] and ["mirror_of" in out.diagnostics for out in got] == [False, False, True, False]
+    for (m, shift), out in zip(members, got):
+        want = ps.solve_complex_ray(heat_problem, m, 0.1, config, shift=shift)
+        if "mirror_of" in out.diagnostics:
+            assert_mirrors(out, got[0], want, heat_problem)
+        else:
+            assert_same_solve(out, want)
+    # a datum that is not real: every member is solved
+    problem = dataclasses.replace(heat_problem, initial=lambda pts: np.exp(-0.5 * pts[0] ** 2 + 0.5j * pts[0]))
+    got = _solve_reflected(problem, 0.1, members, config)
+    assert counts == [3, 4] and not any("mirror_of" in out.diagnostics for out in got)
 
 
 def test_the_conjugate_quadratic_surrogate_is_mirrored_and_still_fails_its_checks(tmp_path, monkeypatch):
