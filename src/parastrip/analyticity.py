@@ -195,17 +195,19 @@ def _solve_reflected(problem: CauchyProblem, s_total, members, config: SolverCon
     members = [np.concatenate([[complex(mu)], _normalize_shift(problem.grid.dim, shift)]) for mu, shift in members]
     keys = [_key(m.view(np.float64)) for m in members]
     bars = [_key(np.conj(m).view(np.float64)) for m in members]
-    # a mirror's conjugate key first appears before its own key does
-    partner = {j: keys.index(bar) for j, bar in enumerate(bars) if bar in keys[:keys.index(keys[j])]}
-    partners = [members[i] for i in partner.values()]
-    if partner and not _is_real(problem, np.unique([m[1:] for m in partners], axis=0),
-                                np.unique([t_base + m[0] * s_total * f for m in partners for f in (0.0, _INNER, 1.0)])):
-        partner = {}
-    solved = iter(_solve(problem, s_total, [(m[0], m[1:], None) for j, m in enumerate(members) if j not in partner],
+    # a mirror's conjugate key first appears before its own key does; its partner is that member
+    mirrors = {j: keys.index(bar) for j, bar in enumerate(bars) if bar in keys[:keys.index(keys[j])]}
+    partners = [members[i] for i in mirrors.values()]
+    # each distinct shift and time once (np.unique over rows would import numpy.ma, ~15 ms cold)
+    if mirrors and not _is_real(problem, list({tuple(m[1:]): m[1:] for m in partners}.values()),
+                                list(dict.fromkeys(t_base + m[0] * s_total * f for m in partners
+                                                   for f in (0.0, _INNER, 1.0)))):
+        mirrors = {}
+    solved = iter(_solve(problem, s_total, [(m[0], m[1:], None) for j, m in enumerate(members) if j not in mirrors],
                          config, t_base=t_base, keep=keep))
     out = []
     for j in range(len(members)):
-        out.append(_mirror(out[partner[j]]) if j in partner else next(solved))
+        out.append(_mirror(out[mirrors[j]]) if j in mirrors else next(solved))
         if isinstance(out[-1], Exception):
             break
     return out
