@@ -203,8 +203,8 @@ def _solve_reflected(problem: CauchyProblem, s_total, members, config: SolverCon
                                 list(dict.fromkeys(t_base + m[0] * s_total * f for m in partners
                                                    for f in (0.0, _INNER, 1.0)))):
         mirrors = {}
-    solved = iter(_solve(problem, s_total, [(m[0], m[1:], None) for j, m in enumerate(members) if j not in mirrors],
-                         config, t_base=t_base, keep=keep))
+    solved = iter(_solve(problem, s_total, [(complex(m[0]), m[1:], None) for j, m in enumerate(members)
+                                            if j not in mirrors], config, t_base=t_base, keep=keep))
     out = []
     for j in range(len(members)):
         out.append(_mirror(out[mirrors[j]]) if j in mirrors else next(solved))

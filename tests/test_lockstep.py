@@ -664,6 +664,7 @@ def test_one_reflection_rule_pairs_a_mixed_member_list(heat_problem, monkeypatch
     counts = count_members(monkeypatch)
     got = _solve_reflected(heat_problem, 0.1, members, config)
     assert counts == [3] and ["mirror_of" in out.diagnostics for out in got] == [False, False, True, False]
+    assert got[2].diagnostics["mirror_of"] == (0.1,)          # the y of its partner's shift
     for (m, shift), out in zip(members, got):
         want = ps.solve_complex_ray(heat_problem, m, 0.1, config, shift=shift)
         if "mirror_of" in out.diagnostics:
